@@ -14,8 +14,7 @@ over a shared substrate:
   them into fewer scheduler submits.  The gate pins
   ``microbatch_submits < microbatch_queries`` via the service counters.
 
-Everything crosses the wire as the declarative ``/v1`` JSON schema — the
-gate also pins ``legacy_pickle_submits == 0`` (zero pickle on the wire).
+Everything crosses the wire as the declarative ``/v1`` JSON schema.
 
 Agreement gates: streamed blocks and micro-batched pair values must match
 the service's own plain ``/v1/jobs`` submit-and-wait path to **1e-10**
@@ -289,8 +288,6 @@ def check(result: dict) -> list[str]:
             f"micro-batching did not coalesce: {frontdoor['microbatch_queries']} "
             f"queries became {frontdoor['microbatch_submits']} submits {where}"
         )
-    if frontdoor["legacy_pickle_submits"] != 0:
-        failures.append(f"pickle crossed the wire {where}")
     return failures
 
 

@@ -42,8 +42,8 @@ from urllib.request import Request, urlopen
 import numpy as np
 
 from ..faults import fault_hook
-from ..service.jobs import SCHEMA_VERSION, JobState
-from ..service.scheduler import QueueSaturatedError, Scheduler
+from ..service.jobs import SCHEMA_VERSION, JobState, QueueSaturatedError
+from ..service.scheduler import Scheduler
 from ..service.wire import (
     RouteResult,
     WireFormatError,

@@ -834,7 +834,7 @@ def run_service_experiment(
     The baseline extractions double as the isolated references for the
     agreement gate.  A repeated query afterwards must be served entirely
     from the result store (zero new solves), and an ``http_clients``-client
-    round trip through the real :class:`~repro.service.server.ExtractionServer`
+    round trip through the real :class:`~repro.service.aserver.AsyncExtractionServer`
     checks the wire path end to end.  This is the experiment behind
     ``BENCH_service.json``.
     """
@@ -842,7 +842,7 @@ def run_service_experiment(
     from concurrent.futures import ThreadPoolExecutor
 
     from ..geometry.layouts import regular_grid
-    from ..service import ExtractionServer, JobRequest, Scheduler, ServiceClient
+    from ..service import AsyncExtractionServer, JobRequest, Scheduler, ServiceClient
     from ..substrate.parallel import SolverSpec
     from ..substrate.profile import SubstrateProfile
 
@@ -959,7 +959,7 @@ def run_service_experiment(
 
     # --- HTTP round trip through the real server ----------------------------
     if http_clients > 0:
-        with ExtractionServer(
+        with AsyncExtractionServer(
             n_workers=n_workers, coalesce_window_s=coalesce_window_s
         ) as server:
             client = ServiceClient(server.url, timeout_s=600.0)
@@ -1219,7 +1219,7 @@ def run_faults_experiment(
       priority-5 submissions must displace exactly the two youngest low-
       priority jobs (terminal ``"shed"``), one more priority-0 submission
       must be refused with HTTP 429 (surfaced as
-      :class:`~repro.service.scheduler.QueueSaturatedError` + Retry-After),
+      :class:`~repro.service.jobs.QueueSaturatedError` + Retry-After),
       an injected ``dispatch.cycle`` drop must leave the queue intact, and
       every surviving job must complete at 1e-10 of baseline.
 
@@ -1233,7 +1233,7 @@ def run_faults_experiment(
     from .. import faults
     from ..geometry.layouts import regular_grid
     from ..service import (
-        ExtractionServer,
+        AsyncExtractionServer,
         JobRequest,
         QueueSaturatedError,
         RetryPolicy,
@@ -1397,7 +1397,7 @@ def run_faults_experiment(
         max_queue_depth=depth,
     )
     try:
-        with ExtractionServer(scheduler=scheduler) as server:
+        with AsyncExtractionServer(scheduler=scheduler) as server:
             client = ServiceClient(server.url, timeout_s=600.0)
             low_ids = [
                 client.submit(

@@ -11,21 +11,20 @@ and serves many small :class:`~repro.service.jobs.JobRequest` jobs against
 it, coalescing concurrent requests over the same substrate fingerprint into
 shared ``solve_many`` blocks.  The HTTP front door is **schema-first**:
 :mod:`~repro.service.wire` defines a declarative JSON wire protocol (layout,
-profile, options and arrays as plain data — no pickle on the wire, fingerprint-
-exact round trips), :mod:`~repro.service.aserver` serves it from one asyncio
-event loop under ``/v1/`` with chunked-NDJSON streaming (columns reach the
-client as their coalesced group's solve lands, before the job completes) and
-HTTP-layer micro-batching of small pair queries, and
+profile, options and arrays as plain data — no pickle, fingerprint-exact
+round trips), :mod:`~repro.service.aserver` — the one HTTP server — serves
+it from one asyncio event loop under ``/v1/`` with chunked-NDJSON streaming
+(columns reach the client as their coalesced group's solve lands, before
+the job completes) and HTTP-layer micro-batching of small pair queries, and
 :mod:`~repro.service.client` is the blocking client with typed exceptions
-decoded from the single error envelope.  The legacy threaded server
-(:mod:`~repro.service.server`) serves the same ``/v1`` routes; its pickle-era
-``/submit`` survives only behind an explicit opt-in.
-:mod:`~repro.service.metrics` aggregates the operational counters behind the
-``/stats`` endpoint.  :mod:`~repro.service.persistence` makes the amortised
-state durable: point the scheduler (or ``python -m repro.service
---state-dir``) at a directory and the solved-column corpus, factor
-artifacts and accepted-job journal survive restarts — a warm restart serves
-the previous corpus with zero new solves and zero factor rebuilds.
+decoded from the single error envelope.  :mod:`~repro.service.metrics`
+aggregates the operational counters behind ``/v1/stats``.
+:mod:`~repro.service.persistence` makes the amortised state durable: point
+the scheduler (or ``python -m repro.service --state-dir``) at a directory
+and the solved-column corpus, factor artifacts and accepted-job journal
+(the same ``/v1`` request documents, never pickle) survive restarts — a
+warm restart serves the previous corpus with zero new solves and zero
+factor rebuilds.
 
 The service is also fault-tolerant: batches that fail are retried with
 exponential backoff (:class:`~repro.service.scheduler.RetryPolicy`), a
@@ -33,7 +32,7 @@ broken worker pool is torn down and rebuilt mid-block (degrading to inline
 solves when rebuilds keep failing), repeatedly failing substrates trip a
 per-fingerprint :class:`~repro.service.scheduler.CircuitBreaker`, and a
 bounded queue sheds the lowest-priority work under overload
-(:class:`~repro.service.scheduler.QueueSaturatedError` / HTTP 429).  Every
+(:class:`~repro.service.jobs.QueueSaturatedError` / HTTP 429).  Every
 failure mode is reproducible on demand through :mod:`repro.faults`.
 
 Quickstart::
@@ -56,24 +55,22 @@ or in-process, without HTTP::
         job = scheduler.result(job_id, wait_s=60.0)
 """
 
-from .jobs import Job, JobExpiredError, JobRequest, JobState
+from .jobs import (
+    SCHEMA_VERSION,
+    Job,
+    JobExpiredError,
+    JobRequest,
+    JobState,
+    QueueSaturatedError,
+)
 from .metrics import ServiceMetrics
 from .persistence import JobJournal, ServicePersistence, SqliteResultBackend
 from .result_store import ResultStore
-from .scheduler import (
-    CircuitBreaker,
-    ExtractorPool,
-    QueueSaturatedError,
-    RetryPolicy,
-    Scheduler,
-)
+from .scheduler import CircuitBreaker, ExtractorPool, RetryPolicy, Scheduler
 from .aserver import AsyncExtractionServer
 from .client import ServiceClient
-from .jobs import SCHEMA_VERSION
-from .server import ExtractionServer
 from .wire import (
     BadRequestError,
-    LegacyPickleDisabledError,
     ServiceError,
     ServiceUnavailableError,
     UnauthorizedError,
@@ -101,7 +98,6 @@ __all__ = [
     "RetryPolicy",
     "CircuitBreaker",
     "QueueSaturatedError",
-    "ExtractionServer",
     "AsyncExtractionServer",
     "ServiceClient",
     "ServiceError",
@@ -109,7 +105,6 @@ __all__ = [
     "UnknownJobError",
     "ServiceUnavailableError",
     "UnauthorizedError",
-    "LegacyPickleDisabledError",
     "WireFormatError",
     "request_to_wire",
     "request_from_wire",

@@ -6,9 +6,9 @@ bridges to the existing thread-based
 the blocking submit/wait paths) and
 :meth:`~repro.service.scheduler.Scheduler.submit`'s watcher hook (for
 push-style progress, marshalled onto the loop with
-``call_soon_threadsafe``).  Everything on the wire is the declarative JSON
-schema of :mod:`~repro.service.wire` — **no pickle** unless the operator
-explicitly revives the deprecated endpoint.
+``call_soon_threadsafe``).  This is the service's only HTTP front end, and
+everything on its wire is the declarative JSON schema of
+:mod:`~repro.service.wire` — no pickle on any route.
 
 ========  ======================  =========================================
 method    path                    body / behaviour
@@ -27,16 +27,11 @@ POST      /v1/pairs               one pair query; the server micro-batches
                                   fingerprint into a single submit
 GET       /v1/stats               metrics snapshot (incl. ``frontdoor``)
 GET       /v1/healthz             liveness (503 when stuck)
-GET       /result /stats /healthz legacy aliases (``Deprecation`` header)
-POST      /submit                 legacy base64-pickle submit: **410** by
-                                  default; only served when constructed
-                                  with ``allow_legacy_pickle=True``, and
-                                  then still loopback-only unless
-                                  ``allow_untrusted_pickle``
 ========  ======================  =========================================
 
 Every 4xx/5xx body is the one error envelope
-``{"error": {"code", "message", "retry_after"}}``.
+``{"error": {"code", "message", "retry_after"}}``; any other path answers
+404 ``not_found``.
 
 The HTTP layer itself is a deliberately small HTTP/1.1 implementation over
 ``asyncio.start_server`` (stdlib only; one request per connection,
@@ -49,11 +44,9 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import base64
 import hmac
 import json
 import os
-import pickle
 import threading
 import time
 from functools import partial
@@ -61,9 +54,14 @@ from urllib.parse import parse_qs, unquote, urlparse
 
 import numpy as np
 
-from .jobs import SCHEMA_VERSION, JobExpiredError, JobRequest, JobState
-from .scheduler import QueueSaturatedError, Scheduler
-from .server import _is_loopback_address
+from .jobs import (
+    SCHEMA_VERSION,
+    JobExpiredError,
+    JobRequest,
+    JobState,
+    QueueSaturatedError,
+)
+from .scheduler import Scheduler
 from .wire import (
     WireFormatError,
     encode_array,
@@ -71,7 +69,6 @@ from .wire import (
     request_from_wire,
     snapshot_to_wire,
     spec_from_wire,
-    submit_route,
     v1_cancel,
     v1_snapshot,
     v1_submit,
@@ -84,19 +81,12 @@ _REASONS = {
     202: "Accepted",
     400: "Bad Request",
     401: "Unauthorized",
-    403: "Forbidden",
     404: "Not Found",
     405: "Method Not Allowed",
     410: "Gone",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
-}
-
-#: headers stamped on every legacy-path response (RFC 8594 style)
-_DEPRECATION_HEADERS = {
-    "Deprecation": "true",
-    "Link": '</v1/>; rel="successor-version"',
 }
 
 #: sentinel for "wait_s present but not a number" (None means "no wait")
@@ -202,26 +192,21 @@ class _PairBatcher:
 class AsyncExtractionServer:
     """Owns one scheduler and one asyncio HTTP server on top of it.
 
-    Drop-in lifecycle match for the legacy
-    :class:`~repro.service.server.ExtractionServer`: ``port=0`` binds an
-    ephemeral port (read :attr:`url` back after :meth:`start`), use as a
-    context manager or call :meth:`close`.  The event loop runs on one
-    background thread; scheduler work runs in the default executor so the
-    loop never blocks on a solve, a journal fsync or a long poll.
+    ``port=0`` binds an ephemeral port (read :attr:`url` back after
+    :meth:`start`); use as a context manager or call :meth:`close`.  The
+    event loop runs on one background thread; scheduler work runs in the
+    default executor so the loop never blocks on a solve, a journal fsync
+    or a long poll.
 
-    Parameters beyond the scheduler's: ``allow_legacy_pickle`` revives the
-    deprecated ``/submit`` pickle endpoint (410 otherwise),
-    ``allow_untrusted_pickle`` additionally lifts its loopback-only guard,
-    ``pair_window_s`` / ``pair_max_batch`` tune the ``/v1/pairs``
-    micro-batcher, and ``result_timeout_s`` bounds server-side waits.
+    Parameters beyond the scheduler's: ``pair_window_s`` /
+    ``pair_max_batch`` tune the ``/v1/pairs`` micro-batcher, and
+    ``result_timeout_s`` bounds server-side waits.
 
     ``auth_token`` turns on bearer-token auth: every request must carry
     ``Authorization: Bearer <token>`` or is answered 401 with the standard
-    error envelope (code ``unauthorized``) — except the health probes
-    (``/v1/healthz`` and its legacy alias), which stay open so liveness
-    checks need no credentials.  The cluster's leader→worker RPCs reuse
-    the same token.  The legacy threaded server has no auth — front any
-    pickle-era deployment with this server instead.
+    error envelope (code ``unauthorized``) — except the ``/v1/healthz``
+    probe, which stays open so liveness checks need no credentials.  The
+    cluster's leader→worker RPCs reuse the same token.
 
     Extra endpoints (the cluster's register/heartbeat/solve RPCs) hang off
     :meth:`add_json_route` rather than subclass surgery on the dispatcher.
@@ -232,8 +217,6 @@ class AsyncExtractionServer:
         host: str = "127.0.0.1",
         port: int = 0,
         scheduler: Scheduler | None = None,
-        allow_legacy_pickle: bool = False,
-        allow_untrusted_pickle: bool = False,
         pair_window_s: float = 0.02,
         pair_max_batch: int = 64,
         result_timeout_s: float = 300.0,
@@ -243,8 +226,6 @@ class AsyncExtractionServer:
         self.scheduler = scheduler if scheduler is not None else Scheduler(**scheduler_kwargs)
         self._owns_scheduler = scheduler is None
         self._requested = (host, int(port))
-        self.allow_legacy_pickle = bool(allow_legacy_pickle)
-        self.allow_untrusted_pickle = bool(allow_untrusted_pickle)
         self.pair_window_s = float(pair_window_s)
         self.pair_max_batch = int(pair_max_batch)
         self.result_timeout_s = float(result_timeout_s)
@@ -434,7 +415,7 @@ class AsyncExtractionServer:
 
     def _authorized(self, path: str, headers: dict) -> bool:
         """Bearer-token check; health probes stay open (liveness needs no key)."""
-        if self.auth_token is None or path in ("/v1/healthz", "/healthz"):
+        if self.auth_token is None or path == "/v1/healthz":
             return True
         supplied = headers.get("authorization", "")
         scheme, _, token = supplied.partition(" ")
@@ -461,7 +442,7 @@ class AsyncExtractionServer:
             await self._method_not_allowed(writer, method, path)
             return
 
-        if path in ("/v1/healthz", "/healthz"):
+        if path == "/v1/healthz":
             if method != "GET":
                 await self._method_not_allowed(writer, method, path)
                 return
@@ -473,24 +454,14 @@ class AsyncExtractionServer:
                     "uptime_s": time.monotonic() - scheduler.metrics.started_at,
                 }
             )
-            await self._send_json(
-                writer,
-                200 if health["ok"] else 503,
-                health,
-                headers=self._legacy_headers(path, "/healthz"),
-            )
+            await self._send_json(writer, 200 if health["ok"] else 503, health)
             return
 
-        if path in ("/v1/stats", "/stats"):
+        if path == "/v1/stats":
             if method != "GET":
                 await self._method_not_allowed(writer, method, path)
                 return
-            await self._send_json(
-                writer,
-                200,
-                scheduler.stats(),
-                headers=self._legacy_headers(path, "/stats"),
-            )
+            await self._send_json(writer, 200, scheduler.stats())
             return
 
         if path == "/v1/jobs":
@@ -552,25 +523,7 @@ class AsyncExtractionServer:
             await self._handle_pairs(doc, writer)
             return
 
-        if path == "/result":
-            if method != "GET":
-                await self._method_not_allowed(writer, method, path)
-                return
-            await self._handle_legacy_result(query, writer)
-            return
-
-        if path == "/submit":
-            if method != "POST":
-                await self._method_not_allowed(writer, method, path)
-                return
-            await self._handle_legacy_submit(body, writer)
-            return
-
         await self._send_error(writer, 404, "not_found", f"unknown path {path!r}")
-
-    @staticmethod
-    def _legacy_headers(path: str, legacy: str) -> dict[str, str]:
-        return dict(_DEPRECATION_HEADERS) if path == legacy else {}
 
     async def _method_not_allowed(self, writer, method: str, path: str) -> None:
         await self._send_error(
@@ -780,109 +733,9 @@ class AsyncExtractionServer:
             },
         )
 
-    # ----------------------------------------------------------- legacy paths
-    async def _handle_legacy_result(self, query: dict, writer) -> None:
-        job_id = (query.get("job_id") or [None])[0]
-        if not job_id:
-            await self._send_error(
-                writer, 400, "bad_request", "missing job_id",
-                headers=_DEPRECATION_HEADERS,
-            )
-            return
-        wait_s = self._parse_wait_s(query)
-        if wait_s is WAIT_INVALID:
-            await self._send_error(
-                writer, 400, "bad_request", "wait_s must be a number",
-                headers=_DEPRECATION_HEADERS,
-            )
-            return
-        loop = asyncio.get_running_loop()
-        try:
-            snapshot = await loop.run_in_executor(
-                None, partial(self.scheduler.snapshot, job_id, wait_s=wait_s)
-            )
-        except JobExpiredError as exc:
-            await self._send_error(
-                writer, 410, "job_expired", str(exc), headers=_DEPRECATION_HEADERS
-            )
-            return
-        except KeyError:
-            await self._send_error(
-                writer, 404, "unknown_job", f"unknown job id {job_id!r}",
-                headers=_DEPRECATION_HEADERS,
-            )
-            return
-        # the legacy body keeps arrays as nested lists — old clients parse it
-        await self._send_json(writer, 200, snapshot, headers=_DEPRECATION_HEADERS)
-
-    def _require_legacy_pickle_optin(self, peer_host: str):
-        """Gate the deprecated pickle endpoint; ``None`` means allowed.
-
-        Two layers: the endpoint only exists when the operator explicitly
-        opted back in at construction (``allow_legacy_pickle=True`` /
-        ``--allow-legacy-pickle``), and even then unpickling — which
-        executes arbitrary code — is served to loopback peers only unless
-        ``allow_untrusted_pickle`` lifted that too.
-        """
-        if not self.allow_legacy_pickle:
-            return (
-                410,
-                error_envelope(
-                    "legacy_pickle_disabled",
-                    "the pickle wire was retired; POST a schema document to "
-                    "/v1/jobs (operators can revive /submit with "
-                    "--allow-legacy-pickle)",
-                ),
-            )
-        if self.allow_untrusted_pickle or _is_loopback_address(peer_host):
-            return None
-        return (
-            403,
-            error_envelope(
-                "forbidden",
-                "legacy pickle submissions are served to loopback clients "
-                "only (start with --unsafe-allow-remote-pickle to override "
-                "on a trusted network)",
-            ),
-        )
-
-    async def _handle_legacy_submit(self, body: bytes, writer) -> None:
-        peername = writer.get_extra_info("peername") or ("",)
-        refusal = self._require_legacy_pickle_optin(str(peername[0]))
-        if refusal is not None:
-            status, envelope = refusal
-            await self._send_json(
-                writer, status, envelope, headers=_DEPRECATION_HEADERS
-            )
-            return
-        try:
-            doc = json.loads(body or b"{}")
-            blob = base64.b64decode(doc["request_pickle"])
-            request = pickle.loads(blob)
-            if not isinstance(request, JobRequest):
-                raise TypeError("payload did not unpickle to a JobRequest")
-        except Exception as exc:  # noqa: BLE001 - malformed client input
-            await self._send_error(
-                writer, 400, "bad_request", f"bad submit payload: {exc}",
-                headers=_DEPRECATION_HEADERS,
-            )
-            return
-        self.scheduler.metrics.record_legacy_pickle_submit()
-        loop = asyncio.get_running_loop()
-        status, payload, extra = await loop.run_in_executor(
-            None, submit_route, self.scheduler, request
-        )
-        await self._send_json(
-            writer, status, payload, headers={**extra, **_DEPRECATION_HEADERS}
-        )
-
 
 def main(argv: list[str] | None = None) -> None:
-    """CLI entry point: ``python -m repro.service [--host H] [--port P] ...``.
-
-    Runs the asyncio ``/v1`` front door by default; ``--legacy-sync-server``
-    falls back to the threaded pickle-era server for old deployments.
-    """
+    """CLI entry point: ``python -m repro.service [--host H] [--port P] ...``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
         description="Run the substrate-extraction service (async /v1 front end).",
@@ -945,35 +798,8 @@ def main(argv: list[str] | None = None) -> None:
             "chaos testing only"
         ),
     )
-    parser.add_argument(
-        "--allow-legacy-pickle",
-        action="store_true",
-        help=(
-            "revive the deprecated base64-pickle /submit endpoint "
-            "(loopback-only); without this flag it answers 410"
-        ),
-    )
-    parser.add_argument(
-        "--unsafe-allow-remote-pickle",
-        action="store_true",
-        help=(
-            "serve pickled /submit payloads to non-loopback peers too; "
-            "unpickling executes arbitrary code, so enable this only on a "
-            "fully trusted network (implies --allow-legacy-pickle)"
-        ),
-    )
-    parser.add_argument(
-        "--legacy-sync-server",
-        action="store_true",
-        help="run the deprecated threaded pickle-era server instead of /v1",
-    )
     args = parser.parse_args(argv)
     auth_token = args.auth_token or os.environ.get("REPRO_AUTH_TOKEN") or None
-    if auth_token and args.legacy_sync_server:
-        parser.error(
-            "--auth-token is served by the /v1 async front door only; "
-            "the legacy sync server has no auth"
-        )
 
     from .result_store import ResultStore
 
@@ -986,43 +812,17 @@ def main(argv: list[str] | None = None) -> None:
         faults.reload_env_plan()
 
     store = ResultStore(args.store_bytes) if args.store_bytes is not None else None
-    scheduler_kwargs = dict(
+    server = AsyncExtractionServer(
+        host=args.host,
+        port=args.port,
+        pair_window_s=args.pair_window,
+        auth_token=auth_token,
         n_workers=args.workers,
         max_solvers=args.max_solvers,
         store=store,
         coalesce_window_s=args.coalesce_window,
         persistence=args.state_dir,
         max_queue_depth=args.max_queue_depth,
-    )
-    if args.legacy_sync_server:
-        from .server import ExtractionServer
-
-        server = ExtractionServer(
-            host=args.host,
-            port=args.port,
-            allow_untrusted_pickle=args.unsafe_allow_remote_pickle,
-            **scheduler_kwargs,
-        )
-        print(
-            f"extraction service (legacy sync) listening on {server.url} "
-            "(Ctrl-C to stop)"
-        )
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.close()
-        return
-
-    server = AsyncExtractionServer(
-        host=args.host,
-        port=args.port,
-        allow_legacy_pickle=args.allow_legacy_pickle or args.unsafe_allow_remote_pickle,
-        allow_untrusted_pickle=args.unsafe_allow_remote_pickle,
-        pair_window_s=args.pair_window,
-        auth_token=auth_token,
-        **scheduler_kwargs,
     )
     server.start()
     print(f"extraction service listening on {server.url}/v1/ (Ctrl-C to stop)")

@@ -1,16 +1,14 @@
 """Blocking Python client of the extraction service's ``/v1`` front door.
 
-The redesigned :class:`ServiceClient` speaks the schema-first JSON wire of
-:mod:`~repro.service.wire` — no pickle leaves the process — and works
-against both servers (the asyncio
-:class:`~repro.service.aserver.AsyncExtractionServer` and the legacy
-threaded :class:`~repro.service.server.ExtractionServer`, which serves the
-same ``/v1`` routes).  Error envelopes come back as **typed exceptions**:
+:class:`ServiceClient` speaks the schema-first JSON wire of
+:mod:`~repro.service.wire` — no pickle leaves the process — to an
+:class:`~repro.service.aserver.AsyncExtractionServer`.  Error envelopes
+come back as **typed exceptions**:
 
 * 404 ``unknown_job``   → :class:`~repro.service.wire.UnknownJobError`
   (a ``KeyError``, like :meth:`Scheduler.result`)
 * 410 ``job_expired``   → :class:`~repro.service.jobs.JobExpiredError`
-* 429 ``queue_saturated`` → :class:`~repro.service.scheduler.QueueSaturatedError`
+* 429 ``queue_saturated`` → :class:`~repro.service.jobs.QueueSaturatedError`
   with the server's ``retry_after_s`` hint
 * 400 ``bad_request``   → :class:`~repro.service.wire.BadRequestError`
 * anything else         → a :class:`~repro.service.wire.ServiceError`
@@ -23,27 +21,19 @@ client: ...``); construction is cheap and connections are per-request, so
 
 Array fields (``result``, ``pair_values``, streamed column blocks) are
 decoded back to float64 ndarrays — bit-exact with what the server solved.
-
-The pickle-era wire survives only as :meth:`ServiceClient.submit_pickle`,
-which emits a :class:`DeprecationWarning` and requires a server started
-with the explicit legacy opt-in.
 """
 
 from __future__ import annotations
 
-import base64
 import json
-import pickle
 import time
-import warnings
 from typing import Any, Iterable, Iterator
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
 import numpy as np
 
-from .jobs import JobRequest, JobState
-from .scheduler import QueueSaturatedError
+from .jobs import JobRequest, JobState, QueueSaturatedError
 from .wire import (
     SCHEMA_VERSION,
     ServiceUnavailableError,
@@ -74,7 +64,7 @@ class ServiceClient:
     (required against a server started with ``--auth-token``).
 
     ``retries`` opts into bounded client-side backoff: a 429
-    (:class:`~repro.service.scheduler.QueueSaturatedError`) or 503
+    (:class:`~repro.service.jobs.QueueSaturatedError`) or 503
     (:class:`~repro.service.wire.ServiceUnavailableError`) answer is
     retried up to that many times, sleeping the server's ``Retry-After``
     hint (capped at ``retry_cap_s``) between attempts, instead of raising
@@ -185,25 +175,10 @@ class ServiceClient:
         """Ship one request as a schema document; returns the job id.
 
         A 429 envelope (admission control refused the submission) is
-        raised as :class:`~repro.service.scheduler.QueueSaturatedError`
+        raised as :class:`~repro.service.jobs.QueueSaturatedError`
         carrying the server's retry hint in ``retry_after_s``.
         """
         return self._request("POST", "/v1/jobs", request_to_wire(request))["job_id"]
-
-    def submit_pickle(self, request: JobRequest) -> str:
-        """DEPRECATED pickle-wire submit (the pre-``/v1`` protocol).
-
-        Answers 410 unless the server operator explicitly revived the
-        legacy endpoint.  Use :meth:`submit`.
-        """
-        warnings.warn(
-            "ServiceClient.submit_pickle() ships pickle over the wire and is "
-            "deprecated; use submit(), which sends the /v1 schema document",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        blob = base64.b64encode(pickle.dumps(request)).decode()
-        return self._request("POST", "/submit", {"request_pickle": blob})["job_id"]
 
     def result(self, job_id: str, wait_s: float = 0.0) -> dict:
         """One job snapshot, optionally long-polling up to ``wait_s``.

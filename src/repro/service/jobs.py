@@ -24,10 +24,17 @@ import numpy as np
 
 from ..substrate.parallel import SolverSpec
 
-__all__ = ["JobRequest", "JobState", "Job", "JobExpiredError", "SCHEMA_VERSION"]
+__all__ = [
+    "JobRequest",
+    "JobState",
+    "Job",
+    "JobExpiredError",
+    "QueueSaturatedError",
+    "SCHEMA_VERSION",
+]
 
 #: version stamped into every wire document the service emits (job
-#: snapshots, ``/stats``, ``/v1`` bodies).  Bump on any field rename or
+#: snapshots, ``/v1/stats``, ``/v1`` bodies).  Bump on any field rename or
 #: semantic change; additive fields keep the version.  The snapshot field
 #: names themselves are documented in README ("Job snapshot schema") and
 #: are a compatibility contract from version 1 on.
@@ -44,6 +51,18 @@ class JobExpiredError(KeyError):
     working, while the HTTP layer can answer 410 (expired) instead of the
     404 it sends for ids that never existed.
     """
+
+
+class QueueSaturatedError(RuntimeError):
+    """Admission control refused a submission (queue full, priority too low).
+
+    Carries ``retry_after_s`` — the server's backoff hint, surfaced over
+    HTTP as a 429 response with a ``Retry-After`` header.
+    """
+
+    def __init__(self, message: str, retry_after_s: float = 1.0) -> None:
+        super().__init__(message)
+        self.retry_after_s = float(retry_after_s)
 
 
 class JobState:
@@ -194,7 +213,12 @@ class Job:
         return self.finished_at - self.submitted_at
 
     def snapshot(self) -> dict:
-        """JSON-compatible view of the job (arrays as nested lists).
+        """View of the job; ``result``/``pair_values`` stay ndarrays.
+
+        :func:`~repro.service.wire.snapshot_to_wire` is the one encoder
+        that turns this into a JSON document.  The arrays are shared, not
+        copied: the scheduler writes them once, under its lock, before the
+        terminal transition, and never touches them again.
 
         Result fields are exposed only in terminal states: a poll racing
         the assembly of a RUNNING job must never observe partially written
@@ -219,13 +243,7 @@ class Job:
             "columns": (
                 list(self.result_columns) if terminal and self.result_columns else None
             ),
-            "result": (
-                self.result.tolist() if terminal and self.result is not None else None
-            ),
+            "result": self.result if terminal else None,
             "pairs": [list(p) for p in self.request.pairs] if self.request.pairs else None,
-            "pair_values": (
-                self.pair_values.tolist()
-                if terminal and self.pair_values is not None
-                else None
-            ),
+            "pair_values": self.pair_values if terminal else None,
         }

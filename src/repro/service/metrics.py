@@ -2,7 +2,7 @@
 
 One :class:`ServiceMetrics` instance rides along with each
 :class:`~repro.service.scheduler.Scheduler` and folds together everything an
-operator (or the ``/stats`` endpoint) wants in one snapshot:
+operator (or the ``/v1/stats`` endpoint) wants in one snapshot:
 
 * job lifecycle counters (submitted / done / failed / cancelled / timed out)
   and end-to-end latency percentiles over a bounded recent window;
@@ -100,8 +100,6 @@ class ServiceMetrics:
         self.microbatch_queries = 0  # reprolint: guarded-by(_lock)
         #: coalesced submits those queries collapsed into (<= queries)
         self.microbatch_submits = 0  # reprolint: guarded-by(_lock)
-        #: deprecated pickle submissions served (0 unless the operator opted in)
-        self.legacy_pickle_submits = 0  # reprolint: guarded-by(_lock)
         #: merged solve statistics of everything the scheduler ran
         self.solve_stats = SolveStats()  # reprolint: guarded-by(_lock)
         # reprolint: guarded-by(_lock)
@@ -169,7 +167,7 @@ class ServiceMetrics:
         return float(np.percentile(np.asarray(values, dtype=float), 50.0))
 
     def fault_counters(self) -> dict:
-        """The resilience counters alone (the ``/healthz`` failure summary)."""
+        """The resilience counters alone (the ``/v1/healthz`` failure summary)."""
         with self._lock:
             return {
                 "retries": self.retries,
@@ -197,11 +195,6 @@ class ServiceMetrics:
         with self._lock:
             self.microbatch_queries += n_queries
             self.microbatch_submits += n_submits
-
-    def record_legacy_pickle_submit(self, n: int = 1) -> None:
-        """Count a submission served over the deprecated pickle wire."""
-        with self._lock:
-            self.legacy_pickle_submits += n
 
     def record_batch(
         self,
@@ -287,7 +280,6 @@ class ServiceMetrics:
                     "stream_columns": self.stream_columns,
                     "microbatch_queries": self.microbatch_queries,
                     "microbatch_submits": self.microbatch_submits,
-                    "legacy_pickle_submits": self.legacy_pickle_submits,
                 },
                 "latency_s": latency_percentiles(self._latencies),
                 "solve_stats": self.solve_stats.as_dict(),

@@ -19,10 +19,14 @@ object rooted at a state directory:
     cache on miss, so a warm start attaches instead of refactoring.
 ``journal.jsonl``
     :class:`JobJournal` — accepted :class:`~repro.service.jobs.JobRequest`
-    payloads appended (fsync'd) *before* the submit call acknowledges,
-    marked terminal on finalize, and replayed on startup, so a crash
-    mid-drain loses no accepted work (the gridworks idiom: persist every
-    event before acting on it).
+    objects as their ``/v1`` wire documents
+    (:func:`~repro.service.wire.request_to_wire`), appended (fsync'd)
+    *before* the submit call acknowledges, marked terminal on finalize,
+    and replayed on startup through
+    :func:`~repro.service.wire.request_from_wire`, so a crash mid-drain
+    loses no accepted work (the gridworks idiom: persist every event
+    before acting on it).  No file in the state directory is ever
+    unpickled.
 ``tiled_scratch/``
     default spill directory for out-of-core tiled factors, so their scratch
     shares the state volume (``REPRO_TILED_SCRATCH_DIR`` still overrides).
@@ -34,10 +38,8 @@ before — no files are touched, no counters change.
 
 from __future__ import annotations
 
-import base64
 import json
 import os
-import pickle
 import re
 import sqlite3
 import threading
@@ -51,6 +53,7 @@ from ..substrate.factor_cache import FactorArtifactStore
 from ..substrate.tiled import set_default_scratch_dir, tiled_scratch_dir
 from .jobs import JobRequest
 from .result_store import fingerprint_digest as _fingerprint_digest
+from .wire import WireFormatError, request_from_wire
 
 __all__ = ["ServicePersistence", "SqliteResultBackend", "JobJournal"]
 
@@ -174,7 +177,7 @@ class JobJournal:
 
     Two event shapes::
 
-        {"event": "accept", "job_id": ..., "priority": ..., "request": <b64 pickle>}
+        {"event": "accept", "job_id": ..., "request": <request_to_wire document>}
         {"event": "terminal", "job_id": ..., "status": ..., "attempts": ...}
 
     Accept events are flushed *and* fsync'd before :meth:`record_accept`
@@ -187,8 +190,11 @@ class JobJournal:
     in acceptance order (the replay set), every job id ever journaled (so
     the scheduler can distinguish *expired* from *never existed*), and the
     largest job sequence number (so replayed ids are never reissued).
-    Corrupted or truncated lines — the tail of a crash mid-write — are
-    skipped with a warning, never fatal.
+    Lines that are not JSON at all — the torn tail of a crash mid-write —
+    are skipped with a warning.  A complete accept line whose request is
+    not a valid wire document raises instead: older releases journaled
+    base64-pickled requests, and guessing at those would be a silent
+    mis-parse.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -201,16 +207,10 @@ class JobJournal:
         self.corrupt_skipped = 0  # reprolint: guarded-by(_lock)
 
     # --------------------------------------------------------------- recording
-    def record_accept(self, job_id: str, request: JobRequest) -> None:
-        """Durably journal one accepted request *before* the submit ack."""
-        line = json.dumps(
-            {
-                "event": "accept",
-                "job_id": job_id,
-                "priority": int(request.priority),
-                "request": base64.b64encode(pickle.dumps(request)).decode(),
-            }
-        )
+    def record_accept(self, job_id: str, request_doc: dict) -> None:
+        """Durably journal one accepted request's wire document *before* the
+        submit ack."""
+        line = json.dumps({"event": "accept", "job_id": job_id, "request": request_doc})
         with self._lock:
             self._fh.write(line + "\n")
             self._fh.flush()
@@ -239,7 +239,9 @@ class JobJournal:
         ``replay`` lists ``(job_id, request)`` for every accepted job with
         no terminal mark, in acceptance order; ``known_ids`` is every job id
         the journal has ever seen; ``max_seq`` is the largest numeric job
-        sequence (0 when none parse).
+        sequence (0 when none parse).  Raises
+        :class:`~repro.service.wire.WireFormatError` naming the file and
+        line when an accept entry does not decode.
         """
         accepted: "dict[str, JobRequest]" = {}
         known_ids: set[str] = set()
@@ -255,16 +257,9 @@ class JobJournal:
                     doc = json.loads(line)
                     event = doc["event"]
                     job_id = doc["job_id"]
-                    if event == "accept":
-                        request = pickle.loads(base64.b64decode(doc["request"]))
-                        if not isinstance(request, JobRequest):
-                            raise TypeError("journal entry is not a JobRequest")
-                        accepted[job_id] = request
-                    elif event == "terminal":
-                        accepted.pop(job_id, None)
-                    else:
+                    if event not in ("accept", "terminal"):
                         raise ValueError(f"unknown journal event {event!r}")
-                except Exception as exc:  # noqa: BLE001 - crash-torn tail lines
+                except (ValueError, TypeError, KeyError) as exc:  # crash-torn tail
                     with self._lock:
                         self.corrupt_skipped += 1
                     warnings.warn(
@@ -274,11 +269,26 @@ class JobJournal:
                         stacklevel=2,
                     )
                     continue
+                if event == "accept":
+                    accepted[job_id] = self._decode_accept(doc.get("request"), lineno)
+                else:
+                    accepted.pop(job_id, None)
                 known_ids.add(job_id)
                 match = _JOB_ID_RE.match(job_id)
                 if match:
                     max_seq = max(max_seq, int(match.group(1)))
         return list(accepted.items()), known_ids, max_seq
+
+    def _decode_accept(self, request_doc: object, lineno: int) -> JobRequest:
+        try:
+            return request_from_wire(request_doc)
+        except WireFormatError as exc:
+            raise WireFormatError(
+                f"{self.path}:{lineno}: accept entry is not a /v1 request "
+                f"document ({exc}); journals that hold base64-pickled requests "
+                "(the format of older releases) are no longer replayed — drain "
+                "them with the release that wrote them, then remove the file"
+            ) from exc
 
     # --------------------------------------------------------------- lifecycle
     def info(self) -> dict:

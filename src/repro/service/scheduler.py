@@ -72,17 +72,17 @@ from ..substrate.extraction import extract_columns
 from ..substrate.factor_cache import factor_cache
 from ..substrate.parallel import ParallelExtractor, SolverSpec
 from ..substrate.solver_base import CountingSolver, SolveStats
-from .jobs import Job, JobExpiredError, JobRequest, JobState
+from .jobs import Job, JobExpiredError, JobRequest, JobState, QueueSaturatedError
 from .metrics import ServiceMetrics
 from .persistence import ServicePersistence
 from .result_store import ResultStore
+from .wire import request_to_wire
 
 __all__ = [
     "Scheduler",
     "ExtractorPool",
     "RetryPolicy",
     "CircuitBreaker",
-    "QueueSaturatedError",
     "ITERATION_HISTORY",
 ]
 
@@ -101,18 +101,6 @@ def _truncated_traceback(limit: int = TRACEBACK_LIMIT) -> str:
     if len(text) > limit:
         text = "... (truncated)\n" + text[-limit:]
     return text
-
-
-class QueueSaturatedError(RuntimeError):
-    """Admission control refused a submission (queue full, priority too low).
-
-    Carries ``retry_after_s`` — the server's backoff hint, surfaced over
-    HTTP as a 429 response with a ``Retry-After`` header.
-    """
-
-    def __init__(self, message: str, retry_after_s: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after_s = float(retry_after_s)
 
 
 @dataclass(frozen=True)
@@ -247,7 +235,7 @@ class ExtractorPool:
 
         The multi-second cold build (solver construction, factorisation,
         worker-pool spawn, plane publication) runs *outside* the pool lock
-        so :meth:`info` — the ``/stats`` endpoint an operator polls exactly
+        so :meth:`info` — the ``/v1/stats`` endpoint an operator polls exactly
         when the service looks busy — never blocks behind it.
         """
         with self._lock:
@@ -362,7 +350,7 @@ class Scheduler:
         leader runs zero local solves.
     stats_extra:
         Optional zero-argument callable whose dict result is merged into
-        the ``/stats`` body (the leader injects its registry/router view).
+        the ``/v1/stats`` body (the leader injects its registry/router view).
     group_concurrency:
         How many fingerprint groups one drain cycle may solve at once.
         The default ``1`` keeps the classic single-host behaviour (groups
@@ -457,14 +445,20 @@ class Scheduler:
             else None
         )
         self._attached_artifacts = False
+        self._thread: threading.Thread | None = None
         if self.persistence is not None:
             self.store.attach_backend(self.persistence.results)
             cache = factor_cache()
             if cache.artifact_store is None:
                 cache.set_artifact_store(self.persistence.artifacts)
                 self._attached_artifacts = True
-            self._replay_journal()
-        self._thread: threading.Thread | None = None
+            try:
+                self._replay_journal()
+            except BaseException:
+                # a journal this build cannot replay fails startup; release
+                # the state dir and the process-wide artifact store first
+                self.close()
+                raise
         if autostart:
             self._thread = threading.Thread(
                 target=self._run, name="repro-service-dispatcher", daemon=True
@@ -498,11 +492,14 @@ class Scheduler:
     def submit(self, request: JobRequest, watcher=None) -> str:
         """Queue one request; returns the job id immediately.
 
-        With persistence attached the request is journaled — flushed and
-        fsync'd — *before* the id is acknowledged, so an accepted job
-        survives any later crash.  The fsync runs outside the scheduler
-        lock (disk latency must not stall the dispatcher); the id is
-        reserved first, the job enqueued after the journal write lands.
+        With persistence attached the request is journaled as its ``/v1``
+        wire document — flushed and fsync'd — *before* the id is
+        acknowledged, so an accepted job survives any later crash.  A
+        request the wire cannot encode raises
+        :class:`~repro.service.wire.WireFormatError` before anything is
+        queued or journaled.  The fsync runs outside the scheduler lock
+        (disk latency must not stall the dispatcher); the id is reserved
+        first, the job enqueued after the journal write lands.
 
         ``watcher`` registers a progress callback atomically with the
         enqueue (see the module docstring's streaming section) — unlike a
@@ -510,6 +507,8 @@ class Scheduler:
         """
         if not isinstance(request, JobRequest):
             raise TypeError("submit() takes a JobRequest")
+        journal = self.persistence.journal if self.persistence is not None else None
+        document = request_to_wire(request) if journal is not None else None
         rejected = None
         with self._cv:
             if self._closing:
@@ -530,9 +529,8 @@ class Scheduler:
                 f"priority {request.priority} does not outrank any queued job",
                 retry_after_s=retry_after,
             )
-        journal = self.persistence.journal if self.persistence is not None else None
         if journal is not None:
-            journal.record_accept(job_id, request)
+            journal.record_accept(job_id, document)
         with self._cv:
             if self._closing:
                 # closed between the id reservation and the enqueue: void
@@ -638,9 +636,10 @@ class Scheduler:
         return job
 
     def snapshot(self, job_id: str, wait_s: float | None = None) -> dict:
-        """A consistent JSON view of one job, taken under the scheduler lock.
+        """A consistent view of one job, taken under the scheduler lock.
 
-        This is what the ``/result`` endpoint serves: status and result
+        This is what ``GET /v1/jobs/<id>`` serves (encoded by
+        :func:`~repro.service.wire.snapshot_to_wire`): status and result
         fields are read atomically, so a poll racing a finishing batch can
         never observe a partially assembled result.
         """
@@ -663,7 +662,7 @@ class Scheduler:
             return len(self._pending)
 
     def stats(self) -> dict:
-        """Aggregated metrics snapshot (the ``/stats`` endpoint body)."""
+        """Aggregated metrics snapshot (the ``/v1/stats`` endpoint body)."""
         with self._cv:
             queue_depth = len(self._pending)
             running = self._running
@@ -687,7 +686,7 @@ class Scheduler:
         )
 
     def health(self) -> dict:
-        """Liveness report (the ``/healthz`` endpoint body).
+        """Liveness report (the ``/v1/healthz`` endpoint body).
 
         ``ok`` is true only while the service can actually make progress:
         not closing, dispatcher thread alive (a manual ``autostart=False``

@@ -1,16 +1,15 @@
 """Schema-first JSON wire protocol of the extraction service (``/v1/``).
 
-The original front door shipped :class:`~repro.service.jobs.JobRequest`
-objects as base64 pickle inside JSON — convenient, but unpickling executes
-arbitrary code, so the endpoint could never leave loopback.  This module
-replaces it with a **declarative schema**: layout, profile, options and the
-columns/pairs query travel as plain JSON data, numeric arrays as
+Requests travel as a **declarative schema**: layout, profile, options and
+the columns/pairs query are plain JSON data, numeric arrays are
 base64-encoded float64 buffers with explicit dtype/shape, and the decoder
-*constructs* the domain objects instead of trusting serialized code.  The
-round trip is exact — a decoded spec has the **same
+*constructs* the domain objects instead of trusting serialized code — no
+pickle anywhere.  The round trip is exact — a decoded spec has the **same
 :attr:`~repro.substrate.parallel.SolverSpec.fingerprint`** as the original,
 so coalescing, the result corpus and the factor artifact store all keep
-working unchanged across the wire boundary.
+working unchanged across the wire boundary.  The same request documents
+are what the job journal writes to disk
+(:class:`~repro.service.persistence.JobJournal`).
 
 Wire documents (all carry ``"schema_version"`` at the top level where they
 stand alone):
@@ -39,25 +38,33 @@ based), tuples are tagged so ``repr``-keyed fingerprint items cannot decay
 into lists, and arrays travel as raw little-endian float64 bytes — no
 formatting, no precision loss anywhere on the wire.
 
-The module also owns the protocol-level pieces both front ends share: the
+The module also owns the protocol-level pieces around the documents: the
 single error envelope (every 4xx/5xx body conforms), the typed exceptions
-the client maps envelopes back into, and the ``/v1`` submit/snapshot route
-logic (transport-agnostic: the threaded legacy server and the asyncio front
-door call the same functions).
+the client maps envelopes back into, the one snapshot encoder, and the
+transport-agnostic ``/v1`` submit/snapshot/cancel route logic the asyncio
+front door calls.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..geometry.contact import Contact, ContactLayout
 from ..substrate.parallel import SPEC_KINDS, SolverSpec
 from ..substrate.profile import Layer, SubstrateProfile
-from .jobs import SCHEMA_VERSION, JobExpiredError, JobRequest, JobState
-from .scheduler import QueueSaturatedError, Scheduler
+from .jobs import (
+    SCHEMA_VERSION,
+    JobExpiredError,
+    JobRequest,
+    JobState,
+    QueueSaturatedError,
+)
+
+if TYPE_CHECKING:
+    from .scheduler import Scheduler
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -67,7 +74,6 @@ __all__ = [
     "UnknownJobError",
     "ServiceUnavailableError",
     "UnauthorizedError",
-    "LegacyPickleDisabledError",
     "encode_value",
     "decode_value",
     "encode_array",
@@ -83,7 +89,6 @@ __all__ = [
     "snapshot_to_wire",
     "error_envelope",
     "raise_for_envelope",
-    "submit_route",
     "v1_submit",
     "v1_snapshot",
     "v1_cancel",
@@ -141,17 +146,12 @@ class UnauthorizedError(ServiceError):
     """The bearer token was missing or wrong (envelope code ``unauthorized``)."""
 
 
-class LegacyPickleDisabledError(ServiceError):
-    """The deprecated pickle endpoint is off (envelope code ``legacy_pickle_disabled``)."""
-
-
 #: envelope code -> exception factory used by :func:`raise_for_envelope`
 _CODE_EXCEPTIONS: dict[str, type[ServiceError]] = {
     "bad_request": BadRequestError,
     "unknown_job": UnknownJobError,
     "unavailable": ServiceUnavailableError,
     "unauthorized": UnauthorizedError,
-    "legacy_pickle_disabled": LegacyPickleDisabledError,
 }
 
 
@@ -173,7 +173,7 @@ def raise_for_envelope(status: int, doc: Any) -> None:
 
     ``job_expired`` raises the in-process
     :class:`~repro.service.jobs.JobExpiredError`, ``queue_saturated`` the
-    in-process :class:`~repro.service.scheduler.QueueSaturatedError`
+    in-process :class:`~repro.service.jobs.QueueSaturatedError`
     (carrying the retry hint) — callers handle local and remote failures
     with one ``except`` clause.  Anything else raises a
     :class:`ServiceError` subclass keyed on the envelope code.
@@ -421,12 +421,11 @@ def request_from_wire(doc: Any) -> JobRequest:
 
 
 def snapshot_to_wire(snapshot: dict) -> dict:
-    """A job snapshot with its array fields re-encoded as wire ndarrays.
+    """A job snapshot as its ``/v1`` document: arrays become wire ndarrays.
 
-    :meth:`~repro.service.jobs.Job.snapshot` serializes arrays as nested
-    lists (the legacy ``/result`` body, kept for old clients); the ``/v1``
-    job view carries the same fields but ships ``result`` and
-    ``pair_values`` as base64 float64 documents — smaller and bit-exact.
+    :meth:`~repro.service.jobs.Job.snapshot` keeps ``result`` and
+    ``pair_values`` as ndarrays; this is the one place they are encoded,
+    as base64 float64 documents — compact and bit-exact.
     """
     doc = dict(snapshot)
     if doc.get("result") is not None:
@@ -443,20 +442,14 @@ def snapshot_to_wire(snapshot: dict) -> dict:
 RouteResult = tuple[int, dict, dict]
 
 
-def v1_submit(scheduler: Scheduler, doc: Any, watcher=None) -> RouteResult:
-    """``POST /v1/jobs``: decode, submit, answer — shared by both servers."""
+def v1_submit(scheduler: Scheduler, doc: Any) -> RouteResult:
+    """``POST /v1/jobs``: decode, submit, answer (202, or an enveloped 4xx/5xx)."""
     try:
         request = request_from_wire(doc)
     except WireFormatError as exc:
         return 400, error_envelope("bad_request", f"bad request document: {exc}"), {}
-    return submit_route(scheduler, request, watcher=watcher)
-
-
-def submit_route(scheduler: Scheduler, request: JobRequest, watcher=None) -> RouteResult:
-    """Submit an already-decoded request; shared by ``/v1/jobs`` and the
-    deprecated pickle endpoint (which decodes its own payload)."""
     try:
-        job_id = scheduler.submit(request, watcher=watcher)
+        job_id = scheduler.submit(request)
     except QueueSaturatedError as exc:
         retry_after = max(1, round(exc.retry_after_s))
         return (

@@ -6,6 +6,9 @@ The conductance matrices used as exact references are expensive to extract
 
 from __future__ import annotations
 
+import base64
+import pickle
+
 import numpy as np
 import pytest
 
@@ -98,3 +101,21 @@ def alternating_hierarchy(alternating_layout):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+class _Tripwire:
+    """Unpickling this creates ``path``: proof that a payload was deserialised."""
+
+    def __init__(self, path) -> None:
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+@pytest.fixture
+def tripwire_pickle(tmp_path):
+    """``(base64 pickle, sentinel path)``: the sentinel file appears only if
+    the pickle is ever loaded (old-release payloads must never be)."""
+    sentinel = tmp_path / "unpickled"
+    return base64.b64encode(pickle.dumps(_Tripwire(sentinel))).decode(), sentinel

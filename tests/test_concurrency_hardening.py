@@ -1,16 +1,13 @@
 """Targeted regression tests for the fixes reprolint's first sweep forced.
 
 Each test pins one concrete repair: an error path that used to leak a
-resource (sqlite connection, tiled scratch file, shared-memory segment), a
-counter that used to be bumped outside its lock, and the pickle trust
-boundary the HTTP server now enforces on ``/submit``.
+resource (sqlite connection, tiled scratch file, shared-memory segment) and
+a counter that used to be bumped outside its lock.
 """
 
 from __future__ import annotations
 
-import json
 import sqlite3
-import urllib.error
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -19,23 +16,14 @@ import pytest
 from importlib import import_module
 
 import repro.service.persistence as persistence_mod
-import repro.service.server as server_mod
 import repro.substrate.tiled as tiled_mod
 
 # ``repro.substrate`` re-exports a ``factor_cache()`` function under the same
 # name as the module, so a plain ``import ... as`` would bind the function
 factor_cache_mod = import_module("repro.substrate.factor_cache")
 from repro import regular_grid
-from repro.service import (
-    ExtractionServer,
-    JobRequest,
-    JobState,
-    Scheduler,
-    ServiceClient,
-    ServiceError,
-)
+from repro.service import JobRequest, Scheduler
 from repro.service.persistence import JobJournal, SqliteResultBackend
-from repro.service.server import _is_loopback_address
 from repro.substrate.factor_cache import FactorPlane, SharedFactorHandle
 from repro.substrate.parallel import SolverSpec
 from repro.substrate.tiled import TiledCholeskyFactor
@@ -174,46 +162,3 @@ def test_attributed_solves_visible_in_stats(tiny_spec):
         assert stats["attributed_solves"] >= 1
     finally:
         scheduler.close()
-
-
-# -------------------------------------------------------- pickle trust boundary
-@pytest.mark.parametrize(
-    ("host", "trusted"),
-    [
-        ("", True),  # AF_UNIX / missing peer address
-        ("127.0.0.1", True),
-        ("127.8.9.10", True),  # anywhere in 127/8
-        ("::1", True),
-        ("10.0.0.1", False),
-        ("192.168.1.20", False),
-        ("fe80::1%eth0", False),  # zone id must not break parsing
-        ("not-an-address", False),
-    ],
-)
-def test_is_loopback_address(host, trusted):
-    assert _is_loopback_address(host) is trusted
-
-
-def test_pickle_submit_refused_for_non_loopback_peer(tiny_spec, monkeypatch):
-    with ExtractionServer(n_workers=1) as server:
-        client = ServiceClient(server.url, timeout_s=10.0)
-        monkeypatch.setattr(server_mod, "_is_loopback_address", lambda host: False)
-        with pytest.raises(ServiceError) as err:
-            with pytest.warns(DeprecationWarning):
-                client.submit_pickle(JobRequest(tiny_spec, columns=(0,)))
-        assert err.value.status == 403 and err.value.code == "forbidden"
-        assert "pickle" in str(err.value)
-        # the schema-first /v1 wire carries no pickle: any peer may use it
-        job_id = client.submit(JobRequest(tiny_spec, columns=(0,)))
-        assert client.wait(job_id, timeout_s=30.0)["status"] == JobState.DONE
-        assert client.healthz()["ok"] is True
-
-
-def test_pickle_submit_allowed_again_with_explicit_override(tiny_spec, monkeypatch):
-    with ExtractionServer(n_workers=1, allow_untrusted_pickle=True) as server:
-        monkeypatch.setattr(server_mod, "_is_loopback_address", lambda host: False)
-        client = ServiceClient(server.url, timeout_s=30.0)
-        with pytest.warns(DeprecationWarning):
-            job_id = client.submit_pickle(JobRequest(tiny_spec, columns=(0,)))
-        snapshot = client.wait(job_id, timeout_s=30.0)
-        assert snapshot["status"] == JobState.DONE

@@ -24,7 +24,7 @@ import pytest
 from repro import faults
 from repro.faults import FaultPlan, FaultSpec, InjectedFault, fault_hook
 from repro.service import (
-    ExtractionServer,
+    AsyncExtractionServer,
     JobRequest,
     JobState,
     QueueSaturatedError,
@@ -33,6 +33,7 @@ from repro.service import (
     ServiceClient,
 )
 from repro.service.scheduler import CircuitBreaker, _truncated_traceback
+from repro.service.wire import request_to_wire
 from repro.substrate.parallel import ParallelExtractor, PoolWarmupError, SolverSpec
 
 
@@ -475,17 +476,19 @@ def test_http_429_with_retry_after_header(dense_spec):
         n_workers=1, autostart=False, retry_policy=FAST_RETRY, max_queue_depth=1
     )
     try:
-        with ExtractionServer(scheduler=sched) as server:
+        with AsyncExtractionServer(scheduler=sched) as server:
             client = ServiceClient(server.url, timeout_s=30.0)
             kept = client.submit(JobRequest(dense_spec, columns=(0,), priority=0))
             with pytest.raises(QueueSaturatedError) as info:
                 client.submit(JobRequest(dense_spec, columns=(1,), priority=0))
             assert info.value.retry_after_s > 0
             # raw HTTP: status 429 and a whole-seconds Retry-After header
-            blob = client_payload(dense_spec)
+            body = json.dumps(
+                request_to_wire(JobRequest(dense_spec, columns=(2,), priority=0))
+            ).encode()
             request = urllib.request.Request(
-                server.url + "/submit",
-                data=blob,
+                server.url + "/v1/jobs",
+                data=body,
                 headers={"Content-Type": "application/json"},
             )
             with pytest.raises(urllib.error.HTTPError) as http_info:
@@ -497,15 +500,6 @@ def test_http_429_with_retry_after_header(dense_spec):
             assert client.healthz()["faults"]["submits_rejected"] == 2
     finally:
         sched.close()
-
-
-def client_payload(spec) -> bytes:
-    import base64
-    import pickle
-
-    request = JobRequest(spec, columns=(2,), priority=0)
-    blob = base64.b64encode(pickle.dumps(request)).decode()
-    return json.dumps({"request_pickle": blob}).encode()
 
 
 # --------------------------------------------------------- durability under fault

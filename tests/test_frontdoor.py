@@ -4,9 +4,8 @@ The load-bearing assertions here are the PR's acceptance criteria: streamed
 columns reach the client *before their job completes* (all ``columns``
 events of a coalesced group precede every ``done`` event of that group),
 concurrent streaming clients are served from one event loop, micro-batched
-pair queries collapse into fewer scheduler submits (counter-pinned), no
-pickle crosses the wire unless explicitly revived, and every error body is
-the one envelope.
+pair queries collapse into fewer scheduler submits (counter-pinned), the
+pickle-era routes are gone, and every error body is the one envelope.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.service import (
     AsyncExtractionServer,
     JobRequest,
     JobState,
-    LegacyPickleDisabledError,
     QueueSaturatedError,
     Scheduler,
     ServiceClient,
@@ -95,10 +93,7 @@ def test_async_end_to_end_matches_reference(bem_spec, small_g_module):
             # scheduler tests use); exact 1e-10 decoded-vs-original agreement
             # is pinned in test_wire.py
             assert np.abs(block - small_g_module[:, [0, 2, 5]]).max() / scale < 1e-8
-            stats = client.stats()
-            assert stats["schema_version"] == 1
-            # the schema wire carried everything: no pickle was served
-            assert stats["frontdoor"]["legacy_pickle_submits"] == 0
+            assert client.stats()["schema_version"] == 1
 
 
 def test_snapshot_schema_version_and_wire_arrays(dense_spec):
@@ -352,50 +347,39 @@ def test_bad_json_body_is_a_bad_request_envelope(dense_spec):
         assert json.loads(err.value.read())["error"]["code"] == "bad_request"
 
 
-# ------------------------------------------------- legacy aliases and pickle
-def test_legacy_aliases_carry_deprecation_header():
+# --------------------------------------------------- retired pickle-era routes
+@pytest.mark.parametrize(
+    ("method", "path"),
+    [("POST", "/submit"), ("GET", "/result"), ("GET", "/stats"), ("GET", "/healthz")],
+)
+def test_retired_routes_answer_not_found(method, path):
     with AsyncExtractionServer(n_workers=1) as server:
-        for path, v1_path in (("/healthz", "/v1/healthz"), ("/stats", "/v1/stats")):
-            _, _, headers = get_json(server.url + path)
-            assert headers.get("Deprecation") == "true"
-            assert "successor-version" in headers.get("Link", "")
-            _, _, v1_headers = get_json(server.url + v1_path)
-            assert v1_headers.get("Deprecation") is None
-
-
-def test_legacy_pickle_endpoint_is_gone_by_default(dense_spec):
-    """The async front door answers 410 to /submit unless the operator
-    explicitly revived the pickle wire."""
-    with AsyncExtractionServer(n_workers=1) as server:
-        with ServiceClient(server.url, timeout_s=10.0) as client:
-            with pytest.raises(LegacyPickleDisabledError):
-                with pytest.warns(DeprecationWarning):
-                    client.submit_pickle(JobRequest(dense_spec, columns=(0,)))
-            stats = client.stats()
-            assert stats["frontdoor"]["legacy_pickle_submits"] == 0
-
-
-def test_legacy_pickle_endpoint_behind_explicit_optin(dense_spec):
-    with AsyncExtractionServer(n_workers=1, allow_legacy_pickle=True) as server:
-        with ServiceClient(server.url, timeout_s=30.0) as client:
-            with pytest.warns(DeprecationWarning):
-                job_id = client.submit_pickle(JobRequest(dense_spec, columns=(0,)))
-            snapshot = client.wait(job_id, timeout_s=30.0)
-            assert snapshot["status"] == JobState.DONE
-            assert client.stats()["frontdoor"]["legacy_pickle_submits"] == 1
-
-
-def test_legacy_result_alias_serves_nested_lists(dense_spec):
-    with AsyncExtractionServer(n_workers=1) as server:
-        with ServiceClient(server.url, timeout_s=30.0) as client:
-            job_id = client.submit(JobRequest(dense_spec, columns=(0,)))
-            client.wait(job_id, timeout_s=30.0)
-        status, body, headers = get_json(
-            server.url + f"/result?job_id={job_id}&wait_s=5"
+        req = urllib.request.Request(
+            server.url + path,
+            data=b"{}" if method == "POST" else None,
+            method=method,
         )
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert isinstance(body["result"], list)  # the old nested-list shape
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=10.0)
+        assert err.value.code == 404
+        assert json.loads(err.value.read())["error"]["code"] == "not_found"
+
+
+def test_legacy_pickle_endpoint_is_gone_by_default(tripwire_pickle):
+    """A pickle-era ``/submit`` body is answered 404 and never deserialised."""
+    blob, sentinel = tripwire_pickle
+    with AsyncExtractionServer(n_workers=1) as server:
+        req = urllib.request.Request(
+            server.url + "/submit",
+            data=json.dumps({"request_pickle": blob}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=10.0)
+        assert err.value.code == 404
+        assert json.loads(err.value.read())["error"]["code"] == "not_found"
+        assert ServiceClient(server.url).stats()["jobs"]["submitted"] == 0
+    assert not sentinel.exists()
 
 
 # ------------------------------------------------------------------- client

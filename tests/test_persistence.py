@@ -11,12 +11,13 @@ import json
 import threading
 import time
 import urllib.error
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.service import (
-    ExtractionServer,
+    AsyncExtractionServer,
     ServiceError,
     UnknownJobError,
     Job,
@@ -27,6 +28,7 @@ from repro.service import (
     Scheduler,
     ServiceClient,
     ServicePersistence,
+    WireFormatError,
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.result_store import DEFAULT_STORE_BYTES, default_store_bytes
@@ -211,7 +213,6 @@ def test_corrupt_journal_entry_skipped_with_warning(tmp_path, bem_spec):
     with open(journal, "a", encoding="utf-8") as fh:
         fh.write("this is not json\n")
         fh.write(json.dumps({"event": "accept", "job_id": "job-bad"})[:-9] + "\n")
-        fh.write(json.dumps({"event": "accept", "job_id": "x", "request": "AAA"}) + "\n")
 
     with pytest.warns(RuntimeWarning, match="journal"):
         sched = make_scheduler(state)
@@ -223,6 +224,46 @@ def test_corrupt_journal_entry_skipped_with_warning(tmp_path, bem_spec):
     finally:
         sched.close()
         crashed.close()
+
+
+def test_undecodable_journal_accept_fails_startup(tmp_path, bem_spec, tripwire_pickle):
+    """A complete accept line must carry a /v1 request document.  Older
+    releases journaled base64 pickle; such a line (or any request that fails
+    request_from_wire) stops startup with a message naming the file, the
+    line and the retired format — it is never unpickled, never skipped."""
+    tripwire, sentinel = tripwire_pickle
+    for index, request in enumerate((tripwire, "AAA", {"schema_version": 1, "spec": None})):
+        state = tmp_path / f"state{index}"
+        with make_scheduler(state) as sched:
+            sched.submit(JobRequest(bem_spec, columns=(0,)))  # left unserved
+        journal = state / "journal.jsonl"
+        with open(journal, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"event": "accept", "job_id": "job-000002", "request": request}))
+            fh.write("\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raise, do not warn-and-skip
+            with pytest.raises(WireFormatError) as excinfo:
+                make_scheduler(state)
+        message = str(excinfo.value)
+        assert f"{journal}:2" in message
+        assert "base64-pickled" in message
+        assert factor_cache().artifact_store is None  # the failed start let go
+    assert not sentinel.exists()
+
+
+def test_unencodable_request_is_refused_before_the_ack(tmp_path, bem_spec):
+    state = tmp_path / "state"
+    options = {**bem_spec.options, "tags": {"not", "json"}}  # a set has no wire form
+    spec = SolverSpec("bem", bem_spec.layout, bem_spec.profile, options)
+    with make_scheduler(state) as sched:
+        with pytest.raises(WireFormatError, match="set"):
+            sched.submit(JobRequest(spec, columns=(0,)))
+        assert sched.queue_depth == 0
+        assert sched.metrics.jobs_submitted == 0
+        assert sched.persistence.journal.info()["accepts"] == 0
+        assert (state / "journal.jsonl").read_text() == ""
+        # no job id was burnt on the refused request
+        assert sched.submit(JobRequest(bem_spec, columns=(0,))) == "job-000001"
 
 
 def test_sqlite_backend_roundtrip(tmp_path):
@@ -291,7 +332,7 @@ def test_health_reports_dead_dispatcher_and_closed_scheduler(bem_spec):
 
 def test_healthz_returns_503_when_unhealthy(bem_spec):
     sched = Scheduler(n_workers=1, autostart=False)
-    server = ExtractionServer(scheduler=sched).start()
+    server = AsyncExtractionServer(scheduler=sched).start()
     try:
         client = ServiceClient(server.url)
         assert client.healthz()["ok"]
@@ -330,7 +371,9 @@ def test_snapshot_hides_result_fields_outside_terminal_states():
     job.status = JobState.DONE
     snap = job.snapshot()
     assert snap["columns"] == [0, 1]
-    assert snap["result"] == [[1.0, 0.0], [0.0, 1.0]]
+    # arrays stay ndarrays: snapshot_to_wire is the one encoder
+    assert snap["result"] is job.result
+    assert snap["pair_values"] is job.pair_values
 
 
 def test_scheduler_snapshot_is_taken_under_lock(bem_spec):
@@ -362,7 +405,7 @@ def test_expired_job_id_distinguished_from_unknown(bem_spec):
 
 def test_http_410_for_expired_job(bem_spec):
     sched = Scheduler(n_workers=1, autostart=False, max_jobs_retained=1)
-    server = ExtractionServer(scheduler=sched).start()
+    server = AsyncExtractionServer(scheduler=sched).start()
     try:
         client = ServiceClient(server.url)
         first = client.submit(JobRequest(bem_spec, columns=(0,)))

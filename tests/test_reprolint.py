@@ -208,32 +208,15 @@ PICKLE_SNIPPET = """
         return pickle.loads(blob)
 """
 
-HANDLER_UNGUARDED = """
-    import pickle
-
-    class Handler:
-        def do_POST(self):
-            payload = pickle.loads(self.rfile.read(10))
-            self.respond(payload)
-"""
-
-HANDLER_GUARDED = """
-    import pickle
-
-    class Handler:
-        def do_POST(self):
-            if not self._require_legacy_pickle_optin():
-                return
-            payload = pickle.loads(self.rfile.read(10))
-            self.respond(payload)
-"""
-
-HANDLER_OLD_GUARD = """
+#: a handler behind gate calls: no guard excuses the load any more
+HANDLER_BEHIND_GATES = """
     import pickle
 
     class Handler:
         def do_POST(self):
             if not self._require_trusted_peer():
+                return
+            if not self._require_pickle_optin():
                 return
             payload = pickle.loads(self.rfile.read(10))
             self.respond(payload)
@@ -246,26 +229,23 @@ def test_pickle_rule_fires_outside_allowlist():
 
 
 def test_pickle_rule_quiet_in_allowlisted_and_dev_paths():
-    assert lint(PICKLE_SNIPPET, path="src/repro/service/persistence.py") == []
     assert lint(PICKLE_SNIPPET, path="src/repro/substrate/parallel.py") == []
     assert lint(PICKLE_SNIPPET, path="tests/test_roundtrip.py") == []
     assert lint(PICKLE_SNIPPET, path="benchmarks/bench_pickle.py") == []
 
 
-def test_pickle_rule_requires_guard_in_server_handlers():
-    for server in (
-        "src/repro/service/server.py",
-        "src/repro/service/aserver.py",
-    ):
-        assert rules_of(lint(HANDLER_UNGUARDED, path=server)) == ["RP301"]
-        assert lint(HANDLER_GUARDED, path=server) == []
+def test_pickle_rule_fires_in_service_persistence_and_server():
+    """The journal and the HTTP front end read wire documents only: a
+    reintroduced ``pickle.loads`` in either fails the lint."""
+    for path in ("src/repro/service/persistence.py", "src/repro/service/aserver.py"):
+        assert rules_of(lint(PICKLE_SNIPPET, path=path)) == ["RP300"]
 
 
 def test_pickle_rule_rejects_the_retired_loopback_guard():
-    """The pre-/v1 guard name no longer counts: unpickling must sit behind
-    the explicit legacy opt-in gate, not just the loopback check."""
-    server = "src/repro/service/server.py"
-    assert rules_of(lint(HANDLER_OLD_GUARD, path=server)) == ["RP301"]
+    """No guard call excuses a handler's unpickle any more — neither the
+    pre-/v1 loopback check nor an opt-in gate."""
+    path = "src/repro/service/aserver.py"
+    assert rules_of(lint(HANDLER_BEHIND_GATES, path=path)) == ["RP300"]
 
 
 def test_pickle_rule_sees_through_import_aliases():
@@ -329,9 +309,7 @@ def test_unconsumed_annotation_is_flagged():
 
 
 def test_rule_catalogue_and_explain_cover_every_rule():
-    assert {"RL100", "RL101", "RR200", "RR201", "RP300", "RP301", "RS400", "RX000"} <= set(
-        RULES
-    )
+    assert {"RL100", "RL101", "RR200", "RR201", "RP300", "RS400", "RX000"} <= set(RULES)
     for rule_id in RULES:
         text = explain(rule_id)
         assert rule_id in text and RULES[rule_id]["title"] in text

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.service import (
-    ExtractionServer,
+    AsyncExtractionServer,
     JobRequest,
     JobState,
     ResultStore,
@@ -356,7 +356,7 @@ def test_metrics_snapshot_shapes():
 def test_http_end_to_end_two_clients_coalesce(bem_spec, small_g_module):
     """The CI smoke path: start the server, run two concurrent clients over
     the wire, assert agreement and cross-request amortisation."""
-    with ExtractionServer(n_workers=1, coalesce_window_s=0.02) as server:
+    with AsyncExtractionServer(n_workers=1, coalesce_window_s=0.02) as server:
         client = ServiceClient(server.url, timeout_s=60.0)
         assert client.healthz()["ok"] is True
         cols = [(0, 2, 5, 9), (2, 5, 7, 11)]
@@ -386,17 +386,17 @@ def test_http_error_paths(dense_spec):
     import urllib.error
     import urllib.request
 
-    with ExtractionServer(n_workers=1) as server:
+    with AsyncExtractionServer(n_workers=1) as server:
         client = ServiceClient(server.url, timeout_s=10.0)
         # unknown job id -> 404, typed (and a KeyError, like the scheduler)
         with pytest.raises(UnknownJobError) as err:
             client.result("job-999999")
         assert err.value.status == 404
         assert isinstance(err.value, KeyError)
-        # malformed submit payload -> 400
+        # malformed submit document -> 400
         request = urllib.request.Request(
-            server.url + "/submit",
-            data=json.dumps({"request_pickle": "not base64!!"}).encode(),
+            server.url + "/v1/jobs",
+            data=json.dumps({"schema_version": 1, "spec": "not a spec"}).encode(),
             headers={"Content-Type": "application/json"},
         )
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -408,9 +408,7 @@ def test_http_error_paths(dense_spec):
         assert err.value.code == 404
         # non-numeric wait_s -> clean JSON 400, not a dropped connection
         with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(
-                server.url + "/result?job_id=job-000001&wait_s=abc", timeout=10.0
-            )
+            urllib.request.urlopen(server.url + "/v1/jobs/job-000001?wait_s=abc", timeout=10.0)
         assert err.value.code == 400
         # wait-for-result long-polls a job to completion
         job_id = client.submit(JobRequest(dense_spec, columns=(0,)))
@@ -433,7 +431,7 @@ def test_mixed_columns_and_pairs_request(scheduler, dense_spec, small_g_module):
 def test_http_extract_returns_both_blocks_for_mixed_requests(
     dense_spec, small_g_module
 ):
-    with ExtractionServer(n_workers=1) as server:
+    with AsyncExtractionServer(n_workers=1) as server:
         client = ServiceClient(server.url, timeout_s=30.0)
         got = client.extract(
             JobRequest(dense_spec, columns=(0, 3), pairs=((1, 7),)), timeout_s=30.0

@@ -30,7 +30,6 @@ from repro.service import (
 from repro.service.jobs import SCHEMA_VERSION
 from repro.service.wire import (
     BadRequestError,
-    LegacyPickleDisabledError,
     ServiceError,
     decode_array,
     decode_value,
@@ -210,7 +209,6 @@ def test_error_envelope_shape():
         ("job_expired", 410, JobExpiredError),
         ("queue_saturated", 429, QueueSaturatedError),
         ("unavailable", 503, ServiceError),
-        ("legacy_pickle_disabled", 410, LegacyPickleDisabledError),
         ("something_else", 500, ServiceError),
     ],
 )
@@ -243,8 +241,8 @@ def test_snapshot_to_wire_encodes_arrays():
     snapshot = {
         "schema_version": SCHEMA_VERSION,
         "status": "done",
-        "result": [[1.0, 2.0], [3.0, 4.0]],
-        "pair_values": [5.0],
+        "result": np.array([[1.0, 2.0], [3.0, 4.0]]),
+        "pair_values": np.array([5.0]),
     }
     doc = roundtrip(snapshot_to_wire(snapshot))
     assert doc["result"]["__wire__"] == "ndarray"

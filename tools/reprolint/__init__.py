@@ -10,9 +10,8 @@ extraction service's comments used to merely describe:
   ``sqlite3.connect`` / ``ProcessPoolExecutor`` / scratch-file creation
   must reach a release on all control-flow paths (try/finally aware),
   with ``# reprolint: owned-by(...)`` for lifetime transfers;
-* **RP3xx pickle trust boundary** — ``pickle.load(s)`` only in
-  allowlisted modules, and in ``server.py`` handlers only behind the
-  loopback guard.
+* **RP300 pickle trust boundary** — ``pickle.load(s)`` only in
+  allowlisted modules.
 
 Run it as ``python -m tools.reprolint src/ tests/ benchmarks/``; see
 ``--explain RULE`` for the catalogue and suppression syntax.

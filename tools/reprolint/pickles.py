@@ -1,16 +1,12 @@
-"""RP300/RP301 — pickle deserialisation trust boundary.
+"""RP300 — pickle deserialisation trust boundary.
 
 ``pickle.loads``/``pickle.load`` executes arbitrary code from its input,
-so call sites are confined to an explicit allowlist (journal replay in
-``persistence.py``, worker-spec shipping in ``parallel.py``, developer-run
-code under ``tests/``/``benchmarks/``/``examples/``).  The two HTTP front
-ends (``server.py``, ``aserver.py``) are a special case: their request
-handlers may unpickle, but only after the documented legacy opt-in gate
-(``_require_legacy_pickle_optin``) ran earlier in the same handler
-function — the gate that answers 410 unless the operator explicitly
-revived the deprecated pickle endpoint, and 403 for non-loopback peers
-even then.  The schema-first ``/v1`` wire (``wire.py``) needs no pickle
-at all, which is why anything new should grow there instead.
+so call sites are confined to an explicit allowlist (worker-spec shipping
+in ``parallel.py``, developer-run code under
+``tests/``/``benchmarks/``/``examples/``).  Everything the service reads
+from a socket or from its state directory is a ``/v1`` wire document
+(``wire.py``), so no other module needs pickle; a call anywhere else is a
+finding.
 """
 
 from __future__ import annotations
@@ -21,40 +17,24 @@ from pathlib import PurePosixPath
 from .annotations import Annotations
 from .diagnostics import Diagnostic
 
-__all__ = ["check_pickles", "ALLOWLIST", "GUARDED_FILES", "GUARD_NAMES"]
+__all__ = ["check_pickles", "ALLOWLIST"]
 
 #: path suffixes (or leading directories) where pickle deserialisation is
 #: an accepted, documented trust boundary
 ALLOWLIST: tuple[str, ...] = (
-    "repro/service/persistence.py",  # journal replay of self-written state
     "repro/substrate/parallel.py",  # worker specs within one process tree
 )
 
 #: directory prefixes treated as developer-run (never service-reachable)
 DEV_DIRS: tuple[str, ...] = ("tests", "benchmarks", "examples")
 
-#: files whose handlers may unpickle *behind the legacy opt-in gate*
-GUARDED_FILES: tuple[str, ...] = (
-    "repro/service/server.py",
-    "repro/service/aserver.py",
-)
 
-#: a call to any of these names counts as the guard
-GUARD_NAMES: frozenset[str] = frozenset({"_require_legacy_pickle_optin"})
-
-
-def _classify_path(path: str) -> str:
-    """``"allow"``, ``"guarded"`` or ``"deny"`` for one source path."""
+def _allowed(path: str) -> bool:
+    """True when ``path`` is allowlisted or developer-run code."""
     posix = PurePosixPath(path.replace("\\", "/"))
-    text = str(posix)
-    parts = posix.parts
-    if any(part in DEV_DIRS for part in parts):
-        return "allow"
-    if any(text.endswith(suffix) for suffix in ALLOWLIST):
-        return "allow"
-    if any(text.endswith(suffix) for suffix in GUARDED_FILES):
-        return "guarded"
-    return "deny"
+    if any(part in DEV_DIRS for part in posix.parts):
+        return True
+    return any(str(posix).endswith(suffix) for suffix in ALLOWLIST)
 
 
 def _pickle_aliases(tree: ast.Module) -> tuple[set[str], set[str]]:
@@ -87,76 +67,23 @@ def _is_pickle_load(
     return isinstance(func, ast.Name) and func.id in functions
 
 
-def _guard_runs_before(
-    scope: ast.AST | None, load_line: int
-) -> bool:
-    """True when a guard call appears in ``scope`` before ``load_line``."""
-    if scope is None:
-        return False
-    for node in ast.walk(scope):
-        if (
-            isinstance(node, ast.Call)
-            and node.lineno < load_line
-            and (
-                (isinstance(node.func, ast.Name) and node.func.id in GUARD_NAMES)
-                or (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in GUARD_NAMES
-                )
-            )
-        ):
-            return True
-    return False
-
-
 def check_pickles(
     tree: ast.Module, ann: Annotations, path: str
 ) -> list[Diagnostic]:
-    verdict = _classify_path(path)
-    if verdict == "allow":
+    if _allowed(path):
         return []
     modules, functions = _pickle_aliases(tree)
     if not modules and not functions:
         return []
-    parents: dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    diags: list[Diagnostic] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if not _is_pickle_load(node, modules, functions):
-            continue
-        if verdict == "guarded":
-            scope: ast.AST | None = node
-            while scope in parents:
-                scope = parents[scope]
-                if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    break
-            else:
-                scope = None
-            if _guard_runs_before(scope, node.lineno):
-                continue
-            diags.append(
-                Diagnostic(
-                    path,
-                    node.lineno,
-                    node.col_offset + 1,
-                    "RP301",
-                    "handler unpickles without calling "
-                    "_require_legacy_pickle_optin() first",
-                )
-            )
-        else:
-            diags.append(
-                Diagnostic(
-                    path,
-                    node.lineno,
-                    node.col_offset + 1,
-                    "RP300",
-                    "pickle deserialisation outside the allowlisted trust "
-                    "boundary (see --explain RP300)",
-                )
-            )
-    return diags
+    return [
+        Diagnostic(
+            path,
+            node.lineno,
+            node.col_offset + 1,
+            "RP300",
+            "pickle deserialisation outside the allowlisted trust "
+            "boundary (see --explain RP300)",
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _is_pickle_load(node, modules, functions)
+    ]

@@ -130,38 +130,18 @@ supports it.""",
 it is given, so every call site is an implicit trust boundary.  This
 repository confines deserialisation to an explicit allowlist:
 
-* ``src/repro/service/persistence.py`` — journal replay of requests this
-  same service serialised (the state dir is as trusted as the binary);
 * ``src/repro/substrate/parallel.py`` — worker-spec shipping between a
   parent process and the worker pool it spawned;
 * ``tests/``, ``benchmarks/``, ``examples/`` — developer-run code.
 
-A new ``pickle.loads`` anywhere else is a finding.  Either move the
+The service reads only ``/v1`` wire documents, from sockets and from its
+state directory alike (the job journal stores ``request_to_wire``
+documents), so a new ``pickle.loads`` anywhere else — the HTTP front end
+and ``service/persistence.py`` included — is a finding.  Either move the
 deserialisation behind one of the allowlisted modules, switch to a
 declarative format (JSON + explicit construction), or — if the new module
 genuinely is a trust boundary — extend the allowlist in
 ``tools/reprolint/pickles.py`` in the same change that documents why.""",
-    },
-    "RP301": {
-        "title": "request handler unpickles without the legacy opt-in gate",
-        "explain": """\
-The deprecated ``/submit`` endpoint accepts pickled job requests over
-HTTP, which is remote code execution for whoever can reach the socket.
-The schema-first ``/v1`` wire needs no pickle at all, so the documented
-containment is now twofold, and both layers live in one gate: every
-handler path that reaches ``pickle.loads`` must first call
-``_require_legacy_pickle_optin()``, which (a) answers 410 unless the
-operator explicitly revived the legacy pickle endpoint at construction
-(``allow_legacy_pickle`` / ``--allow-legacy-pickle``), and (b) even then
-refuses non-loopback peers with a 403 unless the remote-pickle override
-was also set.
-
-This rule fires when a handler function in ``server.py`` or ``aserver.py``
-calls ``pickle.loads`` without a lexically earlier
-``_require_legacy_pickle_optin`` call in the same function — i.e. when
-someone adds a new pickle-carrying endpoint and forgets the gate.  New
-endpoints should speak the declarative wire schema instead
-(``repro/service/wire.py``), which this rule never fires on.""",
     },
     "RS400": {
         "title": "suppression without a reason",
