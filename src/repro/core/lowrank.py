@@ -77,7 +77,6 @@ class LowRankSparsifier:
         )
         self._tu: dict[SquareKey, _SquareBasisTU] = {}
         self._lresp: dict[SquareKey, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._targets_cache: dict[SquareKey, list[Square]] = {}
 
     # ----------------------------------------------------------------- phase 1
     def build(self, solver: SubstrateSolver) -> "LowRankSparsifier":
@@ -90,28 +89,6 @@ class LowRankSparsifier:
         return self.rowbasis.n_solves
 
     # ----------------------------------------------------------------- phase 2
-    def _interactive_response(
-        self, square: Square, block: np.ndarray, destinations: list[Square]
-    ) -> dict[SquareKey, np.ndarray]:
-        """Responses ``G_{d, square} block`` for interactive destinations ``d``.
-
-        Evaluated through the row-basis representation with the symmetry
-        refinement: ``(G_ds V_s)(V_s' x) + V_d (G_sd V_d)' (x - V_s V_s' x)``.
-        """
-        rb = self.rowbasis.data[square.key]
-        coeff = rb.v.T @ block
-        resid = block - rb.v @ coeff
-        out: dict[SquareKey, np.ndarray] = {}
-        for d in destinations:
-            dd = self.rowbasis.data[d.key]
-            pos_d = _positions(rb.p_contacts, d.contact_indices)
-            term = rb.gv_p[pos_d, :] @ coeff
-            if dd.rank:
-                pos_s = _positions(dd.p_contacts, square.contact_indices)
-                term = term + dd.v @ (dd.gv_p[pos_s, :].T @ resid)
-            out[d.key] = term
-        return out
-
     def _split_fast_slow(
         self, interaction: np.ndarray, n_cols: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -166,10 +143,9 @@ class LowRankSparsifier:
         m = x_p.shape[1]
 
         # interaction with the interactive region, through the representation
-        interactive = hier.interactive_squares(parent)
-        if interactive and m:
-            responses = self._interactive_response(parent, x_p, interactive)
-            interaction = np.vstack([responses[d.key] for d in interactive])
+        if hier.interactive_squares(parent) and m:
+            responses = rb.interaction_responses(parent, x_p)
+            interaction = np.vstack([term for _, term in responses])
         else:
             interaction = np.zeros((0, m))
         u_coef, t_coef = self._split_fast_slow(interaction, m)
@@ -179,22 +155,17 @@ class LowRankSparsifier:
             parent.key, parent.contact_indices, t_p, u_p
         )
 
-        # local responses to the X_p columns, assembled from the children
+        # local responses to the X_p columns, assembled from the children.
+        # P_c of every child is the children of L_parent, so the child's row
+        # map places its local and interactive squares on L_parent's contacts.
         l_contacts = hier.contacts_in(hier.local_squares(parent))
         resp_x = np.zeros((l_contacts.size, m))
         for child, cols in slices:
-            lc_child, _, resp_u_child = self._lresp[child.key]
-            pos = _positions(l_contacts, lc_child)
-            resp_x[pos, cols] = resp_u_child
-            child_interactive = hier.interactive_squares(child)
-            if child_interactive:
-                u_child = self._tu[child.key].u
-                responses = self._interactive_response(
-                    child, u_child, child_interactive
-                )
-                for d in child_interactive:
-                    pos_d = _positions(l_contacts, d.contact_indices)
-                    resp_x[pos_d, cols] = responses[d.key]
+            cdata = rb.data[child.key]
+            _, _, resp_u_child = self._lresp[child.key]
+            resp_x[cdata.rows_of(hier.local_squares(child)), cols] = resp_u_child
+            for d, term in rb.interaction_responses(child, self._tu[child.key].u):
+                resp_x[cdata.p_rows[d.key], cols] = term
         self._lresp[parent.key] = (l_contacts, resp_x @ t_coef, resp_x @ u_coef)
 
     # ----------------------------------------------------------- assemble Q/Gw
@@ -252,22 +223,6 @@ class LowRankSparsifier:
         cols = {k: np.array(v, dtype=int) for k, v in column_map.items()}
         return q, cols
 
-    def _target_squares(self, source: Square) -> list[Square]:
-        """Squares (source level or finer) whose level-``l`` ancestor is local to the source."""
-        cached = self._targets_cache.get(source.key)
-        if cached is not None:
-            return cached
-        out: list[Square] = []
-        frontier = self.hierarchy.local_squares(source)
-        while frontier:
-            out.extend(frontier)
-            nxt: list[Square] = []
-            for sq in frontier:
-                nxt.extend(self.hierarchy.children(sq))
-            frontier = nxt
-        self._targets_cache[source.key] = out
-        return out
-
     def to_sparsified(self) -> SparsifiedConductance:
         """Run the fine-to-coarse sweep and return the ``Q Gw Q'`` representation."""
         if not self.rowbasis.built:
@@ -301,7 +256,7 @@ class LowRankSparsifier:
                 if source_cols is None or source_cols.size == 0:
                     continue
                 lc, resp_t, _ = self._lresp[sq.key]
-                for target in self._target_squares(sq):
+                for target in hier.target_squares(sq):
                     target_cols = column_map.get((target.key, "T"))
                     if target_cols is None or target_cols.size == 0:
                         continue
@@ -310,16 +265,16 @@ class LowRankSparsifier:
                     block = t_target.T @ resp_t[pos, :]
                     record_block(target_cols, source_cols, block)
 
-        # coarsest-level slow-decaying vectors interact with everything
-        n = hier.layout.n_contacts
-        for sq in hier.squares_at_level(2):
-            u_cols = column_map.get((sq.key, "U"))
-            if u_cols is None or u_cols.size == 0:
-                continue
-            tu = self._tu[sq.key]
-            full = np.zeros((n, tu.u.shape[1]))
-            full[tu.contact_indices, :] = tu.u
-            responses = self.rowbasis.apply_block(full)
+        # coarsest-level slow-decaying vectors interact with everything: their
+        # columns of Q go through the representation as one block
+        u_blocks = [
+            column_map[sq.key, "U"]
+            for sq in hier.squares_at_level(2)
+            if (sq.key, "U") in column_map
+        ]
+        if u_blocks:
+            u_cols = np.concatenate(u_blocks)
+            responses = self.rowbasis.apply_block(q[:, u_cols].toarray())
             gw_cols = q.T @ responses  # (ncols, r)
             all_rows = np.arange(ncols)
             for k, col in enumerate(u_cols):

@@ -17,6 +17,7 @@ fine-to-coarse sweep of :mod:`repro.core.lowrank`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,9 @@ class RowBasisData:
         Sorted contacts of ``P_s`` (interactive plus local squares).
     gv_p:
         Approximate responses ``G_{P_s, s} V_s`` (``|P_s| x k_s``).
+    p_rows:
+        Rows of ``p_contacts`` occupied by each member square of ``P_s``,
+        fixed when ``P_s`` is formed (index bookkeeping, not stored values).
     """
 
     key: SquareKey
@@ -71,10 +75,15 @@ class RowBasisData:
     v: np.ndarray
     p_contacts: np.ndarray
     gv_p: np.ndarray
+    p_rows: dict[SquareKey, np.ndarray]
 
     @property
     def rank(self) -> int:
         return self.v.shape[1]
+
+    def rows_of(self, squares: Iterable[Square]) -> np.ndarray:
+        """Ascending rows of ``p_contacts`` held by member squares of ``P_s``."""
+        return np.sort(np.concatenate([self.p_rows[q.key] for q in squares]))
 
 
 class MultilevelRowBasis:
@@ -126,31 +135,40 @@ class MultilevelRowBasis:
             squares = list(hier.squares_at_level(level))
             if not squares:
                 continue
+            for sq in squares:
+                self.data[sq.key] = self._empty_data(sq)
             samples = {
                 sq.key: self.rng.standard_normal((sq.n_contacts, 1)) for sq in squares
             }
             sample_resp = self._responses(level, samples, solver)
-            self._build_row_bases(level, samples, sample_resp)
+            self._build_row_bases(level, sample_resp)
             basis_vectors = {
                 sq.key: self.data[sq.key].v for sq in squares if self.data[sq.key].rank
             }
             basis_resp = self._responses(level, basis_vectors, solver)
-            for sq in squares:
-                rb = self.data[sq.key]
-                if rb.rank:
-                    rb.gv_p = basis_resp[sq.key]
-                else:
-                    rb.gv_p = np.zeros((rb.p_contacts.size, 0))
+            for key, resp in basis_resp.items():
+                self.data[key].gv_p = resp
         self._build_finest_local_blocks(solver)
         self.built = True
         return self
 
-    # ------------------------------------------------------- response machinery
-    def _p_contacts(self, square: Square) -> np.ndarray:
-        return self.hierarchy.contacts_in(
-            self.hierarchy.interactive_and_local(square)
+    def _empty_data(self, square: Square) -> RowBasisData:
+        """Rank-0 row basis of ``square`` with ``P_s`` and its row map fixed."""
+        members = self.hierarchy.interactive_and_local(square)
+        pc = self.hierarchy.contacts_in(members)
+        # one validated search for all members, split back per square
+        rows = _positions(pc, np.concatenate([q.contact_indices for q in members]))
+        splits = np.cumsum([q.n_contacts for q in members])[:-1]
+        return RowBasisData(
+            square.key,
+            square.contact_indices,
+            np.zeros((square.n_contacts, 0)),
+            pc,
+            np.zeros((pc.size, 0)),
+            dict(zip([q.key for q in members], np.split(rows, splits))),
         )
 
+    # ------------------------------------------------------- response machinery
     def _responses(
         self,
         level: int,
@@ -179,27 +197,24 @@ class MultilevelRowBasis:
         # one RHS column per (square, sample column), submitted in one block
         rhs_cols: list[np.ndarray] = []
         col_owner: list[tuple[SquareKey, int]] = []
-        pcs: dict[SquareKey, np.ndarray] = {}
+        out: dict[SquareKey, np.ndarray] = {}
         for sq in hier.squares_at_level(level):
             x = vectors.get(sq.key)
             if x is None:
                 continue
-            pcs[sq.key] = self._p_contacts(sq)
+            out[sq.key] = np.empty((self.data[sq.key].p_contacts.size, x.shape[1]))
             for col in range(x.shape[1]):
                 full = np.zeros(n)
                 full[sq.contact_indices] = x[:, col]
                 rhs_cols.append(full)
                 col_owner.append((sq.key, col))
-        out: dict[SquareKey, np.ndarray] = {
-            key: np.empty((pcs[key].size, vectors[key].shape[1])) for key in pcs
-        }
         for start in range(0, len(rhs_cols), self.max_block):
             stop = min(start + self.max_block, len(rhs_cols))
             responses = solver.solve_many(np.column_stack(rhs_cols[start:stop]))
             self.n_solves += stop - start
             for pos in range(stop - start):
                 key, col = col_owner[start + pos]
-                out[key][:, col] = responses[pcs[key], pos]
+                out[key][:, col] = responses[self.data[key].p_contacts, pos]
         return out
 
     def _responses_split(
@@ -218,7 +233,6 @@ class MultilevelRowBasis:
         results: dict[SquareKey, np.ndarray] = {}
         ortho: dict[SquareKey, np.ndarray] = {}
         parent_of: dict[SquareKey, Square] = {}
-        pc_of: dict[SquareKey, np.ndarray] = {}
 
         for sq in squares:
             parent = hier.parent(sq)
@@ -229,12 +243,12 @@ class MultilevelRowBasis:
             x_parent[rows, :] = x
             coeff = pdata.v.T @ x_parent
             resid = x_parent - pdata.v @ coeff
-            pc = self._p_contacts(sq)
-            pos = _positions(pdata.p_contacts, pc)
+            # P_s is the children of L_parent, so its contacts are exactly the
+            # rows L_parent holds in the parent's P
+            pos = pdata.rows_of(hier.local_squares(parent))
             results[sq.key] = pdata.gv_p[pos, :] @ coeff
             ortho[sq.key] = resid
             parent_of[sq.key] = parent
-            pc_of[sq.key] = pc
 
         # combine-solves for the parts orthogonal to the parent row bases
         groups: dict[tuple[int, int, int, int, int], list[SquareKey]] = {}
@@ -255,15 +269,12 @@ class MultilevelRowBasis:
             for key in members:
                 parent = parent_of[key]
                 o = ortho[key][:, col]
-                pc = pc_of[key]
-                contrib = np.zeros(pc.size)
+                contrib = np.zeros(n)
                 for q in hier.local_squares(parent):
                     qdata = self.data[q.key]
                     raw = y[q.contact_indices]
-                    refined = self._refine_local_response(qdata, parent, o, raw)
-                    pos_q = _positions(pc, q.contact_indices)
-                    contrib[pos_q] = refined
-                results[key][:, col] += contrib
+                    contrib[q.contact_indices] = self._refine_local_response(qdata, parent, o, raw)
+                results[key][:, col] += contrib[self.data[key].p_contacts]
         return results
 
     def _combined_group_responses(
@@ -310,8 +321,8 @@ class MultilevelRowBasis:
         """
         if qdata.rank == 0:
             return raw_response
-        pos = _positions(qdata.p_contacts, source_square.contact_indices)
-        g_sq_vq = qdata.gv_p[pos, :]  # responses of V_q at the source square
+        # responses of V_q at the source square
+        g_sq_vq = qdata.gv_p[qdata.p_rows[source_square.key], :]
         term1 = qdata.v @ (g_sq_vq.T @ source_vector)
         term2 = raw_response - qdata.v @ (qdata.v.T @ raw_response)
         return term1 + term2
@@ -328,23 +339,14 @@ class MultilevelRowBasis:
         rank = min(rank, self.max_rank, matrix.shape[0])
         return u[:, :rank]
 
-    def _build_row_bases(
-        self,
-        level: int,
-        samples: dict[SquareKey, np.ndarray],
-        sample_resp: dict[SquareKey, np.ndarray],
-    ) -> None:
+    def _build_row_bases(self, level: int, sample_resp: dict[SquareKey, np.ndarray]) -> None:
         hier = self.hierarchy
         for sq in hier.squares_at_level(level):
-            interactive = hier.interactive_squares(sq)
-            columns = []
-            for d in interactive:
-                resp_d = sample_resp.get(d.key)
-                if resp_d is None:
-                    continue
-                pc_d = self._p_contacts(d)
-                pos = _positions(pc_d, sq.contact_indices)
-                columns.append(resp_d[pos, :])
+            columns = [
+                sample_resp[d.key][self.data[d.key].p_rows[sq.key], :]
+                for d in hier.interactive_squares(sq)
+                if d.key in sample_resp
+            ]
             if columns:
                 sampled = np.hstack(columns)
                 v = self._truncated_basis(sampled)
@@ -352,10 +354,7 @@ class MultilevelRowBasis:
                 # no interactive contacts: keep the whole (small) space
                 k = min(self.max_rank, sq.n_contacts)
                 v = np.eye(sq.n_contacts)[:, :k]
-            pc = self._p_contacts(sq)
-            self.data[sq.key] = RowBasisData(
-                sq.key, sq.contact_indices, v, pc, np.zeros((pc.size, v.shape[1]))
-            )
+            self.data[sq.key].v = v
 
     # -------------------------------------------------- finest local interactions
     def _orthonormal_complement(self, v: np.ndarray, dim: int) -> np.ndarray:
@@ -373,16 +372,13 @@ class MultilevelRowBasis:
         n = hier.layout.n_contacts
         level = hier.max_level
         squares = list(hier.squares_at_level(level))
+        # responses of the complement vectors, on the rows of P_s
         w_resp: dict[SquareKey, np.ndarray] = {}
-        local_contacts: dict[SquareKey, np.ndarray] = {}
 
         for sq in squares:
             rb = self.data[sq.key]
             self.finest_w[sq.key] = self._orthonormal_complement(rb.v, sq.n_contacts)
-            local_contacts[sq.key] = hier.contacts_in(hier.local_squares(sq))
-            w_resp[sq.key] = np.zeros(
-                (local_contacts[sq.key].size, self.finest_w[sq.key].shape[1])
-            )
+            w_resp[sq.key] = np.zeros((rb.p_contacts.size, self.finest_w[sq.key].shape[1]))
 
         groups: dict[tuple[int, int, int], list[SquareKey]] = {}
         for sq in squares:
@@ -401,29 +397,46 @@ class MultilevelRowBasis:
             for key in members:
                 sq = square_by_key[key]
                 w_col = self.finest_w[key][:, col]
-                lc = local_contacts[key]
+                p_rows = self.data[key].p_rows
                 for q in hier.local_squares(sq):
                     qdata = self.data[q.key]
                     raw = y[q.contact_indices]
                     refined = self._refine_local_response(qdata, sq, w_col, raw)
-                    pos_q = _positions(lc, q.contact_indices)
-                    w_resp[key][pos_q, col] = refined
+                    w_resp[key][p_rows[q.key], col] = refined
 
         for sq in squares:
             rb = self.data[sq.key]
-            lc = local_contacts[sq.key]
-            pos = _positions(rb.p_contacts, lc)
-            gv_local = rb.gv_p[pos, :]
-            block = gv_local @ rb.v.T
+            pos = rb.rows_of(hier.local_squares(sq))
+            block = rb.gv_p[pos, :] @ rb.v.T
             w = self.finest_w[sq.key]
             if w.shape[1]:
-                block = block + w_resp[sq.key] @ w.T
-            self.local_blocks[sq.key] = (lc, block)
+                block = block + w_resp[sq.key][pos, :] @ w.T
+            self.local_blocks[sq.key] = (rb.p_contacts[pos], block)
 
     # ------------------------------------------------------------------- apply
     def apply(self, voltages: np.ndarray) -> np.ndarray:
         """Approximate ``G @ voltages`` using the representation (Section 4.3.2)."""
         return self.apply_block(np.asarray(voltages, dtype=float)[:, None])[:, 0]
+
+    def interaction_responses(
+        self, square: Square, block: np.ndarray
+    ) -> list[tuple[Square, np.ndarray]]:
+        """``(d, G_{d, square} block)`` for every interactive square ``d``.
+
+        Evaluated through the representation with the symmetry refinement:
+        ``(G_ds V_s)(V_s' x) + V_d (G_sd V_d)' (x - V_s V_s' x)``.
+        """
+        sd = self.data[square.key]
+        coeff = sd.v.T @ block
+        resid = block - sd.v @ coeff
+        out = []
+        for d in self.hierarchy.interactive_squares(square):
+            dd = self.data[d.key]
+            term = sd.gv_p[sd.p_rows[d.key], :] @ coeff
+            if dd.rank:
+                term = term + dd.v @ (dd.gv_p[dd.p_rows[square.key], :].T @ resid)
+            out.append((d, term))
+        return out
 
     def apply_block(self, voltage_block: np.ndarray) -> np.ndarray:
         """Approximate ``G @ V`` for several voltage vectors at once."""
@@ -431,20 +444,15 @@ class MultilevelRowBasis:
             raise RuntimeError("call build() before apply()")
         hier = self.hierarchy
         v = np.asarray(voltage_block, dtype=float)
+        n = hier.layout.n_contacts
+        if v.ndim != 2 or v.shape[0] != n:
+            raise ValueError(
+                f"voltage block of shape {v.shape}: expected {n} rows, one per contact"
+            )
         out = np.zeros_like(v)
         for level in range(2, hier.max_level + 1):
             for sq in hier.squares_at_level(level):
-                sd = self.data[sq.key]
-                v_s = v[sq.contact_indices, :]
-                coeff = sd.v.T @ v_s
-                resid = v_s - sd.v @ coeff
-                for d in hier.interactive_squares(sq):
-                    dd = self.data[d.key]
-                    pos_d = _positions(sd.p_contacts, d.contact_indices)
-                    term = sd.gv_p[pos_d, :] @ coeff
-                    if dd.rank:
-                        pos_s = _positions(dd.p_contacts, sq.contact_indices)
-                        term = term + dd.v @ (dd.gv_p[pos_s, :].T @ resid)
+                for d, term in self.interaction_responses(sq, v[sq.contact_indices, :]):
                     out[d.contact_indices, :] += term
         for sq in hier.squares_at_level(hier.max_level):
             lc, block = self.local_blocks[sq.key]

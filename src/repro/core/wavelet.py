@@ -56,29 +56,8 @@ class WaveletSparsifier:
         self.hierarchy = hierarchy
         self.basis = WaveletBasis(hierarchy, order=order, rank_tol=rank_tol)
         self.max_block = max(int(max_block), 1)
-        self._targets_cache: dict[tuple[int, int, int], list[Square]] = {}
 
     # --------------------------------------------------------------- locality
-    def _target_squares(self, source: Square) -> list[Square]:
-        """Squares whose interactions with ``source`` are kept.
-
-        These are the squares, at the source's level or finer, whose ancestor
-        at the source's level is local (same or neighbour) to the source.
-        """
-        cached = self._targets_cache.get(source.key)
-        if cached is not None:
-            return cached
-        out: list[Square] = []
-        frontier = self.hierarchy.local_squares(source)
-        while frontier:
-            out.extend(frontier)
-            nxt: list[Square] = []
-            for sq in frontier:
-                nxt.extend(self.hierarchy.children(sq))
-            frontier = nxt
-        self._targets_cache[source.key] = out
-        return out
-
     def kept_pattern(self) -> sparse.csr_matrix:
         """Boolean sparsity pattern of ``Gws`` implied by the locality assumption."""
         basis = self.basis
@@ -100,7 +79,7 @@ class WaveletSparsifier:
                 source_cols = basis.w_columns(source.key)
                 if source_cols.size == 0:
                     continue
-                for target in self._target_squares(source):
+                for target in self.hierarchy.target_squares(source):
                     target_cols = basis.w_columns(target.key)
                     if target_cols.size == 0:
                         continue
@@ -218,7 +197,7 @@ class WaveletSparsifier:
                     m = theta_modes[start + col]
                     for sq in contributing:
                         source_col = int(basis.w_columns(sq.key)[m])
-                        for target in self._target_squares(sq):
+                        for target in hier.target_squares(sq):
                             tb = basis.basis(target.key)
                             if tb.n_vanishing == 0:
                                 continue

@@ -14,13 +14,17 @@ geometric neighbourhood relations the algorithms rely on:
 * the *well-separated* predicate between squares on possibly different levels
   used by the combine-solves assumption (Section 3.5): with ``level(s) <=
   level(s')``, the pair is well separated when the ancestor of ``s'`` at
-  ``level(s)`` is not local to ``s``.
+  ``level(s)`` is not local to ``s``; the squares at ``s``'s level or finer
+  that are *not* well separated from ``s`` are its *target* squares.
+
+The squares never change once the hierarchy is built, so each square's
+neighbourhoods are computed on first use and kept as immutable tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,6 +142,8 @@ class SquareHierarchy:
         self._assign_contacts(strict_containment)
         self._build_coarser_levels()
         self._levels: dict[int, list[Square]] = {}
+        #: memoised neighbourhoods, keyed by (relation, square key)
+        self._neighbourhoods: dict[tuple[str, SquareKey], tuple[Square, ...]] = {}
         for sq in self._squares.values():
             self._levels.setdefault(sq.level, []).append(sq)
         for lev in self._levels:
@@ -242,17 +248,30 @@ class SquareHierarchy:
                 out.append(sq)
         return out
 
-    def local_squares(self, square: Square) -> list[Square]:
-        """``L_s``: the square itself plus its non-empty neighbours."""
-        return [square] + self.neighbors(square)
+    def _memo(
+        self, relation: str, square: Square, compute: Callable[[Square], Iterable[Square]]
+    ) -> tuple[Square, ...]:
+        """``compute(square)`` on first use, then the kept (immutable) answer."""
+        key = (relation, square.key)
+        found = self._neighbourhoods.get(key)
+        if found is None:
+            found = self._neighbourhoods[key] = tuple(compute(square))
+        return found
 
-    def interactive_squares(self, square: Square) -> list[Square]:
+    def local_squares(self, square: Square) -> tuple[Square, ...]:
+        """``L_s``: the square itself plus its non-empty neighbours."""
+        return self._memo("local", square, lambda s: [s] + self.neighbors(s))
+
+    def interactive_squares(self, square: Square) -> tuple[Square, ...]:
         """``I_s``: the interaction list of ``square`` (Figure 4-4).
 
         Same-level, non-empty squares that are *not* local to ``square`` but
         whose parents are the parent of ``square`` or one of its neighbours.
         Levels 0 and 1 have empty interaction lists.
         """
+        return self._memo("interactive", square, self._interaction_list)
+
+    def _interaction_list(self, square: Square) -> list[Square]:
         if square.level < 2:
             return []
         local_keys = set(self._same_level_keys(square, (-1, 0, 1), (-1, 0, 1)))
@@ -275,9 +294,28 @@ class SquareHierarchy:
                             out.append(sq)
         return out
 
-    def interactive_and_local(self, square: Square) -> list[Square]:
+    def interactive_and_local(self, square: Square) -> tuple[Square, ...]:
         """``P_s = I_s union L_s`` — the children of the local squares of the parent."""
-        return self.local_squares(square) + self.interactive_squares(square)
+        return self._memo(
+            "p", square, lambda s: self.local_squares(s) + self.interactive_squares(s)
+        )
+
+    def target_squares(self, source: Square) -> tuple[Square, ...]:
+        """Squares at the source's level or finer whose ancestor is local to it.
+
+        These are the squares whose interactions with ``source`` both
+        sparsifiers keep: ``L_source``, then their children, grandchildren and
+        so on down to the finest level, in that (breadth-first) order.
+        """
+        return self._memo("target", source, self._descendants_of_local)
+
+    def _descendants_of_local(self, source: Square) -> list[Square]:
+        out: list[Square] = []
+        frontier = list(self.local_squares(source))
+        while frontier:
+            out.extend(frontier)
+            frontier = [child for sq in frontier for child in self.children(sq)]
+        return out
 
     def are_local(self, a: Square, b: Square) -> bool:
         """Same-level locality test (same square or adjacent)."""

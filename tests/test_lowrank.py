@@ -7,6 +7,7 @@ from repro import CountingSolver, DenseMatrixSolver
 from repro.analysis import evaluate_against_dense, fraction_above, max_relative_error
 from repro.core import WaveletSparsifier
 from repro.core.lowrank import LowRankSparsifier
+from repro.core.rowbasis import MultilevelRowBasis
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,32 @@ class TestRepresentation:
         sp = LowRankSparsifier(small_hierarchy)
         with pytest.raises(RuntimeError):
             sp.to_sparsified()
+
+    def test_sparsity_and_solves_pinned(self, built_small):
+        _, rep, _ = built_small
+        assert (rep.nnz_gw, rep.nnz_q, rep.n_solves) == (3584, 256, 123)
+
+    def test_wavelet_sparsity_and_solves_pinned(self, small_hierarchy, small_dense_solver):
+        rep = WaveletSparsifier(small_hierarchy, order=2).extract(small_dense_solver)
+        assert (rep.nnz_gw, rep.nnz_q, rep.n_solves) == (4096, 2176, 64)
+
+    def test_coarsest_vectors_applied_in_one_block(
+        self, small_hierarchy, small_dense_solver, monkeypatch
+    ):
+        sp = LowRankSparsifier(small_hierarchy, max_rank=6, seed=2)
+        sp.build(small_dense_solver)
+        calls = []
+        original = MultilevelRowBasis.apply_block
+
+        def counted(rowbasis, voltage_block):
+            calls.append(voltage_block.shape[1])
+            return original(rowbasis, voltage_block)
+
+        monkeypatch.setattr(MultilevelRowBasis, "apply_block", counted)
+        sp.to_sparsified()
+        n_coarsest = sum(sp._tu[sq.key].u.shape[1] for sq in small_hierarchy.squares_at_level(2))
+        assert len(small_hierarchy.squares_at_level(2)) == 16
+        assert calls == [n_coarsest]
 
     def test_thresholding(self, built_small, small_g):
         _, rep, _ = built_small

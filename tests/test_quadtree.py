@@ -81,7 +81,7 @@ class TestNeighbourhoods:
     def test_levels_below_two_have_empty_interaction_lists(self, hier):
         for level in (0, 1):
             for sq in hier.squares_at_level(level):
-                assert hier.interactive_squares(sq) == []
+                assert hier.interactive_squares(sq) == ()
 
     def test_interactive_and_local_covers_parent_local_children(self, hier):
         for sq in hier.squares_at_level(3):
@@ -91,6 +91,40 @@ class TestNeighbourhoods:
                 expected.update(k.key for k in hier.children(pl))
             got = {s.key for s in hier.interactive_and_local(sq)}
             assert got == expected
+
+    def test_memoised_answers_cannot_be_mutated(self, hier):
+        sq = hier.get((3, 2, 2))
+        for relation in (
+            hier.local_squares,
+            hier.interactive_squares,
+            hier.interactive_and_local,
+            hier.target_squares,
+        ):
+            first = relation(sq)
+            keys = [s.key for s in first]
+            with pytest.raises(AttributeError):
+                first.append(sq)
+            with pytest.raises(TypeError):
+                first[0] = hier.get((3, 7, 7))
+            assert relation(sq) is first
+            assert [s.key for s in relation(sq)] == keys
+
+    def test_target_squares_are_descendants_of_local_squares(self, hier):
+        for level in range(hier.max_level + 1):
+            for source in hier.squares_at_level(level):
+                targets = hier.target_squares(source)
+                expected = set()
+                for sq in hier.squares.values():
+                    if sq.level < level:
+                        continue
+                    _, ai, aj = hier.ancestor_key(sq, level)
+                    if abs(ai - source.i) <= 1 and abs(aj - source.j) <= 1:
+                        expected.add(sq.key)
+                assert len(targets) == len(expected)
+                assert {sq.key for sq in targets} == expected
+                # breadth first: the source's level, then each finer level
+                assert [sq.level for sq in targets] == sorted(sq.level for sq in targets)
+                assert targets[: len(hier.local_squares(source))] == hier.local_squares(source)
 
     def test_well_separated_cross_level(self, hier):
         coarse = hier.get((2, 0, 0))
