@@ -86,14 +86,13 @@ class PanelGrid:
                 i1 = min(max(int(cx / self.hx), 0), self.nx - 1)
                 j1 = min(max(int(cy / self.hy), 0), self.ny - 1)
                 i2, j2 = i1 + 1, j1 + 1
-            ii, jj = np.meshgrid(np.arange(i1, i2), np.arange(j1, j2), indexing="ij")
-            flat = (ii * self.ny + jj).ravel()
+            # row-major flat indices of the covered block, already ascending
+            flat = (np.arange(i1, i2)[:, None] * self.ny + np.arange(j1, j2)).ravel()
             # A panel centre can only belong to one contact for non-overlapping
             # layouts; keep the first owner if layouts touch.
-            free = self.panel_to_contact[flat] == -1
-            flat = flat[free]
+            flat = flat[self.panel_to_contact[flat] == -1]
             self.panel_to_contact[flat] = idx
-            self.contact_panels.append(np.sort(flat))
+            self.contact_panels.append(flat)
         self.all_contact_panels = np.flatnonzero(self.panel_to_contact >= 0)
         if any(p.size == 0 for p in self.contact_panels):
             raise ValueError(

@@ -466,10 +466,8 @@ class EigenfunctionSolver(SubstrateSolver):
             if cached is not None:
                 self._direct_factor = cached
                 return
+        # the kernel-table gather is exactly symmetric: factor it as is
         a_cc = self.operator.contact_block_matrix(max_batch=self.max_batch)
-        # the exact operator is symmetric; remove transform round-off before
-        # factorising
-        a_cc = 0.5 * (a_cc + a_cc.T)
         if self.profile.grounded_backplane:
             self._set_direct_factor(
                 ("chol", cho_factor(a_cc, lower=True, overwrite_a=True))

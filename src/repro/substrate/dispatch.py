@@ -94,9 +94,9 @@ class SolveCostModel:
     ``BENCH_factor_plane.json`` reference runs: dense factor/triangular-solve
     flops run near hardware speed, the scattered DCT pipeline (zero-pad,
     stacked transforms, gather) costs far more per nominal flop, and the
-    dense-row assembly of ``A_cc`` sits in between because it skips the
-    scatter half.  Absolute scale cancels in the comparison; only the ratios
-    matter.
+    ``A_cc`` assembly term, calibrated as one inverse transform per row, sits
+    in between (see ``assembly_unit``).  Absolute scale cancels in the
+    comparison; only the ratios matter.
     """
 
     #: relative cost of one flop of the stacked-DCT apply pipeline.
@@ -108,7 +108,14 @@ class SolveCostModel:
     #: iterative cheaper than the tiled factor when the measurement said
     #: otherwise).
     fft_unit: float = 45.0
-    #: relative cost of one flop of the dense ``A_cc`` row assembly
+    #: relative cost per nominal flop of the ``A_cc`` assembly term, which
+    #: charges one weighted inverse 2-D transform per contact-panel row
+    #: (``n_panels * _fft_apply_units(grid_points)``).
+    #: ``SurfaceOperator.contact_block_rows`` gathers ``A_cc`` from one
+    #: cosine-kernel table in ``O(nx ny (nx + ny) + ncp^2)``, so the term
+    #: overcharges assembly.  The value stays as calibrated: the service
+    #: builds its factors without consulting the model, and a re-fit would
+    #: move library routing with no workload to measure the effect.
     assembly_unit: float = 3.0
     #: relative cost of one flop of the BLAS-1 vector updates per iteration
     axpy_unit: float = 10.0
@@ -162,7 +169,8 @@ class SolveCostModel:
             cost += 4.0 * n_panels * n_rhs * self.axpy_unit
         if not factor_cached:
             cost += float(n_panels) ** 3 / 3.0  # Cholesky
-            # dense A_cc assembly: one weighted inverse transform per row
+            # A_cc assembly, charged as one weighted inverse transform per
+            # row: an overcharge of the kernel-table gather (assembly_unit)
             cost += n_panels * self._fft_apply_units(grid_points) * self.assembly_unit
         return cost
 
@@ -188,8 +196,10 @@ class SolveCostModel:
         """Estimated cost of the out-of-core tiled factor for the block.
 
         Identical flop structure to :meth:`direct_cost` with the factor and
-        triangular-solve terms scaled by ``tiled_io_unit`` (the assembly term
-        is transform-bound either way and is charged at the same rate).
+        triangular-solve terms scaled by ``tiled_io_unit``.  The assembly term
+        is the same in-RAM kernel-table gather on both engines, one row block
+        at a time here, so it is charged at the same rate and overcharges the
+        gather alike (see ``assembly_unit``).
         """
         cost = 2.0 * float(n_panels) ** 2 * n_rhs * self.tiled_io_unit
         if not grounded:

@@ -4,10 +4,11 @@ The factor-once direct engine of the eigenfunction solver is capped by
 ``max_direct_panels`` because a dense ``A_cc`` factor costs ``O(ncp^2)``
 memory; beyond the cap every block used to fall back to the iterative path
 even when a factorisation would win.  This module removes that wall: the
-contact block is assembled **tile by tile** (closed-form modal rows, never the
-whole matrix at once) into a scratch buffer, factored by a blocked
-right-looking Cholesky whose in-core working set is a few ``(tile, tile)``
-panels, and served through blocked forward/backward substitution.
+contact block is assembled **tile by tile** (rows gathered from the
+operator's cosine-kernel table, never the whole matrix at once) into a
+scratch buffer, factored by a blocked right-looking Cholesky whose in-core
+working set is a few ``(tile, tile)`` panels, and served through blocked
+forward/backward substitution.
 
 Storage is adaptive: when the factor fits the process-wide factor-cache
 budget the scratch buffer is an ordinary in-RAM array, otherwise it spills to

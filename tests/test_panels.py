@@ -28,6 +28,18 @@ class TestAssignment:
         grid = PanelGrid(layout, 16, 16)
         assert grid.contact_panels[0].size == 1
 
+    @pytest.mark.parametrize("left_first", [True, False], ids=["left-first", "right-first"])
+    def test_touching_contacts_shared_centre_goes_to_first_owner(self, left_first):
+        # pitch 8 puts panel centres at x = 4, 12, 20, ...: both contacts cover x = 12
+        left, right = Contact(0.0, 0.0, 12.0, 8.0), Contact(12.0, 0.0, 12.0, 8.0)
+        contacts = [left, right] if left_first else [right, left]
+        grid = PanelGrid(ContactLayout(contacts, 64.0, 64.0), 8, 8)
+        # flat indices i * ny + j of the row-j = 0 panels centred at x = 4, 12, 20
+        x4, x12, x20 = 0, grid.ny, 2 * grid.ny
+        owned = [[x4, x12], [x20]] if left_first else [[x12, x20], [x4]]
+        assert [p.tolist() for p in grid.contact_panels] == owned
+        assert grid.panel_to_contact[x12] == 0
+
     def test_too_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
             PanelGrid(regular_grid(n_side=4, size=64.0), 1, 8)

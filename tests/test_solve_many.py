@@ -22,6 +22,8 @@ from repro import (
 )
 from repro.core.lowrank import LowRankSparsifier
 from repro.core.wavelet import WaveletSparsifier
+from repro.geometry import PanelGrid
+from repro.substrate.bem import SurfaceOperator
 from repro.substrate.bem.eigenvalues import eigenvalue_table
 from repro.substrate.fd import FiniteDifferenceSolver
 from repro.substrate.solver_base import CallableSolver, SubstrateSolver
@@ -277,11 +279,44 @@ def test_matrix_path_solver_solve_many_matches_sequential(tiny_layout):
     assert np.allclose(batched, sequential, rtol=0.0, atol=1e-8 * scale)
 
 
-def test_contact_block_matrix_matches_loop_reference(tiny_layout):
-    solver = EigenfunctionSolver(tiny_layout, _profile(True), max_panels=32)
-    a_ref = solver.operator.dense_contact_block()
-    a_fast = solver.operator.contact_block_matrix(max_batch=7)
-    assert np.allclose(a_fast, a_ref, rtol=1e-12, atol=1e-12 * np.abs(a_ref).max())
+def _operator(layout, grounded: bool, shape: tuple | None) -> SurfaceOperator:
+    """The solver's square grid, or a ``PanelGrid`` of the given shape."""
+    if shape is None:
+        return EigenfunctionSolver(layout, _profile(grounded), max_panels=32).operator
+    return SurfaceOperator(PanelGrid(layout, *shape), _profile(grounded))
+
+
+@pytest.mark.parametrize("shape", [None, (12, 20)], ids=["square", "12x20"])
+@pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "floating"])
+def test_contact_block_matrix_matches_loop_reference(tiny_layout, grounded, shape):
+    op = _operator(tiny_layout, grounded, shape)
+    a_ref = op.dense_contact_block()
+    atol = 1e-13 * np.abs(a_ref).max()  # float64 round-off of the kernel gather
+    a_fast = op.contact_block_matrix(max_batch=7)
+    assert np.allclose(a_fast, a_ref, rtol=0.0, atol=atol)
+    assert np.array_equal(a_fast, a_fast.T)
+    ncp = op.grid.n_contact_panels
+    window = op.contact_block_rows(3, ncp - 2, max_batch=7)
+    assert np.allclose(window, a_ref[3 : ncp - 2], rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [lambda n: (-2, n), lambda n: (0, n + 5), lambda n: (10, 4)],
+    ids=["negative-start", "stop-past-end", "stop-before-start"],
+)
+def test_contact_block_rows_rejects_bad_window(tiny_layout, window):
+    op = _operator(tiny_layout, True, None)
+    ncp = op.grid.n_contact_panels
+    with pytest.raises(ValueError, match=f"row_stop <= {ncp}"):
+        op.contact_block_rows(*window(ncp))
+
+
+@pytest.mark.parametrize("max_batch", [0, -1])
+def test_contact_block_rows_rejects_empty_batch(tiny_layout, max_batch):
+    op = _operator(tiny_layout, True, None)
+    with pytest.raises(ValueError, match="max_batch"):
+        op.contact_block_rows(0, op.grid.n_contact_panels, max_batch=max_batch)
 
 
 # ------------------------------------------------------------ eigenvalue cache
