@@ -135,7 +135,7 @@ class ClusterLeader:
         self.close()
 
     # ------------------------------------------------------------ remote path
-    def _solve_remote(self, fingerprint: tuple, spec, columns: tuple[int, ...]):
+    def _solve_remote(self, fingerprint: str, spec, columns: tuple[int, ...]):
         """Route one coalesced group's missing columns to its worker host.
 
         This runs inside the scheduler's

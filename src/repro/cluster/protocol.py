@@ -195,7 +195,10 @@ def serve_solve(
     columns, so the worker solves exactly what the cluster still owes).
     Blocks until the local job is terminal and answers with a completion
     document carrying the block and this worker's cumulative attribution —
-    the benchmark's exactly-once gate sums those across hosts.
+    the benchmark's exactly-once gate sums those across hosts.  Once the
+    completion is encoded the job is released from the scheduler's
+    finished-job retention, so worker memory does not grow with the
+    number of RPCs served.
     """
     if fault_hook("rpc.serve", worker_id=worker_id):
         # an injected drop: pretend the RPC never arrived (the leader's
@@ -233,12 +236,11 @@ def serve_solve(
             ),
             {},
         )
-    attributed = int(scheduler.stats()["attributed_solves"])
-    return (
-        200,
-        completion_doc(worker_id, job_id, request.columns, job.result, attributed),
-        {},
+    completion = completion_doc(
+        worker_id, job_id, request.columns, job.result, scheduler.attributed_solves
     )
+    scheduler.release(job_id)
+    return 200, completion, {}
 
 
 # ------------------------------------------------------------------ transport

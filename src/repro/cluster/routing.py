@@ -39,7 +39,6 @@ import bisect
 import hashlib
 import threading
 
-from ..service.result_store import fingerprint_digest
 from .registry import HostRecord, HostRegistry
 
 __all__ = ["FingerprintRouter", "NoWorkersError"]
@@ -127,21 +126,22 @@ class FingerprintRouter:
             )
         return chosen
 
-    def route(self, fingerprint: tuple) -> HostRecord:
+    def route(self, fingerprint: str) -> HostRecord:
         """The host that owns this fingerprint, placing or re-placing it.
 
-        Raises :class:`NoWorkersError` when no live host can take it.  A
-        pinned host that is merely *draining* keeps its pinned
-        fingerprints (it serves what it holds); only leaving the live set
-        moves them.
+        ``fingerprint`` is the
+        :attr:`~repro.service.jobs.JobRequest.fingerprint` digest, which is
+        the pin key as is.  Raises :class:`NoWorkersError` when no live
+        host can take it.  A pinned host that is merely *draining* keeps
+        its pinned fingerprints (it serves what it holds); only leaving the
+        live set moves them.
         """
         live = self.registry.live()
         if not live:
             raise NoWorkersError("no live worker hosts registered")
         by_id = {host.worker_id: host for host in live}
-        digest = fingerprint_digest(fingerprint)
         with self._lock:
-            pinned = self._pins.get(digest)
+            pinned = self._pins.get(fingerprint)
             if pinned is not None and pinned in by_id:
                 return by_id[pinned]
             candidates = [host for host in live if not host.draining]
@@ -149,12 +149,12 @@ class FingerprintRouter:
                 raise NoWorkersError(
                     f"all {len(live)} live worker hosts are draining"
                 )
-            chosen = self._place_locked(digest, candidates)
+            chosen = self._place_locked(fingerprint, candidates)
             if pinned is not None:
                 # the pin's host left the live set: this is a failover
                 self.reroutes += 1
             self.placements += 1
-            self._pins[digest] = chosen.worker_id
+            self._pins[fingerprint] = chosen.worker_id
             return chosen
 
     def pins(self) -> dict[str, str]:

@@ -110,8 +110,8 @@ class _PairBatcher:
         self._server = server
         self._window_s = float(window_s)
         self._max_batch = int(max_batch)
-        self._buckets: dict[tuple, list] = {}
-        self._timers: dict[tuple, asyncio.TimerHandle] = {}
+        self._buckets: dict[str, list] = {}
+        self._timers: dict[str, asyncio.TimerHandle] = {}
 
     async def query(self, request: JobRequest) -> tuple[np.ndarray, str, int]:
         """Queue one pair query; resolves to ``(values, job_id, batch size)``."""
@@ -131,12 +131,12 @@ class _PairBatcher:
             )
         return await future
 
-    def _spawn_flush(self, key: tuple) -> None:
+    def _spawn_flush(self, key: str) -> None:
         task = asyncio.ensure_future(self._flush(key))
         # a flush failing should surface on the waiters, never be swallowed
         task.add_done_callback(lambda t: t.exception())
 
-    async def _flush(self, key: tuple) -> None:
+    async def _flush(self, key: str) -> None:
         self._timers.pop(key, None)
         bucket = self._buckets.pop(key, [])
         if not bucket:

@@ -144,12 +144,16 @@ class JobRequest:
         )
 
     @property
-    def fingerprint(self) -> tuple:
-        """Coalescing key: the effective spec's substrate/solver identity.
+    def fingerprint(self) -> str:
+        """Coalescing key: the effective spec's substrate/solver digest.
 
+        The 32-hex-character :attr:`SolverSpec.fingerprint
+        <repro.substrate.parallel.SolverSpec.fingerprint>` of
+        :attr:`effective_spec`, so it covers the tolerance override too.  A
+        short string because the service hashes it per stored column.
         Cached on the (frozen) request: with a tolerance override,
         ``effective_spec`` builds a fresh spec per access, which would
-        otherwise redo the fingerprint work on every drain cycle.
+        otherwise redo the digest on every drain cycle.
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is None:

@@ -52,7 +52,6 @@ from ..faults import fault_hook
 from ..substrate.factor_cache import FactorArtifactStore
 from ..substrate.tiled import set_default_scratch_dir, tiled_scratch_dir
 from .jobs import JobRequest
-from .result_store import fingerprint_digest as _fingerprint_digest
 from .wire import WireFormatError, request_from_wire
 
 __all__ = ["ServicePersistence", "SqliteResultBackend", "JobJournal"]
@@ -101,7 +100,7 @@ class SqliteResultBackend:
         self.saves = 0  # reprolint: guarded-by(_lock)
 
     # ------------------------------------------------------------------ access
-    def save(self, fingerprint: tuple, column: int, values: np.ndarray) -> None:
+    def save(self, fingerprint: str, column: int, values: np.ndarray) -> None:
         """Persist one solved column (idempotent upsert)."""
         fault_hook("sqlite.write", op="save")
         data = np.ascontiguousarray(values, dtype=np.float64).tobytes()
@@ -109,18 +108,18 @@ class SqliteResultBackend:
             self._conn.execute(
                 "INSERT OR REPLACE INTO result_columns "
                 "(fingerprint, column_index, n_values, data) VALUES (?, ?, ?, ?)",
-                (_fingerprint_digest(fingerprint), int(column), len(values), data),
+                (fingerprint, int(column), len(values), data),
             )
             self._conn.commit()
             self.saves += 1
 
-    def load(self, fingerprint: tuple, column: int) -> np.ndarray | None:
+    def load(self, fingerprint: str, column: int) -> np.ndarray | None:
         """One persisted column as a read-only float64 array, or ``None``."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT data FROM result_columns "
                 "WHERE fingerprint = ? AND column_index = ?",
-                (_fingerprint_digest(fingerprint), int(column)),
+                (fingerprint, int(column)),
             ).fetchone()
             if row is None:
                 self.load_misses += 1
@@ -130,16 +129,16 @@ class SqliteResultBackend:
         values.flags.writeable = False
         return values
 
-    def contains(self, fingerprint: tuple, column: int) -> bool:
+    def contains(self, fingerprint: str, column: int) -> bool:
         with self._lock:
             row = self._conn.execute(
                 "SELECT 1 FROM result_columns "
                 "WHERE fingerprint = ? AND column_index = ?",
-                (_fingerprint_digest(fingerprint), int(column)),
+                (fingerprint, int(column)),
             ).fetchone()
         return row is not None
 
-    def delete(self, fingerprint: tuple | None = None) -> int:
+    def delete(self, fingerprint: str | None = None) -> int:
         """Drop one substrate's columns (or all); returns rows removed."""
         with self._lock:
             if fingerprint is None:
@@ -147,7 +146,7 @@ class SqliteResultBackend:
             else:
                 cursor = self._conn.execute(
                     "DELETE FROM result_columns WHERE fingerprint = ?",
-                    (_fingerprint_digest(fingerprint),),
+                    (fingerprint,),
                 )
             self._conn.commit()
             return cursor.rowcount

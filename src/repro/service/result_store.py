@@ -7,6 +7,13 @@ queries, overlapping column sets from different clients, individual
 ``(row, column)`` pair lookups — are served straight from the store with
 **zero** new black-box solves.
 
+The fingerprint is :attr:`SolverSpec.fingerprint
+<repro.substrate.parallel.SolverSpec.fingerprint>`, a 32-hex-character
+digest of the substrate and solver configuration.  Every get and put hashes
+the key, so it is a short string (which caches its own hash) rather than
+the identity tuple behind it; the same string keys the sqlite corpus and
+the ``/v1/stats`` ledger.
+
 The store is a byte-budgeted LRU (like the
 :class:`~repro.substrate.factor_cache.FactorCache`, but keyed per column so
 partial overlaps hit): once the budget is exceeded the least-recently-used
@@ -26,7 +33,6 @@ Environment knob: ``REPRO_RESULT_STORE_BYTES`` overrides the default budget
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import warnings
@@ -34,25 +40,9 @@ from collections import OrderedDict
 
 import numpy as np
 
-__all__ = [
-    "ResultStore",
-    "DEFAULT_STORE_BYTES",
-    "default_store_bytes",
-    "fingerprint_digest",
-]
+__all__ = ["ResultStore", "DEFAULT_STORE_BYTES", "default_store_bytes"]
 
 DEFAULT_STORE_BYTES = 256 * 1024 * 1024
-
-
-def fingerprint_digest(fingerprint: tuple) -> str:
-    """Stable text key of one substrate fingerprint.
-
-    Fingerprints are nested tuples of plain values, so ``repr`` is a
-    canonical serialisation; the digest is what crosses JSON boundaries
-    (``/v1/stats``, cluster heartbeats) and keys sqlite rows — anywhere the
-    tuple itself cannot travel.
-    """
-    return hashlib.blake2b(repr(fingerprint).encode(), digest_size=16).hexdigest()
 
 
 def default_store_bytes() -> int:
@@ -93,7 +83,7 @@ class ResultStore:
         # reprolint: guarded-by(_lock)
         self.max_bytes = int(max_bytes if max_bytes is not None else default_store_bytes())
         # reprolint: guarded-by(_lock)
-        self._columns: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+        self._columns: "OrderedDict[tuple[str, int], np.ndarray]" = OrderedDict()
         self._bytes = 0  # reprolint: guarded-by(_lock)
         self._lock = threading.RLock()
         self._backend = backend  # reprolint: guarded-by(_lock)
@@ -116,7 +106,7 @@ class ResultStore:
             self._backend = backend
 
     # ------------------------------------------------------------------ access
-    def get(self, fingerprint: tuple, column: int) -> np.ndarray | None:
+    def get(self, fingerprint: str, column: int) -> np.ndarray | None:
         """One stored column (refreshing recency), or ``None``; counts hit/miss.
 
         On a RAM miss with a backend attached, the persistent corpus is
@@ -150,7 +140,7 @@ class ResultStore:
         return None
 
     def get_many(
-        self, fingerprint: tuple, columns: tuple[int, ...]
+        self, fingerprint: str, columns: tuple[int, ...]
     ) -> dict[int, np.ndarray]:
         """The subset of ``columns`` present in the store (one hit/miss each)."""
         found: dict[int, np.ndarray] = {}
@@ -161,7 +151,7 @@ class ResultStore:
         return found
 
     # reprolint: holds(_lock)
-    def _admit_locked(self, key: tuple, values: np.ndarray) -> None:
+    def _admit_locked(self, key: tuple[str, int], values: np.ndarray) -> None:
         """Insert one read-only array into the LRU, evicting down to budget."""
         if values.nbytes > self.max_bytes:
             return  # larger than the whole budget: serve, don't store
@@ -175,7 +165,7 @@ class ResultStore:
             self._bytes -= victim.nbytes
             self.evictions += 1
 
-    def put(self, fingerprint: tuple, column: int, values: np.ndarray) -> np.ndarray:
+    def put(self, fingerprint: str, column: int, values: np.ndarray) -> np.ndarray:
         """Store one solved column (read-only copy); returns the stored array.
 
         With a backend attached the column is also written through to the
@@ -211,7 +201,7 @@ class ResultStore:
             stacklevel=3,
         )
 
-    def contains(self, fingerprint: tuple, column: int) -> bool:
+    def contains(self, fingerprint: str, column: int) -> bool:
         """Pure membership probe — no counters, no recency update."""
         with self._lock:
             if (fingerprint, int(column)) in self._columns:
@@ -229,7 +219,7 @@ class ResultStore:
                 self._bytes -= victim.nbytes
                 self.evictions += 1
 
-    def clear(self, fingerprint: tuple | None = None) -> int:
+    def clear(self, fingerprint: str | None = None) -> int:
         """Drop everything, or only one substrate's columns; counters survive.
 
         Every dropped column counts as an eviction (both clear paths used to
@@ -257,16 +247,18 @@ class ResultStore:
         with self._lock:
             return len(self._columns)
 
-    def fingerprints(self) -> dict[tuple, dict]:
+    def fingerprints(self) -> dict[str, dict]:
         """Per-substrate RAM occupancy: ``{fingerprint: {"columns", "bytes"}}``.
 
-        This is where warm state lives — the cluster leader reads it (via
-        worker heartbeats) to place unpinned fingerprints on hosts that
-        already hold their columns, and operators read the digest-keyed
-        rendering in ``/v1/stats``.
+        Keyed by the fingerprint digest itself, the same text ``/v1/stats``
+        and cluster heartbeats carry as ``"digest"``.  This is where warm
+        state lives — the cluster leader reads it (via worker heartbeats) to
+        place unpinned fingerprints on hosts that already hold their
+        columns.  Walks every stored column: a stats-time call, not a
+        per-request one.
         """
         with self._lock:
-            out: dict[tuple, dict] = {}
+            out: dict[str, dict] = {}
             for (fingerprint, _column), values in self._columns.items():
                 entry = out.setdefault(fingerprint, {"columns": 0, "bytes": 0})
                 entry["columns"] += 1
@@ -289,7 +281,7 @@ class ResultStore:
             }
             backend = self._backend
         doc["fingerprints"] = [
-            {"digest": fingerprint_digest(fp), **entry}
+            {"digest": fp, **entry}
             for fp, entry in sorted(
                 self.fingerprints().items(), key=lambda kv: -kv[1]["bytes"]
             )

@@ -225,12 +225,12 @@ class ExtractorPool:
         self.share_factors = bool(share_factors)
         self.prepare_tiled = bool(prepare_tiled)
         # reprolint: guarded-by(_lock)
-        self._engines: "OrderedDict[tuple, ParallelExtractor]" = OrderedDict()
+        self._engines: "OrderedDict[str, ParallelExtractor]" = OrderedDict()
         self._lock = threading.RLock()
         self.engines_built = 0  # reprolint: guarded-by(_lock)
         self.engines_evicted = 0  # reprolint: guarded-by(_lock)
 
-    def get(self, fingerprint: tuple, spec: SolverSpec) -> ParallelExtractor:
+    def get(self, fingerprint: str, spec: SolverSpec) -> ParallelExtractor:
         """The warm engine for ``fingerprint``, building (and warming) on miss.
 
         The multi-second cold build (solver construction, factorisation,
@@ -410,7 +410,7 @@ class Scheduler:
         self._breaker_reset_s = float(breaker_reset_s)
         #: per-fingerprint failure latches; the table is guarded by _cv, each
         #: breaker is touched by the one thread running its group's batch
-        self._breakers: dict[tuple, CircuitBreaker] = {}  # reprolint: guarded-by(_cv)
+        self._breakers: dict[str, CircuitBreaker] = {}  # reprolint: guarded-by(_cv)
         self._jobs: dict[str, Job] = {}  # reprolint: guarded-by(_cv)
         #: per-job progress callbacks (streaming); popped on terminal events
         self._watchers: dict[str, list] = {}  # reprolint: guarded-by(_cv)
@@ -427,7 +427,7 @@ class Scheduler:
         self._closing = False  # reprolint: guarded-by(_cv)
         #: cumulative CountingSolver attribution of every batch this
         #: scheduler ran (equals fresh columns solved; pinned by tests)
-        self.attributed_solves = 0  # reprolint: guarded-by(_cv)
+        self._attributed_solves = 0  # reprolint: guarded-by(_cv)
         self._remote_solver = remote_solver
         self._stats_extra = stats_extra
         #: columns delegated to the remote solver (cluster leader mode);
@@ -635,6 +635,25 @@ class Scheduler:
             job.done_event.wait(timeout=wait_s)
         return job
 
+    def release(self, job_id: str) -> bool:
+        """Drop one terminal job from finished-job retention now.
+
+        For a caller that has already consumed the result — the cluster
+        worker's solve RPC answers with the block inline, so nobody will
+        ever pick the job up.  A later :meth:`result` raises
+        :class:`~repro.service.jobs.JobExpiredError`.  Returns ``False``
+        (and keeps the job) when it is unknown, already dropped, or not yet
+        terminal.
+        """
+        with self._cv:
+            job = self._jobs.get(job_id)
+            if job is None or job.status not in JobState.TERMINAL:
+                return False
+            del self._jobs[job_id]
+            self._terminal.remove(job_id)
+            self._retained_bytes -= self._result_nbytes(job)
+            return True
+
     def snapshot(self, job_id: str, wait_s: float | None = None) -> dict:
         """A consistent view of one job, taken under the scheduler lock.
 
@@ -661,12 +680,22 @@ class Scheduler:
         with self._cv:
             return len(self._pending)
 
+    @property
+    def attributed_solves(self) -> int:
+        """Cumulative attributed solves, read under the scheduler lock.
+
+        The one number a cluster worker's solve RPC reports; far cheaper
+        than :meth:`stats`, which renders the whole ``/v1/stats`` document.
+        """
+        with self._cv:
+            return self._attributed_solves
+
     def stats(self) -> dict:
         """Aggregated metrics snapshot (the ``/v1/stats`` endpoint body)."""
         with self._cv:
             queue_depth = len(self._pending)
             running = self._running
-            attributed_solves = self.attributed_solves
+            attributed_solves = self._attributed_solves
             remote_columns_solved = self.remote_columns_solved
         extra = {
             "engines": self.pool.info(),
@@ -814,7 +843,7 @@ class Scheduler:
                     jobs.append(job)
             if not jobs:
                 return 0
-            groups: "OrderedDict[tuple, list[Job]]" = OrderedDict()
+            groups: "OrderedDict[str, list[Job]]" = OrderedDict()
             for job in jobs:
                 groups.setdefault(job.request.fingerprint, []).append(job)
             ordered = sorted(
@@ -876,7 +905,7 @@ class Scheduler:
                     pass
 
     # ------------------------------------------------------------------ batch
-    def _breaker_for(self, fingerprint: tuple) -> CircuitBreaker:
+    def _breaker_for(self, fingerprint: str) -> CircuitBreaker:
         with self._cv:
             breaker = self._breakers.get(fingerprint)
             if breaker is None:
@@ -886,7 +915,7 @@ class Scheduler:
                 )
             return breaker
 
-    def _run_batch(self, fingerprint: tuple, jobs: list[Job]) -> None:
+    def _run_batch(self, fingerprint: str, jobs: list[Job]) -> None:
         """Solve one coalesced group, retrying failed attempts with backoff.
 
         Each attempt re-consults the result store first, so columns that
@@ -957,7 +986,7 @@ class Scheduler:
                 breaker.record_success()
                 return
 
-    def _solve_group(self, fingerprint: tuple, jobs: list[Job]) -> None:
+    def _solve_group(self, fingerprint: str, jobs: list[Job]) -> None:
         """One solve attempt for a coalesced group (store → solve → assemble).
 
         Attribution stays exact under retries: the fresh
@@ -1018,7 +1047,7 @@ class Scheduler:
             # mean_iterations and dispatch feed on, are unaffected)
             del engine.stats.iterations_per_solve[:-ITERATION_HISTORY]
             with self._cv:
-                self.attributed_solves += counting.solve_count
+                self._attributed_solves += counting.solve_count
             for idx, column in enumerate(to_solve):
                 columns[column] = self.store.put(fingerprint, column, block[:, idx])
             # stream the freshly solved columns the moment the group's solve

@@ -144,17 +144,22 @@ class SolverSpec:
 
     # -------------------------------------------------------------- identity
     @property
-    def fingerprint(self) -> tuple:
-        """Hashable identity of the substrate *and* solver configuration.
+    def fingerprint(self) -> str:
+        """Identity of the substrate *and* solver configuration, as a digest.
 
         Two specs with equal fingerprints build solvers that return the same
         currents for the same voltages (same physics, same discretisation,
         same tolerances), so their work may be coalesced, their results
         shared, and their factors reused — this is the key the extraction
-        service groups concurrent jobs under.  Plain option values enter via
-        ``repr``; array options (the dense matrix) via a content digest.
-        Computed once per (immutable) spec — the digest over a large dense
-        matrix is not free, and schedulers consult this per queued job.
+        service groups concurrent jobs under.  The digest covers the kind,
+        the layout's fingerprint (every contact), the profile's cache key and
+        every option: plain values via ``repr``, array options (the dense
+        matrix) via a content digest.  The key is the 32-hex-character
+        blake2b-128 of that identity tuple's ``repr`` rather than the tuple
+        itself — about 1,300 values for a 256-contact layout — so the
+        service's per-column tables hash and compare a short string, and
+        the same text keys sqlite rows, ``/v1/stats`` and cluster pins.
+        Computed once per (immutable) spec.
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is not None:
@@ -170,7 +175,8 @@ class SolverSpec:
             else:
                 items.append((key, repr(value)))
         profile_key = None if self.profile is None else self.profile.cache_key
-        cached = (self.kind, self.layout.fingerprint, profile_key, tuple(items))
+        identity = (self.kind, self.layout.fingerprint, profile_key, tuple(items))
+        cached = hashlib.blake2b(repr(identity).encode(), digest_size=16).hexdigest()
         object.__setattr__(self, "_fingerprint", cached)
         return cached
 

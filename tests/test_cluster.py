@@ -11,6 +11,7 @@ surface and the intra-cluster RPCs.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -31,8 +32,10 @@ from repro.cluster.protocol import (
     heartbeat_from_wire,
     register_doc,
     register_from_wire,
+    serve_solve,
 )
 from repro.service import (
+    JobExpiredError,
     JobRequest,
     QueueSaturatedError,
     ResultStore,
@@ -41,7 +44,6 @@ from repro.service import (
     UnauthorizedError,
     WireFormatError,
 )
-from repro.service.result_store import fingerprint_digest
 from repro.service.wire import request_from_wire, request_to_wire
 from repro.substrate.parallel import SolverSpec
 
@@ -100,7 +102,7 @@ def test_heartbeat_doc_round_trip(spec_a):
     assert heartbeat["store_columns"] == 2
     assert heartbeat["store_bytes"] > 0
     digests = [entry["digest"] for entry in heartbeat["fingerprints"]]
-    assert digests == [fingerprint_digest(spec_a.fingerprint)]
+    assert digests == [spec_a.fingerprint]
 
 
 def test_completion_doc_round_trip_is_exact():
@@ -118,6 +120,49 @@ def test_completion_doc_round_trip_is_exact():
     bad["columns"] = [2, 5]
     with pytest.raises(WireFormatError):
         completion_from_wire(bad)
+
+
+def test_serve_solve_releases_the_answered_job(spec_a, small_g):
+    """The block travels in the RPC answer, so the worker keeps no copy:
+    retained jobs would otherwise grow with every RPC served."""
+    with Scheduler(n_workers=1) as scheduler:
+        status, doc, _ = serve_solve(
+            scheduler, request_to_wire(JobRequest(spec_a, columns=(0, 4))), "w-1"
+        )
+        assert status == 200
+        completion = completion_from_wire(doc)
+        assert np.allclose(completion["block"], small_g[:, [0, 4]], atol=1e-12)
+        assert completion["attributed_solves"] == 2
+        with pytest.raises(JobExpiredError):
+            scheduler.result(completion["job_id"])
+        assert scheduler.release(completion["job_id"]) is False
+
+
+def test_concurrent_serve_solves_release_every_job(spec_a):
+    """Releases race the dispatcher's finalize; retention must end empty."""
+    statuses: list[int] = []
+
+    def client(k: int) -> None:
+        for i in range(5):
+            doc = request_to_wire(JobRequest(spec_a, columns=((k + i) % 9,)))
+            statuses.append(serve_solve(scheduler, doc, "w-1")[0])
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with Scheduler(n_workers=1) as scheduler:
+            threads = [threading.Thread(target=client, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert statuses == [200] * 30
+            with scheduler._cv:
+                assert scheduler._retained_bytes == 0
+                assert not scheduler._terminal and not scheduler._jobs
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def test_cluster_request_round_trip_preserves_fingerprint(spec_a):
@@ -173,11 +218,11 @@ def _static_registry(*worker_ids: str, lease_s: float = 1e9) -> HostRegistry:
 def test_router_is_sticky_and_spreads(spec_a):
     registry = _static_registry("w-1", "w-2", "w-3")
     router = FingerprintRouter(registry)
-    fingerprints = [("dense", ("fp", i), None, ()) for i in range(24)]
-    owners = {repr(fp): router.route(fp).worker_id for fp in fingerprints}
+    fingerprints = [f"fp-{i}" for i in range(24)]
+    owners = {fp: router.route(fp).worker_id for fp in fingerprints}
     # sticky: every later route answers the same host
     for fp in fingerprints:
-        assert router.route(fp).worker_id == owners[repr(fp)]
+        assert router.route(fp).worker_id == owners[fp]
     # consistent hashing spreads 24 fingerprints over all three hosts
     assert len(set(owners.values())) == 3
     assert router.info()["placements"] == 24
@@ -187,7 +232,7 @@ def test_router_is_sticky_and_spreads(spec_a):
 def test_router_pins_survive_new_host_but_move_on_death():
     registry = _static_registry("w-1", "w-2")
     router = FingerprintRouter(registry)
-    fingerprint = ("dense", ("fp", 0), None, ())
+    fingerprint = "fp-0"
     owner = router.route(fingerprint).worker_id
     registry.register("w-3", "http://w-3:1")  # join: warm pins must not move
     assert router.route(fingerprint).worker_id == owner
@@ -202,14 +247,14 @@ def test_router_pins_survive_new_host_but_move_on_death():
 def test_router_no_workers_and_draining():
     registry = _static_registry("w-1")
     router = FingerprintRouter(registry)
-    fingerprint = ("dense", ("fp", 0), None, ())
+    fingerprint = "fp-0"
     owner = router.route(fingerprint).worker_id
     registry.drain("w-1")
     # draining keeps its pinned fingerprints...
     assert router.route(fingerprint).worker_id == owner
     # ...but takes no new ones
     with pytest.raises(NoWorkersError):
-        router.route(("dense", ("fp", 1), None, ()))
+        router.route("fp-1")
     registry.mark_dead("w-1", "gone")
     with pytest.raises(NoWorkersError):
         router.route(fingerprint)
@@ -222,7 +267,7 @@ def test_router_balances_small_pin_counts():
     registry = _static_registry("w-1", "w-2")
     router = FingerprintRouter(registry)
     for i in range(4):
-        router.route(("dense", ("balance", i), None, ()))
+        router.route(f"balance-{i}")
     assert sorted(router.info()["pins_per_host"].values()) == [2, 2]
 
 
@@ -232,11 +277,8 @@ def test_router_load_override_prefers_idle_host():
     # find a fingerprint whose ring candidate is w-1, then overload w-1
     probe = next(
         fp
-        for i in range(64)
-        if (fp := ("dense", ("probe", i), None, ()))
-        and router._place_locked(
-            fingerprint_digest(fp), registry.live()
-        ).worker_id == "w-1"
+        for fp in (f"probe-{i}" for i in range(64))
+        if router._place_locked(fp, registry.live()).worker_id == "w-1"
     )
     registry.heartbeat("w-1", {"queue_depth": 50})
     registry.heartbeat("w-2", {"queue_depth": 0})
@@ -323,10 +365,8 @@ def test_cluster_end_to_end_matches_single_host(spec_a, spec_b, small_g):
             # each fingerprint's warm state lives on exactly one host
             owners = {}
             for worker in (w1, w2):
-                for fp, _ in worker.scheduler.store.fingerprints().items():
-                    owners.setdefault(fingerprint_digest(fp), set()).add(
-                        worker.worker_id
-                    )
+                for fp in worker.scheduler.store.fingerprints():
+                    owners.setdefault(fp, set()).add(worker.worker_id)
             assert owners  # at least one fingerprint landed
             assert all(len(hosts) == 1 for hosts in owners.values())
 
@@ -350,9 +390,7 @@ def test_cluster_failover_reroutes_and_loses_nothing(spec_a, small_g):
             assert np.allclose(second, small_g[:, [2, 3]], atol=1e-10)
             assert stats["cluster"]["router"]["reroutes"] >= 1
             assert victim.worker_id in stats["cluster"]["registry"]["dead"]
-            assert leader.router.pins() == {
-                fingerprint_digest(spec_a.fingerprint): survivor.worker_id
-            }
+            assert leader.router.pins() == {spec_a.fingerprint: survivor.worker_id}
             # the survivor did the re-routed solve
             assert int(survivor.scheduler.stats()["attributed_solves"]) == 2
         finally:
@@ -501,7 +539,7 @@ def test_result_store_fingerprints_ledger(spec_a, spec_b):
     assert ledger[spec_a.fingerprint]["bytes"] == 2 * 9 * 8
     info = store.info()
     assert [e["columns"] for e in info["fingerprints"]] == [2, 1]  # by bytes desc
-    assert info["fingerprints"][0]["digest"] == fingerprint_digest(spec_a.fingerprint)
+    assert info["fingerprints"][0]["digest"] == spec_a.fingerprint
 
 
 def test_stats_expose_per_fingerprint_bytes(spec_a):
@@ -514,7 +552,7 @@ def test_stats_expose_per_fingerprint_bytes(spec_a):
     entries = stats["result_store"]["fingerprints"]
     assert entries == [
         {
-            "digest": fingerprint_digest(spec_a.fingerprint),
+            "digest": spec_a.fingerprint,
             "columns": 2,
             "bytes": 2 * 9 * 8,
         }

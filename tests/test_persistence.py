@@ -270,7 +270,7 @@ def test_sqlite_backend_roundtrip(tmp_path):
     from repro.service import SqliteResultBackend
 
     backend = SqliteResultBackend(tmp_path / "results.sqlite")
-    fp = ("bem", "fingerprint")
+    fp = "bem-fingerprint"
     values = np.arange(5.0)
     backend.save(fp, 3, values)
     assert backend.contains(fp, 3)
@@ -278,7 +278,7 @@ def test_sqlite_backend_roundtrip(tmp_path):
     loaded = backend.load(fp, 3)
     assert not loaded.flags.writeable
     np.testing.assert_array_equal(loaded, values)
-    assert backend.load(("other",), 3) is None
+    assert backend.load("other", 3) is None
     assert backend.info()["columns"] == 1
     assert backend.delete(fp) == 1
     assert backend.info()["columns"] == 0
@@ -290,7 +290,7 @@ def test_result_store_write_through_and_read_through(tmp_path):
 
     backend = SqliteResultBackend(tmp_path / "results.sqlite")
     store = ResultStore(max_bytes=1024, backend=backend)
-    fp = ("fp",)
+    fp = "fp"
     store.put(fp, 0, np.arange(4.0))
     assert backend.contains(fp, 0)  # write-through
 
@@ -424,7 +424,7 @@ def test_http_410_for_expired_job(bem_spec):
 # --------------------------------------- bugfix: store eviction + env budget
 def test_clear_counts_evictions():
     store = ResultStore(max_bytes=1 << 20)
-    fp_a, fp_b = ("a",), ("b",)
+    fp_a, fp_b = "a", "b"
     store.put(fp_a, 0, np.arange(4.0))
     store.put(fp_a, 1, np.arange(4.0))
     store.put(fp_b, 0, np.arange(4.0))

@@ -105,7 +105,7 @@ def test_fingerprint_separates_substrates_and_tolerances(bem_spec, dense_spec):
 # ---------------------------------------------------------------- ResultStore
 def test_result_store_round_trip_and_counters():
     store = ResultStore(max_bytes=10_000)
-    fp = ("fp",)
+    fp = "fp"
     assert store.get(fp, 0) is None
     column = store.put(fp, 0, np.arange(4.0))
     assert not column.flags.writeable
@@ -120,7 +120,7 @@ def test_result_store_round_trip_and_counters():
 def test_result_store_evicts_lru_under_budget_pressure():
     column_bytes = np.zeros(8).nbytes
     store = ResultStore(max_bytes=3 * column_bytes)
-    fp = ("fp",)
+    fp = "fp"
     for c in range(3):
         store.put(fp, c, np.full(8, float(c)))
     store.get(fp, 0)  # refresh 0: the LRU victim must now be 1
@@ -137,10 +137,10 @@ def test_result_store_evicts_lru_under_budget_pressure():
 
 def test_result_store_clear_by_fingerprint():
     store = ResultStore(max_bytes=10_000)
-    store.put(("a",), 0, np.zeros(4))
-    store.put(("b",), 0, np.zeros(4))
-    store.clear(("a",))
-    assert not store.contains(("a",), 0) and store.contains(("b",), 0)
+    store.put("a", 0, np.zeros(4))
+    store.put("b", 0, np.zeros(4))
+    store.clear("a")
+    assert not store.contains("a", 0) and store.contains("b", 0)
     store.clear()
     assert len(store) == 0
 

@@ -10,6 +10,7 @@ matching across the wire boundary.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,12 @@ def test_request_roundtrip_preserves_every_field(small_layout, small_profile):
     # fingerprint, which folds in every geometric and physical parameter
     assert decoded.spec.options == request.spec.options
     assert decoded.fingerprint == request.fingerprint
+    # the key is the 32-hex-character blake2b-128 digest of the identity
+    # tuple; the literal pins it across releases, because sqlite rows,
+    # /v1/stats and heartbeat ledgers and router pins are keyed by it
+    assert isinstance(request.fingerprint, str)
+    assert re.fullmatch(r"[0-9a-f]{32}", request.fingerprint)
+    assert request.fingerprint == "e7bac17bf3f297422db109e82be5e756"
 
 
 # ------------------------------------------------------------- tagged values
