@@ -155,11 +155,13 @@ class EigenfunctionSolver(SubstrateSolver):
         ``(ncp, max_batch)`` RHS/solution pair).
     max_direct_panels:
         Ceiling on the number of contact panels for which :meth:`solve_many`
-        may build and cache a dense factorisation of the contact-panel block
-        (memory is ``O(ncp^2)``).  Shorthand for the same knob on the default
+        may build a dense factorisation of the contact-panel block (memory is
+        ``O(ncp^2)``).  Shorthand for the same knob on the default
         :class:`~repro.substrate.dispatch.DispatchPolicy`; ignored when an
-        explicit ``dispatch`` policy is given.  Set to 0 to force the
-        iterative path.
+        explicit ``dispatch`` policy is given.  ``None`` (the default) lets
+        the process-wide factor-cache budget set it at each decision: the
+        largest panel count whose factor the cache would store.  Set to 0 to
+        force the iterative path.
     dispatch:
         Adaptive :class:`~repro.substrate.dispatch.DispatchPolicy` routing
         each ``solve_many`` block between the direct and iterative engines.
@@ -170,11 +172,12 @@ class EigenfunctionSolver(SubstrateSolver):
         :func:`~repro.substrate.dispatch.resolve_fft_workers` (default: all
         CPUs when the host has more than one).
     use_factor_cache:
-        Consult (and populate) the process-wide
-        :mod:`~repro.substrate.factor_cache` for the dense contact-block
-        factorisation, so a second solver over the same
-        ``(layout, profile, grid)`` pays ~zero factor cost.  Disable to force
-        a private factorisation (benchmarking cold paths).
+        Keep the dense contact-block factorisation in the process-wide
+        :mod:`~repro.substrate.factor_cache`, which then owns it: a second
+        solver over the same ``(layout, profile, grid)`` pays ~zero factor
+        cost, and the cache budget bounds the factor's memory.  Disable to
+        force a private factorisation, held by this solver (benchmarking
+        cold paths).
     tile_panels:
         Tile edge of the out-of-core tiled engine
         (:class:`~repro.substrate.tiled.TiledCholeskyFactor`), used when the
@@ -195,7 +198,7 @@ class EigenfunctionSolver(SubstrateSolver):
         rtol: float = 1e-8,
         use_fft: bool = True,
         max_batch: int = 256,
-        max_direct_panels: int = 4096,
+        max_direct_panels: int | None = None,
         dispatch: DispatchPolicy | None = None,
         fft_workers: int | None = None,
         use_factor_cache: bool = True,
@@ -225,10 +228,9 @@ class EigenfunctionSolver(SubstrateSolver):
         #: gauge constants ``c`` (one per column) of the most recent
         #: floating-backplane solve, on either engine
         self.last_gauge_constants: np.ndarray | None = None
-        #: cached dense factorisation for the direct path; one of
-        #: ("chol", factor) for grounded backplanes,
-        #: ("schur", factor, w, s) or ("bordered", lu, piv) for floating ones
-        self._direct_factor: tuple | None = None
+        #: the direct path's dense factorisation, held here only when the
+        #: factor cache will not hold it (see _ensure_direct_factor)
+        self._private_factor: tuple | None = None
         self._direct_failed = False
         #: out-of-core factorisation for the tiled path; one of
         #: ("tiled_chol", tf) or ("tiled_schur", tf, w, s)
@@ -263,6 +265,22 @@ class EigenfunctionSolver(SubstrateSolver):
     def max_direct_panels(self) -> int:
         """Dense-factorisation panel ceiling (delegates to the policy)."""
         return self.dispatch.max_direct_panels
+
+    @property
+    def direct_factor(self) -> tuple | None:
+        """The dense factor the next direct block would use, or None.
+
+        One of ``("chol", (c, lower))`` for a grounded backplane,
+        ``("schur", (c, lower), w, s)`` or ``("bordered", lu, piv)`` for a
+        floating one.  Read without building and without touching the
+        cache's counters or recency; None before the first build and after
+        the cache dropped the factor.
+        """
+        if self._private_factor is not None:
+            return self._private_factor
+        if self.use_factor_cache:
+            return factor_cache().peek(self._factor_cache_key)
+        return None
 
     @property
     def factor_cache_key(self) -> tuple:
@@ -421,17 +439,18 @@ class EigenfunctionSolver(SubstrateSolver):
     # -------------------------------------------------------------- direct path
     def _factor_available(self) -> bool:
         """A direct factor is held, or sits warm in the process-wide cache."""
-        return self._direct_factor is not None or (
+        return self._private_factor is not None or (
             self.use_factor_cache and factor_cache().contains(self._factor_cache_key)
         )
 
     def prepare_direct(self) -> bool:
         """Build (or load from the factor cache) the direct factor now.
 
-        Returns True when a factor is held afterwards; False when the direct
-        path is unavailable (panel ceiling, or a failed factorisation, which
-        is also remembered so dispatch never retries it).  Used to warm
-        worker processes before timed parallel extraction.
+        Returns True when the factor exists afterwards, in the factor cache
+        or held by this solver; False when the direct path is unavailable
+        (panel ceiling, or a failed factorisation, which is also remembered
+        so dispatch never retries it).  Used to warm engines before timed
+        extraction.
         """
         if self._direct_failed:
             return False
@@ -444,8 +463,36 @@ class EigenfunctionSolver(SubstrateSolver):
             return False
         return True
 
-    def _ensure_direct_factor(self) -> None:
-        """Build (once) and factor the dense contact-panel system.
+    def _ensure_direct_factor(self) -> tuple:
+        """Return the dense factor of the contact-panel system, building it on a miss.
+
+        The process-wide :mod:`~repro.substrate.factor_cache` is the factor's
+        only owner.  Each call looks it up there once, and the solver keeps
+        a reference of its own only when the cache will not hold the factor:
+        ``use_factor_cache`` is off, or the cache refused it as oversized
+        (built here or loaded from its artifact store).  So clearing,
+        shrinking or evicting the cache frees the factor, and the next call
+        rebuilds it, counted like any build: one cache miss and one
+        ``n_factor_rebuilds``.  Callers keep the returned reference for the
+        rest of their block, so an eviction mid-block cannot break it.
+        """
+        if self._private_factor is not None:
+            return self._private_factor
+        cache = factor_cache() if self.use_factor_cache else None
+        factor = None if cache is None else cache.get(self._factor_cache_key)
+        if factor is None:
+            factor = self._factor_contact_block()
+            # computed here, not loaded or attached: the factor plane's "zero
+            # per-worker refactorisations" gate watches this counter
+            self.stats.record_factor_rebuild()
+            if cache is not None:
+                cache.put(self._factor_cache_key, factor)
+        if cache is None or not cache.contains(self._factor_cache_key):
+            self._private_factor = factor
+        return factor
+
+    def _factor_contact_block(self) -> tuple:
+        """Gather ``A_cc`` and factor it in place, with no second copy.
 
         Grounded backplane: Cholesky of ``A_cc``.  Floating backplane: the
         bordered saddle-point system is factored through its Schur complement
@@ -455,55 +502,41 @@ class EigenfunctionSolver(SubstrateSolver):
         solved border column ``w = A_cc^{-1} 1`` and pivot ``s = 1' w``.  If
         that Cholesky fails the full bordered matrix is LU-factored instead.
 
-        The finished factor is shared through the process-wide
-        :mod:`~repro.substrate.factor_cache` (unless ``use_factor_cache`` is
-        off), so sibling solvers over the same substrate skip the build.
+        The kernel-table gather is exactly symmetric, so its transpose is the
+        same matrix in Fortran order and LAPACK factors it where it lies (a
+        C-ordered argument would be copied whole first).
         """
-        if self._direct_factor is not None:
-            return
-        if self.use_factor_cache:
-            cached = factor_cache().get(self._factor_cache_key)
-            if cached is not None:
-                self._direct_factor = cached
-                return
-        # the kernel-table gather is exactly symmetric: factor it as is
         a_cc = self.operator.contact_block_matrix(max_batch=self.max_batch)
         if self.profile.grounded_backplane:
-            self._set_direct_factor(
-                ("chol", cho_factor(a_cc, lower=True, overwrite_a=True))
-            )
-            return
+            return ("chol", cho_factor(a_cc.T, lower=False, overwrite_a=True))
         ncp = a_cc.shape[0]
         ones = np.ones(ncp)
         try:
-            chol = cho_factor(a_cc, lower=True)
+            chol = cho_factor(a_cc.T, lower=False, overwrite_a=True)
             w = cho_solve(chol, ones)
             s = float(ones @ w)
-            if not np.isfinite(s) or s <= 0.0:
-                raise LinAlgError("degenerate Schur complement")
-            self._set_direct_factor(("schur", chol, w, s))
-            return
+            if np.isfinite(s) and s > 0.0:
+                return ("schur", chol, w, s)
         except LinAlgError:
-            # contacts tiling the whole surface make A_cc singular (the gauge
-            # direction); the bordered matrix itself is still invertible.
-            bordered = np.zeros((ncp + 1, ncp + 1))
-            bordered[:ncp, :ncp] = a_cc
-            bordered[:ncp, -1] = 1.0
-            bordered[-1, :ncp] = 1.0
-            lu, piv = lu_factor(bordered)
-            u_diag = np.abs(np.diag(lu))
-            if u_diag.min() <= ncp * np.finfo(float).eps * u_diag.max():
-                raise LinAlgError("bordered saddle-point matrix is singular") from None
-            self._set_direct_factor(("bordered", lu, piv))
-
-    def _set_direct_factor(self, factor: tuple) -> None:
-        """Hold the freshly built factor and share it through the cache."""
-        self._direct_factor = factor
-        # this factor was computed here, not loaded or attached — the factor
-        # plane's "zero per-worker refactorisations" gate watches this counter
-        self.stats.record_factor_rebuild()
-        if self.use_factor_cache:
-            factor_cache().put(self._factor_cache_key, factor)
+            pass
+        # contacts tiling the whole surface make A_cc singular (the gauge
+        # direction); the bordered matrix itself is still invertible.  The
+        # Cholesky overwrote A_cc, so drop it and gather the rows again,
+        # straight into the bordered matrix
+        a_cc = chol = None
+        bordered = np.zeros((ncp + 1, ncp + 1), order="F")
+        for start in range(0, ncp, self.max_batch):
+            stop = min(start + self.max_batch, ncp)
+            bordered[start:stop, :ncp] = self.operator.contact_block_rows(
+                start, stop, max_batch=self.max_batch
+            )
+        bordered[:ncp, -1] = 1.0
+        bordered[-1, :ncp] = 1.0
+        lu, piv = lu_factor(bordered, overwrite_a=True)
+        u_diag = np.abs(np.diag(lu))
+        if u_diag.min() <= ncp * np.finfo(float).eps * u_diag.max():
+            raise LinAlgError("bordered saddle-point matrix is singular")
+        return ("bordered", lu, piv)
 
     def _ensure_incidence(self) -> np.ndarray:
         """Contact->panel owner gather plus the cached panel->contact sum.
@@ -529,14 +562,14 @@ class EigenfunctionSolver(SubstrateSolver):
         at once — the same memory bound the iterative path observes.
         """
         try:
-            self._ensure_direct_factor()
+            factor = self._ensure_direct_factor()
         except LinAlgError:
             # numerically non-SPD / singular contact block (degenerate grid):
             # the caller falls back to the iterative path with a warning.
             self._direct_failed = True
             return None
         owner = self._ensure_incidence()
-        kind = self._direct_factor[0]
+        kind = factor[0]
         k_total = v.shape[1]
         grounded = self.profile.grounded_backplane
         out = np.empty_like(v)
@@ -545,15 +578,15 @@ class EigenfunctionSolver(SubstrateSolver):
             chunk = slice(start, min(start + self.max_batch, k_total))
             v_panel = v[:, chunk][owner]
             if kind == "chol":
-                q_panel = cho_solve(self._direct_factor[1], v_panel)
+                q_panel = cho_solve(factor[1], v_panel)
             elif kind == "schur":
-                _, chol, w, s = self._direct_factor
+                _, chol, w, s = factor
                 q0 = cho_solve(chol, v_panel)
                 c = q0.sum(axis=0) / s
                 q_panel = q0 - w[:, None] * c
                 gauges[chunk] = c
             else:  # bordered LU
-                _, lu, piv = self._direct_factor
+                _, lu, piv = factor
                 rhs = np.vstack([v_panel, np.zeros((1, v_panel.shape[1]))])
                 sol = lu_solve((lu, piv), rhs)
                 q_panel = sol[:-1]

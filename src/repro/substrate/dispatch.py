@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .factor_cache import factor_cache
+
 __all__ = [
     "DISPATCH_PATHS",
     "DispatchDecision",
@@ -113,9 +115,11 @@ class SolveCostModel:
     #: (``n_panels * _fft_apply_units(grid_points)``).
     #: ``SurfaceOperator.contact_block_rows`` gathers ``A_cc`` from one
     #: cosine-kernel table in ``O(nx ny (nx + ny) + ncp^2)``, so the term
-    #: overcharges assembly.  The value stays as calibrated: the service
-    #: builds its factors without consulting the model, and a re-fit would
-    #: move library routing with no workload to measure the effect.
+    #: overcharges assembly.  The value stays as calibrated: at the
+    #: extract-paper substrate (5,120 panels, 128x128 grid) the model's
+    #: cold break-even is ~175 columns against ~170 measured, so it routes
+    #: that set-up's cold 256-column block direct.  The service builds its
+    #: factors without consulting the model.
     assembly_unit: float = 3.0
     #: relative cost of one flop of the BLAS-1 vector updates per iteration
     axpy_unit: float = 10.0
@@ -248,7 +252,12 @@ class DispatchPolicy:
     ----------
     max_direct_panels:
         Ceiling on contact panels for which a dense factorisation may be built
-        and cached (memory is ``O(ncp^2)``); ``0`` disables the direct path.
+        (memory is ``O(ncp^2)``); ``0`` disables the direct path.  ``None``
+        (the default) reads the process-wide factor cache at every decision:
+        the largest panel count whose float64 Cholesky factor the cache would
+        store (:meth:`~repro.substrate.factor_cache.FactorCache.max_dense_factor_order`;
+        8191 at the 512 MiB default budget, 2896 at 64 MiB), so
+        ``set_factor_cache_budget`` and ``REPRO_FACTOR_CACHE_BYTES`` move it.
     force_path:
         ``"direct"``, ``"tiled"`` or ``"iterative"`` pins every block to one
         engine (debugging / benchmarking).  A forced direct or tiled path
@@ -282,7 +291,7 @@ class DispatchPolicy:
 
     def __init__(
         self,
-        max_direct_panels: int = 4096,
+        max_direct_panels: int | None = None,
         force_path: str | None = None,
         cost_model: SolveCostModel | None = None,
         auto_tune: bool = False,
@@ -294,7 +303,9 @@ class DispatchPolicy:
             raise ValueError(
                 f"force_path must be one of {DISPATCH_PATHS} or None, got {force_path!r}"
             )
-        self.max_direct_panels = int(max_direct_panels)
+        self._max_direct_panels = (
+            None if max_direct_panels is None else int(max_direct_panels)
+        )
         self.force_path = force_path
         self.cost_model = cost_model if cost_model is not None else SolveCostModel()
         self.auto_tune = bool(auto_tune)
@@ -303,10 +314,17 @@ class DispatchPolicy:
         if max_tiled_panels is None:
             # max_direct_panels=0 is the documented "iterative only" switch;
             # it must not leave a factored back door through the tiled tier
-            max_tiled_panels = 0 if self.max_direct_panels == 0 else 32_768
+            max_tiled_panels = 0 if self._max_direct_panels == 0 else 32_768
         self.max_tiled_panels = int(max_tiled_panels)
         self._tuned = False
         self._sparse_tuned = False
+
+    @property
+    def max_direct_panels(self) -> int:
+        """Dense-factor panel ceiling: the explicit value, else the budget's."""
+        if self._max_direct_panels is not None:
+            return self._max_direct_panels
+        return factor_cache().max_dense_factor_order()
 
     # -------------------------------------------------------------- auto-tune
     def auto_tune_probe(self, size: int = 160, batch: int = 8, grid: int = 64) -> float:

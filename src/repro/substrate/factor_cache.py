@@ -21,9 +21,13 @@ carry an entry-count cap (the eigenvalue-table LRU keeps its historical bound
 of 32 entries).
 
 The cache is **per process**: worker processes of the parallel extraction
-engine (:mod:`repro.substrate.parallel`) each warm their own copy.  Factors
-cached here are shared between solver instances, so they are treated as
-read-only by all consumers.
+engine (:mod:`repro.substrate.parallel`) each warm their own copy.  It is
+the only owner of the dense factors it holds: a solver looks its factor up
+once per direct block and keeps no reference of its own, so the budget
+bounds those factors and ``clear``, ``set_budget`` and LRU eviction free
+them (the next direct block rebuilds).  A solver holds a factor itself only
+when the cache will not (disabled for that solver, or refused as
+oversized).  Cached factors are treated as read-only by all consumers.
 
 On top of the per-process cache this module also provides the
 **shared-memory factor plane**: :class:`FactorPlane` serialises a cached
@@ -46,12 +50,15 @@ attached by default — the extraction service wires one in when it is given a
 state directory.
 
 Environment knob: ``REPRO_FACTOR_CACHE_BYTES`` overrides the default budget
-(512 MiB) for the process-wide instance.
+(512 MiB) for the process-wide instance.  The budget also sets the default
+dense-factor ceiling of :class:`~repro.substrate.dispatch.DispatchPolicy`
+(:meth:`FactorCache.max_dense_factor_order`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import warnings
@@ -226,6 +233,28 @@ class FactorCache:
         """
         with self._lock:
             return key in self._entries
+
+    def peek(self, key: Hashable, default: Any = None) -> Any:
+        """The entry under ``key`` with no side effects, like :meth:`contains`.
+
+        No counters, no recency update and no artifact-store fall-through:
+        for inspecting what the cache holds without skewing its statistics.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+        return default if entry is None else entry[0]
+
+    def max_dense_factor_order(self) -> int:
+        """Largest ``n`` whose float64 ``n x n`` Cholesky factor :meth:`put` stores.
+
+        Sized with :meth:`put`'s own estimate of a ``("chol", (c, lower))``
+        factor, whose tuples add a few hundred bytes to the array's, so a
+        factor of order ``isqrt(max_bytes // 8)`` is already refused.
+        """
+        overhead = _estimate_nbytes(("chol", (np.empty((0, 0)), True)))
+        with self._lock:
+            budget = self.max_bytes
+        return math.isqrt(max(budget - overhead, 0) // 8)
 
     def put(self, key: Hashable, value: Any, nbytes: int | None = None) -> Any:
         """Insert ``value`` under ``key`` (replacing any old entry) and return it.

@@ -475,8 +475,9 @@ class ParallelExtractor(SubstrateSolver):
     def _parent_factors(self) -> list[tuple[tuple, Any]]:
         """Every parent-held factor worth shipping, as ``(key, factor)`` pairs.
 
-        Prefers the factor objects held by the local solver (no cache-counter
-        traffic); falls back to the process-wide cache.  With
+        Reads the local solver's factor without cache-counter traffic (the
+        eigenfunction solver's ``direct_factor``, the FD engine's LU); falls
+        back to the process-wide cache.  With
         ``prepare_direct`` / ``prepare_tiled`` the parent builds the factor
         here — once, for the whole fleet — before the pool starts.  Spilled
         tiled factors are skipped at publish time (they are scratch files,
@@ -490,7 +491,7 @@ class ParallelExtractor(SubstrateSolver):
                 prepare = getattr(local, "prepare_direct", None)
                 if prepare is not None:
                     prepare()
-            factor = getattr(local, "_direct_factor", None)
+            factor = getattr(local, "direct_factor", None)
             if factor is None:
                 engine = getattr(local, "_direct_engine", None)
                 if engine is not None:

@@ -22,9 +22,14 @@ from repro import (
     SolveStats,
     SubstrateProfile,
     extract_dense,
+    factor_cache_clear,
+    factor_cache_info,
     regular_grid,
     resolve_fft_workers,
+    set_factor_cache_budget,
 )
+from repro.substrate.bem.operator import SurfaceOperator
+from repro.substrate.bem.solver import BEM_FACTOR_KIND
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +45,16 @@ def _solver(layout, grounded=True, **kwargs) -> EigenfunctionSolver:
     kwargs.setdefault("max_panels", 32)
     kwargs.setdefault("rtol", 1e-10)
     return EigenfunctionSolver(layout, _profile(grounded), **kwargs)
+
+
+@pytest.fixture
+def cold_bem_factors():
+    """Start without dense BEM factors; restore the cache budget afterwards."""
+    budget = factor_cache_info()["max_bytes"]
+    factor_cache_clear(BEM_FACTOR_KIND)
+    yield
+    set_factor_cache_budget(budget)
+    factor_cache_clear(BEM_FACTOR_KIND)
 
 
 # ------------------------------------------------------------------ policy unit
@@ -120,6 +135,38 @@ def test_policy_panel_ceiling_and_failure_force_iterative():
         policy.choose(n_panels=64, n_rhs=512, grid_points=4096, grounded=True).path
         == "iterative"
     )
+
+
+def test_direct_ceiling_follows_the_live_factor_cache_budget(
+    tiny_layout, cold_bem_factors
+):
+    """The default ceiling is the largest panel count whose factor the live
+    cache would store, counted as the cache counts it; an explicit one wins."""
+    assert _solver(tiny_layout).prepare_direct()
+    # the bytes the cache charged for the factor: the array plus its tuples
+    factor_bytes = factor_cache_info()["by_kind"][BEM_FACTOR_KIND]["bytes"]
+    ncp = _solver(tiny_layout).grid.n_contact_panels
+    assert factor_bytes > 8 * ncp**2
+    factor_cache_clear(BEM_FACTOR_KIND)
+
+    set_factor_cache_budget(factor_bytes - 1)
+    assert DispatchPolicy().max_direct_panels == ncp - 1
+    above = _solver(tiny_layout)
+    assert above.max_direct_panels == ncp - 1
+    assert not above.prepare_direct()
+    assert DispatchPolicy(max_direct_panels=ncp).max_direct_panels == ncp
+    assert _solver(tiny_layout, max_direct_panels=ncp).prepare_direct()
+    factor_cache_clear(BEM_FACTOR_KIND)
+
+    set_factor_cache_budget(factor_bytes)
+    assert DispatchPolicy().max_direct_panels == ncp
+    oversized = factor_cache_info()["oversized"]
+    # the same solver object follows the budget at its next decision
+    assert above.prepare_direct()
+    assert factor_cache_info()["oversized"] == oversized
+    assert factor_cache_info()["by_kind"][BEM_FACTOR_KIND]["bytes"] == factor_bytes
+    assert not _solver(tiny_layout, max_direct_panels=ncp - 1).prepare_direct()
+    assert not _solver(tiny_layout, max_direct_panels=0).prepare_direct()
 
 
 def test_policy_force_path_overrides_model_but_not_feasibility():
@@ -238,6 +285,27 @@ def test_direct_factorisation_failure_warns_and_falls_back(tiny_layout, monkeypa
         solver.solve_many(v[:, :2])
 
 
+@pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "floating"])
+def test_direct_factor_is_built_in_place(
+    tiny_layout, grounded, monkeypatch, cold_bem_factors
+):
+    """The Cholesky factor overwrites the gathered A_cc: no second copy."""
+    gathered = []
+    gather = SurfaceOperator.contact_block_matrix
+
+    def keep(self, *args, **kwargs):
+        gathered.append(gather(self, *args, **kwargs))
+        return gathered[-1]
+
+    monkeypatch.setattr(SurfaceOperator, "contact_block_matrix", keep)
+    solver = _solver(tiny_layout, grounded)
+    assert solver.prepare_direct()
+    kind, (c, _lower), *_ = solver.direct_factor
+    assert kind == ("chol" if grounded else "schur")
+    assert len(gathered) == 1
+    assert np.shares_memory(c, gathered[0])
+
+
 # ------------------------------------------- floating bordered direct path
 def test_floating_bordered_direct_matches_minres_with_gauge(tiny_layout):
     """The Schur-complement direct solve must reproduce the single-RHS MINRES
@@ -256,7 +324,7 @@ def test_floating_bordered_direct_matches_minres_with_gauge(tiny_layout):
         tiny_layout, grounded=False, dispatch=DispatchPolicy(force_path="direct")
     )
     currents_direct = direct.solve_many(v)
-    assert direct._direct_factor[0] in ("schur", "bordered")
+    assert direct.direct_factor[0] in ("schur", "bordered")
     assert direct.stats.n_direct_solves == v.shape[1]
 
     scale = np.abs(currents_seq).max()
@@ -273,6 +341,44 @@ def test_floating_bordered_direct_matches_minres_with_gauge(tiny_layout):
     iterative.solve_many(v)
     assert np.allclose(
         iterative.last_gauge_constants, gauges_seq, rtol=0.0, atol=1e-7 * gauge_scale
+    )
+
+
+def test_floating_bordered_fallback_regathers_the_overwritten_block(
+    tiny_layout, monkeypatch, cold_bem_factors
+):
+    """A Cholesky that fails in place leaves A_cc partly overwritten; the
+    bordered LU fallback must gather the block again, not factor the debris."""
+    import repro.substrate.bem.solver as bem_solver
+    from scipy.linalg import LinAlgError
+
+    def failing_cholesky(a, lower=False, overwrite_a=False, **kwargs):
+        if overwrite_a:
+            a[: a.shape[0] // 2] = np.nan  # what a partial dpotrf leaves behind
+        raise LinAlgError("leading minor not positive definite")
+
+    monkeypatch.setattr(bem_solver, "cho_factor", failing_cholesky)
+    rng = np.random.default_rng(6)
+    v = rng.standard_normal((tiny_layout.n_contacts, 4))
+    direct = _solver(
+        tiny_layout, grounded=False, dispatch=DispatchPolicy(force_path="direct")
+    )
+    out = direct.solve_many(v)
+    assert direct.direct_factor[0] == "bordered"
+    assert direct.stats.n_direct_solves == v.shape[1]
+
+    reference = _solver(
+        tiny_layout, grounded=False, dispatch=DispatchPolicy(force_path="iterative")
+    )
+    expected = reference.solve_many(v)
+    scale = np.abs(expected).max()
+    assert np.allclose(out, expected, rtol=0.0, atol=1e-8 * scale)
+    gauges = reference.last_gauge_constants
+    assert np.allclose(
+        direct.last_gauge_constants,
+        gauges,
+        rtol=0.0,
+        atol=1e-7 * np.abs(gauges).max(),
     )
 
 
@@ -311,7 +417,7 @@ def test_floating_gauge_constant_satisfies_bordered_system(tiny_layout):
     # reconstruct panel currents from the factor to check the raw system
     owner = solver.grid.panel_to_contact[solver.grid.all_contact_panels]
     v_panel = v[owner]
-    kind, *factor = solver._direct_factor
+    kind, *factor = solver.direct_factor
     assert kind == "schur"
     from scipy.linalg import cho_solve
 

@@ -10,6 +10,9 @@ factor.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,11 +22,14 @@ from repro import (
     FactorCache,
     SubstrateProfile,
     extract_dense,
+    factor_cache,
     factor_cache_clear,
     factor_cache_info,
     regular_grid,
+    set_factor_cache_budget,
 )
 from repro.substrate.bem.solver import BEM_FACTOR_KIND
+from repro.substrate.factor_cache import FactorArtifactStore
 from repro.substrate.fd import FDDirectEngine, FiniteDifferenceSolver
 from repro.substrate.fd.direct import FD_FACTOR_KIND
 
@@ -44,6 +50,19 @@ def _clean_factor_kinds():
     yield
     factor_cache_clear(BEM_FACTOR_KIND)
     factor_cache_clear(FD_FACTOR_KIND)
+
+
+@pytest.fixture
+def restore_cache_settings():
+    """Restore the process-wide budget and detach any artifact store."""
+    budget = factor_cache_info()["max_bytes"]
+    yield
+    set_factor_cache_budget(budget)
+    factor_cache().set_artifact_store(None)
+
+
+def _bem_misses() -> int:
+    return factor_cache_info()["by_kind"].get(BEM_FACTOR_KIND, {}).get("misses", 0)
 
 
 # ------------------------------------------------------------- cache mechanics
@@ -159,7 +178,9 @@ def test_bem_factor_shared_across_solver_instances(tiny_layout):
     second = build()
     assert second.prepare_direct()
     # the second solver loaded the cached factor: identical object, no rebuild
-    assert second._direct_factor is first._direct_factor
+    assert second.direct_factor is not None
+    assert second.direct_factor is first.direct_factor
+    assert second.stats.n_factor_rebuilds == 0
     info = factor_cache_info()["by_kind"][BEM_FACTOR_KIND]
     assert info["misses"] == misses_after_build
     assert info["hits"] >= 1
@@ -180,12 +201,14 @@ def test_bem_dispatch_sees_warm_cache_as_cached_factor(tiny_layout):
     warmer = EigenfunctionSolver(tiny_layout, _profile(), max_panels=32)
     assert warmer.prepare_direct()
     fresh = EigenfunctionSolver(tiny_layout, _profile(), max_panels=32)
-    assert fresh._direct_factor is None
+    # the fresh solver has no factor of its own: it sees the warmer's
+    assert fresh.direct_factor is warmer.direct_factor
     assert fresh._factor_available()
     # a narrow block that would normally stay iterative now routes direct
     fresh.solve_many(np.eye(tiny_layout.n_contacts)[:, :1])
     assert fresh.last_dispatch.path == "direct"
     assert fresh.last_dispatch.reason == "cached factor"
+    assert fresh.stats.n_factor_rebuilds == 0
 
 
 def test_bem_use_factor_cache_false_is_isolated(tiny_layout):
@@ -196,7 +219,80 @@ def test_bem_use_factor_cache_false_is_isolated(tiny_layout):
     )
     assert not private._factor_available()
     assert private.prepare_direct()
-    assert private._direct_factor is not warmer._direct_factor
+    assert private.direct_factor is not None
+    assert private.direct_factor is not warmer.direct_factor
+
+
+def test_bem_cache_is_the_factors_only_owner(tiny_layout):
+    """No solver pins a factor the cache holds: clearing the cache frees it,
+    and the next direct block rebuilds it, counted like any build."""
+    solver = EigenfunctionSolver(
+        tiny_layout,
+        _profile(),
+        max_panels=32,
+        dispatch=DispatchPolicy(force_path="direct"),
+    )
+    assert solver.prepare_direct()
+    array = weakref.ref(solver.direct_factor[1][0])
+    v = np.random.default_rng(5).standard_normal((tiny_layout.n_contacts, 6))
+    first = solver.solve_many(v)
+    assert solver.stats.n_factor_rebuilds == 1
+    misses = _bem_misses()
+
+    factor_cache_clear()
+    gc.collect()
+    assert array() is None
+    assert solver.direct_factor is None
+
+    again = solver.solve_many(v)
+    assert solver.last_dispatch.path == "direct"
+    assert solver.stats.n_factor_rebuilds == 2
+    assert _bem_misses() == misses + 1
+    assert np.allclose(again, first, rtol=0.0, atol=1e-12 * np.abs(first).max())
+
+
+def test_bem_oversized_factor_is_held_not_rebuilt_per_block(
+    tiny_layout, restore_cache_settings
+):
+    """A factor the cache refuses stays with its solver for every block."""
+    set_factor_cache_budget(1024)  # far below the 64-panel factor's 32 KiB
+    solver = EigenfunctionSolver(
+        tiny_layout, _profile(), max_panels=32, max_direct_panels=1 << 20
+    )
+    oversized = factor_cache_info()["oversized"]
+    eye = np.eye(tiny_layout.n_contacts)
+    for _ in range(2):
+        solver.solve_many(eye)
+        assert solver.last_dispatch.path == "direct"
+    assert solver.stats.n_factor_rebuilds == 1
+    assert solver.stats.n_direct_solves == 2 * tiny_layout.n_contacts
+    assert factor_cache_info()["oversized"] == oversized + 1
+    assert not factor_cache().contains(solver.factor_cache_key)
+
+
+def test_bem_oversized_artifact_is_held_not_reloaded_per_block(
+    tiny_layout, tmp_path, restore_cache_settings
+):
+    """A factor loaded from the artifact store but too large for the RAM
+    budget is held by its solver, not read back from disk per block."""
+    store = FactorArtifactStore(tmp_path)
+    factor_cache().set_artifact_store(store)
+    assert EigenfunctionSolver(tiny_layout, _profile(), max_panels=32).prepare_direct()
+    assert store.info()["saves"] == 1
+    factor_cache_clear(BEM_FACTOR_KIND)
+    set_factor_cache_budget(1024)
+
+    solver = EigenfunctionSolver(
+        tiny_layout, _profile(), max_panels=32, max_direct_panels=1 << 20
+    )
+    eye = np.eye(tiny_layout.n_contacts)
+    for _ in range(2):
+        solver.solve_many(eye)
+        assert solver.last_dispatch.path == "direct"
+    assert solver.stats.n_factor_rebuilds == 0
+    assert store.info()["hits"] == 1
+    assert solver.direct_factor is not None
+    assert not factor_cache().contains(solver.factor_cache_key)
 
 
 def test_fd_factor_shared_across_engines(tiny_layout):
