@@ -41,9 +41,11 @@ class WaveletSparsifier:
     rank_tol:
         Relative SVD tolerance of the basis construction.
     max_block:
-        Largest number of combined-solve right-hand sides submitted to the
-        black box per ``solve_many`` call (memory bound; does not change the
-        attributed solve count).
+        Widest single ``solve_many`` submission.  :meth:`extract` stacks
+        every black-box column (root vectors and all levels' combined
+        vectors) into one submission and cuts it into chunks of at most
+        this many columns (bounds the solver's working memory per call; does
+        not change the attributed solve count or ``Gws``).
     """
 
     def __init__(
@@ -117,13 +119,35 @@ class WaveletSparsifier:
         )
 
     def extract(self, solver: SubstrateSolver) -> SparsifiedConductance:
-        """Extract ``Gws`` with the combine-solves technique (Section 3.5)."""
+        """Extract ``Gws`` with the combine-solves technique (Section 3.5).
+
+        Every black-box column is known before the first solve: the root
+        square's non-vanishing vectors and each level's combined vectors
+        theta are built from the geometry-only basis ``Q``, never from a
+        response.  So all of them go to the black box as one stacked
+        submission, chunked at ``max_block`` columns, and a factored solver
+        pays its per-block cost once instead of once per level.  Each column
+        is still one attributed solve, and the responses are read in the
+        order of the level-by-level method, so ``Gws`` is unchanged.
+        """
         basis = self.basis
         hier = self.hierarchy
-        n = hier.layout.n_contacts
         ncols = basis.n_columns
         q = basis.q_matrix  # csc
-        n_solves = 0
+
+        root_cols = basis.root_v_columns()
+        combined = self._combined_sources()
+        n_root = int(root_cols.size)
+        v = np.zeros((hier.layout.n_contacts, n_root + len(combined)))
+        v[:, :n_root] = q[:, root_cols].toarray()
+        for col, (contributing, m) in enumerate(combined, start=n_root):
+            for sq in contributing:
+                sb = basis.basis(sq.key)
+                v[sb.contact_indices, col] += sb.W[:, m]
+        responses = np.empty_like(v)
+        for start in range(0, v.shape[1], self.max_block):
+            block = slice(start, start + self.max_block)
+            responses[:, block] = solver.solve_many(np.ascontiguousarray(v[:, block]))
 
         entry_rows: list[np.ndarray] = []
         entry_cols: list[np.ndarray] = []
@@ -134,36 +158,48 @@ class WaveletSparsifier:
             entry_cols.append(np.asarray(cc, dtype=int).ravel())
             entry_vals.append(np.asarray(vv, dtype=float).ravel())
 
-        # 1. root non-vanishing vectors: full rows and columns (few solves).
-        # All root columns go to the black box as one stacked-RHS submission.
-        root_cols = basis.root_v_columns()
-        if root_cols.size:
-            q_root = np.asarray(q[:, root_cols].todense())
-            responses = solver.solve_many(q_root)
-            n_solves += int(root_cols.size)
-            rows_block = q.T @ responses  # (ncols, n_root)
+        # 1. root non-vanishing vectors: full rows and columns
+        if n_root:
+            rows_block = q.T @ responses[:, :n_root]  # (ncols, n_root)
             all_cols = np.arange(ncols)
             for pos, j in enumerate(root_cols):
                 row = np.asarray(rows_block[:, pos]).ravel()
                 record(np.full(ncols, j), all_cols, row)
                 record(all_cols, np.full(ncols, j), row)
 
-        # 2. combine-solves for the vanishing-moment vectors, level by level.
-        # The combined vectors theta of one level are mutually independent, so
-        # the whole level is submitted as a single solve_many block; each
-        # column is still attributed as one black-box solve (the grouping —
-        # which squares share a theta — is unchanged by batching).
-        for level in hier.levels():
+        # 2. each theta's response is attributed to the unique nearby source
+        for col, (contributing, m) in enumerate(combined, start=n_root):
+            response = responses[:, col]
+            for sq in contributing:
+                source_col = int(basis.w_columns(sq.key)[m])
+                for target in hier.target_squares(sq):
+                    tb = basis.basis(target.key)
+                    if tb.n_vanishing == 0:
+                        continue
+                    vals = tb.W.T @ response[tb.contact_indices]
+                    tcols = basis.w_columns(target.key)
+                    record(tcols, np.full(tcols.size, source_col), vals)
+                    record(np.full(tcols.size, source_col), tcols, vals)
+
+        gws = self._assemble(entry_rows, entry_cols, entry_vals, ncols)
+        return SparsifiedConductance(q, gws, n_solves=v.shape[1], method="wavelet")
+
+    def _combined_sources(self) -> list[tuple[list[Square], int]]:
+        """The combined vectors theta of every level, as ``(sources, m)``.
+
+        Theta sums the ``m``-th vanishing-moment vector of every square that
+        has one in one ``(i mod 3, j mod 3)`` class of a level, so any two of
+        its sources are at least three squares apart.  Listed level by
+        level, coarsest first.
+        """
+        basis = self.basis
+        combined: list[tuple[list[Square], int]] = []
+        for level in self.hierarchy.levels():
             squares = [
                 sq
-                for sq in hier.squares_at_level(level)
+                for sq in self.hierarchy.squares_at_level(level)
                 if basis.basis(sq.key).n_vanishing > 0
             ]
-            if not squares:
-                continue
-            thetas: list[np.ndarray] = []
-            theta_sources: list[list[Square]] = []
-            theta_modes: list[int] = []
             for a in range(3):
                 for b in range(3):
                     group = [sq for sq in squares if sq.i % 3 == a and sq.j % 3 == b]
@@ -174,40 +210,8 @@ class WaveletSparsifier:
                         contributing = [
                             sq for sq in group if m < basis.basis(sq.key).n_vanishing
                         ]
-                        if not contributing:
-                            continue
-                        theta = np.zeros(n)
-                        for sq in contributing:
-                            sb = basis.basis(sq.key)
-                            theta[sb.contact_indices] += sb.W[:, m]
-                        thetas.append(theta)
-                        theta_sources.append(contributing)
-                        theta_modes.append(m)
-            if not thetas:
-                continue
-            # bounded chunks keep the (n, k) submission from growing with the
-            # square count on coarse levels of very large layouts
-            for start in range(0, len(thetas), self.max_block):
-                stop = min(start + self.max_block, len(thetas))
-                responses = solver.solve_many(np.column_stack(thetas[start:stop]))
-                n_solves += stop - start
-                for col in range(stop - start):
-                    response = responses[:, col]
-                    contributing = theta_sources[start + col]
-                    m = theta_modes[start + col]
-                    for sq in contributing:
-                        source_col = int(basis.w_columns(sq.key)[m])
-                        for target in hier.target_squares(sq):
-                            tb = basis.basis(target.key)
-                            if tb.n_vanishing == 0:
-                                continue
-                            vals = tb.W.T @ response[tb.contact_indices]
-                            tcols = basis.w_columns(target.key)
-                            record(tcols, np.full(tcols.size, source_col), vals)
-                            record(np.full(tcols.size, source_col), tcols, vals)
-
-        gws = self._assemble(entry_rows, entry_cols, entry_vals, ncols)
-        return SparsifiedConductance(q, gws, n_solves=n_solves, method="wavelet")
+                        combined.append((contributing, m))
+        return combined
 
     @staticmethod
     def _assemble(

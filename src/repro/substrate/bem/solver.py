@@ -37,9 +37,9 @@ from scipy.sparse.linalg import LinearOperator, cg, minres
 from ...geometry.contact import ContactLayout
 from ...geometry.panels import PanelGrid
 from ..dispatch import DispatchDecision, DispatchPolicy
-from ..factor_cache import factor_cache
+from ..factor_cache import factor_cache, seal_factor_arrays
 from ..profile import SubstrateProfile
-from ..solver_base import SolveStats, SubstrateSolver
+from ..solver_base import SolveStats, SubstrateSolver, check_finite_voltages
 from ..tiled import DEFAULT_TILE, TiledCholeskyFactor
 from .operator import SurfaceOperator
 
@@ -272,9 +272,10 @@ class EigenfunctionSolver(SubstrateSolver):
 
         One of ``("chol", (c, lower))`` for a grounded backplane,
         ``("schur", (c, lower), w, s)`` or ``("bordered", lu, piv)`` for a
-        floating one.  Read without building and without touching the
-        cache's counters or recency; None before the first build and after
-        the cache dropped the factor.
+        floating one; every array in it is finite and read-only.  Read
+        without building and without touching the cache's counters or
+        recency; None before the first build and after the cache dropped
+        the factor.
         """
         if self._private_factor is not None:
             return self._private_factor
@@ -307,6 +308,7 @@ class EigenfunctionSolver(SubstrateSolver):
         voltages = np.asarray(voltages, dtype=float)
         if voltages.shape != (self.layout.n_contacts,):
             raise ValueError("expected one voltage per contact")
+        check_finite_voltages(voltages)
         v_panel = self.grid.spread_contact_values(voltages)[
             self.grid.all_contact_panels
         ]
@@ -380,11 +382,13 @@ class EigenfunctionSolver(SubstrateSolver):
         column of the block — and the chosen engine then chunks internally at
         ``max_batch`` columns to bound peak memory.  Column ``j`` of the
         result matches ``solve_currents(voltages[:, j])`` to the solver
-        tolerance on either engine.
+        tolerance on either engine.  A block holding NaN or inf raises
+        ``ValueError`` here, before any engine sees it.
         """
         v = np.asarray(voltages, dtype=float)
         if v.ndim != 2 or v.shape[0] != self.layout.n_contacts:
             raise ValueError("expected an (n_contacts, k) voltage block")
+        check_finite_voltages(v)
         if v.shape[1] == 0:
             return np.empty_like(v)
         decision = self.dispatch.choose(
@@ -505,17 +509,26 @@ class EigenfunctionSolver(SubstrateSolver):
         The kernel-table gather is exactly symmetric, so its transpose is the
         same matrix in Fortran order and LAPACK factors it where it lies (a
         C-ordered argument would be copied whole first).
+
+        The new factor's arrays are checked for NaN/inf once here and sealed
+        read-only (:func:`~repro.substrate.factor_cache.seal_factor_arrays`),
+        so no factor reaches the cache or a solve unchecked and no block
+        solve rescans it.
         """
         a_cc = self.operator.contact_block_matrix(max_batch=self.max_batch)
         if self.profile.grounded_backplane:
-            return ("chol", cho_factor(a_cc.T, lower=False, overwrite_a=True))
+            chol = cho_factor(a_cc.T, lower=False, overwrite_a=True)
+            seal_factor_arrays(chol[0])
+            return ("chol", chol)
         ncp = a_cc.shape[0]
         ones = np.ones(ncp)
         try:
             chol = cho_factor(a_cc.T, lower=False, overwrite_a=True)
-            w = cho_solve(chol, ones)
+            seal_factor_arrays(chol[0])
+            w = cho_solve(chol, ones, check_finite=False)
             s = float(ones @ w)
             if np.isfinite(s) and s > 0.0:
+                seal_factor_arrays(w)
                 return ("schur", chol, w, s)
         except LinAlgError:
             pass
@@ -536,6 +549,7 @@ class EigenfunctionSolver(SubstrateSolver):
         u_diag = np.abs(np.diag(lu))
         if u_diag.min() <= ncp * np.finfo(float).eps * u_diag.max():
             raise LinAlgError("bordered saddle-point matrix is singular")
+        seal_factor_arrays(lu, piv)
         return ("bordered", lu, piv)
 
     def _ensure_incidence(self) -> np.ndarray:
@@ -560,6 +574,12 @@ class EigenfunctionSolver(SubstrateSolver):
         The RHS/solution pair is processed in ``max_batch``-column chunks so a
         very wide block never materialises the full ``(ncp, k)`` panel arrays
         at once — the same memory bound the iterative path observes.
+
+        The triangular solves skip SciPy's finiteness scan
+        (``check_finite=False``), so a block pays only for its own columns,
+        not for a pass over the whole factor.  Both inputs were checked where
+        they entered: the factor when it was built, loaded or attached (and
+        it is read-only since), the voltages at :meth:`solve_many` entry.
         """
         try:
             factor = self._ensure_direct_factor()
@@ -578,17 +598,17 @@ class EigenfunctionSolver(SubstrateSolver):
             chunk = slice(start, min(start + self.max_batch, k_total))
             v_panel = v[:, chunk][owner]
             if kind == "chol":
-                q_panel = cho_solve(factor[1], v_panel)
+                q_panel = cho_solve(factor[1], v_panel, check_finite=False)
             elif kind == "schur":
                 _, chol, w, s = factor
-                q0 = cho_solve(chol, v_panel)
+                q0 = cho_solve(chol, v_panel, check_finite=False)
                 c = q0.sum(axis=0) / s
                 q_panel = q0 - w[:, None] * c
                 gauges[chunk] = c
             else:  # bordered LU
                 _, lu, piv = factor
                 rhs = np.vstack([v_panel, np.zeros((1, v_panel.shape[1]))])
-                sol = lu_solve((lu, piv), rhs)
+                sol = lu_solve((lu, piv), rhs, check_finite=False)
                 q_panel = sol[:-1]
                 gauges[chunk] = sol[-1]
             out[:, chunk] = self._incidence @ q_panel

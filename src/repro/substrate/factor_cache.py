@@ -27,7 +27,9 @@ once per direct block and keeps no reference of its own, so the budget
 bounds those factors and ``clear``, ``set_budget`` and LRU eviction free
 them (the next direct block rebuilds).  A solver holds a factor itself only
 when the cache will not (disabled for that solver, or refused as
-oversized).  Cached factors are treated as read-only by all consumers.
+oversized).  A dense factor is checked for NaN/inf once, where it enters
+the process (built, loaded or attached; :func:`seal_factor_arrays`), and
+its arrays are read-only from then on.
 
 On top of the per-process cache this module also provides the
 **shared-memory factor plane**: :class:`FactorPlane` serialises a cached
@@ -79,6 +81,7 @@ __all__ = [
     "factor_cache",
     "factor_cache_info",
     "factor_cache_clear",
+    "seal_factor_arrays",
     "set_factor_cache_budget",
     "DEFAULT_BUDGET_BYTES",
     "PERSISTED_FACTOR_KINDS",
@@ -401,6 +404,23 @@ def set_factor_cache_budget(max_bytes: int) -> None:
     _GLOBAL.set_budget(max_bytes)
 
 
+def seal_factor_arrays(*arrays: np.ndarray) -> None:
+    """Refuse a factor payload holding NaN or inf, then make it read-only.
+
+    Every dense factor passes here once, where it enters the process: when
+    a solver builds it, and when :func:`_rebuild_factor` restores it from an
+    artifact or a shared segment.  Its block solves then skip SciPy's
+    per-call rescan of the whole factor (``check_finite=False``), which is
+    sound because the scan happened here and nothing can write the arrays
+    afterwards.
+    """
+    for a in arrays:
+        if a.dtype.kind == "f" and not np.isfinite(a).all():
+            raise ValueError("factor payload holds NaN or inf")
+    for a in arrays:
+        a.flags.writeable = False
+
+
 # ===================================================================== plane
 # Shared-memory shipping of factor payloads between processes.
 #
@@ -524,22 +544,28 @@ def _flatten_factor(factor: Any) -> tuple[dict, list[np.ndarray]]:
     including a *spilled* tiled factor, which is its scratch file and has
     nothing to put in shared memory — so callers can skip unshippable cache
     entries.
+
+    A dense factor (the ``c`` or ``lu`` matrix) is Fortran-ordered, as
+    LAPACK builds and reads it.  It ships as its C-contiguous transpose, a
+    view rather than a copy, flagged ``transposed`` in ``meta`` so
+    :func:`_rebuild_factor` hands back the same Fortran-ordered matrix.
     """
     if isinstance(factor, tuple) and factor and isinstance(factor[0], str):
         kind = factor[0]
         if kind == "chol":
             c, lower = factor[1]
-            return {"factor": "chol", "lower": bool(lower)}, [np.ascontiguousarray(c)]
+            meta = {"factor": "chol", "lower": bool(lower), "transposed": True}
+            return meta, [np.ascontiguousarray(c.T)]
         if kind == "schur":
             (c, lower), w, s = factor[1], factor[2], factor[3]
             return (
-                {"factor": "schur", "lower": bool(lower), "s": float(s)},
-                [np.ascontiguousarray(c), np.ascontiguousarray(w)],
+                {"factor": "schur", "lower": bool(lower), "s": float(s), "transposed": True},
+                [np.ascontiguousarray(c.T), np.ascontiguousarray(w)],
             )
         if kind == "bordered":
             lu, piv = factor[1], factor[2]
-            return {"factor": "bordered"}, [
-                np.ascontiguousarray(lu),
+            return {"factor": "bordered", "transposed": True}, [
+                np.ascontiguousarray(lu.T),
                 np.ascontiguousarray(piv),
             ]
         if kind in ("tiled_chol", "tiled_schur"):
@@ -563,8 +589,21 @@ def _flatten_factor(factor: Any) -> tuple[dict, list[np.ndarray]]:
 
 
 def _rebuild_factor(meta: dict, arrays: list[np.ndarray]) -> Any:
-    """Inverse of :func:`_flatten_factor` over (possibly shared) arrays."""
+    """Inverse of :func:`_flatten_factor` over (possibly shared) arrays.
+
+    A dense factor shipped ``transposed`` is transposed back, a view in
+    Fortran order; one from an artifact written before that flag existed is
+    C-ordered and converted once here, so no block solve copies it.  Then
+    every payload is checked and sealed (:func:`seal_factor_arrays`): one
+    holding NaN or inf raises ``ValueError``, so a corrupt artifact loads
+    as a miss and a corrupt segment fails its attach.
+    """
     kind = meta["factor"]
+    arrays = list(arrays)
+    if kind in ("chol", "schur", "bordered"):
+        dense = arrays[0]
+        arrays[0] = dense.T if meta.get("transposed") else np.asfortranarray(dense)
+    seal_factor_arrays(*arrays)
     if kind == "chol":
         return ("chol", (arrays[0], meta["lower"]))
     if kind == "schur":
@@ -693,8 +732,11 @@ def attach_shared_factor(
 
     Returns ``(factor, segment)`` — the caller must keep ``segment``
     referenced for as long as the factor is in use (the views borrow its
-    buffer).  The views are marked read-only: the plane shares one physical
-    copy between processes, so no consumer may write through it.  With
+    buffer).  The views are checked for NaN/inf and marked read-only by
+    :func:`_rebuild_factor`: the plane shares one physical copy between
+    processes, so no consumer may write through it, and a payload holding
+    NaN or inf raises ``ValueError`` (the caller then factors for itself).
+    With
     ``unregister`` the segment is removed from this process's
     ``resource_tracker`` registration (spawn-started workers get a private
     tracker that must not treat the parent-owned segment as leaked).
@@ -718,11 +760,9 @@ def attach_shared_factor(
     try:
         arrays = []
         for off, shape, dtype in handle.specs:
-            view = np.ndarray(
-                tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf, offset=off
+            arrays.append(
+                np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf, offset=off)
             )
-            view.flags.writeable = False
-            arrays.append(view)
         return _rebuild_factor(handle.meta, arrays), shm
     except Exception:
         # rebuild failed (torn handle, truncated segment): the caller never
@@ -845,7 +885,11 @@ class FactorArtifactStore:
         return True
 
     def load(self, key: Hashable) -> Any | None:
-        """Rebuild one persisted factor, or ``None`` when absent/corrupt."""
+        """Rebuild one persisted factor, or ``None`` when absent/corrupt.
+
+        A payload holding NaN or inf is corrupt too (:func:`_rebuild_factor`
+        refuses it): a warned, counted miss, so the caller rebuilds.
+        """
         if not self.handles(key):
             return None
         meta_path, payload_path = self._paths(key)

@@ -26,7 +26,7 @@ from scipy.sparse.linalg import cg
 from ...geometry.contact import ContactLayout
 from ..dispatch import DispatchDecision, DispatchPolicy
 from ..profile import SubstrateProfile
-from ..solver_base import SolveStats, SubstrateSolver
+from ..solver_base import SolveStats, SubstrateSolver, check_finite_voltages
 from .assembly import FDAssembly
 from .direct import FDDirectEngine
 from .grid import Grid3D
@@ -125,6 +125,7 @@ class FiniteDifferenceSolver(SubstrateSolver):
         voltages = np.asarray(voltages, dtype=float)
         if voltages.shape != (self.layout.n_contacts,):
             raise ValueError("expected one voltage per contact")
+        check_finite_voltages(voltages)
         b = self.assembly.rhs_for_contact_voltages(voltages)
         iterations = 0
 
@@ -226,11 +227,13 @@ class FiniteDifferenceSolver(SubstrateSolver):
         chunks internally at ``max_batch``.  The iterative engine runs one
         sparse matrix-block product and one block preconditioner apply per
         iteration for every column; per-column step lengths keep each column
-        on the trajectory of its sequential :meth:`solve_currents`.
+        on the trajectory of its sequential :meth:`solve_currents`.  A block
+        holding NaN or inf raises ``ValueError`` before either engine runs.
         """
         v = np.asarray(voltages, dtype=float)
         if v.ndim != 2 or v.shape[0] != self.layout.n_contacts:
             raise ValueError("expected an (n_contacts, k) voltage block")
+        check_finite_voltages(v)
         if v.shape[1] == 0:
             return np.empty_like(v)
         engine = self._ensure_direct_engine()

@@ -26,6 +26,19 @@ __all__ = [
 ]
 
 
+def check_finite_voltages(voltages: np.ndarray) -> None:
+    """Refuse a voltage vector or block holding NaN or inf.
+
+    The physical solvers call this next to their shape checks.  Without it
+    a non-finite column would come back as NaN from CG, as an all-zero
+    column from block MINRES (which freezes a NaN residual at ``x = 0``),
+    and unchecked through the direct engines, whose triangular solves skip
+    SciPy's own scan.
+    """
+    if not np.isfinite(voltages).all():
+        raise ValueError("voltages must be finite (no NaN or inf)")
+
+
 @dataclass
 class SolveStats:
     """Per-solver bookkeeping for Table 2.1/2.2-style convergence reporting.

@@ -11,10 +11,12 @@ factor.
 from __future__ import annotations
 
 import gc
+import json
 import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from repro import (
     DispatchPolicy,
@@ -293,6 +295,92 @@ def test_bem_oversized_artifact_is_held_not_reloaded_per_block(
     assert store.info()["hits"] == 1
     assert solver.direct_factor is not None
     assert not factor_cache().contains(solver.factor_cache_key)
+
+
+def _float_arrays(factor) -> list[np.ndarray]:
+    """Every float ndarray of a dense factor tuple, nested tuples included."""
+    found = []
+    for part in factor:
+        if isinstance(part, tuple):
+            found += _float_arrays(part)
+        elif isinstance(part, np.ndarray) and part.dtype.kind == "f":
+            found.append(part)
+    return found
+
+
+@pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "floating"])
+def test_bem_built_factor_is_read_only(tiny_layout, grounded):
+    """Checked once when built, the factor is sealed: its block solves skip
+    the per-block rescan, so nothing may write it afterwards."""
+    solver = EigenfunctionSolver(tiny_layout, _profile(grounded), max_panels=32)
+    assert solver.prepare_direct()
+    factor = solver.direct_factor
+    assert factor[0] == ("chol" if grounded else "schur")
+    arrays = _float_arrays(factor)
+    assert len(arrays) == (1 if grounded else 2)  # c, plus w for the Schur kind
+    for array in arrays:
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "floating"])
+def test_bem_artifact_round_trip_keeps_fortran_order(
+    tiny_layout, tmp_path, grounded, restore_cache_settings
+):
+    """A factor loaded from the artifact store is Fortran-ordered like the
+    built one (LAPACK never copies it per block), read-only, and answers
+    bit for bit the same."""
+    store = FactorArtifactStore(tmp_path)
+    factor_cache().set_artifact_store(store)
+
+    def build():
+        return EigenfunctionSolver(
+            tiny_layout,
+            _profile(grounded),
+            max_panels=32,
+            dispatch=DispatchPolicy(force_path="direct"),
+        )
+
+    v = np.random.default_rng(3).standard_normal((tiny_layout.n_contacts, 5))
+    built = build()
+    expected = built.solve_many(v)
+    assert store.info()["saves"] == 1
+    factor_cache_clear(BEM_FACTOR_KIND)
+
+    loaded = build()
+    got = loaded.solve_many(v)
+    assert loaded.stats.n_factor_rebuilds == 0
+    assert store.info()["hits"] == 1
+    c = loaded.direct_factor[1][0]
+    assert c.flags.f_contiguous
+    for array in _float_arrays(loaded.direct_factor):
+        assert not array.flags.writeable
+    assert np.array_equal(got, expected)
+
+
+def test_bem_old_layout_artifact_loads_fortran_ordered(tiny_layout, tmp_path):
+    """An artifact written before factors shipped transposed holds a
+    C-ordered copy and no flag: it still loads, converted once."""
+    solver = EigenfunctionSolver(tiny_layout, _profile(), max_panels=32, use_factor_cache=False)
+    assert solver.prepare_direct()
+    c, lower = solver.direct_factor[1]
+    store = FactorArtifactStore(tmp_path)
+    key = solver.factor_cache_key
+    meta_path, payload_path = store._paths(key)
+    with open(payload_path, "wb") as fh:
+        np.savez(fh, a0=np.ascontiguousarray(c))
+    doc = {
+        "meta": {"factor": "chol", "lower": bool(lower)},
+        "key": repr(key),
+        "n_arrays": 1,
+        "nbytes": int(c.nbytes),
+    }
+    meta_path.write_text(json.dumps(doc))
+
+    loaded = store.load(key)
+    assert loaded[0] == "chol"
+    assert loaded[1][0].flags.f_contiguous
+    b = np.linspace(-1.0, 1.0, c.shape[0])
+    assert np.array_equal(cho_solve(loaded[1], b), cho_solve((c, lower), b))
 
 
 def test_fd_factor_shared_across_engines(tiny_layout):

@@ -162,6 +162,37 @@ def test_plane_publish_attach_roundtrip_and_unlink():
     assert _shm_entries() <= before
 
 
+@pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "floating"])
+def test_attached_factor_keeps_fortran_order_and_answers(tiny_layout, grounded):
+    """The plane ships a dense factor without a C-ordered copy: the attached
+    factor is Fortran-ordered, so LAPACK reads it in place on every block,
+    and it answers bit for bit like the built one."""
+    solver = _bem_spec(tiny_layout, grounded, use_factor_cache=False).build()
+    assert solver.prepare_direct()
+    built = solver.direct_factor
+    with FactorPlane() as plane:
+        attached, segment = attach_shared_factor(plane.publish(("k",), built))
+        try:
+            assert attached[0] == built[0]
+            c = attached[1][0]
+            assert c.flags.f_contiguous and not c.flags.writeable
+            b = np.random.default_rng(2).standard_normal((c.shape[0], 3))
+            assert np.array_equal(cho_solve(attached[1], b), cho_solve(built[1], b))
+        finally:
+            segment.close()
+
+
+def test_attach_refuses_a_non_finite_payload():
+    """A segment whose factor holds a NaN fails attach; the worker then
+    factors for itself instead of solving on it."""
+    c, lower = cho_factor(_spd(8), lower=True)
+    c[3, 3] = np.nan
+    with FactorPlane() as plane:
+        handle = plane.publish(("k",), ("chol", (c, lower)))
+        with pytest.raises(ValueError, match="NaN or inf"):
+            attach_shared_factor(handle)
+
+
 def test_plane_context_manager_unlinks():
     before = _shm_entries()
     with FactorPlane() as plane:

@@ -32,7 +32,7 @@ from repro.service import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.result_store import DEFAULT_STORE_BYTES, default_store_bytes
-from repro.substrate.factor_cache import factor_cache
+from repro.substrate.factor_cache import FactorArtifactStore, factor_cache
 from repro.substrate.parallel import SolverSpec
 
 
@@ -160,6 +160,41 @@ def test_corrupt_artifact_is_a_miss_not_a_crash(tmp_path, bem_spec):
             job = sched.result(sched.submit(JobRequest(bem_spec, columns=(1,))))
             sched.step()
         assert job.status == JobState.DONE  # rebuilt, served anyway
+
+
+def test_non_finite_artifact_is_a_miss_not_a_solve(tmp_path, bem_spec):
+    """A well-formed artifact whose factor holds a NaN is refused at load:
+    a warned, counted miss, then one counted rebuild.  No block ever solves
+    on it (its solves no longer rescan the factor)."""
+    state = tmp_path / "state"
+    with make_scheduler(state) as sched:
+        sched.submit(JobRequest(bem_spec, columns=(0,)))
+        sched.step()
+    (payload,) = (state / "artifacts").glob("*.npz")
+    with np.load(payload) as old:
+        arrays = {name: old[name].copy() for name in old.files}
+    arrays["a0"][0, 0] = np.nan
+    with open(payload, "wb") as fh:
+        np.savez(fh, **arrays)
+
+    key = bem_spec.build().factor_cache_key
+    store = FactorArtifactStore(state / "artifacts")
+    with pytest.warns(RuntimeWarning, match="NaN or inf"):
+        assert store.load(key) is None
+    assert store.info()["misses"] == 1
+
+    factor_cache().clear()
+    cache = factor_cache()
+    artifact_misses = cache.artifact_misses
+    with make_scheduler(state) as sched:
+        with pytest.warns(RuntimeWarning, match="NaN or inf"):
+            job = sched.result(sched.submit(JobRequest(bem_spec, columns=(1,))))
+            sched.step()
+        assert job.status == JobState.DONE
+        assert cache.artifact_misses == artifact_misses + 1
+        spec = job.request.effective_spec
+        engine = sched.pool.get(spec.fingerprint, spec)
+        assert engine._local_solver().stats.n_factor_rebuilds == 1
 
 
 # --------------------------------------------------------- tentpole: journal

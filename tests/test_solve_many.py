@@ -14,6 +14,7 @@ import pytest
 from repro import (
     CountingSolver,
     DenseMatrixSolver,
+    DispatchPolicy,
     EigenfunctionSolver,
     SubstrateProfile,
     extract_columns,
@@ -116,6 +117,31 @@ def test_solve_many_rejects_wrong_shapes(small_g, small_layout):
         solver.solve_many(np.zeros(small_layout.n_contacts))
     with pytest.raises(ValueError):
         solver.solve_many(np.zeros((small_layout.n_contacts + 1, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("path", ["iterative", "direct"])
+@pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "floating"])
+@pytest.mark.parametrize("backend", ["bem", "fd"])
+def test_non_finite_voltages_are_refused_on_every_path(tiny_layout, backend, grounded, path, bad):
+    """No engine answers a NaN or inf voltage: block MINRES used to return an
+    all-zero column for it, CG and the FD solver NaN columns."""
+    policy = DispatchPolicy(force_path=path)
+    if backend == "bem":
+        solver = EigenfunctionSolver(
+            tiny_layout, _profile(grounded), max_panels=32, dispatch=policy
+        )
+    else:
+        solver = FiniteDifferenceSolver(
+            tiny_layout, _profile(grounded), nx=8, ny=8, planes_per_layer=2, dispatch=policy
+        )
+    v = np.random.default_rng(11).standard_normal((tiny_layout.n_contacts, 3))
+    v[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solver.solve_many(v)
+    with pytest.raises(ValueError, match="finite"):
+        solver.solve_currents(v[:, 2])
+    assert solver.stats.n_solves == 0
 
 
 def test_eigenfunction_solve_many_chunks_and_zero_columns(tiny_layout):

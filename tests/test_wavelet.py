@@ -101,3 +101,37 @@ class TestMediumProblem:
         assert rep.sparsity_factor() > 5.0
         report = evaluate_against_dense(rep, medium_g)
         assert report.fraction_above_10pct < 0.05
+
+
+class _RecordingSolver(DenseMatrixSolver):
+    """Exact black box that logs the width of every ``solve_many`` call."""
+
+    def __init__(self, matrix, layout) -> None:
+        super().__init__(matrix, layout)
+        self.widths: list[int] = []
+
+    def solve_many(self, voltages):
+        self.widths.append(np.asarray(voltages).shape[1])
+        return super().solve_many(voltages)
+
+
+class TestOneSubmission:
+    """Every combine-solve column depends on the geometry-only basis, never on
+    a response, so the extraction sends them to the black box as one block."""
+
+    def test_default_is_one_call_of_every_solve(self, medium_hierarchy, medium_g, medium_layout):
+        recorder = _RecordingSolver(medium_g, medium_layout)
+        rep = WaveletSparsifier(medium_hierarchy, order=2).extract(recorder)
+        assert recorder.widths == [rep.n_solves]
+
+    def test_max_block_chunks_without_changing_gw(self, medium_hierarchy, medium_g, medium_layout):
+        whole = WaveletSparsifier(medium_hierarchy, order=2).extract(
+            DenseMatrixSolver(medium_g, medium_layout)
+        )
+        recorder = _RecordingSolver(medium_g, medium_layout)
+        rep = WaveletSparsifier(medium_hierarchy, order=2, max_block=5).extract(recorder)
+        assert max(recorder.widths) <= 5
+        assert sum(recorder.widths) == rep.n_solves == whole.n_solves
+        assert np.array_equal(rep.gw.indptr, whole.gw.indptr)
+        assert np.array_equal(rep.gw.indices, whole.gw.indices)
+        assert np.array_equal(rep.gw.data, whole.gw.data)
