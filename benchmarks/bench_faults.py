@@ -1,26 +1,22 @@
 """Chaos suite: the extraction service under deterministically injected faults.
 
-The service's fault-tolerance claims (supervised worker pools, scheduler
-retry with backoff, priority-aware load shedding) are only trustworthy if
-the failures they guard against can be produced on demand.  This benchmark
-drives :func:`repro.experiments.run_faults_experiment`: one overlapping
+The service's fault-tolerance claims (scheduler retry with backoff,
+priority-aware load shedding) are only trustworthy if the failures they
+guard against can be produced on demand.  This benchmark drives
+:func:`repro.experiments.run_faults_experiment`: one overlapping
 multi-client workload runs fault-free (the accuracy and attribution
-reference), then again under three :mod:`repro.faults` plans — a pool
-worker killed mid-``solve_many``, a transient engine-build failure, and a
-saturated bounded queue behind the real HTTP server (plus a dropped
-dispatch cycle).  It emits a machine-readable ``BENCH_faults.json``
-(results dir + repo root).
+reference), then again under two :mod:`repro.faults` plans — a transient
+engine-build failure, and a saturated bounded queue behind the real HTTP
+server (plus a dropped dispatch cycle).  It emits a machine-readable
+``BENCH_faults.json`` (results dir + repo root).
 
 Hard gates (every scale, including the CI smoke run):
 
-* **worker kill** — the injected kill actually fired, the supervised
-  extractor rebuilt the pool (>= 1 ``pool_rebuilds``), zero jobs were lost,
-  and results agree with the fault-free run to 1e-10;
 * **factor retry** — the transient build failure is absorbed by the retry
   policy within ``max_attempts`` and at least one retry was recorded;
 * **attribution invariance** — every arm charges exactly one black-box
-  solve per distinct union column: recovery, retries and store re-checks
-  must never double-count (nor skip) an attributed solve;
+  solve per distinct union column: retries and store re-checks must never
+  double-count (nor skip) an attributed solve;
 * **overload** — exactly the two lowest-priority queued jobs are shed, the
   over-limit submission is refused with HTTP 429 (+ Retry-After), both
   high-priority jobs and every surviving job complete at 1e-10, and an
@@ -70,10 +66,9 @@ def run(sizes: list[int]) -> list[dict]:
     payload = {
         "benchmark": "faults",
         "description": "extraction service under injected faults "
-        f"({N_CLIENTS} concurrent clients on a shared substrate): worker "
-        "kill + supervised pool rebuild, transient engine-build failure + "
-        "retry/backoff, bounded-queue load shedding with HTTP 429, dropped "
-        "dispatch cycle",
+        f"({N_CLIENTS} concurrent clients on a shared substrate): transient "
+        "engine-build failure + retry/backoff, bounded-queue load shedding "
+        "with HTTP 429, dropped dispatch cycle",
         "n_clients": N_CLIENTS,
         "max_attempts": MAX_ATTEMPTS,
         "cpu_count": int(os.cpu_count() or 1),
@@ -85,17 +80,16 @@ def run(sizes: list[int]) -> list[dict]:
         f"{'solves':>6s} {'max rel diff':>13s}",
     ]
     for r in results:
-        for arm in ("baseline", "worker_kill", "factor_retry"):
+        for arm in ("baseline", "factor_retry"):
             a = r[arm]
             lines.append(
                 f"{r['n_side']:>6d} {r['union_columns']:>5d} {arm:>12s} "
                 f"{','.join(a['status']):>26s} {a['attributed_solves']:>6d} "
                 f"{a.get('max_abs_diff_rel', 0.0):>12.2e}"
             )
-        kill, retry, over = r["worker_kill"], r["factor_retry"], r["overload"]
+        retry, over = r["factor_retry"], r["overload"]
         lines.append(
-            f"{r['n_side']:>6d}    kill: {kill['pool_rebuilds']} rebuild / "
-            f"{kill['degraded_solves']} degraded | retry: {retry['retries']} "
+            f"{r['n_side']:>6d}    retry: {retry['retries']} "
             f"retried, attempts={max(retry['attempts'])} | overload: "
             f"{over['shed']} shed + {over['submits_rejected']} rejected "
             f"(429={over['rejected_over_http']}), diff={over['max_abs_diff_rel']:.2e}"
@@ -114,30 +108,14 @@ def check(result: dict) -> list[str]:
         failures.append(f"baseline jobs ended {baseline['status']} {where}")
 
     # every arm's attribution is exact: one solve per distinct union column,
-    # no matter what was killed, retried or re-read from the store
-    for arm in ("baseline", "worker_kill", "factor_retry"):
+    # no matter what was retried or re-read from the store
+    for arm in ("baseline", "factor_retry"):
         solves = result[arm]["attributed_solves"]
         if solves != union:
             failures.append(
                 f"{arm} attributed {solves} solves for a {union}-column "
                 f"union {where}"
             )
-
-    kill = result["worker_kill"]
-    if not kill["fault_fired"]:
-        failures.append(f"worker-kill fault never fired {where}")
-    if any(status != "done" for status in kill["status"]):
-        failures.append(f"worker-kill arm lost jobs: {kill['status']} {where}")
-    if kill["pool_rebuilds"] < 1:
-        failures.append(
-            f"worker kill recovered without a pool rebuild "
-            f"(pool_rebuilds={kill['pool_rebuilds']}) {where}"
-        )
-    if kill["max_abs_diff_rel"] > AGREEMENT_RTOL:
-        failures.append(
-            f"worker-kill results disagree ({kill['max_abs_diff_rel']:.2e} rel) "
-            f"{where}"
-        )
 
     retry = result["factor_retry"]
     if any(status != "done" for status in retry["status"]):

@@ -64,8 +64,7 @@ SPEEDUP_GATE = 3.0
 N_CLIENTS = 8
 #: the speed gate only fires once the baseline is genuinely expensive —
 #: below this the measurement is dominated by the coalesce window and fixed
-#: scheduling overhead, not solver work (smoke runs stay correctness-only,
-#: mirroring bench_parallel's measurable-serial exemption)
+#: scheduling overhead, not solver work (smoke runs stay correctness-only)
 MIN_GATED_BASELINE_S = 0.5
 
 

@@ -5,7 +5,7 @@ printed and also written to ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md
 can reference them.  The problem scale defaults to 16 contacts per side
 (256 contacts); set ``REPRO_BENCH_NSIDE=32`` to run at the paper's scale.
 
-The perf benchmarks (batched extraction, dispatch, parallel extraction) share
+The perf benchmarks (batched extraction, dispatch, the service arms) share
 one workflow, centralised here: reference runs (no ``REPRO_BENCH_NSIDE``)
 sweep the paper pair {16, 32} and write the tracked ``BENCH_*.json`` +
 ``benchmarks/results/*.txt`` artefacts (JSON also copied to the repo root);
@@ -46,18 +46,6 @@ def default_sizes(reference: tuple[int, ...] = REFERENCE_SIZES) -> list[int]:
     if env:
         return [int(env)]
     return list(reference)
-
-
-def bench_workers(default: tuple[int, ...] = (2, 4)) -> list[int]:
-    """Worker counts for the parallel benchmarks (env: REPRO_BENCH_WORKERS).
-
-    The env var takes a comma-separated list (``REPRO_BENCH_WORKERS=2`` or
-    ``2,4``), as used by the CI smoke step.
-    """
-    env = os.environ.get("REPRO_BENCH_WORKERS")
-    if env:
-        return [int(w) for w in env.split(",") if w.strip()]
-    return list(default)
 
 
 def is_reference_run() -> bool:

@@ -24,18 +24,13 @@ from .substrate import (
     DispatchDecision,
     DispatchPolicy,
     FactorCache,
-    FactorPlane,
     Layer,
-    ParallelExtractor,
-    SharedFactorHandle,
     SharedSparseLU,
     SolveCostModel,
     SolveStats,
     SolverSpec,
     SubstrateProfile,
     SubstrateSolver,
-    TiledCholeskyFactor,
-    attach_shared_factor,
     check_conductance_properties,
     extract_columns,
     extract_dense,
@@ -44,7 +39,6 @@ from .substrate import (
     factor_cache_info,
     resolve_fft_workers,
     set_factor_cache_budget,
-    solve_in_subprocess,
 )
 from .substrate.bem import EigenfunctionSolver
 from .substrate.fd import FiniteDifferenceSolver
@@ -77,17 +71,11 @@ __all__ = [
     "extract_columns",
     "check_conductance_properties",
     "FactorCache",
-    "FactorPlane",
-    "SharedFactorHandle",
     "SharedSparseLU",
-    "attach_shared_factor",
-    "TiledCholeskyFactor",
     "factor_cache",
     "factor_cache_clear",
     "factor_cache_info",
     "set_factor_cache_budget",
-    "ParallelExtractor",
     "SolverSpec",
-    "solve_in_subprocess",
     "__version__",
 ]

@@ -107,7 +107,11 @@ def main(argv: list[str] | None = None) -> None:
         "--worker-id", default=None, help="stable identity (default: random)"
     )
     worker.add_argument(
-        "--workers", type=int, default=None, help="extraction processes per engine"
+        "--workers",
+        type=int,
+        choices=[1],
+        default=1,
+        help="only 1: a worker solves in process (its kernels are threaded)",
     )
     worker.add_argument(
         "--max-solvers", type=int, default=4, help="warm engines kept across substrates"
@@ -150,7 +154,6 @@ def main(argv: list[str] | None = None) -> None:
             worker_id=args.worker_id,
             auth_token=auth_token,
             heartbeat_s=args.heartbeat,
-            n_workers=args.workers,
             max_solvers=args.max_solvers,
             store=store,
             persistence=args.state_dir,

@@ -71,8 +71,8 @@ class ClusterLeader:
 
     ``scheduler_kwargs`` pass through to the leader's
     :class:`~repro.service.scheduler.Scheduler` (persistence, queue bounds,
-    retry policy, coalesce window...).  ``n_workers``/``max_solvers`` are
-    meaningless here — the leader never builds an engine.
+    retry policy, coalesce window...).  ``max_solvers`` is meaningless
+    here — the leader never builds an engine.
     """
 
     def __init__(
@@ -94,7 +94,6 @@ class ClusterLeader:
         )
         self.rpc_calls = 0
         self.rpc_failures = 0
-        scheduler_kwargs.setdefault("n_workers", 1)
         scheduler_kwargs.setdefault("max_solvers", 1)
         # groups pinned to different hosts must solve concurrently — the
         # leader's "solve" is waiting on a worker RPC, and serialising

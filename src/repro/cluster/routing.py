@@ -1,8 +1,7 @@
 """Fingerprint-affinity routing: which worker host owns which substrate.
 
 The whole economics of the cluster hinge on one invariant: a substrate's
-expensive state — its factorisation, its warm
-:class:`~repro.substrate.parallel.ParallelExtractor`, its slice of the
+expensive state — its factorisation, its warm engine, its slice of the
 result corpus — should be built on **exactly one host** and stay there.
 The :class:`FingerprintRouter` enforces that with three layers:
 

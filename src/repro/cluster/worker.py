@@ -42,8 +42,8 @@ class ClusterWorker:
     """One worker host: scheduler + HTTP server + membership loop.
 
     ``scheduler_kwargs`` pass through to this host's
-    :class:`~repro.service.scheduler.Scheduler` (worker counts, store
-    budget, persistence, ...).
+    :class:`~repro.service.scheduler.Scheduler` (store budget,
+    persistence, ...).
     """
 
     def __init__(

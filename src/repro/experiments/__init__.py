@@ -6,11 +6,9 @@ from .runner import (
     run_batched_extraction_experiment,
     run_dispatch_experiment,
     run_durable_experiment,
-    run_factor_plane_experiment,
     run_faults_experiment,
     run_lowrank_experiment,
     run_method_comparison,
-    run_parallel_extraction_experiment,
     run_preconditioner_table,
     run_service_experiment,
     run_solver_speed_table,
@@ -32,9 +30,7 @@ __all__ = [
     "run_batched_extraction_experiment",
     "run_dispatch_experiment",
     "run_durable_experiment",
-    "run_factor_plane_experiment",
     "run_faults_experiment",
-    "run_parallel_extraction_experiment",
     "run_service_experiment",
     "singular_value_decay_experiment",
 ]

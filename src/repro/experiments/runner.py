@@ -36,8 +36,6 @@ __all__ = [
     "run_solver_speed_table",
     "run_batched_extraction_experiment",
     "run_dispatch_experiment",
-    "run_factor_plane_experiment",
-    "run_parallel_extraction_experiment",
     "run_durable_experiment",
     "run_service_experiment",
     "singular_value_decay_experiment",
@@ -304,8 +302,8 @@ def run_batched_extraction_experiment(
     the minimum is reported, which suppresses scheduler noise.  Solver
     construction itself — including the eigenvalue-table memoisation — stays
     outside the timed region for both paths.  This is the experiment behind
-    ``BENCH_batched.json``; warm-cache behaviour is measured separately by
-    :func:`run_parallel_extraction_experiment`.
+    ``BENCH_batched.json``; warm-cache behaviour is pinned separately by
+    the factor-cache tests (``tests/test_factor_cache.py``).
     """
     from ..geometry.layouts import regular_grid
     from ..substrate.bem.solver import EigenfunctionSolver
@@ -458,349 +456,6 @@ def run_dispatch_experiment(
     return out
 
 
-def run_parallel_extraction_experiment(
-    n_side: int = 16,
-    size: float = 128.0,
-    fill: float = 0.5,
-    rtol: float = 1e-8,
-    max_panels: int = 256,
-    repeats: int = 3,
-    workers: tuple[int, ...] = (2,),
-    backends: tuple[str, ...] = ("bem", "fd"),
-    backplanes: tuple[str, ...] = ("grounded", "floating"),
-) -> list[dict]:
-    """Serial versus process-parallel dense extraction, plus cache timings.
-
-    For each ``(backend, backplane)`` combination this times full dense
-    extraction on the serial adaptive path and on a
-    :class:`~repro.substrate.parallel.ParallelExtractor` with each requested
-    worker count.  The comparison isolates *solve* parallelism: the direct
-    factor is prepared before the timed region on both sides (workers warm
-    theirs during untimed pool start-up via ``prepare_direct``), and the
-    factor cost itself is reported separately as ``cold_factor_s`` (fresh
-    process-wide cache) versus ``warm_factor_s`` (second solver over the same
-    substrate — the cross-solver cache hit).  Both extractions run through a
-    :class:`~repro.substrate.solver_base.CountingSolver` so the records pin
-    that parallel attribution equals serial attribution, and the extractor's
-    merged per-process :class:`~repro.substrate.solver_base.SolveStats` are
-    included.  This is the experiment behind ``BENCH_parallel.json``.
-    """
-    import os
-
-    from ..geometry.layouts import regular_grid
-    from ..substrate.bem.solver import BEM_FACTOR_KIND
-    from ..substrate.factor_cache import factor_cache, factor_cache_clear
-    from ..substrate.fd.direct import FD_FACTOR_KIND
-    from ..substrate.parallel import ParallelExtractor, SolverSpec
-    from ..substrate.profile import SubstrateProfile
-    from ..substrate.solver_base import SolveStats
-
-    layout = regular_grid(n_side=n_side, size=size, fill=fill)
-    profiles = {
-        "grounded": SubstrateProfile.two_layer_example(size=size, resistive_bottom=True),
-        "floating": SubstrateProfile.two_layer_example(size=size, grounded_backplane=False),
-    }
-    fd_resolution = max(16, 2 * n_side)
-
-    def build_spec(backend: str, profile: SubstrateProfile) -> SolverSpec:
-        if backend == "bem":
-            return SolverSpec.bem(
-                layout, profile, max_panels=max_panels, rtol=rtol
-            )
-        return SolverSpec.fd(
-            layout,
-            profile,
-            nx=fd_resolution,
-            ny=fd_resolution,
-            planes_per_layer=3,
-            rtol=rtol,
-        )
-
-    def clear_factor_kinds() -> None:
-        factor_cache_clear(BEM_FACTOR_KIND)
-        factor_cache_clear(FD_FACTOR_KIND)
-
-    results: list[dict] = []
-    for backend in backends:
-        for backplane in backplanes:
-            spec = build_spec(backend, profiles[backplane])
-
-            # --- cross-solver factor cache: cold build vs warm load --------
-            cache_before = factor_cache().cache_info()
-            clear_factor_kinds()
-            cold_solver = spec.build()
-            start = time.perf_counter()
-            factorable = cold_solver.prepare_direct()
-            cold_factor_s = time.perf_counter() - start
-            warm_solver = spec.build()
-            start = time.perf_counter()
-            warm_solver.prepare_direct()
-            warm_factor_s = time.perf_counter() - start
-
-            # --- serial adaptive path (factor prepared, solves timed) ------
-            t_serial = np.inf
-            g_serial = None
-            serial_counting = None
-            for _ in range(max(1, repeats)):
-                solver = spec.build()
-                solver.prepare_direct()
-                serial_counting = CountingSolver(solver)
-                start = time.perf_counter()
-                g_serial = extract_dense(serial_counting)
-                t_serial = min(t_serial, time.perf_counter() - start)
-            scale = float(np.abs(g_serial).max())
-
-            record: dict = {
-                "backend": backend,
-                "backplane": backplane,
-                "n_side": int(n_side),
-                "n_contacts": int(layout.n_contacts),
-                "repeats": int(max(1, repeats)),
-                "serial_s": float(t_serial),
-                "serial_solves": int(serial_counting.solve_count),
-                "serial_stats": serial_counting.inner.stats.as_dict(),
-                "factorable": bool(factorable),
-                "cold_factor_s": float(cold_factor_s),
-                "warm_factor_s": float(warm_factor_s),
-                "factor_warm_speedup": float(cold_factor_s / max(warm_factor_s, 1e-9)),
-                "parallel": [],
-            }
-
-            # --- parallel extraction per worker count ----------------------
-            for n_workers in workers:
-                with ParallelExtractor(
-                    spec, n_workers=int(n_workers), prepare_direct=True
-                ) as extractor:
-                    start = time.perf_counter()
-                    extractor.warm_up()
-                    setup_s = time.perf_counter() - start
-                    counting = CountingSolver(extractor)
-                    t_parallel = np.inf
-                    g_parallel = None
-                    for _ in range(max(1, repeats)):
-                        counting.reset()
-                        extractor.stats = SolveStats()
-                        start = time.perf_counter()
-                        g_parallel = extract_dense(counting)
-                        t_parallel = min(t_parallel, time.perf_counter() - start)
-                    record["parallel"].append(
-                        {
-                            "workers": int(n_workers),
-                            "setup_s": float(setup_s),
-                            "parallel_s": float(t_parallel),
-                            "speedup_vs_serial": float(t_serial / t_parallel),
-                            "max_abs_diff_rel": float(
-                                np.abs(g_parallel - g_serial).max() / scale
-                            ),
-                            "parallel_solves": int(counting.solve_count),
-                            "merged_stats": extractor.stats.as_dict(),
-                        }
-                    )
-            # per-record counter deltas: the process-wide counters are
-            # cumulative, so attribute only this combination's traffic
-            cache_after = factor_cache().cache_info()
-            record["factor_cache"] = {
-                key: cache_after[key] - cache_before[key]
-                for key in ("hits", "misses", "evictions")
-            }
-            record["factor_cache"].update(
-                entries=cache_after["entries"], bytes=cache_after["bytes"]
-            )
-            results.append(record)
-    # a benchmark record should also state the hardware context it ran on
-    results_meta = {"cpu_count": int(os.cpu_count() or 1)}
-    for record in results:
-        record.update(results_meta)
-    return results
-
-
-def run_factor_plane_experiment(
-    n_side: int = 16,
-    size: float = 128.0,
-    fill: float = 0.5,
-    rtol: float = 1e-8,
-    max_panels: int = 256,
-    repeats: int = 2,
-    workers: tuple[int, ...] = (2,),
-    backends: tuple[str, ...] = ("bem", "fd"),
-    backplanes: tuple[str, ...] = ("grounded", "floating"),
-) -> list[dict]:
-    """Shared-memory factor plane and tiled out-of-core direct engine.
-
-    Two measurements per ``(backend, backplane)`` combination:
-
-    * **Factor plane** — full dense extraction through a
-      :class:`~repro.substrate.parallel.ParallelExtractor` whose workers
-      *attach* to the parent's published factor
-      (``share_factors=True``, the default) versus one whose workers each
-      refactor (``share_factors=False``).  Records pool warm-up time both
-      ways, per-worker attach/rebuild counters from the merged
-      :class:`~repro.substrate.solver_base.SolveStats`, agreement with the
-      serial extraction and the attributed solve counts — the hard gates of
-      ``bench_factor_plane.py``.
-    * **Tiled engine** (eigenfunction backend only) — the same extraction
-      with ``max_direct_panels`` capped *below* the contact-panel count, so
-      the dispatch policy must route through the out-of-core tiled Cholesky,
-      compared against the uncapped in-core direct path.
-
-    This is the experiment behind ``BENCH_factor_plane.json``.
-    """
-    import os
-
-    from ..geometry.layouts import regular_grid
-    from ..substrate.bem.solver import BEM_FACTOR_KIND
-    from ..substrate.dispatch import DispatchPolicy
-    from ..substrate.factor_cache import factor_cache_clear
-    from ..substrate.fd.direct import FD_FACTOR_KIND
-    from ..substrate.parallel import ParallelExtractor, SolverSpec
-    from ..substrate.profile import SubstrateProfile
-    from ..substrate.solver_base import SolveStats
-
-    layout = regular_grid(n_side=n_side, size=size, fill=fill)
-    profiles = {
-        "grounded": SubstrateProfile.two_layer_example(size=size, resistive_bottom=True),
-        "floating": SubstrateProfile.two_layer_example(size=size, grounded_backplane=False),
-    }
-    fd_resolution = max(16, 2 * n_side)
-
-    def build_spec(backend: str, profile: SubstrateProfile) -> SolverSpec:
-        if backend == "bem":
-            return SolverSpec.bem(layout, profile, max_panels=max_panels, rtol=rtol)
-        return SolverSpec.fd(
-            layout,
-            profile,
-            nx=fd_resolution,
-            ny=fd_resolution,
-            planes_per_layer=3,
-            rtol=rtol,
-        )
-
-    results: list[dict] = []
-    for backend in backends:
-        for backplane in backplanes:
-            spec = build_spec(backend, profiles[backplane])
-            factor_cache_clear(BEM_FACTOR_KIND)
-            factor_cache_clear(FD_FACTOR_KIND)
-
-            # --- serial reference (factor prepared, solves timed) ----------
-            t_serial = np.inf
-            g_serial = None
-            serial_counting = None
-            for _ in range(max(1, repeats)):
-                solver = spec.build()
-                solver.prepare_direct()
-                serial_counting = CountingSolver(solver)
-                start = time.perf_counter()
-                g_serial = extract_dense(serial_counting)
-                t_serial = min(t_serial, time.perf_counter() - start)
-            scale = float(np.abs(g_serial).max())
-
-            record: dict = {
-                "backend": backend,
-                "backplane": backplane,
-                "n_side": int(n_side),
-                "n_contacts": int(layout.n_contacts),
-                "repeats": int(max(1, repeats)),
-                "serial_s": float(t_serial),
-                "serial_solves": int(serial_counting.solve_count),
-                "parallel": [],
-            }
-
-            # --- shared plane (attach) vs per-worker refactor (rebuild) ----
-            # the rebuild arm disables the factor cache so forked workers
-            # cannot serve the factor from the parent's inherited (COW) cache
-            # — it must measure genuine per-worker refactorisation
-            rebuild_spec = SolverSpec(
-                spec.kind,
-                spec.layout,
-                spec.profile,
-                {**spec.options, "use_factor_cache": False},
-            )
-            for n_workers in workers:
-                row: dict = {"workers": int(n_workers)}
-                for label, arm_spec, share in (
-                    ("shared", spec, True),
-                    ("rebuild", rebuild_spec, False),
-                ):
-                    with ParallelExtractor(
-                        arm_spec,
-                        n_workers=int(n_workers),
-                        prepare_direct=True,
-                        share_factors=share,
-                    ) as extractor:
-                        start = time.perf_counter()
-                        extractor.warm_up()
-                        warmup_s = time.perf_counter() - start
-                        counting = CountingSolver(extractor)
-                        t_parallel = np.inf
-                        g_parallel = None
-                        for _ in range(max(1, repeats)):
-                            counting.reset()
-                            warm_stats = extractor.stats
-                            extractor.stats = SolveStats(
-                                n_factor_attaches=warm_stats.n_factor_attaches,
-                                n_factor_rebuilds=warm_stats.n_factor_rebuilds,
-                            )
-                            start = time.perf_counter()
-                            g_parallel = extract_dense(counting)
-                            t_parallel = min(t_parallel, time.perf_counter() - start)
-                        row[label] = {
-                            "warmup_s": float(warmup_s),
-                            "parallel_s": float(t_parallel),
-                            "speedup_vs_serial": float(t_serial / t_parallel),
-                            "max_abs_diff_rel": float(
-                                np.abs(g_parallel - g_serial).max() / scale
-                            ),
-                            "parallel_solves": int(counting.solve_count),
-                            "merged_stats": extractor.stats.as_dict(),
-                        }
-                record["parallel"].append(row)
-
-            # --- tiled out-of-core engine (eigenfunction backend only) -----
-            if backend == "bem":
-                serial_solver = serial_counting.inner
-                ncp = serial_solver.grid.n_contact_panels
-                cap = max(1, ncp // 2)
-                # force the tiled engine (the gate is that it extracts an
-                # identical G above max_direct_panels); what the *adaptive*
-                # crossover would have picked is recorded alongside — which
-                # side of the crossover a given size lands on is a property
-                # of the cost model and the machine, not a correctness gate
-                tiled_solver = spec.build(
-                    use_factor_cache=False,
-                    dispatch=DispatchPolicy(
-                        max_direct_panels=cap, force_path="tiled"
-                    ),
-                )
-                start = time.perf_counter()
-                g_tiled = extract_dense(tiled_solver)
-                tiled_s = time.perf_counter() - start
-                tf = tiled_solver._tiled_factor
-                adaptive = DispatchPolicy(max_direct_panels=cap).choose(
-                    n_panels=ncp,
-                    n_rhs=layout.n_contacts,
-                    grid_points=serial_solver.grid.n_panels,
-                    grounded=serial_solver.profile.grounded_backplane,
-                )
-                record["tiled"] = {
-                    "n_contact_panels": int(ncp),
-                    "max_direct_panels": int(cap),
-                    "path": tiled_solver.last_dispatch.path,
-                    "adaptive_path": adaptive.path,
-                    "tiled_s": float(tiled_s),
-                    "direct_s": float(t_serial),
-                    "max_abs_diff_rel": float(
-                        np.abs(g_tiled - g_serial).max() / scale
-                    ),
-                    "spilled": bool(tf[1].spilled) if tf is not None else None,
-                }
-                tiled_solver.close_tiled()
-            results.append(record)
-    for record in results:
-        record["cpu_count"] = int(os.cpu_count() or 1)
-    return results
-
-
 def run_service_experiment(
     n_side: int = 16,
     size: float = 128.0,
@@ -809,7 +464,6 @@ def run_service_experiment(
     max_panels: int = 256,
     n_clients: int = 8,
     columns_per_client: int | None = None,
-    n_workers: int | None = None,
     http_clients: int = 2,
     coalesce_window_s: float = 0.05,
     seed: int = 0,
@@ -896,9 +550,7 @@ def run_service_experiment(
         "baseline_s": float(baseline_s),
         "baseline_counts": [int(c) for c in baseline_counts],
     }
-    with Scheduler(
-        n_workers=n_workers, coalesce_window_s=coalesce_window_s
-    ) as scheduler:
+    with Scheduler(coalesce_window_s=coalesce_window_s) as scheduler:
         service_results: list[np.ndarray | None] = [None] * n_clients
         service_status: list[str] = ["?"] * n_clients
 
@@ -959,9 +611,7 @@ def run_service_experiment(
 
     # --- HTTP round trip through the real server ----------------------------
     if http_clients > 0:
-        with AsyncExtractionServer(
-            n_workers=n_workers, coalesce_window_s=coalesce_window_s
-        ) as server:
+        with AsyncExtractionServer(coalesce_window_s=coalesce_window_s) as server:
             client = ServiceClient(server.url, timeout_s=600.0)
             http_results: list[np.ndarray | None] = [None] * http_clients
 
@@ -1003,7 +653,6 @@ def run_durable_experiment(
     max_panels: int = 256,
     n_clients: int = 4,
     columns_per_client: int | None = None,
-    n_workers: int | None = None,
     seed: int = 0,
     state_dir: str | None = None,
 ) -> dict:
@@ -1090,7 +739,7 @@ def run_durable_experiment(
     try:
         # --- cold arm: empty state dir, full factorisation + solves ---------
         factor_cache().clear()
-        with Scheduler(n_workers=n_workers, persistence=state_dir) as scheduler:
+        with Scheduler(persistence=state_dir) as scheduler:
             cold_s, cold_results, cold_status = run_clients(scheduler)
             record.update(
                 {
@@ -1104,7 +753,7 @@ def run_durable_experiment(
 
         # --- warm arm: simulated restart over the populated state dir -------
         factor_cache().clear()  # a new process holds no RAM factors
-        with Scheduler(n_workers=n_workers, persistence=state_dir) as scheduler:
+        with Scheduler(persistence=state_dir) as scheduler:
             warm_s, warm_results, warm_status = run_clients(scheduler)
             diffs = [
                 float(np.abs(warm_results[i] - cold_results[i]).max() / scale)
@@ -1125,7 +774,7 @@ def run_durable_experiment(
             )
 
             # fresh column: the corpus cannot fake it — exactly one solve,
-            # with the factor attached from the artifact store, not rebuilt
+            # with the factor loaded from the artifact store, not rebuilt
             before = scheduler.attributed_solves
             cache = factor_cache()
             hits_before = cache.artifact_hits
@@ -1142,7 +791,7 @@ def run_durable_experiment(
             }
 
             # counter-pinned factor probes: a bare solver over the same spec
-            # must attach the artifact (zero rebuilds) while the store is
+            # must load the artifact (zero rebuilds) while the store is
             # wired, and rebuild from scratch once it is not
             cache.clear()
             warm_probe = spec.build()
@@ -1155,15 +804,13 @@ def run_durable_experiment(
 
         # --- crash replay: accept, "crash", restart, journal replays --------
         factor_cache().clear()
-        crashed = Scheduler(
-            n_workers=n_workers, persistence=state_dir, autostart=False
-        )
+        crashed = Scheduler(persistence=state_dir, autostart=False)
         crash_job_id = crashed.submit(JobRequest(spec, columns=client_columns[0]))
         # simulated crash: the journaled accept survives on disk, but the
         # job is never served or marked terminal (close() deliberately
         # skips the terminal mark for still-pending work)
         crashed.close()
-        with Scheduler(n_workers=n_workers, persistence=state_dir) as scheduler:
+        with Scheduler(persistence=state_dir) as scheduler:
             job = scheduler.result(crash_job_id, wait_s=600.0)
             replay_diff = (
                 float(np.abs(job.result - cold_results[0]).max() / scale)
@@ -1193,23 +840,17 @@ def run_faults_experiment(
     max_panels: int = 256,
     n_clients: int = 4,
     columns_per_client: int | None = None,
-    n_workers: int | None = None,
     seed: int = 0,
     max_attempts: int = 3,
 ) -> dict:
     """Chaos suite: the extraction service under deterministically injected faults.
 
-    Four arms over one substrate and one overlapping multi-client workload
+    Three arms over one substrate and one overlapping multi-client workload
     (same construction as :func:`run_service_experiment`):
 
     * **baseline** — fault-free run; its results are the accuracy reference
       and its attribution (one solve per distinct union column) the
       attribution reference;
-    * **worker_kill** — a :mod:`repro.faults` plan kills the pool worker
-      serving shard 0 mid-``solve_many`` (``once_key`` token: exactly one
-      kill across every worker generation).  The supervised extractor must
-      rebuild the pool and finish every job with >= 1 ``pool_rebuilds``,
-      results at 1e-10 of baseline, and identical attribution;
     * **factor_retry** — engine construction fails transiently (one injected
       ``RuntimeError`` at ``factor.build``); the scheduler's
       :class:`~repro.service.scheduler.RetryPolicy` must land every job
@@ -1225,9 +866,7 @@ def run_faults_experiment(
 
     This is the experiment behind ``BENCH_faults.json``.
     """
-    import json
     import os
-    import tempfile
     from concurrent.futures import ThreadPoolExecutor
 
     from .. import faults
@@ -1248,13 +887,9 @@ def run_faults_experiment(
     profile = SubstrateProfile.two_layer_example(size=size, resistive_bottom=True)
     n = layout.n_contacts
     if columns_per_client is None:
-        # wide enough that the union block takes the sharded pool path
-        # (min_parallel_columns) even at smoke scale — the kill arm needs
-        # actual worker processes to kill
-        columns_per_client = max(8, n // 4)
+        columns_per_client = max(2, n // 4)
     columns_per_client = min(columns_per_client, n)
     spec = SolverSpec.bem(layout, profile, max_panels=max_panels, rtol=rtol)
-    workers = int(n_workers) if n_workers is not None else 2
     policy = RetryPolicy(max_attempts=max_attempts, base_delay_s=0.01, cap_s=0.1)
 
     rng = np.random.default_rng(seed)
@@ -1307,13 +942,12 @@ def run_faults_experiment(
         "n_clients": int(n_clients),
         "columns_per_client": int(columns_per_client),
         "union_columns": len(union),
-        "n_workers": workers,
         "max_attempts": int(max_attempts),
     }
 
     # --- arm 0: fault-free baseline -------------------------------------
     factor_cache().clear()
-    with Scheduler(n_workers=workers, retry_policy=policy) as scheduler:
+    with Scheduler(retry_policy=policy) as scheduler:
         baseline = run_clients(scheduler)
         record["baseline"] = {
             "elapsed_s": float(baseline["elapsed_s"]),
@@ -1323,47 +957,7 @@ def run_faults_experiment(
         }
     scale = float(max(np.abs(g).max() for g in baseline["results"]))
 
-    # --- arm 1: kill a pool worker mid-solve ----------------------------
-    with tempfile.TemporaryDirectory(prefix="repro_faults_") as token_dir:
-        plan = {
-            "token_dir": token_dir,
-            "faults": [
-                {
-                    "site": "worker.solve",
-                    "action": "kill",
-                    "match": {"start": 0},
-                    "once_key": "bench-kill-worker",
-                }
-            ],
-        }
-        # via the environment, so worker processes inherit the plan under
-        # both fork and spawn start methods
-        previous = os.environ.get(faults.ENV_VAR)
-        os.environ[faults.ENV_VAR] = json.dumps(plan)
-        active = faults.reload_env_plan()
-        try:
-            factor_cache().clear()
-            with Scheduler(n_workers=max(workers, 2), retry_policy=policy) as scheduler:
-                kill = run_clients(scheduler)
-                counters = scheduler.metrics.fault_counters()
-                record["worker_kill"] = {
-                    "elapsed_s": float(kill["elapsed_s"]),
-                    "status": kill["status"],
-                    "attempts": kill["attempts"],
-                    "attributed_solves": int(scheduler.attributed_solves),
-                    "pool_rebuilds": int(counters["pool_rebuilds"]),
-                    "degraded_solves": int(counters["degraded_solves"]),
-                    "fault_fired": bool(active.once_tripped("bench-kill-worker")),
-                    "max_abs_diff_rel": rel_diff(kill["results"]),
-                }
-        finally:
-            if previous is None:
-                os.environ.pop(faults.ENV_VAR, None)
-            else:
-                os.environ[faults.ENV_VAR] = previous
-            faults.clear_plan()
-
-    # --- arm 2: transient engine-build failure, retried -----------------
+    # --- arm 1: transient engine-build failure, retried -----------------
     factor_cache().clear()
     with faults.inject(
         [
@@ -1375,7 +969,7 @@ def run_faults_experiment(
             }
         ]
     ):
-        with Scheduler(n_workers=workers, retry_policy=policy) as scheduler:
+        with Scheduler(retry_policy=policy) as scheduler:
             retry = run_clients(scheduler)
             counters = scheduler.metrics.fault_counters()
             record["factor_retry"] = {
@@ -1387,11 +981,10 @@ def run_faults_experiment(
                 "max_abs_diff_rel": rel_diff(retry["results"]),
             }
 
-    # --- arm 3: overload shedding through the HTTP front end ------------
+    # --- arm 2: overload shedding through the HTTP front end ------------
     factor_cache().clear()
     depth = n_clients
     scheduler = Scheduler(
-        n_workers=workers,
         retry_policy=policy,
         autostart=False,  # the queue must fill deterministically
         max_queue_depth=depth,

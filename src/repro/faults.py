@@ -1,7 +1,7 @@
 """Deterministic fault injection for robustness tests and chaos benchmarks.
 
-The service's failure-domain hardening (supervised worker pools, scheduler
-retry with backoff, circuit breakers, admission control) is only trustworthy
+The service's failure-domain hardening (scheduler retry with backoff,
+circuit breakers, admission control, cluster failover) is only trustworthy
 if every failure mode it claims to survive can be produced **on demand** —
 in a unit test, in the chaos benchmark's gates, and against a live CLI
 service.  This module is that trigger: production code calls
@@ -16,14 +16,8 @@ Sites wired in this package:
 ====================  =========================================================
 site                  where it fires
 ====================  =========================================================
-``worker.solve``      in a pool worker, at the top of a ``solve_many`` shard
-                      (context: ``start``, ``width``) — ``kill`` here breaks
-                      the process pool mid-block
 ``factor.build``      in the scheduler, before an extraction engine is built
                       for a fingerprint group (context: ``kind``)
-``shm.attach``        at the top of
-                      :func:`~repro.substrate.factor_cache.attach_shared_factor`
-                      — ``raise`` here simulates a torn/corrupt segment
 ``sqlite.write``      in :meth:`SqliteResultBackend.save
                       <repro.service.persistence.SqliteResultBackend.save>`
                       (context: ``op``) — ``delay`` or ``raise`` a durable
@@ -47,28 +41,22 @@ site                  where it fires
 
 A plan is a list of :class:`FaultSpec` entries.  Each names its site, an
 ``action`` (``raise`` / ``kill`` / ``delay`` / ``drop``), how often it fires
-(``times`` per process, ``after`` skipped hits first), an optional ``match``
-dict that must equal the hook's context on the named keys, and an optional
-``once_key`` — a filesystem token (created ``O_EXCL`` under ``token_dir``)
-that makes the fault fire **exactly once across every process**, which is
-how "kill one pool worker" stays deterministic when the supervised pool
-rebuilds workers with fresh in-memory counters.
+(``times`` per process, ``after`` skipped hits first) and an optional
+``match`` dict that must equal the hook's context on the named keys.
 
 Plans activate three ways, strongest first:
 
 * :func:`install_plan` / the :func:`inject` context manager (tests);
 * the ``REPRO_FAULTS`` environment variable — either inline JSON or
-  ``@/path/to/plan.json`` — read lazily once per process, so worker
-  processes (fork *and* spawn inherit the environment) honour the same plan
-  (CLI: ``python -m repro.service --faults ...`` sets it for you);
+  ``@/path/to/plan.json`` — read lazily once per process (CLI:
+  ``python -m repro.service --faults ...`` sets it for you);
 * nothing: the default, with near-zero overhead.
 
 JSON plan format (the env var, ``--faults``, and :meth:`FaultPlan.from_json`
 all accept it)::
 
-    {"token_dir": "/tmp/chaos",
-     "faults": [{"site": "worker.solve", "action": "kill",
-                 "match": {"start": 0}, "once_key": "kill-one-worker"},
+    {"faults": [{"site": "rpc.serve", "action": "kill",
+                 "match": {"worker_id": "w1"}},
                 {"site": "factor.build", "action": "raise",
                  "exception": "RuntimeError", "times": 1},
                 {"site": "sqlite.write", "action": "delay", "delay_s": 0.01,
@@ -81,7 +69,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from contextlib import contextmanager
@@ -139,17 +126,13 @@ class FaultSpec:
         ``"drop"`` — return ``True`` from the hook so the call site skips
         the guarded operation.
     times:
-        Firing budget *per process* (``None`` = unlimited).  Cross-process
-        single-shot semantics need ``once_key`` instead.
+        Firing budget *per process* (``None`` = unlimited).
     after:
         Matching hits skipped before the first firing (``after=2`` fires on
         the third hit).
     match:
         Context keys that must compare equal at the hook for the spec to
-        match (e.g. ``{"start": 0}`` targets one shard).
-    once_key:
-        Filesystem token name: the fault fires only for the process that
-        wins the ``O_EXCL`` create of ``<token_dir>/<once_key>.tripped``.
+        match (e.g. ``{"worker_id": "w1"}`` targets one cluster host).
     """
 
     site: str
@@ -161,7 +144,6 @@ class FaultSpec:
     delay_s: float = 0.0
     exit_code: int = 1
     match: dict[str, Any] = field(default_factory=dict)
-    once_key: str | None = None
 
     def __post_init__(self) -> None:
         if self.action not in ACTIONS:
@@ -196,7 +178,6 @@ class FaultSpec:
             "delay_s",
             "exit_code",
             "match",
-            "once_key",
         ):
             value = getattr(self, name)
             if value != getattr(defaults, name):
@@ -207,18 +188,13 @@ class FaultSpec:
 class FaultPlan:
     """An active set of :class:`FaultSpec` entries with per-process counters.
 
-    Thread-safe: the scheduler dispatcher, HTTP handler threads and pool
-    plumbing may all pass through hooks concurrently.  ``fired`` keeps an
-    in-process log of every fault that actually fired (tests assert on it);
-    the cross-process evidence for ``kill`` faults is the ``once_key``
-    token file itself.
+    Thread-safe: the scheduler dispatcher, its group threads and the HTTP
+    handlers may all pass through hooks concurrently.  ``fired`` keeps an
+    in-process log of every fault that actually fired (tests assert on it).
     """
 
-    def __init__(
-        self, specs: list[FaultSpec] | tuple[FaultSpec, ...], token_dir: str | None = None
-    ) -> None:
+    def __init__(self, specs: list[FaultSpec] | tuple[FaultSpec, ...]) -> None:
         self.specs = tuple(specs)
-        self.token_dir = token_dir
         self._lock = threading.Lock()
         self._hits = [0] * len(self.specs)  # reprolint: guarded-by(_lock)
         self._fires = [0] * len(self.specs)  # reprolint: guarded-by(_lock)
@@ -237,36 +213,12 @@ class FaultPlan:
         if not isinstance(doc, dict):
             raise ValueError("fault plan must be a JSON object or list")
         specs = [FaultSpec.from_dict(dict(entry)) for entry in doc.get("faults", [])]
-        return cls(specs, token_dir=doc.get("token_dir"))
+        return cls(specs)
 
     def to_json(self) -> str:
-        doc: dict[str, Any] = {"faults": [spec.to_dict() for spec in self.specs]}
-        if self.token_dir is not None:
-            doc["token_dir"] = self.token_dir
-        return json.dumps(doc)
+        return json.dumps({"faults": [spec.to_dict() for spec in self.specs]})
 
     # ------------------------------------------------------------------ firing
-    def _token_path(self, once_key: str) -> str:
-        root = self.token_dir or os.environ.get("REPRO_FAULTS_DIR") or tempfile.gettempdir()
-        return os.path.join(root, f"{once_key}.tripped")
-
-    def _claim_once(self, once_key: str) -> bool:
-        """Atomically claim a cross-process single-shot token; True on win."""
-        path = self._token_path(once_key)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        except OSError:
-            return False  # unwritable token dir: fail safe, never fire
-        with os.fdopen(fd, "w") as fh:
-            fh.write(f"pid={os.getpid()}\n")
-        return True
-
-    def once_tripped(self, once_key: str) -> bool:
-        """True when a ``once_key`` fault has fired in *any* process."""
-        return os.path.exists(self._token_path(once_key))
-
     def counters(self) -> list[dict]:
         """Per-spec hit/fire counts (this process only; diagnostics/tests)."""
         with self._lock:
@@ -289,9 +241,6 @@ class FaultPlan:
                     continue
                 if spec.times is not None and self._fires[idx] >= spec.times:
                     continue
-            if spec.once_key is not None and not self._claim_once(spec.once_key):
-                continue
-            with self._lock:
                 self._fires[idx] += 1
                 self.fired.append((site, spec.action))
             if spec.action == "delay":
@@ -357,7 +306,7 @@ def reload_env_plan() -> FaultPlan | None:
 
     For callers that set the environment variable after import (the service
     CLI's ``--faults``): parses eagerly, so a malformed plan raises here
-    instead of inside a worker.  An unset/empty variable deactivates.
+    instead of at the first hook.  An unset/empty variable deactivates.
     """
     global _PLAN, _ENV_LOADED
     plan = _load_env_plan()
@@ -371,10 +320,8 @@ def reload_env_plan() -> FaultPlan | None:
 def inject(plan: "FaultPlan | str | dict | list") -> Iterator[FaultPlan]:
     """Context manager: activate a plan, always deactivate on exit.
 
-    Worker *processes* resolve their own plan (from the inherited module
-    state under fork, or the ``REPRO_FAULTS`` environment under spawn) — a
-    caller that needs faults inside workers started after this block should
-    also export the plan via the env var.
+    The plan is this process's only: a separately started process (a cluster
+    worker host) reads its own from the ``REPRO_FAULTS`` environment.
     """
     installed = install_plan(plan)
     try:

@@ -1,11 +1,10 @@
 """Long-running extraction service: scheduler, result store, HTTP front end.
 
-The engines of PRs 1-4 (batched ``solve_many``, adaptive dispatch, the
-factor cache/plane, process-parallel extraction, the tiled direct path) made
-a *single* extraction fast; this package amortises work **across requests**.
-A persistent :class:`~repro.service.scheduler.Scheduler` owns the expensive
-state — warm :class:`~repro.substrate.parallel.ParallelExtractor` engines
-with published shared-memory factors, and a
+The substrate engines (batched ``solve_many``, adaptive dispatch, the
+factor cache) make a *single* extraction fast; this package amortises work
+**across requests**.  A persistent
+:class:`~repro.service.scheduler.Scheduler` owns the expensive state — warm
+solver engines with their factors built, solved in process, and a
 :class:`~repro.service.result_store.ResultStore` of solved ``G`` columns —
 and serves many small :class:`~repro.service.jobs.JobRequest` jobs against
 it, coalescing concurrent requests over the same substrate fingerprint into
@@ -27,9 +26,8 @@ warm restart serves the previous corpus with zero new solves and zero
 factor rebuilds.
 
 The service is also fault-tolerant: batches that fail are retried with
-exponential backoff (:class:`~repro.service.scheduler.RetryPolicy`), a
-broken worker pool is torn down and rebuilt mid-block (degrading to inline
-solves when rebuilds keep failing), repeatedly failing substrates trip a
+exponential backoff (:class:`~repro.service.scheduler.RetryPolicy`),
+repeatedly failing substrates trip a
 per-fingerprint :class:`~repro.service.scheduler.CircuitBreaker`, and a
 bounded queue sheds the lowest-priority work under overload
 (:class:`~repro.service.jobs.QueueSaturatedError` / HTTP 429).  Every

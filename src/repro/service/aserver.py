@@ -743,9 +743,6 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument("--port", type=int, default=8752, help="bind port (0=ephemeral)")
     parser.add_argument(
-        "--workers", type=int, default=None, help="extraction worker processes per engine"
-    )
-    parser.add_argument(
         "--max-solvers", type=int, default=4, help="warm engines kept across substrates"
     )
     parser.add_argument(
@@ -793,8 +790,7 @@ def main(argv: list[str] | None = None) -> None:
         "--faults",
         default=None,
         help=(
-            "fault-injection plan: JSON text or @path to a JSON file "
-            "(exported as REPRO_FAULTS so worker processes inherit it); "
+            "fault-injection plan: JSON text or @path to a JSON file; "
             "chaos testing only"
         ),
     )
@@ -806,8 +802,8 @@ def main(argv: list[str] | None = None) -> None:
     if args.faults:
         from .. import faults
 
-        # export via the environment so worker processes inherit the plan,
-        # then parse eagerly — a typo'd plan fails the CLI, not a worker
+        # the environment variable is the one reader of @path plans; parse
+        # eagerly so a typo'd plan fails the CLI, not the first hook
         os.environ[faults.ENV_VAR] = args.faults
         faults.reload_env_plan()
 
@@ -817,7 +813,6 @@ def main(argv: list[str] | None = None) -> None:
         port=args.port,
         pair_window_s=args.pair_window,
         auth_token=auth_token,
-        n_workers=args.workers,
         max_solvers=args.max_solvers,
         store=store,
         coalesce_window_s=args.coalesce_window,

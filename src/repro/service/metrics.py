@@ -10,8 +10,8 @@ operator (or the ``/v1/stats`` endpoint) wants in one snapshot:
   and where the columns came from (fresh solves vs. the
   :class:`~repro.service.result_store.ResultStore`);
 * the merged :class:`~repro.substrate.solver_base.SolveStats` of every solve
-  the scheduler ran (iterative/direct split, factor attach/rebuild
-  provenance), via the same ``merge`` contract the parallel engine uses;
+  the scheduler ran (iterative/direct split, factor rebuilds), via
+  :meth:`~repro.substrate.solver_base.SolveStats.merge`;
 * the process-wide factor-cache counters
   (:func:`~repro.substrate.factor_cache.factor_cache_info`).
 
@@ -73,10 +73,6 @@ class ServiceMetrics:
         self.retries = 0  # reprolint: guarded-by(_lock)
         #: circuit-breaker trips (closed/half-open -> open transitions)
         self.breaker_open = 0  # reprolint: guarded-by(_lock)
-        #: broken worker pools torn down and rebuilt mid-batch
-        self.pool_rebuilds = 0  # reprolint: guarded-by(_lock)
-        #: columns served by inline degradation after pool resurrection failed
-        self.degraded_solves = 0  # reprolint: guarded-by(_lock)
         #: coalescing bookkeeping
         self.batches = 0  # reprolint: guarded-by(_lock)
         #: jobs served across all batches
@@ -146,18 +142,6 @@ class ServiceMetrics:
         with self._lock:
             self.breaker_open += n
 
-    def record_pool_rebuilds(self, n: int) -> None:
-        """Fold in an engine's supervised pool-rebuild delta for one batch."""
-        if n:
-            with self._lock:
-                self.pool_rebuilds += n
-
-    def record_degraded_solves(self, n: int) -> None:
-        """Fold in columns an engine served inline because its pool was dead."""
-        if n:
-            with self._lock:
-                self.degraded_solves += n
-
     def recent_p50_s(self) -> float | None:
         """Median end-to-end latency over the recent window (Retry-After hint)."""
         with self._lock:
@@ -174,8 +158,6 @@ class ServiceMetrics:
                 "shed": self.jobs_shed + self.submits_rejected,
                 "submits_rejected": self.submits_rejected,
                 "breaker_open": self.breaker_open,
-                "pool_rebuilds": self.pool_rebuilds,
-                "degraded_solves": self.degraded_solves,
             }
 
     def record_stream_opened(self, n: int = 1) -> None:
@@ -263,8 +245,6 @@ class ServiceMetrics:
                     "shed": self.jobs_shed + self.submits_rejected,
                     "submits_rejected": self.submits_rejected,
                     "breaker_open": self.breaker_open,
-                    "pool_rebuilds": self.pool_rebuilds,
-                    "degraded_solves": self.degraded_solves,
                 },
                 "coalescing": {
                     "batches": self.batches,

@@ -14,9 +14,9 @@ object rooted at a state directory:
     previously solved column set with **zero** new attributed solves.
 ``artifacts/``
     :class:`~repro.substrate.factor_cache.FactorArtifactStore` — serialised
-    factor payloads (the same flattened arrays the shared-memory factor
-    plane ships) under their cache-key digest, consulted by the factor
-    cache on miss, so a warm start attaches instead of refactoring.
+    factor payloads (flattened arrays plus a JSON sidecar) under their
+    cache-key digest, consulted by the factor cache on miss, so a warm
+    start loads its factors instead of refactoring.
 ``journal.jsonl``
     :class:`JobJournal` — accepted :class:`~repro.service.jobs.JobRequest`
     objects as their ``/v1`` wire documents
@@ -27,9 +27,6 @@ object rooted at a state directory:
     loses no accepted work (the gridworks idiom: persist every event
     before acting on it).  No file in the state directory is ever
     unpickled.
-``tiled_scratch/``
-    default spill directory for out-of-core tiled factors, so their scratch
-    shares the state volume (``REPRO_TILED_SCRATCH_DIR`` still overrides).
 
 The default remains in-memory: a scheduler constructed without a
 persistence object (or a server without ``--state-dir``) behaves exactly as
@@ -50,7 +47,6 @@ import numpy as np
 
 from ..faults import fault_hook
 from ..substrate.factor_cache import FactorArtifactStore
-from ..substrate.tiled import set_default_scratch_dir, tiled_scratch_dir
 from .jobs import JobRequest
 from .wire import WireFormatError, request_from_wire
 
@@ -312,8 +308,7 @@ class ServicePersistence:
     Construct with a directory path (created on demand) and hand the object
     to :class:`~repro.service.scheduler.Scheduler` (or let the scheduler
     build one from a path).  Owns lifecycle: :meth:`close` releases the
-    sqlite connection and the journal handle, and restores the tiled
-    scratch default if this object set it.
+    sqlite connection and the journal handle.
     """
 
     def __init__(self, state_dir: str | os.PathLike) -> None:
@@ -322,9 +317,6 @@ class ServicePersistence:
         self.results = SqliteResultBackend(self.state_dir / "results.sqlite")
         self.artifacts = FactorArtifactStore(self.state_dir / "artifacts")
         self.journal = JobJournal(self.state_dir / "journal.jsonl")
-        self._scratch_dir = str(self.state_dir / "tiled_scratch")
-        if not os.environ.get("REPRO_TILED_SCRATCH_DIR"):
-            set_default_scratch_dir(self._scratch_dir)
         self._closed = False
 
     def writable(self) -> bool:
@@ -352,8 +344,6 @@ class ServicePersistence:
         self._closed = True
         self.results.close()
         self.journal.close()
-        if tiled_scratch_dir() == self._scratch_dir:
-            set_default_scratch_dir(None)
 
     def __enter__(self) -> "ServicePersistence":
         return self

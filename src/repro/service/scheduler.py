@@ -17,12 +17,13 @@ turns each cycle's jobs into the *minimum* amount of solver work:
   ``(fingerprint, column)``; any column someone already paid for is served
   with zero new solves, across jobs and across clients.
 * **Persistent extraction engines.**  Each live substrate keeps a warm
-  :class:`~repro.substrate.parallel.ParallelExtractor` (worker pool up,
-  factor built, shared-memory factor plane published) in a small LRU pool,
-  so consecutive batches pay solve cost only.  Attribution is unchanged: a
-  batch of ``m`` fresh columns is charged exactly ``m`` black-box solves
-  through a :class:`~repro.substrate.solver_base.CountingSolver`, identical
-  to what isolated per-request extraction would report for those columns.
+  engine — the solver its spec builds, factor prepared — in a small LRU
+  pool, so consecutive batches pay solve cost only.  Solving runs in this
+  process, on the dispatcher thread; the solver's own kernels are threaded
+  (``fft_workers`` for the stacked DCTs, BLAS for the Cholesky).  A batch of
+  ``m`` fresh columns is charged exactly ``m`` black-box solves through a
+  :class:`~repro.substrate.solver_base.CountingSolver`, identical to what
+  isolated per-request extraction would report for those columns.
 
 Scheduling is priority-aware (higher-priority fingerprint groups solve
 first), jobs may be cancelled while queued, and a queued job past its
@@ -70,8 +71,8 @@ import numpy as np
 from ..faults import fault_hook
 from ..substrate.extraction import extract_columns
 from ..substrate.factor_cache import factor_cache
-from ..substrate.parallel import ParallelExtractor, SolverSpec
-from ..substrate.solver_base import CountingSolver, SolveStats
+from ..substrate.parallel import SolverSpec
+from ..substrate.solver_base import CountingSolver, SolveStats, SubstrateSolver
 from .jobs import Job, JobExpiredError, JobRequest, JobState, QueueSaturatedError
 from .metrics import ServiceMetrics
 from .persistence import ServicePersistence
@@ -184,7 +185,6 @@ def _stats_snapshot(stats: SolveStats) -> tuple:
         stats.n_direct_solves,
         stats.total_iterations,
         len(stats.iterations_per_solve),
-        stats.n_factor_attaches,
         stats.n_factor_rebuilds,
     )
 
@@ -195,48 +195,39 @@ def _stats_delta(stats: SolveStats, snap: tuple) -> SolveStats:
         n_direct_solves=stats.n_direct_solves - snap[1],
         total_iterations=stats.total_iterations - snap[2],
         iterations_per_solve=list(stats.iterations_per_solve[snap[3]:]),
-        n_factor_attaches=stats.n_factor_attaches - snap[4],
-        n_factor_rebuilds=stats.n_factor_rebuilds - snap[5],
+        n_factor_rebuilds=stats.n_factor_rebuilds - snap[4],
     )
 
 
 class ExtractorPool:
-    """LRU pool of warm :class:`ParallelExtractor` engines, one per substrate.
+    """LRU pool of warm engines, one per substrate.
 
-    Building an extraction engine is the expensive part of serving a request
-    — solver construction, factorisation, worker-pool start-up, factor-plane
-    publication — so the pool keeps the ``max_solvers`` most recently used
-    engines alive across jobs and evicts (closing pool and plane) beyond
-    that.  Engines are keyed by substrate fingerprint; the spec that first
-    names a fingerprint defines the engine.
+    An engine is the solver its :class:`~repro.substrate.parallel.SolverSpec`
+    builds, with its direct factor prepared where the solver has one.
+    Building it is the expensive part of serving a request (solver
+    construction, ``A_cc`` assembly, factorisation), so the pool keeps the
+    ``max_solvers`` most recently used engines alive across jobs and drops
+    the least recently used beyond that.  Engines are keyed by substrate
+    fingerprint; the spec that first names a fingerprint defines the engine.
     """
 
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        max_solvers: int = 4,
-        share_factors: bool = True,
-        prepare_tiled: bool = False,
-    ) -> None:
+    def __init__(self, max_solvers: int = 4) -> None:
         if max_solvers < 1:
             raise ValueError("max_solvers must be at least 1")
-        self.n_workers = n_workers
         self.max_solvers = int(max_solvers)
-        self.share_factors = bool(share_factors)
-        self.prepare_tiled = bool(prepare_tiled)
         # reprolint: guarded-by(_lock)
-        self._engines: "OrderedDict[str, ParallelExtractor]" = OrderedDict()
+        self._engines: "OrderedDict[str, SubstrateSolver]" = OrderedDict()
         self._lock = threading.RLock()
         self.engines_built = 0  # reprolint: guarded-by(_lock)
         self.engines_evicted = 0  # reprolint: guarded-by(_lock)
 
-    def get(self, fingerprint: str, spec: SolverSpec) -> ParallelExtractor:
+    def get(self, fingerprint: str, spec: SolverSpec) -> SubstrateSolver:
         """The warm engine for ``fingerprint``, building (and warming) on miss.
 
-        The multi-second cold build (solver construction, factorisation,
-        worker-pool spawn, plane publication) runs *outside* the pool lock
-        so :meth:`info` — the ``/v1/stats`` endpoint an operator polls exactly
-        when the service looks busy — never blocks behind it.
+        The cold build (solver construction and factorisation) runs
+        *outside* the pool lock so :meth:`info` — the ``/v1/stats`` endpoint
+        an operator polls exactly when the service looks busy — never blocks
+        behind it.
         """
         with self._lock:
             engine = self._engines.get(fingerprint)
@@ -244,38 +235,27 @@ class ExtractorPool:
                 self._engines.move_to_end(fingerprint)
                 return engine
         fault_hook("factor.build", kind=spec.kind)
-        built = ParallelExtractor(
-            spec,
-            n_workers=self.n_workers,
-            prepare_direct=True,
-            share_factors=self.share_factors,
-            prepare_tiled=self.prepare_tiled,
-        )
-        built.warm_up()
-        victims = []
+        built = spec.build()
+        prepare = getattr(built, "prepare_direct", None)
+        if prepare is not None:
+            prepare()
         with self._lock:
             engine = self._engines.get(fingerprint)
             if engine is not None:
                 # a concurrent caller won the build race; theirs is the
-                # pooled engine, ours is surplus
+                # pooled engine, ours is dropped
                 self._engines.move_to_end(fingerprint)
-                victims.append(built)
-            else:
-                engine = self._engines[fingerprint] = built
-                self.engines_built += 1
-                while len(self._engines) > self.max_solvers:
-                    _, victim = self._engines.popitem(last=False)
-                    self.engines_evicted += 1
-                    victims.append(victim)
-        for victim in victims:
-            victim.close()
-        return engine
+                return engine
+            self._engines[fingerprint] = built
+            self.engines_built += 1
+            while len(self._engines) > self.max_solvers:
+                self._engines.popitem(last=False)
+                self.engines_evicted += 1
+        return built
 
     def close(self) -> None:
-        """Shut down every engine (idempotent)."""
+        """Drop every engine (idempotent)."""
         with self._lock:
-            for engine in self._engines.values():
-                engine.close()
             self._engines.clear()
 
     def info(self) -> dict:
@@ -294,9 +274,9 @@ class Scheduler:
     Parameters
     ----------
     n_workers:
-        Worker-process count of each substrate's
-        :class:`~repro.substrate.parallel.ParallelExtractor` (default: CPU
-        count; one worker solves inline — no pool).
+        Must be ``1``, the default; any other value raises ``ValueError``.
+        Solving is in process, on each substrate's one engine, and the
+        solver's kernels are threaded (``fft_workers``, BLAS).
     store:
         The :class:`~repro.service.result_store.ResultStore` to serve
         repeated queries from; a fresh budgeted store by default.
@@ -310,8 +290,6 @@ class Scheduler:
     autostart:
         Start the background dispatcher thread.  ``False`` leaves the queue
         untouched until :meth:`step` is called (deterministic tests).
-    share_factors / prepare_tiled:
-        Forwarded to each engine (factor plane publication, tiled warm-up).
     max_jobs_retained / max_result_bytes_retained:
         Finished jobs kept for late :meth:`result` pickup; the oldest
         terminal jobs are dropped once either the job count or the total
@@ -365,13 +343,11 @@ class Scheduler:
 
     def __init__(
         self,
-        n_workers: int | None = None,
+        n_workers: int = 1,
         store: ResultStore | None = None,
         max_solvers: int = 4,
         coalesce_window_s: float = 0.0,
         autostart: bool = True,
-        share_factors: bool = True,
-        prepare_tiled: bool = False,
         max_jobs_retained: int = 10_000,
         max_result_bytes_retained: int = 256 * 1024 * 1024,
         persistence: "ServicePersistence | str | os.PathLike | None" = None,
@@ -383,6 +359,12 @@ class Scheduler:
         stats_extra=None,
         group_concurrency: int = 1,
     ) -> None:
+        if n_workers != 1:
+            raise ValueError(
+                f"n_workers must be 1, got {n_workers!r}: solving is in-process "
+                "on one engine per substrate, and the solver's kernels are "
+                "threaded (fft_workers for the DCTs, BLAS for the Cholesky)"
+            )
         self._owns_persistence = persistence is not None and not isinstance(
             persistence, ServicePersistence
         )
@@ -391,12 +373,7 @@ class Scheduler:
         self.persistence = persistence
         self.store = store if store is not None else ResultStore()
         self.metrics = ServiceMetrics()
-        self.pool = ExtractorPool(
-            n_workers=n_workers,
-            max_solvers=max_solvers,
-            share_factors=share_factors,
-            prepare_tiled=prepare_tiled,
-        )
+        self.pool = ExtractorPool(max_solvers=max_solvers)
         self.coalesce_window_s = float(coalesce_window_s)
         self.max_jobs_retained = int(max_jobs_retained)
         self.max_result_bytes_retained = int(max_result_bytes_retained)
@@ -747,14 +724,12 @@ class Scheduler:
 
     # --------------------------------------------------------------- lifecycle
     def close(self, timeout_s: float = 60.0) -> None:
-        """Stop the dispatcher, fail queued jobs, shut the engines down.
+        """Stop the dispatcher, fail queued jobs, drop the engines.
 
         Waits up to ``timeout_s`` for an in-flight batch to finish.  If the
-        dispatcher is still mid-batch after that, the engines are left
-        running (they are daemon-backed and die with the process) rather
-        than pulled out from under the batch — closing a worker pool a
-        solve is running on would fail the batch confusingly instead of
-        letting it complete.
+        dispatcher is still mid-batch after that, the engines and the state
+        dir are left as they are (the dispatcher is a daemon thread and
+        dies with the process) rather than pulled out from under the batch.
         """
         with self._cv:
             if self._closing:
@@ -1028,19 +1003,7 @@ class Scheduler:
             engine = self.pool.get(fingerprint, jobs[0].request.effective_spec)
             counting = CountingSolver(engine)
             snap = _stats_snapshot(engine.stats)
-            rebuilds_before = engine.pool_rebuilds
-            degraded_before = engine.degraded_solves
-            try:
-                block = extract_columns(counting, np.asarray(to_solve, dtype=int))
-            finally:
-                # supervised-recovery counters move even when the attempt
-                # ultimately fails — a rebuild that happened, happened
-                self.metrics.record_pool_rebuilds(
-                    engine.pool_rebuilds - rebuilds_before
-                )
-                self.metrics.record_degraded_solves(
-                    engine.degraded_solves - degraded_before
-                )
+            block = extract_columns(counting, np.asarray(to_solve, dtype=int))
             stats_delta = _stats_delta(engine.stats, snap)
             # a warm engine lives for the whole service: bound its
             # per-solve iteration history (the aggregate counters, which

@@ -13,17 +13,13 @@ from .extraction import (
 )
 from .factor_cache import (
     FactorCache,
-    FactorPlane,
-    SharedFactorHandle,
     SharedSparseLU,
-    attach_shared_factor,
     factor_cache,
     factor_cache_clear,
     factor_cache_info,
     set_factor_cache_budget,
 )
-from .parallel import ParallelExtractor, SolverSpec, solve_in_subprocess
-from .tiled import TiledCholeskyFactor
+from .parallel import SolverSpec
 from .profile import Layer, SubstrateProfile
 from .solver_base import (
     CallableSolver,
@@ -49,16 +45,10 @@ __all__ = [
     "extract_columns",
     "check_conductance_properties",
     "FactorCache",
-    "FactorPlane",
-    "SharedFactorHandle",
     "SharedSparseLU",
-    "attach_shared_factor",
     "factor_cache",
     "factor_cache_clear",
     "factor_cache_info",
     "set_factor_cache_budget",
-    "ParallelExtractor",
     "SolverSpec",
-    "solve_in_subprocess",
-    "TiledCholeskyFactor",
 ]

@@ -276,9 +276,9 @@ class SurfaceOperator:
 
         Rows are gathered in chunks of at most ``max_batch`` rows and about
         ``_GATHER_ENTRIES`` entries, which keeps the index arrays cache-sized.
-        Feeds the factor-once direct solve (whole matrix via
-        :meth:`contact_block_matrix`) and the tiled out-of-core engine, which
-        assembles one row block at a time and never holds all of ``A_cc``.
+        Feeds the factor-once direct solve: the whole matrix via
+        :meth:`contact_block_matrix`, and the rows of the bordered floating
+        system one block at a time.
         """
         ncp = self.grid.n_contact_panels
         if not 0 <= row_start <= row_stop <= ncp:

@@ -40,13 +40,10 @@ from ..dispatch import DispatchDecision, DispatchPolicy
 from ..factor_cache import factor_cache, seal_factor_arrays
 from ..profile import SubstrateProfile
 from ..solver_base import SolveStats, SubstrateSolver, check_finite_voltages
-from ..tiled import DEFAULT_TILE, TiledCholeskyFactor
 from .operator import SurfaceOperator
 
 #: factor-cache kind string of the dense contact-block factorisations
 BEM_FACTOR_KIND = "bem_direct_factor"
-#: factor-cache kind string of the in-RAM tiled contact-block factorisations
-BEM_TILED_KIND = "bem_tiled_factor"
 
 __all__ = ["EigenfunctionSolver"]
 
@@ -178,15 +175,6 @@ class EigenfunctionSolver(SubstrateSolver):
         cost, and the cache budget bounds the factor's memory.  Disable to
         force a private factorisation, held by this solver (benchmarking
         cold paths).
-    tile_panels:
-        Tile edge of the out-of-core tiled engine
-        (:class:`~repro.substrate.tiled.TiledCholeskyFactor`), used when the
-        dispatch policy routes a block to the ``"tiled"`` path (panel counts
-        above ``max_direct_panels``).
-    tiled_spill_bytes:
-        Spill threshold of the tiled engine; factors larger than this go to
-        a memmapped scratch file.  ``None`` (default) uses the process-wide
-        factor-cache budget.
     """
 
     def __init__(
@@ -202,8 +190,6 @@ class EigenfunctionSolver(SubstrateSolver):
         dispatch: DispatchPolicy | None = None,
         fft_workers: int | None = None,
         use_factor_cache: bool = True,
-        tile_panels: int = DEFAULT_TILE,
-        tiled_spill_bytes: int | None = None,
     ) -> None:
         self.layout = layout
         self.profile = profile
@@ -232,23 +218,10 @@ class EigenfunctionSolver(SubstrateSolver):
         #: factor cache will not hold it (see _ensure_direct_factor)
         self._private_factor: tuple | None = None
         self._direct_failed = False
-        #: out-of-core factorisation for the tiled path; one of
-        #: ("tiled_chol", tf) or ("tiled_schur", tf, w, s)
-        self._tiled_factor: tuple | None = None
-        self.tile_panels = int(tile_panels)
-        self.tiled_spill_bytes = tiled_spill_bytes
         self.use_factor_cache = bool(use_factor_cache)
         #: process-wide factor-cache key of this solver's direct factorisation
         self._factor_cache_key = (
             BEM_FACTOR_KIND,
-            layout.fingerprint,
-            profile.cache_key,
-            self.grid.nx,
-            self.grid.ny,
-        )
-        #: process-wide cache key of the in-RAM tiled factorisation
-        self._tiled_cache_key = (
-            BEM_TILED_KIND,
             layout.fingerprint,
             profile.cache_key,
             self.grid.nx,
@@ -287,21 +260,10 @@ class EigenfunctionSolver(SubstrateSolver):
     def factor_cache_key(self) -> tuple:
         """Process-wide factor-cache key of this solver's direct factor.
 
-        The parallel engine's shared-memory factor plane publishes the
-        parent's factor under this key so worker processes attach instead of
-        refactoring.
+        Every solver over the same ``(layout, profile, grid)`` shares it, and
+        the artifact store files the factor under its digest.
         """
         return self._factor_cache_key
-
-    @property
-    def tiled_factor_cache_key(self) -> tuple:
-        """Process-wide cache key of this solver's in-RAM tiled factor.
-
-        Only RAM-stored tiled factors are shared (through the process-wide
-        cache and the factor plane); a spilled factor *is* its memmapped
-        scratch file and stays per-process.
-        """
-        return self._tiled_cache_key
 
     # ----------------------------------------------------------------- solves
     def solve_currents(self, voltages: np.ndarray) -> np.ndarray:
@@ -398,7 +360,6 @@ class EigenfunctionSolver(SubstrateSolver):
             grounded=self.profile.grounded_backplane,
             factor_cached=self._factor_available(),
             factor_failed=self._direct_failed,
-            tiled_factor_cached=self._tiled_factor_available(),
         )
         self.last_dispatch = decision
         if decision.path == "direct":
@@ -413,19 +374,6 @@ class EigenfunctionSolver(SubstrateSolver):
             )
             self.last_dispatch = DispatchDecision(
                 "iterative", "direct factorisation failed"
-            )
-        elif decision.path == "tiled":
-            solved = self._solve_many_tiled(v)
-            if solved is not None:
-                return solved
-            warnings.warn(
-                "tiled contact-block factorisation failed (numerically non-SPD "
-                "contact block); falling back to the iterative path",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.last_dispatch = DispatchDecision(
-                "iterative", "tiled factorisation failed"
             )
         out = np.empty_like(v)
         # accumulate per-column gauge constants across chunks (each floating
@@ -486,8 +434,7 @@ class EigenfunctionSolver(SubstrateSolver):
         factor = None if cache is None else cache.get(self._factor_cache_key)
         if factor is None:
             factor = self._factor_contact_block()
-            # computed here, not loaded or attached: the factor plane's "zero
-            # per-worker refactorisations" gate watches this counter
+            # a build, not a cache or artifact hit: only these are counted
             self.stats.record_factor_rebuild()
             if cache is not None:
                 cache.put(self._factor_cache_key, factor)
@@ -555,9 +502,9 @@ class EigenfunctionSolver(SubstrateSolver):
     def _ensure_incidence(self) -> np.ndarray:
         """Contact->panel owner gather plus the cached panel->contact sum.
 
-        Both factored paths (in-core direct and tiled) spread contact
-        voltages to panels through the returned ``owner`` index and gather
-        panel currents back through the cached sparse incidence product.
+        The direct path spreads contact voltages to panels through the
+        returned ``owner`` index and gathers panel currents back through the
+        cached sparse incidence product.
         """
         owner = self.grid.panel_to_contact[self.grid.all_contact_panels]
         if self._incidence is None:
@@ -578,8 +525,8 @@ class EigenfunctionSolver(SubstrateSolver):
         The triangular solves skip SciPy's finiteness scan
         (``check_finite=False``), so a block pays only for its own columns,
         not for a pass over the whole factor.  Both inputs were checked where
-        they entered: the factor when it was built, loaded or attached (and
-        it is read-only since), the voltages at :meth:`solve_many` entry.
+        they entered: the factor when it was built or loaded (and it is
+        read-only since), the voltages at :meth:`solve_many` entry.
         """
         try:
             factor = self._ensure_direct_factor()
@@ -616,134 +563,6 @@ class EigenfunctionSolver(SubstrateSolver):
             self.last_gauge_constants = gauges
         self.stats.record_direct(k_total)
         return out
-
-    # --------------------------------------------------------------- tiled path
-    def prepare_tiled(self) -> bool:
-        """Build the out-of-core tiled factor now (untimed warm-up hook).
-
-        Returns True when a tiled factor is held afterwards; False when the
-        tiled path is unavailable (policy ceiling, or a failed ``A_cc``
-        Cholesky, which also latches ``_direct_failed`` — it is the same
-        matrix the dense path would factor).
-        """
-        if self._direct_failed:
-            return False
-        if not 0 < self.grid.n_contact_panels <= self.dispatch.max_tiled_panels:
-            return False
-        try:
-            self._ensure_tiled_factor()
-        except LinAlgError:
-            self._direct_failed = True
-            return False
-        return True
-
-    def _tiled_factor_available(self) -> bool:
-        """A tiled factor is held, or sits warm in the process-wide cache."""
-        return self._tiled_factor is not None or (
-            self.use_factor_cache and factor_cache().contains(self._tiled_cache_key)
-        )
-
-    def _ensure_tiled_factor(self) -> None:
-        """Assemble and factor ``A_cc`` tile by tile (out-of-core Cholesky).
-
-        Grounded backplane: blocked Cholesky ``A_cc = L L^T`` over tiled
-        storage.  Floating backplane: the same tiled factor plus the solved
-        border column ``w = A_cc^{-1} 1`` and Schur pivot ``s = 1' w`` (the
-        bordered-LU fallback of the dense path has no out-of-core analogue;
-        a singular ``A_cc`` raises and the caller falls back to iterative).
-
-        **In-RAM** tiled factors are shared through the process-wide
-        :mod:`~repro.substrate.factor_cache` (and, from there, the parallel
-        engine's shared-memory factor plane), so sibling solvers and service
-        workers skip the tile-by-tile rebuild.  A *spilled* factor is its
-        memmapped scratch file — there is nothing to share — and stays per
-        solver.
-        """
-        if self._tiled_factor is not None:
-            return
-        if self.use_factor_cache:
-            cached = factor_cache().get(self._tiled_cache_key)
-            if cached is not None:
-                self._tiled_factor = cached
-                return
-        ncp = self.grid.n_contact_panels
-        tf = TiledCholeskyFactor(
-            ncp, tile=self.tile_panels, spill_over_bytes=self.tiled_spill_bytes
-        )
-        rows = self.operator.contact_block_rows
-
-        def assemble(start: int, stop: int) -> np.ndarray:
-            return rows(start, stop, max_batch=self.max_batch)
-
-        try:
-            tf.factor(assemble)
-        except LinAlgError:
-            tf.close()
-            raise
-        self.stats.record_factor_rebuild()
-        if self.profile.grounded_backplane:
-            self._tiled_factor = ("tiled_chol", tf)
-        else:
-            ones = np.ones(ncp)
-            w = tf.solve(ones)
-            s = float(ones @ w)
-            if not np.isfinite(s) or s <= 0.0:
-                tf.close()
-                raise LinAlgError("degenerate Schur complement on the tiled factor")
-            self._tiled_factor = ("tiled_schur", tf, w, s)
-        if self.use_factor_cache and not tf.spilled:
-            # the cache (and everyone who loads from it) now co-owns the
-            # storage: close_tiled() must not release it from under them
-            tf.shared = True
-            factor_cache().put(self._tiled_cache_key, self._tiled_factor, nbytes=tf.nbytes)
-
-    def _solve_many_tiled(self, v: np.ndarray) -> np.ndarray | None:
-        """Out-of-core factor-once / solve-all path; None on factor failure.
-
-        Identical contact->panel plumbing to :meth:`_solve_many_direct`, with
-        the triangular solves served by the tiled factor in
-        ``max_batch``-column chunks (the blocked substitution stages one tile
-        of ``L`` in RAM at a time).
-        """
-        try:
-            self._ensure_tiled_factor()
-        except LinAlgError:
-            self._direct_failed = True
-            return None
-        owner = self._ensure_incidence()
-        kind = self._tiled_factor[0]
-        k_total = v.shape[1]
-        grounded = self.profile.grounded_backplane
-        out = np.empty_like(v)
-        gauges = None if grounded else np.empty(k_total)
-        for start in range(0, k_total, self.max_batch):
-            chunk = slice(start, min(start + self.max_batch, k_total))
-            v_panel = v[:, chunk][owner]
-            if kind == "tiled_chol":
-                q_panel = self._tiled_factor[1].solve(v_panel)
-            else:  # tiled Schur complement (floating backplane)
-                _, tf, w, s = self._tiled_factor
-                q0 = tf.solve(v_panel)
-                c = q0.sum(axis=0) / s
-                q_panel = q0 - w[:, None] * c
-                gauges[chunk] = c
-            out[:, chunk] = self._incidence @ q_panel
-        if gauges is not None:
-            self.last_gauge_constants = gauges
-        self.stats.record_direct(k_total)
-        return out
-
-    def close_tiled(self) -> None:
-        """Release the tiled factor's scratch storage (idempotent).
-
-        A factor whose storage is shared (held by the process-wide cache or
-        attached through the factor plane) is only dropped, never released —
-        :class:`~repro.substrate.tiled.TiledCholeskyFactor.close` handles
-        the distinction.
-        """
-        if self._tiled_factor is not None:
-            self._tiled_factor[1].close()
-            self._tiled_factor = None
 
     # ----------------------------------------------------------- iterative path
     def _solve_many_chunk(self, v: np.ndarray) -> np.ndarray:

@@ -11,17 +11,12 @@ fundamentally different ways to serve a block of right-hand sides:
   (Cholesky, or a bordered/Schur-complement factorisation for the floating
   saddle system) and turn every further column into two triangular solves.
   Cost is ``O(ncp^3)`` once plus ``O(ncp^2)`` per column.
-* **tiled** — the same factor-once mathematics carried out-of-core
-  (:mod:`repro.substrate.tiled`): the contact block is assembled and factored
-  tile by tile, spilling to a memmapped scratch file past the cache budget.
-  Same flop count as ``direct`` with every touched byte paying an I/O
-  penalty; it exists for panel counts **above** ``max_direct_panels``, where
-  the in-core dense factor is not allowed to exist.
 
 No path wins everywhere: the direct path is ~1.7x faster for full dense
 extraction at ``n_side = 32`` but pure waste for a handful of columns on a
-fresh solver, while the iterative path is unbeatable for narrow blocks and —
-below ``max_direct_panels`` — the only alternative to the dense factor.
+fresh solver, while the iterative path is unbeatable for narrow blocks and
+the only path above ``max_direct_panels``, where the dense factor is not
+allowed to exist.
 :class:`DispatchPolicy` picks the path per ``solve_many`` block from a
 calibrated crossover model of ``(n_panels, n_rhs, grid size)``, with optional
 one-shot auto-tune probes (dense and sparse) that rescale the model's machine
@@ -51,7 +46,7 @@ __all__ = [
 ]
 
 #: the engines a block can be routed to
-DISPATCH_PATHS = ("direct", "tiled", "iterative")
+DISPATCH_PATHS = ("direct", "iterative")
 
 
 def resolve_fft_workers(workers: int | None = None) -> int | None:
@@ -92,8 +87,8 @@ class DispatchDecision:
 class SolveCostModel:
     """Crossover model in abstract work units (1 unit = one dense-BLAS3 flop).
 
-    The defaults were calibrated against the ``BENCH_batched.json`` and
-    ``BENCH_factor_plane.json`` reference runs: dense factor/triangular-solve
+    The defaults were calibrated against the ``BENCH_batched.json`` reference
+    runs and the 4,096-panel measurements below: dense factor/triangular-solve
     flops run near hardware speed, the scattered DCT pipeline (zero-pad,
     stacked transforms, gather) costs far more per nominal flop, and the
     ``A_cc`` assembly term, calibrated as one inverse transform per row, sits
@@ -105,10 +100,7 @@ class SolveCostModel:
     #: Recalibrated against the PR-4 reference measurements at n_side=32
     #: (ncp=4096, k=1024, 128x128 grid): iterative extraction measured 5.6 s
     #: against 0.9 s for the cold in-core direct path, a 6.2x ratio, which
-    #: the model reproduces at fft_unit ~= 45 (the previous value of 12
-    #: under-weighted the scattered DCT pipeline enough that the model called
-    #: iterative cheaper than the tiled factor when the measurement said
-    #: otherwise).
+    #: the model reproduces at fft_unit ~= 45.
     fft_unit: float = 45.0
     #: relative cost per nominal flop of the ``A_cc`` assembly term, which
     #: charges one weighted inverse 2-D transform per contact-panel row
@@ -142,17 +134,6 @@ class SolveCostModel:
     fd_iteration_units: float = 60.0
     #: default expected FD PCG iterations when the caller has no estimate
     iterations_fd: float = 16.0
-    #: I/O penalty of the out-of-core tiled engine: every flop of the tiled
-    #: factorisation and its triangular solves streams tiles through the
-    #: page cache instead of staying in registers/L2, so it is charged this
-    #: multiple of the in-core dense cost.  Calibrated against the PR-4
-    #: measurements at ncp=4096: tiled extraction 3.7-4.1 s against 0.9 s
-    #: in-core direct (a ~4.4x ratio once the transform-bound assembly term
-    #: is taken out), matched at tiled_io_unit ~= 5.  Together with the
-    #: recalibrated ``fft_unit`` the model now places tiled (~0.70x the
-    #: iterative cost) on the measured side (~0.71x) of the grounded
-    #: crossover at that scale.
-    tiled_io_unit: float = 5.0
 
     def _fft_apply_units(self, grid_points: int) -> float:
         return self.fft_flops_per_point * grid_points * max(np.log2(grid_points), 1.0)
@@ -188,30 +169,6 @@ class SolveCostModel:
             + self.vector_ops_per_iteration * n_panels * self.axpy_unit
         )
         return iters * n_rhs * per_column_iteration
-
-    def tiled_cost(
-        self,
-        n_panels: int,
-        n_rhs: int,
-        grid_points: int,
-        factor_cached: bool,
-        grounded: bool,
-    ) -> float:
-        """Estimated cost of the out-of-core tiled factor for the block.
-
-        Identical flop structure to :meth:`direct_cost` with the factor and
-        triangular-solve terms scaled by ``tiled_io_unit``.  The assembly term
-        is the same in-RAM kernel-table gather on both engines, one row block
-        at a time here, so it is charged at the same rate and overcharges the
-        gather alike (see ``assembly_unit``).
-        """
-        cost = 2.0 * float(n_panels) ** 2 * n_rhs * self.tiled_io_unit
-        if not grounded:
-            cost += 4.0 * n_panels * n_rhs * self.axpy_unit
-        if not factor_cached:
-            cost += float(n_panels) ** 3 / 3.0 * self.tiled_io_unit
-            cost += n_panels * self._fft_apply_units(grid_points) * self.assembly_unit
-        return cost
 
     def sparse_direct_cost(
         self, n_nodes: int, n_rhs: int, factor_cached: bool
@@ -259,11 +216,11 @@ class DispatchPolicy:
         8191 at the 512 MiB default budget, 2896 at 64 MiB), so
         ``set_factor_cache_budget`` and ``REPRO_FACTOR_CACHE_BYTES`` move it.
     force_path:
-        ``"direct"``, ``"tiled"`` or ``"iterative"`` pins every block to one
-        engine (debugging / benchmarking).  A forced direct or tiled path
-        still falls back to iterative when the factorisation is impossible
-        (too many panels, or a failed factorisation), with the reason
-        recorded on the decision.
+        ``"direct"`` or ``"iterative"`` pins every block to one engine
+        (debugging / benchmarking).  A forced direct path still falls back
+        to iterative when the factorisation is impossible (too many panels,
+        or a failed factorisation), with the reason recorded on the
+        decision.
     cost_model:
         The crossover model; defaults to a calibrated :class:`SolveCostModel`.
     auto_tune:
@@ -279,14 +236,6 @@ class DispatchPolicy:
         Ceiling on FD grid nodes for which a sparse LU may be built
         (:meth:`choose_sparse`); fill memory grows like ``n^(4/3)``, so very
         fine grids must stay iterative.  ``0`` disables the FD direct path.
-    max_tiled_panels:
-        Ceiling on contact panels for the out-of-core tiled engine
-        (:mod:`repro.substrate.tiled`).  Adaptive routing considers the tiled
-        path only **above** ``max_direct_panels`` (in-core always wins below
-        it); a forced ``"tiled"`` path runs at any size up to this ceiling.
-        ``0`` disables the tiled path; the default (``None``) resolves to
-        32768 panels — or to 0 when ``max_direct_panels`` is 0, preserving
-        that knob's documented "iterative only" meaning.
     """
 
     def __init__(
@@ -297,7 +246,6 @@ class DispatchPolicy:
         auto_tune: bool = False,
         min_direct_rhs: int = 2,
         max_direct_nodes: int = 200_000,
-        max_tiled_panels: int | None = None,
     ) -> None:
         if force_path is not None and force_path not in DISPATCH_PATHS:
             raise ValueError(
@@ -311,11 +259,6 @@ class DispatchPolicy:
         self.auto_tune = bool(auto_tune)
         self.min_direct_rhs = int(min_direct_rhs)
         self.max_direct_nodes = int(max_direct_nodes)
-        if max_tiled_panels is None:
-            # max_direct_panels=0 is the documented "iterative only" switch;
-            # it must not leave a factored back door through the tiled tier
-            max_tiled_panels = 0 if self._max_direct_panels == 0 else 32_768
-        self.max_tiled_panels = int(max_tiled_panels)
         self._tuned = False
         self._sparse_tuned = False
 
@@ -430,26 +373,21 @@ class DispatchPolicy:
         grounded: bool,
         factor_cached: bool = False,
         factor_failed: bool = False,
-        tiled_factor_cached: bool = False,
     ) -> DispatchDecision:
         """Route one ``solve_many`` block.
 
         The decision is made once per block on the *full* column count — the
         chosen engine then applies its own ``max_batch`` memory chunking — so
         the one-time factorisation cost is amortised over the whole block, not
-        over a single chunk.  ``factor_cached`` refers to the in-core dense
-        factor, ``tiled_factor_cached`` to a finished out-of-core tiled
-        factor held by the solver; ``factor_failed`` latches a failed
-        Cholesky of ``A_cc`` and disables both factored paths (same matrix,
-        same failure).
+        over a single chunk.  ``factor_cached`` says the dense factor is
+        already built; ``factor_failed`` latches a failed factorisation of
+        ``A_cc`` and disables the direct path.
         """
         if self.auto_tune and not self._tuned:
             self.auto_tune_probe()
 
-        direct_possible = (
-            not factor_failed and 0 < n_panels <= self.max_direct_panels
-        )
-        tiled_possible = not factor_failed and 0 < n_panels <= self.max_tiled_panels
+        max_direct_panels = self.max_direct_panels
+        direct_possible = not factor_failed and 0 < n_panels <= max_direct_panels
         if self.force_path is not None:
             if self.force_path == "direct" and not direct_possible:
                 return DispatchDecision(
@@ -457,72 +395,36 @@ class DispatchPolicy:
                     "forced direct path unavailable "
                     + ("(factorisation failed)" if factor_failed else "(panel ceiling)"),
                 )
-            if self.force_path == "tiled" and not tiled_possible:
-                return DispatchDecision(
-                    "iterative",
-                    "forced tiled path unavailable "
-                    + ("(factorisation failed)" if factor_failed else "(panel ceiling)"),
-                )
             return DispatchDecision(self.force_path, "forced")
-        if direct_possible:
-            if not factor_cached and n_rhs < self.min_direct_rhs:
-                return DispatchDecision(
-                    "iterative",
-                    f"block narrower than min_direct_rhs {self.min_direct_rhs}",
-                )
-            direct = self.cost_model.direct_cost(
-                n_panels, n_rhs, grid_points, factor_cached, grounded
+        if not direct_possible:
+            reason = (
+                "factorisation previously failed"
+                if factor_failed
+                else f"n_panels {n_panels} exceeds max_direct_panels {max_direct_panels}"
             )
-            iterative = self.cost_model.iterative_cost(
-                n_panels, n_rhs, grid_points, grounded
-            )
-            if direct <= iterative:
-                return DispatchDecision(
-                    "direct",
-                    "cached factor" if factor_cached else "crossover model",
-                    direct_cost=direct,
-                    iterative_cost=iterative,
-                )
+            return DispatchDecision("iterative", reason)
+        if not factor_cached and n_rhs < self.min_direct_rhs:
             return DispatchDecision(
                 "iterative",
-                "crossover model",
+                f"block narrower than min_direct_rhs {self.min_direct_rhs}",
+            )
+        direct = self.cost_model.direct_cost(
+            n_panels, n_rhs, grid_points, factor_cached, grounded
+        )
+        iterative = self.cost_model.iterative_cost(n_panels, n_rhs, grid_points, grounded)
+        if direct <= iterative:
+            return DispatchDecision(
+                "direct",
+                "cached factor" if factor_cached else "crossover model",
                 direct_cost=direct,
                 iterative_cost=iterative,
             )
-        if tiled_possible:
-            # above the in-core ceiling: out-of-core factor vs. iterating
-            if not tiled_factor_cached and n_rhs < self.min_direct_rhs:
-                return DispatchDecision(
-                    "iterative",
-                    f"block narrower than min_direct_rhs {self.min_direct_rhs}",
-                )
-            tiled = self.cost_model.tiled_cost(
-                n_panels, n_rhs, grid_points, tiled_factor_cached, grounded
-            )
-            iterative = self.cost_model.iterative_cost(
-                n_panels, n_rhs, grid_points, grounded
-            )
-            if tiled <= iterative:
-                return DispatchDecision(
-                    "tiled",
-                    "cached tiled factor"
-                    if tiled_factor_cached
-                    else "tiled crossover model",
-                    direct_cost=tiled,
-                    iterative_cost=iterative,
-                )
-            return DispatchDecision(
-                "iterative",
-                "tiled crossover model",
-                direct_cost=tiled,
-                iterative_cost=iterative,
-            )
-        reason = (
-            "factorisation previously failed"
-            if factor_failed
-            else f"n_panels {n_panels} exceeds max_tiled_panels {self.max_tiled_panels}"
+        return DispatchDecision(
+            "iterative",
+            "crossover model",
+            direct_cost=direct,
+            iterative_cost=iterative,
         )
-        return DispatchDecision("iterative", reason)
 
     def choose_sparse(
         self,

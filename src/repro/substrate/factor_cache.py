@@ -1,7 +1,7 @@
 """Process-wide factor/plan cache shared by every substrate solver.
 
 Extraction workloads build the *same* solver over and over: every benchmark
-repetition, every table row, every worker process reconstructs an
+repetition, every table row, every service engine reconstructs an
 :class:`~repro.substrate.bem.solver.EigenfunctionSolver` or
 :class:`~repro.substrate.fd.solver.FiniteDifferenceSolver` for an identical
 ``(layout, profile, discretisation)`` and then re-derives the exact same
@@ -20,36 +20,25 @@ entries are evicted once the budget is exceeded.  Individual kinds can also
 carry an entry-count cap (the eigenvalue-table LRU keeps its historical bound
 of 32 entries).
 
-The cache is **per process**: worker processes of the parallel extraction
-engine (:mod:`repro.substrate.parallel`) each warm their own copy.  It is
-the only owner of the dense factors it holds: a solver looks its factor up
-once per direct block and keeps no reference of its own, so the budget
+The cache is **per process**; every solver in the process shares it.  It
+is the only owner of the dense factors it holds: a solver looks its factor
+up once per direct block and keeps no reference of its own, so the budget
 bounds those factors and ``clear``, ``set_budget`` and LRU eviction free
 them (the next direct block rebuilds).  A solver holds a factor itself only
 when the cache will not (disabled for that solver, or refused as
 oversized).  A dense factor is checked for NaN/inf once, where it enters
-the process (built, loaded or attached; :func:`seal_factor_arrays`), and
-its arrays are read-only from then on.
-
-On top of the per-process cache this module also provides the
-**shared-memory factor plane**: :class:`FactorPlane` serialises a cached
-factor's array payload (dense Cholesky/Schur/bordered factors, the component
-arrays of a sparse LU) into one ``multiprocessing.shared_memory`` segment and
-hands out picklable :class:`SharedFactorHandle` descriptors;
-:func:`attach_shared_factor` reconstructs the factor in another process as
-zero-copy numpy views over the same physical pages.  The parallel extraction
-engine uses this to ship the parent's factors to its worker pool instead of
-letting every worker refactor.
+the process (built or loaded; :func:`seal_factor_arrays`), and its arrays
+are read-only from then on.
 
 On top of the in-RAM cache, an optional **content-addressed artifact store**
 (:class:`FactorArtifactStore`) persists factor payloads to disk under the
 digest of their cache key: the cache consults it on a miss before any caller
 rebuilds, and writes freshly built factors through to it, so a *restarted*
 process (whose RAM cache is empty) skips the cold factorisation entirely.
-The store reuses the same flatten/rebuild contract as the shared-memory
-plane, so exactly the shippable factor kinds are persistable.  No store is
-attached by default — the extraction service wires one in when it is given a
-state directory.
+Factors are written as flat array payloads (:func:`_flatten_factor`) and
+rebuilt from them (:func:`_rebuild_factor`), so exactly the factor kinds
+that contract covers are persistable.  No store is attached by default —
+the extraction service wires one in when it is given a state directory.
 
 Environment knob: ``REPRO_FACTOR_CACHE_BYTES`` overrides the default budget
 (512 MiB) for the process-wide instance.  The budget also sets the default
@@ -65,7 +54,6 @@ import os
 import threading
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Hashable
 
@@ -74,10 +62,7 @@ import numpy as np
 __all__ = [
     "FactorCache",
     "FactorArtifactStore",
-    "FactorPlane",
-    "SharedFactorHandle",
     "SharedSparseLU",
-    "attach_shared_factor",
     "factor_cache",
     "factor_cache_info",
     "factor_cache_clear",
@@ -94,7 +79,6 @@ DEFAULT_BUDGET_BYTES = 512 * 1024 * 1024
 #: cheap to rebuild and stay RAM-only)
 PERSISTED_FACTOR_KINDS = (
     "bem_direct_factor",
-    "bem_tiled_factor",
     "fd_direct_factor",
 )
 
@@ -409,7 +393,7 @@ def seal_factor_arrays(*arrays: np.ndarray) -> None:
 
     Every dense factor passes here once, where it enters the process: when
     a solver builds it, and when :func:`_rebuild_factor` restores it from an
-    artifact or a shared segment.  Its block solves then skip SciPy's
+    artifact.  Its block solves then skip SciPy's
     per-call rescan of the whole factor (``check_finite=False``), which is
     sound because the scan happened here and nothing can write the arrays
     afterwards.
@@ -421,15 +405,11 @@ def seal_factor_arrays(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-# ===================================================================== plane
-# Shared-memory shipping of factor payloads between processes.
-#
-# A factor is *flattened* into (meta, arrays): ``meta`` is a small picklable
+# ================================================================ flattening
+# A factor is *flattened* into (meta, arrays): ``meta`` is a small JSON-able
 # description of the factor's structure, ``arrays`` the ordered list of numpy
-# payloads.  The plane packs the arrays back-to-back (8-byte aligned) into one
-# ``multiprocessing.shared_memory`` segment; attaching rebuilds the factor
-# with read-only ndarray views over the segment, so N worker processes share
-# one physical copy of the factor instead of N private rebuilds.
+# payloads.  :class:`FactorArtifactStore` writes exactly this pair to disk and
+# rebuilds the factor from it.
 
 
 class SharedSparseLU:
@@ -438,10 +418,11 @@ class SharedSparseLU:
     Holds the LU decomposition's component arrays (``Pr A Pc = L U`` with the
     permutations given as index vectors) and serves :meth:`solve` through two
     sparse triangular sweeps — the same contract ``FDDirectEngine`` expects
-    from a native SuperLU object.  The component arrays may be views into a
-    shared-memory segment; they are never written.  The CSR forms needed by
-    the triangular solver are derived lazily on first solve (a worker-private
-    copy of the fill, made only when the factor is actually used).
+    from a native SuperLU object.  A SuperLU cannot be rebuilt from its
+    arrays, so this is the form an FD factor takes when
+    :class:`FactorArtifactStore` loads it from disk.  The component arrays
+    are never written; the CSR forms the triangular solver needs are derived
+    lazily on first solve.
 
     Requires factors built without equilibration (``options={"Equil": False}``
     at ``splu`` time): SuperLU does not expose its row/column scalings, so an
@@ -532,18 +513,13 @@ class SharedSparseLU:
 
 
 def _flatten_factor(factor: Any) -> tuple[dict, list[np.ndarray]]:
-    """Decompose a cacheable factor into (picklable meta, array payloads).
+    """Decompose a cacheable factor into (JSON-able meta, array payloads).
 
     Supported shapes are exactly the factor kinds the solvers cache: the BEM
     dense tuples (``("chol", (c, lower))``, ``("schur", (c, lower), w, s)``,
-    ``("bordered", lu, piv)``), the in-RAM tiled tuples
-    (``("tiled_chol", tf)``, ``("tiled_schur", tf, w, s)`` around a
-    non-spilled :class:`~repro.substrate.tiled.TiledCholeskyFactor`) and
-    sparse LUs (native SuperLU or an already reconstructed
-    :class:`SharedSparseLU`).  Raises ``TypeError`` for anything else —
-    including a *spilled* tiled factor, which is its scratch file and has
-    nothing to put in shared memory — so callers can skip unshippable cache
-    entries.
+    ``("bordered", lu, piv)``) and sparse LUs (native SuperLU or an already
+    reconstructed :class:`SharedSparseLU`).  Raises ``TypeError`` for
+    anything else, so callers can skip unpersistable cache entries.
 
     A dense factor (the ``c`` or ``lu`` matrix) is Fortran-ordered, as
     LAPACK builds and reads it.  It ships as its C-contiguous transpose, a
@@ -568,16 +544,6 @@ def _flatten_factor(factor: Any) -> tuple[dict, list[np.ndarray]]:
                 np.ascontiguousarray(lu.T),
                 np.ascontiguousarray(piv),
             ]
-        if kind in ("tiled_chol", "tiled_schur"):
-            tf = factor[1]
-            if getattr(tf, "spilled", True) or getattr(tf, "_l", None) is None:
-                raise TypeError("spilled or closed tiled factors cannot be shared")
-            meta = {"factor": kind, "tile": int(tf.tile)}
-            arrays = [np.ascontiguousarray(tf._l)]
-            if kind == "tiled_schur":
-                meta["s"] = float(factor[3])
-                arrays.append(np.ascontiguousarray(factor[2]))
-            return meta, arrays
         raise TypeError(f"unknown dense factor kind {kind!r}")
     if isinstance(factor, SharedSparseLU):
         return {"factor": "sparse_lu", "shape": factor.shape}, [
@@ -589,14 +555,14 @@ def _flatten_factor(factor: Any) -> tuple[dict, list[np.ndarray]]:
 
 
 def _rebuild_factor(meta: dict, arrays: list[np.ndarray]) -> Any:
-    """Inverse of :func:`_flatten_factor` over (possibly shared) arrays.
+    """Inverse of :func:`_flatten_factor` over loaded arrays.
 
-    A dense factor shipped ``transposed`` is transposed back, a view in
+    A dense factor stored ``transposed`` is transposed back, a view in
     Fortran order; one from an artifact written before that flag existed is
     C-ordered and converted once here, so no block solve copies it.  Then
     every payload is checked and sealed (:func:`seal_factor_arrays`): one
     holding NaN or inf raises ``ValueError``, so a corrupt artifact loads
-    as a miss and a corrupt segment fails its attach.
+    as a miss.
     """
     kind = meta["factor"]
     arrays = list(arrays)
@@ -612,169 +578,12 @@ def _rebuild_factor(meta: dict, arrays: list[np.ndarray]) -> Any:
         return ("bordered", arrays[0], arrays[1])
     if kind == "sparse_lu":
         return SharedSparseLU(*arrays, shape=tuple(meta["shape"]))
-    if kind in ("tiled_chol", "tiled_schur"):
-        from .tiled import TiledCholeskyFactor
-
-        tf = TiledCholeskyFactor.from_factored_array(arrays[0], tile=meta["tile"])
-        if kind == "tiled_chol":
-            return ("tiled_chol", tf)
-        return ("tiled_schur", tf, arrays[1], meta["s"])
     raise TypeError(f"unknown flattened factor kind {kind!r}")
 
 
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
-
-
-@dataclass(frozen=True)
-class SharedFactorHandle:
-    """Picklable descriptor of one factor published in a shared segment.
-
-    ``specs`` lists, per payload array, ``(byte offset, shape, dtype string)``
-    inside the segment named ``segment_name``; ``meta`` is the structural
-    description consumed by :func:`_rebuild_factor`.
-    """
-
-    key: tuple
-    segment_name: str
-    meta: dict
-    specs: tuple[tuple[int, tuple[int, ...], str], ...]
-    nbytes: int
-
-
-@dataclass
-class FactorPlane:
-    """Parent-side owner of the shared-memory factor segments.
-
-    ``publish`` serialises one factor per call into its own segment and
-    returns the handle workers attach through; the plane keeps the live
-    ``SharedMemory`` objects so the segments survive until :meth:`unlink`.
-    The creating process owns the segments: closing only drops this process's
-    mapping, unlinking removes the backing ``/dev/shm`` entries (idempotent,
-    also run by ``__del__`` as a last resort).
-    """
-
-    _segments: list = field(default_factory=list)
-    _unlinked: bool = False
-
-    def publish(self, key: tuple, factor: Any) -> SharedFactorHandle:
-        """Serialise ``factor`` into a fresh segment; returns the handle."""
-        from multiprocessing import shared_memory
-
-        meta, arrays = _flatten_factor(factor)
-        specs: list[tuple[int, tuple[int, ...], str]] = []
-        offset = 0
-        for arr in arrays:
-            specs.append((offset, arr.shape, arr.dtype.str))
-            offset = _align8(offset + arr.nbytes)
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        try:
-            for arr, (off, _, _) in zip(arrays, specs, strict=True):
-                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=off)
-                view[...] = arr
-        except Exception:
-            # the handle was never appended to _segments, so close()/unlink()
-            # would skip it — release it here or the /dev/shm entry outlives
-            # this failed publish
-            shm.close()
-            shm.unlink()
-            raise
-        self._segments.append(shm)
-        return SharedFactorHandle(
-            key=key,
-            segment_name=shm.name,
-            meta=meta,
-            specs=tuple(specs),
-            nbytes=offset,
-        )
-
-    def close(self) -> None:
-        """Drop this process's mappings (the segments stay alive)."""
-        for shm in self._segments:
-            try:
-                shm.close()
-            except Exception:
-                pass
-
-    def unlink(self) -> None:
-        """Remove the backing shared-memory entries (idempotent)."""
-        if self._unlinked:
-            return
-        self._unlinked = True
-        for shm in self._segments:
-            try:
-                shm.close()
-            except Exception:
-                pass
-            try:
-                shm.unlink()
-            except Exception:
-                pass
-        self._segments = []
-
-    def __enter__(self) -> "FactorPlane":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.unlink()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-shutdown guard
-        try:
-            self.unlink()
-        except Exception:
-            pass
-
-
-def attach_shared_factor(
-    handle: SharedFactorHandle, unregister: bool = False
-) -> tuple[Any, Any]:
-    """Reconstruct a published factor as views over its shared segment.
-
-    Returns ``(factor, segment)`` — the caller must keep ``segment``
-    referenced for as long as the factor is in use (the views borrow its
-    buffer).  The views are checked for NaN/inf and marked read-only by
-    :func:`_rebuild_factor`: the plane shares one physical copy between
-    processes, so no consumer may write through it, and a payload holding
-    NaN or inf raises ``ValueError`` (the caller then factors for itself).
-    With
-    ``unregister`` the segment is removed from this process's
-    ``resource_tracker`` registration (spawn-started workers get a private
-    tracker that must not treat the parent-owned segment as leaked).
-    """
-    from multiprocessing import shared_memory
-
-    from ..faults import fault_hook
-
-    # chaos hook: a fault plan can simulate a torn/corrupt segment here;
-    # every caller treats attach as an optimisation and falls back to its
-    # own factorisation, which is exactly the path this fault exercises
-    fault_hook("shm.attach", key=str(handle.key[0]) if handle.key else None)
-    shm = shared_memory.SharedMemory(name=handle.segment_name)
-    if unregister:
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-    try:
-        arrays = []
-        for off, shape, dtype in handle.specs:
-            arrays.append(
-                np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf, offset=off)
-            )
-        return _rebuild_factor(handle.meta, arrays), shm
-    except Exception:
-        # rebuild failed (torn handle, truncated segment): the caller never
-        # received the segment, so this process must drop its mapping
-        shm.close()
-        raise
-
-
 # ================================================================== artifacts
-# Content-addressed on-disk persistence of factor payloads.  The same
-# (meta, arrays) flattening that ships factors between processes also makes
-# them durable: each artifact is one ``<digest>.npz`` of the payload arrays
+# Content-addressed on-disk persistence of factor payloads.  The
+# (meta, arrays) flattening above makes them durable: each artifact is one ``<digest>.npz`` of the payload arrays
 # plus a ``<digest>.json`` sidecar holding the structural meta and the
 # human-readable cache key, where ``digest`` addresses the *cache key* — the
 # full identity of the physics, discretisation and factor kind.  A restarted
@@ -800,8 +609,8 @@ class FactorArtifactStore:
         are skipped with a warning, never raised to the solver.
 
     Only the :data:`PERSISTED_FACTOR_KINDS` are handled; values that the
-    flatten contract cannot serialise (e.g. a *spilled* tiled factor, which
-    is its scratch file) are silently skipped.  All methods are thread-safe.
+    flatten contract cannot serialise are skipped (counted in
+    ``save_skips``).  All methods are thread-safe.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:

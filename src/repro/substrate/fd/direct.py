@@ -18,10 +18,10 @@ physical profile and the grid resolution, so a second solver over the same
 substrate (or a benchmark repetition) pays ~zero factor cost.  They are built
 **without equilibration** (``options={"Equil": False}``): SuperLU does not
 expose its row/column scalings, and a non-equilibrated factor is exactly
-reconstructible from its component arrays — which is what lets the parallel
-engine's shared-memory factor plane ship these factors to worker processes
-(as :class:`~repro.substrate.factor_cache.SharedSparseLU` views) instead of
-refactoring per worker.  The FD systems are diagonally dominant
+reconstructible from its component arrays — which is what lets the factor
+artifact store persist these factors and load them back (as
+:class:`~repro.substrate.factor_cache.SharedSparseLU`) instead of
+refactoring after a restart.  The FD systems are diagonally dominant
 grid-of-resistors matrices, so skipping equilibration costs no accuracy.
 """
 
@@ -66,7 +66,7 @@ class FDDirectEngine:
     stats:
         Optional :class:`~repro.substrate.solver_base.SolveStats` that gets a
         ``record_factor_rebuild`` whenever :meth:`prepare` actually factors
-        (as opposed to loading from the cache or an attached shared payload).
+        (as opposed to loading from the cache or its artifact store).
     """
 
     def __init__(
@@ -80,11 +80,6 @@ class FDDirectEngine:
         self.stats = stats
         self._key = fd_factor_cache_key(assembly)
         self._lu = None
-
-    @property
-    def factor_cache_key(self) -> tuple:
-        """Process-wide factor-cache key of this engine's sparse LU."""
-        return self._key
 
     @property
     def is_factored(self) -> bool:
@@ -113,7 +108,7 @@ class FDDirectEngine:
                 return
         try:
             # Equil=False keeps the factor reconstructible from components
-            # (see module docstring) so the factor plane can ship it
+            # (see module docstring) so the artifact store can persist it
             lu = splu(self.assembly.matrix.tocsc(), options={"Equil": False})
         except (RuntimeError, ValueError, MemoryError) as exc:
             raise RuntimeError(f"sparse LU factorisation failed: {exc}") from exc

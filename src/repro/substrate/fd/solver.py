@@ -159,16 +159,6 @@ class FiniteDifferenceSolver(SubstrateSolver):
             )
         return self._direct_engine
 
-    @property
-    def factor_cache_key(self) -> tuple:
-        """Process-wide factor-cache key of this solver's sparse LU.
-
-        The parallel engine's shared-memory factor plane publishes the
-        parent's factor under this key so worker processes attach instead of
-        refactoring.
-        """
-        return self._ensure_direct_engine().factor_cache_key
-
     def _expected_iterations(self) -> float | None:
         """Observed PCG convergence, or a per-preconditioner prior."""
         if self.stats.n_iterative_solves > 0:
@@ -180,8 +170,9 @@ class FiniteDifferenceSolver(SubstrateSolver):
 
         Returns True when a factor is held afterwards; False when the direct
         path is unavailable (node ceiling, or a failed factorisation, which
-        is also remembered so dispatch never retries it).  Used to warm
-        worker processes before timed parallel extraction.
+        is also remembered so dispatch never retries it).  The service
+        calls it once when it builds an engine, so requests pay solve cost
+        only.
         """
         if self._direct_failed:
             return False

@@ -58,9 +58,6 @@ class SolveStats:
     n_direct_solves: int = 0
     total_iterations: int = 0
     iterations_per_solve: list[int] = field(default_factory=list)
-    #: factors this solver obtained by attaching to a shared-memory payload
-    #: published by another process (the parallel engine's factor plane)
-    n_factor_attaches: int = 0
     #: factors this solver had to build from scratch (cold factorisation)
     n_factor_rebuilds: int = 0
 
@@ -74,20 +71,16 @@ class SolveStats:
         """Record ``n_solves`` columns served by the direct (factored) path."""
         self.n_direct_solves += n_solves
 
-    def record_factor_attach(self, n: int = 1) -> None:
-        """Record ``n`` factors adopted zero-copy from a shared-memory plane."""
-        self.n_factor_attaches += n
-
     def record_factor_rebuild(self, n: int = 1) -> None:
-        """Record ``n`` factors built locally (not served by a shared plane)."""
+        """Record ``n`` factors built here (not loaded from a cache or artifact)."""
         self.n_factor_rebuilds += n
 
     def merge(self, other: "SolveStats") -> "SolveStats":
         """Fold another stats object into this one; returns ``self``.
 
-        Used to aggregate per-process statistics of the parallel extraction
-        engine (and, in general, any multi-solver workload) into one report:
-        iterative/direct solve counts and iteration totals add, and
+        Used to aggregate the statistics of several solvers (the service's
+        engines, any multi-solver workload) into one report: iterative/direct
+        solve counts and iteration totals add, and
         :attr:`mean_iterations` therefore stays "iterations per *iterative*
         solve" over the union — direct solves never dilute it.
         """
@@ -95,7 +88,6 @@ class SolveStats:
         self.n_direct_solves += other.n_direct_solves
         self.total_iterations += other.total_iterations
         self.iterations_per_solve.extend(other.iterations_per_solve)
-        self.n_factor_attaches += other.n_factor_attaches
         self.n_factor_rebuilds += other.n_factor_rebuilds
         return self
 
@@ -119,7 +111,6 @@ class SolveStats:
             "n_direct_solves": self.n_direct_solves,
             "total_iterations": self.total_iterations,
             "mean_iterations": self.mean_iterations,
-            "n_factor_attaches": self.n_factor_attaches,
             "n_factor_rebuilds": self.n_factor_rebuilds,
         }
 
@@ -250,6 +241,10 @@ class DenseMatrixSolver(SubstrateSolver):
             raise ValueError("matrix size does not match the number of contacts")
         self.matrix = matrix
         self.layout = layout
+        #: always zero: a matrix product is neither an iterative nor a
+        #: factored solve, but callers that read every engine's counters
+        #: (the service's scheduler) find the attribute here too
+        self.stats = SolveStats()
 
     def solve_currents(self, voltages: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(voltages, dtype=float)

@@ -522,6 +522,15 @@ def test_client_honors_retry_after_on_429(spec_a):
         assert scheduler.result(filler, wait_s=5.0).status == "done"
 
 
+def test_worker_cli_accepts_only_one_worker(capsys):
+    from repro.cluster.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["worker", "--leader", "http://127.0.0.1:9", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_client_rejects_negative_retries():
     with pytest.raises(ValueError):
         ServiceClient("http://127.0.0.1:1", retries=-1)

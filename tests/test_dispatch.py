@@ -100,37 +100,19 @@ def test_policy_cached_factor_prefers_direct_even_for_one_rhs():
 
 
 def test_policy_panel_ceiling_and_failure_force_iterative():
-    # above the dense ceiling, a wide block now lands on the tiled tier...
+    # above the dense ceiling every width routes iterative
     policy = DispatchPolicy(max_direct_panels=100)
-    assert (
-        policy.choose(n_panels=101, n_rhs=512, grid_points=4096, grounded=True).path
-        == "tiled"
-    )
-    # ...unless the tiled tier is disabled, which restores pure iterative
-    policy = DispatchPolicy(max_direct_panels=100, max_tiled_panels=0)
-    assert (
-        policy.choose(n_panels=101, n_rhs=512, grid_points=4096, grounded=True).path
-        == "iterative"
-    )
-    # above *both* ceilings only the iterative path remains
-    policy = DispatchPolicy(max_direct_panels=100, max_tiled_panels=200)
-    assert (
-        policy.choose(n_panels=201, n_rhs=512, grid_points=4096, grounded=True).path
-        == "iterative"
-    )
+    for n_rhs in (2, 512, 65536):
+        d = policy.choose(n_panels=101, n_rhs=n_rhs, grid_points=4096, grounded=True)
+        assert d.path == "iterative"
+        assert d.reason == "n_panels 101 exceeds max_direct_panels 100"
     policy = DispatchPolicy()
     d = policy.choose(
         n_panels=64, n_rhs=512, grid_points=4096, grounded=True, factor_failed=True
     )
     assert d.path == "iterative"
-    # a failed A_cc Cholesky latches the tiled tier too (same matrix)
-    policy = DispatchPolicy(max_direct_panels=10)
-    d = policy.choose(
-        n_panels=64, n_rhs=512, grid_points=4096, grounded=True, factor_failed=True
-    )
-    assert d.path == "iterative"
-    # disabling both factored paths forces iterative everywhere
-    policy = DispatchPolicy(max_direct_panels=0, max_tiled_panels=0)
+    # disabling the direct path forces iterative everywhere
+    policy = DispatchPolicy(max_direct_panels=0)
     assert (
         policy.choose(n_panels=64, n_rhs=512, grid_points=4096, grounded=True).path
         == "iterative"
@@ -488,24 +470,49 @@ def test_mixed_workload_mean_iterations_regression(tiny_layout):
     assert solver.stats.n_solves == tiny_layout.n_contacts + 1
 
 
-def test_grounded_tiled_crossover_matches_pr4_measurement():
-    """Pin the PR-5 recalibration: at the PR-4 measurement point (ncp=4096,
-    k=1024 columns, 128x128 panel grid, grounded) the tiled engine measured
-    3.7-4.1s against 5.6+s iterative, so the model must route the block to
-    the tiled tier — the pre-recalibration constants (fft_unit=12,
-    tiled_io_unit=4) called iterative cheaper here."""
-    policy = DispatchPolicy(max_direct_panels=2048)
-    d = policy.choose(
-        n_panels=4096, n_rhs=1024, grid_points=128 * 128, grounded=True
+def test_extract_paper_substrate_routes_cold_blocks_by_width():
+    """At the extract-paper substrate (5,120 contact panels on a 128x128
+    grid, grounded, under the 512 MiB budget's 8,191-panel ceiling) the
+    model's cold break-even sits between 128 and 256 columns (measured at
+    ~172): the set-up's cold 256-column block must factor, so every later
+    block of the flow reads the cached factor, and a 128-column cold block
+    must iterate."""
+    policy = DispatchPolicy(max_direct_panels=8191)
+
+    def route(n_rhs: int) -> str:
+        return policy.choose(
+            n_panels=5120, n_rhs=n_rhs, grid_points=128 * 128, grounded=True
+        ).path
+
+    assert route(256) == "direct"
+    assert route(128) == "iterative"
+
+
+def test_solver_max_direct_panels_zero_still_means_iterative_only(tiny_layout):
+    solver = EigenfunctionSolver(
+        tiny_layout, _profile(True), max_panels=32, max_direct_panels=0, fft_workers=1
     )
-    assert d.path == "tiled"
-    # the modeled tiled/iterative ratio must sit near the measured ~4.0/5.6
-    assert 0.5 < d.direct_cost / d.iterative_cost < 0.9
-    # sanity: the old constants really did misroute this block
-    old = DispatchPolicy(
-        max_direct_panels=2048,
-        cost_model=SolveCostModel(fft_unit=12.0, tiled_io_unit=4.0),
-    )
-    assert old.choose(
-        n_panels=4096, n_rhs=1024, grid_points=128 * 128, grounded=True
-    ).path == "iterative"
+    solver.solve_many(np.eye(tiny_layout.n_contacts))
+    assert solver.last_dispatch.path == "iterative"
+    assert solver.stats.n_direct_solves == 0
+
+
+# -------------------------------------------------------------- sparse probe
+def test_sparse_auto_tune_probe_runs_once_and_clamps():
+    policy = DispatchPolicy(auto_tune=True)
+    factor_unit, iter_units = policy.auto_tune_sparse_probe()
+    assert 0.5 <= factor_unit <= 500.0
+    assert 5.0 <= iter_units <= 2000.0
+    assert policy.cost_model.sparse_factor_unit == factor_unit
+    assert policy.cost_model.fd_iteration_units == iter_units
+    marker = (-1.0, -2.0)
+    policy.cost_model.sparse_factor_unit = marker[0]
+    policy.cost_model.fd_iteration_units = marker[1]
+    assert policy.auto_tune_sparse_probe() == marker  # second probe is a no-op
+
+
+def test_choose_sparse_triggers_probe_when_auto_tune():
+    policy = DispatchPolicy(auto_tune=True)
+    assert not policy._sparse_tuned
+    policy.choose_sparse(n_nodes=1000, n_rhs=16)
+    assert policy._sparse_tuned

@@ -5,7 +5,9 @@ caps, hit/miss counters, oversized rejection) and the solver integrations:
 a second eigenfunction or finite-difference solver over the same
 ``(layout, profile, grid)`` must load its direct factor from the cache
 instead of rebuilding it, and dispatch must treat a warm cache as a cached
-factor.
+factor.  The flatten/rebuild contract behind the artifact store must round
+trip every factor kind, and :class:`SharedSparseLU` must answer like the
+SuperLU it was taken from.
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.sparse import diags, eye as speye, kron
+from scipy.sparse.linalg import splu
 
 from repro import (
     DispatchPolicy,
     EigenfunctionSolver,
     FactorCache,
+    SharedSparseLU,
     SubstrateProfile,
     extract_dense,
     factor_cache,
@@ -31,7 +36,11 @@ from repro import (
     set_factor_cache_budget,
 )
 from repro.substrate.bem.solver import BEM_FACTOR_KIND
-from repro.substrate.factor_cache import FactorArtifactStore
+from repro.substrate.factor_cache import (
+    FactorArtifactStore,
+    _flatten_factor,
+    _rebuild_factor,
+)
 from repro.substrate.fd import FDDirectEngine, FiniteDifferenceSolver
 from repro.substrate.fd.direct import FD_FACTOR_KIND
 
@@ -525,3 +534,82 @@ def test_eigenvalue_tables_live_in_factor_cache():
     info = factor_cache_info()["by_kind"]["eigenvalue_table"]
     assert info["entries"] >= 1
     assert eigenvalue_table(8, 8, profile) is table
+
+
+def _spd(n: int, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+def _sparse_system(m: int = 6):
+    one = diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+    i = speye(m)
+    return (
+        kron(kron(one, i), i) + kron(kron(i, one), i) + kron(kron(i, i), one)
+        + speye(m**3)
+    ).tocsc()
+
+
+# ------------------------------------------------- flatten / rebuild contract
+def test_flatten_rebuild_chol_factor():
+    a = _spd(12)
+    factor = ("chol", cho_factor(a, lower=True))
+    meta, arrays = _flatten_factor(factor)
+    rebuilt = _rebuild_factor(meta, [a.copy() for a in arrays])
+    b = np.arange(12.0)
+    ref = cho_solve(factor[1], b)
+    assert np.allclose(cho_solve(rebuilt[1], b), ref, atol=1e-14)
+
+
+def test_flatten_rebuild_schur_factor():
+    a = _spd(10)
+    chol = cho_factor(a, lower=True)
+    ones = np.ones(10)
+    w = cho_solve(chol, ones)
+    s = float(ones @ w)
+    meta, arrays = _flatten_factor(("schur", chol, w, s))
+    rebuilt = _rebuild_factor(meta, arrays)
+    assert rebuilt[0] == "schur"
+    assert rebuilt[3] == pytest.approx(s)
+    assert np.allclose(rebuilt[2], w)
+
+
+def test_flatten_rebuild_bordered_factor():
+    a = _spd(9)
+    lu, piv = lu_factor(a)
+    meta, arrays = _flatten_factor(("bordered", lu, piv))
+    rebuilt = _rebuild_factor(meta, arrays)
+    b = np.arange(9.0)
+    assert np.allclose(lu_solve((rebuilt[1], rebuilt[2]), b), lu_solve((lu, piv), b))
+
+
+def test_flatten_rejects_unknown_kinds():
+    with pytest.raises(TypeError):
+        _flatten_factor(("mystery", np.eye(2)))
+    with pytest.raises(TypeError):
+        _flatten_factor(object())
+
+
+def test_shared_sparse_lu_matches_superlu():
+    a = _sparse_system()
+    lu = splu(a, options={"Equil": False})
+    shared = SharedSparseLU.from_superlu(lu)
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal((a.shape[0], 4))
+    assert np.allclose(shared.solve(b), lu.solve(b), atol=1e-12)
+    # vector RHS keeps its shape
+    assert shared.solve(b[:, 0]).shape == (a.shape[0],)
+    # tocsc() may drop explicit zeros, so the component nnz is a lower bound
+    assert 0 < shared.nnz <= lu.nnz
+    assert shared.nbytes > 0
+
+
+def test_shared_sparse_lu_roundtrips_through_flatten():
+    a = _sparse_system(5)
+    lu = splu(a, options={"Equil": False})
+    meta, arrays = _flatten_factor(lu)  # native SuperLU flattens too
+    rebuilt = _rebuild_factor(meta, arrays)
+    assert isinstance(rebuilt, SharedSparseLU)
+    b = np.arange(float(a.shape[0]))
+    assert np.allclose(rebuilt.solve(b), lu.solve(b), atol=1e-12)

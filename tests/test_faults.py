@@ -1,11 +1,9 @@
-"""Fault injection and the fault-tolerant service: faults, supervision, retry.
+"""Fault injection and the fault-tolerant service: faults and retry.
 
-Covers the :mod:`repro.faults` harness itself (plans, budgets, tokens,
-activation paths), the supervised :class:`ParallelExtractor` (pool rebuild
-after a worker kill, inline degradation, warm-up failure surfacing), and the
-scheduler's resilience layer (retry with backoff, per-fingerprint circuit
-breaker, admission control with priority shedding + HTTP 429, sqlite fault
-degradation, journal replay after a mid-batch crash).
+Covers the :mod:`repro.faults` harness itself (plans, budgets, activation
+paths) and the scheduler's resilience layer (retry with backoff,
+per-fingerprint circuit breaker, admission control with priority shedding +
+HTTP 429, sqlite fault degradation, journal replay after a mid-batch crash).
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from repro.service import (
 )
 from repro.service.scheduler import CircuitBreaker, _truncated_traceback
 from repro.service.wire import request_to_wire
-from repro.substrate.parallel import ParallelExtractor, PoolWarmupError, SolverSpec
+from repro.substrate.parallel import SolverSpec
 
 
 @pytest.fixture(autouse=True)
@@ -91,7 +89,6 @@ def test_fault_spec_validates_action_exception_and_budgets():
 def test_fault_plan_json_roundtrip_and_list_shorthand():
     plan = FaultPlan.from_json(
         {
-            "token_dir": "/tmp/x",
             "faults": [
                 {"site": "a.b", "action": "delay", "delay_s": 0.5, "times": 3},
                 {"site": "c.d", "match": {"k": 1}},
@@ -99,7 +96,6 @@ def test_fault_plan_json_roundtrip_and_list_shorthand():
         }
     )
     again = FaultPlan.from_json(plan.to_json())
-    assert again.token_dir == "/tmp/x"
     assert again.specs == plan.specs
     bare = FaultPlan.from_json('[{"site": "a.b", "action": "drop"}]')
     assert bare.specs[0].action == "drop"
@@ -138,18 +134,6 @@ def test_named_exception_and_delay_and_drop():
     assert time.perf_counter() - start >= 0.04
     assert plan.fire("skip", {}) is True
     assert ("skip", "drop") in plan.fired
-
-
-def test_once_key_token_is_cross_plan_exactly_once(tmp_path):
-    spec = FaultSpec(site="s", once_key="only-one", times=None)
-    first = FaultPlan([spec], token_dir=str(tmp_path))
-    with pytest.raises(InjectedFault):
-        first.fire("s", {})
-    assert first.once_tripped("only-one")
-    # a fresh plan (fresh counters — a rebuilt worker) must NOT fire again
-    second = FaultPlan([spec], token_dir=str(tmp_path))
-    assert second.fire("s", {}) is False
-    assert (tmp_path / "only-one.tripped").exists()
 
 
 # ------------------------------------------------------------- activation
@@ -198,113 +182,6 @@ def test_kill_action_exits_the_process():
     )
     assert proc.returncode == 7
     assert "survived" not in proc.stdout
-
-
-# ------------------------------------------------- supervised ParallelExtractor
-def _kill_plan_env(monkeypatch, tmp_path, once_key="test-kill", match=None):
-    """Activate a worker-kill plan via the env (workers inherit it)."""
-    plan = {
-        "token_dir": str(tmp_path),
-        "faults": [
-            {
-                "site": "worker.solve",
-                "action": "kill",
-                "once_key": once_key,
-                **({"match": match} if match else {}),
-            }
-        ],
-    }
-    monkeypatch.setenv(faults.ENV_VAR, json.dumps(plan))
-    return faults.reload_env_plan()
-
-
-def test_pool_recovers_from_worker_kill(dense_spec, tmp_path, monkeypatch):
-    n = dense_spec.layout.n_contacts
-    v = np.eye(n)
-    with ParallelExtractor(dense_spec, n_workers=2) as serial_free:
-        expected = serial_free._solve_inline(v)
-    plan = _kill_plan_env(monkeypatch, tmp_path, match={"start": 0})
-    with ParallelExtractor(dense_spec, n_workers=2) as engine:
-        with pytest.warns(RuntimeWarning, match="worker pool failure"):
-            out = engine.solve_many(v)
-        assert engine.pool_rebuilds == 1
-        assert engine.degraded_solves == 0
-        # the rebuilt pool keeps serving without further incident
-        again = engine.solve_many(v)
-    assert plan.once_tripped("test-kill")
-    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(again, expected, rtol=0, atol=1e-12)
-
-
-def test_pool_degrades_inline_when_rebuilds_keep_failing(
-    dense_spec, monkeypatch
-):
-    # no once_key and no budget: every worker generation dies again
-    monkeypatch.setenv(
-        faults.ENV_VAR,
-        '[{"site": "worker.solve", "action": "kill", "times": null}]',
-    )
-    faults.reload_env_plan()
-    n = dense_spec.layout.n_contacts
-    v = np.eye(n)
-    with ParallelExtractor(dense_spec, n_workers=2, max_pool_rebuilds=1) as engine:
-        expected = engine._solve_inline(v)  # inline path never hits the hook
-        with pytest.warns(RuntimeWarning) as caught:
-            out = engine.solve_many(v)
-        assert any("degrading" in str(w.message) for w in caught)
-        assert engine.pool_rebuilds == 1
-        assert engine.degraded_solves == n
-    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
-
-
-def test_warm_up_failure_raises_pool_warmup_error(dense_spec, monkeypatch):
-    import repro.substrate.parallel as parallel_mod
-
-    def broken_manager(*args, **kwargs):
-        raise OSError("manager pipe torn")
-
-    monkeypatch.setattr(parallel_mod.mp, "Manager", broken_manager)
-    engine = ParallelExtractor(dense_spec, n_workers=2)
-    try:
-        with pytest.raises(PoolWarmupError, match="manager pipe torn"):
-            engine.warm_up()
-        # the broken pool was torn down, not left to hang later submits
-        assert engine._pool is None
-    finally:
-        engine.close()
-
-
-def test_shm_attach_fault_falls_back_to_worker_rebuild(bem_spec, monkeypatch):
-    # a torn shared segment must cost a refactorisation, never a crash
-    n = bem_spec.layout.n_contacts
-    with ParallelExtractor(bem_spec, n_workers=2) as reference:
-        expected = reference._solve_inline(np.eye(n))
-    monkeypatch.setenv(
-        faults.ENV_VAR, '[{"site": "shm.attach", "action": "raise", "times": null}]'
-    )
-    faults.reload_env_plan()
-    with ParallelExtractor(
-        bem_spec, n_workers=2, prepare_direct=True, share_factors=True
-    ) as engine:
-        engine.warm_up()
-        out = engine.solve_many(np.eye(n))
-        # worker stats ride back with the shards: nobody attached a shared
-        # segment (each worker served from its own factor — inherited on
-        # fork, or refactored under spawn), and the answer is unchanged
-        assert engine.stats.n_factor_attaches == 0
-        assert engine.stats.n_direct_solves == n
-    np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
-
-
-def test_attach_shared_factor_hook_fires_before_segment_io():
-    from repro.substrate.factor_cache import SharedFactorHandle, attach_shared_factor
-
-    bogus = SharedFactorHandle(
-        key=("k",), segment_name="no-such-segment", meta={}, specs=[], nbytes=0
-    )
-    with faults.inject([{"site": "shm.attach", "action": "raise"}]):
-        with pytest.raises(InjectedFault):
-            attach_shared_factor(bogus)
 
 
 # --------------------------------------------------------- scheduler resilience

@@ -1,15 +1,20 @@
-"""Tests for the process-parallel extraction engine.
+"""Tests for :class:`SolverSpec`, the engines built from it, and
+:meth:`SolveStats.merge`.
 
-The :class:`~repro.substrate.parallel.ParallelExtractor` is a drop-in
-``SubstrateSolver``: sharding a ``solve_many`` block across worker processes
-must reproduce the serial results to solver tolerance, charge exactly the
-serial solve counts through a :class:`CountingSolver`, and merge the
-per-process :class:`SolveStats` into one report.  ``SolverSpec`` must
-round-trip through pickle into a subprocess for every example configuration.
+``merge`` folds several solvers' statistics into one report (the service
+aggregates its engines with it): counts add, and the mean stays per
+iterative solve.  A spec refuses a kind it cannot build, and ``build``
+overrides win over the stored options.  The engine the service solves on
+-- the spec's solver with its direct factor prepared, as
+:meth:`~repro.service.scheduler.ExtractorPool.get` builds it -- must
+reproduce a cold serial solver to solver tolerance, charge exactly the
+serial solve counts through a :class:`CountingSolver`, and solve in this
+process.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -17,7 +22,6 @@ import pytest
 
 from repro import (
     CountingSolver,
-    ParallelExtractor,
     SolveStats,
     SolverSpec,
     SquareHierarchy,
@@ -25,10 +29,11 @@ from repro import (
     extract_columns,
     extract_dense,
     regular_grid,
-    solve_in_subprocess,
 )
 from repro.core.wavelet import WaveletSparsifier
-from repro.experiments import chapter4_examples, paper_examples
+from repro.service import JobRequest, Scheduler
+from repro.service import scheduler as scheduler_mod
+from repro.service.scheduler import ExtractorPool
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +49,12 @@ def _bem_spec(layout, grounded=True, **options):
     options.setdefault("max_panels", 32)
     options.setdefault("fft_workers", 1)
     return SolverSpec.bem(layout, _profile(grounded), **options)
+
+
+def _engine(spec, pool=None):
+    """The warm engine the service solves ``spec`` on."""
+    pool = pool if pool is not None else ExtractorPool()
+    return pool.get(spec.fingerprint, spec)
 
 
 # ------------------------------------------------------------------ SolveStats
@@ -76,7 +87,6 @@ def test_solve_stats_merge_empty_is_identity():
         "n_direct_solves": 0,
         "total_iterations": 4,
         "mean_iterations": 4.0,
-        "n_factor_attaches": 0,
         "n_factor_rebuilds": 0,
     }
 
@@ -98,45 +108,14 @@ def test_solver_spec_build_overrides(tiny_layout):
     assert solver.operator.fft_workers is None  # fft_workers=1 resolves to None
 
 
-@pytest.mark.parametrize("name", ["1a", "1b", "2", "3", "ch4-1", "ch4-2", "ch4-3"])
-def test_example_specs_roundtrip_through_subprocess(name):
-    """Every example config builds a spec that pickles, rebuilds an
-    equivalent solver in a subprocess, and matches the parent per-column."""
-    table = paper_examples(n_side=4, size=64.0)
-    table.update(chapter4_examples(n_side=4, size=64.0))
-    config = table[name]
-    layout = config.build_layout()
-    spec = config.build_spec(layout, fft_workers=1)
-    rebuilt = pickle.loads(pickle.dumps(spec))
-    assert rebuilt.kind == spec.kind
-    assert rebuilt.layout.fingerprint == layout.fingerprint
-
-    v = np.eye(layout.n_contacts)[:, :2]
-    parent = spec.build().solve_many(v)
-    child = solve_in_subprocess(spec, v)
-    scale = np.abs(parent).max()
-    assert np.abs(child - parent).max() <= 1e-10 * scale
-
-
-def test_large_example_specs_pickle():
-    """The Table 4.3 configs build picklable specs too (no subprocess solve:
-    they are exercised at reduced scale by the parametrised test above)."""
-    table = chapter4_examples(n_side=4, size=64.0)
-    for name in ("ch4-4", "ch4-5"):
-        spec = table[name].build_spec()
-        rebuilt = pickle.loads(pickle.dumps(spec))
-        assert rebuilt.layout.fingerprint == spec.layout.fingerprint
-
-
 # --------------------------------------------------------------- equivalence
 @pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "floating"])
 def test_parallel_matches_serial_extraction(tiny_layout, grounded):
     spec = _bem_spec(tiny_layout, grounded, rtol=1e-10)
     g_serial = extract_dense(spec.build())
-    with ParallelExtractor(spec, n_workers=2, min_parallel_columns=2) as ex:
-        g_parallel = ex.extract_dense()
+    g_engine = extract_dense(_engine(spec))
     scale = np.abs(g_serial).max()
-    assert np.abs(g_parallel - g_serial).max() <= 1e-10 * scale
+    assert np.abs(g_engine - g_serial).max() <= 1e-10 * scale
 
 
 def test_parallel_extract_columns_and_narrow_inline(tiny_layout):
@@ -144,11 +123,11 @@ def test_parallel_extract_columns_and_narrow_inline(tiny_layout):
     serial = spec.build()
     columns = np.array([5, 1, 9])
     ref = extract_columns(serial, columns)
-    with ParallelExtractor(spec, n_workers=2, min_parallel_columns=8) as ex:
-        out = ex.extract_columns(columns)  # 3 < 8 columns: solved inline
-        assert ex._pool is None  # narrow block never started the pool
-        wide = ex.extract_dense()
-        assert ex._pool is not None
+    engine = _engine(spec)
+    out = extract_columns(engine, columns)
+    wide = extract_dense(engine)
+    # narrow and wide blocks alike are solved in this process
+    assert multiprocessing.active_children() == []
     assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
     assert np.abs(wide - extract_dense(serial)).max() <= 1e-10 * np.abs(ref).max()
 
@@ -164,22 +143,21 @@ def test_parallel_fd_backend(tiny_layout):
         fft_workers=1,
     )
     g_serial = extract_dense(spec.build())
-    with ParallelExtractor(spec, n_workers=2, min_parallel_columns=2) as ex:
-        g_parallel = ex.extract_dense()
-    assert np.abs(g_parallel - g_serial).max() <= 1e-10 * np.abs(g_serial).max()
+    g_engine = extract_dense(_engine(spec))
+    assert np.abs(g_engine - g_serial).max() <= 1e-10 * np.abs(g_serial).max()
 
 
-def test_parallel_dense_spec_and_pickled_fallback(tiny_layout, rng=None):
+def test_parallel_dense_spec_and_pickled_fallback(tiny_layout):
     rng = np.random.default_rng(0)
     n = tiny_layout.n_contacts
     a = rng.standard_normal((n, n))
     g = a @ a.T + n * np.eye(n)
-    spec = SolverSpec.dense(g, tiny_layout)
-    with ParallelExtractor(
-        spec, n_workers=2, min_parallel_columns=2, use_shared_memory=False
-    ) as ex:
-        out = ex.extract_dense()
+    spec = pickle.loads(pickle.dumps(SolverSpec.dense(g, tiny_layout)))
+    engine = _engine(spec)
+    out = extract_dense(engine)
     assert np.allclose(out, g, rtol=0.0, atol=1e-12 * np.abs(g).max())
+    # a dense engine carries stats it never increments, like every engine
+    assert engine.stats.n_solves == 0
 
 
 def test_parallel_gauge_constants_match_serial(tiny_layout):
@@ -188,12 +166,12 @@ def test_parallel_gauge_constants_match_serial(tiny_layout):
     v = np.eye(tiny_layout.n_contacts)
     serial.solve_many(v)
     gauges_serial = serial.last_gauge_constants
-    with ParallelExtractor(spec, n_workers=2, min_parallel_columns=2) as ex:
-        ex.solve_many(v)
-        gauges_parallel = ex.last_gauge_constants
-    assert gauges_parallel is not None
+    engine = _engine(spec)
+    engine.solve_many(v)
+    gauges_engine = engine.last_gauge_constants
+    assert gauges_engine is not None
     scale = np.abs(gauges_serial).max()
-    assert np.abs(gauges_parallel - gauges_serial).max() <= 1e-8 * scale
+    assert np.abs(gauges_engine - gauges_serial).max() <= 1e-8 * scale
 
 
 def test_parallel_single_column_and_solve_currents(tiny_layout):
@@ -201,8 +179,7 @@ def test_parallel_single_column_and_solve_currents(tiny_layout):
     serial = spec.build()
     e = np.zeros(tiny_layout.n_contacts)
     e[3] = 1.0
-    with ParallelExtractor(spec, n_workers=2) as ex:
-        out = ex.solve_currents(e.copy())
+    out = _engine(spec).solve_currents(e.copy())
     ref = serial.solve_currents(e)
     assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -212,84 +189,93 @@ def test_counting_attribution_identical_to_serial(tiny_layout):
     spec = _bem_spec(tiny_layout, rtol=1e-10)
     serial_counting = CountingSolver(spec.build())
     extract_dense(serial_counting)
-    with ParallelExtractor(spec, n_workers=2, min_parallel_columns=2) as ex:
-        parallel_counting = CountingSolver(ex)
-        extract_dense(parallel_counting)
-    assert parallel_counting.solve_count == serial_counting.solve_count
-    assert parallel_counting.solve_count == tiny_layout.n_contacts
+    engine_counting = CountingSolver(_engine(spec))
+    extract_dense(engine_counting)
+    assert engine_counting.solve_count == serial_counting.solve_count
+    assert engine_counting.solve_count == tiny_layout.n_contacts
 
 
 def test_parallel_stats_merge_matches_serial_totals(tiny_layout):
+    """Sharding the columns over two engines and merging their stats
+    reports the serial totals."""
     spec = _bem_spec(tiny_layout, rtol=1e-10)
     serial = spec.build()
     extract_dense(serial)
-    with ParallelExtractor(spec, n_workers=2, min_parallel_columns=2) as ex:
-        ex.extract_dense()
-        merged = ex.stats
+    merged = SolveStats()
+    for block in np.array_split(np.eye(tiny_layout.n_contacts), 2, axis=1):
+        engine = _engine(spec)
+        engine.solve_many(block)
+        merged.merge(engine.stats)
     assert merged.n_solves == serial.stats.n_solves == tiny_layout.n_contacts
 
 
 def test_wavelet_extraction_through_parallel_extractor(tiny_layout):
     """The wavelet combine-solves pipeline runs unchanged through the
-    parallel engine: same attributed solve count, same Gws."""
+    service's engine: same attributed solve count, same Gws."""
     spec = _bem_spec(tiny_layout, rtol=1e-10)
     hierarchy = SquareHierarchy(tiny_layout, max_level=2)
 
     serial_counting = CountingSolver(spec.build())
     rep_serial = WaveletSparsifier(hierarchy, order=2).extract(serial_counting)
 
-    with ParallelExtractor(spec, n_workers=2, min_parallel_columns=2) as ex:
-        parallel_counting = CountingSolver(ex)
-        rep_parallel = WaveletSparsifier(hierarchy, order=2).extract(parallel_counting)
+    engine_counting = CountingSolver(_engine(spec))
+    rep_engine = WaveletSparsifier(hierarchy, order=2).extract(engine_counting)
 
-    assert parallel_counting.solve_count == serial_counting.solve_count
-    assert rep_parallel.n_solves == rep_serial.n_solves
-    diff = (rep_parallel.gw - rep_serial.gw).toarray()
+    assert engine_counting.solve_count == serial_counting.solve_count
+    assert rep_engine.n_solves == rep_serial.n_solves
+    diff = (rep_engine.gw - rep_serial.gw).toarray()
     scale = np.abs(rep_serial.gw.toarray()).max()
     assert np.abs(diff).max() <= 1e-8 * scale
 
 
 # ------------------------------------------------------------------- plumbing
 def test_parallel_rejects_bad_shapes_and_workers(tiny_layout):
-    spec = _bem_spec(tiny_layout)
     with pytest.raises(ValueError):
-        ParallelExtractor(spec, n_workers=0)
-    ex = ParallelExtractor(spec, n_workers=1)
+        Scheduler(n_workers=0, autostart=False)
+    engine = _engine(_bem_spec(tiny_layout))
     with pytest.raises(ValueError):
-        ex.solve_many(np.zeros(tiny_layout.n_contacts))
+        engine.solve_many(np.zeros(tiny_layout.n_contacts))
     with pytest.raises(ValueError):
-        ex.solve_many(np.zeros((tiny_layout.n_contacts + 1, 3)))
-    assert ex.solve_many(np.zeros((tiny_layout.n_contacts, 0))).shape == (
+        engine.solve_many(np.zeros((tiny_layout.n_contacts + 1, 3)))
+    assert engine.solve_many(np.zeros((tiny_layout.n_contacts, 0))).shape == (
         tiny_layout.n_contacts,
         0,
     )
 
 
-def test_inline_path_preserves_solver_iteration_history(tiny_layout):
-    """Regression: per-block stats deltas must not erase the worker solver's
-    cumulative history — the FD solver's iteration-aware dispatch feeds on
-    ``stats.n_iterative_solves`` observed across earlier blocks."""
-    spec = SolverSpec.fd(
-        tiny_layout, _profile(), nx=8, ny=8, planes_per_layer=2, fft_workers=1
-    )
-    ex = ParallelExtractor(spec, n_workers=1)
-    v = np.eye(tiny_layout.n_contacts)[:, :4]
-    ex.solve_many(v)
-    ex.solve_many(v)
-    local = ex._local
-    # cumulative on the solver, per-block deltas merged on the extractor
-    assert local.stats.n_solves == 8
-    assert ex.stats.n_solves == 8
-    assert local._expected_iterations() == local.stats.mean_iterations
+def test_inline_path_preserves_solver_iteration_history(monkeypatch, tiny_layout):
+    """Regression: the scheduler trims its engine's per-solve iteration list
+    after every group; that must not erase the cumulative counters
+    ``mean_iterations`` (and the FD solver's iteration-aware dispatch) feed
+    on across earlier blocks."""
+    monkeypatch.setattr(scheduler_mod, "ITERATION_HISTORY", 2)
+    spec = _bem_spec(tiny_layout, rtol=1e-10, max_direct_panels=0)
+    with Scheduler(autostart=False) as scheduler:
+        for columns in ((0, 1, 2, 3), (4, 5, 6, 7)):
+            scheduler.submit(JobRequest(spec, columns=columns))
+            scheduler.step()
+        engine = _engine(spec, scheduler.pool)
+        assert scheduler.pool.info()["built"] == 1
+    stats = engine.stats
+    assert stats.n_solves == stats.n_iterative_solves == 8
+    assert len(stats.iterations_per_solve) == 2
+    assert stats.total_iterations > 0
+    assert stats.mean_iterations == stats.total_iterations / 8
+    assert engine.mean_iterations_per_solve() == stats.mean_iterations
 
 
 def test_warm_up_builds_workers_and_close_is_idempotent(tiny_layout):
     spec = _bem_spec(tiny_layout)
-    ex = ParallelExtractor(spec, n_workers=2, prepare_direct=True)
-    ex.warm_up()
-    assert ex._pool is not None
-    out = ex.solve_many(np.eye(tiny_layout.n_contacts))
+    pool = ExtractorPool()
+    engine = _engine(spec, pool)
+    # warmed on build: the direct factor is held before the first request
+    assert engine._factor_available()
+    assert engine.stats.n_solves == 0
+    assert pool.info()["built"] == 1
+    assert _engine(spec, pool) is engine
+    out = engine.solve_many(np.eye(tiny_layout.n_contacts))
     assert out.shape == (tiny_layout.n_contacts, tiny_layout.n_contacts)
-    ex.close()
-    ex.close()
-    assert ex._pool is None
+    assert engine.stats.n_direct_solves == tiny_layout.n_contacts
+    pool.close()
+    pool.close()
+    assert pool.info()["live"] == 0

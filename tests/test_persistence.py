@@ -194,7 +194,7 @@ def test_non_finite_artifact_is_a_miss_not_a_solve(tmp_path, bem_spec):
         assert cache.artifact_misses == artifact_misses + 1
         spec = job.request.effective_spec
         engine = sched.pool.get(spec.fingerprint, spec)
-        assert engine._local_solver().stats.n_factor_rebuilds == 1
+        assert engine.stats.n_factor_rebuilds == 1
 
 
 # --------------------------------------------------------- tentpole: journal

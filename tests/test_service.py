@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro.service.scheduler as scheduler_mod
 from repro.service import (
     AsyncExtractionServer,
     JobRequest,
@@ -335,6 +337,62 @@ def test_extractor_pool_reuses_and_evicts_engines(dense_spec, bem_spec):
         scheduler.step()
         info = scheduler.pool.info()
         assert info["built"] == 2 and info["evicted"] == 1 and info["live"] == 1
+
+
+def test_default_scheduler_solves_in_process(bem_spec):
+    """A scheduler with every default starts no child process: not while a
+    job solves (its streamed columns land mid-batch) and not after."""
+    n = bem_spec.layout.n_contacts
+    during = []
+
+    def watcher(event):
+        if event["kind"] == "columns":
+            during.append(multiprocessing.active_children())
+
+    with Scheduler() as scheduler:
+        request = JobRequest(bem_spec, columns=tuple(range(n)))
+        job = scheduler.result(scheduler.submit(request, watcher=watcher), wait_s=60.0)
+        assert job.status == JobState.DONE
+        assert during and all(children == [] for children in during)
+        assert multiprocessing.active_children() == []
+
+
+def test_scheduler_accepts_only_one_worker():
+    with pytest.raises(ValueError, match="in-process"):
+        Scheduler(n_workers=2)
+
+
+def test_engine_iteration_history_is_bounded(
+    monkeypatch, small_layout_module, small_profile_module
+):
+    """The scheduler trims the per-solve iteration list of the solver that
+    actually ran, so a long-lived engine's history stays bounded while its
+    counters keep every column."""
+    monkeypatch.setattr(scheduler_mod, "ITERATION_HISTORY", 8)
+    built = []
+    build = SolverSpec.build
+
+    def recording_build(self, *args, **kwargs):
+        solver = build(self, *args, **kwargs)
+        built.append(solver)
+        return solver
+
+    monkeypatch.setattr(SolverSpec, "build", recording_build)
+    spec = SolverSpec.bem(
+        small_layout_module,
+        small_profile_module,
+        max_panels=32,
+        rtol=1e-10,
+        max_direct_panels=0,  # every column iterates
+    )
+    with Scheduler(n_workers=1, autostart=False) as scheduler:
+        for columns in (range(0, 6), range(6, 11), range(11, 16)):
+            scheduler.submit(JobRequest(spec, columns=tuple(columns)))
+            scheduler.step()
+    assert built
+    for solver in built:
+        assert len(solver.stats.iterations_per_solve) <= 8
+    assert sum(solver.stats.n_iterative_solves for solver in built) == 16
 
 
 # -------------------------------------------------------------------- metrics

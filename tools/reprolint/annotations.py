@@ -7,9 +7,9 @@ applies to the next line that contains code — which is how multi-line
 statements and long creation calls are annotated without blowing the line
 length:
 
-    # reprolint: owned-by(ParallelExtractor)
-    self._pool = ProcessPoolExecutor(
-        max_workers=...,
+    # reprolint: owned-by(SqliteResultBackend)
+    self._conn = sqlite3.connect(
+        str(path), check_same_thread=False,
     )
 
 Grammar (directives ``;``-separated within one comment)::

@@ -1,9 +1,9 @@
 """RP300 — pickle deserialisation trust boundary.
 
 ``pickle.loads``/``pickle.load`` executes arbitrary code from its input,
-so call sites are confined to an explicit allowlist (worker-spec shipping
-in ``parallel.py``, developer-run code under
-``tests/``/``benchmarks/``/``examples/``).  Everything the service reads
+so call sites are confined to an explicit allowlist (empty today) and to
+developer-run code under ``tests/``/``benchmarks/``/``examples/``.
+Everything the service reads
 from a socket or from its state directory is a ``/v1`` wire document
 (``wire.py``), so no other module needs pickle; a call anywhere else is a
 finding.
@@ -21,9 +21,7 @@ __all__ = ["check_pickles", "ALLOWLIST"]
 
 #: path suffixes (or leading directories) where pickle deserialisation is
 #: an accepted, documented trust boundary
-ALLOWLIST: tuple[str, ...] = (
-    "repro/substrate/parallel.py",  # worker specs within one process tree
-)
+ALLOWLIST: tuple[str, ...] = ()
 
 #: directory prefixes treated as developer-run (never service-reachable)
 DEV_DIRS: tuple[str, ...] = ("tests", "benchmarks", "examples")

@@ -128,19 +128,16 @@ supports it.""",
         "explain": """\
 ``pickle.loads`` / ``pickle.load`` executes arbitrary code from the bytes
 it is given, so every call site is an implicit trust boundary.  This
-repository confines deserialisation to an explicit allowlist:
-
-* ``src/repro/substrate/parallel.py`` — worker-spec shipping between a
-  parent process and the worker pool it spawned;
-* ``tests/``, ``benchmarks/``, ``examples/`` — developer-run code.
+repository confines deserialisation to developer-run code under
+``tests/``, ``benchmarks/`` and ``examples/``; the allowlist of trusted
+modules in ``src/`` is empty.
 
 The service reads only ``/v1`` wire documents, from sockets and from its
 state directory alike (the job journal stores ``request_to_wire``
 documents), so a new ``pickle.loads`` anywhere else — the HTTP front end
-and ``service/persistence.py`` included — is a finding.  Either move the
-deserialisation behind one of the allowlisted modules, switch to a
-declarative format (JSON + explicit construction), or — if the new module
-genuinely is a trust boundary — extend the allowlist in
+and ``service/persistence.py`` included — is a finding.  Either switch
+to a declarative format (JSON + explicit construction), or — if the new
+module genuinely is a trust boundary — add it to the allowlist in
 ``tools/reprolint/pickles.py`` in the same change that documents why.""",
     },
     "RS400": {
