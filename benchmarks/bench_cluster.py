@@ -1,33 +1,22 @@
-"""Leader/worker cluster: agreement, exactly-once attribution, failover.
+"""Leader/worker cluster throughput: two worker processes against one.
 
-Four arms per problem size, all driving the same workload — one job per
-substrate fingerprint (four fingerprints: same grid, different fill
-factors), each asking for the same column count:
+One job per substrate fingerprint (four fingerprints: same grid, different
+fill factors), each asking for the same column count, through a
+:class:`~repro.cluster.ClusterLeader` fronting one and then two worker
+*processes* (spawned via ``python -m repro.cluster worker``).  Gates: both
+runs return the same blocks (1e-10), and on multi-CPU runners two workers
+are **>= 1.5x** faster than one.  On a single-CPU runner the speedup gate
+self-exempts: the two worker processes share one core, so the ratio
+measures contention, not scaling.
 
-* **single-host** — today's in-process
-  :class:`~repro.service.Scheduler`; its blocks are the reference every
-  cluster arm must reproduce to **1e-10**.
-* **cluster-1** — a :class:`~repro.cluster.ClusterLeader` fronting one
-  worker *process* (spawned via ``python -m repro.cluster worker``); the
-  single-worker wall time is the throughput baseline.
-* **cluster-2** — the same leader configuration fronting two worker
-  processes.  Gates: agreement, exactly-once attribution (the workers'
-  ``attributed_solves`` sum to exactly the distinct column count; their
-  engine builds sum to exactly the fingerprint count — one factor build
-  per substrate across the whole cluster), and on multi-CPU runners a
-  **>= 1.5x** speedup over cluster-1.  On a single-CPU runner the
-  speedup gate self-exempts (the two worker processes share one core, so
-  the ratio measures contention, not scaling) and the committed reference
-  artifact records the exemption — the PR-3/PR-5 pattern.
-* **failover** — a worker is SIGKILLed while its pinned fingerprint still
-  has unserved columns; the re-submitted group must re-route to the
-  survivor and complete.  Gates: zero lost jobs, ``reroutes >= 1``, the
-  victim lands in the dead set, and the survivor solves exactly the
-  still-missing columns (columns the victim solved before dying are
-  served from the leader's store, never re-solved).
+The cluster's correctness (agreement with a single host, exactly-once
+attribution, one factor build per fingerprint, SIGKILL failover) is tested
+in ``tests/test_cluster.py::test_worker_processes_agree_and_survive_sigkill``
+and ``tests/test_oracle.py``.
 
-Emits a machine-readable ``BENCH_cluster.json`` (results dir + repo
-root).  Run directly (``REPRO_BENCH_NSIDE=8`` for the CI smoke gate)::
+Emits a machine-readable ``BENCH_cluster.json`` under
+``benchmarks/results/``.  Run directly (CI's ``perf`` job sets
+``REPRO_BENCH_NSIDE=16``)::
 
     PYTHONPATH=src python benchmarks/bench_cluster.py
 """
@@ -35,7 +24,6 @@ root).  Run directly (``REPRO_BENCH_NSIDE=8`` for the CI smoke gate)::
 from __future__ import annotations
 
 import os
-import socket
 import subprocess
 import sys
 import time
@@ -45,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 # usable both as a pytest module (benchmarks/conftest.py handles common) and
-# as a standalone script for the CI smoke run
+# as a standalone script
 sys.path.insert(0, str(Path(__file__).parent))
 
 from common import (
@@ -60,7 +48,7 @@ ensure_repro_importable()
 
 from repro.cluster import ClusterLeader
 from repro.geometry.layouts import regular_grid
-from repro.service import JobRequest, Scheduler, ServiceClient
+from repro.service import JobRequest, ServiceClient
 from repro.substrate.parallel import SolverSpec
 from repro.substrate.profile import SubstrateProfile
 
@@ -74,18 +62,11 @@ JOB_TIMEOUT_S = 600.0
 
 
 # ------------------------------------------------------------------ plumbing
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _spawn_worker(leader_url: str, worker_id: str) -> tuple[subprocess.Popen, str]:
-    """Start one worker host as a real OS process (the unit failover kills)."""
-    port = _free_port()
+def _spawn_worker(leader_url: str, worker_id: str) -> subprocess.Popen:
+    """Start one worker host as a real OS process on an ephemeral port."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [
             sys.executable,
             "-m",
@@ -93,12 +74,8 @@ def _spawn_worker(leader_url: str, worker_id: str) -> tuple[subprocess.Popen, st
             "worker",
             "--leader",
             leader_url,
-            "--port",
-            str(port),
             "--worker-id",
             worker_id,
-            "--workers",
-            "1",
             "--heartbeat",
             "0.5",
         ],
@@ -106,7 +83,6 @@ def _spawn_worker(leader_url: str, worker_id: str) -> tuple[subprocess.Popen, st
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
-    return proc, f"http://127.0.0.1:{port}"
 
 
 def _await_live(leader: ClusterLeader, count: int) -> None:
@@ -152,20 +128,6 @@ def _columns(spec: SolverSpec) -> tuple[int, ...]:
     return tuple(range(0, n, max(1, n // COLUMNS_PER_GROUP)))[:COLUMNS_PER_GROUP]
 
 
-def _run_single_host(specs: list[SolverSpec]) -> tuple[float, list[np.ndarray]]:
-    with Scheduler(n_workers=1) as scheduler:
-        start = time.perf_counter()
-
-        def one(spec: SolverSpec) -> np.ndarray:
-            job_id = scheduler.submit(JobRequest(spec, columns=_columns(spec)))
-            return scheduler.result(job_id, wait_s=JOB_TIMEOUT_S).result
-
-        with ThreadPoolExecutor(max_workers=len(specs)) as pool:
-            blocks = list(pool.map(one, specs))
-        wall = time.perf_counter() - start
-    return wall, blocks
-
-
 def _run_through_leader(
     leader: ClusterLeader, specs: list[SolverSpec]
 ) -> tuple[float, list[np.ndarray]]:
@@ -184,112 +146,40 @@ def _run_through_leader(
 
 def _run_cluster_arm(
     specs: list[SolverSpec], n_workers: int
-) -> tuple[float, list[np.ndarray], list[dict]]:
+) -> tuple[float, list[np.ndarray]]:
     """One fresh leader + ``n_workers`` worker processes over the workload."""
     procs: list[subprocess.Popen] = []
     with ClusterLeader() as leader:
         try:
-            urls = []
             for i in range(n_workers):
-                proc, url = _spawn_worker(leader.url, f"bench-{n_workers}w-{i}")
-                procs.append(proc)
-                urls.append(url)
+                procs.append(_spawn_worker(leader.url, f"bench-{n_workers}w-{i}"))
             _await_live(leader, n_workers)
-            wall, blocks = _run_through_leader(leader, specs)
-            worker_stats = []
-            for url in urls:
-                with ServiceClient(url, timeout_s=30.0) as client:
-                    worker_stats.append(client.stats())
+            return _run_through_leader(leader, specs)
         finally:
             _kill(procs)
-    return wall, blocks, worker_stats
-
-
-def _run_failover_arm(
-    specs: list[SolverSpec], references: list[np.ndarray]
-) -> dict:
-    """Kill the owner of a pinned fingerprint with columns still unserved."""
-    spec = specs[0]
-    columns = _columns(spec)
-    first, rest = columns[:2], columns[2:]
-    procs: list[subprocess.Popen] = []
-    with ClusterLeader() as leader:
-        try:
-            victim_proc, _ = _spawn_worker(leader.url, "bench-victim")
-            procs.append(victim_proc)
-            _await_live(leader, 1)
-            with ServiceClient(leader.url, timeout_s=JOB_TIMEOUT_S) as client:
-                # pin the fingerprint on the victim (the only live host) and
-                # let it solve a prefix — those columns enter the leader's
-                # store and must never be re-solved after the failover
-                block_first = client.extract(
-                    JobRequest(spec, columns=first), timeout_s=JOB_TIMEOUT_S
-                )
-                survivor_proc, survivor_url = _spawn_worker(
-                    leader.url, "bench-survivor"
-                )
-                procs.append(survivor_proc)
-                _await_live(leader, 2)
-                # host death with the pin's group still owing `rest`
-                victim_proc.kill()
-                victim_proc.wait(timeout=30)
-                block_rest = client.extract(
-                    JobRequest(spec, columns=rest), timeout_s=JOB_TIMEOUT_S
-                )
-                stats = client.stats()
-            with ServiceClient(survivor_url, timeout_s=30.0) as client:
-                survivor_attributed = int(client.stats()["attributed_solves"])
-        finally:
-            _kill(procs)
-    reference = references[0]
-    got = np.concatenate([block_first, block_rest], axis=1)
-    want = reference[:, : len(columns)]
-    return {
-        "rerouted_columns": len(rest),
-        "survivor_attributed": survivor_attributed,
-        "reroutes": int(stats["cluster"]["router"]["reroutes"]),
-        "dead": sorted(stats["cluster"]["registry"]["dead"]),
-        "max_abs_diff_rel": _rel_diff(got, want),
-        "lost_jobs": 0,  # both extracts above returned, or we raised
-    }
 
 
 # ----------------------------------------------------------------------- run
 def run_cluster_experiment(n_side: int) -> dict:
     specs = _specs(n_side)
-    columns_total = sum(len(_columns(spec)) for spec in specs)
-
-    single_wall, references = _run_single_host(specs)
-    wall_1w, blocks_1w, _ = _run_cluster_arm(specs, n_workers=1)
-    wall_2w, blocks_2w, stats_2w = _run_cluster_arm(specs, n_workers=2)
-    failover = _run_failover_arm(specs, references)
-
-    attributed_total = sum(int(s["attributed_solves"]) for s in stats_2w)
-    engines_built_total = sum(int(s["engines"]["built"]) for s in stats_2w)
+    wall_1w, blocks_1w = _run_cluster_arm(specs, n_workers=1)
+    wall_2w, blocks_2w = _run_cluster_arm(specs, n_workers=2)
     cpu_count = os.cpu_count() or 1
     return {
         "n_side": n_side,
         "n_contacts": specs[0].layout.n_contacts,
         "n_fingerprints": len(specs),
-        "columns_total": columns_total,
+        "columns_total": sum(len(_columns(spec)) for spec in specs),
         "cpu_count": cpu_count,
-        "single_host_wall_s": single_wall,
         "cluster1_wall_s": wall_1w,
         "cluster2_wall_s": wall_2w,
         "speedup_2v1": wall_1w / wall_2w,
         # two workers on one core measure contention, not scaling — the
-        # speedup gate is only armed on multi-CPU runners (PR-3/PR-5 idiom)
+        # speedup gate is only armed on multi-CPU runners
         "speedup_gate_active": cpu_count >= 2,
-        "cluster1_max_abs_diff_rel": max(
-            _rel_diff(got, ref) for got, ref in zip(blocks_1w, references)
+        "max_abs_diff_rel": max(
+            _rel_diff(got, ref) for got, ref in zip(blocks_2w, blocks_1w)
         ),
-        "cluster2_max_abs_diff_rel": max(
-            _rel_diff(got, ref) for got, ref in zip(blocks_2w, references)
-        ),
-        "attributed_total": attributed_total,
-        "engines_built_total": engines_built_total,
-        "worker_split": [int(s["attributed_solves"]) for s in stats_2w],
-        "failover": failover,
     }
 
 
@@ -297,24 +187,17 @@ def run(sizes: list[int]) -> list[dict]:
     results = [run_cluster_experiment(n_side) for n_side in sizes]
     payload = {"benchmark": "cluster", "results": results}
     lines = [
-        "Leader/worker cluster: agreement, attribution, failover",
-        f"{'n_side':>6s} {'cols':>5s} {'1 host':>8s} {'1 wrk':>8s} {'2 wrk':>8s} "
-        f"{'speedup':>7s} {'gate':>5s} {'split':>7s} {'reroute':>7s} "
-        f"{'max rel diff':>13s}",
+        "Leader/worker cluster: two worker processes against one",
+        f"{'n_side':>6s} {'cols':>5s} {'1 wrk':>8s} {'2 wrk':>8s} "
+        f"{'speedup':>7s} {'gate':>5s} {'max rel diff':>13s}",
     ]
     for r in results:
-        split = "/".join(str(s) for s in r["worker_split"])
-        diff = max(
-            r["cluster1_max_abs_diff_rel"],
-            r["cluster2_max_abs_diff_rel"],
-            r["failover"]["max_abs_diff_rel"],
-        )
         lines.append(
             f"{r['n_side']:>6d} {r['columns_total']:>5d} "
-            f"{r['single_host_wall_s']:>7.3f}s {r['cluster1_wall_s']:>7.3f}s "
-            f"{r['cluster2_wall_s']:>7.3f}s {r['speedup_2v1']:>6.2f}x "
+            f"{r['cluster1_wall_s']:>7.3f}s {r['cluster2_wall_s']:>7.3f}s "
+            f"{r['speedup_2v1']:>6.2f}x "
             f"{('on' if r['speedup_gate_active'] else 'off'):>5s} "
-            f"{split:>7s} {r['failover']['reroutes']:>7d} {diff:>12.2e}"
+            f"{r['max_abs_diff_rel']:>12.2e}"
         )
     emit_benchmark("BENCH_cluster", payload, "bench_cluster", lines)
     return results
@@ -324,43 +207,10 @@ def check(result: dict) -> list[str]:
     """Gate one size's record; returns failure messages."""
     failures = []
     where = f"at n_side={result['n_side']}"
-    for arm in ("cluster1", "cluster2"):
-        if result[f"{arm}_max_abs_diff_rel"] > AGREEMENT_RTOL:
-            failures.append(
-                f"{arm} blocks disagree with the single-host reference "
-                f"({result[f'{arm}_max_abs_diff_rel']:.2e} rel) {where}"
-            )
-    if result["attributed_total"] != result["columns_total"]:
+    if result["max_abs_diff_rel"] > AGREEMENT_RTOL:
         failures.append(
-            f"attribution is not exactly-once: {result['attributed_total']} "
-            f"solves across workers for {result['columns_total']} distinct "
-            f"columns {where}"
-        )
-    if result["engines_built_total"] != result["n_fingerprints"]:
-        failures.append(
-            f"{result['engines_built_total']} factor builds across the "
-            f"cluster for {result['n_fingerprints']} fingerprints (want "
-            f"exactly one per fingerprint) {where}"
-        )
-    failover = result["failover"]
-    if failover["lost_jobs"] != 0:
-        failures.append(f"failover lost {failover['lost_jobs']} jobs {where}")
-    if failover["max_abs_diff_rel"] > AGREEMENT_RTOL:
-        failures.append(
-            f"post-failover blocks disagree with the reference "
-            f"({failover['max_abs_diff_rel']:.2e} rel) {where}"
-        )
-    if failover["reroutes"] < 1:
-        failures.append(f"worker death did not re-route its pins {where}")
-    if failover["dead"] != ["bench-victim"]:
-        failures.append(
-            f"dead set {failover['dead']} after killing bench-victim {where}"
-        )
-    if failover["survivor_attributed"] != failover["rerouted_columns"]:
-        failures.append(
-            f"survivor solved {failover['survivor_attributed']} columns for "
-            f"{failover['rerouted_columns']} re-routed ones — columns the "
-            f"victim already solved must come from the store {where}"
+            f"two-worker blocks disagree with the one-worker blocks "
+            f"({result['max_abs_diff_rel']:.2e} rel) {where}"
         )
     if (
         result["speedup_gate_active"]

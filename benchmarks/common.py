@@ -1,17 +1,15 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper.  Results are
-printed and also written to ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md
-can reference them.  The problem scale defaults to 16 contacts per side
-(256 contacts); set ``REPRO_BENCH_NSIDE=32`` to run at the paper's scale.
+Every paper benchmark regenerates one table or figure of the paper.  Results
+are printed and also written to ``benchmarks/results/<name>.txt``.  The
+problem scale defaults to 16 contacts per side (256 contacts); set
+``REPRO_BENCH_NSIDE=32`` to run at the paper's scale.
 
-The perf benchmarks (batched extraction, dispatch, the service arms) share
-one workflow, centralised here: reference runs (no ``REPRO_BENCH_NSIDE``)
-sweep the paper pair {16, 32} and write the tracked ``BENCH_*.json`` +
-``benchmarks/results/*.txt`` artefacts (JSON also copied to the repo root);
-env-overridden smoke runs write gitignored ``*_smoke`` siblings so they can
-never clobber a committed reference record.  Every perf-benchmark JSON record
-also carries the process-wide factor-cache hit/miss counters.
+``bench_cluster.py`` also writes a machine-readable record: reference runs
+(no ``REPRO_BENCH_NSIDE``) sweep the paper pair {16, 32} and write the
+tracked ``benchmarks/results/BENCH_cluster.json`` and ``bench_cluster.txt``;
+env-overridden runs write gitignored ``*_smoke`` siblings so they can never
+clobber the committed reference record.
 """
 
 from __future__ import annotations
@@ -48,29 +46,18 @@ def default_sizes(reference: tuple[int, ...] = REFERENCE_SIZES) -> list[int]:
     return list(reference)
 
 
-def is_reference_run() -> bool:
-    """True when this run may touch the tracked reference artefacts."""
-    return "REPRO_BENCH_NSIDE" not in os.environ
-
-
-def factor_cache_record() -> dict:
-    """Process-wide factor-cache counters for inclusion in JSON records."""
-    from repro.substrate.factor_cache import factor_cache_info
-
-    return factor_cache_info()
-
-
 def emit_benchmark(json_base: str, payload: dict, txt_base: str, lines: list[str]) -> None:
     """Write one perf benchmark's JSON + text artefacts.
 
-    Reference runs write ``<json_base>.json`` (results dir + repo root) and
-    ``<txt_base>.txt``; smoke runs write the gitignored ``*_smoke`` siblings.
-    The factor-cache hit/miss counters are stamped into the payload.
+    Reference runs write ``<json_base>.json`` and ``<txt_base>.txt`` under
+    ``benchmarks/results/``; smoke runs write the gitignored ``*_smoke``
+    siblings.
     """
-    payload.setdefault("factor_cache", factor_cache_record())
-    reference = is_reference_run()
-    suffix = "" if reference else "_smoke"
-    write_json(json_base + suffix, payload, root_copy=reference)
+    suffix = "_smoke" if "REPRO_BENCH_NSIDE" in os.environ else ""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    (RESULTS_DIR / f"{json_base}{suffix}.json").write_text(text)
+    print(text)
     write_result(txt_base + suffix, lines)
 
 
@@ -90,24 +77,6 @@ def write_result(name: str, lines: list[str]) -> str:
     (RESULTS_DIR / f"{name}.txt").write_text(text)
     print("\n" + text)
     return text
-
-
-def write_json(name: str, payload: dict, root_copy: bool = False) -> Path:
-    """Persist a machine-readable benchmark result as JSON.
-
-    Writes ``benchmarks/results/<name>.json``; with ``root_copy`` the same
-    document is also written to ``<repo root>/<name>.json`` so headline
-    artefacts (e.g. ``BENCH_batched.json``) are discoverable without knowing
-    the results layout.  Returns the results-dir path.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(text)
-    if root_copy:
-        (REPO_ROOT / f"{name}.json").write_text(text)
-    print(text)
-    return path
 
 
 def format_report_row(label: str, report) -> str:

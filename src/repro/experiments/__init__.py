@@ -3,14 +3,9 @@
 from .examples import ExampleConfig, chapter4_examples, get_example, paper_examples
 from .runner import (
     SparsificationResult,
-    run_batched_extraction_experiment,
-    run_dispatch_experiment,
-    run_durable_experiment,
-    run_faults_experiment,
     run_lowrank_experiment,
     run_method_comparison,
     run_preconditioner_table,
-    run_service_experiment,
     run_solver_speed_table,
     run_wavelet_experiment,
     singular_value_decay_experiment,
@@ -27,10 +22,5 @@ __all__ = [
     "run_method_comparison",
     "run_preconditioner_table",
     "run_solver_speed_table",
-    "run_batched_extraction_experiment",
-    "run_dispatch_experiment",
-    "run_durable_experiment",
-    "run_faults_experiment",
-    "run_service_experiment",
     "singular_value_decay_experiment",
 ]

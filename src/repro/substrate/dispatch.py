@@ -87,8 +87,9 @@ class DispatchDecision:
 class SolveCostModel:
     """Crossover model in abstract work units (1 unit = one dense-BLAS3 flop).
 
-    The defaults were calibrated against the ``BENCH_batched.json`` reference
-    runs and the 4,096-panel measurements below: dense factor/triangular-solve
+    The defaults were calibrated against the batched-extraction reference
+    runs (git history; that benchmark has since been retired) and the
+    4,096-panel measurements below: dense factor/triangular-solve
     flops run near hardware speed, the scattered DCT pipeline (zero-pad,
     stacked transforms, gather) costs far more per nominal flop, and the
     ``A_cc`` assembly term, calibrated as one inverse transform per row, sits

@@ -11,9 +11,12 @@ surface and the intra-cluster RPCs.
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +402,103 @@ def test_cluster_failover_reroutes_and_loses_nothing(spec_a, small_g):
                     worker.close()
                 except Exception:
                     pass
+
+
+def _spawn_worker(leader_url: str, worker_id: str) -> subprocess.Popen:
+    """One ``python -m repro.cluster worker`` process on an ephemeral port."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.cluster",
+            "worker",
+            "--leader",
+            leader_url,
+            "--worker-id",
+            worker_id,
+            "--heartbeat",
+            "0.5",
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+
+
+def test_worker_processes_agree_and_survive_sigkill():
+    """Two worker processes behind a leader return the single-host blocks
+    with exactly-once attribution, and SIGKILLing the owner of a fingerprint
+    that still owes columns loses nothing: the survivor solves exactly the
+    missing columns."""
+    from repro import SubstrateProfile, regular_grid
+
+    profile = SubstrateProfile.two_layer_example(size=128.0, resistive_bottom=True)
+    specs = [
+        SolverSpec.bem(
+            regular_grid(n_side=3, size=128.0, fill=fill),
+            profile,
+            max_panels=32,
+            rtol=1e-10,
+        )
+        for fill in (0.5, 0.4)
+    ]
+    columns = tuple(range(9))
+    first, rest = columns[:4], columns[4:]
+    with Scheduler(autostart=False) as single_host:
+        ids = [single_host.submit(JobRequest(spec, columns=columns)) for spec in specs]
+        single_host.step()
+        want = [single_host.result(job_id).result for job_id in ids]
+    scale = max(float(np.abs(block).max()) for block in want)
+
+    def agree(got, reference):
+        assert np.abs(got - reference).max() <= 1e-10 * scale
+
+    procs = {}
+    with ClusterLeader() as leader:
+        try:
+            for worker_id in ("proc-w1", "proc-w2"):
+                procs[worker_id] = _spawn_worker(leader.url, worker_id)
+            deadline = time.monotonic() + 30.0
+            while len(leader.registry.live()) < 2:
+                assert time.monotonic() < deadline, "workers did not register"
+                time.sleep(0.05)
+            urls = {host.worker_id: host.url for host in leader.registry.live()}
+
+            def worker_stats(worker_id):
+                with ServiceClient(urls[worker_id], timeout_s=30.0) as client:
+                    return client.stats()
+
+            with ServiceClient(leader.url, timeout_s=60.0) as client:
+                for spec, reference in zip(specs, want):
+                    block = client.extract(JobRequest(spec, columns=first))
+                    agree(block, reference[:, : len(first)])
+                stats = {worker_id: worker_stats(worker_id) for worker_id in procs}
+                attributed = {w: int(s["attributed_solves"]) for w, s in stats.items()}
+                assert sum(attributed.values()) == len(specs) * len(first)
+                built = sum(int(s["engines"]["built"]) for s in stats.values())
+                assert built == len(specs)  # one factor build per fingerprint
+
+                victim = leader.router.pins()[specs[0].fingerprint]
+                (survivor,) = set(procs) - {victim}
+                procs[victim].kill()
+                procs[victim].wait(timeout=30)
+                # the fingerprint still owes `rest`: they must land on the
+                # survivor, and `first` must come from the leader's store
+                agree(client.extract(JobRequest(specs[0], columns=columns)), want[0])
+                cluster = client.stats()["cluster"]
+            assert cluster["router"]["reroutes"] >= 1
+            assert list(cluster["registry"]["dead"]) == [victim]
+            solved = int(worker_stats(survivor)["attributed_solves"])
+            assert solved - attributed[survivor] == len(rest)
+        finally:
+            for proc in procs.values():
+                if proc.poll() is None:
+                    proc.kill()
+            for proc in procs.values():
+                proc.wait(timeout=30)
 
 
 def test_cluster_auth_guards_public_and_rpc_surfaces(spec_a):

@@ -331,8 +331,12 @@ def test_queue_sheds_lowest_priority_and_rejects_underdogs(dense_spec):
         assert sched.metrics.submits_rejected == 1
         assert sched.stats()["faults"]["shed"] == 2
         sched.step()
-        assert sched.result(low_a).status == JobState.DONE
-        assert sched.result(high).status == JobState.DONE
+        # the survivors are served, with their own columns
+        g = dense_spec.options["matrix"]
+        for job_id, column in ((low_a, 0), (high, 2)):
+            job = sched.result(job_id)
+            assert job.status == JobState.DONE
+            np.testing.assert_array_equal(job.result[:, 0], g[:, column])
 
 
 def test_shed_state_is_terminal_in_snapshot_and_metrics(dense_spec):

@@ -32,6 +32,7 @@ from repro.service import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.result_store import DEFAULT_STORE_BYTES, default_store_bytes
+from repro.substrate.extraction import extract_columns
 from repro.substrate.factor_cache import FactorArtifactStore, factor_cache
 from repro.substrate.parallel import SolverSpec
 
@@ -101,10 +102,15 @@ def test_restart_fresh_column_costs_exactly_one_solve(tmp_path, bem_spec):
 
     factor_cache().clear()
     with make_scheduler(state) as sched:
+        hits_before = factor_cache().artifact_hits
         job = sched.result(sched.submit(JobRequest(bem_spec, columns=(1, 2))))
         sched.step()
         assert job.status == JobState.DONE
         assert sched.attributed_solves == 1  # column 1 from disk, 2 solved
+        # the restarted engine loaded its factor from the artifact store
+        assert factor_cache().artifact_hits == hits_before + 1
+        engine = sched.pool.get(bem_spec.fingerprint, bem_spec)
+        assert engine.stats.n_factor_rebuilds == 0
 
 
 def test_no_state_dir_behaviour_unchanged(bem_spec):
@@ -200,6 +206,10 @@ def test_non_finite_artifact_is_a_miss_not_a_solve(tmp_path, bem_spec):
 # --------------------------------------------------------- tentpole: journal
 def test_journal_replays_after_simulated_crash(tmp_path, bem_spec):
     state = tmp_path / "state"
+    with make_scheduler(state) as sched:
+        served = sched.submit(JobRequest(bem_spec, columns=(0,)))
+        sched.step()
+        column_0 = sched.result(served).result[:, 0]
     crashed = make_scheduler(state)
     job_id = crashed.submit(JobRequest(bem_spec, columns=(0, 2)))
     # simulated crash: the state dir survives, the scheduler never drains
@@ -212,6 +222,11 @@ def test_journal_replays_after_simulated_crash(tmp_path, bem_spec):
         job = sched.result(job_id)  # original id survives the crash
         assert job.status == JobState.DONE
         assert job.result.shape[1] == 2
+        # the replay reads column 0 from the corpus and solves only column 2
+        assert sched.attributed_solves == 1
+        np.testing.assert_array_equal(job.result[:, 0], column_0)
+        column_2 = extract_columns(bem_spec.build(), np.array([2]))[:, 0]
+        assert np.abs(job.result[:, 1] - column_2).max() <= 1e-10 * np.abs(column_2).max()
         # replayed ids are never reissued
         assert sched.submit(JobRequest(bem_spec, columns=(1,))) != job_id
     crashed.close()

@@ -6,15 +6,15 @@ aggregates its engines with it): counts add, and the mean stays per
 iterative solve.  A spec refuses a kind it cannot build, and ``build``
 overrides win over the stored options.  The engine the service solves on
 -- the spec's solver with its direct factor prepared, as
-:meth:`~repro.service.scheduler.ExtractorPool.get` builds it -- must
-reproduce a cold serial solver to solver tolerance, charge exactly the
-serial solve counts through a :class:`CountingSolver`, and solve in this
-process.
+:meth:`~repro.service.scheduler.ExtractorPool.get` builds it -- keeps a
+dense spec's matrix, a floating backplane's gauge constants, the merged
+solve totals and the wavelet pipeline's solve count of a cold serial
+solver.  That its columns and solve counts match every other path is
+checked by ``tests/test_oracle.py``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 
 import numpy as np
@@ -26,7 +26,6 @@ from repro import (
     SolverSpec,
     SquareHierarchy,
     SubstrateProfile,
-    extract_columns,
     extract_dense,
     regular_grid,
 )
@@ -109,44 +108,6 @@ def test_solver_spec_build_overrides(tiny_layout):
 
 
 # --------------------------------------------------------------- equivalence
-@pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "floating"])
-def test_parallel_matches_serial_extraction(tiny_layout, grounded):
-    spec = _bem_spec(tiny_layout, grounded, rtol=1e-10)
-    g_serial = extract_dense(spec.build())
-    g_engine = extract_dense(_engine(spec))
-    scale = np.abs(g_serial).max()
-    assert np.abs(g_engine - g_serial).max() <= 1e-10 * scale
-
-
-def test_parallel_extract_columns_and_narrow_inline(tiny_layout):
-    spec = _bem_spec(tiny_layout, rtol=1e-10)
-    serial = spec.build()
-    columns = np.array([5, 1, 9])
-    ref = extract_columns(serial, columns)
-    engine = _engine(spec)
-    out = extract_columns(engine, columns)
-    wide = extract_dense(engine)
-    # narrow and wide blocks alike are solved in this process
-    assert multiprocessing.active_children() == []
-    assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
-    assert np.abs(wide - extract_dense(serial)).max() <= 1e-10 * np.abs(ref).max()
-
-
-def test_parallel_fd_backend(tiny_layout):
-    spec = SolverSpec.fd(
-        tiny_layout,
-        _profile(),
-        nx=8,
-        ny=8,
-        planes_per_layer=2,
-        rtol=1e-10,
-        fft_workers=1,
-    )
-    g_serial = extract_dense(spec.build())
-    g_engine = extract_dense(_engine(spec))
-    assert np.abs(g_engine - g_serial).max() <= 1e-10 * np.abs(g_serial).max()
-
-
 def test_parallel_dense_spec_and_pickled_fallback(tiny_layout):
     rng = np.random.default_rng(0)
     n = tiny_layout.n_contacts
@@ -174,27 +135,7 @@ def test_parallel_gauge_constants_match_serial(tiny_layout):
     assert np.abs(gauges_engine - gauges_serial).max() <= 1e-8 * scale
 
 
-def test_parallel_single_column_and_solve_currents(tiny_layout):
-    spec = _bem_spec(tiny_layout, rtol=1e-10)
-    serial = spec.build()
-    e = np.zeros(tiny_layout.n_contacts)
-    e[3] = 1.0
-    out = _engine(spec).solve_currents(e.copy())
-    ref = serial.solve_currents(e)
-    assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
-
-
 # ---------------------------------------------------------------- accounting
-def test_counting_attribution_identical_to_serial(tiny_layout):
-    spec = _bem_spec(tiny_layout, rtol=1e-10)
-    serial_counting = CountingSolver(spec.build())
-    extract_dense(serial_counting)
-    engine_counting = CountingSolver(_engine(spec))
-    extract_dense(engine_counting)
-    assert engine_counting.solve_count == serial_counting.solve_count
-    assert engine_counting.solve_count == tiny_layout.n_contacts
-
-
 def test_parallel_stats_merge_matches_serial_totals(tiny_layout):
     """Sharding the columns over two engines and merging their stats
     reports the serial totals."""
