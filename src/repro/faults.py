@@ -1,42 +1,48 @@
-"""Deterministic fault injection for robustness tests and chaos benchmarks.
+"""Deterministic fault injection for robustness tests.
 
 The service's failure-domain hardening (scheduler retry with backoff,
 circuit breakers, admission control, cluster failover) is only trustworthy
 if every failure mode it claims to survive can be produced **on demand** —
-in a unit test, in the chaos benchmark's gates, and against a live CLI
-service.  This module is that trigger: production code calls
-:func:`fault_hook` at a handful of named *sites*, and an active
-:class:`FaultPlan` decides whether that call raises, kills the process,
-sleeps, or asks the caller to drop the operation.  With no plan active the
-hook is a dict lookup away from free, and nothing in the package behaves
-differently.
+in a unit test and against a live CLI service.  This module is that
+trigger: production code calls :func:`fault_hook` at a handful of named
+*sites*, and an active :class:`FaultPlan` decides whether that call raises,
+kills the process, sleeps, or asks the caller to drop the operation.  With
+no plan active the hook is a dict lookup away from free, and nothing in the
+package behaves differently.
 
-Sites wired in this package:
+Sites wired in this package, and the tests that drive them:
 
 ====================  =========================================================
 site                  where it fires
 ====================  =========================================================
 ``factor.build``      in the scheduler, before an extraction engine is built
-                      for a fingerprint group (context: ``kind``)
+                      for a fingerprint group (context: ``kind``) — ``raise``
+                      exercises retry and the circuit breaker
+                      (``tests/test_faults.py``, ``tests/test_oracle.py``)
 ``sqlite.write``      in :meth:`SqliteResultBackend.save
                       <repro.service.persistence.SqliteResultBackend.save>`
                       (context: ``op``) — ``delay`` or ``raise`` a durable
-                      column write
+                      column write (``tests/test_faults.py``)
 ``dispatch.cycle``    at the top of :meth:`Scheduler.step
                       <repro.service.scheduler.Scheduler.step>` — ``drop``
                       skips the drain cycle, leaving the queue untouched
+                      (``tests/test_faults.py``)
 ``rpc.send``          in the cluster leader, before each solve RPC to a
                       worker host (context: ``worker_id``) — ``raise`` here
                       simulates a network partition, exercising dead-host
                       marking and fingerprint re-routing
+                      (``tests/test_cluster.py``)
 ``rpc.serve``         in a cluster worker, at the top of the
                       ``/v1/cluster/solve`` handler (context: ``worker_id``)
-                      — ``kill`` here is the chaos benchmark's host death:
-                      the worker dies holding a routed group
+                      — ``drop`` answers the RPC with a 503, which the
+                      leader retries without marking the host dead
+                      (``tests/test_cluster.py``); ``kill`` makes the worker
+                      die holding a routed group
 ``worker.heartbeat``  in a cluster worker's heartbeat thread, before each
                       report to the leader (context: ``worker_id``) —
                       ``drop`` suppresses heartbeats until the lease
                       expires, simulating a hung-but-listening host
+                      (``tests/test_cluster.py``)
 ====================  =========================================================
 
 A plan is a list of :class:`FaultSpec` entries.  Each names its site, an

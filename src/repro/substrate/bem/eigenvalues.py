@@ -128,22 +128,22 @@ def eigenvalue_table(
     the process-wide factor cache; the returned array is marked read-only
     because it is shared between callers.
     """
-    cache = factor_cache()
+
+    def build() -> np.ndarray:
+        a, b = profile.size_x, profile.size_y
+        m = np.arange(n_modes_x)
+        n = np.arange(n_modes_y)
+        gamma = np.sqrt((m[:, None] * np.pi / a) ** 2 + (n[None, :] * np.pi / b) ** 2)
+        table = np.empty((n_modes_x, n_modes_y))
+        for i in range(n_modes_x):
+            for j in range(n_modes_y):
+                lam = mode_eigenvalue(float(gamma[i, j]), profile)
+                table[i, j] = 0.0 if np.isinf(lam) else lam
+        table.setflags(write=False)
+        return table
+
     key = (_TABLE_KIND, int(n_modes_x), int(n_modes_y), profile.cache_key)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    a, b = profile.size_x, profile.size_y
-    m = np.arange(n_modes_x)
-    n = np.arange(n_modes_y)
-    gamma = np.sqrt((m[:, None] * np.pi / a) ** 2 + (n[None, :] * np.pi / b) ** 2)
-    table = np.empty((n_modes_x, n_modes_y))
-    for i in range(n_modes_x):
-        for j in range(n_modes_y):
-            lam = mode_eigenvalue(float(gamma[i, j]), profile)
-            table[i, j] = 0.0 if np.isinf(lam) else lam
-    table.setflags(write=False)
-    return cache.put(key, table)
+    return factor_cache().get_or_build(key, build)
 
 
 def eigenvalue_coefficient_recursion(

@@ -37,9 +37,14 @@ from scipy.sparse.linalg import LinearOperator, cg, minres
 from ...geometry.contact import ContactLayout
 from ...geometry.panels import PanelGrid
 from ..dispatch import DispatchDecision, DispatchPolicy
-from ..factor_cache import factor_cache, seal_factor_arrays
+from ..factor_cache import seal_factor_arrays
 from ..profile import SubstrateProfile
-from ..solver_base import SolveStats, SubstrateSolver, check_finite_voltages
+from ..solver_base import (
+    SolveStats,
+    SubstrateSolver,
+    _CacheOwnedFactor,
+    check_finite_voltages,
+)
 from .operator import SurfaceOperator
 
 #: factor-cache kind string of the dense contact-block factorisations
@@ -127,7 +132,7 @@ def _minres_block(
     return x, iters, active
 
 
-class EigenfunctionSolver(SubstrateSolver):
+class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
     """Black-box substrate solver using the DCT eigendecomposition operator.
 
     Parameters
@@ -214,12 +219,8 @@ class EigenfunctionSolver(SubstrateSolver):
         #: gauge constants ``c`` (one per column) of the most recent
         #: floating-backplane solve, on either engine
         self.last_gauge_constants: np.ndarray | None = None
-        #: the direct path's dense factorisation, held here only when the
-        #: factor cache will not hold it (see _ensure_direct_factor)
-        self._private_factor: tuple | None = None
         self._direct_failed = False
         self.use_factor_cache = bool(use_factor_cache)
-        #: process-wide factor-cache key of this solver's direct factorisation
         self._factor_cache_key = (
             BEM_FACTOR_KIND,
             layout.fingerprint,
@@ -238,32 +239,6 @@ class EigenfunctionSolver(SubstrateSolver):
     def max_direct_panels(self) -> int:
         """Dense-factorisation panel ceiling (delegates to the policy)."""
         return self.dispatch.max_direct_panels
-
-    @property
-    def direct_factor(self) -> tuple | None:
-        """The dense factor the next direct block would use, or None.
-
-        One of ``("chol", (c, lower))`` for a grounded backplane,
-        ``("schur", (c, lower), w, s)`` or ``("bordered", lu, piv)`` for a
-        floating one; every array in it is finite and read-only.  Read
-        without building and without touching the cache's counters or
-        recency; None before the first build and after the cache dropped
-        the factor.
-        """
-        if self._private_factor is not None:
-            return self._private_factor
-        if self.use_factor_cache:
-            return factor_cache().peek(self._factor_cache_key)
-        return None
-
-    @property
-    def factor_cache_key(self) -> tuple:
-        """Process-wide factor-cache key of this solver's direct factor.
-
-        Every solver over the same ``(layout, profile, grid)`` shares it, and
-        the artifact store files the factor under its digest.
-        """
-        return self._factor_cache_key
 
     # ----------------------------------------------------------------- solves
     def solve_currents(self, voltages: np.ndarray) -> np.ndarray:
@@ -389,12 +364,6 @@ class EigenfunctionSolver(SubstrateSolver):
         return out
 
     # -------------------------------------------------------------- direct path
-    def _factor_available(self) -> bool:
-        """A direct factor is held, or sits warm in the process-wide cache."""
-        return self._private_factor is not None or (
-            self.use_factor_cache and factor_cache().contains(self._factor_cache_key)
-        )
-
     def prepare_direct(self) -> bool:
         """Build (or load from the factor cache) the direct factor now.
 
@@ -415,43 +384,18 @@ class EigenfunctionSolver(SubstrateSolver):
             return False
         return True
 
-    def _ensure_direct_factor(self) -> tuple:
-        """Return the dense factor of the contact-panel system, building it on a miss.
-
-        The process-wide :mod:`~repro.substrate.factor_cache` is the factor's
-        only owner.  Each call looks it up there once, and the solver keeps
-        a reference of its own only when the cache will not hold the factor:
-        ``use_factor_cache`` is off, or the cache refused it as oversized
-        (built here or loaded from its artifact store).  So clearing,
-        shrinking or evicting the cache frees the factor, and the next call
-        rebuilds it, counted like any build: one cache miss and one
-        ``n_factor_rebuilds``.  Callers keep the returned reference for the
-        rest of their block, so an eviction mid-block cannot break it.
-        """
-        if self._private_factor is not None:
-            return self._private_factor
-        cache = factor_cache() if self.use_factor_cache else None
-        factor = None if cache is None else cache.get(self._factor_cache_key)
-        if factor is None:
-            factor = self._factor_contact_block()
-            # a build, not a cache or artifact hit: only these are counted
-            self.stats.record_factor_rebuild()
-            if cache is not None:
-                cache.put(self._factor_cache_key, factor)
-        if cache is None or not cache.contains(self._factor_cache_key):
-            self._private_factor = factor
-        return factor
-
-    def _factor_contact_block(self) -> tuple:
+    def _build_direct_factor(self) -> tuple:
         """Gather ``A_cc`` and factor it in place, with no second copy.
 
-        Grounded backplane: Cholesky of ``A_cc``.  Floating backplane: the
-        bordered saddle-point system is factored through its Schur complement
+        Grounded backplane: ``("chol", (c, lower))``, the Cholesky of
+        ``A_cc``.  Floating backplane: the bordered saddle-point system is
+        factored through its Schur complement, ``("schur", (c, lower), w, s)``
         — Cholesky of ``A_cc`` (SPD whenever the contacts do not tile the
         whole surface, since the excluded uniform mode cannot be represented
         by a current pattern supported on a strict panel subset) plus the
         solved border column ``w = A_cc^{-1} 1`` and pivot ``s = 1' w``.  If
-        that Cholesky fails the full bordered matrix is LU-factored instead.
+        that Cholesky fails the full bordered matrix is LU-factored instead,
+        ``("bordered", lu, piv)``.
 
         The kernel-table gather is exactly symmetric, so its transpose is the
         same matrix in Fortran order and LAPACK factors it where it lies (a

@@ -18,9 +18,10 @@ fresh solver, while the iterative path is unbeatable for narrow blocks and
 the only path above ``max_direct_panels``, where the dense factor is not
 allowed to exist.
 :class:`DispatchPolicy` picks the path per ``solve_many`` block from a
-calibrated crossover model of ``(n_panels, n_rhs, grid size)``, with optional
-one-shot auto-tune probes (dense and sparse) that rescale the model's machine
-constants, and a ``force_path`` override for debugging and benchmarking.
+fixed, calibrated crossover model of ``(n_panels, n_rhs, grid size)``
+(:class:`SolveCostModel`; its sparse half routes the finite-difference
+solver's blocks by node count), with a ``force_path`` override for debugging
+and benchmarking.
 
 The module also hosts :func:`resolve_fft_workers`, the single place where the
 ``workers=`` argument of every ``scipy.fft`` DCT call in the package is gated
@@ -30,8 +31,8 @@ on :func:`os.cpu_count`.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +48,10 @@ __all__ = [
 
 #: the engines a block can be routed to
 DISPATCH_PATHS = ("direct", "iterative")
+
+#: a block narrower than this never builds a factor (guards the cost model
+#: against degenerate inputs); a cached factor serves any width
+_MIN_DIRECT_RHS = 2
 
 
 def resolve_fft_workers(workers: int | None = None) -> int | None:
@@ -206,6 +211,12 @@ class SolveCostModel:
 class DispatchPolicy:
     """Chooses the solve engine for each ``solve_many`` block.
 
+    Both decision routines, :meth:`choose` (eigenfunction solver, dense
+    factor) and :meth:`choose_sparse` (finite-difference solver, sparse LU),
+    apply one rule order: a forced path, then the ceiling and the
+    failed-factorisation latch, then the narrow cold block, then the
+    :class:`SolveCostModel` comparison.
+
     Parameters
     ----------
     max_direct_panels:
@@ -219,20 +230,9 @@ class DispatchPolicy:
     force_path:
         ``"direct"`` or ``"iterative"`` pins every block to one engine
         (debugging / benchmarking).  A forced direct path still falls back
-        to iterative when the factorisation is impossible (too many panels,
-        or a failed factorisation), with the reason recorded on the
-        decision.
-    cost_model:
-        The crossover model; defaults to a calibrated :class:`SolveCostModel`.
-    auto_tune:
-        Run one-shot timing probes on the first decision and rescale the
-        model's machine constants: ``choose`` probes dense Cholesky vs. the
-        stacked DCT (``fft_unit``), ``choose_sparse`` probes a sparse LU of a
-        grid Laplacian vs. its matvec (``sparse_factor_unit`` /
-        ``fd_iteration_units``).
-    min_direct_rhs:
-        Never factor for blocks narrower than this when no factor is cached
-        (guards the cost model against degenerate inputs).
+        to iterative when the factorisation is impossible (too many panels
+        or nodes, or a failed factorisation), with the reason recorded on
+        the decision.
     max_direct_nodes:
         Ceiling on FD grid nodes for which a sparse LU may be built
         (:meth:`choose_sparse`); fill memory grows like ``n^(4/3)``, so very
@@ -243,9 +243,6 @@ class DispatchPolicy:
         self,
         max_direct_panels: int | None = None,
         force_path: str | None = None,
-        cost_model: SolveCostModel | None = None,
-        auto_tune: bool = False,
-        min_direct_rhs: int = 2,
         max_direct_nodes: int = 200_000,
     ) -> None:
         if force_path is not None and force_path not in DISPATCH_PATHS:
@@ -256,12 +253,9 @@ class DispatchPolicy:
             None if max_direct_panels is None else int(max_direct_panels)
         )
         self.force_path = force_path
-        self.cost_model = cost_model if cost_model is not None else SolveCostModel()
-        self.auto_tune = bool(auto_tune)
-        self.min_direct_rhs = int(min_direct_rhs)
         self.max_direct_nodes = int(max_direct_nodes)
-        self._tuned = False
-        self._sparse_tuned = False
+        #: the crossover model, fixed at its calibrated constants
+        self.cost_model = SolveCostModel()
 
     @property
     def max_direct_panels(self) -> int:
@@ -269,101 +263,6 @@ class DispatchPolicy:
         if self._max_direct_panels is not None:
             return self._max_direct_panels
         return factor_cache().max_dense_factor_order()
-
-    # -------------------------------------------------------------- auto-tune
-    def auto_tune_probe(self, size: int = 160, batch: int = 8, grid: int = 64) -> float:
-        """One-shot machine probe: measured DCT-vs-Cholesky flop-cost ratio.
-
-        Times a small dense Cholesky (BLAS-3 throughput) against a stacked 2-D
-        DCT round trip (transform-pipeline throughput) and updates
-        ``cost_model.fft_unit`` with the measured ratio, clamped to a sane
-        range.  Runs at most once per policy; returns the ratio used.
-        """
-        if self._tuned:
-            return self.cost_model.fft_unit
-        self._tuned = True
-        try:
-            from scipy import fft as sp_fft
-
-            rng = np.random.default_rng(0)
-            a = rng.standard_normal((size, size))
-            spd = a @ a.T + size * np.eye(size)
-            start = time.perf_counter()
-            np.linalg.cholesky(spd)
-            chol_s = max(time.perf_counter() - start, 1e-9)
-            chol_per_flop = chol_s / (size**3 / 3.0)
-
-            block = rng.standard_normal((batch, grid, grid))
-            start = time.perf_counter()
-            modal = sp_fft.dctn(block, type=2, norm="ortho", axes=(1, 2))
-            sp_fft.idctn(modal, type=2, norm="ortho", axes=(1, 2))
-            fft_s = max(time.perf_counter() - start, 1e-9)
-            points = batch * grid * grid
-            fft_per_flop = fft_s / (
-                self.cost_model.fft_flops_per_point * points * np.log2(grid * grid)
-            )
-            ratio = float(np.clip(fft_per_flop / chol_per_flop, 1.0, 100.0))
-        except Exception:  # pragma: no cover - probe must never break a solve
-            return self.cost_model.fft_unit
-        self.cost_model.fft_unit = ratio
-        return ratio
-
-    def auto_tune_sparse_probe(self, n_side: int = 14) -> tuple[float, float]:
-        """One-shot machine probe for the sparse (FD) crossover constants.
-
-        Factors a small 3-D grid Laplacian with ``splu`` and times one
-        multi-RHS triangular solve and one block matvec.  The triangular
-        sweep is taken as the model's reference scale (its cost in work units
-        is ``2 * fill`` by construction), and ``sparse_factor_unit`` /
-        ``fd_iteration_units`` are rescaled so the measured factor and
-        per-iteration times sit at the right ratio to it on this machine.
-        Runs at most once per policy; returns the updated pair.
-        """
-        model = self.cost_model
-        if self._sparse_tuned:
-            return model.sparse_factor_unit, model.fd_iteration_units
-        self._sparse_tuned = True
-        try:
-            from scipy import sparse as sp
-            from scipy.sparse.linalg import splu
-
-            m = int(n_side)
-            one = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
-            eye = sp.identity(m)
-            lap = (
-                sp.kron(sp.kron(one, eye), eye)
-                + sp.kron(sp.kron(eye, one), eye)
-                + sp.kron(sp.kron(eye, eye), one)
-                + sp.identity(m**3)
-            ).tocsc()
-            n = lap.shape[0]
-            rng = np.random.default_rng(0)
-            b = rng.standard_normal((n, 8))
-
-            start = time.perf_counter()
-            lu = splu(lap)
-            factor_s = max(time.perf_counter() - start, 1e-9)
-            start = time.perf_counter()
-            lu.solve(b)
-            solve_s = max(time.perf_counter() - start, 1e-9) / b.shape[1]
-            start = time.perf_counter()
-            for _ in range(4):
-                lap @ b
-            matvec_s = max(time.perf_counter() - start, 1e-9) / (4 * b.shape[1])
-
-            # reference scale: the per-column triangular sweep costs 2*fill
-            # work units by definition, and `solve_s` seconds as measured
-            fill = model.sparse_fill_unit * float(n) ** (4.0 / 3.0)
-            units_per_second = 2.0 * fill / solve_s
-            # one PCG iteration ~ matvec + preconditioner + vector updates
-            # (~3 matvec-equivalents, the calibration used by the defaults)
-            iter_units = 3.0 * matvec_s * units_per_second / n
-            factor_units = factor_s * units_per_second / float(n) ** 2
-            model.fd_iteration_units = float(np.clip(iter_units, 5.0, 2000.0))
-            model.sparse_factor_unit = float(np.clip(factor_units, 0.5, 500.0))
-        except Exception:  # pragma: no cover - probe must never break a solve
-            return model.sparse_factor_unit, model.fd_iteration_units
-        return model.sparse_factor_unit, model.fd_iteration_units
 
     # --------------------------------------------------------------- decision
     def choose(
@@ -375,7 +274,8 @@ class DispatchPolicy:
         factor_cached: bool = False,
         factor_failed: bool = False,
     ) -> DispatchDecision:
-        """Route one ``solve_many`` block.
+        """Route one eigenfunction-solver ``solve_many`` block (dense factor
+        vs. stacked-RHS Krylov).
 
         The decision is made once per block on the *full* column count — the
         chosen engine then applies its own ``max_batch`` memory chunking — so
@@ -384,47 +284,19 @@ class DispatchPolicy:
         already built; ``factor_failed`` latches a failed factorisation of
         ``A_cc`` and disables the direct path.
         """
-        if self.auto_tune and not self._tuned:
-            self.auto_tune_probe()
-
-        max_direct_panels = self.max_direct_panels
-        direct_possible = not factor_failed and 0 < n_panels <= max_direct_panels
-        if self.force_path is not None:
-            if self.force_path == "direct" and not direct_possible:
-                return DispatchDecision(
-                    "iterative",
-                    "forced direct path unavailable "
-                    + ("(factorisation failed)" if factor_failed else "(panel ceiling)"),
-                )
-            return DispatchDecision(self.force_path, "forced")
-        if not direct_possible:
-            reason = (
-                "factorisation previously failed"
-                if factor_failed
-                else f"n_panels {n_panels} exceeds max_direct_panels {max_direct_panels}"
-            )
-            return DispatchDecision("iterative", reason)
-        if not factor_cached and n_rhs < self.min_direct_rhs:
-            return DispatchDecision(
-                "iterative",
-                f"block narrower than min_direct_rhs {self.min_direct_rhs}",
-            )
-        direct = self.cost_model.direct_cost(
-            n_panels, n_rhs, grid_points, factor_cached, grounded
-        )
-        iterative = self.cost_model.iterative_cost(n_panels, n_rhs, grid_points, grounded)
-        if direct <= iterative:
-            return DispatchDecision(
-                "direct",
-                "cached factor" if factor_cached else "crossover model",
-                direct_cost=direct,
-                iterative_cost=iterative,
-            )
-        return DispatchDecision(
-            "iterative",
-            "crossover model",
-            direct_cost=direct,
-            iterative_cost=iterative,
+        model = self.cost_model
+        return self._route(
+            n_rhs,
+            factor_cached,
+            factor_failed,
+            unit="panel",
+            size=n_panels,
+            ceiling=self.max_direct_panels,
+            model="crossover model",
+            costs=lambda: (
+                model.direct_cost(n_panels, n_rhs, grid_points, factor_cached, grounded),
+                model.iterative_cost(n_panels, n_rhs, grid_points, grounded),
+            ),
         )
 
     def choose_sparse(
@@ -443,53 +315,70 @@ class DispatchPolicy:
         speed and a fixed iteration constant would misroute the fast-Poisson
         path.  The block-level decision amortises the one-time sparse
         factorisation over the whole block width.
-
-        With ``auto_tune`` the first sparse decision runs
-        :meth:`auto_tune_sparse_probe` to rescale the sparse cost constants
-        to this machine (the ROADMAP's FD counterpart of the dense probe).
         """
-        if self.auto_tune and not self._sparse_tuned:
-            self.auto_tune_sparse_probe()
-        direct_possible = not factor_failed and 0 < n_nodes <= self.max_direct_nodes
+        model = self.cost_model
+        return self._route(
+            n_rhs,
+            factor_cached,
+            factor_failed,
+            unit="node",
+            size=n_nodes,
+            ceiling=self.max_direct_nodes,
+            model="sparse crossover model",
+            costs=lambda: (
+                model.sparse_direct_cost(n_nodes, n_rhs, factor_cached),
+                model.sparse_iterative_cost(n_nodes, n_rhs, expected_iterations),
+            ),
+        )
+
+    def _route(
+        self,
+        n_rhs: int,
+        factor_cached: bool,
+        factor_failed: bool,
+        *,
+        unit: str,
+        size: int,
+        ceiling: int,
+        model: str,
+        costs: Callable[[], tuple[float, float]],
+    ) -> DispatchDecision:
+        """The rule order behind :meth:`choose` and :meth:`choose_sparse`.
+
+        ``unit`` (``"panel"`` or ``"node"``) names what ``size`` and
+        ``ceiling`` count in the ceiling reasons, ``model`` is the reason
+        the cost comparison gives, and ``costs`` returns the ``(direct,
+        iterative)`` model costs; it runs only when no earlier rule decided.
+        """
+        over_ceiling = not 0 < size <= ceiling
         if self.force_path is not None:
-            if self.force_path == "direct" and not direct_possible:
+            if self.force_path == "direct" and (factor_failed or over_ceiling):
+                why = "factorisation failed" if factor_failed else f"{unit} ceiling"
                 return DispatchDecision(
-                    "iterative",
-                    "forced direct path unavailable "
-                    + ("(factorisation failed)" if factor_failed else "(node ceiling)"),
+                    "iterative", f"forced direct path unavailable ({why})"
                 )
             return DispatchDecision(self.force_path, "forced")
-        if not direct_possible:
-            reason = (
-                "factorisation previously failed"
-                if factor_failed
-                else f"n_nodes {n_nodes} exceeds max_direct_nodes {self.max_direct_nodes}"
-            )
-            return DispatchDecision("iterative", reason)
-        if not factor_cached and n_rhs < self.min_direct_rhs:
+        if factor_failed:
+            return DispatchDecision("iterative", "factorisation previously failed")
+        if over_ceiling:
             return DispatchDecision(
-                "iterative", f"block narrower than min_direct_rhs {self.min_direct_rhs}"
+                "iterative", f"n_{unit}s {size} exceeds max_direct_{unit}s {ceiling}"
             )
-        direct = self.cost_model.sparse_direct_cost(n_nodes, n_rhs, factor_cached)
-        iterative = self.cost_model.sparse_iterative_cost(
-            n_nodes, n_rhs, expected_iterations
-        )
+        if not factor_cached and n_rhs < _MIN_DIRECT_RHS:
+            return DispatchDecision(
+                "iterative", f"block narrower than min_direct_rhs {_MIN_DIRECT_RHS}"
+            )
+        direct, iterative = costs()
         if direct <= iterative:
-            return DispatchDecision(
-                "direct",
-                "cached factor" if factor_cached else "sparse crossover model",
-                direct_cost=direct,
-                iterative_cost=iterative,
-            )
+            path, reason = "direct", "cached factor" if factor_cached else model
+        else:
+            path, reason = "iterative", model
         return DispatchDecision(
-            "iterative",
-            "sparse crossover model",
-            direct_cost=direct,
-            iterative_cost=iterative,
+            path, reason, direct_cost=direct, iterative_cost=iterative
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"DispatchPolicy(max_direct_panels={self.max_direct_panels}, "
-            f"force_path={self.force_path!r}, auto_tune={self.auto_tune})"
+            f"force_path={self.force_path!r}, max_direct_nodes={self.max_direct_nodes})"
         )

@@ -21,14 +21,15 @@ carry an entry-count cap (the eigenvalue-table LRU keeps its historical bound
 of 32 entries).
 
 The cache is **per process**; every solver in the process shares it.  It
-is the only owner of the dense factors it holds: a solver looks its factor
-up once per direct block and keeps no reference of its own, so the budget
-bounds those factors and ``clear``, ``set_budget`` and LRU eviction free
-them (the next direct block rebuilds).  A solver holds a factor itself only
-when the cache will not (disabled for that solver, or refused as
-oversized).  A dense factor is checked for NaN/inf once, where it enters
-the process (built or loaded; :func:`seal_factor_arrays`), and its arrays
-are read-only from then on.
+is the only owner of the direct factors it holds, the eigenfunction
+solver's dense factors and the finite-difference solver's sparse LUs alike:
+a solver looks its factor up once per direct block (:meth:`FactorCache.get_or_build`)
+and keeps no reference of its own, so the budget bounds those factors and
+``clear``, ``set_budget`` and LRU eviction free them (the next direct block
+rebuilds).  A solver holds a factor itself only when the cache will not
+(disabled for that solver, or refused as oversized).  A dense factor is
+checked for NaN/inf once, where it enters the process (built or loaded;
+:func:`seal_factor_arrays`), and its arrays are read-only from then on.
 
 On top of the in-RAM cache, an optional **content-addressed artifact store**
 (:class:`FactorArtifactStore`) persists factor payloads to disk under the
@@ -270,7 +271,14 @@ class FactorCache:
     def get_or_build(
         self, key: Hashable, builder: Callable[[], Any], nbytes: int | None = None
     ) -> Any:
-        """Return the cached value, building and inserting it on a miss."""
+        """Return the cached value, building and inserting it on a miss.
+
+        One counted :meth:`get` (artifact store included); on a miss
+        ``builder()`` runs outside the lock and its value goes through
+        :meth:`put`, which may refuse it as oversized.  The value is returned
+        either way.  Every lookup-then-build of a cached substrate object
+        (eigenvalue tables, the solvers' direct factors) goes through here.
+        """
         found = object()
         value = self.get(key, default=found)
         if value is not found:
@@ -417,8 +425,8 @@ class SharedSparseLU:
 
     Holds the LU decomposition's component arrays (``Pr A Pc = L U`` with the
     permutations given as index vectors) and serves :meth:`solve` through two
-    sparse triangular sweeps — the same contract ``FDDirectEngine`` expects
-    from a native SuperLU object.  A SuperLU cannot be rebuilt from its
+    sparse triangular sweeps — the one method the finite-difference solver's
+    direct path calls on a native SuperLU object.  A SuperLU cannot be rebuilt from its
     arrays, so this is the form an FD factor takes when
     :class:`FactorArtifactStore` loads it from disk.  The component arrays
     are never written; the CSR forms the triangular solver needs are derived

@@ -1,7 +1,6 @@
 """Finite-difference (grid-of-resistors) substrate solver of Section 2.2."""
 
 from .assembly import FDAssembly
-from .direct import FDDirectEngine
 from .fast_poisson import FastPoissonPreconditioner
 from .grid import Grid3D
 from .preconditioners import PRECONDITIONER_NAMES, make_preconditioner
@@ -10,7 +9,6 @@ from .solver import FiniteDifferenceSolver
 __all__ = [
     "Grid3D",
     "FDAssembly",
-    "FDDirectEngine",
     "FastPoissonPreconditioner",
     "make_preconditioner",
     "PRECONDITIONER_NAMES",

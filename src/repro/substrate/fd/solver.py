@@ -6,14 +6,17 @@ the same black-box contract as the eigenfunction solver.
 
 Batched solves (:meth:`FiniteDifferenceSolver.solve_many`) are routed per
 block by a :class:`~repro.substrate.dispatch.DispatchPolicy` between the
-multi-RHS PCG iteration and a factor-once sparse-LU direct engine
-(:class:`~repro.substrate.fd.direct.FDDirectEngine`), mirroring the
-eigenfunction solver's adaptive dispatch.  The routing is iteration-aware:
-the near-exact fast-Poisson preconditioner converges in a couple of
-iterations on laterally uniform profiles and then beats a triangular sweep
-over the LU fill per column, while weakly preconditioned configurations
-(Jacobi, incomplete Cholesky) cross over to the direct engine for wide
-blocks.
+multi-RHS PCG iteration and a factor-once sparse LU of the system matrix,
+which is symmetric positive definite whenever at least one Dirichlet
+coupling exists (contacts always stamp one).  The routing is
+iteration-aware: the near-exact fast-Poisson preconditioner converges in a
+couple of iterations on laterally uniform profiles and then beats a
+triangular sweep over the LU fill per column, while weakly preconditioned
+configurations (Jacobi, incomplete Cholesky) cross over to the direct path
+for wide blocks.  The sparse LU follows the eigenfunction solver's ownership
+rule: the process-wide :mod:`~repro.substrate.factor_cache` owns it, keyed
+on the layout fingerprint, the physical profile and the grid resolution, so
+a second solver over the same substrate pays ~zero factor cost.
 """
 
 from __future__ import annotations
@@ -21,18 +24,25 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import SuperLU, cg, splu
 
 from ...geometry.contact import ContactLayout
 from ..dispatch import DispatchDecision, DispatchPolicy
 from ..profile import SubstrateProfile
-from ..solver_base import SolveStats, SubstrateSolver, check_finite_voltages
+from ..solver_base import (
+    SolveStats,
+    SubstrateSolver,
+    _CacheOwnedFactor,
+    check_finite_voltages,
+)
 from .assembly import FDAssembly
-from .direct import FDDirectEngine
 from .grid import Grid3D
 from .preconditioners import make_preconditioner
 
 __all__ = ["FiniteDifferenceSolver"]
+
+#: factor-cache kind string of the FD sparse factorisations
+FD_FACTOR_KIND = "fd_direct_factor"
 
 #: prior PCG iteration expectations per preconditioner, used by the dispatch
 #: cost model until the solver has observed its own convergence behaviour
@@ -46,7 +56,7 @@ _ITERATION_PRIORS = {
 }
 
 
-class FiniteDifferenceSolver(SubstrateSolver):
+class FiniteDifferenceSolver(_CacheOwnedFactor, SubstrateSolver):
     """PCG-based finite-difference substrate solver.
 
     Parameters
@@ -76,13 +86,15 @@ class FiniteDifferenceSolver(SubstrateSolver):
         preconditioners.
     dispatch:
         Adaptive :class:`~repro.substrate.dispatch.DispatchPolicy` routing
-        each ``solve_many`` block between the sparse-LU direct engine and the
-        multi-RHS PCG iteration (``choose_sparse``).  ``None`` builds a
-        default policy.
+        each ``solve_many`` block between the sparse LU and the multi-RHS
+        PCG iteration (``choose_sparse``).  ``None`` builds a default policy.
     use_factor_cache:
-        Consult (and populate) the process-wide
-        :mod:`~repro.substrate.factor_cache` for the sparse LU.  Disable to
-        force a private factorisation (benchmarking cold paths).
+        Keep the sparse LU in the process-wide
+        :mod:`~repro.substrate.factor_cache`, which then owns it: a second
+        solver over the same ``(layout, profile, grid)`` pays ~zero factor
+        cost, and the cache budget bounds the factor's memory.  Disable to
+        force a private factorisation, held by this solver (benchmarking
+        cold paths).
     """
 
     def __init__(
@@ -116,8 +128,16 @@ class FiniteDifferenceSolver(SubstrateSolver):
         self.use_factor_cache = bool(use_factor_cache)
         #: routing decision of the most recent solve_many block (diagnostics)
         self.last_dispatch: DispatchDecision | None = None
-        self._direct_engine: FDDirectEngine | None = None
         self._direct_failed = False
+        grid = self.grid
+        self._factor_cache_key = (
+            FD_FACTOR_KIND,
+            grid.layout.fingerprint,
+            grid.profile.cache_key,
+            grid.nx,
+            grid.ny,
+            tuple(grid.hz.tolist()),
+        )
 
     # ----------------------------------------------------------------- solves
     def solve_potentials(self, voltages: np.ndarray) -> np.ndarray:
@@ -152,13 +172,6 @@ class FiniteDifferenceSolver(SubstrateSolver):
         return self.assembly.contact_currents(np.asarray(voltages, dtype=float), potentials)
 
     # ------------------------------------------------------------- direct path
-    def _ensure_direct_engine(self) -> FDDirectEngine:
-        if self._direct_engine is None:
-            self._direct_engine = FDDirectEngine(
-                self.assembly, use_cache=self.use_factor_cache, stats=self.stats
-            )
-        return self._direct_engine
-
     def _expected_iterations(self) -> float | None:
         """Observed PCG convergence, or a per-preconditioner prior."""
         if self.stats.n_iterative_solves > 0:
@@ -168,23 +181,42 @@ class FiniteDifferenceSolver(SubstrateSolver):
     def prepare_direct(self) -> bool:
         """Build (or load from the factor cache) the sparse LU factor now.
 
-        Returns True when a factor is held afterwards; False when the direct
-        path is unavailable (node ceiling, or a failed factorisation, which
-        is also remembered so dispatch never retries it).  The service
-        calls it once when it builds an engine, so requests pay solve cost
-        only.
+        Returns True when the factor exists afterwards, in the factor cache
+        or held by this solver; False when the direct path is unavailable
+        (node ceiling, or a failed factorisation, which is also remembered
+        so dispatch never retries it).  The service calls it once when it
+        builds an engine, so requests pay solve cost only.
         """
         if self._direct_failed:
             return False
         if not 0 < self.assembly.matrix.shape[0] <= self.dispatch.max_direct_nodes:
             return False
-        engine = self._ensure_direct_engine()
         try:
-            engine.prepare()
+            self._ensure_direct_factor()
         except RuntimeError:
             self._direct_failed = True
             return False
         return True
+
+    def _build_direct_factor(self) -> SuperLU:
+        """Sparse LU of the system matrix, built without equilibration.
+
+        SuperLU does not expose its row/column scalings, so only a
+        non-equilibrated factor is exactly reconstructible from its component
+        arrays, which is what lets the factor artifact store persist it and
+        load it back (as :class:`~repro.substrate.factor_cache.SharedSparseLU`)
+        instead of refactoring after a restart.  The FD systems are
+        diagonally dominant grid-of-resistors matrices, so skipping
+        equilibration costs no accuracy.
+
+        Raises ``RuntimeError`` if the factorisation fails (exactly singular
+        system: only possible for degenerate assemblies with no Dirichlet
+        coupling at all).
+        """
+        try:
+            return splu(self.assembly.matrix.tocsc(), options={"Equil": False})
+        except (RuntimeError, ValueError, MemoryError) as exc:
+            raise RuntimeError(f"sparse LU factorisation failed: {exc}") from exc
 
     def _solve_many_direct(self, v: np.ndarray) -> np.ndarray | None:
         """Factor-once / solve-all path; returns None on factorisation failure.
@@ -193,9 +225,8 @@ class FiniteDifferenceSolver(SubstrateSolver):
         so a wide block never materialises the full ``(n_nodes, k)`` arrays
         at once — the same memory bound the iterative path observes.
         """
-        engine = self._ensure_direct_engine()
         try:
-            engine.prepare()
+            lu = self._ensure_direct_factor()
         except RuntimeError:
             self._direct_failed = True
             return None
@@ -203,8 +234,7 @@ class FiniteDifferenceSolver(SubstrateSolver):
         for start in range(0, v.shape[1], self.max_batch):
             chunk = slice(start, min(start + self.max_batch, v.shape[1]))
             b = self.assembly.rhs_for_contact_voltages(v[:, chunk])
-            potentials = engine.solve(b)
-            out[:, chunk] = self.assembly.contact_currents(v[:, chunk], potentials)
+            out[:, chunk] = self.assembly.contact_currents(v[:, chunk], lu.solve(b))
         self.stats.record_direct(v.shape[1])
         return out
 
@@ -227,11 +257,10 @@ class FiniteDifferenceSolver(SubstrateSolver):
         check_finite_voltages(v)
         if v.shape[1] == 0:
             return np.empty_like(v)
-        engine = self._ensure_direct_engine()
         decision = self.dispatch.choose_sparse(
             n_nodes=self.assembly.matrix.shape[0],
             n_rhs=v.shape[1],
-            factor_cached=engine.factor_available(),
+            factor_cached=self._factor_available(),
             factor_failed=self._direct_failed,
             expected_iterations=self._expected_iterations(),
         )
@@ -257,10 +286,15 @@ class FiniteDifferenceSolver(SubstrateSolver):
         return out
 
     def solve_potentials_many(self, voltages: np.ndarray) -> np.ndarray:
-        """Nodal potentials for an ``(n_contacts, k)`` block of voltages."""
+        """Nodal potentials for an ``(n_contacts, k)`` block of voltages.
+
+        A block holding NaN or inf raises ``ValueError``, as in
+        :meth:`solve_potentials` and :meth:`solve_many`.
+        """
         v = np.asarray(voltages, dtype=float)
         if v.ndim != 2 or v.shape[0] != self.layout.n_contacts:
             raise ValueError("expected an (n_contacts, k) voltage block")
+        check_finite_voltages(v)
         b = self.assembly.rhs_for_contact_voltages(v)
         if b.shape[1] == 0:
             return b
@@ -312,7 +346,7 @@ class FiniteDifferenceSolver(SubstrateSolver):
         """Average PCG iterations per iterative solve (Tables 2.1 and 2.2).
 
         See :class:`~repro.substrate.solver_base.SolveStats`: solves served
-        by the sparse-LU direct engine run zero PCG iterations and are
+        by the sparse LU run zero PCG iterations and are
         reported separately (``stats.n_direct_solves``), never diluting this
         mean.
         """

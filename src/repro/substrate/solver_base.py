@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from ..geometry.contact import ContactLayout
+from .factor_cache import factor_cache
 
 __all__ = [
     "SolveStats",
@@ -129,8 +130,8 @@ class SubstrateSolver(abc.ABC):
     #: optional adaptive direct-vs-iterative routing policy
     #: (:class:`~repro.substrate.dispatch.DispatchPolicy`).  ``None`` means
     #: the backend has a single solve engine; backends with both a factored
-    #: and an iterative path (the eigenfunction solver) set one and consult
-    #: it per :meth:`solve_many` block.
+    #: and an iterative path (the eigenfunction and finite-difference
+    #: solvers) set one and consult it per :meth:`solve_many` block.
     dispatch = None
 
     @property
@@ -183,6 +184,86 @@ class SubstrateSolver(abc.ABC):
     def apply(self, voltages: np.ndarray) -> np.ndarray:
         """Alias of :meth:`solve_currents` (operator-style name)."""
         return self.solve_currents(voltages)
+
+
+class _CacheOwnedFactor:
+    """The direct-factor ownership rule both physical solvers share.
+
+    The process-wide :mod:`~repro.substrate.factor_cache` is a direct
+    factor's only owner.  Each direct block looks the factor up there once
+    (:meth:`~repro.substrate.factor_cache.FactorCache.get_or_build`), and the
+    solver keeps a reference of its own only when the cache will not hold
+    it: ``use_factor_cache`` is off, or the cache refused it as oversized
+    (built here or loaded from its artifact store).  So clearing, shrinking
+    or evicting the cache frees the factor, and the next direct block
+    rebuilds it, counted like any build: one cache miss and one
+    ``n_factor_rebuilds``.
+
+    A solver sets ``use_factor_cache``, ``_factor_cache_key`` and ``stats``
+    and implements :meth:`_build_direct_factor`.
+    """
+
+    use_factor_cache: bool
+    stats: SolveStats
+    _factor_cache_key: tuple
+    #: the direct factor, held here only when the factor cache will not hold it
+    _private_factor: Any = None
+
+    @property
+    def factor_cache_key(self) -> tuple:
+        """Process-wide factor-cache key of this solver's direct factor.
+
+        Every solver over the same substrate and discretisation shares it,
+        and the artifact store files the factor under its digest.
+        """
+        return self._factor_cache_key
+
+    @property
+    def direct_factor(self) -> Any:
+        """The direct factor the next direct block would use, or None.
+
+        Read without building and without touching the cache's counters or
+        recency; None before the first build and after the cache dropped
+        the factor.
+        """
+        if self._private_factor is not None:
+            return self._private_factor
+        if self.use_factor_cache:
+            return factor_cache().peek(self._factor_cache_key)
+        return None
+
+    def _factor_available(self) -> bool:
+        """A direct factor is held, or sits warm in the process-wide cache."""
+        return self._private_factor is not None or (
+            self.use_factor_cache and factor_cache().contains(self._factor_cache_key)
+        )
+
+    def _ensure_direct_factor(self) -> Any:
+        """Return the direct factor, building it on a miss.
+
+        Callers keep the returned reference for the rest of their block, so
+        an eviction mid-block cannot break it.
+        """
+        if self._private_factor is not None:
+            return self._private_factor
+        if not self.use_factor_cache:
+            self._private_factor = self._counted_build()
+            return self._private_factor
+        cache = factor_cache()
+        factor = cache.get_or_build(self._factor_cache_key, self._counted_build)
+        if not cache.contains(self._factor_cache_key):
+            self._private_factor = factor
+        return factor
+
+    def _counted_build(self) -> Any:
+        factor = self._build_direct_factor()
+        # a build, not a cache or artifact hit: only these are counted
+        self.stats.record_factor_rebuild()
+        return factor
+
+    def _build_direct_factor(self) -> Any:
+        """Build this solver's direct factor (each backend implements it)."""
+        raise NotImplementedError
 
 
 class CountingSolver(SubstrateSolver):

@@ -556,6 +556,31 @@ def test_injected_rpc_send_failure_marks_dead_and_reroutes(spec_a, small_g):
             assert len(survivors) == 1 and survivors < {w1.worker_id, w2.worker_id}
 
 
+def test_dropped_solve_rpc_is_retried_and_keeps_the_host(spec_a, small_g):
+    """A worker that drops a solve RPC still answered it (HTTP 503): the
+    leader retries the group on the same host and marks nothing dead."""
+    from repro import faults
+
+    with ClusterLeader() as leader:
+        with ClusterWorker(leader.url, n_workers=1, heartbeat_s=30.0) as worker:
+            drop = {
+                "site": "rpc.serve",
+                "action": "drop",
+                "times": 1,
+                "match": {"worker_id": worker.worker_id},
+            }
+            with faults.inject([drop]):
+                with ServiceClient(leader.url, timeout_s=60.0) as client:
+                    block = client.extract(JobRequest(spec_a, columns=(0, 1)))
+                    stats = client.stats()
+            assert np.allclose(block, small_g[:, [0, 1]], atol=1e-10)
+            assert stats["faults"]["retries"] == 1
+            assert stats["cluster"]["rpc_calls"] == 2
+            assert stats["cluster"]["rpc_failures"] == 0
+            assert stats["cluster"]["router"]["reroutes"] == 0
+            assert [h.worker_id for h in leader.registry.live()] == [worker.worker_id]
+
+
 def test_dropped_heartbeats_expire_lease_then_worker_recovers():
     from repro import faults
 

@@ -167,13 +167,81 @@ def test_policy_force_path_overrides_model_but_not_feasibility():
         DispatchPolicy(force_path="cholesky")
 
 
-def test_policy_auto_tune_probe_runs_once_and_keeps_sane_ratio():
-    policy = DispatchPolicy(auto_tune=True)
-    ratio = policy.auto_tune_probe()
-    assert 1.0 <= ratio <= 100.0
-    assert policy.cost_model.fft_unit == ratio
-    policy.cost_model.fft_unit = -123.0  # marker: a second probe must not overwrite
-    assert policy.auto_tune_probe() == -123.0
+def test_every_dispatch_reason_is_pinned():
+    """Every routing rule of both decision routines, with its exact reason.
+
+    ``choose`` and ``choose_sparse`` apply the same rules in the same order:
+    a forced path, then the ceiling and the failed latch, then the narrow
+    cold block, then the cost comparison, the only rule that records costs.
+    """
+    pinned = DispatchPolicy(force_path="iterative")
+    forced = DispatchPolicy(force_path="direct", max_direct_panels=8191)
+    forced_capped = DispatchPolicy(force_path="direct", max_direct_panels=10, max_direct_nodes=10)
+    capped = DispatchPolicy(max_direct_panels=100, max_direct_nodes=100)
+    free = DispatchPolicy(max_direct_panels=8191)
+    unavailable = "forced direct path unavailable "
+    narrow = "block narrower than min_direct_rhs 2"
+    paper = {"grid_points": 128 * 128, "grounded": True}  # the extract-paper substrate
+    cases = [
+        (pinned.choose(64, 512, 4096, True), "iterative", "forced"),
+        (pinned.choose_sparse(100, 64), "iterative", "forced"),
+        (forced.choose(64, 1, 4096, True), "direct", "forced"),
+        (forced.choose_sparse(100, 1), "direct", "forced"),
+        (forced_capped.choose(64, 512, 4096, True), "iterative", unavailable + "(panel ceiling)"),
+        (forced_capped.choose_sparse(100, 64), "iterative", unavailable + "(node ceiling)"),
+        (
+            forced.choose(64, 512, 4096, True, factor_failed=True),
+            "iterative",
+            unavailable + "(factorisation failed)",
+        ),
+        (
+            forced.choose_sparse(100, 64, factor_failed=True),
+            "iterative",
+            unavailable + "(factorisation failed)",
+        ),
+        (
+            capped.choose(101, 512, 4096, True),
+            "iterative",
+            "n_panels 101 exceeds max_direct_panels 100",
+        ),
+        (capped.choose_sparse(101, 512), "iterative", "n_nodes 101 exceeds max_direct_nodes 100"),
+        (
+            free.choose(64, 512, 4096, True, factor_failed=True),
+            "iterative",
+            "factorisation previously failed",
+        ),
+        (
+            free.choose_sparse(8192, 256, factor_failed=True),
+            "iterative",
+            "factorisation previously failed",
+        ),
+        (free.choose(1024, 1, 4096, True), "iterative", narrow),
+        (free.choose_sparse(8192, 1, expected_iterations=130.0), "iterative", narrow),
+        (free.choose(1024, 1, 4096, True, factor_cached=True), "direct", "cached factor"),
+        (
+            free.choose_sparse(8192, 1, factor_cached=True, expected_iterations=130.0),
+            "direct",
+            "cached factor",
+        ),
+        (free.choose(5120, 256, **paper), "direct", "crossover model"),
+        (free.choose(5120, 128, **paper), "iterative", "crossover model"),
+        (
+            free.choose_sparse(8192, 256, expected_iterations=130.0),
+            "direct",
+            "sparse crossover model",
+        ),
+        (
+            free.choose_sparse(8192, 256, factor_cached=True, expected_iterations=1.0),
+            "iterative",
+            "sparse crossover model",
+        ),
+    ]
+    got = [(decision.path, decision.reason) for decision, _, _ in cases]
+    assert got == [(path, reason) for _, path, reason in cases]
+    for decision, _, reason in cases:
+        costed = reason in ("crossover model", "sparse crossover model", "cached factor")
+        assert (decision.direct_cost is not None) == costed, reason
+        assert (decision.iterative_cost is not None) == costed, reason
 
 
 def test_cost_model_monotone_in_rhs_width():
@@ -495,24 +563,3 @@ def test_solver_max_direct_panels_zero_still_means_iterative_only(tiny_layout):
     solver.solve_many(np.eye(tiny_layout.n_contacts))
     assert solver.last_dispatch.path == "iterative"
     assert solver.stats.n_direct_solves == 0
-
-
-# -------------------------------------------------------------- sparse probe
-def test_sparse_auto_tune_probe_runs_once_and_clamps():
-    policy = DispatchPolicy(auto_tune=True)
-    factor_unit, iter_units = policy.auto_tune_sparse_probe()
-    assert 0.5 <= factor_unit <= 500.0
-    assert 5.0 <= iter_units <= 2000.0
-    assert policy.cost_model.sparse_factor_unit == factor_unit
-    assert policy.cost_model.fd_iteration_units == iter_units
-    marker = (-1.0, -2.0)
-    policy.cost_model.sparse_factor_unit = marker[0]
-    policy.cost_model.fd_iteration_units = marker[1]
-    assert policy.auto_tune_sparse_probe() == marker  # second probe is a no-op
-
-
-def test_choose_sparse_triggers_probe_when_auto_tune():
-    policy = DispatchPolicy(auto_tune=True)
-    assert not policy._sparse_tuned
-    policy.choose_sparse(n_nodes=1000, n_rhs=16)
-    assert policy._sparse_tuned

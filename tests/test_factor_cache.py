@@ -41,8 +41,8 @@ from repro.substrate.factor_cache import (
     _flatten_factor,
     _rebuild_factor,
 )
-from repro.substrate.fd import FDDirectEngine, FiniteDifferenceSolver
-from repro.substrate.fd.direct import FD_FACTOR_KIND
+from repro.substrate.fd import FiniteDifferenceSolver
+from repro.substrate.fd.solver import FD_FACTOR_KIND
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +72,23 @@ def restore_cache_settings():
     factor_cache().set_artifact_store(None)
 
 
-def _bem_misses() -> int:
-    return factor_cache_info()["by_kind"].get(BEM_FACTOR_KIND, {}).get("misses", 0)
+def _misses(kind: str) -> int:
+    return factor_cache_info()["by_kind"].get(kind, {}).get("misses", 0)
+
+
+def _direct_solver(backend: str, layout, **kwargs):
+    """A small solver of either backend whose full-width blocks route direct.
+
+    The BEM solver's explicit panel ceiling keeps the direct path open under
+    the tiny budgets below; the weak Jacobi preconditioner sends the FD
+    solver's wide blocks to its sparse LU.
+    """
+    if backend == "bem":
+        kwargs.setdefault("max_direct_panels", 1 << 20)
+        return EigenfunctionSolver(layout, _profile(), max_panels=32, **kwargs)
+    return FiniteDifferenceSolver(
+        layout, _profile(), nx=8, ny=8, planes_per_layer=2, preconditioner="jacobi", **kwargs
+    )
 
 
 # ------------------------------------------------------------- cache mechanics
@@ -234,50 +249,88 @@ def test_bem_use_factor_cache_false_is_isolated(tiny_layout):
     assert private.direct_factor is not warmer.direct_factor
 
 
-def test_bem_cache_is_the_factors_only_owner(tiny_layout):
-    """No solver pins a factor the cache holds: clearing the cache frees it,
-    and the next direct block rebuilds it, counted like any build."""
-    solver = EigenfunctionSolver(
-        tiny_layout,
-        _profile(),
-        max_panels=32,
-        dispatch=DispatchPolicy(force_path="direct"),
-    )
+def _cache_is_the_factors_only_owner(backend: str, layout) -> None:
+    solver = _direct_solver(backend, layout, dispatch=DispatchPolicy(force_path="direct"))
+    kind = solver.factor_cache_key[0]
     assert solver.prepare_direct()
-    array = weakref.ref(solver.direct_factor[1][0])
-    v = np.random.default_rng(5).standard_normal((tiny_layout.n_contacts, 6))
+    # a SuperLU cannot be weakly referenced: for the FD solver the counts and
+    # direct_factor below show that no reference outlived the cache's
+    array = weakref.ref(solver.direct_factor[1][0]) if backend == "bem" else None
+    v = np.random.default_rng(5).standard_normal((layout.n_contacts, 6))
     first = solver.solve_many(v)
     assert solver.stats.n_factor_rebuilds == 1
-    misses = _bem_misses()
+    misses = _misses(kind)
 
     factor_cache_clear()
     gc.collect()
-    assert array() is None
+    assert array is None or array() is None
     assert solver.direct_factor is None
 
     again = solver.solve_many(v)
     assert solver.last_dispatch.path == "direct"
     assert solver.stats.n_factor_rebuilds == 2
-    assert _bem_misses() == misses + 1
+    assert _misses(kind) == misses + 1
     assert np.allclose(again, first, rtol=0.0, atol=1e-12 * np.abs(first).max())
+
+
+def test_bem_cache_is_the_factors_only_owner(tiny_layout):
+    """No solver pins a factor the cache holds: clearing the cache frees it,
+    and the next direct block rebuilds it, counted like any build."""
+    _cache_is_the_factors_only_owner("bem", tiny_layout)
+
+
+def test_fd_cache_is_the_factors_only_owner(tiny_layout):
+    """The FD solver's sparse LU follows the same rule as the dense factor."""
+    _cache_is_the_factors_only_owner("fd", tiny_layout)
+
+
+def _oversized_factor_is_held_not_rebuilt_per_block(backend: str, layout) -> None:
+    set_factor_cache_budget(1024)  # far below either backend's factor (BEM: 32 KiB)
+    solver = _direct_solver(backend, layout)
+    oversized = factor_cache_info()["oversized"]
+    eye = np.eye(layout.n_contacts)
+    for _ in range(2):
+        solver.solve_many(eye)
+        assert solver.last_dispatch.path == "direct"
+    assert solver.stats.n_factor_rebuilds == 1
+    assert solver.stats.n_direct_solves == 2 * layout.n_contacts
+    assert factor_cache_info()["oversized"] == oversized + 1
+    assert not factor_cache().contains(solver.factor_cache_key)
 
 
 def test_bem_oversized_factor_is_held_not_rebuilt_per_block(
     tiny_layout, restore_cache_settings
 ):
     """A factor the cache refuses stays with its solver for every block."""
-    set_factor_cache_budget(1024)  # far below the 64-panel factor's 32 KiB
-    solver = EigenfunctionSolver(
-        tiny_layout, _profile(), max_panels=32, max_direct_panels=1 << 20
-    )
-    oversized = factor_cache_info()["oversized"]
-    eye = np.eye(tiny_layout.n_contacts)
+    _oversized_factor_is_held_not_rebuilt_per_block("bem", tiny_layout)
+
+
+def test_fd_oversized_factor_is_held_not_rebuilt_per_block(
+    tiny_layout, restore_cache_settings
+):
+    """A sparse LU the cache refuses stays with its solver for every block."""
+    _oversized_factor_is_held_not_rebuilt_per_block("fd", tiny_layout)
+
+
+def _oversized_artifact_is_held_not_reloaded_per_block(
+    backend: str, layout, tmp_path
+) -> None:
+    store = FactorArtifactStore(tmp_path)
+    factor_cache().set_artifact_store(store)
+    warmer = _direct_solver(backend, layout)
+    assert warmer.prepare_direct()
+    assert store.info()["saves"] == 1
+    factor_cache_clear(warmer.factor_cache_key[0])
+    set_factor_cache_budget(1024)
+
+    solver = _direct_solver(backend, layout)
+    eye = np.eye(layout.n_contacts)
     for _ in range(2):
         solver.solve_many(eye)
         assert solver.last_dispatch.path == "direct"
-    assert solver.stats.n_factor_rebuilds == 1
-    assert solver.stats.n_direct_solves == 2 * tiny_layout.n_contacts
-    assert factor_cache_info()["oversized"] == oversized + 1
+    assert solver.stats.n_factor_rebuilds == 0
+    assert store.info()["hits"] == 1
+    assert solver.direct_factor is not None
     assert not factor_cache().contains(solver.factor_cache_key)
 
 
@@ -286,24 +339,14 @@ def test_bem_oversized_artifact_is_held_not_reloaded_per_block(
 ):
     """A factor loaded from the artifact store but too large for the RAM
     budget is held by its solver, not read back from disk per block."""
-    store = FactorArtifactStore(tmp_path)
-    factor_cache().set_artifact_store(store)
-    assert EigenfunctionSolver(tiny_layout, _profile(), max_panels=32).prepare_direct()
-    assert store.info()["saves"] == 1
-    factor_cache_clear(BEM_FACTOR_KIND)
-    set_factor_cache_budget(1024)
+    _oversized_artifact_is_held_not_reloaded_per_block("bem", tiny_layout, tmp_path)
 
-    solver = EigenfunctionSolver(
-        tiny_layout, _profile(), max_panels=32, max_direct_panels=1 << 20
-    )
-    eye = np.eye(tiny_layout.n_contacts)
-    for _ in range(2):
-        solver.solve_many(eye)
-        assert solver.last_dispatch.path == "direct"
-    assert solver.stats.n_factor_rebuilds == 0
-    assert store.info()["hits"] == 1
-    assert solver.direct_factor is not None
-    assert not factor_cache().contains(solver.factor_cache_key)
+
+def test_fd_oversized_artifact_is_held_not_reloaded_per_block(
+    tiny_layout, tmp_path, restore_cache_settings
+):
+    """The same for a sparse LU loaded back as a SharedSparseLU."""
+    _oversized_artifact_is_held_not_reloaded_per_block("fd", tiny_layout, tmp_path)
 
 
 def _float_arrays(factor) -> list[np.ndarray]:
@@ -393,20 +436,32 @@ def test_bem_old_layout_artifact_loads_fortran_ordered(tiny_layout, tmp_path):
 
 
 def test_fd_factor_shared_across_engines(tiny_layout):
-    def build():
+    def build(**kwargs):
         return FiniteDifferenceSolver(
-            tiny_layout, _profile(), nx=8, ny=8, planes_per_layer=2
+            tiny_layout, _profile(), nx=8, ny=8, planes_per_layer=2, **kwargs
         )
 
     first = build()
     assert first.prepare_direct()
+    # artifact stores file the LU under this key's digest: it must not change
+    assert first.factor_cache_key == (
+        FD_FACTOR_KIND,
+        tiny_layout.fingerprint,
+        _profile().cache_key,
+        8,
+        8,
+        tuple(first.grid.hz.tolist()),
+    )
     second = build()
     assert second.prepare_direct()
-    assert second._direct_engine._lu is first._direct_engine._lu
-    # a cache-free engine factors privately
-    private = FDDirectEngine(build().assembly, use_cache=False)
-    private.prepare()
-    assert private._lu is not first._direct_engine._lu
+    assert second.direct_factor is not None
+    assert second.direct_factor is first.direct_factor
+    assert second.stats.n_factor_rebuilds == 0
+    # a cache-free solver factors privately
+    private = build(use_factor_cache=False)
+    assert private.prepare_direct()
+    assert private.direct_factor is not None
+    assert private.direct_factor is not first.direct_factor
 
 
 def test_fd_direct_engine_solves_match_iterative(tiny_layout):

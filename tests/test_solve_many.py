@@ -125,7 +125,8 @@ def test_solve_many_rejects_wrong_shapes(small_g, small_layout):
 @pytest.mark.parametrize("backend", ["bem", "fd"])
 def test_non_finite_voltages_are_refused_on_every_path(tiny_layout, backend, grounded, path, bad):
     """No engine answers a NaN or inf voltage: block MINRES used to return an
-    all-zero column for it, CG and the FD solver NaN columns."""
+    all-zero column for it, CG and the FD solver NaN columns, and the FD
+    solver's potentials entry point NaN potentials."""
     policy = DispatchPolicy(force_path=path)
     if backend == "bem":
         solver = EigenfunctionSolver(
@@ -141,6 +142,9 @@ def test_non_finite_voltages_are_refused_on_every_path(tiny_layout, backend, gro
         solver.solve_many(v)
     with pytest.raises(ValueError, match="finite"):
         solver.solve_currents(v[:, 2])
+    if backend == "fd":
+        with pytest.raises(ValueError, match="finite"):
+            solver.solve_potentials_many(v)
     assert solver.stats.n_solves == 0
 
 
