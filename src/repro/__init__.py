@@ -25,7 +25,6 @@ from .substrate import (
     DispatchPolicy,
     FactorCache,
     Layer,
-    SharedSparseLU,
     SolveCostModel,
     SolveStats,
     SolverSpec,
@@ -71,7 +70,6 @@ __all__ = [
     "extract_columns",
     "check_conductance_properties",
     "FactorCache",
-    "SharedSparseLU",
     "factor_cache",
     "factor_cache_clear",
     "factor_cache_info",

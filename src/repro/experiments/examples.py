@@ -81,12 +81,14 @@ class ExampleConfig:
         return self.build_spec(layout).build()
 
     def build_spec(self, layout: ContactLayout | None = None, **overrides) -> SolverSpec:
-        """Picklable :class:`~repro.substrate.parallel.SolverSpec` of this workload.
+        """The :class:`~repro.substrate.parallel.SolverSpec` of this workload.
 
-        The spec rebuilds a solver equivalent to :meth:`build_solver` in any
-        process (the layout factory itself is usually a lambda, so the spec
-        captures the *built* layout instead).  ``overrides`` are stored into
-        the spec's constructor options (e.g. ``fft_workers=1``).
+        The spec is plain data that travels as JSON
+        (:func:`~repro.service.wire.spec_to_wire`) and rebuilds a solver
+        equivalent to :meth:`build_solver` in any process (the layout factory
+        itself is usually a lambda, so the spec captures the *built* layout
+        instead).  ``overrides`` are stored into the spec's constructor
+        options (e.g. ``fft_workers=1``).
         """
         layout = self.build_layout() if layout is None else layout
         profile = self.build_profile(layout.size_x)

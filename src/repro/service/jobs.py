@@ -1,12 +1,14 @@
 """Job descriptions for the extraction service.
 
 A :class:`JobRequest` is the unit of work a client submits to the
-:class:`~repro.service.scheduler.Scheduler`: a picklable
+:class:`~repro.service.scheduler.Scheduler`: a
 :class:`~repro.substrate.parallel.SolverSpec` naming the substrate and solver
 configuration, plus *what* the client wants out of the conductance matrix —
 whole columns of ``G``, individual ``(row, column)`` entries, or the full
 dense matrix — and scheduling metadata (priority, per-job timeout, an
-optional solve-tolerance override folded into the spec).
+optional solve-tolerance override folded into the spec).  Requests and
+specs travel as JSON documents (:func:`~repro.service.wire.request_to_wire`),
+over the wire and in the service journal alike; no pickle is involved.
 
 The request's :attr:`~JobRequest.fingerprint` is the coalescing key: requests
 with equal fingerprints describe the *same* black box (same physics, same
@@ -83,7 +85,7 @@ class JobState:
 
 @dataclass(frozen=True)
 class JobRequest:
-    """Picklable description of one extraction request.
+    """Description of one extraction request, sent and journaled as JSON.
 
     Parameters
     ----------

@@ -13,10 +13,11 @@ object rooted at a state directory:
     read-through/write-through cache.  A restarted service serves a
     previously solved column set with **zero** new attributed solves.
 ``artifacts/``
-    :class:`~repro.substrate.factor_cache.FactorArtifactStore` — serialised
-    factor payloads (flattened arrays plus a JSON sidecar) under their
-    cache-key digest, consulted by the factor cache on miss, so a warm
-    start loads its factors instead of refactoring.
+    :class:`~repro.substrate.factor_cache.FactorArtifactStore` — the
+    eigenfunction solver's dense factors (flattened arrays plus a JSON
+    sidecar) under their cache-key digest, consulted by the factor cache on
+    miss, so a warm start loads them instead of refactoring.  FD sparse LUs
+    are not persisted: a restarted engine rebuilds its LU once.
 ``journal.jsonl``
     :class:`JobJournal` — accepted :class:`~repro.service.jobs.JobRequest`
     objects as their ``/v1`` wire documents

@@ -33,12 +33,13 @@ Environment knob: ``REPRO_RESULT_STORE_BYTES`` overrides the default budget
 
 from __future__ import annotations
 
-import os
 import threading
 import warnings
 from collections import OrderedDict
 
 import numpy as np
+
+from ..substrate.factor_cache import _env_bytes
 
 __all__ = ["ResultStore", "DEFAULT_STORE_BYTES", "default_store_bytes"]
 
@@ -52,21 +53,7 @@ def default_store_bytes() -> int:
     to the default) instead of being silently ignored — a typo'd budget
     must not masquerade as a deliberate one.
     """
-    env = os.environ.get("REPRO_RESULT_STORE_BYTES")
-    if env:
-        try:
-            value = int(env)
-            if value < 0:
-                raise ValueError("budget must be >= 0")
-            return value
-        except ValueError as exc:
-            warnings.warn(
-                f"ignoring invalid REPRO_RESULT_STORE_BYTES={env!r} ({exc}); "
-                f"using the default of {DEFAULT_STORE_BYTES} bytes",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return DEFAULT_STORE_BYTES
+    return _env_bytes("REPRO_RESULT_STORE_BYTES", DEFAULT_STORE_BYTES)
 
 
 class ResultStore:

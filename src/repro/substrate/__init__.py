@@ -13,7 +13,6 @@ from .extraction import (
 )
 from .factor_cache import (
     FactorCache,
-    SharedSparseLU,
     factor_cache,
     factor_cache_clear,
     factor_cache_info,
@@ -45,7 +44,6 @@ __all__ = [
     "extract_columns",
     "check_conductance_properties",
     "FactorCache",
-    "SharedSparseLU",
     "factor_cache",
     "factor_cache_clear",
     "factor_cache_info",

@@ -3,8 +3,6 @@
 from .eigenvalues import (
     eigenvalue_coefficient_recursion,
     eigenvalue_table,
-    eigenvalue_table_cache_clear,
-    eigenvalue_table_cache_info,
     mode_eigenvalue,
 )
 from .operator import SurfaceOperator
@@ -13,8 +11,6 @@ from .solver import EigenfunctionSolver
 __all__ = [
     "mode_eigenvalue",
     "eigenvalue_table",
-    "eigenvalue_table_cache_clear",
-    "eigenvalue_table_cache_info",
     "eigenvalue_coefficient_recursion",
     "SurfaceOperator",
     "EigenfunctionSolver",

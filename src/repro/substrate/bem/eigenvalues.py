@@ -25,23 +25,23 @@ resistances in series; with a floating backplane ``lambda_00`` is infinite
 (you cannot push net DC current into a floating substrate), which callers
 handle by excluding the uniform mode.
 
-The thesis's coefficient recursion is also implemented
-(:func:`eigenvalue_coefficient_recursion`) and used as a cross-check in the
-tests for moderate ``gamma * d`` where it does not overflow.
+:func:`eigenvalue_table` runs this recursion over a whole array of ``gamma``
+at once; :func:`mode_eigenvalue` is its scalar form, kept as the tests'
+oracle for the table.  The thesis's coefficient recursion is also
+implemented (:func:`eigenvalue_coefficient_recursion`) and used as a
+cross-check in the tests for moderate ``gamma * d`` where it does not
+overflow.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..factor_cache import factor_cache
 from ..profile import SubstrateProfile
 
 __all__ = [
     "mode_eigenvalue",
     "eigenvalue_table",
-    "eigenvalue_table_cache_clear",
-    "eigenvalue_table_cache_info",
     "eigenvalue_coefficient_recursion",
 ]
 
@@ -90,32 +90,6 @@ def mode_eigenvalue(gamma: float, profile: SubstrateProfile) -> float:
     return float(1.0 / y)
 
 
-#: eigenvalue tables are memoised in the process-wide factor cache
-#: (:mod:`repro.substrate.factor_cache`), keyed on the physical profile and
-#: the mode counts.  Experiments rebuild solvers for the same substrate over
-#: and over (every table row, every benchmark repetition); the table is a
-#: pure function of ``(profile, n_modes)`` so recomputation is pure waste.
-#: The historical entry-count bound of 32 is kept as a per-kind cap on top of
-#: the cache's byte budget.
-_TABLE_KIND = "eigenvalue_table"
-_TABLE_CACHE_MAX = 32
-factor_cache().set_kind_limit(_TABLE_KIND, _TABLE_CACHE_MAX)
-
-
-def eigenvalue_table_cache_clear() -> None:
-    """Drop all memoised eigenvalue tables (tests / memory pressure)."""
-    factor_cache().clear(_TABLE_KIND)
-
-
-def eigenvalue_table_cache_info() -> dict[str, int]:
-    """Current size and bound of the eigenvalue-table LRU.
-
-    ``size`` can never exceed ``max_size``: every insertion evicts the
-    least-recently-used entries down to the bound (pinned by the cache tests).
-    """
-    return {"size": factor_cache().count(_TABLE_KIND), "max_size": _TABLE_CACHE_MAX}
-
-
 def eigenvalue_table(
     n_modes_x: int, n_modes_y: int, profile: SubstrateProfile
 ) -> np.ndarray:
@@ -124,26 +98,35 @@ def eigenvalue_table(
     For a floating backplane the (0, 0) entry is set to 0 (the uniform mode is
     excluded from the operator; see :mod:`repro.substrate.bem.operator`).
 
-    Results are memoised per ``(n_modes_x, n_modes_y, profile.cache_key)`` in
-    the process-wide factor cache; the returned array is marked read-only
-    because it is shared between callers.
+    The admittance recursion of :func:`mode_eigenvalue` runs once per layer
+    over the whole ``gamma`` array, in the same floating-point operations, so
+    each entry equals the scalar's.  A 128x128 table takes ~1.5 ms (2-vCPU
+    host; ~0.2 s as a loop of scalar calls), so every operator builds its
+    own and no cache holds it.
     """
-
-    def build() -> np.ndarray:
-        a, b = profile.size_x, profile.size_y
-        m = np.arange(n_modes_x)
-        n = np.arange(n_modes_y)
-        gamma = np.sqrt((m[:, None] * np.pi / a) ** 2 + (n[None, :] * np.pi / b) ** 2)
-        table = np.empty((n_modes_x, n_modes_y))
-        for i in range(n_modes_x):
-            for j in range(n_modes_y):
-                lam = mode_eigenvalue(float(gamma[i, j]), profile)
-                table[i, j] = 0.0 if np.isinf(lam) else lam
-        table.setflags(write=False)
-        return table
-
-    key = (_TABLE_KIND, int(n_modes_x), int(n_modes_y), profile.cache_key)
-    return factor_cache().get_or_build(key, build)
+    a, b = profile.size_x, profile.size_y
+    m = np.arange(n_modes_x)
+    n = np.arange(n_modes_y)
+    gamma = np.sqrt((m[:, None] * np.pi / a) ** 2 + (n[None, :] * np.pi / b) ** 2)
+    sigmas = profile.conductivities[::-1]  # bottom to top
+    thicknesses = profile.thicknesses[::-1]
+    # the uniform mode (gamma = 0) divides by zero here and is set below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if profile.grounded_backplane:
+            y = sigmas[0] * gamma / np.tanh(gamma * thicknesses[0])
+            start = 1
+        else:
+            y = np.zeros_like(gamma)
+            start = 0
+        for sigma, t in zip(sigmas[start:], thicknesses[start:], strict=True):
+            sg = sigma * gamma
+            tanh = np.tanh(gamma * t)
+            ratio = y / sg
+            y = sg * (tanh + ratio) / (1.0 + ratio * tanh)
+        table = 1.0 / y
+    uniform = mode_eigenvalue(0.0, profile)
+    table[gamma == 0.0] = 0.0 if np.isinf(uniform) else uniform
+    return table
 
 
 def eigenvalue_coefficient_recursion(

@@ -1,24 +1,23 @@
-"""Process-wide factor/plan cache shared by every substrate solver.
+"""Process-wide cache of the substrate solvers' direct factors.
 
 Extraction workloads build the *same* solver over and over: every benchmark
 repetition, every table row, every service engine reconstructs an
 :class:`~repro.substrate.bem.solver.EigenfunctionSolver` or
 :class:`~repro.substrate.fd.solver.FiniteDifferenceSolver` for an identical
-``(layout, profile, discretisation)`` and then re-derives the exact same
-expensive objects — eigenvalue tables, the dense ``A_cc`` Cholesky (or
-bordered/Schur) factor, the FD sparse LU of the interior Laplacian.  This
-module holds those objects in one memory-budgeted, process-wide LRU so a
-second solver over the same substrate pays ~zero factor cost.
+``(layout, profile, discretisation)`` and then needs the exact same direct
+factor: the dense ``A_cc`` Cholesky (or Schur/bordered, floating) factor, or
+the FD sparse LU of the interior Laplacian.  This module holds those factors
+in one memory-budgeted, process-wide LRU so a second solver over the same
+substrate pays ~zero factor cost.  Nothing else is cached here: an
+eigenvalue table takes ~1.5 ms to build, so each operator builds its own.
 
-Keys are tuples whose first element is a *kind* string (``"eigenvalue_table"``,
-``"bem_direct_factor"``, ``"fd_direct_factor"``) followed by the identity of
+Keys are tuples whose first element is a *kind* string
+(``"bem_direct_factor"``, ``"fd_direct_factor"``) followed by the identity of
 the physics and discretisation, typically
 ``(ContactLayout.fingerprint, SubstrateProfile.cache_key, grid shape)``.
-Values are opaque to the cache; byte sizes are estimated from the numpy /
-scipy-sparse payloads (or passed explicitly) and the least-recently-used
-entries are evicted once the budget is exceeded.  Individual kinds can also
-carry an entry-count cap (the eigenvalue-table LRU keeps its historical bound
-of 32 entries).
+Values are opaque to the cache; byte sizes are estimated from the factor's
+arrays (or a SuperLU's stored entries) and the least-recently-used entries
+are evicted once the budget is exceeded.
 
 The cache is **per process**; every solver in the process shares it.  It
 is the only owner of the direct factors it holds, the eigenfunction
@@ -32,17 +31,22 @@ checked for NaN/inf once, where it enters the process (built or loaded;
 :func:`seal_factor_arrays`), and its arrays are read-only from then on.
 
 On top of the in-RAM cache, an optional **content-addressed artifact store**
-(:class:`FactorArtifactStore`) persists factor payloads to disk under the
-digest of their cache key: the cache consults it on a miss before any caller
-rebuilds, and writes freshly built factors through to it, so a *restarted*
-process (whose RAM cache is empty) skips the cold factorisation entirely.
-Factors are written as flat array payloads (:func:`_flatten_factor`) and
-rebuilt from them (:func:`_rebuild_factor`), so exactly the factor kinds
-that contract covers are persistable.  No store is attached by default —
-the extraction service wires one in when it is given a state directory.
+(:class:`FactorArtifactStore`) persists the eigenfunction solver's dense
+factors to disk under the digest of their cache key: the cache consults it
+on a miss before any caller rebuilds, and writes freshly built factors
+through to it, so a *restarted* process (whose RAM cache is empty) skips the
+cold factorisation.  Factors are written as flat array payloads
+(:func:`_flatten_factor`) and rebuilt from them (:func:`_rebuild_factor`).
+FD sparse LUs stay in RAM only: SciPy's SuperLU cannot be rebuilt from its
+arrays, and solving through the arrays instead ran ~1.5-2.5x slower than the
+native factor, more per block than the ~0.2 s a rebuild costs.  After a
+restart an FD solver rebuilds its LU once, like any cache miss.  No store is
+attached by default; the extraction service wires one in when it is given a
+state directory.
 
 Environment knob: ``REPRO_FACTOR_CACHE_BYTES`` overrides the default budget
-(512 MiB) for the process-wide instance.  The budget also sets the default
+(512 MiB) for the process-wide instance; a malformed or negative value warns
+and falls back to the default.  The budget also sets the default
 dense-factor ceiling of :class:`~repro.substrate.dispatch.DispatchPolicy`
 (:meth:`FactorCache.max_dense_factor_order`).
 """
@@ -63,7 +67,6 @@ import numpy as np
 __all__ = [
     "FactorCache",
     "FactorArtifactStore",
-    "SharedSparseLU",
     "factor_cache",
     "factor_cache_info",
     "factor_cache_clear",
@@ -75,34 +78,41 @@ __all__ = [
 
 DEFAULT_BUDGET_BYTES = 512 * 1024 * 1024
 
-#: cache-entry kinds the artifact store persists — exactly the factor kinds
-#: the flatten/rebuild contract below can serialise (eigenvalue tables are
-#: cheap to rebuild and stay RAM-only)
-PERSISTED_FACTOR_KINDS = (
-    "bem_direct_factor",
-    "fd_direct_factor",
-)
+#: cache-entry kinds the artifact store persists: the eigenfunction solver's
+#: dense factors, the one kind the flatten/rebuild contract below serialises
+PERSISTED_FACTOR_KINDS = ("bem_direct_factor",)
+
+
+def _env_bytes(name: str, default: int) -> int:
+    """Byte budget from the environment variable ``name``, else ``default``.
+
+    A malformed or negative value is rejected with a warning (falling back
+    to the default) instead of being silently ignored: a typo'd budget must
+    not masquerade as a deliberate one.
+    """
+    env = os.environ.get(name)
+    if env:
+        try:
+            value = int(env)
+            if value < 0:
+                raise ValueError("budget must be >= 0")
+            return value
+        except ValueError as exc:
+            warnings.warn(
+                f"ignoring invalid {name}={env!r} ({exc}); "
+                f"using the default of {default} bytes",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return default
 
 
 def _estimate_nbytes(value: Any) -> int:
-    """Best-effort byte size of a cached value (arrays, factors, containers)."""
+    """Byte size of a cached factor: its arrays, or a SuperLU's stored entries."""
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     if isinstance(value, (tuple, list)):
         return sum(_estimate_nbytes(v) for v in value) + 64
-    if isinstance(value, dict):
-        return sum(_estimate_nbytes(v) for v in value.values()) + 64
-    nb = getattr(value, "nbytes", None)
-    if isinstance(nb, (int, np.integer)):  # e.g. a SharedSparseLU
-        return int(nb)
-    data = getattr(value, "data", None)
-    if isinstance(data, np.ndarray):  # scipy sparse matrices
-        total = int(data.nbytes)
-        for attr in ("indices", "indptr", "row", "col"):
-            arr = getattr(value, attr, None)
-            if isinstance(arr, np.ndarray):
-                total += int(arr.nbytes)
-        return total
     nnz = getattr(value, "nnz", None)
     if isinstance(nnz, (int, np.integer)):  # e.g. a SuperLU factorisation
         # one double plus one int32 index per stored entry
@@ -111,7 +121,7 @@ def _estimate_nbytes(value: Any) -> int:
 
 
 class FactorCache:
-    """Memory-budgeted LRU cache for solver factorisations and plans.
+    """Memory-budgeted LRU cache of the substrate solvers' direct factors.
 
     Parameters
     ----------
@@ -127,7 +137,6 @@ class FactorCache:
         self._entries: "OrderedDict[Hashable, tuple[Any, int]]" = OrderedDict()
         self._bytes = 0  # reprolint: guarded-by(_lock)
         self._lock = threading.RLock()
-        self._kind_limits: dict[str, int] = {}  # reprolint: guarded-by(_lock)
         self.hits = 0  # reprolint: guarded-by(_lock)
         self.misses = 0  # reprolint: guarded-by(_lock)
         self.evictions = 0  # reprolint: guarded-by(_lock)
@@ -165,12 +174,6 @@ class FactorCache:
             self.max_bytes = int(max_bytes)
             self._evict_to_budget()
 
-    def set_kind_limit(self, kind: str, max_entries: int) -> None:
-        """Cap the number of entries whose key starts with ``kind``."""
-        with self._lock:
-            self._kind_limits[kind] = int(max_entries)
-            self._evict_kind(kind)
-
     @staticmethod
     def _kind_of(key: Hashable) -> str:
         if isinstance(key, tuple) and key and isinstance(key[0], str):
@@ -184,34 +187,28 @@ class FactorCache:
         With an artifact store attached, a RAM miss on a persistable factor
         kind falls through to disk: a loaded artifact is admitted into the
         RAM cache and counted as a hit (the caller was served without a
-        rebuild), plus one ``artifact_hits``.
+        rebuild), plus one ``artifact_hits``.  The load runs outside the
+        cache lock (a 5,120-panel factor is ~200 MB), so lookups of other
+        keys never wait for the disk.
         """
         kind = self._kind_of(key)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
-                self._kind_hits[kind] = self._kind_hits.get(kind, 0) + 1
+                self._count(kind, hit=True)
                 return entry[0]
             store = self._artifact_store
-            if store is not None and store.handles(key):
-                value = store.load(key)
-                if value is not None:
-                    self.artifact_hits += 1
-                    size = _estimate_nbytes(value)
-                    if size <= self.max_bytes:
-                        self._entries[key] = (value, size)
-                        self._bytes += size
-                        self._evict_to_budget()
-                        self._evict_kind(kind)
-                    self.hits += 1
-                    self._kind_hits[kind] = self._kind_hits.get(kind, 0) + 1
-                    return value
+        loadable = store is not None and store.handles(key)
+        value = store.load(key) if loadable else None
+        with self._lock:
+            if loadable and value is None:
                 self.artifact_misses += 1
-            self.misses += 1
-            self._kind_misses[kind] = self._kind_misses.get(kind, 0) + 1
-            return default
+            elif loadable:
+                self.artifact_hits += 1
+                self._admit(key, value)
+            self._count(kind, hit=value is not None)
+        return default if value is None else value
 
     def contains(self, key: Hashable) -> bool:
         """Pure membership probe: no counters, no recency update.
@@ -244,66 +241,63 @@ class FactorCache:
             budget = self.max_bytes
         return math.isqrt(max(budget - overhead, 0) // 8)
 
-    def put(self, key: Hashable, value: Any, nbytes: int | None = None) -> Any:
+    def put(self, key: Hashable, value: Any) -> Any:
         """Insert ``value`` under ``key`` (replacing any old entry) and return it.
 
         With an artifact store attached, persistable factor kinds are also
         written through to disk (content-addressed — an existing artifact is
         never rewritten), outside the cache lock.
         """
-        size = _estimate_nbytes(value) if nbytes is None else int(nbytes)
         with self._lock:
             store = self._artifact_store
-            if size > self.max_bytes:
-                self.oversized += 1
-            else:
-                old = self._entries.pop(key, None)
-                if old is not None:
-                    self._bytes -= old[1]
-                self._entries[key] = (value, size)
-                self._bytes += size
-                self._evict_to_budget()
-                self._evict_kind(self._kind_of(key))
+            self._admit(key, value)
         if store is not None and store.handles(key):
             store.save(key, value)
         return value
 
-    def get_or_build(
-        self, key: Hashable, builder: Callable[[], Any], nbytes: int | None = None
-    ) -> Any:
-        """Return the cached value, building and inserting it on a miss.
+    def get_or_build(self, key: Hashable, builder: Callable[[], Any]) -> Any:
+        """Return the cached factor, building and inserting it on a miss.
 
         One counted :meth:`get` (artifact store included); on a miss
         ``builder()`` runs outside the lock and its value goes through
         :meth:`put`, which may refuse it as oversized.  The value is returned
-        either way.  Every lookup-then-build of a cached substrate object
-        (eigenvalue tables, the solvers' direct factors) goes through here.
+        either way.  Both solvers' direct factors are looked up and built
+        through here.
         """
         found = object()
         value = self.get(key, default=found)
         if value is not found:
             return value
-        return self.put(key, builder(), nbytes=nbytes)
+        return self.put(key, builder())
+
+    # reprolint: holds(_lock)
+    def _admit(self, key: Hashable, value: Any) -> None:
+        """Store ``value`` under ``key`` within the budget, or refuse it as oversized."""
+        size = _estimate_nbytes(value)
+        if size > self.max_bytes:
+            self.oversized += 1
+            return
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self._bytes -= old[1]
+        self._entries[key] = (value, size)
+        self._bytes += size
+        self._evict_to_budget()
+
+    # reprolint: holds(_lock)
+    def _count(self, kind: str, hit: bool) -> None:
+        if hit:
+            self.hits += 1
+            self._kind_hits[kind] = self._kind_hits.get(kind, 0) + 1
+        else:
+            self.misses += 1
+            self._kind_misses[kind] = self._kind_misses.get(kind, 0) + 1
 
     # ---------------------------------------------------------------- eviction
     # reprolint: holds(_lock)
     def _evict_to_budget(self) -> None:
         while self._bytes > self.max_bytes and self._entries:
             _, (_, size) = self._entries.popitem(last=False)
-            self._bytes -= size
-            self.evictions += 1
-
-    # reprolint: holds(_lock)
-    def _evict_kind(self, kind: str) -> None:
-        limit = self._kind_limits.get(kind)
-        if limit is None:
-            return
-        while True:
-            of_kind = [k for k in self._entries if self._kind_of(k) == kind]
-            if len(of_kind) <= limit:
-                return
-            victim = of_kind[0]  # OrderedDict iterates LRU-first
-            _, size = self._entries.pop(victim)
             self._bytes -= size
             self.evictions += 1
 
@@ -318,11 +312,6 @@ class FactorCache:
             for key in [k for k in self._entries if self._kind_of(k) == kind]:
                 _, size = self._entries.pop(key)
                 self._bytes -= size
-
-    def count(self, kind: str) -> int:
-        """Number of entries whose key starts with ``kind``."""
-        with self._lock:
-            return sum(1 for k in self._entries if self._kind_of(k) == kind)
 
     def cache_info(self) -> dict:
         """Snapshot of occupancy and hit/miss counters (benchmark records)."""
@@ -363,13 +352,8 @@ class FactorCache:
 
 
 def _default_budget() -> int:
-    env = os.environ.get("REPRO_FACTOR_CACHE_BYTES")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET_BYTES
+    """Budget of the process-wide cache (env: ``REPRO_FACTOR_CACHE_BYTES``)."""
+    return _env_bytes("REPRO_FACTOR_CACHE_BYTES", DEFAULT_BUDGET_BYTES)
 
 
 #: the process-wide instance every solver consults before factoring
@@ -420,114 +404,13 @@ def seal_factor_arrays(*arrays: np.ndarray) -> None:
 # rebuilds the factor from it.
 
 
-class SharedSparseLU:
-    """Solver-compatible stand-in for a ``scipy.sparse.linalg.SuperLU``.
-
-    Holds the LU decomposition's component arrays (``Pr A Pc = L U`` with the
-    permutations given as index vectors) and serves :meth:`solve` through two
-    sparse triangular sweeps — the one method the finite-difference solver's
-    direct path calls on a native SuperLU object.  A SuperLU cannot be rebuilt from its
-    arrays, so this is the form an FD factor takes when
-    :class:`FactorArtifactStore` loads it from disk.  The component arrays
-    are never written; the CSR forms the triangular solver needs are derived
-    lazily on first solve.
-
-    Requires factors built without equilibration (``options={"Equil": False}``
-    at ``splu`` time): SuperLU does not expose its row/column scalings, so an
-    equilibrated factor cannot be reconstructed from components.
-    """
-
-    def __init__(
-        self,
-        l_data: np.ndarray,
-        l_indices: np.ndarray,
-        l_indptr: np.ndarray,
-        u_data: np.ndarray,
-        u_indices: np.ndarray,
-        u_indptr: np.ndarray,
-        perm_r: np.ndarray,
-        perm_c: np.ndarray,
-        shape: tuple[int, int],
-    ) -> None:
-        from scipy.sparse import csc_matrix
-
-        self.shape = (int(shape[0]), int(shape[1]))
-        self._l = csc_matrix((l_data, l_indices, l_indptr), shape=self.shape)
-        self._u = csc_matrix((u_data, u_indices, u_indptr), shape=self.shape)
-        self.perm_r = np.asarray(perm_r)
-        self.perm_c = np.asarray(perm_c)
-        self._l_csr = None
-        self._u_csr = None
-
-    @classmethod
-    def from_superlu(cls, lu: Any) -> "SharedSparseLU":
-        """Decompose a (non-equilibrated) SuperLU into its component arrays."""
-        l_csc = lu.L.tocsc()
-        u_csc = lu.U.tocsc()
-        return cls(
-            l_csc.data,
-            l_csc.indices,
-            l_csc.indptr,
-            u_csc.data,
-            u_csc.indices,
-            u_csc.indptr,
-            lu.perm_r,
-            lu.perm_c,
-            lu.shape,
-        )
-
-    @property
-    def nnz(self) -> int:
-        return int(self._l.nnz + self._u.nnz)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes of the component arrays (cache accounting)."""
-        total = 0
-        for mat in (self._l, self._u):
-            total += mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-        return total + self.perm_r.nbytes + self.perm_c.nbytes
-
-    def component_arrays(self) -> list[np.ndarray]:
-        """The flattenable payload, in :class:`SharedSparseLU` argument order."""
-        return [
-            self._l.data,
-            self._l.indices,
-            self._l.indptr,
-            self._u.data,
-            self._u.indices,
-            self._u.indptr,
-            self.perm_r,
-            self.perm_c,
-        ]
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` from the components: ``x = Pc U^-1 L^-1 Pr b``."""
-        from scipy.sparse.linalg import spsolve_triangular
-
-        if self._l_csr is None:
-            self._l_csr = self._l.tocsr()
-            self._u_csr = self._u.tocsr()
-        b = np.asarray(b, dtype=float)
-        squeeze = b.ndim == 1
-        if squeeze:
-            b = b[:, None]
-        prb = np.empty_like(b)
-        prb[self.perm_r] = b
-        z = spsolve_triangular(self._l_csr, prb, lower=True)
-        w = spsolve_triangular(self._u_csr, z, lower=False)
-        x = w[self.perm_c]
-        return x[:, 0] if squeeze else x
-
-
 def _flatten_factor(factor: Any) -> tuple[dict, list[np.ndarray]]:
     """Decompose a cacheable factor into (JSON-able meta, array payloads).
 
-    Supported shapes are exactly the factor kinds the solvers cache: the BEM
-    dense tuples (``("chol", (c, lower))``, ``("schur", (c, lower), w, s)``,
-    ``("bordered", lu, piv)``) and sparse LUs (native SuperLU or an already
-    reconstructed :class:`SharedSparseLU`).  Raises ``TypeError`` for
-    anything else, so callers can skip unpersistable cache entries.
+    Supported shapes are exactly the eigenfunction solver's dense factor
+    tuples: ``("chol", (c, lower))``, ``("schur", (c, lower), w, s)`` and
+    ``("bordered", lu, piv)``.  Raises ``TypeError`` for anything else, so
+    callers can skip unpersistable cache entries.
 
     A dense factor (the ``c`` or ``lu`` matrix) is Fortran-ordered, as
     LAPACK builds and reads it.  It ships as its C-contiguous transpose, a
@@ -553,12 +436,6 @@ def _flatten_factor(factor: Any) -> tuple[dict, list[np.ndarray]]:
                 np.ascontiguousarray(piv),
             ]
         raise TypeError(f"unknown dense factor kind {kind!r}")
-    if isinstance(factor, SharedSparseLU):
-        return {"factor": "sparse_lu", "shape": factor.shape}, [
-            np.ascontiguousarray(a) for a in factor.component_arrays()
-        ]
-    if hasattr(factor, "perm_r") and hasattr(factor, "L"):  # native SuperLU
-        return _flatten_factor(SharedSparseLU.from_superlu(factor))
     raise TypeError(f"cannot flatten factor of type {type(factor).__name__}")
 
 
@@ -573,20 +450,17 @@ def _rebuild_factor(meta: dict, arrays: list[np.ndarray]) -> Any:
     as a miss.
     """
     kind = meta["factor"]
+    if kind not in ("chol", "schur", "bordered"):
+        raise TypeError(f"unknown flattened factor kind {kind!r}")
     arrays = list(arrays)
-    if kind in ("chol", "schur", "bordered"):
-        dense = arrays[0]
-        arrays[0] = dense.T if meta.get("transposed") else np.asfortranarray(dense)
+    dense = arrays[0]
+    arrays[0] = dense.T if meta.get("transposed") else np.asfortranarray(dense)
     seal_factor_arrays(*arrays)
     if kind == "chol":
         return ("chol", (arrays[0], meta["lower"]))
     if kind == "schur":
         return ("schur", (arrays[0], meta["lower"]), arrays[1], meta["s"])
-    if kind == "bordered":
-        return ("bordered", arrays[0], arrays[1])
-    if kind == "sparse_lu":
-        return SharedSparseLU(*arrays, shape=tuple(meta["shape"]))
-    raise TypeError(f"unknown flattened factor kind {kind!r}")
+    return ("bordered", arrays[0], arrays[1])
 
 
 # ================================================================== artifacts

@@ -16,7 +16,8 @@ configurations (Jacobi, incomplete Cholesky) cross over to the direct path
 for wide blocks.  The sparse LU follows the eigenfunction solver's ownership
 rule: the process-wide :mod:`~repro.substrate.factor_cache` owns it, keyed
 on the layout fingerprint, the physical profile and the grid resolution, so
-a second solver over the same substrate pays ~zero factor cost.
+a second solver over the same substrate pays ~zero factor cost.  It is held
+in RAM only; a restarted process rebuilds it.
 """
 
 from __future__ import annotations
@@ -199,22 +200,20 @@ class FiniteDifferenceSolver(_CacheOwnedFactor, SubstrateSolver):
         return True
 
     def _build_direct_factor(self) -> SuperLU:
-        """Sparse LU of the system matrix, built without equilibration.
+        """Sparse LU of the system matrix (SciPy's SuperLU, default options).
 
-        SuperLU does not expose its row/column scalings, so only a
-        non-equilibrated factor is exactly reconstructible from its component
-        arrays, which is what lets the factor artifact store persist it and
-        load it back (as :class:`~repro.substrate.factor_cache.SharedSparseLU`)
-        instead of refactoring after a restart.  The FD systems are
-        diagonally dominant grid-of-resistors matrices, so skipping
-        equilibration costs no accuracy.
+        The LU lives in the process-wide factor cache only: the artifact
+        store does not persist it, because a SuperLU cannot be rebuilt from
+        its arrays and solving through them ran ~1.5-2.5x slower than the
+        native factor.  So after a restart it is rebuilt once (~0.2 s on a
+        7,168-node grid), counted like any cache miss.
 
         Raises ``RuntimeError`` if the factorisation fails (exactly singular
         system: only possible for degenerate assemblies with no Dirichlet
         coupling at all).
         """
         try:
-            return splu(self.assembly.matrix.tocsc(), options={"Equil": False})
+            return splu(self.assembly.matrix.tocsc())
         except (RuntimeError, ValueError, MemoryError) as exc:
             raise RuntimeError(f"sparse LU factorisation failed: {exc}") from exc
 

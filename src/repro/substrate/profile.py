@@ -77,7 +77,9 @@ class SubstrateProfile:
         """Hashable identity of the physical profile.
 
         Two profiles with equal keys produce identical operator eigenvalues;
-        used to memoise :func:`repro.substrate.bem.eigenvalues.eigenvalue_table`.
+        part of the solvers' direct-factor keys in
+        :mod:`repro.substrate.factor_cache`, so two solvers over the same
+        physics share one factor.
         """
         return (
             self.size_x,

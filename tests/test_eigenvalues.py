@@ -8,14 +8,25 @@ from repro.substrate import Layer, SubstrateProfile
 from repro.substrate.bem import (
     eigenvalue_coefficient_recursion,
     eigenvalue_table,
-    eigenvalue_table_cache_clear,
-    eigenvalue_table_cache_info,
     mode_eigenvalue,
 )
 
 
 def uniform(depth=20.0, sigma=2.0, grounded=True):
     return SubstrateProfile.uniform(64.0, depth, sigma, grounded_backplane=grounded)
+
+
+def scalar_table(n_modes_x, n_modes_y, profile):
+    """The eigenvalue table as a loop of scalar :func:`mode_eigenvalue` calls."""
+    m = np.arange(n_modes_x)[:, None] * np.pi / profile.size_x
+    n = np.arange(n_modes_y)[None, :] * np.pi / profile.size_y
+    gamma = np.sqrt(m**2 + n**2)
+    table = np.array([mode_eigenvalue(float(g), profile) for g in gamma.ravel()])
+    table[np.isinf(table)] = 0.0  # the floating uniform mode
+    return table.reshape(gamma.shape)
+
+
+THREE_LAYERS = [Layer(0.5, 1.0), Layer(10.0, 100.0), Layer(2.0, 0.1)]
 
 
 class TestSingleLayerClosedForms:
@@ -100,48 +111,27 @@ class TestEigenvalueTable:
         assert np.all(table.ravel()[1:] > 0)
 
 
-class TestEigenvalueTableCache:
-    def test_returned_table_is_read_only_and_mutation_raises(self):
-        prof = SubstrateProfile.two_layer_example()
-        table = eigenvalue_table(6, 6, prof)
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0, 0] = 123.0
-        # the read-only flag survives the cache round-trip: a second lookup
-        # hands out the same immutable array, not a writable copy
-        again = eigenvalue_table(6, 6, prof)
-        assert again is table
-        assert not again.flags.writeable
-        with pytest.raises(ValueError):
-            again[1, 1] = -1.0
-
-    def test_lru_eviction_bounds_growth(self):
-        eigenvalue_table_cache_clear()
-        info = eigenvalue_table_cache_info()
-        assert info["size"] == 0
-        max_size = info["max_size"]
-        prof = SubstrateProfile.uniform(64, 20.0)
-        # fill past the bound with distinct (n_modes_x, n_modes_y) keys
-        first = eigenvalue_table(2, 2, prof)
-        for m in range(3, max_size + 4):
-            eigenvalue_table(m, 2, prof)
-        info = eigenvalue_table_cache_info()
-        assert info["size"] <= max_size  # eviction actually fired
-        # the least-recently-used entry (the first key) was dropped: a fresh
-        # lookup recomputes rather than returning the original object
-        assert eigenvalue_table(2, 2, prof) is not first
-        eigenvalue_table_cache_clear()
-
-    def test_lru_recency_is_refreshed_on_hit(self):
-        eigenvalue_table_cache_clear()
-        max_size = eigenvalue_table_cache_info()["max_size"]
-        prof = SubstrateProfile.uniform(64, 20.0)
-        keep = eigenvalue_table(2, 2, prof)
-        # touch `keep` between insertions so it is never the LRU victim
-        for m in range(3, max_size + 4):
-            eigenvalue_table(m, 2, prof)
-            assert eigenvalue_table(2, 2, prof) is keep
-        eigenvalue_table_cache_clear()
+@pytest.mark.parametrize(
+    "profile",
+    [
+        SubstrateProfile.two_layer_example(size=128.0, resistive_bottom=True),
+        SubstrateProfile.two_layer_example(size=128.0, grounded_backplane=True),
+        SubstrateProfile.two_layer_example(size=128.0, grounded_backplane=False),
+        SubstrateProfile(128.0, 96.0, THREE_LAYERS, grounded_backplane=True),
+        SubstrateProfile(128.0, 96.0, THREE_LAYERS, grounded_backplane=False),
+    ],
+    ids=[
+        "two-layer-resistive-bottom",
+        "two-layer-grounded",
+        "two-layer-floating",
+        "three-layer-grounded",
+        "three-layer-floating",
+    ],
+)
+def test_table_matches_scalar_recursion_at_128(profile):
+    """The vectorised table is the scalar recursion, mode for mode."""
+    table = eigenvalue_table(128, 128, profile)
+    np.testing.assert_allclose(table, scalar_table(128, 128, profile), rtol=1e-15, atol=0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -151,10 +141,18 @@ class TestEigenvalueTableCache:
     sigma2=st.floats(min_value=0.1, max_value=10.0),
     t1=st.floats(min_value=0.2, max_value=5.0),
     t2=st.floats(min_value=0.2, max_value=30.0),
+    grounded=st.booleans(),
 )
-def test_property_eigenvalue_positive_and_bounded(gamma, sigma1, sigma2, t1, t2):
-    """Eigenvalues are positive and bounded by the least-conductive half-space value."""
-    prof = SubstrateProfile(64, 64, [Layer(t1, sigma1), Layer(t2, sigma2)])
+def test_property_eigenvalue_positive_and_bounded(gamma, sigma1, sigma2, t1, t2, grounded):
+    """Eigenvalues are positive and bounded by the least-conductive half-space
+    value, and the vectorised table equals the scalar recursion."""
+    prof = SubstrateProfile(
+        64, 64, [Layer(t1, sigma1), Layer(t2, sigma2)], grounded_backplane=grounded
+    )
     lam = mode_eigenvalue(gamma, prof)
     assert lam > 0
     assert lam <= 1.0 / (min(sigma1, sigma2) * gamma) * (1.0 / np.tanh(gamma * (t1 + t2)) + 1e-9)
+    table = eigenvalue_table(7, 4, prof)
+    np.testing.assert_allclose(table, scalar_table(7, 4, prof), rtol=1e-15, atol=0)
+    if not grounded:
+        assert table[0, 0] == 0.0

@@ -1,32 +1,33 @@
-"""Tests for the process-wide factor/plan cache.
+"""Tests for the process-wide cache of the solvers' direct factors.
 
-Covers the cache mechanics (LRU eviction under a byte budget, per-kind entry
-caps, hit/miss counters, oversized rejection) and the solver integrations:
-a second eigenfunction or finite-difference solver over the same
-``(layout, profile, grid)`` must load its direct factor from the cache
-instead of rebuilding it, and dispatch must treat a warm cache as a cached
-factor.  The flatten/rebuild contract behind the artifact store must round
-trip every factor kind, and :class:`SharedSparseLU` must answer like the
-SuperLU it was taken from.
+Covers the cache mechanics (LRU eviction under a byte budget, per-kind
+clearing, hit/miss counters, oversized rejection, artifact loads that hold
+no lock) and the solver integrations: a second eigenfunction or
+finite-difference solver over the same ``(layout, profile, grid)`` must load
+its direct factor from the cache instead of rebuilding it, and dispatch must
+treat a warm cache as a cached factor.  The cache holds factors only (no
+eigenvalue table).  The flatten/rebuild contract behind the artifact store
+must round trip every dense factor kind; FD sparse LUs are never persisted,
+so an FD artifact an older release left behind is ignored and the LU is
+rebuilt once.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import threading
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
-from scipy.sparse import diags, eye as speye, kron
-from scipy.sparse.linalg import splu
 
 from repro import (
     DispatchPolicy,
     EigenfunctionSolver,
     FactorCache,
-    SharedSparseLU,
     SubstrateProfile,
     extract_dense,
     factor_cache,
@@ -39,6 +40,7 @@ from repro.substrate.bem.solver import BEM_FACTOR_KIND
 from repro.substrate.factor_cache import (
     FactorArtifactStore,
     _flatten_factor,
+    _key_digest,
     _rebuild_factor,
 )
 from repro.substrate.fd import FiniteDifferenceSolver
@@ -135,17 +137,16 @@ def test_oversized_entry_is_returned_but_not_stored():
     assert cache.oversized == 1
 
 
-def test_kind_limits_and_kind_clear():
+def test_kind_clear():
     cache = FactorCache(max_bytes=1 << 20)
-    cache.set_kind_limit("capped", 3)
     for i in range(6):
-        cache.put(("capped", i), np.zeros(4))
-        cache.put(("free", i), np.zeros(4))
-    assert cache.count("capped") == 3
-    assert cache.count("free") == 6
-    cache.clear("capped")
-    assert cache.count("capped") == 0
-    assert cache.count("free") == 6
+        cache.put(("dropped", i), np.zeros(4))
+        cache.put(("kept", i), np.zeros(4))
+    cache.clear("dropped")
+    by_kind = cache.cache_info()["by_kind"]
+    assert "dropped" not in by_kind
+    assert by_kind["kept"]["entries"] == 6
+    assert all(cache.contains(("kept", i)) for i in range(6))
 
 
 def test_contains_is_counter_neutral():
@@ -179,6 +180,39 @@ def test_get_or_build_builds_once():
     assert len(calls) == 1
 
 
+def test_artifact_load_does_not_stall_other_lookups():
+    """While one factor loads from disk, a lookup of another, cached key
+    returns at once: the load holds no cache lock."""
+    loading, release = threading.Event(), threading.Event()
+
+    class SlowStore:
+        def handles(self, key):
+            return True
+
+        def load(self, key):
+            loading.set()
+            release.wait(timeout=10.0)
+            return None
+
+    cache = FactorCache(max_bytes=1 << 20)
+    warm = cache.put(("k", "warm"), np.zeros(4))
+    cache.set_artifact_store(SlowStore())
+    loader = threading.Thread(target=cache.get, args=(("k", "cold"),), daemon=True)
+    found = []
+    reader = threading.Thread(target=lambda: found.append(cache.get(("k", "warm"))), daemon=True)
+    try:
+        loader.start()
+        assert loading.wait(timeout=5.0)
+        reader.start()
+        reader.join(timeout=1.0)
+        assert found and found[0] is warm
+    finally:
+        release.set()
+        loader.join(timeout=10.0)
+        reader.join(timeout=10.0)
+    assert (cache.hits, cache.misses, cache.artifact_misses) == (1, 1, 1)
+
+
 # -------------------------------------------------------- layout fingerprints
 def test_layout_fingerprint_keys_on_geometry_not_names(tiny_layout):
     same = regular_grid(n_side=4, size=64.0, fill=0.5)
@@ -200,6 +234,8 @@ def test_bem_factor_shared_across_solver_instances(tiny_layout):
 
     first = build()
     assert first.prepare_direct()
+    # the cache holds factors only: the operator built its own eigenvalue table
+    assert "eigenvalue_table" not in factor_cache_info()["by_kind"]
     misses_after_build = factor_cache_info()["by_kind"][BEM_FACTOR_KIND]["misses"]
     second = build()
     assert second.prepare_direct()
@@ -312,19 +348,21 @@ def test_fd_oversized_factor_is_held_not_rebuilt_per_block(
     _oversized_factor_is_held_not_rebuilt_per_block("fd", tiny_layout)
 
 
-def _oversized_artifact_is_held_not_reloaded_per_block(
-    backend: str, layout, tmp_path
-) -> None:
+def test_bem_oversized_artifact_is_held_not_reloaded_per_block(
+    tiny_layout, tmp_path, restore_cache_settings
+):
+    """A factor loaded from the artifact store but too large for the RAM
+    budget is held by its solver, not read back from disk per block."""
     store = FactorArtifactStore(tmp_path)
     factor_cache().set_artifact_store(store)
-    warmer = _direct_solver(backend, layout)
+    warmer = _direct_solver("bem", tiny_layout)
     assert warmer.prepare_direct()
     assert store.info()["saves"] == 1
-    factor_cache_clear(warmer.factor_cache_key[0])
+    factor_cache_clear(BEM_FACTOR_KIND)
     set_factor_cache_budget(1024)
 
-    solver = _direct_solver(backend, layout)
-    eye = np.eye(layout.n_contacts)
+    solver = _direct_solver("bem", tiny_layout)
+    eye = np.eye(tiny_layout.n_contacts)
     for _ in range(2):
         solver.solve_many(eye)
         assert solver.last_dispatch.path == "direct"
@@ -334,19 +372,72 @@ def _oversized_artifact_is_held_not_reloaded_per_block(
     assert not factor_cache().contains(solver.factor_cache_key)
 
 
-def test_bem_oversized_artifact_is_held_not_reloaded_per_block(
-    tiny_layout, tmp_path, restore_cache_settings
-):
-    """A factor loaded from the artifact store but too large for the RAM
-    budget is held by its solver, not read back from disk per block."""
-    _oversized_artifact_is_held_not_reloaded_per_block("bem", tiny_layout, tmp_path)
+def _plant_older_fd_artifact(store: FactorArtifactStore, solver) -> None:
+    """Write the artifact an older release persisted for an FD sparse LU:
+    its eight component arrays under the digest of the FD factor key."""
+    lu = solver._build_direct_factor()
+    lower, upper = lu.L.tocsc(), lu.U.tocsc()
+    arrays = [lower.data, lower.indices, lower.indptr]
+    arrays += [upper.data, upper.indices, upper.indptr, lu.perm_r, lu.perm_c]
+    digest = _key_digest(solver.factor_cache_key)
+    with open(store.root / f"{digest}.npz", "wb") as fh:
+        np.savez(fh, **{f"a{i}": a for i, a in enumerate(arrays)})
+    doc = {
+        # the one place the retired format's name appears: it is what the
+        # older release wrote, and this release must never read it
+        "meta": {"factor": "sparse_lu", "shape": list(lu.shape)},
+        "key": repr(solver.factor_cache_key),
+        "n_arrays": len(arrays),
+        "nbytes": int(sum(a.nbytes for a in arrays)),
+    }
+    (store.root / f"{digest}.json").write_text(json.dumps(doc))
 
 
-def test_fd_oversized_artifact_is_held_not_reloaded_per_block(
-    tiny_layout, tmp_path, restore_cache_settings
+@pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "floating"])
+def test_restart_rebuilds_fd_lu_and_ignores_older_fd_artifact(
+    tiny_layout, tmp_path, grounded, restore_cache_settings
 ):
-    """The same for a sparse LU loaded back as a SharedSparseLU."""
-    _oversized_artifact_is_held_not_reloaded_per_block("fd", tiny_layout, tmp_path)
+    """After a restart only the dense BEM factor comes from disk.  An FD
+    artifact an older release wrote is never read (no warning, no store
+    hit): the FD solver rebuilds its LU once, and both answer like a
+    forced-iterative reference."""
+    profile = _profile(grounded)
+    fd = {"nx": 8, "ny": 8, "planes_per_layer": 2, "rtol": 1e-13}
+    bem = {"max_panels": 32, "rtol": 1e-13}
+    direct = DispatchPolicy(force_path="direct")
+    store = FactorArtifactStore(tmp_path)
+    factor_cache().set_artifact_store(store)
+    assert EigenfunctionSolver(tiny_layout, profile, dispatch=direct, **bem).prepare_direct()
+    fd_solver = FiniteDifferenceSolver(tiny_layout, profile, dispatch=direct, **fd)
+    assert fd_solver.prepare_direct()
+    assert store.info()["saves"] == 1  # the BEM factor only
+    assert not store.contains(fd_solver.factor_cache_key)
+    _plant_older_fd_artifact(store, fd_solver)
+    assert store.contains(fd_solver.factor_cache_key)
+    factor_cache_clear()  # a restarted process holds no RAM factors
+    misses = store.info()["misses"]  # the first BEM lookup's
+
+    v = np.random.default_rng(11).standard_normal((tiny_layout.n_contacts, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fd_solver = FiniteDifferenceSolver(tiny_layout, profile, dispatch=direct, **fd)
+        fd_out = fd_solver.solve_many(v)
+        assert fd_solver.stats.n_factor_rebuilds == 1
+        assert (store.info()["hits"], store.info()["misses"]) == (0, misses)
+        bem_solver = EigenfunctionSolver(tiny_layout, profile, dispatch=direct, **bem)
+        bem_out = bem_solver.solve_many(v)
+        assert bem_solver.stats.n_factor_rebuilds == 0
+        assert (store.info()["hits"], store.info()["misses"]) == (1, misses)
+
+    iterative = DispatchPolicy(force_path="iterative")
+    for out, reference in (
+        (fd_out, FiniteDifferenceSolver(tiny_layout, profile, dispatch=iterative, **fd)),
+        (bem_out, EigenfunctionSolver(tiny_layout, profile, dispatch=iterative, **bem)),
+    ):
+        expected = reference.solve_many(v)
+        assert reference.stats.n_direct_solves == 0
+        scale = np.abs(expected).max()
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-10 * scale)
 
 
 def _float_arrays(factor) -> list[np.ndarray]:
@@ -581,29 +672,10 @@ def test_choose_sparse_policy_unit():
     assert capped.choose_sparse(n_nodes=100, n_rhs=64).path == "iterative"
 
 
-def test_eigenvalue_tables_live_in_factor_cache():
-    from repro.substrate.bem import eigenvalue_table
-
-    profile = SubstrateProfile.uniform(64, 20.0)
-    table = eigenvalue_table(8, 8, profile)
-    info = factor_cache_info()["by_kind"]["eigenvalue_table"]
-    assert info["entries"] >= 1
-    assert eigenvalue_table(8, 8, profile) is table
-
-
 def _spd(n: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     return a @ a.T + n * np.eye(n)
-
-
-def _sparse_system(m: int = 6):
-    one = diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
-    i = speye(m)
-    return (
-        kron(kron(one, i), i) + kron(kron(i, one), i) + kron(kron(i, i), one)
-        + speye(m**3)
-    ).tocsc()
 
 
 # ------------------------------------------------- flatten / rebuild contract
@@ -644,27 +716,3 @@ def test_flatten_rejects_unknown_kinds():
         _flatten_factor(("mystery", np.eye(2)))
     with pytest.raises(TypeError):
         _flatten_factor(object())
-
-
-def test_shared_sparse_lu_matches_superlu():
-    a = _sparse_system()
-    lu = splu(a, options={"Equil": False})
-    shared = SharedSparseLU.from_superlu(lu)
-    rng = np.random.default_rng(1)
-    b = rng.standard_normal((a.shape[0], 4))
-    assert np.allclose(shared.solve(b), lu.solve(b), atol=1e-12)
-    # vector RHS keeps its shape
-    assert shared.solve(b[:, 0]).shape == (a.shape[0],)
-    # tocsc() may drop explicit zeros, so the component nnz is a lower bound
-    assert 0 < shared.nnz <= lu.nnz
-    assert shared.nbytes > 0
-
-
-def test_shared_sparse_lu_roundtrips_through_flatten():
-    a = _sparse_system(5)
-    lu = splu(a, options={"Equil": False})
-    meta, arrays = _flatten_factor(lu)  # native SuperLU flattens too
-    rebuilt = _rebuild_factor(meta, arrays)
-    assert isinstance(rebuilt, SharedSparseLU)
-    b = np.arange(float(a.shape[0]))
-    assert np.allclose(rebuilt.solve(b), lu.solve(b), atol=1e-12)

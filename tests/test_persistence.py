@@ -33,7 +33,12 @@ from repro.service import (
 from repro.service.metrics import ServiceMetrics
 from repro.service.result_store import DEFAULT_STORE_BYTES, default_store_bytes
 from repro.substrate.extraction import extract_columns
-from repro.substrate.factor_cache import FactorArtifactStore, factor_cache
+from repro.substrate.factor_cache import (
+    DEFAULT_BUDGET_BYTES,
+    FactorArtifactStore,
+    _default_budget,
+    factor_cache,
+)
 from repro.substrate.parallel import SolverSpec
 
 
@@ -486,16 +491,20 @@ def test_clear_counts_evictions():
 
 
 def test_default_store_bytes_validates_env(monkeypatch):
-    monkeypatch.setenv("REPRO_RESULT_STORE_BYTES", "1024")
-    assert default_store_bytes() == 1024
-    monkeypatch.setenv("REPRO_RESULT_STORE_BYTES", "not-a-number")
-    with pytest.warns(RuntimeWarning, match="REPRO_RESULT_STORE_BYTES"):
-        assert default_store_bytes() == DEFAULT_STORE_BYTES
-    monkeypatch.setenv("REPRO_RESULT_STORE_BYTES", "-1")
-    with pytest.warns(RuntimeWarning, match="REPRO_RESULT_STORE_BYTES"):
-        assert default_store_bytes() == DEFAULT_STORE_BYTES
-    monkeypatch.delenv("REPRO_RESULT_STORE_BYTES")
-    assert default_store_bytes() == DEFAULT_STORE_BYTES
+    """Both byte budgets share one parser: a malformed or negative value
+    warns and falls back to the default."""
+    for variable, read, default in (
+        ("REPRO_RESULT_STORE_BYTES", default_store_bytes, DEFAULT_STORE_BYTES),
+        ("REPRO_FACTOR_CACHE_BYTES", _default_budget, DEFAULT_BUDGET_BYTES),
+    ):
+        monkeypatch.setenv(variable, "1024")
+        assert read() == 1024
+        for bad in ("not-a-number", "512MiB", "-1"):
+            monkeypatch.setenv(variable, bad)
+            with pytest.warns(RuntimeWarning, match=variable):
+                assert read() == default
+        monkeypatch.delenv(variable)
+        assert read() == default
 
 
 # ------------------------------------------- bugfix: pending/running split

@@ -25,7 +25,6 @@ from repro.core.lowrank import LowRankSparsifier
 from repro.core.wavelet import WaveletSparsifier
 from repro.geometry import PanelGrid
 from repro.substrate.bem import SurfaceOperator
-from repro.substrate.bem.eigenvalues import eigenvalue_table
 from repro.substrate.fd import FiniteDifferenceSolver
 from repro.substrate.solver_base import CallableSolver, SubstrateSolver
 
@@ -347,16 +346,3 @@ def test_contact_block_rows_rejects_empty_batch(tiny_layout, max_batch):
     op = _operator(tiny_layout, True, None)
     with pytest.raises(ValueError, match="max_batch"):
         op.contact_block_rows(0, op.grid.n_contact_panels, max_batch=max_batch)
-
-
-# ------------------------------------------------------------ eigenvalue cache
-def test_eigenvalue_table_is_cached_per_profile():
-    profile = SubstrateProfile.two_layer_example(size=64.0)
-    first = eigenvalue_table(16, 16, profile)
-    again = eigenvalue_table(16, 16, profile)
-    assert first is again  # memoised
-    assert not first.flags.writeable
-    equivalent = SubstrateProfile.two_layer_example(size=64.0)
-    assert eigenvalue_table(16, 16, equivalent) is first  # keyed on physics
-    other = SubstrateProfile.two_layer_example(size=64.0, grounded_backplane=True)
-    assert eigenvalue_table(16, 16, other) is not first
