@@ -24,7 +24,9 @@ cluster for free:
   the failure sit in the result store, so the retry re-solves only what
   the dead host still owed.
 
-Cluster control endpoints (same bearer token as ``/v1/``):
+Cluster control endpoints (same bearer token as ``/v1/``; registered in
+the server's route table, and a bad document raises
+:class:`~repro.service.wire.WireFormatError`, answered 400):
 
 ========  ======================  =======================================
 method    path                    body / behaviour
@@ -41,15 +43,10 @@ GET       /v1/cluster/hosts       registry + router view (operators)
 from __future__ import annotations
 
 from ..faults import fault_hook
-from ..service.aserver import AsyncExtractionServer
+from ..service.aserver import AsyncExtractionServer, RouteRequest
 from ..service.jobs import SCHEMA_VERSION, JobRequest
 from ..service.scheduler import Scheduler
-from ..service.wire import (
-    RouteResult,
-    WireFormatError,
-    error_envelope,
-    request_to_wire,
-)
+from ..service.wire import request_to_wire
 from .protocol import (
     completion_from_wire,
     heartbeat_from_wire,
@@ -72,7 +69,8 @@ class ClusterLeader:
     ``scheduler_kwargs`` pass through to the leader's
     :class:`~repro.service.scheduler.Scheduler` (persistence, queue bounds,
     retry policy, coalesce window...).  ``max_solvers`` is meaningless
-    here — the leader never builds an engine.
+    here — the leader never builds an engine.  Because the scheduler gets
+    a remote solver, groups pinned to different hosts solve concurrently.
     """
 
     def __init__(
@@ -82,23 +80,15 @@ class ClusterLeader:
         auth_token: str | None = None,
         lease_s: float = 10.0,
         rpc_timeout_s: float = 600.0,
-        router_replicas: int = 64,
-        load_skew: int = 4,
         **scheduler_kwargs,
     ) -> None:
         self.auth_token = auth_token
         self.rpc_timeout_s = float(rpc_timeout_s)
         self.registry = HostRegistry(lease_s=lease_s)
-        self.router = FingerprintRouter(
-            self.registry, replicas=router_replicas, load_skew=load_skew
-        )
+        self.router = FingerprintRouter(self.registry)
         self.rpc_calls = 0
         self.rpc_failures = 0
         scheduler_kwargs.setdefault("max_solvers", 1)
-        # groups pinned to different hosts must solve concurrently — the
-        # leader's "solve" is waiting on a worker RPC, and serialising
-        # those would cap the whole cluster at single-host throughput
-        scheduler_kwargs.setdefault("group_concurrency", 8)
         self.scheduler = Scheduler(
             remote_solver=self._solve_remote,
             stats_extra=self._cluster_stats,
@@ -184,39 +174,25 @@ class ClusterLeader:
         }
 
     # -------------------------------------------------------- control routes
-    def _register_route(self, doc) -> RouteResult:
-        try:
-            worker_id, url = register_from_wire(doc)
-        except WireFormatError as exc:
-            return 400, error_envelope("bad_request", str(exc)), {}
+    def _register_route(self, request: RouteRequest) -> tuple[int, dict]:
+        worker_id, url = register_from_wire(request.doc)
         self.registry.register(worker_id, url)
-        return (
-            200,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "worker_id": worker_id,
-                "lease_s": self.registry.lease_s,
-            },
-            {},
-        )
+        return 200, {
+            "schema_version": SCHEMA_VERSION,
+            "worker_id": worker_id,
+            "lease_s": self.registry.lease_s,
+        }
 
-    def _heartbeat_route(self, doc) -> RouteResult:
-        try:
-            heartbeat = heartbeat_from_wire(doc)
-        except WireFormatError as exc:
-            return 400, error_envelope("bad_request", str(exc)), {}
+    def _heartbeat_route(self, request: RouteRequest) -> tuple[int, dict]:
+        heartbeat = heartbeat_from_wire(request.doc)
         known = self.registry.heartbeat(heartbeat["worker_id"], heartbeat)
-        return (
-            200,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "known": known,
-                "lease_s": self.registry.lease_s,
-            },
-            {},
-        )
+        return 200, {
+            "schema_version": SCHEMA_VERSION,
+            "known": known,
+            "lease_s": self.registry.lease_s,
+        }
 
-    def _hosts_route(self, doc) -> RouteResult:
+    def _hosts_route(self, request: RouteRequest) -> tuple[int, dict]:
         body = {"schema_version": SCHEMA_VERSION, **self.registry.info()}
         body["router"] = self.router.info()
-        return 200, body, {}
+        return 200, body

@@ -25,11 +25,12 @@ completion    ``{"schema_version", "worker_id", "job_id", "columns",
 
 The module also owns both ends of the solve RPC: :func:`serve_solve` is the
 worker-side route handler (wire request in, completion out — behind it sits
-an ordinary single-host :class:`~repro.service.scheduler.Scheduler`), and
-:func:`post_json` is the shared HTTP client used by the leader's RPCs and
-the worker's heartbeats (bearer token attached, envelopes decoded to typed
-exceptions; transport-level failures surface as ``OSError``/``URLError``
-for the caller's dead-host logic).
+an ordinary single-host :class:`~repro.service.scheduler.Scheduler`; it
+raises on failure, and the worker's server answers the exception with the
+error envelope), and :func:`post_json` is the shared HTTP client used by
+the leader's RPCs and the worker's heartbeats (bearer token attached,
+envelopes decoded to typed exceptions; transport-level failures surface
+as ``OSError``/``URLError`` for the caller's dead-host logic).
 """
 
 from __future__ import annotations
@@ -42,15 +43,14 @@ from urllib.request import Request, urlopen
 import numpy as np
 
 from ..faults import fault_hook
-from ..service.jobs import SCHEMA_VERSION, JobState, QueueSaturatedError
+from ..service.jobs import SCHEMA_VERSION, JobState
 from ..service.scheduler import Scheduler
 from ..service.wire import (
-    RouteResult,
+    ServiceUnavailableError,
     WireFormatError,
     decode_array,
     encode_array,
-    error_envelope,
-    raise_for_envelope,
+    raise_for_http_error,
     request_from_wire,
 )
 
@@ -64,6 +64,9 @@ __all__ = [
     "serve_solve",
     "post_json",
 ]
+
+#: how long a worker's solve RPC waits for its local job
+_SOLVE_WAIT_S = 600.0
 
 
 def _require_str(doc: dict, key: str, what: str) -> str:
@@ -127,10 +130,11 @@ def heartbeat_from_wire(doc: Any) -> dict:
     _require_str(doc, "worker_id", "heartbeat document")
     out = dict(doc)
     out["draining"] = bool(doc.get("draining"))
-    out["queue_depth"] = int(doc.get("queue_depth") or 0)
-    out["attributed_solves"] = int(doc.get("attributed_solves") or 0)
-    out["store_columns"] = int(doc.get("store_columns") or 0)
-    out["store_bytes"] = int(doc.get("store_bytes") or 0)
+    try:
+        for key in ("queue_depth", "attributed_solves", "store_columns", "store_bytes"):
+            out[key] = int(doc.get(key) or 0)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise WireFormatError(f"heartbeat document has a non-integer count: {exc}") from exc
     fingerprints = doc.get("fingerprints")
     out["fingerprints"] = list(fingerprints) if isinstance(fingerprints, list) else []
     return out
@@ -182,65 +186,41 @@ def completion_from_wire(doc: Any) -> dict:
 
 
 # ------------------------------------------------------------- worker-side RPC
-def serve_solve(
-    scheduler: Scheduler,
-    doc: Any,
-    worker_id: str,
-    timeout_s: float = 600.0,
-) -> RouteResult:
+def serve_solve(scheduler: Scheduler, doc: Any, worker_id: str) -> tuple[int, dict]:
     """Handle one leader solve RPC against this worker's scheduler.
 
     The body is an ordinary ``/v1`` request document restricted to explicit
     columns (the leader always sends the group's union of *missing*
     columns, so the worker solves exactly what the cluster still owes).
-    Blocks until the local job is terminal and answers with a completion
-    document carrying the block and this worker's cumulative attribution —
-    the benchmark's exactly-once gate sums those across hosts.  Once the
+    Blocks until the local job is terminal and answers ``(200, completion
+    document)`` carrying the block and this worker's cumulative attribution
+    — the benchmark's exactly-once gate sums those across hosts.  Once the
     completion is encoded the job is released from the scheduler's
     finished-job retention, so worker memory does not grow with the
     number of RPCs served.
+
+    Failures raise: a bad document is a
+    :class:`~repro.service.wire.WireFormatError` (400), a saturated queue a
+    :class:`~repro.service.jobs.QueueSaturatedError` (429), and a closed
+    scheduler, a job not done within the wait or an injected drop a
+    :class:`~repro.service.wire.ServiceUnavailableError` (503).
     """
     if fault_hook("rpc.serve", worker_id=worker_id):
         # an injected drop: pretend the RPC never arrived (the leader's
         # timeout and retry own the recovery)
-        return 503, error_envelope("unavailable", "solve RPC dropped (fault)"), {}
-    try:
-        request = request_from_wire(doc)
-    except WireFormatError as exc:
-        return 400, error_envelope("bad_request", f"bad solve document: {exc}"), {}
+        raise ServiceUnavailableError("solve RPC dropped (fault)")
+    request = request_from_wire(doc)
     if request.columns is None:
-        return (
-            400,
-            error_envelope(
-                "bad_request", "cluster solve requires an explicit column list"
-            ),
-            {},
-        )
-    try:
-        job_id = scheduler.submit(request)
-    except QueueSaturatedError as exc:
-        return (
-            429,
-            error_envelope("queue_saturated", str(exc), retry_after=exc.retry_after_s),
-            {"Retry-After": str(max(1, round(exc.retry_after_s)))},
-        )
-    except RuntimeError as exc:
-        return 503, error_envelope("unavailable", str(exc)), {}
-    job = scheduler.result(job_id, wait_s=timeout_s)
+        raise WireFormatError("cluster solve requires an explicit column list")
+    job_id = scheduler.submit(request)
+    job = scheduler.result(job_id, wait_s=_SOLVE_WAIT_S)
     if job.status != JobState.DONE:
-        return (
-            503,
-            error_envelope(
-                "unavailable",
-                f"worker job {job_id} ended {job.status}: {job.error}",
-            ),
-            {},
-        )
+        raise ServiceUnavailableError(f"worker job {job_id} ended {job.status}: {job.error}")
     completion = completion_doc(
         worker_id, job_id, request.columns, job.result, scheduler.attributed_solves
     )
     scheduler.release(job_id)
-    return 200, completion, {}
+    return 200, completion
 
 
 # ------------------------------------------------------------------ transport
@@ -253,7 +233,7 @@ def post_json(
     """POST one JSON document; returns the parsed JSON answer.
 
     HTTP error answers decode through
-    :func:`~repro.service.wire.raise_for_envelope` into the same typed
+    :func:`~repro.service.wire.raise_for_http_error` into the same typed
     exceptions the :class:`~repro.service.client.ServiceClient` raises.
     Transport failures (refused connection, reset, timeout) propagate as
     ``OSError``/``URLError`` — the leader treats those, and only those, as
@@ -268,10 +248,4 @@ def post_json(
         with urlopen(request, timeout=timeout_s) as response:
             return json.loads(response.read())
     except HTTPError as exc:
-        payload = exc.read()
-        try:
-            error_doc: Any = json.loads(payload)
-        except ValueError:
-            error_doc = payload.decode("utf-8", errors="replace") or f"HTTP {exc.code}"
-        raise_for_envelope(exc.code, error_doc)
-        raise  # pragma: no cover - raise_for_envelope always raises
+        raise_for_http_error(exc)

@@ -5,7 +5,7 @@ expensive state — its factorisation, its warm engine, its slice of the
 result corpus — should be built on **exactly one host** and stay there.
 The :class:`FingerprintRouter` enforces that with three layers:
 
-* **Consistent hashing.**  Each live host contributes ``replicas`` points
+* **Consistent hashing.**  Each live host contributes 64 points
   on a hash ring (blake2b of ``"worker_id#i"``); a fingerprint lands on
   the first point clockwise from its own digest.  Hosts joining or
   leaving move only the fingerprints that must move.
@@ -17,13 +17,12 @@ The :class:`FingerprintRouter` enforces that with three layers:
   the ``reroutes`` counter counts exactly those.
 * **Balance-aware placement.**  For a fingerprint being placed *fresh*,
   the ring's candidate is overruled when it is already loaded: when it
-  owns more pins than the least-pinned candidate by more than
-  ``pin_skew`` (default 0 — bounded-load consistent hashing with the
-  tightest bound; because pins are sticky, placement is the one moment
-  load balancing can happen, and with a handful of fingerprints the raw
-  ring can legitimately land them all on one host), or when its reported
-  queue depth exceeds the least-loaded live host's by more than
-  ``load_skew``.  A cold substrate has no warmth to preserve, so it may
+  owns more pins than the least-pinned candidate (bounded-load consistent
+  hashing with the tightest bound; because pins are sticky, placement is
+  the one moment load balancing can happen, and with a handful of
+  fingerprints the raw ring can legitimately land them all on one host),
+  or when its reported queue depth exceeds the least-loaded live host's
+  by more than 4.  A cold substrate has no warmth to preserve, so it may
   as well start on an underused host.  Draining hosts never take new
   pins.
 
@@ -42,6 +41,11 @@ from .registry import HostRecord, HostRegistry
 
 __all__ = ["FingerprintRouter", "NoWorkersError"]
 
+#: hash-ring points per live host
+_REPLICAS = 64
+#: queue-depth lead over the least-loaded host that overrules the ring
+_LOAD_SKEW = 4
+
 
 class NoWorkersError(RuntimeError):
     """No live worker host can take this group (empty or fully draining)."""
@@ -56,19 +60,8 @@ def _ring_hash(key: str) -> int:
 class FingerprintRouter:
     """Sticky consistent-hash router over a :class:`HostRegistry`."""
 
-    def __init__(
-        self,
-        registry: HostRegistry,
-        replicas: int = 64,
-        load_skew: int = 4,
-        pin_skew: int = 0,
-    ) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be at least 1")
+    def __init__(self, registry: HostRegistry) -> None:
         self.registry = registry
-        self.replicas = int(replicas)
-        self.load_skew = int(load_skew)
-        self.pin_skew = int(pin_skew)
         self._lock = threading.Lock()
         #: fingerprint digest -> worker_id of the owning host
         self._pins: dict[str, str] = {}  # reprolint: guarded-by(_lock)
@@ -87,7 +80,7 @@ class FingerprintRouter:
             points = [
                 (_ring_hash(f"{worker_id}#{i}"), worker_id)
                 for worker_id in sorted(worker_ids)
-                for i in range(self.replicas)
+                for i in range(_REPLICAS)
             ]
             points.sort()
             self._ring_members = worker_ids
@@ -109,8 +102,8 @@ class FingerprintRouter:
         least_pins = min(pin_counts.values())
         least_queue = min(host.queue_depth for host in candidates)
         if (
-            pin_counts[chosen.worker_id] > least_pins + self.pin_skew
-            or chosen.queue_depth > least_queue + self.load_skew
+            pin_counts[chosen.worker_id] > least_pins
+            or chosen.queue_depth > least_queue + _LOAD_SKEW
         ):
             self.load_overrides += 1
             # among underused hosts, the digest/host hash keeps the pick
@@ -161,11 +154,6 @@ class FingerprintRouter:
         with self._lock:
             return dict(self._pins)
 
-    def unpin(self, digest: str) -> bool:
-        """Forget one pin (the fingerprint re-places on its next route)."""
-        with self._lock:
-            return self._pins.pop(digest, None) is not None
-
     def info(self) -> dict:
         with self._lock:
             owners: dict[str, int] = {}
@@ -177,7 +165,4 @@ class FingerprintRouter:
                 "placements": self.placements,
                 "reroutes": self.reroutes,
                 "load_overrides": self.load_overrides,
-                "replicas": self.replicas,
-                "load_skew": self.load_skew,
-                "pin_skew": self.pin_skew,
             }

@@ -37,6 +37,11 @@ from .protocol import heartbeat_doc, post_json, register_doc, serve_solve
 
 __all__ = ["ClusterWorker"]
 
+#: registration attempts at start (the leader may still be booting), and
+#: the backoff step between them (attempt ``i`` waits ``i`` steps)
+_REGISTER_ATTEMPTS = 20
+_REGISTER_BACKOFF_S = 0.25
+
 
 class ClusterWorker:
     """One worker host: scheduler + HTTP server + membership loop.
@@ -55,17 +60,12 @@ class ClusterWorker:
         worker_id: str | None = None,
         auth_token: str | None = None,
         heartbeat_s: float = 2.0,
-        register_attempts: int = 20,
-        register_backoff_s: float = 0.25,
-        solve_timeout_s: float = 600.0,
         **scheduler_kwargs,
     ) -> None:
         self.leader_url = leader_url.rstrip("/")
         self.worker_id = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
         self.auth_token = auth_token
         self.heartbeat_s = float(heartbeat_s)
-        self.register_attempts = int(register_attempts)
-        self.register_backoff_s = float(register_backoff_s)
         self._advertise_host = advertise_host
         self.draining = False
         self.heartbeats_sent = 0
@@ -81,9 +81,7 @@ class ClusterWorker:
         self.server.add_json_route(
             "POST",
             "/v1/cluster/solve",
-            lambda doc: serve_solve(
-                self.scheduler, doc, self.worker_id, timeout_s=solve_timeout_s
-            ),
+            lambda request: serve_solve(self.scheduler, request.doc, self.worker_id),
         )
         self._stop = threading.Event()
         self._heartbeat_thread: threading.Thread | None = None
@@ -101,7 +99,7 @@ class ClusterWorker:
 
     def start(self) -> "ClusterWorker":
         self.server.start()
-        self._register(attempts=self.register_attempts)
+        self._register(attempts=_REGISTER_ATTEMPTS)
         self._heartbeat_thread = threading.Thread(
             target=self._heartbeat_loop,
             name=f"heartbeat-{self.worker_id}",
@@ -149,7 +147,7 @@ class ClusterWorker:
                 return
             except OSError as exc:
                 last_error = exc
-                self._stop.wait(self.register_backoff_s * (attempt + 1))
+                self._stop.wait(_REGISTER_BACKOFF_S * (attempt + 1))
         raise RuntimeError(
             f"worker {self.worker_id} could not register with leader at "
             f"{self.leader_url} after {attempts} attempts: {last_error}"

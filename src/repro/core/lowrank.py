@@ -24,7 +24,7 @@ from scipy import sparse
 from ..geometry.quadtree import Square, SquareHierarchy
 from ..substrate.solver_base import SubstrateSolver
 from .rowbasis import MultilevelRowBasis, _positions
-from .sparsified import SparsifiedConductance
+from .sparsified import EntryAssembler, SparsifiedConductance
 
 __all__ = ["LowRankSparsifier"]
 
@@ -233,21 +233,14 @@ class LowRankSparsifier:
         q, column_map = self._assemble_q()
         ncols = q.shape[1]
 
-        entry_rows: list[np.ndarray] = []
-        entry_cols: list[np.ndarray] = []
-        entry_vals: list[np.ndarray] = []
-
-        def record(rr: np.ndarray, cc: np.ndarray, vv: np.ndarray) -> None:
-            entry_rows.append(np.asarray(rr, dtype=int).ravel())
-            entry_cols.append(np.asarray(cc, dtype=int).ravel())
-            entry_vals.append(np.asarray(vv, dtype=float).ravel())
+        entries = EntryAssembler(ncols)
 
         def record_block(row_idx: np.ndarray, col_idx: np.ndarray, block: np.ndarray) -> None:
             if row_idx.size == 0 or col_idx.size == 0:
                 return
             rr, cc = np.meshgrid(row_idx, col_idx, indexing="ij")
-            record(rr, cc, block)
-            record(cc.T, rr.T, block.T)
+            entries.add(rr, cc, block)
+            entries.add(cc.T, rr.T, block.T)
 
         # fast-decaying interactions between local squares (same or finer level)
         for level in range(2, hier.max_level + 1):
@@ -278,10 +271,10 @@ class LowRankSparsifier:
             gw_cols = q.T @ responses  # (ncols, r)
             all_rows = np.arange(ncols)
             for k, col in enumerate(u_cols):
-                record(all_rows, np.full(ncols, col), gw_cols[:, k])
-                record(np.full(ncols, col), all_rows, gw_cols[:, k])
+                entries.add(all_rows, np.full(ncols, col), gw_cols[:, k])
+                entries.add(np.full(ncols, col), all_rows, gw_cols[:, k])
 
-        gw = self._assemble_entries(entry_rows, entry_cols, entry_vals, ncols)
+        gw = entries.to_csr()
         # the exact Gw is symmetric (Section 2.4); averaging the two
         # independently approximated halves removes the small asymmetry left
         # by the representation.
@@ -289,24 +282,6 @@ class LowRankSparsifier:
         return SparsifiedConductance(
             q, gw, n_solves=self.rowbasis.n_solves, method="lowrank"
         )
-
-    @staticmethod
-    def _assemble_entries(
-        rows: list[np.ndarray],
-        cols: list[np.ndarray],
-        vals: list[np.ndarray],
-        ncols: int,
-    ) -> sparse.csr_matrix:
-        if not rows:
-            return sparse.csr_matrix((ncols, ncols))
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        v = np.concatenate(vals)
-        flat = r.astype(np.int64) * ncols + c
-        _, first = np.unique(flat, return_index=True)
-        return sparse.coo_matrix(
-            (v[first], (r[first], c[first])), shape=(ncols, ncols)
-        ).tocsr()
 
     # ------------------------------------------------------------- convenience
     def sparsify(

@@ -15,7 +15,37 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-__all__ = ["SparsifiedConductance"]
+__all__ = ["SparsifiedConductance", "EntryAssembler"]
+
+
+class EntryAssembler:
+    """Entries of a square sparse matrix, collected block by block.
+
+    Both sparsifiers fill ``Gw`` this way: :meth:`add` takes parallel row,
+    column and value arrays of any shape, and :meth:`to_csr` assembles them
+    with assignment semantics — the first write of a position wins.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = int(n)
+        self._rows: list[np.ndarray] = []
+        self._cols: list[np.ndarray] = []
+        self._vals: list[np.ndarray] = []
+
+    def add(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+        self._rows.append(np.asarray(rows, dtype=int).ravel())
+        self._cols.append(np.asarray(cols, dtype=int).ravel())
+        self._vals.append(np.asarray(vals, dtype=float).ravel())
+
+    def to_csr(self) -> sparse.csr_matrix:
+        n = self.n
+        if not self._rows:
+            return sparse.csr_matrix((n, n))
+        r = np.concatenate(self._rows)
+        c = np.concatenate(self._cols)
+        v = np.concatenate(self._vals)
+        _, first = np.unique(r.astype(np.int64) * n + c, return_index=True)
+        return sparse.coo_matrix((v[first], (r[first], c[first])), shape=(n, n)).tocsr()
 
 
 @dataclass

@@ -23,7 +23,7 @@ from scipy import sparse
 
 from ..geometry.quadtree import Square, SquareHierarchy
 from ..substrate.solver_base import SubstrateSolver
-from .sparsified import SparsifiedConductance
+from .sparsified import EntryAssembler, SparsifiedConductance
 from .wavelet_basis import WaveletBasis
 
 __all__ = ["WaveletSparsifier"]
@@ -149,14 +149,7 @@ class WaveletSparsifier:
             block = slice(start, start + self.max_block)
             responses[:, block] = solver.solve_many(np.ascontiguousarray(v[:, block]))
 
-        entry_rows: list[np.ndarray] = []
-        entry_cols: list[np.ndarray] = []
-        entry_vals: list[np.ndarray] = []
-
-        def record(rr: np.ndarray, cc: np.ndarray, vv: np.ndarray) -> None:
-            entry_rows.append(np.asarray(rr, dtype=int).ravel())
-            entry_cols.append(np.asarray(cc, dtype=int).ravel())
-            entry_vals.append(np.asarray(vv, dtype=float).ravel())
+        entries = EntryAssembler(ncols)
 
         # 1. root non-vanishing vectors: full rows and columns
         if n_root:
@@ -164,8 +157,8 @@ class WaveletSparsifier:
             all_cols = np.arange(ncols)
             for pos, j in enumerate(root_cols):
                 row = np.asarray(rows_block[:, pos]).ravel()
-                record(np.full(ncols, j), all_cols, row)
-                record(all_cols, np.full(ncols, j), row)
+                entries.add(np.full(ncols, j), all_cols, row)
+                entries.add(all_cols, np.full(ncols, j), row)
 
         # 2. each theta's response is attributed to the unique nearby source
         for col, (contributing, m) in enumerate(combined, start=n_root):
@@ -178,11 +171,12 @@ class WaveletSparsifier:
                         continue
                     vals = tb.W.T @ response[tb.contact_indices]
                     tcols = basis.w_columns(target.key)
-                    record(tcols, np.full(tcols.size, source_col), vals)
-                    record(np.full(tcols.size, source_col), tcols, vals)
+                    entries.add(tcols, np.full(tcols.size, source_col), vals)
+                    entries.add(np.full(tcols.size, source_col), tcols, vals)
 
-        gws = self._assemble(entry_rows, entry_cols, entry_vals, ncols)
-        return SparsifiedConductance(q, gws, n_solves=v.shape[1], method="wavelet")
+        return SparsifiedConductance(
+            q, entries.to_csr(), n_solves=v.shape[1], method="wavelet"
+        )
 
     def _combined_sources(self) -> list[tuple[list[Square], int]]:
         """The combined vectors theta of every level, as ``(sources, m)``.
@@ -212,25 +206,6 @@ class WaveletSparsifier:
                         ]
                         combined.append((contributing, m))
         return combined
-
-    @staticmethod
-    def _assemble(
-        rows: list[np.ndarray],
-        cols: list[np.ndarray],
-        vals: list[np.ndarray],
-        ncols: int,
-    ) -> sparse.csr_matrix:
-        """Assemble entries with assignment semantics (first write wins)."""
-        if not rows:
-            return sparse.csr_matrix((ncols, ncols))
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        v = np.concatenate(vals)
-        flat = r.astype(np.int64) * ncols + c
-        _, first = np.unique(flat, return_index=True)
-        return sparse.coo_matrix(
-            (v[first], (r[first], c[first])), shape=(ncols, ncols)
-        ).tocsr()
 
     # ------------------------------------------------------------ convenience
     def sparsify(

@@ -11,10 +11,11 @@ it, coalescing concurrent requests over the same substrate fingerprint into
 shared ``solve_many`` blocks.  The HTTP front door is **schema-first**:
 :mod:`~repro.service.wire` defines a declarative JSON wire protocol (layout,
 profile, options and arrays as plain data — no pickle, fingerprint-exact
-round trips), :mod:`~repro.service.aserver` — the one HTTP server — serves
-it from one asyncio event loop under ``/v1/`` with chunked-NDJSON streaming
-(columns reach the client as their coalesced group's solve lands, before
-the job completes) and HTTP-layer micro-batching of small pair queries, and
+round trips, and one error table mapping exceptions to the error envelope
+and back), :mod:`~repro.service.aserver` — the one HTTP server — serves it
+from one asyncio event loop under ``/v1/``, every route an entry of one
+route table, with chunked-NDJSON streaming (columns reach the client as
+their coalesced group's solve lands, before the job completes), and
 :mod:`~repro.service.client` is the blocking client with typed exceptions
 decoded from the single error envelope.  :mod:`~repro.service.metrics`
 aggregates the operational counters behind ``/v1/stats``.
@@ -69,6 +70,8 @@ from .aserver import AsyncExtractionServer
 from .client import ServiceClient
 from .wire import (
     BadRequestError,
+    MethodNotAllowedError,
+    NotFoundError,
     ServiceError,
     ServiceUnavailableError,
     UnauthorizedError,
@@ -103,6 +106,8 @@ __all__ = [
     "UnknownJobError",
     "ServiceUnavailableError",
     "UnauthorizedError",
+    "NotFoundError",
+    "MethodNotAllowedError",
     "WireFormatError",
     "request_to_wire",
     "request_from_wire",

@@ -10,6 +10,10 @@ push-style progress, marshalled onto the loop with
 everything on its wire is the declarative JSON schema of
 :mod:`~repro.service.wire` — no pickle on any route.
 
+Every route is one entry of one ``(method, path) -> handler`` table, filled
+by :meth:`AsyncExtractionServer.add_json_route` (the cluster's leader and
+worker add their RPCs the same way):
+
 ========  ======================  =========================================
 method    path                    body / behaviour
 ========  ======================  =========================================
@@ -22,16 +26,20 @@ POST      /v1/stream              ``{"requests": [...]}`` → chunked NDJSON:
                                   ``error`` / ``end`` events; columns are
                                   pushed **as their coalesced group's solve
                                   lands**, before the owning job completes
-POST      /v1/pairs               one pair query; the server micro-batches
-                                  concurrent queries over the same
-                                  fingerprint into a single submit
+POST      /v1/pairs               one pair query, submitted and waited for;
+                                  concurrent queries over one fingerprint
+                                  coalesce in the scheduler
 GET       /v1/stats               metrics snapshot (incl. ``frontdoor``)
 GET       /v1/healthz             liveness (503 when stuck)
 ========  ======================  =========================================
 
-Every 4xx/5xx body is the one error envelope
-``{"error": {"code", "message", "retry_after"}}``; any other path answers
-404 ``not_found``.
+Failures: handlers raise, and never build an answer for one.  The
+dispatcher turns any exception — from reading the request, the bearer-token
+check, the route lookup (404 ``not_found``, 405 ``method_not_allowed``),
+the JSON body or the handler — into the one error envelope
+``{"error": {"code", "message", "retry_after"}}`` through the error table of
+:func:`~repro.service.wire.error_answer`, so every request gets an answer;
+an unforeseen exception is a 500 ``internal``.
 
 The HTTP layer itself is a deliberately small HTTP/1.1 implementation over
 ``asyncio.start_server`` (stdlib only; one request per connection,
@@ -45,36 +53,32 @@ from __future__ import annotations
 import argparse
 import asyncio
 import hmac
+import inspect
 import json
 import os
 import threading
 import time
 from functools import partial
+from typing import Any, NamedTuple
 from urllib.parse import parse_qs, unquote, urlparse
 
 import numpy as np
 
-from .jobs import (
-    SCHEMA_VERSION,
-    JobExpiredError,
-    JobRequest,
-    JobState,
-    QueueSaturatedError,
-)
+from .jobs import SCHEMA_VERSION, JobExpiredError, JobState
 from .scheduler import Scheduler
 from .wire import (
+    MethodNotAllowedError,
+    NotFoundError,
+    ServiceUnavailableError,
+    UnauthorizedError,
     WireFormatError,
     encode_array,
-    error_envelope,
+    error_answer,
     request_from_wire,
     snapshot_to_wire,
-    spec_from_wire,
-    v1_cancel,
-    v1_snapshot,
-    v1_submit,
 )
 
-__all__ = ["AsyncExtractionServer", "main"]
+__all__ = ["AsyncExtractionServer", "RouteRequest", "main"]
 
 _REASONS = {
     200: "OK",
@@ -89,104 +93,21 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: sentinel for "wait_s present but not a number" (None means "no wait")
-WAIT_INVALID = object()
+#: how long ``/v1/pairs`` waits for its job before answering 503
+_PAIR_WAIT_S = 300.0
 
 
-class _PairBatcher:
-    """HTTP-layer micro-batching of small pair queries (the PR-5 follow-up).
+class RouteRequest(NamedTuple):
+    """What a route handler receives (see ``add_json_route``)."""
 
-    Concurrent ``/v1/pairs`` queries over the same request fingerprint are
-    held for a short window (or until ``max_batch`` arrive) and collapsed
-    into **one** scheduler submit carrying the union of their pairs; each
-    caller gets back exactly the values it asked for.  Coalescing in the
-    scheduler still works across batches — this layer just stops a swarm
-    of tiny jobs from paying per-job submit/journal/queue overhead.
-    Single-threaded by construction: all state is touched on the event
-    loop only.
-    """
-
-    def __init__(self, server: "AsyncExtractionServer", window_s: float, max_batch: int) -> None:
-        self._server = server
-        self._window_s = float(window_s)
-        self._max_batch = int(max_batch)
-        self._buckets: dict[str, list] = {}
-        self._timers: dict[str, asyncio.TimerHandle] = {}
-
-    async def query(self, request: JobRequest) -> tuple[np.ndarray, str, int]:
-        """Queue one pair query; resolves to ``(values, job_id, batch size)``."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        key = request.fingerprint
-        bucket = self._buckets.setdefault(key, [])
-        bucket.append((request, future))
-        if len(bucket) >= self._max_batch:
-            timer = self._timers.pop(key, None)
-            if timer is not None:
-                timer.cancel()
-            self._spawn_flush(key)
-        elif len(bucket) == 1:
-            self._timers[key] = loop.call_later(
-                self._window_s, self._spawn_flush, key
-            )
-        return await future
-
-    def _spawn_flush(self, key: str) -> None:
-        task = asyncio.ensure_future(self._flush(key))
-        # a flush failing should surface on the waiters, never be swallowed
-        task.add_done_callback(lambda t: t.exception())
-
-    async def _flush(self, key: str) -> None:
-        self._timers.pop(key, None)
-        bucket = self._buckets.pop(key, [])
-        if not bucket:
-            return
-        first = bucket[0][0]
-        union = sorted({pair for request, _ in bucket for pair in request.pairs})
-        timeouts = [r.timeout_s for r, _ in bucket if r.timeout_s is not None]
-        merged = JobRequest(
-            first.spec,
-            pairs=tuple(union),
-            tolerance=first.tolerance,
-            priority=max(request.priority for request, _ in bucket),
-            timeout_s=max(timeouts) if timeouts else None,
-        )
-        scheduler = self._server.scheduler
-        scheduler.metrics.record_microbatch(len(bucket), 1)
-        loop = asyncio.get_running_loop()
-        try:
-            job_id = await loop.run_in_executor(None, scheduler.submit, merged)
-            job = await loop.run_in_executor(
-                None,
-                partial(
-                    scheduler.result,
-                    job_id,
-                    wait_s=self._server.result_timeout_s,
-                ),
-            )
-        except Exception as exc:  # noqa: BLE001 - propagate to every waiter
-            for _, future in bucket:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        if job.status != JobState.DONE:
-            error = RuntimeError(
-                f"micro-batched job {job_id} ended {job.status}: {job.error}"
-            )
-            for _, future in bucket:
-                if not future.done():
-                    future.set_exception(error)
-            return
-        values = dict(zip(merged.pairs, job.pair_values))
-        for request, future in bucket:
-            if not future.done():
-                future.set_result(
-                    (
-                        np.array([values[pair] for pair in request.pairs]),
-                        job_id,
-                        len(bucket),
-                    )
-                )
+    #: the parsed JSON object of a POST body; ``{}`` for other methods
+    doc: dict
+    #: the parsed query string (``parse_qs``)
+    query: dict
+    #: the unquoted rest of the path under a prefix entry, else ``""``
+    tail: str
+    #: the connection, for a coroutine handler that writes its own response
+    writer: Any
 
 
 class AsyncExtractionServer:
@@ -196,11 +117,8 @@ class AsyncExtractionServer:
     :meth:`start`); use as a context manager or call :meth:`close`.  The
     event loop runs on one background thread; scheduler work runs in the
     default executor so the loop never blocks on a solve, a journal fsync
-    or a long poll.
-
-    Parameters beyond the scheduler's: ``pair_window_s`` /
-    ``pair_max_batch`` tune the ``/v1/pairs`` micro-batcher, and
-    ``result_timeout_s`` bounds server-side waits.
+    or a long poll.  Keyword arguments beyond the ones below build the
+    scheduler when none is given.
 
     ``auth_token`` turns on bearer-token auth: every request must carry
     ``Authorization: Bearer <token>`` or is answered 401 with the standard
@@ -208,8 +126,8 @@ class AsyncExtractionServer:
     probe, which stays open so liveness checks need no credentials.  The
     cluster's leader→worker RPCs reuse the same token.
 
-    Extra endpoints (the cluster's register/heartbeat/solve RPCs) hang off
-    :meth:`add_json_route` rather than subclass surgery on the dispatcher.
+    Every route, built-in or added (the cluster's register/heartbeat/solve
+    RPCs), is registered through :meth:`add_json_route`.
     """
 
     def __init__(
@@ -217,22 +135,16 @@ class AsyncExtractionServer:
         host: str = "127.0.0.1",
         port: int = 0,
         scheduler: Scheduler | None = None,
-        pair_window_s: float = 0.02,
-        pair_max_batch: int = 64,
-        result_timeout_s: float = 300.0,
         auth_token: str | None = None,
         **scheduler_kwargs,
     ) -> None:
         self.scheduler = scheduler if scheduler is not None else Scheduler(**scheduler_kwargs)
         self._owns_scheduler = scheduler is None
         self._requested = (host, int(port))
-        self.pair_window_s = float(pair_window_s)
-        self.pair_max_batch = int(pair_max_batch)
-        self.result_timeout_s = float(result_timeout_s)
         self.auth_token = auth_token
-        #: ``(method, path) -> async handler(request, writer)`` consulted
-        #: after auth but before the built-in routes; see add_json_route
-        self._extra_routes: dict = {}
+        #: the route table: ``(method, path) -> handler``; a path ending in
+        #: ``/`` is a prefix entry
+        self._routes: dict = {}
         self._host: str | None = None
         self._port: int | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -240,7 +152,16 @@ class AsyncExtractionServer:
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
-        self._batcher: _PairBatcher | None = None
+        for method, path, handler in (
+            ("GET", "/v1/healthz", self._healthz),
+            ("GET", "/v1/stats", lambda request: (200, self.scheduler.stats())),
+            ("POST", "/v1/jobs", self._submit),
+            ("GET", "/v1/jobs/", self._snapshot),
+            ("DELETE", "/v1/jobs/", self._cancel),
+            ("POST", "/v1/pairs", self._pairs),
+            ("POST", "/v1/stream", self._stream),
+        ):
+            self.add_json_route(method, path, handler)
 
     # -------------------------------------------------------------- lifecycle
     @property
@@ -278,7 +199,6 @@ class AsyncExtractionServer:
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self._batcher = _PairBatcher(self, self.pair_window_s, self.pair_max_batch)
         try:
             server = await asyncio.start_server(
                 self._handle_connection, self._requested[0], self._requested[1]
@@ -318,9 +238,20 @@ class AsyncExtractionServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await self._read_request(reader)
-            if request is not None:
-                await self._dispatch(request, writer)
+            try:
+                request = await self._read_request(reader)
+                answer = await self._dispatch(*request, writer) if request else None
+            except (ConnectionError, asyncio.TimeoutError):
+                raise
+            except Exception as exc:  # noqa: BLE001 - every request gets an answer
+                answer = error_answer(exc)
+                if answer[0] == 500:
+                    # unforeseen: the loop's handler logs the traceback
+                    asyncio.get_running_loop().call_exception_handler(
+                        {"message": "route raised an unforeseen exception", "exception": exc}
+                    )
+            if answer is not None:
+                await self._send_json(writer, *answer)
         except (ConnectionError, asyncio.TimeoutError):
             pass  # the peer went away; nothing to answer
         finally:
@@ -331,28 +262,38 @@ class AsyncExtractionServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        """One parsed request: ``(method, path, query, headers, body)``."""
+        """One request's ``(method, target, headers, body)``; None when the
+        peer closed before sending a whole head."""
         try:
             head = await asyncio.wait_for(
                 reader.readuntil(b"\r\n\r\n"), timeout=30.0
             )
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except asyncio.IncompleteReadError:
             return None
+        except asyncio.LimitOverrunError:
+            raise WireFormatError("request head too large") from None
         lines = head.decode("latin-1").split("\r\n")
         try:
             method, target, _version = lines[0].split(" ", 2)
         except ValueError:
-            return None
+            raise WireFormatError("malformed request line") from None
         headers: dict[str, str] = {}
         for line in lines[1:]:
             if not line:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
-        body = await reader.readexactly(length) if length else b""
-        url = urlparse(target)
-        return method.upper(), url.path, parse_qs(url.query), headers, body
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise WireFormatError("Content-Length must be a non-negative integer")
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            raise WireFormatError("body shorter than its Content-Length") from None
+        return method.upper(), target, headers, body
 
     @staticmethod
     def _response_head(status: int, headers: dict[str, str]) -> bytes:
@@ -377,197 +318,175 @@ class AsyncExtractionServer:
         writer.write(self._response_head(status, all_headers) + body)
         await writer.drain()
 
-    async def _send_error(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        code: str,
-        message: str,
-        retry_after: float | None = None,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        await self._send_json(
-            writer, status, error_envelope(code, message, retry_after), headers
-        )
-
     # ---------------------------------------------------------------- routing
     def add_json_route(self, method: str, path: str, handler) -> None:
-        """Register one extra JSON endpoint on this server.
+        """Register one route: the one way an entry enters the route table.
 
-        ``handler(doc)`` receives the parsed JSON body (``{}`` for GETs)
-        and returns the transport-agnostic ``(status, payload, headers)``
-        route result — the same contract as the :mod:`~repro.service.wire`
-        route helpers.  It runs in the executor, so it may block on the
-        scheduler.  Registered routes sit behind the bearer-token check
-        like every built-in endpoint.
+        ``handler(request)`` receives a :class:`RouteRequest` and returns
+        ``(status, JSON document)``; a ``path`` ending in ``/`` is a prefix
+        entry, whose handler reads the rest of the path from
+        ``request.tail``.  Handlers raise to fail — the dispatcher answers
+        the exception with the error envelope.  A plain function runs in
+        the executor, so it may block on the scheduler; a coroutine
+        function runs on the event loop and may write its own response to
+        ``request.writer``, returning ``None`` (``/v1/stream`` does).
+        Every route except ``/v1/healthz`` sits behind the bearer-token
+        check.  Register routes before :meth:`start`.
         """
-        async def route(request, writer: asyncio.StreamWriter) -> None:
-            _method, _path, _query, _headers, body = request
-            doc = self._parse_json(body)
-            if doc is None:
-                await self._send_error(writer, 400, "bad_request", "body is not JSON")
-                return
-            loop = asyncio.get_running_loop()
-            status, payload, extra = await loop.run_in_executor(None, handler, doc)
-            await self._send_json(writer, status, payload, headers=extra)
-
-        self._extra_routes[(method.upper(), path)] = route
+        self._routes[(method.upper(), path)] = handler
 
     def _authorized(self, path: str, headers: dict) -> bool:
         """Bearer-token check; health probes stay open (liveness needs no key)."""
         if self.auth_token is None or path == "/v1/healthz":
             return True
-        supplied = headers.get("authorization", "")
-        scheme, _, token = supplied.partition(" ")
+        scheme, _, token = headers.get("authorization", "").partition(" ")
+        # compare bytes: compare_digest refuses a str holding non-ASCII
+        # characters, and the header was decoded as latin-1
         return scheme.lower() == "bearer" and hmac.compare_digest(
-            token.strip(), self.auth_token
+            token.strip().encode("latin-1"), self.auth_token.encode()
         )
 
-    async def _dispatch(self, request, writer: asyncio.StreamWriter) -> None:
-        method, path, query, headers, body = request
-        loop = asyncio.get_running_loop()
-        scheduler = self.scheduler
-
+    async def _dispatch(
+        self, method: str, target: str, headers: dict, body: bytes, writer
+    ):
+        """Check the token, find the route, parse a POST body, run the handler."""
+        url = urlparse(target)
+        path = url.path
         if not self._authorized(path, headers):
-            await self._send_error(
-                writer, 401, "unauthorized", "missing or invalid bearer token"
-            )
-            return
+            raise UnauthorizedError("missing or invalid bearer token")
+        paths = {route_path for _method, route_path in self._routes}
+        base = path
+        if path not in paths:
+            base = next((p for p in paths if p.endswith("/") and path.startswith(p)), path)
+        handler = self._routes.get((method, base))
+        if handler is None:
+            if base in paths:
+                raise MethodNotAllowedError(f"{method} not allowed on {path!r}")
+            raise NotFoundError(f"unknown path {path!r}")
+        doc: Any = {}
+        if method == "POST":
+            try:
+                doc = json.loads(body or b"{}")
+            except ValueError:
+                doc = None
+            if not isinstance(doc, dict):
+                raise WireFormatError("body is not a JSON object")
+        request = RouteRequest(doc, parse_qs(url.query), unquote(path[len(base):]), writer)
+        if inspect.iscoroutinefunction(handler):
+            return await handler(request)
+        return await asyncio.get_running_loop().run_in_executor(None, handler, request)
 
-        extra_route = self._extra_routes.get((method, path))
-        if extra_route is not None:
-            await extra_route(request, writer)
-            return
-        if any(route_path == path for _m, route_path in self._extra_routes):
-            await self._method_not_allowed(writer, method, path)
-            return
+    # ----------------------------------------------------------------- routes
+    async def _healthz(self, request: RouteRequest) -> tuple[int, dict]:
+        """``GET /v1/healthz``: the health document, 503 when not ok.
 
-        if path == "/v1/healthz":
-            if method != "GET":
-                await self._method_not_allowed(writer, method, path)
-                return
-            health = scheduler.health()
-            health.update(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "queue_depth": scheduler.queue_depth,
-                    "uptime_s": time.monotonic() - scheduler.metrics.started_at,
-                }
-            )
-            await self._send_json(writer, 200 if health["ok"] else 503, health)
-            return
-
-        if path == "/v1/stats":
-            if method != "GET":
-                await self._method_not_allowed(writer, method, path)
-                return
-            await self._send_json(writer, 200, scheduler.stats())
-            return
-
-        if path == "/v1/jobs":
-            if method != "POST":
-                await self._method_not_allowed(writer, method, path)
-                return
-            doc = self._parse_json(body)
-            if doc is None:
-                await self._send_error(writer, 400, "bad_request", "body is not JSON")
-                return
-            status, payload, extra = await loop.run_in_executor(
-                None, v1_submit, scheduler, doc
-            )
-            await self._send_json(writer, status, payload, headers=extra)
-            return
-
-        if path.startswith("/v1/jobs/"):
-            job_id = unquote(path[len("/v1/jobs/"):])
-            if method == "GET":
-                wait_s = self._parse_wait_s(query)
-                if wait_s is WAIT_INVALID:
-                    await self._send_error(
-                        writer, 400, "bad_request", "wait_s must be a number"
-                    )
-                    return
-                status, payload, extra = await loop.run_in_executor(
-                    None, v1_snapshot, scheduler, job_id, wait_s
-                )
-                await self._send_json(writer, status, payload, headers=extra)
-                return
-            if method == "DELETE":
-                status, payload, extra = await loop.run_in_executor(
-                    None, v1_cancel, scheduler, job_id
-                )
-                await self._send_json(writer, status, payload, headers=extra)
-                return
-            await self._method_not_allowed(writer, method, path)
-            return
-
-        if path == "/v1/stream":
-            if method != "POST":
-                await self._method_not_allowed(writer, method, path)
-                return
-            doc = self._parse_json(body)
-            if doc is None:
-                await self._send_error(writer, 400, "bad_request", "body is not JSON")
-                return
-            await self._handle_stream(doc, writer)
-            return
-
-        if path == "/v1/pairs":
-            if method != "POST":
-                await self._method_not_allowed(writer, method, path)
-                return
-            doc = self._parse_json(body)
-            if doc is None:
-                await self._send_error(writer, 400, "bad_request", "body is not JSON")
-                return
-            await self._handle_pairs(doc, writer)
-            return
-
-        await self._send_error(writer, 404, "not_found", f"unknown path {path!r}")
-
-    async def _method_not_allowed(self, writer, method: str, path: str) -> None:
-        await self._send_error(
-            writer, 405, "method_not_allowed", f"{method} not allowed on {path!r}"
+        A coroutine so the probe runs on the loop and answers even while
+        every executor thread is parked in a long poll.
+        """
+        scheduler = self.scheduler
+        health = scheduler.health()
+        health.update(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "queue_depth": scheduler.queue_depth,
+                "uptime_s": time.monotonic() - scheduler.metrics.started_at,
+            }
         )
+        return (200 if health["ok"] else 503), health
 
-    @staticmethod
-    def _parse_json(body: bytes):
+    def _submit(self, request: RouteRequest) -> tuple[int, dict]:
+        """``POST /v1/jobs``: decode, submit, answer 202 with the job id."""
+        job_id = self.scheduler.submit(request_from_wire(request.doc))
+        return 202, {
+            "schema_version": SCHEMA_VERSION,
+            "job_id": job_id,
+            "status": JobState.PENDING,
+        }
+
+    def _snapshot(self, request: RouteRequest) -> tuple[int, dict]:
+        """``GET /v1/jobs/<id>?wait_s=``: one wire-encoded job snapshot."""
+        raw = (request.query.get("wait_s") or [None])[0]
         try:
-            doc = json.loads(body or b"{}")
+            wait_s = float(raw) if raw is not None else 0.0
         except ValueError:
-            return None
-        return doc if isinstance(doc, dict) else None
+            raise WireFormatError("wait_s must be a number") from None
+        snapshot = self.scheduler.snapshot(
+            request.tail, wait_s=wait_s if wait_s > 0 else None
+        )
+        return 200, snapshot_to_wire(snapshot)
 
-    @staticmethod
-    def _parse_wait_s(query: dict):
-        raw = (query.get("wait_s") or [None])[0]
-        if raw is None:
-            return None
+    def _cancel(self, request: RouteRequest) -> tuple[int, dict]:
+        """``DELETE /v1/jobs/<id>``: cancel a queued job (no-op when started)."""
+        cancelled = self.scheduler.cancel(request.tail)
+        return 200, {
+            "schema_version": SCHEMA_VERSION,
+            "job_id": request.tail,
+            "cancelled": cancelled,
+        }
+
+    async def _pairs(self, request: RouteRequest) -> tuple[int, dict]:
+        """``POST /v1/pairs``: submit one pair query, wait for it, answer.
+
+        Concurrent queries over one fingerprint are separate jobs, and the
+        scheduler coalesces them into one batch; ``batched_queries`` stays
+        in the answer and is always 1.  The wait holds no executor thread:
+        the job's terminal event wakes this handler on the loop.
+        """
+        query = request_from_wire(request.doc)
+        if query.pairs is None or query.columns is not None:
+            raise WireFormatError("a pairs query needs a non-empty pairs list and no columns")
+        loop = asyncio.get_running_loop()
+        finished = loop.create_future()
+
+        def wake(event: dict) -> None:
+            if event["kind"] == "terminal":
+                loop.call_soon_threadsafe(finished.set_result, None)
+
+        scheduler = self.scheduler
+        scheduler.metrics.record_pair_query()
+        # the live job record, taken at once: finished-job retention may
+        # drop the id before this handler wakes, never the record
+        job = await loop.run_in_executor(
+            None, lambda: scheduler.result(scheduler.submit(query, watcher=wake))
+        )
         try:
-            wait_s = float(raw)
-        except ValueError:
-            return WAIT_INVALID
-        return wait_s if wait_s > 0 else None
+            # shielded: a timed-out wait must not cancel the future the
+            # terminal event still sets
+            await asyncio.wait_for(asyncio.shield(finished), _PAIR_WAIT_S)
+        except asyncio.TimeoutError:
+            pass  # not done in time: answered 503 below
+        if job.status != JobState.DONE:
+            raise ServiceUnavailableError(
+                f"pair job {job.job_id} not done ({job.status}): {job.error}"
+            )
+        return 200, {
+            "schema_version": SCHEMA_VERSION,
+            "job_id": job.job_id,
+            "pairs": [list(pair) for pair in query.pairs],
+            "values": encode_array(job.pair_values),
+            "batched_queries": 1,
+        }
 
-    # -------------------------------------------------------------- streaming
-    async def _handle_stream(self, doc: dict, writer: asyncio.StreamWriter) -> None:
-        """Serve one ``/v1/stream`` request as chunked NDJSON events.
+    async def _stream(self, request: RouteRequest) -> None:
+        """``POST /v1/stream``: serve the request's jobs as chunked NDJSON events.
 
-        Per-job watchers are registered atomically with each submit, so no
-        column event can slip between submission and subscription; events
-        cross from the dispatcher thread onto the loop via
+        The one handler that writes its own response.  A bad ``requests``
+        list is raised before anything is written; after the head, each
+        request's failure becomes an ``error`` event carrying the envelope
+        body :func:`~repro.service.wire.error_answer` gives it.  Per-job
+        watchers are registered atomically with each submit, so no column
+        event can slip between submission and subscription; events cross
+        from the dispatcher thread onto the loop via
         ``call_soon_threadsafe`` into one queue.  Duplicate column
         announcements (a retried batch re-announces store hits) are
         deduplicated here, per job.
         """
-        docs = doc.get("requests")
+        docs = request.doc.get("requests")
         if docs is None:
-            docs = [doc]  # a bare request document streams as a 1-job stream
+            docs = [request.doc]  # a bare request document streams as a 1-job stream
         if not isinstance(docs, list) or not docs:
-            await self._send_error(
-                writer, 400, "bad_request", "requests must be a non-empty list"
-            )
-            return
+            raise WireFormatError("requests must be a non-empty list")
+        writer = request.writer
         loop = asyncio.get_running_loop()
         metrics = self.scheduler.metrics
         metrics.record_stream_opened()
@@ -592,44 +511,18 @@ class AsyncExtractionServer:
         queue: asyncio.Queue = asyncio.Queue()
         active = 0
         for index, request_doc in enumerate(docs):
-            try:
-                request = request_from_wire(request_doc)
-            except WireFormatError as exc:
-                await emit(
-                    {
-                        "event": "error",
-                        "index": index,
-                        "error": error_envelope("bad_request", str(exc))["error"],
-                    }
-                )
-                continue
 
-            def watcher(event: dict, _index: int = index) -> None:
+            def forward(event: dict, _index: int = index) -> None:
                 loop.call_soon_threadsafe(queue.put_nowait, (_index, event))
 
             try:
+                job_request = request_from_wire(request_doc)
                 job_id = await loop.run_in_executor(
-                    None, partial(self.scheduler.submit, request, watcher=watcher)
+                    None, partial(self.scheduler.submit, job_request, watcher=forward)
                 )
-            except QueueSaturatedError as exc:
-                await emit(
-                    {
-                        "event": "error",
-                        "index": index,
-                        "error": error_envelope(
-                            "queue_saturated", str(exc), retry_after=exc.retry_after_s
-                        )["error"],
-                    }
-                )
-                continue
-            except RuntimeError as exc:
-                await emit(
-                    {
-                        "event": "error",
-                        "index": index,
-                        "error": error_envelope("unavailable", str(exc))["error"],
-                    }
-                )
+            except Exception as exc:  # noqa: BLE001 - reported as this request's event
+                _status, envelope, _headers = error_answer(exc)
+                await emit({"event": "error", "index": index, "error": envelope["error"]})
                 continue
             active += 1
             await emit(
@@ -683,56 +576,6 @@ class AsyncExtractionServer:
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 
-    # ----------------------------------------------------------- micro-batch
-    async def _handle_pairs(self, doc: dict, writer: asyncio.StreamWriter) -> None:
-        try:
-            pairs = doc.get("pairs")
-            if not pairs:
-                raise WireFormatError("pairs must be a non-empty list of [row, col]")
-            tolerance = doc.get("tolerance")
-            timeout_s = doc.get("timeout_s")
-            request = JobRequest(
-                spec=spec_from_wire(doc.get("spec")),
-                pairs=tuple((int(i), int(j)) for i, j in pairs),
-                tolerance=float(tolerance) if tolerance is not None else None,
-                priority=int(doc.get("priority") or 0),
-                timeout_s=float(timeout_s) if timeout_s is not None else None,
-            )
-        except WireFormatError as exc:
-            await self._send_error(writer, 400, "bad_request", str(exc))
-            return
-        except (TypeError, ValueError) as exc:
-            await self._send_error(
-                writer, 400, "bad_request", f"malformed pairs document: {exc}"
-            )
-            return
-        try:
-            values, job_id, batched = await self._batcher.query(request)
-        except QueueSaturatedError as exc:
-            await self._send_error(
-                writer,
-                429,
-                "queue_saturated",
-                str(exc),
-                retry_after=exc.retry_after_s,
-                headers={"Retry-After": str(max(1, round(exc.retry_after_s)))},
-            )
-            return
-        except RuntimeError as exc:
-            await self._send_error(writer, 503, "unavailable", str(exc))
-            return
-        await self._send_json(
-            writer,
-            200,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "job_id": job_id,
-                "pairs": [list(pair) for pair in request.pairs],
-                "values": encode_array(values),
-                "batched_queries": batched,
-            },
-        )
-
 
 def main(argv: list[str] | None = None) -> None:
     """CLI entry point: ``python -m repro.service [--host H] [--port P] ...``."""
@@ -773,12 +616,6 @@ def main(argv: list[str] | None = None) -> None:
         ),
     )
     parser.add_argument(
-        "--pair-window",
-        type=float,
-        default=0.02,
-        help="seconds /v1/pairs holds small pair queries for micro-batching",
-    )
-    parser.add_argument(
         "--auth-token",
         default=None,
         help=(
@@ -811,7 +648,6 @@ def main(argv: list[str] | None = None) -> None:
     server = AsyncExtractionServer(
         host=args.host,
         port=args.port,
-        pair_window_s=args.pair_window,
         auth_token=auth_token,
         max_solvers=args.max_solvers,
         store=store,

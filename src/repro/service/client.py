@@ -2,8 +2,11 @@
 
 :class:`ServiceClient` speaks the schema-first JSON wire of
 :mod:`~repro.service.wire` — no pickle leaves the process — to an
-:class:`~repro.service.aserver.AsyncExtractionServer`.  Error envelopes
-come back as **typed exceptions**:
+:class:`~repro.service.aserver.AsyncExtractionServer`.  Every HTTP error
+answer goes through one decoder,
+:func:`~repro.service.wire.raise_for_http_error`, and comes back as the
+**typed exception** the wire module's error table names for its envelope
+code:
 
 * 404 ``unknown_job``   → :class:`~repro.service.wire.UnknownJobError`
   (a ``KeyError``, like :meth:`Scheduler.result`)
@@ -12,7 +15,7 @@ come back as **typed exceptions**:
   with the server's ``retry_after_s`` hint
 * 400 ``bad_request``   → :class:`~repro.service.wire.BadRequestError`
 * anything else         → a :class:`~repro.service.wire.ServiceError`
-  subclass keyed on the envelope code
+  subclass keyed on the envelope code (500 ``internal`` is a plain one)
 
 so callers handle local and remote failure modes with one ``except``
 clause.  The client is a context manager (``with ServiceClient(url) as
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
@@ -38,7 +41,7 @@ from .wire import (
     SCHEMA_VERSION,
     ServiceUnavailableError,
     decode_array,
-    raise_for_envelope,
+    raise_for_http_error,
     request_to_wire,
     spec_to_wire,
 )
@@ -137,13 +140,7 @@ class ServiceClient:
             with urlopen(request, timeout=timeout) as response:
                 return json.loads(response.read())
         except HTTPError as exc:
-            payload = exc.read()
-            try:
-                error_doc: Any = json.loads(payload)
-            except ValueError:
-                error_doc = payload.decode("utf-8", errors="replace") or f"HTTP {exc.code}"
-            raise_for_envelope(exc.code, error_doc)
-            raise  # pragma: no cover - raise_for_envelope always raises
+            raise_for_http_error(exc)
 
     def _request(
         self,
@@ -264,13 +261,7 @@ class ServiceClient:
                 http_request, timeout=timeout_s if timeout_s is not None else self.timeout_s
             )
         except HTTPError as exc:
-            payload = exc.read()
-            try:
-                error_doc: Any = json.loads(payload)
-            except ValueError:
-                error_doc = payload.decode("utf-8", errors="replace") or f"HTTP {exc.code}"
-            raise_for_envelope(exc.code, error_doc)
-            raise  # pragma: no cover - raise_for_envelope always raises
+            raise_for_http_error(exc)
 
         def events() -> Iterator[dict]:
             with response:
@@ -297,9 +288,9 @@ class ServiceClient:
     ) -> np.ndarray:
         """Fetch individual conductance entries through ``/v1/pairs``.
 
-        The server micro-batches concurrent queries over the same
-        substrate into one submission; the returned vector aligns with
-        ``pairs`` order.  Blocks until the values are solved.
+        The query is one job on the server; concurrent queries over the
+        same substrate coalesce in its scheduler.  The returned vector
+        aligns with ``pairs`` order.  Blocks until the values are solved.
         """
         doc = {
             "schema_version": SCHEMA_VERSION,

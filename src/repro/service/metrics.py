@@ -54,7 +54,7 @@ def latency_percentiles(
 class ServiceMetrics:
     """Thread-safe counters + latency window for one scheduler."""
 
-    def __init__(self, window: int = DEFAULT_WINDOW) -> None:
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         #: write-once at construction, read lock-free by uptime consumers
         self.started_at = time.monotonic()
@@ -92,14 +92,14 @@ class ServiceMetrics:
         self.stream_events = 0  # reprolint: guarded-by(_lock)
         #: columns delivered through streams before their job completed
         self.stream_columns = 0  # reprolint: guarded-by(_lock)
-        #: pair queries accepted by the HTTP micro-batcher
+        #: ``/v1/pairs`` queries and the scheduler submits they made (one
+        #: each); readers of ``/v1/stats`` know both by these names
         self.microbatch_queries = 0  # reprolint: guarded-by(_lock)
-        #: coalesced submits those queries collapsed into (<= queries)
         self.microbatch_submits = 0  # reprolint: guarded-by(_lock)
         #: merged solve statistics of everything the scheduler ran
         self.solve_stats = SolveStats()  # reprolint: guarded-by(_lock)
         # reprolint: guarded-by(_lock)
-        self._latencies: "deque[float]" = deque(maxlen=int(window))
+        self._latencies: "deque[float]" = deque(maxlen=DEFAULT_WINDOW)
 
     # ------------------------------------------------------------- recording
     def record_submit(self, n: int = 1) -> None:
@@ -171,12 +171,11 @@ class ServiceMetrics:
             self.stream_events += 1
             self.stream_columns += n_columns
 
-    def record_microbatch(self, n_queries: int, n_submits: int = 1) -> None:
-        """Account one micro-batch flush: ``n_queries`` collapsed into
-        ``n_submits`` scheduler submissions (the benchmark pins the ratio)."""
+    def record_pair_query(self) -> None:
+        """Count one ``/v1/pairs`` query and the one submit it makes."""
         with self._lock:
-            self.microbatch_queries += n_queries
-            self.microbatch_submits += n_submits
+            self.microbatch_queries += 1
+            self.microbatch_submits += 1
 
     def record_batch(
         self,

@@ -31,9 +31,9 @@ first), jobs may be cancelled while queued, and a queued job past its
 occupying the solver.  For deterministic tests construct with
 ``autostart=False`` and call :meth:`step` to run drain cycles by hand.
 
-**Streaming.**  A job may carry *watchers* — callbacks registered
-atomically at :meth:`submit` (``watcher=``) or later via :meth:`watch` —
-that observe the job's progress as it happens: a ``"columns"`` event fires
+**Streaming.**  A job may carry a *watcher* — a callback registered
+atomically at :meth:`submit` (``watcher=``) — that observes the job's
+progress as it happens: a ``"columns"`` event fires
 from inside the solve as soon as the job's columns become available
 (result-store hits at the start of the batch, freshly solved columns the
 moment their coalesced group's solve lands — *before* the job is
@@ -77,7 +77,7 @@ from .jobs import Job, JobExpiredError, JobRequest, JobState, QueueSaturatedErro
 from .metrics import ServiceMetrics
 from .persistence import ServicePersistence
 from .result_store import ResultStore
-from .wire import request_to_wire
+from .wire import ServiceUnavailableError, request_to_wire
 
 __all__ = [
     "Scheduler",
@@ -90,6 +90,12 @@ __all__ = [
 #: per-solve iteration entries kept on long-lived stats objects (the
 #: aggregate totals are never trimmed, so ``mean_iterations`` stays exact)
 ITERATION_HISTORY = 4096
+
+#: fingerprint groups one drain cycle solves at once when a remote solver
+#: is set: the cluster leader's "solve" waits on a worker RPC, and groups
+#: pinned to different hosts must overlap or the whole cluster is capped
+#: at single-host throughput
+_REMOTE_GROUP_WIDTH = 8
 
 #: characters of formatted traceback kept on a failed job (the tail carries
 #: the raising frame; unbounded tracebacks would bloat snapshots/journals)
@@ -325,20 +331,15 @@ class Scheduler:
         a failing local batch (that retry *is* the cluster's failover
         path).  Columns solved remotely count in
         ``remote_columns_solved``, never in ``attributed_solves`` — a
-        leader runs zero local solves.
+        leader runs zero local solves.  With a remote solver one drain
+        cycle solves up to 8 fingerprint groups at once (they wait on
+        different hosts); without one, groups run one after another on
+        the dispatcher thread.  Each group runs on exactly one thread, so
+        per-fingerprint state (its breaker, its engine) keeps its
+        single-threaded discipline.
     stats_extra:
         Optional zero-argument callable whose dict result is merged into
         the ``/v1/stats`` body (the leader injects its registry/router view).
-    group_concurrency:
-        How many fingerprint groups one drain cycle may solve at once.
-        The default ``1`` keeps the classic single-host behaviour (groups
-        run sequentially in the dispatcher thread).  The cluster leader
-        raises it so groups routed to *different* worker hosts solve in
-        parallel — with remote solves the dispatcher thread is just
-        waiting on RPCs, and serialising them would cap the cluster at
-        single-host throughput.  Each group still runs on exactly one
-        thread, so per-fingerprint state (its breaker, its engine) keeps
-        its single-threaded discipline.
     """
 
     def __init__(
@@ -357,7 +358,6 @@ class Scheduler:
         breaker_reset_s: float = 30.0,
         remote_solver=None,
         stats_extra=None,
-        group_concurrency: int = 1,
     ) -> None:
         if n_workers != 1:
             raise ValueError(
@@ -410,15 +410,12 @@ class Scheduler:
         #: columns delegated to the remote solver (cluster leader mode);
         #: disjoint from attributed_solves by construction
         self.remote_columns_solved = 0  # reprolint: guarded-by(_cv)
-        if group_concurrency < 1:
-            raise ValueError("group_concurrency must be at least 1")
-        self._group_concurrency = int(group_concurrency)
         self._group_executor = (
             ThreadPoolExecutor(
-                max_workers=self._group_concurrency,
+                max_workers=_REMOTE_GROUP_WIDTH,
                 thread_name_prefix="repro-service-group",
             )
-            if self._group_concurrency > 1
+            if remote_solver is not None
             else None
         )
         self._attached_artifacts = False
@@ -479,8 +476,9 @@ class Scheduler:
         first, the job enqueued after the journal write lands.
 
         ``watcher`` registers a progress callback atomically with the
-        enqueue (see the module docstring's streaming section) — unlike a
-        later :meth:`watch` call, it can never miss an event.
+        enqueue (see the module docstring's streaming section), so it can
+        never miss an event.  A closed scheduler raises
+        :class:`~repro.service.wire.ServiceUnavailableError` (HTTP 503).
         """
         if not isinstance(request, JobRequest):
             raise TypeError("submit() takes a JobRequest")
@@ -489,7 +487,7 @@ class Scheduler:
         rejected = None
         with self._cv:
             if self._closing:
-                raise RuntimeError("scheduler is closed")
+                raise ServiceUnavailableError("scheduler is closed")
             if (
                 self.max_queue_depth is not None
                 and len(self._pending) >= self.max_queue_depth
@@ -515,7 +513,7 @@ class Scheduler:
                 # client never got an id for
                 if journal is not None:
                     journal.record_terminal(job_id, JobState.CANCELLED)
-                raise RuntimeError("scheduler is closed")
+                raise ServiceUnavailableError("scheduler is closed")
             job = Job(
                 job_id=job_id,
                 request=request,
@@ -531,28 +529,6 @@ class Scheduler:
             self._cv.notify_all()
         self.metrics.record_submit()
         return job_id
-
-    def watch(self, job_id: str, watcher) -> bool:
-        """Attach a progress callback to a live job.
-
-        Returns ``False`` when the job is already terminal (no events will
-        ever fire — read :meth:`snapshot` instead); raises like
-        :meth:`result` for unknown/expired ids.  Events that fired before
-        registration are not replayed; submit with ``watcher=`` for a
-        gap-free stream.
-        """
-        with self._cv:
-            job = self._jobs.get(job_id)
-            if job is None:
-                if job_id in self._known_ids:
-                    raise JobExpiredError(
-                        f"job id {job_id!r} expired (dropped by retention)"
-                    )
-                raise KeyError(f"unknown job id {job_id!r}")
-            if job.status in JobState.TERMINAL:
-                return False
-            self._watchers.setdefault(job_id, []).append(watcher)
-            return True
 
     # reprolint: holds(_cv)
     def _shed_for_locked(self, priority: int) -> bool:

@@ -39,32 +39,28 @@ into lists, and arrays travel as raw little-endian float64 bytes — no
 formatting, no precision loss anywhere on the wire.
 
 The module also owns the protocol-level pieces around the documents: the
-single error envelope (every 4xx/5xx body conforms), the typed exceptions
-the client maps envelopes back into, the one snapshot encoder, and the
-transport-agnostic ``/v1`` submit/snapshot/cancel route logic the asyncio
-front door calls.
+one snapshot encoder, the single error envelope (every 4xx/5xx body
+conforms) and the **error table** behind it.  Each envelope code appears in
+that table once, with its HTTP status, the exceptions a server answers
+with it and the exception a client raises for it; :func:`error_answer`
+reads it on the server, :func:`raise_for_envelope` (and
+:func:`raise_for_http_error`) on the client.  It holds no route logic:
+the routes live in :mod:`~repro.service.aserver`.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import TYPE_CHECKING, Any
+import json
+from typing import Any, NoReturn
+from urllib.error import HTTPError
 
 import numpy as np
 
 from ..geometry.contact import Contact, ContactLayout
 from ..substrate.parallel import SPEC_KINDS, SolverSpec
 from ..substrate.profile import Layer, SubstrateProfile
-from .jobs import (
-    SCHEMA_VERSION,
-    JobExpiredError,
-    JobRequest,
-    JobState,
-    QueueSaturatedError,
-)
-
-if TYPE_CHECKING:
-    from .scheduler import Scheduler
+from .jobs import SCHEMA_VERSION, JobExpiredError, JobRequest, QueueSaturatedError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -74,6 +70,8 @@ __all__ = [
     "UnknownJobError",
     "ServiceUnavailableError",
     "UnauthorizedError",
+    "NotFoundError",
+    "MethodNotAllowedError",
     "encode_value",
     "decode_value",
     "encode_array",
@@ -88,10 +86,9 @@ __all__ = [
     "request_from_wire",
     "snapshot_to_wire",
     "error_envelope",
+    "error_answer",
     "raise_for_envelope",
-    "v1_submit",
-    "v1_snapshot",
-    "v1_cancel",
+    "raise_for_http_error",
 ]
 
 #: reserved key marking the tagged value forms; a plain dict may not use it
@@ -104,22 +101,25 @@ class WireFormatError(ValueError):
 
 # ------------------------------------------------------------ typed exceptions
 class ServiceError(RuntimeError):
-    """Base of the typed exceptions decoded from the error envelope.
+    """Base of the typed exceptions of the error envelope.
 
-    Carries the machine-readable ``code``, the HTTP ``status`` it arrived
-    under, and the server's ``retry_after`` hint (seconds, or ``None``).
+    Route handlers raise them on the server, and :func:`raise_for_envelope`
+    raises them on the client.  A client-side one carries the
+    machine-readable ``code``, the HTTP ``status`` it arrived under and the
+    server's ``retry_after`` hint (seconds, or ``None``); one raised on the
+    server needs none of them, because the error table maps it by type.
     """
 
     def __init__(
         self,
         message: str,
-        code: str = "error",
-        status: int = 500,
+        code: str | None = None,
+        status: int | None = None,
         retry_after: float | None = None,
     ) -> None:
         super().__init__(message)
         self.code = code
-        self.status = int(status)
+        self.status = status
         self.retry_after = retry_after
 
 
@@ -146,13 +146,30 @@ class UnauthorizedError(ServiceError):
     """The bearer token was missing or wrong (envelope code ``unauthorized``)."""
 
 
-#: envelope code -> exception factory used by :func:`raise_for_envelope`
-_CODE_EXCEPTIONS: dict[str, type[ServiceError]] = {
-    "bad_request": BadRequestError,
-    "unknown_job": UnknownJobError,
-    "unavailable": ServiceUnavailableError,
-    "unauthorized": UnauthorizedError,
-}
+class NotFoundError(ServiceError):
+    """No route serves the path (envelope code ``not_found``)."""
+
+
+class MethodNotAllowedError(ServiceError):
+    """A known path asked with another method (envelope code ``method_not_allowed``)."""
+
+
+#: The error table: each envelope code once, with its HTTP status, the
+#: exception types a server answers with it, and the exception
+#: :func:`raise_for_envelope` raises for it.  :func:`error_answer` takes the
+#: first row whose server-side types match, so subclasses come before their
+#: bases (``JobExpiredError`` is a ``KeyError``) and the catch-all is last.
+_ERRORS: tuple[tuple[str, int, tuple[type[BaseException], ...], type[Exception]], ...] = (
+    ("bad_request", 400, (WireFormatError,), BadRequestError),
+    ("unauthorized", 401, (UnauthorizedError,), UnauthorizedError),
+    ("not_found", 404, (NotFoundError,), NotFoundError),
+    ("method_not_allowed", 405, (MethodNotAllowedError,), MethodNotAllowedError),
+    ("job_expired", 410, (JobExpiredError,), JobExpiredError),
+    ("unknown_job", 404, (KeyError,), UnknownJobError),
+    ("queue_saturated", 429, (QueueSaturatedError,), QueueSaturatedError),
+    ("unavailable", 503, (ServiceUnavailableError,), ServiceUnavailableError),
+    ("internal", 500, (Exception,), ServiceError),
+)
 
 
 def error_envelope(
@@ -168,15 +185,36 @@ def error_envelope(
     }
 
 
-def raise_for_envelope(status: int, doc: Any) -> None:
+def error_answer(exc: BaseException) -> tuple[int, dict, dict[str, str]]:
+    """The ``(status, envelope, headers)`` a server answers a raised exception with.
+
+    The first error-table row whose server-side types match picks the code
+    and status; anything unforeseen is a 500 ``internal``.  A
+    :class:`~repro.service.jobs.QueueSaturatedError`'s retry hint travels
+    in the envelope and as a whole-seconds ``Retry-After`` header.
+    """
+    code, status = next(
+        (code, status) for code, status, raised, _ in _ERRORS if isinstance(exc, raised)
+    )
+    # KeyError would repr() its message
+    message = str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
+    if code == "internal":
+        message = f"{type(exc).__name__}: {message}"
+    retry_after = exc.retry_after_s if isinstance(exc, QueueSaturatedError) else None
+    headers = {} if retry_after is None else {"Retry-After": str(max(1, round(retry_after)))}
+    return status, error_envelope(code, message, retry_after), headers
+
+
+def raise_for_envelope(status: int, doc: Any) -> NoReturn:
     """Raise the typed exception an error envelope describes.
 
     ``job_expired`` raises the in-process
     :class:`~repro.service.jobs.JobExpiredError`, ``queue_saturated`` the
     in-process :class:`~repro.service.jobs.QueueSaturatedError`
     (carrying the retry hint) — callers handle local and remote failures
-    with one ``except`` clause.  Anything else raises a
-    :class:`ServiceError` subclass keyed on the envelope code.
+    with one ``except`` clause.  Every other code raises the
+    :class:`ServiceError` subclass of its error-table row, or a plain
+    :class:`ServiceError` for a code the table does not know.
     """
     err = doc.get("error") if isinstance(doc, dict) else None
     if not isinstance(err, dict):
@@ -184,14 +222,27 @@ def raise_for_envelope(status: int, doc: Any) -> None:
     code = str(err.get("code") or "error")
     message = str(err.get("message") or f"HTTP {status}")
     retry_after = err.get("retry_after")
-    if code == "job_expired":
-        raise JobExpiredError(message)
-    if code == "queue_saturated":
-        raise QueueSaturatedError(
-            message, retry_after_s=float(retry_after or 1.0)
-        )
-    cls = _CODE_EXCEPTIONS.get(code, ServiceError)
-    raise cls(message, code=code, status=status, retry_after=retry_after)
+    cls = next((raises for c, _, _, raises in _ERRORS if c == code), ServiceError)
+    if cls is QueueSaturatedError:
+        raise QueueSaturatedError(message, retry_after_s=float(retry_after or 1.0))
+    if issubclass(cls, ServiceError):
+        raise cls(message, code=code, status=status, retry_after=retry_after)
+    raise cls(message)  # the in-process JobExpiredError
+
+
+def raise_for_http_error(exc: HTTPError) -> NoReturn:
+    """Raise the typed exception an HTTP error answer's envelope describes.
+
+    The one client-side decoder of a ``urllib`` :class:`HTTPError`; a body
+    that is not JSON still raises, as a :class:`ServiceError` carrying its
+    text.
+    """
+    payload = exc.read()
+    try:
+        doc: Any = json.loads(payload)
+    except ValueError:
+        doc = payload.decode("utf-8", errors="replace") or f"HTTP {exc.code}"
+    raise_for_envelope(exc.code, doc)
 
 
 # ------------------------------------------------------------------ primitives
@@ -435,58 +486,3 @@ def snapshot_to_wire(snapshot: dict) -> dict:
             np.asarray(doc["pair_values"], dtype=np.float64)
         )
     return doc
-
-
-# ------------------------------------------------------------------ v1 routes
-#: the transport-agnostic route results: (HTTP status, JSON body, headers)
-RouteResult = tuple[int, dict, dict]
-
-
-def v1_submit(scheduler: Scheduler, doc: Any) -> RouteResult:
-    """``POST /v1/jobs``: decode, submit, answer (202, or an enveloped 4xx/5xx)."""
-    try:
-        request = request_from_wire(doc)
-    except WireFormatError as exc:
-        return 400, error_envelope("bad_request", f"bad request document: {exc}"), {}
-    try:
-        job_id = scheduler.submit(request)
-    except QueueSaturatedError as exc:
-        retry_after = max(1, round(exc.retry_after_s))
-        return (
-            429,
-            error_envelope("queue_saturated", str(exc), retry_after=exc.retry_after_s),
-            {"Retry-After": str(retry_after)},
-        )
-    except RuntimeError as exc:
-        return 503, error_envelope("unavailable", str(exc)), {}
-    return (
-        202,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "job_id": job_id,
-            "status": JobState.PENDING,
-        },
-        {},
-    )
-
-
-def v1_snapshot(
-    scheduler: Scheduler, job_id: str, wait_s: float | None = None
-) -> RouteResult:
-    """``GET /v1/jobs/<id>``: one wire-encoded snapshot (404/410 enveloped)."""
-    try:
-        snapshot = scheduler.snapshot(job_id, wait_s=wait_s)
-    except JobExpiredError as exc:
-        return 410, error_envelope("job_expired", str(exc)), {}
-    except KeyError:
-        return 404, error_envelope("unknown_job", f"unknown job id {job_id!r}"), {}
-    return 200, snapshot_to_wire(snapshot), {}
-
-
-def v1_cancel(scheduler: Scheduler, job_id: str) -> RouteResult:
-    """``DELETE /v1/jobs/<id>``: cancel a queued job (no-op when started)."""
-    try:
-        cancelled = scheduler.cancel(job_id)
-    except KeyError:
-        return 404, error_envelope("unknown_job", f"unknown job id {job_id!r}"), {}
-    return 200, {"schema_version": SCHEMA_VERSION, "job_id": job_id, "cancelled": cancelled}, {}

@@ -106,6 +106,9 @@ def test_heartbeat_doc_round_trip(spec_a):
     assert heartbeat["store_bytes"] > 0
     digests = [entry["digest"] for entry in heartbeat["fingerprints"]]
     assert digests == [spec_a.fingerprint]
+    # a count that is not an integer is a bad document (400), not a crash
+    with pytest.raises(WireFormatError):
+        heartbeat_from_wire({**doc, "queue_depth": "many"})
 
 
 def test_completion_doc_round_trip_is_exact():
@@ -129,7 +132,7 @@ def test_serve_solve_releases_the_answered_job(spec_a, small_g):
     """The block travels in the RPC answer, so the worker keeps no copy:
     retained jobs would otherwise grow with every RPC served."""
     with Scheduler(n_workers=1) as scheduler:
-        status, doc, _ = serve_solve(
+        status, doc = serve_solve(
             scheduler, request_to_wire(JobRequest(spec_a, columns=(0, 4))), "w-1"
         )
         assert status == 200
@@ -276,7 +279,7 @@ def test_router_balances_small_pin_counts():
 
 def test_router_load_override_prefers_idle_host():
     registry = _static_registry("w-1", "w-2")
-    router = FingerprintRouter(registry, load_skew=4)
+    router = FingerprintRouter(registry)
     # find a fingerprint whose ring candidate is w-1, then overload w-1
     probe = next(
         fp
@@ -579,6 +582,28 @@ def test_dropped_solve_rpc_is_retried_and_keeps_the_host(spec_a, small_g):
             assert stats["cluster"]["rpc_failures"] == 0
             assert stats["cluster"]["router"]["reroutes"] == 0
             assert [h.worker_id for h in leader.registry.live()] == [worker.worker_id]
+
+
+def test_raising_solve_rpc_is_retried_and_keeps_the_host(spec_a, small_g):
+    """A solve handler that raises still answers (HTTP 500 ``internal``),
+    so the leader retries the group on the same host: no death, no
+    transport failure, no reroute."""
+    from repro import faults
+
+    with ClusterLeader() as leader:
+        with ClusterWorker(leader.url, n_workers=1, heartbeat_s=30.0):
+            plan = [
+                {"site": "rpc.serve", "action": "raise", "exception": "ValueError", "times": 1}
+            ]
+            with faults.inject(plan):
+                with ServiceClient(leader.url, timeout_s=60.0) as client:
+                    block = client.extract(JobRequest(spec_a, columns=(0, 1)))
+                    stats = client.stats()
+            assert np.abs(block - small_g[:, [0, 1]]).max() <= 1e-10 * np.abs(small_g).max()
+            assert stats["faults"]["retries"] == 1
+            assert leader.registry.deaths == 0
+            assert stats["cluster"]["rpc_failures"] == 0
+            assert stats["cluster"]["router"]["reroutes"] == 0
 
 
 def test_dropped_heartbeats_expire_lease_then_worker_recovers():

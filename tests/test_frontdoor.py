@@ -1,17 +1,20 @@
-"""Asyncio front door: /v1 routes, NDJSON streaming, HTTP micro-batching.
+"""Asyncio front door: /v1 routes, NDJSON streaming, pair queries, envelopes.
 
-The load-bearing assertions here are the PR's acceptance criteria: streamed
-columns reach the client *before their job completes* (all ``columns``
-events of a coalesced group precede every ``done`` event of that group),
-concurrent streaming clients are served from one event loop, micro-batched
-pair queries collapse into fewer scheduler submits (counter-pinned), the
-pickle-era routes are gone, and every error body is the one envelope.
+The load-bearing assertions: streamed columns reach the client *before
+their job completes* (all ``columns`` events of a coalesced group precede
+every ``done`` event of that group), concurrent streaming clients are
+served from one event loop, concurrent pair queries coalesce into one
+scheduler batch, the pickle-era routes are gone, every error body is the
+one envelope with a pinned status and code, and every request — however
+malformed — gets an answer.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -240,11 +243,11 @@ def test_stream_reports_bad_request_inline(dense_spec):
             assert len(by_kind["done"]) == 1  # the good request still completed
 
 
-# ------------------------------------------------------------ micro-batching
-def test_pair_queries_microbatch_into_fewer_submits(dense_spec, small_g_module):
-    """Concurrent /v1/pairs queries over one fingerprint coalesce at the
-    HTTP layer: counters pin queries > submits, and every caller gets
-    exactly its values."""
+# ------------------------------------------------------------- pair queries
+def test_concurrent_pair_queries_coalesce_in_the_scheduler(dense_spec, small_g_module):
+    """Concurrent /v1/pairs queries over one fingerprint are separate jobs
+    that one drain cycle serves as one coalesced batch, and every caller
+    gets exactly its own values."""
     queries = [
         [(0, 1)],
         [(1, 2), (2, 3)],
@@ -253,29 +256,36 @@ def test_pair_queries_microbatch_into_fewer_submits(dense_spec, small_g_module):
         [(2, 3)],
         [(4, 5)],
     ]
-    with AsyncExtractionServer(
-        n_workers=1, pair_window_s=0.5, pair_max_batch=64
-    ) as server:
-        answers: dict[int, np.ndarray] = {}
+    scheduler = Scheduler(autostart=False)
+    try:
+        with AsyncExtractionServer(scheduler=scheduler) as server:
+            answers: dict[int, np.ndarray] = {}
 
-        def run(i: int) -> None:
-            with ServiceClient(server.url, timeout_s=60.0) as client:
-                answers[i] = client.pairs(dense_spec, queries[i], timeout_s=60.0)
+            def run(i: int) -> None:
+                with ServiceClient(server.url, timeout_s=60.0) as client:
+                    answers[i] = client.pairs(dense_spec, queries[i], timeout_s=60.0)
 
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(queries))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-        for i, pairs in enumerate(queries):
-            expected = [small_g_module[a, b] for a, b in pairs]
-            np.testing.assert_allclose(answers[i], expected, rtol=1e-12)
-        stats = ServiceClient(server.url).stats()
-        frontdoor = stats["frontdoor"]
-        assert frontdoor["microbatch_queries"] == len(queries)
-        # the pin: six queries collapsed into strictly fewer submits
-        assert 1 <= frontdoor["microbatch_submits"] < len(queries)
-        assert stats["jobs"]["submitted"] == frontdoor["microbatch_submits"]
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(queries))]
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 30.0
+            while scheduler.queue_depth < len(queries) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert scheduler.queue_depth == len(queries)
+            assert scheduler.step() == len(queries)
+            for t in threads:
+                t.join(timeout=60.0)
+            for i, pairs in enumerate(queries):
+                expected = [small_g_module[a, b] for a, b in pairs]
+                np.testing.assert_allclose(answers[i], expected, rtol=1e-12)
+            stats = scheduler.stats()
+            assert stats["coalescing"]["batches"] == 1
+            assert stats["coalescing"]["batch_jobs"] == len(queries)
+            frontdoor = stats["frontdoor"]
+            assert frontdoor["microbatch_queries"] == len(queries)
+            assert frontdoor["microbatch_submits"] == len(queries)
+    finally:
+        scheduler.close()
 
 
 def test_pairs_endpoint_validates_documents(dense_spec):
@@ -295,43 +305,131 @@ def test_pairs_endpoint_validates_documents(dense_spec):
 
 
 # ------------------------------------------------------------ error envelope
+def _answer(method: str, url: str, data: bytes | None = None):
+    """Raw request: (status, parsed body, Retry-After header or None)."""
+    headers = {"Content-Type": "application/json"} if data is not None else {}
+    request = urllib.request.Request(url, data=data, method=method, headers=headers)
+    try:
+        with urllib.request.urlopen(request, timeout=10.0) as response:
+            return response.status, json.loads(response.read()), response.headers.get(
+                "Retry-After"
+            )
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read()), exc.headers.get("Retry-After")
+
+
+def _expect_envelope(status, code, method, url, data=None) -> None:
+    """One answer is the error envelope with this status, code and hint:
+    a ``Retry-After`` header and ``retry_after`` on a 429, neither otherwise."""
+    got, body, retry_after = _answer(method, url, data)
+    assert (got, body["error"]["code"]) == (status, code), body
+    assert set(body) == {"error"}
+    assert set(body["error"]) == {"code", "message", "retry_after"}
+    if status == 429:
+        assert int(retry_after) >= 1 and body["error"]["retry_after"] > 0
+    else:
+        assert retry_after is None and body["error"]["retry_after"] is None
+
+
 def test_error_envelope_conformance(dense_spec):
-    """404 and 429 from the async server all carry the one envelope."""
-    scheduler = Scheduler(n_workers=1, autostart=False, max_queue_depth=1)
+    """Every error the front door answers carries the one envelope, and its
+    status, code and ``Retry-After`` are pinned request by request."""
+
+    def submit_doc(column: int) -> bytes:
+        return json.dumps(
+            request_to_wire(JobRequest(dense_spec, columns=(column,)))
+        ).encode()
+
+    scheduler = Scheduler(
+        n_workers=1, autostart=False, max_queue_depth=1, max_jobs_retained=1
+    )
     try:
         with AsyncExtractionServer(scheduler=scheduler) as server:
-            client = ServiceClient(server.url, timeout_s=10.0)
-            # 404 unknown_job
-            status, body, _ = get_json(server.url + "/v1/jobs/job-999999")
-            assert status == 404 and body["error"]["code"] == "unknown_job"
+            url = server.url
+            client = ServiceClient(url, timeout_s=10.0)
+            # 400 bad_request: a body that is not JSON, a bad request
+            # document, a non-numeric wait_s
+            _expect_envelope(400, "bad_request", "POST", url + "/v1/jobs", b"{not json")
+            bad_doc = json.dumps({"schema_version": 1, "spec": "not a spec"}).encode()
+            _expect_envelope(400, "bad_request", "POST", url + "/v1/jobs", bad_doc)
+            _expect_envelope(
+                400, "bad_request", "GET", url + "/v1/jobs/job-000001?wait_s=abc"
+            )
+            # 404: an unknown job (typed via the client too) and an unknown path
+            _expect_envelope(404, "unknown_job", "GET", url + "/v1/jobs/job-999999")
             with pytest.raises(UnknownJobError):
                 client.result("job-999999")
-            # 404 not_found for an unknown path
-            status, body, _ = get_json(server.url + "/v1/nope")
-            assert status == 404 and body["error"]["code"] == "not_found"
-            # 429 queue_saturated: typed via the client...
-            client.submit(JobRequest(dense_spec, columns=(0,)))
+            _expect_envelope(404, "not_found", "GET", url + "/v1/nope")
+            # 405 method_not_allowed on known paths
+            _expect_envelope(405, "method_not_allowed", "GET", url + "/v1/jobs")
+            _expect_envelope(405, "method_not_allowed", "DELETE", url + "/v1/stats")
+            # 429 queue_saturated: typed via the client, raw on the wire
+            first = client.submit(JobRequest(dense_spec, columns=(0,)))
             with pytest.raises(QueueSaturatedError) as info:
                 client.submit(JobRequest(dense_spec, columns=(1,)))
             assert info.value.retry_after_s > 0
-            # ...and the raw envelope + Retry-After header on the wire
-            body = json.dumps(
-                request_to_wire(JobRequest(dense_spec, columns=(2,)))
-            ).encode()
-            req = urllib.request.Request(
-                server.url + "/v1/jobs",
-                data=body,
-                headers={"Content-Type": "application/json"},
-            )
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(req, timeout=10.0)
-            assert err.value.code == 429
-            assert int(err.value.headers["Retry-After"]) >= 1
-            envelope = json.loads(err.value.read())
-            assert envelope["error"]["code"] == "queue_saturated"
-            assert envelope["error"]["retry_after"] > 0
+            _expect_envelope(429, "queue_saturated", "POST", url + "/v1/jobs", submit_doc(2))
+            # 410 job_expired: retention keeps one finished job, so the
+            # second one's completion drops the first
+            scheduler.step()
+            client.submit(JobRequest(dense_spec, columns=(1,)))
+            scheduler.step()
+            _expect_envelope(410, "job_expired", "GET", url + f"/v1/jobs/{first}")
+            # 503 unavailable: a closed scheduler cannot take the job
+            scheduler.close()
+            _expect_envelope(503, "unavailable", "POST", url + "/v1/jobs", submit_doc(3))
     finally:
         scheduler.close()
+    # 401 unauthorized without the bearer token; the health probe stays open
+    with AsyncExtractionServer(n_workers=1, auth_token="s3cret") as server:
+        _expect_envelope(401, "unauthorized", "GET", server.url + "/v1/stats")
+        status, body, _ = _answer("GET", server.url + "/v1/healthz")
+        assert status == 200 and body["ok"] is True
+
+
+def _raw_answer(url: str, head: bytes) -> tuple[int, dict]:
+    """Send raw request bytes, half-close, read the whole answer within a timeout."""
+    host, port = url.removeprefix("http://").rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+        sock.sendall(head)
+        sock.shutdown(socket.SHUT_WR)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    status_line, _, rest = data.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+def test_every_request_gets_an_answer():
+    """Malformed heads, a short body, a non-ASCII token and a raising route
+    are answered with the envelope instead of a dropped connection; a
+    worker RPC that raises is a typed 500, never a transport error."""
+    from repro.cluster.protocol import post_json
+    from repro.service import ServiceError
+
+    def boom(request):
+        raise ValueError("handler bug")
+
+    server = AsyncExtractionServer(n_workers=1, auth_token="s3cret")
+    server.add_json_route("POST", "/v1/boom", boom)
+    with server:
+        for head, status, code in (
+            (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400, "bad_request"),
+            (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400, "bad_request"),
+            (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}", 400, "bad_request"),
+            (
+                b"GET /v1/stats HTTP/1.1\r\nAuthorization: Bearer s\xe9cret\r\n\r\n",
+                401,
+                "unauthorized",
+            ),
+        ):
+            got, body = _raw_answer(server.url, head)
+            assert (got, body["error"]["code"]) == (status, code)
+        with pytest.raises(ServiceError) as info:
+            post_json(server.url + "/v1/boom", {}, auth_token="s3cret")
+        assert not isinstance(info.value, OSError)
+        assert (info.value.status, info.value.code) == (500, "internal")
+        assert "ValueError: handler bug" in str(info.value)
 
 
 def test_bad_json_body_is_a_bad_request_envelope(dense_spec):

@@ -122,7 +122,7 @@ def _cold_factor_cache_without_artifacts():
 @pytest.fixture(scope="module")
 def server():
     """One HTTP front end plus its ledger: fingerprint -> columns solved."""
-    with AsyncExtractionServer(pair_window_s=0.005) as srv:
+    with AsyncExtractionServer() as srv:
         yield srv, defaultdict(set)
 
 

@@ -345,13 +345,13 @@ def test_default_scheduler_solves_in_process(bem_spec):
     n = bem_spec.layout.n_contacts
     during = []
 
-    def watcher(event):
+    def record_children(event):
         if event["kind"] == "columns":
             during.append(multiprocessing.active_children())
 
     with Scheduler() as scheduler:
         request = JobRequest(bem_spec, columns=tuple(range(n)))
-        job = scheduler.result(scheduler.submit(request, watcher=watcher), wait_s=60.0)
+        job = scheduler.result(scheduler.submit(request, watcher=record_children), wait_s=60.0)
         assert job.status == JobState.DONE
         assert during and all(children == [] for children in during)
         assert multiprocessing.active_children() == []
