@@ -13,13 +13,14 @@ module                          role
                                 scheduler
 :mod:`~repro.cluster.worker`    :class:`ClusterWorker` — scheduler +
                                 ``/v1/cluster/solve`` + heartbeat loop
-:mod:`~repro.cluster.registry`  :class:`HostRegistry` — membership,
-                                heartbeat leases, draining, dead set
-:mod:`~repro.cluster.routing`   :class:`FingerprintRouter` — sticky
-                                consistent hashing with load-aware
-                                placement
-:mod:`~repro.cluster.protocol`  wire documents (register / heartbeat /
-                                completion) and both ends of the solve RPC
+:mod:`~repro.cluster.registry`  :class:`HostRegistry` — membership from
+                                heartbeats alone: admission, leases,
+                                draining, dead set
+:mod:`~repro.cluster.routing`   :class:`FingerprintRouter` — sticky pins,
+                                each placed on the least-pinned, then
+                                least-queued host
+:mod:`~repro.cluster.protocol`  wire documents (heartbeat / completion)
+                                and both ends of the solve RPC
 ==============================  ===========================================
 
 Run a cluster from the command line with ``python -m repro.cluster leader``

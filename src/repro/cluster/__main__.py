@@ -87,14 +87,8 @@ def main(argv: list[str] | None = None) -> None:
         default=600.0,
         help="seconds the leader waits on one worker solve RPC",
     )
-    leader.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.0,
-        help="seconds to linger before draining the queue (batches jobs)",
-    )
 
-    worker = sub.add_parser("worker", help="solve host (registers with the leader)")
+    worker = sub.add_parser("worker", help="solve host (joins the leader by heartbeat)")
     _add_common(worker)
     worker.add_argument("--leader", required=True, help="leader base URL")
     worker.add_argument("--port", type=int, default=0, help="bind port (0=ephemeral)")
@@ -136,7 +130,6 @@ def main(argv: list[str] | None = None) -> None:
             auth_token=auth_token,
             lease_s=args.lease,
             rpc_timeout_s=args.rpc_timeout,
-            coalesce_window_s=args.coalesce_window,
             persistence=args.state_dir,
             max_queue_depth=args.max_queue_depth,
         )

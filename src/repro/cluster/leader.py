@@ -31,28 +31,23 @@ the server's route table, and a bad document raises
 ========  ======================  =======================================
 method    path                    body / behaviour
 ========  ======================  =======================================
-POST      /v1/cluster/register    register document → ``{"worker_id",
-                                  "lease_s"}``
-POST      /v1/cluster/heartbeat   heartbeat document → ``{"known"}``
-                                  (``false`` asks the worker to
-                                  re-register)
+POST      /v1/cluster/heartbeat   heartbeat document → ``{"schema_version",
+                                  "lease_s"}``; admits, renews, moves or
+                                  re-admits the host
 GET       /v1/cluster/hosts       registry + router view (operators)
 ========  ======================  =======================================
 """
 
 from __future__ import annotations
 
+import threading
+
 from ..faults import fault_hook
 from ..service.aserver import AsyncExtractionServer, RouteRequest
 from ..service.jobs import SCHEMA_VERSION, JobRequest
 from ..service.scheduler import Scheduler
 from ..service.wire import request_to_wire
-from .protocol import (
-    completion_from_wire,
-    heartbeat_from_wire,
-    post_json,
-    register_from_wire,
-)
+from .protocol import completion_from_wire, heartbeat_from_wire, post_json
 from .registry import HostRegistry
 from .routing import FingerprintRouter
 
@@ -68,9 +63,9 @@ class ClusterLeader:
 
     ``scheduler_kwargs`` pass through to the leader's
     :class:`~repro.service.scheduler.Scheduler` (persistence, queue bounds,
-    retry policy, coalesce window...).  ``max_solvers`` is meaningless
-    here — the leader never builds an engine.  Because the scheduler gets
-    a remote solver, groups pinned to different hosts solve concurrently.
+    retry policy...).  ``max_solvers`` is meaningless here — the leader
+    never builds an engine.  Because the scheduler gets a remote solver,
+    groups pinned to different hosts solve concurrently.
     """
 
     def __init__(
@@ -86,8 +81,10 @@ class ClusterLeader:
         self.rpc_timeout_s = float(rpc_timeout_s)
         self.registry = HostRegistry(lease_s=lease_s)
         self.router = FingerprintRouter(self.registry)
-        self.rpc_calls = 0
-        self.rpc_failures = 0
+        #: solve RPCs run on up to 8 group threads at once
+        self._rpc_lock = threading.Lock()
+        self.rpc_calls = 0  # reprolint: guarded-by(_rpc_lock)
+        self.rpc_failures = 0  # reprolint: guarded-by(_rpc_lock)
         scheduler_kwargs.setdefault("max_solvers", 1)
         self.scheduler = Scheduler(
             remote_solver=self._solve_remote,
@@ -100,7 +97,6 @@ class ClusterLeader:
             scheduler=self.scheduler,
             auth_token=auth_token,
         )
-        self.server.add_json_route("POST", "/v1/cluster/register", self._register_route)
         self.server.add_json_route("POST", "/v1/cluster/heartbeat", self._heartbeat_route)
         self.server.add_json_route("GET", "/v1/cluster/hosts", self._hosts_route)
 
@@ -138,7 +134,8 @@ class ClusterLeader:
         """
         host = self.router.route(fingerprint)
         request = JobRequest(spec, columns=tuple(int(c) for c in columns))
-        self.rpc_calls += 1
+        with self._rpc_lock:
+            self.rpc_calls += 1
         try:
             fault_hook("rpc.send", worker_id=host.worker_id)
             answer = post_json(
@@ -148,7 +145,8 @@ class ClusterLeader:
                 auth_token=self.auth_token,
             )
         except OSError as exc:
-            self.rpc_failures += 1
+            with self._rpc_lock:
+                self.rpc_failures += 1
             self.registry.mark_dead(
                 host.worker_id, f"solve RPC failed: {type(exc).__name__}: {exc}"
             )
@@ -164,33 +162,21 @@ class ClusterLeader:
         return completion["block"]
 
     def _cluster_stats(self) -> dict:
+        with self._rpc_lock:
+            rpc_calls, rpc_failures = self.rpc_calls, self.rpc_failures
         return {
             "cluster": {
                 "registry": self.registry.info(),
                 "router": self.router.info(),
-                "rpc_calls": self.rpc_calls,
-                "rpc_failures": self.rpc_failures,
+                "rpc_calls": rpc_calls,
+                "rpc_failures": rpc_failures,
             }
         }
 
     # -------------------------------------------------------- control routes
-    def _register_route(self, request: RouteRequest) -> tuple[int, dict]:
-        worker_id, url = register_from_wire(request.doc)
-        self.registry.register(worker_id, url)
-        return 200, {
-            "schema_version": SCHEMA_VERSION,
-            "worker_id": worker_id,
-            "lease_s": self.registry.lease_s,
-        }
-
     def _heartbeat_route(self, request: RouteRequest) -> tuple[int, dict]:
-        heartbeat = heartbeat_from_wire(request.doc)
-        known = self.registry.heartbeat(heartbeat["worker_id"], heartbeat)
-        return 200, {
-            "schema_version": SCHEMA_VERSION,
-            "known": known,
-            "lease_s": self.registry.lease_s,
-        }
+        self.registry.heartbeat(**heartbeat_from_wire(request.doc))
+        return 200, {"schema_version": SCHEMA_VERSION, "lease_s": self.registry.lease_s}
 
     def _hosts_route(self, request: RouteRequest) -> tuple[int, dict]:
         body = {"schema_version": SCHEMA_VERSION, **self.registry.info()}

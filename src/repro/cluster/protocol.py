@@ -5,18 +5,15 @@ built from the primitives of :mod:`repro.service.wire` — tagged tuples,
 base64 float64 arrays, the single error envelope — so the cluster wire
 inherits the ``/v1`` protocol's guarantees: no pickle, fingerprint-exact
 :class:`~repro.substrate.parallel.SolverSpec` round trips, and typed
-exceptions on the client side.  Three documents are defined here:
+exceptions on the client side.  Two documents are defined here:
 
 ============  ==============================================================
 document      shape
 ============  ==============================================================
-register      ``{"schema_version", "worker_id", "url"}`` — a worker
-              announcing itself (or re-announcing after a leader restart)
-heartbeat     ``{"schema_version", "worker_id", "draining", "queue_depth",
-              "engines", "attributed_solves", "store_columns",
-              "store_bytes", "fingerprints": [{"digest", "columns",
-              "bytes"}, ...]}`` — the worker's load and warm-state report,
-              fed into lease renewal and load-aware placement
+heartbeat     ``{"schema_version", "worker_id", "url", "draining",
+              "queue_depth"}`` — a worker's only membership message: it
+              admits, renews, moves or re-admits the host, and carries the
+              one load figure placement reads
 completion    ``{"schema_version", "worker_id", "job_id", "columns",
               "block": <wire ndarray>, "attributed_solves"}`` — one solved
               column block coming back from a worker's
@@ -55,8 +52,6 @@ from ..service.wire import (
 )
 
 __all__ = [
-    "register_doc",
-    "register_from_wire",
     "heartbeat_doc",
     "heartbeat_from_wire",
     "completion_doc",
@@ -88,56 +83,34 @@ def _check_version(doc: Any, what: str) -> dict:
     return doc
 
 
-# ------------------------------------------------------------------- register
-def register_doc(worker_id: str, url: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "worker_id": str(worker_id),
-        "url": str(url).rstrip("/"),
-    }
-
-
-def register_from_wire(doc: Any) -> tuple[str, str]:
-    """Validated ``(worker_id, url)`` of one registration document."""
-    doc = _check_version(doc, "register document")
-    return (
-        _require_str(doc, "worker_id", "register document"),
-        _require_str(doc, "url", "register document").rstrip("/"),
-    )
-
-
 # ------------------------------------------------------------------ heartbeat
-def heartbeat_doc(worker_id: str, scheduler: Scheduler, draining: bool = False) -> dict:
-    """One worker's load/warm-state report, read off its live scheduler."""
-    stats = scheduler.stats()
-    store_info = stats["result_store"]
+def heartbeat_doc(worker_id: str, url: str, queue_depth: int, draining: bool = False) -> dict:
+    """One worker's heartbeat: who it is, where it listens, how loaded it is."""
     return {
         "schema_version": SCHEMA_VERSION,
         "worker_id": str(worker_id),
+        "url": str(url),
         "draining": bool(draining),
-        "queue_depth": int(stats["queue_depth"]),
-        "engines": stats["engines"],
-        "attributed_solves": int(stats["attributed_solves"]),
-        "store_columns": int(store_info["columns"]),
-        "store_bytes": int(store_info["bytes"]),
-        "fingerprints": store_info["fingerprints"],
+        "queue_depth": int(queue_depth),
     }
 
 
 def heartbeat_from_wire(doc: Any) -> dict:
-    """Validated heartbeat fields (plain dict; the registry stores it as-is)."""
+    """Validated heartbeat fields, keyed as :meth:`HostRegistry.heartbeat
+    <repro.cluster.registry.HostRegistry.heartbeat>` takes them."""
     doc = _check_version(doc, "heartbeat document")
-    _require_str(doc, "worker_id", "heartbeat document")
-    out = dict(doc)
-    out["draining"] = bool(doc.get("draining"))
-    try:
-        for key in ("queue_depth", "attributed_solves", "store_columns", "store_bytes"):
-            out[key] = int(doc.get(key) or 0)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise WireFormatError(f"heartbeat document has a non-integer count: {exc}") from exc
-    fingerprints = doc.get("fingerprints")
-    out["fingerprints"] = list(fingerprints) if isinstance(fingerprints, list) else []
-    return out
+    queue_depth = doc.get("queue_depth")
+    if isinstance(queue_depth, bool) or not isinstance(queue_depth, int) or queue_depth < 0:
+        raise WireFormatError(
+            f"heartbeat document requires a non-negative integer 'queue_depth', "
+            f"got {queue_depth!r}"
+        )
+    return {
+        "worker_id": _require_str(doc, "worker_id", "heartbeat document"),
+        "url": _require_str(doc, "url", "heartbeat document"),
+        "draining": bool(doc.get("draining")),
+        "queue_depth": queue_depth,
+    }
 
 
 # ----------------------------------------------------------------- completion

@@ -1,22 +1,25 @@
 """Cluster membership: which worker hosts exist, and which are alive.
 
 The leader's :class:`HostRegistry` is the single source of truth the router
-consults.  A worker enters by registering (worker id + base URL) and stays
-live by heartbeating inside its lease; expiry is evaluated **lazily on
-read** — :meth:`live` sweeps overdue hosts into the dead set as it answers,
-so no timer thread races the dispatcher.  A host leaves three ways:
+consults.  A worker's heartbeat is its only membership message: one
+:meth:`~HostRegistry.heartbeat` call admits a host the registry does not
+hold live (new, lease-expired or marked dead), and renews one it does,
+taking the URL, draining flag and queue depth the beat carries.  So a
+worker joins with its first beat, rejoins after a leader restart or a
+lapsed lease with its next one, and moves to a new URL by beating from
+it.  Expiry is evaluated **lazily on read** — :meth:`live` sweeps overdue
+hosts into the dead set as it answers, so no timer thread races the
+dispatcher.  A host leaves the live set two ways:
 
 * **lease expiry** — no heartbeat for ``lease_s`` seconds;
 * **marked dead** — the leader's RPC layer hit a transport failure talking
   to it (a refused/reset/timed-out solve call is better evidence than any
-  heartbeat, so it takes effect immediately);
-* **draining** — the host asked to be excluded from *new* fingerprint
-  placements (it keeps serving what it holds until its groups move).
+  heartbeat, so it takes effect immediately).
 
-A dead host that registers again is resurrected with a clean record — the
-worker process restarting is the normal recovery path, and its heartbeats
-re-earn the lease.  Every membership change lands in a bounded event log
-(``info()["events"]``) for operators.
+A **draining** host stays live but takes no *new* fingerprint placements
+(it keeps serving what it holds).  Admissions, URL moves, drain flips,
+expiries and deaths land in a bounded event log (``info()["events"]``) for
+operators; ordinary renewals do not.
 
 Thread-safety: one lock over all state; every public method is safe to
 call from the HTTP executor threads and the dispatcher concurrently.
@@ -27,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["HostRecord", "HostRegistry"]
 
@@ -46,16 +49,11 @@ class HostRecord:
     lease_s: float
     draining: bool = False
     heartbeats: int = 0
-    #: the latest heartbeat's load/warm-state fields (queue depth, engines,
-    #: per-fingerprint store occupancy) — placement reads these
-    stats: dict = field(default_factory=dict)
+    #: pending jobs on the host at its latest heartbeat (placement reads it)
+    queue_depth: int = 0
 
     def expired(self, now: float) -> bool:
         return now - self.last_heartbeat > self.lease_s
-
-    @property
-    def queue_depth(self) -> int:
-        return int(self.stats.get("queue_depth") or 0)
 
     def info(self) -> dict:
         return {
@@ -67,7 +65,6 @@ class HostRecord:
             "age_s": max(time.monotonic() - self.registered_at, 0.0),
             "since_heartbeat_s": max(time.monotonic() - self.last_heartbeat, 0.0),
             "queue_depth": self.queue_depth,
-            "stats": self.stats,
         }
 
 
@@ -114,16 +111,26 @@ class HostRegistry:
             )
 
     # ------------------------------------------------------------- membership
-    def register(self, worker_id: str, url: str) -> HostRecord:
-        """Admit (or resurrect, or refresh) one worker host."""
+    def heartbeat(
+        self, worker_id: str, url: str, draining: bool = False, queue_depth: int = 0
+    ) -> HostRecord:
+        """Admit or renew one host from its heartbeat; returns its record.
+
+        A host not held live — never seen, lease expired or marked dead —
+        is admitted with a fresh record (counted in ``registrations``); a
+        live one has its lease renewed and takes the beat's URL, draining
+        flag and queue depth.
+        """
+        url = url.rstrip("/")
         now = time.monotonic()
         with self._lock:
-            self._dead.pop(worker_id, None)
+            self._sweep_locked(now)
             record = self._hosts.get(worker_id)
             if record is None:
+                self._dead.pop(worker_id, None)
                 record = self._hosts[worker_id] = HostRecord(
                     worker_id=worker_id,
-                    url=url.rstrip("/"),
+                    url=url,
                     registered_at=now,
                     last_heartbeat=now,
                     lease_s=self.lease_s,
@@ -131,32 +138,17 @@ class HostRegistry:
                 self.registrations += 1
                 self._log_locked("registered", worker_id, url)
             else:
-                # re-registration refreshes the lease and may move the URL
-                # (a worker restarted on a new port keeps its identity)
-                record.url = url.rstrip("/")
                 record.last_heartbeat = now
-                record.draining = False
-                self._log_locked("re-registered", worker_id, url)
-            return record
-
-    def heartbeat(self, worker_id: str, stats: dict) -> bool:
-        """Renew one host's lease with its latest report.
-
-        Returns ``False`` for a host this registry does not hold live —
-        the worker should re-register (the leader may have restarted, or
-        the lease may have expired while the worker was wedged).
-        """
-        now = time.monotonic()
-        with self._lock:
-            self._sweep_locked(now)
-            record = self._hosts.get(worker_id)
-            if record is None:
-                return False
-            record.last_heartbeat = now
+                if record.url != url:
+                    # a worker restarted on a new port keeps its identity
+                    self._log_locked("moved", worker_id, f"{record.url} -> {url}")
+                    record.url = url
+                if record.draining != bool(draining):
+                    self._log_locked("draining" if draining else "undraining", worker_id)
+            record.draining = bool(draining)
+            record.queue_depth = int(queue_depth)
             record.heartbeats += 1
-            record.draining = bool(stats.get("draining"))
-            record.stats = stats
-            return True
+            return record
 
     def mark_dead(self, worker_id: str, reason: str) -> bool:
         """Evict one host immediately (the RPC layer saw it fail)."""
@@ -167,16 +159,6 @@ class HostRegistry:
             self._dead[worker_id] = reason
             self.deaths += 1
             self._log_locked("dead", worker_id, reason)
-            return True
-
-    def drain(self, worker_id: str, draining: bool = True) -> bool:
-        """Flip one host's draining flag; False when the host is not live."""
-        with self._lock:
-            host = self._hosts.get(worker_id)
-            if host is None:
-                return False
-            host.draining = bool(draining)
-            self._log_locked("draining" if draining else "undraining", worker_id)
             return True
 
     # ---------------------------------------------------------------- queries

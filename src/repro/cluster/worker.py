@@ -9,20 +9,20 @@ route: ``POST /v1/cluster/solve`` (see
 ``/v1/`` surface too, so an operator can hit ``/v1/stats`` or
 ``/v1/healthz`` on any host directly.
 
-Membership is the worker's job: it registers with the leader at start
-(retrying until the leader answers — start order is free), then heartbeats
-from a daemon thread every ``heartbeat_s`` seconds.  A heartbeat answer of
-``known: false`` means the leader does not hold this worker live (leader
-restart, or a lease that expired while this process was wedged) — the
-worker simply re-registers and carries on; all its warm state is still
-here, and re-registration makes it routable again.  The heartbeat carries
-the scheduler's load and warm-state report
-(:func:`~repro.cluster.protocol.heartbeat_doc`), which feeds the leader's
-load-aware placement.
+Membership is the worker's job, and its heartbeat is the only message it
+needs: the first beat at start joins the leader (retried until the leader
+answers — start order is free), and a daemon thread beats every
+``heartbeat_s`` seconds after that.  A beat from a host the leader does
+not hold live (leader restart, or a lease that expired while this process
+was wedged) re-admits it, so the worker rejoins on its next beat with all
+its warm state intact.  The beat carries the worker's URL, its drain flag
+and its scheduler's queue depth
+(:func:`~repro.cluster.protocol.heartbeat_doc`) — what the leader's
+placement reads, and nothing that costs a ``/v1/stats`` render.
 
-``drain()`` flips the flag carried by every subsequent heartbeat: the
-leader stops placing *new* fingerprints here while pinned ones keep being
-served — the graceful way to retire a host.
+``drain()`` flips the flag and beats at once: the leader stops placing
+*new* fingerprints here while pinned ones keep being served — the graceful
+way to retire a host.
 """
 
 from __future__ import annotations
@@ -33,14 +33,16 @@ import uuid
 from ..faults import fault_hook
 from ..service.aserver import AsyncExtractionServer
 from ..service.scheduler import Scheduler
-from .protocol import heartbeat_doc, post_json, register_doc, serve_solve
+from ..service.wire import ServiceError
+from .protocol import heartbeat_doc, post_json, serve_solve
 
 __all__ = ["ClusterWorker"]
 
-#: registration attempts at start (the leader may still be booting), and
-#: the backoff step between them (attempt ``i`` waits ``i`` steps)
-_REGISTER_ATTEMPTS = 20
-_REGISTER_BACKOFF_S = 0.25
+#: attempts of the first heartbeat at start (the leader may still be
+#: booting), and the backoff step between them (attempt ``i`` waits ``i``
+#: steps)
+_JOIN_ATTEMPTS = 20
+_JOIN_BACKOFF_S = 0.25
 
 
 class ClusterWorker:
@@ -68,9 +70,6 @@ class ClusterWorker:
         self.heartbeat_s = float(heartbeat_s)
         self._advertise_host = advertise_host
         self.draining = False
-        self.heartbeats_sent = 0
-        self.heartbeat_errors = 0
-        self.reregistrations = 0
         self.scheduler = Scheduler(**scheduler_kwargs)
         self.server = AsyncExtractionServer(
             host=host,
@@ -84,6 +83,9 @@ class ClusterWorker:
             lambda request: serve_solve(self.scheduler, request.doc, self.worker_id),
         )
         self._stop = threading.Event()
+        #: one beat in flight at a time, so the last beat to land carries
+        #: the current drain flag
+        self._beat_lock = threading.Lock()
         self._heartbeat_thread: threading.Thread | None = None
 
     # -------------------------------------------------------------- lifecycle
@@ -99,7 +101,19 @@ class ClusterWorker:
 
     def start(self) -> "ClusterWorker":
         self.server.start()
-        self._register(attempts=_REGISTER_ATTEMPTS)
+        for attempt in range(_JOIN_ATTEMPTS):
+            try:
+                self._send_heartbeat()
+                break
+            except OSError as exc:
+                last_error = exc
+                self._stop.wait(_JOIN_BACKOFF_S * (attempt + 1))
+        else:
+            self.close()
+            raise RuntimeError(
+                f"worker {self.worker_id} could not reach the leader at "
+                f"{self.leader_url} after {_JOIN_ATTEMPTS} attempts: {last_error}"
+            )
         self._heartbeat_thread = threading.Thread(
             target=self._heartbeat_loop,
             name=f"heartbeat-{self.worker_id}",
@@ -123,48 +137,25 @@ class ClusterWorker:
         self.close()
 
     def drain(self, draining: bool = True) -> None:
-        """Stop taking new fingerprints; announce it on the next heartbeat."""
+        """Stop (or resume) taking new fingerprints; beats the flag at once."""
         self.draining = bool(draining)
         try:
             self._send_heartbeat()
         except OSError:
-            pass  # the regular loop will carry the flag once the leader is back
+            pass  # the regular loop carries the flag once the leader is back
 
     # -------------------------------------------------------------- membership
-    def _register(self, attempts: int) -> None:
-        """Announce this worker to the leader, retrying while it boots."""
-        last_error: Exception | None = None
-        for attempt in range(attempts):
-            if self._stop.is_set():
-                return
-            try:
-                post_json(
-                    self.leader_url + "/v1/cluster/register",
-                    register_doc(self.worker_id, self.url),
-                    timeout_s=10.0,
-                    auth_token=self.auth_token,
-                )
-                return
-            except OSError as exc:
-                last_error = exc
-                self._stop.wait(_REGISTER_BACKOFF_S * (attempt + 1))
-        raise RuntimeError(
-            f"worker {self.worker_id} could not register with leader at "
-            f"{self.leader_url} after {attempts} attempts: {last_error}"
-        )
-
     def _send_heartbeat(self) -> None:
-        """One heartbeat round trip; re-registers when the leader forgot us."""
-        answer = post_json(
-            self.leader_url + "/v1/cluster/heartbeat",
-            heartbeat_doc(self.worker_id, self.scheduler, draining=self.draining),
-            timeout_s=10.0,
-            auth_token=self.auth_token,
-        )
-        self.heartbeats_sent += 1
-        if not answer.get("known", True):
-            self.reregistrations += 1
-            self._register(attempts=1)
+        """One heartbeat round trip: joins, renews or rejoins this host."""
+        with self._beat_lock:
+            post_json(
+                self.leader_url + "/v1/cluster/heartbeat",
+                heartbeat_doc(
+                    self.worker_id, self.url, self.scheduler.queue_depth, draining=self.draining
+                ),
+                timeout_s=10.0,
+                auth_token=self.auth_token,
+            )
 
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_s):
@@ -172,7 +163,5 @@ class ClusterWorker:
                 continue  # injected drop: skip this beat, let the lease decay
             try:
                 self._send_heartbeat()
-            except (OSError, RuntimeError):
-                # leader briefly down or re-registration still failing: keep
-                # beating — membership recovers as soon as the leader answers
-                self.heartbeat_errors += 1
+            except (OSError, ServiceError):
+                pass  # leader briefly down: the next beat that lands rejoins

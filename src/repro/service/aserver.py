@@ -3,9 +3,10 @@
 One event loop serves every connection — no thread per request — and
 bridges to the existing thread-based
 :class:`~repro.service.scheduler.Scheduler` through executor calls (for
-the blocking submit/wait paths) and
+submits and snapshots), each job's ``done`` future (awaited on the loop
+through ``asyncio.wrap_future``, so a waiting client holds no thread) and
 :meth:`~repro.service.scheduler.Scheduler.submit`'s watcher hook (for
-push-style progress, marshalled onto the loop with
+streamed columns, marshalled onto the loop with
 ``call_soon_threadsafe``).  This is the service's only HTTP front end, and
 everything on its wire is the declarative JSON schema of
 :mod:`~repro.service.wire` — no pickle on any route.
@@ -19,7 +20,8 @@ method    path                    body / behaviour
 ========  ======================  =========================================
 POST      /v1/jobs                wire request document → ``{"job_id",
                                   "status", "schema_version"}`` (202)
-GET       /v1/jobs/<id>           ``?wait_s=`` → wire job snapshot
+GET       /v1/jobs/<id>           ``?wait_s=`` (a long poll, awaited on
+                                  the loop) → wire job snapshot
 DELETE    /v1/jobs/<id>           cancel a queued job
 POST      /v1/stream              ``{"requests": [...]}`` → chunked NDJSON:
                                   ``submitted`` / ``columns`` / ``done`` /
@@ -52,19 +54,19 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import hmac
 import inspect
 import json
 import os
 import threading
 import time
-from functools import partial
 from typing import Any, NamedTuple
 from urllib.parse import parse_qs, unquote, urlparse
 
 import numpy as np
 
-from .jobs import SCHEMA_VERSION, JobExpiredError, JobState
+from .jobs import SCHEMA_VERSION, Job, JobExpiredError, JobRequest, JobState
 from .scheduler import Scheduler
 from .wire import (
     MethodNotAllowedError,
@@ -97,6 +99,12 @@ _REASONS = {
 _PAIR_WAIT_S = 300.0
 
 
+async def _until_done(job: Job, timeout_s: float) -> None:
+    """Wait on the loop, holding no thread, until ``job`` ends or the time is up."""
+    with contextlib.suppress(asyncio.TimeoutError):
+        await asyncio.wait_for(asyncio.wrap_future(job.done), timeout_s)
+
+
 class RouteRequest(NamedTuple):
     """What a route handler receives (see ``add_json_route``)."""
 
@@ -116,8 +124,8 @@ class AsyncExtractionServer:
     ``port=0`` binds an ephemeral port (read :attr:`url` back after
     :meth:`start`); use as a context manager or call :meth:`close`.  The
     event loop runs on one background thread; scheduler work runs in the
-    default executor so the loop never blocks on a solve, a journal fsync
-    or a long poll.  Keyword arguments beyond the ones below build the
+    default executor so the loop never blocks on a solve or a journal
+    fsync; a long poll waits on the loop itself.  Keyword arguments beyond the ones below build the
     scheduler when none is given.
 
     ``auth_token`` turns on bearer-token auth: every request must carry
@@ -126,7 +134,7 @@ class AsyncExtractionServer:
     probe, which stays open so liveness checks need no credentials.  The
     cluster's leader→worker RPCs reuse the same token.
 
-    Every route, built-in or added (the cluster's register/heartbeat/solve
+    Every route, built-in or added (the cluster's heartbeat/hosts/solve
     RPCs), is registered through :meth:`add_json_route`.
     """
 
@@ -381,7 +389,7 @@ class AsyncExtractionServer:
         """``GET /v1/healthz``: the health document, 503 when not ok.
 
         A coroutine so the probe runs on the loop and answers even while
-        every executor thread is parked in a long poll.
+        every executor thread is busy.
         """
         scheduler = self.scheduler
         health = scheduler.health()
@@ -403,17 +411,25 @@ class AsyncExtractionServer:
             "status": JobState.PENDING,
         }
 
-    def _snapshot(self, request: RouteRequest) -> tuple[int, dict]:
-        """``GET /v1/jobs/<id>?wait_s=``: one wire-encoded job snapshot."""
+    async def _snapshot(self, request: RouteRequest) -> tuple[int, dict]:
+        """``GET /v1/jobs/<id>?wait_s=``: one wire-encoded job snapshot.
+
+        The long poll awaits the job's ``done`` future on the loop, so
+        waiting clients hold no executor thread; only the snapshot and its
+        encoding run in the executor.
+        """
         raw = (request.query.get("wait_s") or [None])[0]
         try:
             wait_s = float(raw) if raw is not None else 0.0
         except ValueError:
             raise WireFormatError("wait_s must be a number") from None
-        snapshot = self.scheduler.snapshot(
-            request.tail, wait_s=wait_s if wait_s > 0 else None
+        scheduler = self.scheduler
+        job = scheduler.result(request.tail)  # 404 / 410 before any wait
+        if wait_s > 0:
+            await _until_done(job, wait_s)
+        return 200, await asyncio.get_running_loop().run_in_executor(
+            None, lambda: snapshot_to_wire(scheduler.snapshot(request.tail))
         )
-        return 200, snapshot_to_wire(snapshot)
 
     def _cancel(self, request: RouteRequest) -> tuple[int, dict]:
         """``DELETE /v1/jobs/<id>``: cancel a queued job (no-op when started)."""
@@ -430,31 +446,14 @@ class AsyncExtractionServer:
         Concurrent queries over one fingerprint are separate jobs, and the
         scheduler coalesces them into one batch; ``batched_queries`` stays
         in the answer and is always 1.  The wait holds no executor thread:
-        the job's terminal event wakes this handler on the loop.
+        it awaits the job's ``done`` future on the loop.
         """
         query = request_from_wire(request.doc)
         if query.pairs is None or query.columns is not None:
             raise WireFormatError("a pairs query needs a non-empty pairs list and no columns")
-        loop = asyncio.get_running_loop()
-        finished = loop.create_future()
-
-        def wake(event: dict) -> None:
-            if event["kind"] == "terminal":
-                loop.call_soon_threadsafe(finished.set_result, None)
-
-        scheduler = self.scheduler
-        scheduler.metrics.record_pair_query()
-        # the live job record, taken at once: finished-job retention may
-        # drop the id before this handler wakes, never the record
-        job = await loop.run_in_executor(
-            None, lambda: scheduler.result(scheduler.submit(query, watcher=wake))
-        )
-        try:
-            # shielded: a timed-out wait must not cancel the future the
-            # terminal event still sets
-            await asyncio.wait_for(asyncio.shield(finished), _PAIR_WAIT_S)
-        except asyncio.TimeoutError:
-            pass  # not done in time: answered 503 below
+        self.scheduler.metrics.record_pair_query()
+        job = await self._submit_job(query)
+        await _until_done(job, _PAIR_WAIT_S)
         if job.status != JobState.DONE:
             raise ServiceUnavailableError(
                 f"pair job {job.job_id} not done ({job.status}): {job.error}"
@@ -466,6 +465,15 @@ class AsyncExtractionServer:
             "values": encode_array(job.pair_values),
             "batched_queries": 1,
         }
+
+    async def _submit_job(self, query: JobRequest, watcher=None) -> Job:
+        """Submit in the executor; returns the live job record at once, since
+        finished-job retention may drop the id while a handler waits, never
+        the record."""
+        scheduler = self.scheduler
+        return await asyncio.get_running_loop().run_in_executor(
+            None, lambda: scheduler.result(scheduler.submit(query, watcher=watcher))
+        )
 
     async def _stream(self, request: RouteRequest) -> None:
         """``POST /v1/stream``: serve the request's jobs as chunked NDJSON events.
@@ -479,7 +487,10 @@ class AsyncExtractionServer:
         from the dispatcher thread onto the loop via
         ``call_soon_threadsafe`` into one queue.  Duplicate column
         announcements (a retried batch re-announces store hits) are
-        deduplicated here, per job.
+        deduplicated here, per job.  Each job's end comes from its ``done``
+        future, queued behind the column events the dispatcher sent before
+        finalizing it, so every ``columns`` event of a job precedes its
+        ``done``.
         """
         docs = request.doc.get("requests")
         if docs is None:
@@ -516,10 +527,7 @@ class AsyncExtractionServer:
                 loop.call_soon_threadsafe(queue.put_nowait, (_index, event))
 
             try:
-                job_request = request_from_wire(request_doc)
-                job_id = await loop.run_in_executor(
-                    None, partial(self.scheduler.submit, job_request, watcher=forward)
-                )
+                job = await self._submit_job(request_from_wire(request_doc), forward)
             except Exception as exc:  # noqa: BLE001 - reported as this request's event
                 _status, envelope, _headers = error_answer(exc)
                 await emit({"event": "error", "index": index, "error": envelope["error"]})
@@ -529,9 +537,16 @@ class AsyncExtractionServer:
                 {
                     "event": "submitted",
                     "index": index,
-                    "job_id": job_id,
+                    "job_id": job.job_id,
                     "status": JobState.PENDING,
                 }
+            )
+            # the loop-side copy of the future resolves through
+            # call_soon_threadsafe, after the column events already queued
+            asyncio.wrap_future(job.done).add_done_callback(
+                lambda done, _index=index, _job_id=job.job_id: queue.put_nowait(
+                    (_index, {"kind": "done", "job_id": _job_id, "status": done.result()})
+                )
             )
 
         sent: dict[str, set] = {}
@@ -555,7 +570,7 @@ class AsyncExtractionServer:
                     },
                     n_columns=len(fresh),
                 )
-            else:  # terminal
+            else:  # the job's done future resolved
                 active -= 1
                 try:
                     snapshot = await loop.run_in_executor(
@@ -590,12 +605,6 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "--store-bytes", type=int, default=None, help="result-store budget in bytes"
-    )
-    parser.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.0,
-        help="seconds to linger before draining the queue (batches near-simultaneous jobs)",
     )
     parser.add_argument(
         "--state-dir",
@@ -651,7 +660,6 @@ def main(argv: list[str] | None = None) -> None:
         auth_token=auth_token,
         max_solvers=args.max_solvers,
         store=store,
-        coalesce_window_s=args.coalesce_window,
         persistence=args.state_dir,
         max_queue_depth=args.max_queue_depth,
     )

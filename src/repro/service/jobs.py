@@ -19,8 +19,8 @@ the :class:`~repro.service.result_store.ResultStore` without re-solving.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 import numpy as np
 
@@ -176,6 +176,15 @@ class JobRequest:
         return tuple(sorted(needed))
 
 
+def _running_future() -> Future:
+    """A pending future already marked running: ``cancel()`` cannot end it,
+    so a waiter that gives up (an asyncio ``wait_for`` timing out on
+    ``asyncio.wrap_future``) leaves it for the dispatcher to resolve."""
+    future: Future = Future()
+    future.set_running_or_notify_cancel()
+    return future
+
+
 @dataclass
 class Job:
     """Scheduler-side record of one submitted request (not picklable).
@@ -203,8 +212,10 @@ class Job:
     result: np.ndarray | None = None
     result_columns: tuple[int, ...] | None = None
     pair_values: np.ndarray | None = None
-    #: set once the job reaches a terminal state (clients block on it)
-    done_event: Any = field(default=None, repr=False)
+    #: resolved with the terminal status once the job reaches one (threads
+    #: wait on it in :meth:`Scheduler.result`, the front door's event loop
+    #: through ``asyncio.wrap_future``)
+    done: Future = field(default_factory=_running_future, repr=False)
 
     @property
     def deadline(self) -> float | None:

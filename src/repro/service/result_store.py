@@ -238,11 +238,10 @@ class ResultStore:
         """Per-substrate RAM occupancy: ``{fingerprint: {"columns", "bytes"}}``.
 
         Keyed by the fingerprint digest itself, the same text ``/v1/stats``
-        and cluster heartbeats carry as ``"digest"``.  This is where warm
-        state lives — the cluster leader reads it (via worker heartbeats) to
-        place unpinned fingerprints on hosts that already hold their
-        columns.  Walks every stored column: a stats-time call, not a
-        per-request one.
+        carries as ``"digest"``: an operator's view of where warm state
+        lives (each cluster worker serves its own on its ``/v1/stats``).
+        Walks every stored column: a stats-time call, not a per-request
+        one.
         """
         with self._lock:
             out: dict[str, dict] = {}

@@ -31,18 +31,19 @@ first), jobs may be cancelled while queued, and a queued job past its
 occupying the solver.  For deterministic tests construct with
 ``autostart=False`` and call :meth:`step` to run drain cycles by hand.
 
-**Streaming.**  A job may carry a *watcher* — a callback registered
-atomically at :meth:`submit` (``watcher=``) — that observes the job's
-progress as it happens: a ``"columns"`` event fires
-from inside the solve as soon as the job's columns become available
-(result-store hits at the start of the batch, freshly solved columns the
-moment their coalesced group's solve lands — *before* the job is
-assembled and finalized), and a ``"terminal"`` event fires on the final
-state transition.  This is what the async front door's NDJSON streaming
-endpoint rides on: a streamed column reaches the client before its job
-completes.  Watchers run on the dispatcher thread and must be fast and
-non-blocking (hand the event to a queue); they must never call back into
-the scheduler.
+**Completion and streaming.**  Every job's :attr:`~repro.service.jobs.Job.done`
+future resolves with its terminal status on the final state transition;
+:meth:`result` waits on it, and the async front door awaits it on its
+event loop, so a waiting client holds no thread.  A job may also carry a
+*watcher* — a callback registered atomically at :meth:`submit`
+(``watcher=``) — that sees a ``"columns"`` event from inside the solve as
+soon as the job's columns become available (result-store hits at the
+start of the batch, freshly solved columns the moment their coalesced
+group's solve lands — *before* the job is assembled and finalized).  This
+is what the front door's NDJSON streaming endpoint rides on: a streamed
+column reaches the client before its job completes.  Watchers run on the
+dispatcher thread and must be fast and non-blocking (hand the event to a
+queue); they must never call back into the scheduler.
 
 With a :class:`~repro.service.persistence.ServicePersistence` attached
 (``persistence=`` object or state-dir path) the scheduler becomes durable:
@@ -62,9 +63,8 @@ import threading
 import time
 import traceback
 from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -288,11 +288,6 @@ class Scheduler:
         repeated queries from; a fresh budgeted store by default.
     max_solvers:
         How many substrates keep a warm engine at once (LRU beyond that).
-    coalesce_window_s:
-        After noticing a non-empty queue, wait this long before draining so
-        near-simultaneous requests land in one batch.  ``0`` (default)
-        drains immediately — concurrent requests still coalesce whenever
-        they arrive while a batch is solving.
     autostart:
         Start the background dispatcher thread.  ``False`` leaves the queue
         untouched until :meth:`step` is called (deterministic tests).
@@ -347,7 +342,6 @@ class Scheduler:
         n_workers: int = 1,
         store: ResultStore | None = None,
         max_solvers: int = 4,
-        coalesce_window_s: float = 0.0,
         autostart: bool = True,
         max_jobs_retained: int = 10_000,
         max_result_bytes_retained: int = 256 * 1024 * 1024,
@@ -374,7 +368,6 @@ class Scheduler:
         self.store = store if store is not None else ResultStore()
         self.metrics = ServiceMetrics()
         self.pool = ExtractorPool(max_solvers=max_solvers)
-        self.coalesce_window_s = float(coalesce_window_s)
         self.max_jobs_retained = int(max_jobs_retained)
         self.max_result_bytes_retained = int(max_result_bytes_retained)
         if retry_policy is None:
@@ -389,7 +382,7 @@ class Scheduler:
         #: breaker is touched by the one thread running its group's batch
         self._breakers: dict[str, CircuitBreaker] = {}  # reprolint: guarded-by(_cv)
         self._jobs: dict[str, Job] = {}  # reprolint: guarded-by(_cv)
-        #: per-job progress callbacks (streaming); popped on terminal events
+        #: per-job progress callbacks (streaming); popped when the job ends
         self._watchers: dict[str, list] = {}  # reprolint: guarded-by(_cv)
         self._pending: list[str] = []  # reprolint: guarded-by(_cv)
         self._terminal: "deque[str]" = deque()  # reprolint: guarded-by(_cv)
@@ -452,7 +445,6 @@ class Scheduler:
                     request=request,
                     submitted_at=now,  # the deadline clock restarts on replay
                     priority=int(request.priority),
-                    done_event=threading.Event(),
                 )
                 self._jobs[job_id] = job
                 self._pending.append(job_id)
@@ -475,9 +467,9 @@ class Scheduler:
         (disk latency must not stall the dispatcher); the id is reserved
         first, the job enqueued after the journal write lands.
 
-        ``watcher`` registers a progress callback atomically with the
-        enqueue (see the module docstring's streaming section), so it can
-        never miss an event.  A closed scheduler raises
+        ``watcher`` registers a ``"columns"`` callback atomically with the
+        enqueue (see the module docstring's completion and streaming
+        section), so it can never miss an event.  A closed scheduler raises
         :class:`~repro.service.wire.ServiceUnavailableError` (HTTP 503).
         """
         if not isinstance(request, JobRequest):
@@ -519,7 +511,6 @@ class Scheduler:
                 request=request,
                 submitted_at=time.monotonic(),
                 priority=int(request.priority),
-                done_event=threading.Event(),
             )
             self._jobs[job_id] = job
             self._pending.append(job_id)
@@ -584,8 +575,8 @@ class Scheduler:
                         f"job id {job_id!r} expired (dropped by retention)"
                     )
                 raise KeyError(f"unknown job id {job_id!r}")
-        if wait_s is not None and job.status not in JobState.TERMINAL:
-            job.done_event.wait(timeout=wait_s)
+        if wait_s is not None:
+            wait((job.done,), timeout=wait_s)
         return job
 
     def release(self, job_id: str) -> bool:
@@ -607,7 +598,7 @@ class Scheduler:
             self._retained_bytes -= self._result_nbytes(job)
             return True
 
-    def snapshot(self, job_id: str, wait_s: float | None = None) -> dict:
+    def snapshot(self, job_id: str) -> dict:
         """A consistent view of one job, taken under the scheduler lock.
 
         This is what ``GET /v1/jobs/<id>`` serves (encoded by
@@ -615,18 +606,9 @@ class Scheduler:
         fields are read atomically, so a poll racing a finishing batch can
         never observe a partially assembled result.
         """
-        job = self.result(job_id, wait_s=wait_s)
+        job = self.result(job_id)
         with self._cv:
             return job.snapshot()
-
-    def wait(self, job_ids: Iterable[str], timeout_s: float = 60.0) -> list[Job]:
-        """Block until every listed job is terminal (or the deadline passes)."""
-        deadline = time.monotonic() + timeout_s
-        jobs = []
-        for job_id in job_ids:
-            remaining = max(deadline - time.monotonic(), 0.0)
-            jobs.append(self.result(job_id, wait_s=remaining))
-        return jobs
 
     @property
     def queue_depth(self) -> int:
@@ -759,8 +741,6 @@ class Scheduler:
                     self._cv.wait()
                 if self._closing:
                     return
-            if self.coalesce_window_s > 0.0:
-                time.sleep(self.coalesce_window_s)
             self.step()
 
     def step(self) -> int:
@@ -1050,17 +1030,13 @@ class Scheduler:
             self._running -= 1
         job.status = status
         job.finished_at = time.monotonic()
-        job.done_event.set()
+        job.done.set_result(status)
         self.metrics.record_outcome(status, latency_s=job.latency_s)
         if journal and self.persistence is not None:
             self.persistence.journal.record_terminal(
                 job.job_id, status, attempts=job.attempts
             )
-        for watcher in self._watchers.pop(job.job_id, ()):
-            try:
-                watcher({"kind": "terminal", "job_id": job.job_id, "status": status})
-            except Exception:  # noqa: BLE001 - a watcher must not kill finalize
-                pass
+        self._watchers.pop(job.job_id, None)
         self._terminal.append(job.job_id)
         self._retained_bytes += self._result_nbytes(job)
         while self._terminal and (

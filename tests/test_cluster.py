@@ -33,8 +33,6 @@ from repro.cluster.protocol import (
     completion_from_wire,
     heartbeat_doc,
     heartbeat_from_wire,
-    register_doc,
-    register_from_wire,
     serve_solve,
 )
 from repro.service import (
@@ -84,31 +82,28 @@ def _worker_attribution(*workers) -> int:
 
 
 # ----------------------------------------------------------------- wire docs
-def test_register_doc_round_trip():
-    worker_id, url = register_from_wire(register_doc("w-1", "http://h:1234/"))
-    assert (worker_id, url) == ("w-1", "http://h:1234")
-    with pytest.raises(WireFormatError):
-        register_from_wire({"worker_id": "w-1", "url": "x"})  # no version
-    with pytest.raises(WireFormatError):
-        register_from_wire(register_doc("", "http://h:1"))
-
-
-def test_heartbeat_doc_round_trip(spec_a):
-    with Scheduler(n_workers=1, autostart=False) as scheduler:
-        scheduler.submit(JobRequest(spec_a, columns=(0, 1)))
-        scheduler.step()
-        doc = heartbeat_doc("w-7", scheduler, draining=True)
-        heartbeat = heartbeat_from_wire(doc)
-    assert heartbeat["worker_id"] == "w-7"
-    assert heartbeat["draining"] is True
-    assert heartbeat["attributed_solves"] == 2
-    assert heartbeat["store_columns"] == 2
-    assert heartbeat["store_bytes"] > 0
-    digests = [entry["digest"] for entry in heartbeat["fingerprints"]]
-    assert digests == [spec_a.fingerprint]
-    # a count that is not an integer is a bad document (400), not a crash
-    with pytest.raises(WireFormatError):
-        heartbeat_from_wire({**doc, "queue_depth": "many"})
+def test_heartbeat_doc_round_trip():
+    doc = heartbeat_doc("w-7", "http://h:1234", queue_depth=3, draining=True)
+    assert set(doc) == {"schema_version", "worker_id", "url", "draining", "queue_depth"}
+    assert heartbeat_from_wire(doc) == {
+        "worker_id": "w-7",
+        "url": "http://h:1234",
+        "draining": True,
+        "queue_depth": 3,
+    }
+    # anything else is a bad document (400), not a crash: no version, an
+    # empty id or URL, a queue depth that is not a non-negative integer
+    for bad in (
+        {key: value for key, value in doc.items() if key != "schema_version"},
+        {**doc, "worker_id": ""},
+        {**doc, "url": ""},
+        {**doc, "queue_depth": "many"},
+        {**doc, "queue_depth": 1.5},
+        {**doc, "queue_depth": -1},
+        {key: value for key, value in doc.items() if key != "queue_depth"},
+    ):
+        with pytest.raises(WireFormatError):
+            heartbeat_from_wire(bad)
 
 
 def test_completion_doc_round_trip_is_exact():
@@ -181,7 +176,7 @@ def test_cluster_request_round_trip_preserves_fingerprint(spec_a):
 # ------------------------------------------------------------------ registry
 def test_registry_lease_expiry_is_lazy():
     registry = HostRegistry(lease_s=10.0)
-    registry.register("w-1", "http://h:1")
+    registry.heartbeat("w-1", "http://h:1")
     now = time.monotonic()
     assert [h.worker_id for h in registry.live(now)] == ["w-1"]
     # inside the lease: still live; past it: swept into the dead set on read
@@ -191,33 +186,52 @@ def test_registry_lease_expiry_is_lazy():
     assert registry.expirations == 1
 
 
-def test_registry_heartbeat_renews_and_unknown_asks_reregister():
+def test_registry_heartbeat_admits_renews_moves_and_resurrects():
     registry = HostRegistry(lease_s=10.0)
-    registry.register("w-1", "http://h:1")
-    assert registry.heartbeat("w-1", {"queue_depth": 3}) is True
+    # a first beat admits the host
+    record = registry.heartbeat("w-1", "http://h:1/", queue_depth=2)
+    assert record.url == "http://h:1" and record.queue_depth == 2
+    assert registry.registrations == 1
+    # a live host's beat renews it and takes its load: no new admission
+    registry.heartbeat("w-1", "http://h:1", queue_depth=3)
     assert registry.get("w-1").queue_depth == 3
-    assert registry.heartbeat("w-9", {}) is False  # never registered
-    # a dead host's heartbeat is also refused until it re-registers
-    registry.mark_dead("w-1", "rpc failed")
-    assert registry.heartbeat("w-1", {}) is False
-    registry.register("w-1", "http://h:2")  # resurrect, possibly on a new port
+    assert registry.get("w-1").heartbeats == 2
+    assert registry.registrations == 1
+    # a beat from a new URL moves the host, keeping its identity
+    registry.heartbeat("w-1", "http://h:2")
     assert registry.get("w-1").url == "http://h:2"
+    assert registry.registrations == 1
+    # a dead host's next beat re-admits it with a fresh record
+    registry.mark_dead("w-1", "rpc failed")
+    assert registry.live() == []
+    registry.heartbeat("w-1", "http://h:3")
+    assert [h.url for h in registry.live()] == ["http://h:3"]
     assert "w-1" not in registry.dead()
+    assert registry.get("w-1").heartbeats == 1
+    assert registry.registrations == 2
+    # admissions, moves and deaths are logged; plain renewals are not
+    kinds = [event["kind"] for event in registry.info()["events"]]
+    assert kinds == ["registered", "moved", "dead", "registered"]
 
 
 def test_registry_drain_flag():
     registry = HostRegistry(lease_s=10.0)
-    registry.register("w-1", "http://h:1")
-    assert registry.drain("w-1") is True
+    registry.heartbeat("w-1", "http://h:1")
+    assert registry.get("w-1").draining is False
+    registry.heartbeat("w-1", "http://h:1", draining=True)
     assert registry.get("w-1").draining is True
-    assert registry.drain("w-9") is False
+    registry.heartbeat("w-1", "http://h:1", draining=True)
+    registry.heartbeat("w-1", "http://h:1")
+    assert registry.get("w-1").draining is False
+    kinds = [event["kind"] for event in registry.info()["events"]]
+    assert kinds == ["registered", "draining", "undraining"]
 
 
 # -------------------------------------------------------------------- router
 def _static_registry(*worker_ids: str, lease_s: float = 1e9) -> HostRegistry:
     registry = HostRegistry(lease_s=lease_s)
     for worker_id in worker_ids:
-        registry.register(worker_id, f"http://{worker_id}:1")
+        registry.heartbeat(worker_id, f"http://{worker_id}:1")
     return registry
 
 
@@ -229,8 +243,8 @@ def test_router_is_sticky_and_spreads(spec_a):
     # sticky: every later route answers the same host
     for fp in fingerprints:
         assert router.route(fp).worker_id == owners[fp]
-    # consistent hashing spreads 24 fingerprints over all three hosts
-    assert len(set(owners.values())) == 3
+    # least-pinned placement spreads 24 fingerprints evenly over the hosts
+    assert sorted(router.info()["pins_per_host"].values()) == [8, 8, 8]
     assert router.info()["placements"] == 24
     assert router.info()["reroutes"] == 0
 
@@ -240,7 +254,7 @@ def test_router_pins_survive_new_host_but_move_on_death():
     router = FingerprintRouter(registry)
     fingerprint = "fp-0"
     owner = router.route(fingerprint).worker_id
-    registry.register("w-3", "http://w-3:1")  # join: warm pins must not move
+    registry.heartbeat("w-3", "http://w-3:1")  # join: warm pins must not move
     assert router.route(fingerprint).worker_id == owner
     registry.mark_dead(owner, "rpc failed")  # death: pin must move
     new_owner = router.route(fingerprint).worker_id
@@ -255,7 +269,7 @@ def test_router_no_workers_and_draining():
     router = FingerprintRouter(registry)
     fingerprint = "fp-0"
     owner = router.route(fingerprint).worker_id
-    registry.drain("w-1")
+    registry.heartbeat("w-1", "http://w-1:1", draining=True)
     # draining keeps its pinned fingerprints...
     assert router.route(fingerprint).worker_id == owner
     # ...but takes no new ones
@@ -267,9 +281,9 @@ def test_router_no_workers_and_draining():
 
 
 def test_router_balances_small_pin_counts():
-    # 4 sticky fingerprints over 2 hosts must split 2/2 even when the raw
-    # ring would land them all on one arc — placement is the only load-
-    # balancing moment a sticky-pin router gets
+    # 4 sticky fingerprints over 2 hosts must split 2/2 whatever their
+    # digests hash to — placement is the only load-balancing moment a
+    # sticky-pin router gets
     registry = _static_registry("w-1", "w-2")
     router = FingerprintRouter(registry)
     for i in range(4):
@@ -278,18 +292,15 @@ def test_router_balances_small_pin_counts():
 
 
 def test_router_load_override_prefers_idle_host():
-    registry = _static_registry("w-1", "w-2")
-    router = FingerprintRouter(registry)
-    # find a fingerprint whose ring candidate is w-1, then overload w-1
-    probe = next(
-        fp
-        for fp in (f"probe-{i}" for i in range(64))
-        if router._place_locked(fp, registry.live()).worker_id == "w-1"
-    )
-    registry.heartbeat("w-1", {"queue_depth": 50})
-    registry.heartbeat("w-2", {"queue_depth": 0})
-    assert router.route(probe).worker_id == "w-2"
-    assert router.info()["load_overrides"] == 1
+    # among equally pinned hosts the shorter reported queue wins, whatever
+    # the fingerprint's digest/host hash would have picked
+    for queues in ((50, 0), (0, 50)):
+        registry = _static_registry("w-1", "w-2")
+        for worker_id, queue_depth in zip(("w-1", "w-2"), queues):
+            registry.heartbeat(worker_id, f"http://{worker_id}:1", queue_depth=queue_depth)
+        idle = "w-2" if queues[0] > queues[1] else "w-1"
+        for i in range(8):
+            assert FingerprintRouter(registry).route(f"probe-{i}").worker_id == idle
 
 
 # ------------------------------------------------------- remote-solver hook
@@ -532,8 +543,8 @@ def test_injected_rpc_send_failure_marks_dead_and_reroutes(spec_a, small_g):
     from repro import faults
 
     with ClusterLeader() as leader:
-        # long heartbeat: the evicted worker must not resurrect itself
-        # (heartbeat -> known:false -> re-register) before we assert
+        # long heartbeat: the evicted worker must not be re-admitted by its
+        # next beat before we assert
         with (
             ClusterWorker(leader.url, n_workers=1, heartbeat_s=30.0) as w1,
             ClusterWorker(leader.url, n_workers=1, heartbeat_s=30.0) as w2,
@@ -624,8 +635,8 @@ def test_dropped_heartbeats_expire_lease_then_worker_recovers():
                 # a hung-but-listening host: its lease expires on read
                 assert leader.registry.live() == []
                 assert leader.registry.dead() == {worker.worker_id: "lease expired"}
-            # heartbeats resume, the leader answers known=false, the worker
-            # re-registers itself — no operator involved
+            # heartbeats resume and the first one to land re-admits the
+            # worker — no operator involved
             deadline = time.monotonic() + 5.0
             while not leader.registry.live() and time.monotonic() < deadline:
                 time.sleep(0.05)
@@ -645,7 +656,73 @@ def test_worker_reregisters_after_leader_restart_forgets_it(spec_a):
                 time.sleep(0.02)
             live = [h.worker_id for h in leader.registry.live()]
             assert live == [worker.worker_id]
-            assert worker.reregistrations >= 1
+            # the rejoin is the worker's second admission
+            assert leader.registry.registrations == 2
+
+
+def _wait_until(predicate, timeout_s: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.02)
+
+
+def test_leader_admits_by_heartbeat_and_has_no_register_route():
+    from repro.cluster.protocol import post_json
+    from repro.service.wire import NotFoundError
+
+    with ClusterLeader(lease_s=7.0) as leader:
+        register = {"schema_version": 1, "worker_id": "w-1", "url": "http://h:1"}
+        with pytest.raises(NotFoundError) as exc:
+            post_json(leader.url + "/v1/cluster/register", register)
+        assert (exc.value.status, exc.value.code) == (404, "not_found")
+        assert leader.registry.live() == []
+        # the heartbeat is the one membership message
+        answer = post_json(
+            leader.url + "/v1/cluster/heartbeat", heartbeat_doc("w-1", "http://h:1", 4)
+        )
+        assert answer == {"schema_version": 1, "lease_s": 7.0}
+        assert [(h.worker_id, h.queue_depth) for h in leader.registry.live()] == [("w-1", 4)]
+
+
+def test_worker_heartbeats_never_render_stats():
+    """A beat reads the scheduler's queue depth, never its ``/v1/stats``
+    document (on a worker with a state dir that render scans the corpus)."""
+    with ClusterLeader() as leader:
+        worker = ClusterWorker(leader.url, heartbeat_s=0.05)
+        renders = []
+        render = worker.scheduler.stats
+        worker.scheduler.stats = lambda: renders.append(1) or render()
+        with worker:
+            _wait_until(lambda: leader.registry.get(worker.worker_id).heartbeats >= 5)
+        assert renders == []
+
+
+def test_worker_drain_keeps_pins_and_refuses_new_fingerprints(spec_a, spec_b, small_g):
+    with ClusterLeader() as leader:
+        with (
+            ClusterWorker(leader.url, heartbeat_s=0.1) as w1,
+            ClusterWorker(leader.url, heartbeat_s=0.1) as w2,
+        ):
+            with ServiceClient(leader.url, timeout_s=60.0) as client:
+                client.extract(JobRequest(spec_a, columns=(0, 1)))
+                owner_id = leader.router.pins()[spec_a.fingerprint]
+                owner, other = (w1, w2) if owner_id == w1.worker_id else (w2, w1)
+                owner.drain()
+                _wait_until(lambda: leader.registry.get(owner.worker_id).draining)
+                # a new fingerprint goes to the host that is not draining...
+                client.extract(JobRequest(spec_b, columns=(0,)))
+                assert leader.router.pins()[spec_b.fingerprint] == other.worker_id
+                # ...while the draining owner keeps serving its pinned one
+                solved = owner.scheduler.attributed_solves
+                block = client.extract(JobRequest(spec_a, columns=(2, 3)))
+            assert np.abs(block - small_g[:, [2, 3]]).max() <= 1e-10 * np.abs(small_g).max()
+            assert owner.scheduler.attributed_solves == solved + 2
+            assert leader.router.info()["reroutes"] == 0
+            other.drain()
+            _wait_until(lambda: all(h.draining for h in leader.registry.live()))
+            with pytest.raises(NoWorkersError):
+                leader.router.route("f" * 32)
 
 
 # ------------------------------------------------------------ client retries

@@ -12,6 +12,7 @@ malformed — gets an answer.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
 import time
@@ -110,6 +111,37 @@ def test_snapshot_schema_version_and_wire_arrays(dense_spec):
             assert snapshot["columns"] == [1]
 
 
+def test_long_polls_hold_no_executor_thread(dense_spec):
+    """More clients long-poll one undrained job than the loop's default
+    executor has threads, and an unrelated submit still answers at once:
+    a long poll waits on the event loop, not on an executor thread."""
+    pollers = min(32, os.cpu_count() + 4) + 2
+    scheduler = Scheduler(autostart=False)
+    try:
+        with AsyncExtractionServer(scheduler=scheduler) as server:
+            job_id = scheduler.submit(JobRequest(dense_spec, columns=(0,)))
+            statuses: list[str] = []
+
+            def poll() -> None:
+                with ServiceClient(server.url, timeout_s=30.0) as client:
+                    statuses.append(client.result(job_id, wait_s=3.0)["status"])
+
+            threads = [threading.Thread(target=poll) for _ in range(pollers)]
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)  # every poll is parked on the server by now
+            with ServiceClient(server.url, timeout_s=30.0) as client:
+                started = time.monotonic()
+                client.submit(JobRequest(dense_spec, columns=(1,)))
+                elapsed = time.monotonic() - started
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert elapsed < 1.0
+            assert statuses == [JobState.PENDING] * pollers
+    finally:
+        scheduler.close()
+
+
 # ---------------------------------------------------------------- streaming
 def test_streamed_columns_arrive_before_job_completion(dense_spec, small_g_module):
     """Two same-substrate requests coalesce into one solve; every streamed
@@ -179,7 +211,7 @@ def test_store_hits_stream_before_any_solve(dense_spec):
 def test_concurrent_streaming_clients(dense_spec, small_g_module):
     """Several clients stream at once from the one event loop; each sees its
     own columns and completion."""
-    with AsyncExtractionServer(n_workers=1, coalesce_window_s=0.02) as server:
+    with AsyncExtractionServer(n_workers=1) as server:
         column_sets = [(0, 1), (2, 3), (4, 5), (1, 2)]
         results: dict[int, list] = {}
 

@@ -411,7 +411,6 @@ def test_snapshot_hides_result_fields_outside_terminal_states():
         job_id="job-000001",
         request=None,  # snapshot only touches request.pairs via the guard
         submitted_at=time.monotonic(),
-        done_event=threading.Event(),
     )
     job.request = type("R", (), {"pairs": None})()
     job.status = JobState.RUNNING

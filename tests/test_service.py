@@ -302,7 +302,7 @@ def test_close_fails_pending_jobs_and_rejects_new_ones(dense_spec):
 
 def test_background_dispatcher_serves_concurrent_clients(bem_spec, small_g_module):
     """The autostarted dispatcher coalesces a concurrent burst on its own."""
-    with Scheduler(n_workers=1, coalesce_window_s=0.02) as scheduler:
+    with Scheduler(n_workers=1) as scheduler:
         cols = [(0, 3, 8), (3, 8, 12), (0, 12, 15)]
         results: dict[int, np.ndarray] = {}
 
@@ -414,7 +414,7 @@ def test_metrics_snapshot_shapes():
 def test_http_end_to_end_two_clients_coalesce(bem_spec, small_g_module):
     """The CI smoke path: start the server, run two concurrent clients over
     the wire, assert agreement and cross-request amortisation."""
-    with AsyncExtractionServer(n_workers=1, coalesce_window_s=0.02) as server:
+    with AsyncExtractionServer(n_workers=1) as server:
         client = ServiceClient(server.url, timeout_s=60.0)
         assert client.healthz()["ok"] is True
         cols = [(0, 2, 5, 9), (2, 5, 7, 11)]
