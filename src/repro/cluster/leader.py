@@ -63,9 +63,9 @@ class ClusterLeader:
 
     ``scheduler_kwargs`` pass through to the leader's
     :class:`~repro.service.scheduler.Scheduler` (persistence, queue bounds,
-    retry policy...).  ``max_solvers`` is meaningless here — the leader
-    never builds an engine.  Because the scheduler gets a remote solver,
-    groups pinned to different hosts solve concurrently.
+    retry policy...).  Every batch calls the remote solver, so the
+    scheduler's engine pool stays empty and ``max_solvers`` changes
+    nothing; groups pinned to different hosts solve concurrently.
     """
 
     def __init__(
@@ -85,7 +85,6 @@ class ClusterLeader:
         self._rpc_lock = threading.Lock()
         self.rpc_calls = 0  # reprolint: guarded-by(_rpc_lock)
         self.rpc_failures = 0  # reprolint: guarded-by(_rpc_lock)
-        scheduler_kwargs.setdefault("max_solvers", 1)
         self.scheduler = Scheduler(
             remote_solver=self._solve_remote,
             stats_extra=self._cluster_stats,

@@ -24,7 +24,12 @@ from scipy import sparse
 from ..geometry.quadtree import Square, SquareHierarchy
 from ..substrate.solver_base import SubstrateSolver
 from .rowbasis import MultilevelRowBasis, _positions
-from .sparsified import EntryAssembler, SparsifiedConductance
+from .sparsified import (
+    ColumnAssembler,
+    EntryAssembler,
+    SparsifiedConductance,
+    quadrant_order_key,
+)
 
 __all__ = ["LowRankSparsifier"]
 
@@ -169,59 +174,25 @@ class LowRankSparsifier:
         self._lresp[parent.key] = (l_contacts, resp_x @ t_coef, resp_x @ u_coef)
 
     # ----------------------------------------------------------- assemble Q/Gw
-    def _quadrant_order_key(self, key: SquareKey) -> int:
-        level, i, j = key
-        jj = (2 ** level - 1) - j
-        code = 0
-        for bit in range(level - 1, -1, -1):
-            code = (code << 2) | ((((jj >> bit) & 1) << 1) | ((i >> bit) & 1))
-        return code
-
     def _assemble_q(self) -> tuple[sparse.csc_matrix, dict[tuple[SquareKey, str], np.ndarray]]:
         hier = self.hierarchy
-        n = hier.layout.n_contacts
-        data: list[np.ndarray] = []
-        rows: list[np.ndarray] = []
-        col_ptr: list[int] = [0]
-        column_map: dict[tuple[SquareKey, str], list[int]] = {}
-        count = 0
+        q = ColumnAssembler(hier.layout.n_contacts)
+        column_map: dict[tuple[SquareKey, str], np.ndarray] = {}
 
-        def add_block(contacts: np.ndarray, matrix: np.ndarray, key: SquareKey, kind: str) -> None:
-            nonlocal count
-            for local in range(matrix.shape[1]):
-                column = matrix[:, local]
-                nz = np.flatnonzero(np.abs(column) > 0)
-                rows.append(contacts[nz])
-                data.append(column[nz])
-                col_ptr.append(col_ptr[-1] + nz.size)
-                column_map.setdefault((key, kind), []).append(count)
-                count += 1
+        def ordered(level: int) -> list[Square]:
+            return sorted(hier.squares_at_level(level), key=lambda s: quadrant_order_key(s.key))
 
         # coarsest slow-decaying vectors first, then fast-decaying level by level
-        for sq in sorted(
-            hier.squares_at_level(2), key=lambda s: self._quadrant_order_key(s.key)
-        ):
+        for sq in ordered(2):
             tu = self._tu[sq.key]
-            add_block(tu.contact_indices, tu.u, sq.key, "U")
+            if tu.u.shape[1]:
+                column_map[sq.key, "U"] = q.add(tu.contact_indices, tu.u)
         for level in range(2, hier.max_level + 1):
-            for sq in sorted(
-                hier.squares_at_level(level),
-                key=lambda s: self._quadrant_order_key(s.key),
-            ):
+            for sq in ordered(level):
                 tu = self._tu[sq.key]
                 if tu.t.shape[1]:
-                    add_block(tu.contact_indices, tu.t, sq.key, "T")
-
-        q = sparse.csc_matrix(
-            (
-                np.concatenate(data) if data else np.empty(0),
-                np.concatenate(rows) if rows else np.empty(0, dtype=int),
-                np.array(col_ptr),
-            ),
-            shape=(n, count),
-        )
-        cols = {k: np.array(v, dtype=int) for k, v in column_map.items()}
-        return q, cols
+                    column_map[sq.key, "T"] = q.add(tu.contact_indices, tu.t)
+        return q.to_csc(), column_map
 
     def to_sparsified(self) -> SparsifiedConductance:
         """Run the fine-to-coarse sweep and return the ``Q Gw Q'`` representation."""

@@ -15,7 +15,55 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-__all__ = ["SparsifiedConductance", "EntryAssembler"]
+__all__ = ["SparsifiedConductance", "EntryAssembler", "ColumnAssembler", "quadrant_order_key"]
+
+
+def quadrant_order_key(key: tuple[int, int, int]) -> int:
+    """Quadrant-hierarchical (Morton-style, top-left first) order of a square.
+
+    Both sparsifiers order a level's squares by this key when they lay out
+    the columns of ``Q``.
+    """
+    level, i, j = key
+    jj = (2**level - 1) - j  # top quadrants first
+    code = 0
+    for bit in range(level - 1, -1, -1):
+        code = (code << 2) | ((((jj >> bit) & 1) << 1) | ((i >> bit) & 1))
+    return code
+
+
+class ColumnAssembler:
+    """Columns of a sparse ``n``-row matrix, appended block by block.
+
+    Both sparsifiers build ``Q`` this way: :meth:`add` appends the columns
+    of a dense block whose rows are the given contacts, keeping only their
+    nonzeros, and returns the new columns' indices; :meth:`to_csc`
+    assembles the matrix.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = int(n)
+        self._rows: list[np.ndarray] = []
+        self._vals: list[np.ndarray] = []
+        self._indptr: list[int] = [0]
+
+    def add(self, contacts: np.ndarray, block: np.ndarray) -> np.ndarray:
+        start = len(self._indptr) - 1
+        for column in block.T:
+            nz = np.flatnonzero(np.abs(column) > 0)
+            self._rows.append(contacts[nz])
+            self._vals.append(column[nz])
+            self._indptr.append(self._indptr[-1] + nz.size)
+        return np.arange(start, len(self._indptr) - 1)
+
+    def to_csc(self) -> sparse.csc_matrix:
+        m = len(self._indptr) - 1
+        if m == 0:
+            return sparse.csc_matrix((self.n, 0))
+        return sparse.csc_matrix(
+            (np.concatenate(self._vals), np.concatenate(self._rows), np.array(self._indptr)),
+            shape=(self.n, m),
+        )
 
 
 class EntryAssembler:

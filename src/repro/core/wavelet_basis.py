@@ -20,6 +20,7 @@ from scipy import sparse
 
 from ..geometry.quadtree import Square, SquareHierarchy
 from .moments import contact_moment_matrix, moment_count, moment_shift_matrix
+from .sparsified import ColumnAssembler, quadrant_order_key
 
 __all__ = ["SquareBasis", "QColumn", "WaveletBasis"]
 
@@ -156,32 +157,15 @@ class WaveletBasis:
         return SquareBasis(square.key, parent_contacts, v_parent, w_parent, mv)
 
     # -------------------------------------------------------------- assemble Q
-    def _quadrant_order_key(self, key: SquareKey) -> int:
-        """Quadrant-hierarchical (Morton-style, top-left first) ordering key."""
-        level, i, j = key
-        jj = (2 ** level - 1) - j  # top quadrants first
-        code = 0
-        for bit in range(level - 1, -1, -1):
-            code = (code << 2) | ((((jj >> bit) & 1) << 1) | ((i >> bit) & 1))
-        return code
-
     def _assemble_q(self) -> tuple[sparse.csc_matrix, list[QColumn]]:
-        n = self.hierarchy.layout.n_contacts
+        q = ColumnAssembler(self.hierarchy.layout.n_contacts)
         cols: list[QColumn] = []
-        data: list[np.ndarray] = []
-        rows: list[np.ndarray] = []
-        col_ptr: list[int] = [0]
 
         def add_block(
             contact_indices: np.ndarray, matrix: np.ndarray, key: SquareKey, kind: str
         ) -> None:
-            for local in range(matrix.shape[1]):
-                column = matrix[:, local]
-                nz = np.flatnonzero(np.abs(column) > 0)
-                rows.append(contact_indices[nz])
-                data.append(column[nz])
-                col_ptr.append(col_ptr[-1] + nz.size)
-                cols.append(QColumn(key, kind, local))
+            q.add(contact_indices, matrix)
+            cols.extend(QColumn(key, kind, local) for local in range(matrix.shape[1]))
 
         # coarsest-level non-vanishing vectors come first (Section 3.7.1)
         root_keys = [sq.key for sq in self.hierarchy.squares_at_level(0)]
@@ -192,21 +176,13 @@ class WaveletBasis:
         for level in range(0, self.hierarchy.max_level + 1):
             squares = sorted(
                 self.hierarchy.squares_at_level(level),
-                key=lambda s: self._quadrant_order_key(s.key),
+                key=lambda s: quadrant_order_key(s.key),
             )
             for square in squares:
                 sb = self.squares[square.key]
                 if sb.n_vanishing:
                     add_block(sb.contact_indices, sb.W, square.key, "W")
-
-        if cols:
-            q = sparse.csc_matrix(
-                (np.concatenate(data), np.concatenate(rows), np.array(col_ptr)),
-                shape=(n, len(cols)),
-            )
-        else:  # pragma: no cover - degenerate
-            q = sparse.csc_matrix((n, 0))
-        return q, cols
+        return q.to_csc(), cols
 
     def _index_columns(self) -> dict[tuple[SquareKey, str], np.ndarray]:
         offsets: dict[tuple[SquareKey, str], list[int]] = {}

@@ -19,6 +19,7 @@ the :class:`~repro.service.result_store.ResultStore` without re-solving.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 
@@ -216,6 +217,9 @@ class Job:
     #: wait on it in :meth:`Scheduler.result`, the front door's event loop
     #: through ``asyncio.wrap_future``)
     done: Future = field(default_factory=_running_future, repr=False)
+    #: ``"columns"`` callback set at submit (streaming), called on the
+    #: dispatcher thread as the job's columns land; cleared at finalize
+    watcher: Callable[[dict], None] | None = field(default=None, repr=False)
 
     @property
     def deadline(self) -> float | None:

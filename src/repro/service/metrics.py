@@ -10,7 +10,8 @@ operator (or the ``/v1/stats`` endpoint) wants in one snapshot:
   and where the columns came from (fresh solves vs. the
   :class:`~repro.service.result_store.ResultStore`);
 * the merged :class:`~repro.substrate.solver_base.SolveStats` of every solve
-  the scheduler ran (iterative/direct split, factor rebuilds), via
+  the scheduler ran on a local engine (iterative/direct split, factor
+  rebuilds), via
   :meth:`~repro.substrate.solver_base.SolveStats.merge`;
 * the process-wide factor-cache counters
   (:func:`~repro.substrate.factor_cache.factor_cache_info`).
@@ -183,7 +184,6 @@ class ServiceMetrics:
         n_columns_requested: int,
         n_columns_solved: int,
         n_columns_from_store: int,
-        stats_delta: SolveStats | None = None,
     ) -> None:
         """Account one coalesced solve batch."""
         with self._lock:
@@ -194,12 +194,11 @@ class ServiceMetrics:
             self.columns_requested += n_columns_requested
             self.columns_solved += n_columns_solved
             self.columns_from_store += n_columns_from_store
-            if stats_delta is not None:
-                self.solve_stats.merge(stats_delta)
-                # merge() extends the per-solve iteration list; a service
-                # runs for months, so keep only a bounded recent history
-                # (the aggregate totals behind mean_iterations are exact)
-                del self.solve_stats.iterations_per_solve[: -8 * DEFAULT_WINDOW]
+
+    def record_solve_stats(self, delta: SolveStats) -> None:
+        """Fold the counters one local solve added to its engine's stats."""
+        with self._lock:
+            self.solve_stats.merge(delta)
 
     # ------------------------------------------------------------- snapshots
     def snapshot(
@@ -239,12 +238,7 @@ class ServiceMetrics:
                         - n_running
                     ),
                 },
-                "faults": {
-                    "retries": self.retries,
-                    "shed": self.jobs_shed + self.submits_rejected,
-                    "submits_rejected": self.submits_rejected,
-                    "breaker_open": self.breaker_open,
-                },
+                "faults": self.fault_counters(),
                 "coalescing": {
                     "batches": self.batches,
                     "batch_jobs": self.batch_jobs,

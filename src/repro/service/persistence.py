@@ -29,9 +29,8 @@ object rooted at a state directory:
     before acting on it).  No file in the state directory is ever
     unpickled.
 
-The default remains in-memory: a scheduler constructed without a
-persistence object (or a server without ``--state-dir``) behaves exactly as
-before — no files are touched, no counters change.
+The default remains in-memory: a scheduler constructed without a state-dir
+path (or a server without ``--state-dir``) touches no files.
 """
 
 from __future__ import annotations
@@ -65,7 +64,9 @@ class SqliteResultBackend:
     float64 blobs, WAL journaling so the dispatcher's writes never block a
     concurrent reader, and a single connection shared across threads behind
     a lock (``check_same_thread=False`` — the HTTP handler threads and the
-    dispatcher both touch the store).
+    dispatcher both touch the store).  The corpus size that :meth:`info`
+    reports is counted once at open and kept exact by :meth:`save` and
+    :meth:`delete`, so reading it runs no query.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -86,6 +87,9 @@ class SqliteResultBackend:
                 ")"
             )
             self._conn.commit()
+            rows, nbytes = self._conn.execute(
+                "SELECT COUNT(*), COALESCE(SUM(LENGTH(data)), 0) FROM result_columns"
+            ).fetchone()
         except Exception:
             # schema setup failed (locked file, corrupt database, full
             # volume): the half-initialised connection must not leak — no
@@ -95,6 +99,8 @@ class SqliteResultBackend:
         self.loads = 0  # reprolint: guarded-by(_lock)
         self.load_misses = 0  # reprolint: guarded-by(_lock)
         self.saves = 0  # reprolint: guarded-by(_lock)
+        self.columns = int(rows)  # reprolint: guarded-by(_lock)
+        self.bytes = int(nbytes)  # reprolint: guarded-by(_lock)
 
     # ------------------------------------------------------------------ access
     def save(self, fingerprint: str, column: int, values: np.ndarray) -> None:
@@ -102,6 +108,11 @@ class SqliteResultBackend:
         fault_hook("sqlite.write", op="save")
         data = np.ascontiguousarray(values, dtype=np.float64).tobytes()
         with self._lock:
+            existing, old_bytes = self._conn.execute(
+                "SELECT COUNT(*), COALESCE(SUM(LENGTH(data)), 0) FROM result_columns "
+                "WHERE fingerprint = ? AND column_index = ?",
+                (fingerprint, int(column)),
+            ).fetchone()
             self._conn.execute(
                 "INSERT OR REPLACE INTO result_columns "
                 "(fingerprint, column_index, n_values, data) VALUES (?, ?, ?, ?)",
@@ -109,6 +120,8 @@ class SqliteResultBackend:
             )
             self._conn.commit()
             self.saves += 1
+            self.columns += 1 - existing
+            self.bytes += len(data) - old_bytes
 
     def load(self, fingerprint: str, column: int) -> np.ndarray | None:
         """One persisted column as a read-only float64 array, or ``None``."""
@@ -137,27 +150,23 @@ class SqliteResultBackend:
 
     def delete(self, fingerprint: str | None = None) -> int:
         """Drop one substrate's columns (or all); returns rows removed."""
+        query, args = "DELETE FROM result_columns", ()
+        if fingerprint is not None:
+            query, args = query + " WHERE fingerprint = ?", (fingerprint,)
         with self._lock:
-            if fingerprint is None:
-                cursor = self._conn.execute("DELETE FROM result_columns")
-            else:
-                cursor = self._conn.execute(
-                    "DELETE FROM result_columns WHERE fingerprint = ?",
-                    (fingerprint,),
-                )
+            sizes = self._conn.execute(query + " RETURNING LENGTH(data)", args).fetchall()
             self._conn.commit()
-            return cursor.rowcount
+            self.columns -= len(sizes)
+            self.bytes -= sum(size for (size,) in sizes)
+            return len(sizes)
 
     # --------------------------------------------------------------- lifecycle
     def info(self) -> dict:
         with self._lock:
-            rows, nbytes = self._conn.execute(
-                "SELECT COUNT(*), COALESCE(SUM(LENGTH(data)), 0) FROM result_columns"
-            ).fetchone()
             return {
                 "path": str(self.path),
-                "columns": int(rows),
-                "bytes": int(nbytes),
+                "columns": self.columns,
+                "bytes": self.bytes,
                 "loads": self.loads,
                 "load_misses": self.load_misses,
                 "saves": self.saves,
@@ -183,9 +192,9 @@ class JobJournal:
     a warm corpus, which costs zero solves).
 
     :meth:`recover` reads the journal back: accepted-but-not-terminal jobs
-    in acceptance order (the replay set), every job id ever journaled (so
-    the scheduler can distinguish *expired* from *never existed*), and the
-    largest job sequence number (so replayed ids are never reissued).
+    in acceptance order (the replay set) and the largest job sequence number
+    (so no id is ever reissued, and the scheduler knows every id up to it
+    was issued: one it no longer holds has *expired*).
     Lines that are not JSON at all — the torn tail of a crash mid-write —
     are skipped with a warning.  A complete accept line whose request is
     not a valid wire document raises instead: older releases journaled
@@ -229,21 +238,19 @@ class JobJournal:
             self.terminals += 1
 
     # ---------------------------------------------------------------- recovery
-    def recover(self) -> tuple[list[tuple[str, JobRequest]], set[str], int]:
-        """``(replay, known_ids, max_seq)`` from the journal on disk.
+    def recover(self) -> tuple[list[tuple[str, JobRequest]], int]:
+        """``(replay, max_seq)`` from the journal on disk.
 
         ``replay`` lists ``(job_id, request)`` for every accepted job with
-        no terminal mark, in acceptance order; ``known_ids`` is every job id
-        the journal has ever seen; ``max_seq`` is the largest numeric job
-        sequence (0 when none parse).  Raises
+        no terminal mark, in acceptance order; ``max_seq`` is the largest
+        numeric job sequence (0 when none parse).  Raises
         :class:`~repro.service.wire.WireFormatError` naming the file and
         line when an accept entry does not decode.
         """
         accepted: "dict[str, JobRequest]" = {}
-        known_ids: set[str] = set()
         max_seq = 0
         if not self.path.exists():
-            return [], known_ids, max_seq
+            return [], max_seq
         with open(self.path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -269,11 +276,10 @@ class JobJournal:
                     accepted[job_id] = self._decode_accept(doc.get("request"), lineno)
                 else:
                     accepted.pop(job_id, None)
-                known_ids.add(job_id)
                 match = _JOB_ID_RE.match(job_id)
                 if match:
                     max_seq = max(max_seq, int(match.group(1)))
-        return list(accepted.items()), known_ids, max_seq
+        return list(accepted.items()), max_seq
 
     def _decode_accept(self, request_doc: object, lineno: int) -> JobRequest:
         try:
@@ -306,9 +312,9 @@ class JobJournal:
 class ServicePersistence:
     """One state directory holding every durable piece of the service.
 
-    Construct with a directory path (created on demand) and hand the object
-    to :class:`~repro.service.scheduler.Scheduler` (or let the scheduler
-    build one from a path).  Owns lifecycle: :meth:`close` releases the
+    Construct with a directory path (created on demand); a
+    :class:`~repro.service.scheduler.Scheduler` given ``persistence=path``
+    builds and closes its own.  Owns lifecycle: :meth:`close` releases the
     sqlite connection and the journal handle.
     """
 

@@ -265,15 +265,12 @@ class ResultStore:
                 "disk_misses": self.disk_misses,
                 "backend_errors": self.backend_errors,
             }
-            backend = self._backend
         doc["fingerprints"] = [
             {"digest": fp, **entry}
             for fp, entry in sorted(
                 self.fingerprints().items(), key=lambda kv: -kv[1]["bytes"]
             )
         ]
-        if backend is not None:
-            doc["backend"] = backend.info()
         return doc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -35,8 +35,8 @@ occupying the solver.  For deterministic tests construct with
 future resolves with its terminal status on the final state transition;
 :meth:`result` waits on it, and the async front door awaits it on its
 event loop, so a waiting client holds no thread.  A job may also carry a
-*watcher* — a callback registered atomically at :meth:`submit`
-(``watcher=``) — that sees a ``"columns"`` event from inside the solve as
+*watcher* (:attr:`~repro.service.jobs.Job.watcher`, set at :meth:`submit`)
+— a callback that sees a ``"columns"`` event from inside the solve as
 soon as the job's columns become available (result-store hits at the
 start of the batch, freshly solved columns the moment their coalesced
 group's solve lands — *before* the job is assembled and finalized).  This
@@ -45,8 +45,14 @@ column reaches the client before its job completes.  Watchers run on the
 dispatcher thread and must be fast and non-blocking (hand the event to a
 queue); they must never call back into the scheduler.
 
-With a :class:`~repro.service.persistence.ServicePersistence` attached
-(``persistence=`` object or state-dir path) the scheduler becomes durable:
+**Live state only.**  Besides queued and running jobs the scheduler holds
+the finished jobs retention allows, a :class:`CircuitBreaker` per *failing*
+fingerprint (a successful batch drops it) and counters.  An id it no longer
+holds has *expired* if it is ``job-%06d`` at or below the id sequence, which
+the journal restores on restart; any other id was never issued.
+
+With a state-dir path (``persistence=``) the scheduler builds and owns a
+:class:`~repro.service.persistence.ServicePersistence` and becomes durable:
 the result store writes through to the sqlite corpus, the factor cache
 consults the on-disk artifact store before rebuilding, every accepted
 request is journaled (fsync'd) *before* the submit acknowledges, and
@@ -59,12 +65,13 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import threading
 import time
 import traceback
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -84,12 +91,7 @@ __all__ = [
     "ExtractorPool",
     "RetryPolicy",
     "CircuitBreaker",
-    "ITERATION_HISTORY",
 ]
-
-#: per-solve iteration entries kept on long-lived stats objects (the
-#: aggregate totals are never trimmed, so ``mean_iterations`` stays exact)
-ITERATION_HISTORY = 4096
 
 #: fingerprint groups one drain cycle solves at once when a remote solver
 #: is set: the cluster leader's "solve" waits on a worker RPC, and groups
@@ -140,13 +142,15 @@ class RetryPolicy:
 class CircuitBreaker:
     """Per-fingerprint failure latch: open after repeated failures, probe later.
 
-    Classic three-state breaker: **closed** (normal) counts consecutive
-    failures and opens at ``failure_threshold``; **open** rejects the
-    fingerprint's groups instantly — one poisoned substrate must not burn
-    retry budget and queue time every cycle — until ``reset_s`` has passed;
-    then one **half-open** probe group is let through, and its outcome
-    closes or re-opens the breaker.  Not thread-safe on its own; the
-    scheduler mutates breakers from the dispatcher thread only.
+    Classic three-state breaker: **closed** counts consecutive failures and
+    opens at ``failure_threshold``; **open** rejects the fingerprint's groups
+    instantly — one poisoned substrate must not burn retry budget and queue
+    time every cycle — until ``reset_s`` has passed; then one **half-open**
+    probe group is let through, and a failed probe re-opens the breaker.
+    The scheduler creates a breaker at its fingerprint's first failed
+    attempt and drops it when a batch succeeds, so a closed breaker with no
+    failures is never stored.  Not thread-safe on its own; each breaker is
+    touched only by the one thread running its fingerprint's group.
     """
 
     def __init__(self, failure_threshold: int = 3, reset_s: float = 30.0) -> None:
@@ -178,31 +182,6 @@ class CircuitBreaker:
             self.state = "open"
             self.opened_at = time.monotonic() if now is None else now
         return tripped
-
-    def record_success(self) -> None:
-        self.state = "closed"
-        self.consecutive_failures = 0
-        self.opened_at = None
-
-
-def _stats_snapshot(stats: SolveStats) -> tuple:
-    return (
-        stats.n_iterative_solves,
-        stats.n_direct_solves,
-        stats.total_iterations,
-        len(stats.iterations_per_solve),
-        stats.n_factor_rebuilds,
-    )
-
-
-def _stats_delta(stats: SolveStats, snap: tuple) -> SolveStats:
-    return SolveStats(
-        n_iterative_solves=stats.n_iterative_solves - snap[0],
-        n_direct_solves=stats.n_direct_solves - snap[1],
-        total_iterations=stats.total_iterations - snap[2],
-        iterations_per_solve=list(stats.iterations_per_solve[snap[3]:]),
-        n_factor_rebuilds=stats.n_factor_rebuilds - snap[4],
-    )
 
 
 class ExtractorPool:
@@ -298,10 +277,10 @@ class Scheduler:
         wide column blocks must not accumulate result memory forever — the
         store is byte-budgeted, so its feed is too).
     persistence:
-        Durable state: a
-        :class:`~repro.service.persistence.ServicePersistence`, a state-dir
-        path (one is built and owned by the scheduler), or ``None`` for the
-        previous purely in-memory behaviour.
+        A state-dir path, from which the scheduler builds (and on
+        :meth:`close` closes) a
+        :class:`~repro.service.persistence.ServicePersistence`, or ``None``
+        for a purely in-memory service.
     retry_policy:
         Backoff schedule for failed coalesced batches (:class:`RetryPolicy`;
         ``None`` fails a group on its first exception, the pre-retry
@@ -315,23 +294,24 @@ class Scheduler:
     breaker_failure_threshold / breaker_reset_s:
         Per-fingerprint :class:`CircuitBreaker` tuning: consecutive failed
         *attempts* before the fingerprint's groups are rejected instantly,
-        and how long the breaker stays open before a half-open probe.
+        and how long the breaker stays open before a half-open probe.  A
+        fingerprint has a breaker only from its first failed attempt until
+        its next successful batch.
     remote_solver:
-        When given, a callable ``(fingerprint, spec, columns) -> (n, k)
-        block`` that replaces the local engine path of
-        :meth:`_solve_group` — the cluster leader plugs its
-        route-and-RPC here, so coalescing, the result store, journaling,
-        retry/backoff and the per-fingerprint breakers all wrap remote
-        work unchanged.  A raising remote solver is retried exactly like
-        a failing local batch (that retry *is* the cluster's failover
-        path).  Columns solved remotely count in
-        ``remote_columns_solved``, never in ``attributed_solves`` — a
-        leader runs zero local solves.  With a remote solver one drain
-        cycle solves up to 8 fingerprint groups at once (they wait on
-        different hosts); without one, groups run one after another on
-        the dispatcher thread.  Each group runs on exactly one thread, so
-        per-fingerprint state (its breaker, its engine) keeps its
-        single-threaded discipline.
+        The solver every batch calls, a callable ``(fingerprint, spec,
+        columns) -> (n, k) block``; by default the warm local engine.  The
+        cluster leader plugs its route-and-RPC here, so the shape check,
+        coalescing, the result store, streaming, journaling, retry/backoff
+        and the per-fingerprint breakers wrap remote work unchanged.  A
+        raising remote solver is retried exactly like a failing local
+        batch (that retry *is* the cluster's failover path).  Only local
+        solves count in ``attributed_solves`` — a leader runs none; its
+        remote columns are ``coalescing.columns_solved``.  With a remote
+        solver one drain cycle solves up to 8 fingerprint groups at once
+        (they wait on different hosts); without one, groups run one after
+        another on the dispatcher thread.  Each group runs on exactly one
+        thread, so per-fingerprint state (its breaker, its engine) keeps
+        its single-threaded discipline.
     stats_extra:
         Optional zero-argument callable whose dict result is merged into
         the ``/v1/stats`` body (the leader injects its registry/router view).
@@ -345,7 +325,7 @@ class Scheduler:
         autostart: bool = True,
         max_jobs_retained: int = 10_000,
         max_result_bytes_retained: int = 256 * 1024 * 1024,
-        persistence: "ServicePersistence | str | os.PathLike | None" = None,
+        persistence: "str | os.PathLike | None" = None,
         retry_policy: RetryPolicy | None = RetryPolicy(),
         max_queue_depth: int | None = None,
         breaker_failure_threshold: int = 3,
@@ -359,12 +339,7 @@ class Scheduler:
                 "on one engine per substrate, and the solver's kernels are "
                 "threaded (fft_workers for the DCTs, BLAS for the Cholesky)"
             )
-        self._owns_persistence = persistence is not None and not isinstance(
-            persistence, ServicePersistence
-        )
-        if persistence is not None and not isinstance(persistence, ServicePersistence):
-            persistence = ServicePersistence(persistence)
-        self.persistence = persistence
+        self.persistence = ServicePersistence(persistence) if persistence is not None else None
         self.store = store if store is not None else ResultStore()
         self.metrics = ServiceMetrics()
         self.pool = ExtractorPool(max_solvers=max_solvers)
@@ -378,31 +353,25 @@ class Scheduler:
         self.max_queue_depth = max_queue_depth
         self._breaker_failure_threshold = int(breaker_failure_threshold)
         self._breaker_reset_s = float(breaker_reset_s)
-        #: per-fingerprint failure latches; the table is guarded by _cv, each
-        #: breaker is touched by the one thread running its group's batch
+        #: failure latches of the fingerprints whose batches are failing; the
+        #: table is guarded by _cv, each breaker is touched by the one thread
+        #: running its group's batch
         self._breakers: dict[str, CircuitBreaker] = {}  # reprolint: guarded-by(_cv)
         self._jobs: dict[str, Job] = {}  # reprolint: guarded-by(_cv)
-        #: per-job progress callbacks (streaming); popped when the job ends
-        self._watchers: dict[str, list] = {}  # reprolint: guarded-by(_cv)
         self._pending: list[str] = []  # reprolint: guarded-by(_cv)
         self._terminal: "deque[str]" = deque()  # reprolint: guarded-by(_cv)
         self._retained_bytes = 0  # reprolint: guarded-by(_cv)
+        #: last issued job sequence number (the module docstring's expired-id rule)
         self._seq = 0  # reprolint: guarded-by(_cv)
         self._running = 0  # reprolint: guarded-by(_cv)
-        #: every job id this service has ever accepted (journal + retention
-        #: drops) — lets :meth:`result` answer "expired", not "never existed"
-        self._known_ids: set[str] = set()  # reprolint: guarded-by(_cv)
         self._cv = threading.Condition()
         self._drain_lock = threading.Lock()
         self._closing = False  # reprolint: guarded-by(_cv)
         #: cumulative CountingSolver attribution of every batch this
         #: scheduler ran (equals fresh columns solved; pinned by tests)
         self._attributed_solves = 0  # reprolint: guarded-by(_cv)
-        self._remote_solver = remote_solver
+        self._solve = remote_solver if remote_solver is not None else self._solve_local
         self._stats_extra = stats_extra
-        #: columns delegated to the remote solver (cluster leader mode);
-        #: disjoint from attributed_solves by construction
-        self.remote_columns_solved = 0  # reprolint: guarded-by(_cv)
         self._group_executor = (
             ThreadPoolExecutor(
                 max_workers=_REMOTE_GROUP_WIDTH,
@@ -434,9 +403,8 @@ class Scheduler:
 
     def _replay_journal(self) -> None:
         """Re-queue journaled jobs that never reached a terminal state."""
-        replay, known_ids, max_seq = self.persistence.journal.recover()
+        replay, max_seq = self.persistence.journal.recover()
         with self._cv:
-            self._known_ids.update(known_ids)
             self._seq = max(self._seq, max_seq)
             now = time.monotonic()
             for job_id, request in replay:
@@ -467,10 +435,11 @@ class Scheduler:
         (disk latency must not stall the dispatcher); the id is reserved
         first, the job enqueued after the journal write lands.
 
-        ``watcher`` registers a ``"columns"`` callback atomically with the
-        enqueue (see the module docstring's completion and streaming
-        section), so it can never miss an event.  A closed scheduler raises
-        :class:`~repro.service.wire.ServiceUnavailableError` (HTTP 503).
+        ``watcher`` is the job's ``"columns"`` callback, set on the job
+        before it is enqueued (see the module docstring's completion and
+        streaming section), so it can never miss an event.  A closed
+        scheduler raises :class:`~repro.service.wire.ServiceUnavailableError`
+        (HTTP 503).
         """
         if not isinstance(request, JobRequest):
             raise TypeError("submit() takes a JobRequest")
@@ -511,12 +480,10 @@ class Scheduler:
                 request=request,
                 submitted_at=time.monotonic(),
                 priority=int(request.priority),
+                watcher=watcher,
             )
             self._jobs[job_id] = job
             self._pending.append(job_id)
-            self._known_ids.add(job_id)
-            if watcher is not None:
-                self._watchers.setdefault(job_id, []).append(watcher)
             self._cv.notify_all()
         self.metrics.record_submit()
         return job_id
@@ -564,16 +531,18 @@ class Scheduler:
         value blocks up to that long.  The returned object is the live
         record — read ``status`` / ``result`` / ``pair_values`` from it.
         Raises :class:`~repro.service.jobs.JobExpiredError` (a ``KeyError``
-        subclass) for an id that existed but was dropped by finished-job
-        retention, plain ``KeyError`` for one that never existed.
+        subclass) for an id this service issued that is no longer held
+        (dropped by finished-job retention or :meth:`release`, finished
+        before a restart, or voided by :meth:`close` before its enqueue),
+        plain ``KeyError`` for any other id.
         """
         with self._cv:
             job = self._jobs.get(job_id)
             if job is None:
-                if job_id in self._known_ids:
-                    raise JobExpiredError(
-                        f"job id {job_id!r} expired (dropped by retention)"
-                    )
+                match = re.fullmatch(r"job-([0-9]{6,20})", job_id)
+                n = int(match[1]) if match else 0
+                if 1 <= n <= self._seq and job_id == f"job-{n:06d}":
+                    raise JobExpiredError(f"job id {job_id!r} expired")
                 raise KeyError(f"unknown job id {job_id!r}")
         if wait_s is not None:
             wait((job.done,), timeout=wait_s)
@@ -631,13 +600,10 @@ class Scheduler:
             queue_depth = len(self._pending)
             running = self._running
             attributed_solves = self._attributed_solves
-            remote_columns_solved = self.remote_columns_solved
         extra = {
             "engines": self.pool.info(),
             "attributed_solves": attributed_solves,
         }
-        if self._remote_solver is not None:
-            extra["remote_columns_solved"] = remote_columns_solved
         if self.persistence is not None:
             extra["persistence"] = self.persistence.info()
         if self._stats_extra is not None:
@@ -718,8 +684,7 @@ class Scheduler:
                     cache.set_artifact_store(None)
                 self._attached_artifacts = False
             self.store.attach_backend(None)
-            if self._owns_persistence:
-                self.persistence.close()
+            self.persistence.close()
 
     def __enter__(self) -> "Scheduler":
         return self
@@ -810,13 +775,10 @@ class Scheduler:
         """
         if not available:
             return
-        with self._cv:
-            watched = [
-                (job, list(self._watchers.get(job.job_id, ())))
-                for job in jobs
-                if self._watchers.get(job.job_id)
-            ]
-        for job, watchers in watched:
+        for job in jobs:
+            watcher = job.watcher  # unlocked: only this thread finalizes a running job
+            if watcher is None:
+                continue
             cols = tuple(
                 c for c in job.request.needed_columns() if c in available
             )
@@ -829,23 +791,12 @@ class Scheduler:
                 "arrays": {c: available[c] for c in cols},
                 "source": source,
             }
-            for watcher in watchers:
-                try:
-                    watcher(event)
-                except Exception:  # noqa: BLE001 - a watcher must not kill a batch
-                    pass
+            try:
+                watcher(event)
+            except Exception:  # noqa: BLE001 - a watcher must not kill a batch
+                pass
 
     # ------------------------------------------------------------------ batch
-    def _breaker_for(self, fingerprint: str) -> CircuitBreaker:
-        with self._cv:
-            breaker = self._breakers.get(fingerprint)
-            if breaker is None:
-                breaker = self._breakers[fingerprint] = CircuitBreaker(
-                    failure_threshold=self._breaker_failure_threshold,
-                    reset_s=self._breaker_reset_s,
-                )
-            return breaker
-
     def _run_batch(self, fingerprint: str, jobs: list[Job]) -> None:
         """Solve one coalesced group, retrying failed attempts with backoff.
 
@@ -867,8 +818,9 @@ class Scheduler:
                 self._running += 1
         if not jobs:
             return
-        breaker = self._breaker_for(fingerprint)
-        if not breaker.allow():
+        with self._cv:
+            breaker = self._breakers.get(fingerprint)
+        if breaker is not None and not breaker.allow():
             message = (
                 "circuit breaker open for this substrate "
                 f"(probe allowed after {breaker.reset_s:g}s)"
@@ -898,6 +850,10 @@ class Scheduler:
                         )
                 if not jobs:
                     return
+                if breaker is None:
+                    breaker = CircuitBreaker(self._breaker_failure_threshold, self._breaker_reset_s)
+                    with self._cv:
+                        self._breakers[fingerprint] = breaker
                 if breaker.record_failure():
                     self.metrics.record_breaker_open()
                     exhausted = True  # an open breaker ends the retry loop too
@@ -914,16 +870,15 @@ class Scheduler:
                 self.metrics.record_retry()
                 time.sleep(policy.delay_s(attempt))
             else:
-                breaker.record_success()
+                with self._cv:
+                    self._breakers.pop(fingerprint, None)
                 return
 
     def _solve_group(self, fingerprint: str, jobs: list[Job]) -> None:
         """One solve attempt for a coalesced group (store → solve → assemble).
 
-        Attribution stays exact under retries: the fresh
-        :class:`CountingSolver` built here is only read after the solve
-        succeeds, and every attempt starts from the store — previously
-        landed columns cost zero new solves.
+        Attribution stays exact under retries: every attempt starts from the
+        store, so previously landed columns cost zero new solves.
         """
         union: set[int] = set()
         for job in jobs:
@@ -934,39 +889,14 @@ class Scheduler:
         # stream store hits immediately: a job whose columns someone already
         # paid for sees them before this batch solves anything
         self._notify_columns(jobs, columns, source="store")
-        stats_delta = None
-        if to_solve and self._remote_solver is not None:
+        if to_solve:
             block = np.asarray(
-                self._remote_solver(
-                    fingerprint, jobs[0].request.effective_spec, to_solve
-                ),
+                self._solve(fingerprint, jobs[0].request.effective_spec, to_solve),
                 dtype=float,
             )
             expected = (jobs[0].request.n_contacts, len(to_solve))
             if block.shape != expected:
-                raise RuntimeError(
-                    f"remote solver returned shape {block.shape}, "
-                    f"expected {expected}"
-                )
-            with self._cv:
-                self.remote_columns_solved += len(to_solve)
-            for idx, column in enumerate(to_solve):
-                columns[column] = self.store.put(fingerprint, column, block[:, idx])
-            self._notify_columns(
-                jobs, {c: columns[c] for c in to_solve}, source="solve"
-            )
-        elif to_solve:
-            engine = self.pool.get(fingerprint, jobs[0].request.effective_spec)
-            counting = CountingSolver(engine)
-            snap = _stats_snapshot(engine.stats)
-            block = extract_columns(counting, np.asarray(to_solve, dtype=int))
-            stats_delta = _stats_delta(engine.stats, snap)
-            # a warm engine lives for the whole service: bound its
-            # per-solve iteration history (the aggregate counters, which
-            # mean_iterations and dispatch feed on, are unaffected)
-            del engine.stats.iterations_per_solve[:-ITERATION_HISTORY]
-            with self._cv:
-                self._attributed_solves += counting.solve_count
+                raise RuntimeError(f"solver returned shape {block.shape}, expected {expected}")
             for idx, column in enumerate(to_solve):
                 columns[column] = self.store.put(fingerprint, column, block[:, idx])
             # stream the freshly solved columns the moment the group's solve
@@ -979,10 +909,28 @@ class Scheduler:
             n_columns_requested=len(needed),
             n_columns_solved=len(to_solve),
             n_columns_from_store=len(needed) - len(to_solve),
-            stats_delta=stats_delta,
         )
         for job in jobs:
             self._assemble(job, columns)
+
+    def _solve_local(
+        self, fingerprint: str, spec: SolverSpec, columns: tuple[int, ...]
+    ) -> np.ndarray:
+        """``G[:, columns]`` from the substrate's warm engine.
+
+        Charged exactly ``len(columns)`` attributed solves; the counters the
+        engine gained meanwhile are folded into the service's ``solve_stats``.
+        """
+        engine = self.pool.get(fingerprint, spec)
+        counting = CountingSolver(engine)
+        before = astuple(engine.stats)
+        block = extract_columns(counting, np.asarray(columns, dtype=int))
+        self.metrics.record_solve_stats(
+            SolveStats(*(now - then for now, then in zip(astuple(engine.stats), before)))
+        )
+        with self._cv:
+            self._attributed_solves += counting.solve_count
+        return block
 
     def _assemble(self, job: Job, columns: dict[int, np.ndarray]) -> None:
         """Build one job's result views from the batch's solved columns.
@@ -1036,7 +984,8 @@ class Scheduler:
             self.persistence.journal.record_terminal(
                 job.job_id, status, attempts=job.attempts
             )
-        self._watchers.pop(job.job_id, None)
+        # a retained job must not keep a finished stream's callback alive
+        job.watcher = None
         self._terminal.append(job.job_id)
         self._retained_bytes += self._result_nbytes(job)
         while self._terminal and (
@@ -1046,5 +995,4 @@ class Scheduler:
             dropped_id = self._terminal.popleft()
             stale = self._jobs.pop(dropped_id, None)
             if stale is not None:
-                self._known_ids.add(dropped_id)
                 self._retained_bytes -= self._result_nbytes(stale)

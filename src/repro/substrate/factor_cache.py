@@ -327,7 +327,7 @@ class FactorCache:
                 slot = by_kind.setdefault(kind, {"entries": 0, "bytes": 0})
                 slot["hits"] = self._kind_hits.get(kind, 0)
                 slot["misses"] = self._kind_misses.get(kind, 0)
-            info = {
+            return {
                 "entries": len(self._entries),
                 "bytes": self._bytes,
                 "max_bytes": self.max_bytes,
@@ -339,9 +339,6 @@ class FactorCache:
                 "artifact_misses": self.artifact_misses,
                 "by_kind": by_kind,
             }
-            if self._artifact_store is not None:
-                info["artifacts"] = self._artifact_store.info()
-            return info
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         with self._lock:

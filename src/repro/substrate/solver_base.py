@@ -10,7 +10,7 @@ dense-matrix-backed solver that is invaluable for testing.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -51,6 +51,10 @@ class SolveStats:
     :attr:`mean_iterations` is therefore always "iterations per *iterative*
     solve"; direct solves only show up in :attr:`n_direct_solves` and
     :attr:`n_solves`.
+
+    Every field is a counter, so a stats object stays the same size however
+    many solves it records, and the work done between two points is the
+    field-by-field difference of copies taken there.
     """
 
     #: number of solves served by a Krylov iteration (CG / MINRES / PCG)
@@ -58,7 +62,6 @@ class SolveStats:
     #: number of solves served by a cached dense factorisation
     n_direct_solves: int = 0
     total_iterations: int = 0
-    iterations_per_solve: list[int] = field(default_factory=list)
     #: factors this solver had to build from scratch (cold factorisation)
     n_factor_rebuilds: int = 0
 
@@ -66,7 +69,6 @@ class SolveStats:
         """Record one iterative solve and its Krylov iteration count."""
         self.n_iterative_solves += 1
         self.total_iterations += iterations
-        self.iterations_per_solve.append(iterations)
 
     def record_direct(self, n_solves: int = 1) -> None:
         """Record ``n_solves`` columns served by the direct (factored) path."""
@@ -88,7 +90,6 @@ class SolveStats:
         self.n_iterative_solves += other.n_iterative_solves
         self.n_direct_solves += other.n_direct_solves
         self.total_iterations += other.total_iterations
-        self.iterations_per_solve.extend(other.iterations_per_solve)
         self.n_factor_rebuilds += other.n_factor_rebuilds
         return self
 

@@ -318,7 +318,7 @@ def test_scheduler_remote_solver_hook(spec_a, small_g):
         stats = scheduler.stats()
     assert np.allclose(job.result, small_g[:, [0, 4]], atol=1e-12)
     assert calls == [(spec_a.fingerprint, (0, 4))]
-    assert stats["remote_columns_solved"] == 2
+    assert stats["coalescing"]["columns_solved"] == 2
     assert stats["attributed_solves"] == 0  # the leader never solves locally
     assert stats["engines"]["built"] == 0  # ...and never builds an engine
 
@@ -369,7 +369,7 @@ def test_cluster_end_to_end_matches_single_host(spec_a, spec_b, small_g):
             assert np.allclose(got_b, ref_b, atol=1e-10)
             # exactly-once attribution: each column solved on one host, once
             assert _worker_attribution(w1, w2) == 2 * len(columns)
-            assert stats["remote_columns_solved"] == 2 * len(columns)
+            assert stats["coalescing"]["columns_solved"] == 2 * len(columns)
             # repeating the extraction is served from the leader's store:
             # no new RPC, no new attribution anywhere
             rpc_before = stats["cluster"]["rpc_calls"]

@@ -56,8 +56,8 @@ def test_journal_recover_counts_corrupt_lines_under_lock(tmp_path):
     journal = JobJournal(path)
     try:
         with pytest.warns(RuntimeWarning, match="corrupt journal entry"):
-            replay, known_ids, max_seq = journal.recover()
-        assert replay == [] and known_ids == set() and max_seq == 0
+            replay, max_seq = journal.recover()
+        assert replay == [] and max_seq == 0
         assert journal.info()["corrupt_skipped"] == 1
     finally:
         journal.close()

@@ -531,7 +531,7 @@ def test_mixed_workload_mean_iterations_regression(tiny_layout):
     solver.solve_many(np.eye(tiny_layout.n_contacts))  # all direct
     assert solver.mean_iterations_per_solve() == 0.0  # no iterative solves yet
     solver.solve_currents(np.ones(tiny_layout.n_contacts))  # one CG solve
-    iters = solver.stats.iterations_per_solve[-1]
+    iters = solver.stats.total_iterations
     assert iters > 0
     assert solver.mean_iterations_per_solve() == float(iters)
     assert solver.stats.n_direct_solves == tiny_layout.n_contacts

@@ -8,6 +8,7 @@ result-store eviction accounting and the pending/running metrics split.
 from __future__ import annotations
 
 import json
+import sqlite3
 import threading
 import time
 import urllib.error
@@ -252,11 +253,15 @@ def test_graceful_close_preserves_accepted_work(tmp_path, bem_spec):
 def test_finished_jobs_do_not_replay(tmp_path, bem_spec):
     state = tmp_path / "state"
     with make_scheduler(state) as sched:
-        sched.submit(JobRequest(bem_spec, columns=(0,)))
+        finished = sched.submit(JobRequest(bem_spec, columns=(0,)))
         sched.step()
     with make_scheduler(state) as sched:
         assert sched.metrics.jobs_replayed == 0
         assert sched.queue_depth == 0
+        # the restored sequence says the finished id was issued here
+        with pytest.raises(JobExpiredError):
+            sched.result(finished)
+        assert sched.submit(JobRequest(bem_spec, columns=(0,))) == "job-000002"
 
 
 def test_corrupt_journal_entry_skipped_with_warning(tmp_path, bem_spec):
@@ -338,6 +343,54 @@ def test_sqlite_backend_roundtrip(tmp_path):
     assert backend.delete(fp) == 1
     assert backend.info()["columns"] == 0
     backend.close()
+
+
+def test_sqlite_backend_info_counts_without_a_query(tmp_path):
+    """``info()`` reports the corpus size from counters kept exact by every
+    save and delete, so ``/v1/stats`` never scans the corpus."""
+    from repro.service import SqliteResultBackend
+
+    path = tmp_path / "results.sqlite"
+
+    def check(backend):
+        statements: list[str] = []
+        backend._conn.set_trace_callback(statements.append)
+        try:
+            info = backend.info()
+        finally:
+            backend._conn.set_trace_callback(None)
+        assert statements == []
+        scan = sqlite3.connect(path)
+        try:
+            expected = scan.execute(
+                "SELECT COUNT(*), COALESCE(SUM(LENGTH(data)), 0) FROM result_columns"
+            ).fetchone()
+        finally:
+            scan.close()
+        assert (info["columns"], info["bytes"]) == expected
+        return info
+
+    backend = SqliteResultBackend(path)
+    try:
+        backend.save("a", 0, np.ones(4))
+        backend.save("a", 1, np.ones(4))
+        backend.save("b", 0, np.ones(3))
+        assert check(backend)["columns"] == 3
+        backend.save("a", 0, np.ones(6))  # replaced by a longer column
+        assert check(backend)["bytes"] == 8 * (6 + 4 + 3)
+        assert backend.delete("a") == 2
+        assert check(backend)["columns"] == 1
+        backend.save("a", 2, np.ones(2))
+        assert backend.delete(None) == 2
+        assert check(backend)["columns"] == 0
+        backend.save("c", 0, np.ones(5))
+    finally:
+        backend.close()
+    reopened = SqliteResultBackend(path)
+    try:
+        assert check(reopened)["bytes"] == 8 * 5
+    finally:
+        reopened.close()
 
 
 def test_result_store_write_through_and_read_through(tmp_path):

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-import repro.service.scheduler as scheduler_mod
 from repro.service import (
     AsyncExtractionServer,
+    JobExpiredError,
     JobRequest,
     JobState,
     ResultStore,
@@ -357,6 +359,47 @@ def test_default_scheduler_solves_in_process(bem_spec):
         assert multiprocessing.active_children() == []
 
 
+def test_scheduler_state_stays_bounded(small_g_module, small_layout_module):
+    """Traffic that finishes leaves nothing behind: no job past retention, no
+    breaker for a substrate that succeeded, no per-job or per-solve entry
+    anywhere, while ids the service issued still answer "expired"."""
+    specs = [
+        SolverSpec.dense(small_g_module * (1.0 + 1e-3 * k), small_layout_module)
+        for k in range(200)
+    ]
+
+    def serve(scheduler, n_jobs):
+        for k in range(n_jobs):
+            scheduler.submit(JobRequest(specs[k % len(specs)], columns=(0,)))
+            scheduler.step()
+
+    def traced_bytes():
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    with Scheduler(autostart=False, max_jobs_retained=1, max_solvers=1) as scheduler:
+        serve(scheduler, 1000)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            at_1000 = traced_bytes()
+            serve(scheduler, 1000)
+            growth = traced_bytes() - at_1000
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(scheduler._jobs) <= 1
+        assert scheduler._breakers == {}
+        assert growth < 20_000, f"{growth} bytes retained by 1,000 finished jobs"
+        with pytest.raises(JobExpiredError):
+            scheduler.result("job-000001")
+        for never_issued in ("job-999999", "job-1"):
+            with pytest.raises(KeyError) as excinfo:
+                scheduler.result(never_issued)
+            assert not isinstance(excinfo.value, JobExpiredError)
+
+
 def test_scheduler_accepts_only_one_worker():
     with pytest.raises(ValueError, match="in-process"):
         Scheduler(n_workers=2)
@@ -365,10 +408,9 @@ def test_scheduler_accepts_only_one_worker():
 def test_engine_iteration_history_is_bounded(
     monkeypatch, small_layout_module, small_profile_module
 ):
-    """The scheduler trims the per-solve iteration list of the solver that
-    actually ran, so a long-lived engine's history stays bounded while its
-    counters keep every column."""
-    monkeypatch.setattr(scheduler_mod, "ITERATION_HISTORY", 8)
+    """A long-lived engine's solve statistics are counters, so they stay
+    bounded while counting every column; the service's merged counters
+    agree with the engine's."""
     built = []
     build = SolverSpec.build
 
@@ -389,10 +431,13 @@ def test_engine_iteration_history_is_bounded(
         for columns in (range(0, 6), range(6, 11), range(11, 16)):
             scheduler.submit(JobRequest(spec, columns=tuple(columns)))
             scheduler.step()
+        service_stats = scheduler.stats()["solve_stats"]
     assert built
-    for solver in built:
-        assert len(solver.stats.iterations_per_solve) <= 8
     assert sum(solver.stats.n_iterative_solves for solver in built) == 16
+    total_iterations = sum(solver.stats.total_iterations for solver in built)
+    assert service_stats["n_iterative_solves"] == 16
+    assert service_stats["total_iterations"] == total_iterations > 0
+    assert service_stats["mean_iterations"] == total_iterations / 16
 
 
 # -------------------------------------------------------------------- metrics
@@ -459,14 +504,17 @@ def test_http_error_paths(dense_spec):
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10.0)
+        err.value.close()
         assert err.value.code == 400
         # unknown path -> 404
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(server.url + "/nope", timeout=10.0)
+        err.value.close()
         assert err.value.code == 404
         # non-numeric wait_s -> clean JSON 400, not a dropped connection
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(server.url + "/v1/jobs/job-000001?wait_s=abc", timeout=10.0)
+        err.value.close()
         assert err.value.code == 400
         # wait-for-result long-polls a job to completion
         job_id = client.submit(JobRequest(dense_spec, columns=(0,)))
