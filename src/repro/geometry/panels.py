@@ -4,7 +4,9 @@ The eigenfunction (surface-variable) solver of Section 2.3 discretises the top
 surface into a uniform grid of square panels (Figure 2-5).  Contacts are
 represented by the set of panels whose centres they cover; currents live on
 panels, potentials are collocated at panel centres, and the contact current is
-the sum of its panel currents.
+the sum of its panel currents.  ``panel_to_contact`` is the one ownership
+record: the eigenfunction solver builds its contact-to-panel spread and its
+panel-to-contact sum from it.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class PanelGrid:
                 "a contact received no panels; increase the panel resolution"
             )
 
-    # -------------------------------------------------------------- operators
+    # -------------------------------------------------------------- accessors
     @property
     def n_panels(self) -> int:
         return self.nx * self.ny
@@ -112,43 +114,3 @@ class PanelGrid:
         """(n_panels, 2) array of panel centre coordinates (flat index order)."""
         xx, yy = np.meshgrid(self.xc, self.yc, indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
-
-    def spread_contact_values(self, contact_values: np.ndarray) -> np.ndarray:
-        """Copy one value per contact onto all of its panels.
-
-        Returns a full panel-grid array (flat, length ``n_panels``) with zeros
-        on non-contact panels.  Used to impose contact voltages.  Accepts a
-        vector of one value per contact or an ``(n_contacts, k)`` block, in
-        which case the result is ``(n_panels, k)``.
-        """
-        contact_values = np.asarray(contact_values, dtype=float)
-        if contact_values.shape[0] != self.layout.n_contacts:
-            raise ValueError("expected one value per contact")
-        out = np.zeros((self.n_panels,) + contact_values.shape[1:])
-        for idx, panels in enumerate(self.contact_panels):
-            out[panels] = contact_values[idx]
-        return out
-
-    def sum_panel_values(self, panel_values: np.ndarray) -> np.ndarray:
-        """Sum panel values over each contact (e.g. panel currents -> contact currents).
-
-        Accepts ``(n_panels,)`` vectors or ``(n_panels, k)`` blocks.
-        """
-        panel_values = np.asarray(panel_values, dtype=float)
-        out = np.empty((self.layout.n_contacts,) + panel_values.shape[1:])
-        for idx, panels in enumerate(self.contact_panels):
-            out[idx] = panel_values[panels].sum(axis=0)
-        return out
-
-    def contact_incidence(self) -> np.ndarray:
-        """Dense (n_contact_panels, n_contacts) 0/1 incidence matrix.
-
-        Column ``j`` selects the contact-panel rows belonging to contact ``j``
-        (ordering follows ``all_contact_panels``).
-        """
-        pos = {p: r for r, p in enumerate(self.all_contact_panels)}
-        mat = np.zeros((self.n_contact_panels, self.layout.n_contacts))
-        for j, panels in enumerate(self.contact_panels):
-            for p in panels:
-                mat[pos[p], j] = 1.0
-        return mat

@@ -17,8 +17,12 @@ the ``/v1/stats`` ledger.
 The store is a byte-budgeted LRU (like the
 :class:`~repro.substrate.factor_cache.FactorCache`, but keyed per column so
 partial overlaps hit): once the budget is exceeded the least-recently-used
-columns are dropped, oldest first.  Stored columns are marked read-only —
-many jobs may hold views of the same array.
+columns are dropped, oldest first.  A column larger than the whole budget
+is served but never stored, and counted in ``oversized``.  Stored columns
+are marked read-only — many jobs may hold views of the same array.  The
+per-substrate occupancy that ``/v1/stats`` reports is kept up to date
+wherever a column is admitted, evicted or cleared, so reading it walks no
+stored column.
 
 With a persistent backend attached (the
 :class:`~repro.service.persistence.SqliteResultBackend` of a service state
@@ -72,11 +76,17 @@ class ResultStore:
         # reprolint: guarded-by(_lock)
         self._columns: "OrderedDict[tuple[str, int], np.ndarray]" = OrderedDict()
         self._bytes = 0  # reprolint: guarded-by(_lock)
+        #: RAM occupancy per fingerprint, ``{"columns": n, "bytes": b}``; a
+        #: fingerprint leaves when its last column does
+        # reprolint: guarded-by(_lock)
+        self._occupancy: dict[str, dict[str, int]] = {}
         self._lock = threading.RLock()
         self._backend = backend  # reprolint: guarded-by(_lock)
         self.hits = 0  # reprolint: guarded-by(_lock)
         self.misses = 0  # reprolint: guarded-by(_lock)
         self.evictions = 0  # reprolint: guarded-by(_lock)
+        #: columns served but not stored: each larger than the whole budget
+        self.oversized = 0  # reprolint: guarded-by(_lock)
         self.disk_hits = 0  # reprolint: guarded-by(_lock)
         self.disk_misses = 0  # reprolint: guarded-by(_lock)
         #: backend save/load calls that raised (degraded to RAM-only service)
@@ -141,15 +151,31 @@ class ResultStore:
     def _admit_locked(self, key: tuple[str, int], values: np.ndarray) -> None:
         """Insert one read-only array into the LRU, evicting down to budget."""
         if values.nbytes > self.max_bytes:
-            return  # larger than the whole budget: serve, don't store
+            self.oversized += 1  # larger than the whole budget: serve, don't store
+            return
         old = self._columns.pop(key, None)
         if old is not None:
-            self._bytes -= old.nbytes
+            self._account_locked(key[0], -1, -old.nbytes)
         self._columns[key] = values
-        self._bytes += values.nbytes
+        self._account_locked(key[0], 1, values.nbytes)
+        self._evict_to_budget_locked()
+
+    # reprolint: holds(_lock)
+    def _account_locked(self, fingerprint: str, columns: int, nbytes: int) -> None:
+        """Add ``columns`` columns of ``nbytes`` bytes (negative to remove)."""
+        self._bytes += nbytes
+        entry = self._occupancy.setdefault(fingerprint, {"columns": 0, "bytes": 0})
+        entry["columns"] += columns
+        entry["bytes"] += nbytes
+        if entry["columns"] == 0:
+            del self._occupancy[fingerprint]
+
+    # reprolint: holds(_lock)
+    def _evict_to_budget_locked(self) -> None:
+        """Drop least-recently-used columns until the budget holds."""
         while self._bytes > self.max_bytes and self._columns:
-            _, victim = self._columns.popitem(last=False)
-            self._bytes -= victim.nbytes
+            (fingerprint, _), victim = self._columns.popitem(last=False)
+            self._account_locked(fingerprint, -1, -victim.nbytes)
             self.evictions += 1
 
     def put(self, fingerprint: str, column: int, values: np.ndarray) -> np.ndarray:
@@ -201,10 +227,7 @@ class ResultStore:
         """Change the byte budget and evict down to it immediately."""
         with self._lock:
             self.max_bytes = int(max_bytes)
-            while self._bytes > self.max_bytes and self._columns:
-                _, victim = self._columns.popitem(last=False)
-                self._bytes -= victim.nbytes
-                self.evictions += 1
+            self._evict_to_budget_locked()
 
     def clear(self, fingerprint: str | None = None) -> int:
         """Drop everything, or only one substrate's columns; counters survive.
@@ -217,12 +240,13 @@ class ResultStore:
             if fingerprint is None:
                 dropped = len(self._columns)
                 self._columns.clear()
+                self._occupancy.clear()
                 self._bytes = 0
             else:
                 dropped = 0
                 for key in [k for k in self._columns if k[0] == fingerprint]:
                     victim = self._columns.pop(key)
-                    self._bytes -= victim.nbytes
+                    self._account_locked(fingerprint, -1, -victim.nbytes)
                     dropped += 1
             self.evictions += dropped
             backend = self._backend
@@ -240,16 +264,11 @@ class ResultStore:
         Keyed by the fingerprint digest itself, the same text ``/v1/stats``
         carries as ``"digest"``: an operator's view of where warm state
         lives (each cluster worker serves its own on its ``/v1/stats``).
-        Walks every stored column: a stats-time call, not a per-request
-        one.
+        A copy of the counts kept on admission, eviction and clear: its
+        cost follows the number of fingerprints, not of stored columns.
         """
         with self._lock:
-            out: dict[str, dict] = {}
-            for (fingerprint, _column), values in self._columns.items():
-                entry = out.setdefault(fingerprint, {"columns": 0, "bytes": 0})
-                entry["columns"] += 1
-                entry["bytes"] += values.nbytes
-            return out
+            return {fp: dict(entry) for fp, entry in self._occupancy.items()}
 
     def info(self) -> dict:
         """Occupancy and hit/miss counters (service metrics / benchmarks)."""
@@ -261,6 +280,7 @@ class ResultStore:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
+                "oversized": self.oversized,
                 "disk_hits": self.disk_hits,
                 "disk_misses": self.disk_misses,
                 "backend_errors": self.backend_errors,

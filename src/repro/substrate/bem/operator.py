@@ -16,8 +16,12 @@ and ``w_mn = lambda_mn * eps_m * eps_n / (a b)``; it is therefore symmetric
 positive semi-definite by construction, which Section 2.4 relies on.
 
 Two apply paths are provided: a cached cosine-matrix path (used for modest
-grids and as the reference in tests) and an FFT path using
-``scipy.fft.dct`` that is asymptotically ``O(N log N)``.
+grids and as the reference in tests) and a DCT path that is asymptotically
+``O(N log N)``.  The DCT path is one pipeline, written once: orthonormal
+``scipy.fft`` DCT-II over the grid axes of a batch-major ``(k, nx, ny)``
+stack, for which ``A = C_o' diag(w_o) C_o`` needs no correction terms.  The
+contact-panel block apply of the Krylov solves and the whole-grid
+:meth:`SurfaceOperator.apply_grid` both run it.
 
 The contact-panel block ``A_cc`` that the direct solvers factor has a closed
 form.  In the orthonormal form ``A = C_o' diag(w_o) C_o``, ``C_o`` is the
@@ -78,8 +82,8 @@ class SurfaceOperator:
     fft_workers:
         Worker-thread count passed to every ``scipy.fft`` transform, resolved
         through :func:`~repro.substrate.dispatch.resolve_fft_workers`
-        (default: all CPUs when the host has more than one, else
-        single-threaded).
+        (default: all CPUs the process may run on, when there is more than
+        one, else single-threaded).
     """
 
     def __init__(
@@ -136,18 +140,17 @@ class SurfaceOperator:
 
         Accepts a single ``(nx, ny)`` array or a stacked ``(nx, ny, k)`` block
         of ``k`` independent current distributions; the block form runs the
-        2-D DCTs over all columns in one library call, which is the fast path
-        of the multi-RHS solves.
+        2-D DCTs over all columns in one library call.
         """
         q = np.asarray(panel_currents, dtype=float)
         if q.ndim not in (2, 3) or q.shape[:2] != (self.grid.nx, self.grid.ny):
             raise ValueError("panel current array has the wrong shape")
-        if self.use_fft:
-            return self._apply_fft(q)
-        return self._apply_matrix(q)
-
-    def _batch_weights(self, ndim: int) -> np.ndarray:
-        return self.weights if ndim == 2 else self.weights[:, :, None]
+        if not self.use_fft:
+            return self._apply_matrix(q)
+        if q.ndim == 2:
+            return self._apply_dct(q[None])[0]
+        # the DCT pipeline stacks the batch axis first
+        return np.moveaxis(self._apply_dct(np.moveaxis(q, 2, 0)), 0, 2)
 
     def _apply_matrix(self, q: np.ndarray) -> np.ndarray:
         if self._cos_x is None or self._cos_y is None:
@@ -166,20 +169,12 @@ class SurfaceOperator:
             "mi,mnk,nj->ijk", self._cos_x, modal, self._cos_y, optimize=True
         )
 
-    def _apply_fft(self, q: np.ndarray) -> np.ndarray:
+    def _apply_dct(self, grids: np.ndarray) -> np.ndarray:
+        """``A = C_o' diag(w_o) C_o`` on a batch-major ``(k, nx, ny)`` stack."""
         workers = self.fft_workers
-        # forward: C q  (DCT-II without normalisation is 2*C per axis);
-        # axes (0, 1) leave an optional trailing batch axis untouched.
-        modal = sp_fft.dctn(q, type=2, norm=None, axes=(0, 1), workers=workers) * 0.25
-        modal *= self._batch_weights(q.ndim)
-        # backward: C' y per axis; C'[i,m] y[m] = 0.5*(dct3(y)[i] + y[0])
-        tmp = 0.5 * (
-            sp_fft.dct(modal, type=3, axis=0, norm=None, workers=workers) + modal[0:1]
-        )
-        out = 0.5 * (
-            sp_fft.dct(tmp, type=3, axis=1, norm=None, workers=workers) + tmp[:, 0:1]
-        )
-        return out
+        modal = sp_fft.dctn(grids, type=2, norm="ortho", axes=(1, 2), workers=workers)
+        modal *= self.weights_ortho
+        return sp_fft.idctn(modal, type=2, norm="ortho", axes=(1, 2), workers=workers)
 
     def apply_flat(self, panel_currents_flat: np.ndarray) -> np.ndarray:
         """Apply to flat panel currents (flat index ``i*ny + j``).
@@ -211,8 +206,7 @@ class SurfaceOperator:
         keeps each column's ``(nx, ny)`` grid contiguous for the stacked DCTs,
         the full-grid scatter buffer is reused across calls (non-contact
         panels stay zero between calls because only contact positions are
-        ever written), and the orthonormal-DCT factorisation
-        ``A = C_o' diag(w_o) C_o`` needs no correction terms.
+        ever written), and the stack runs the one orthonormal DCT pipeline.
         """
         q_block = np.asarray(q_block, dtype=float)
         if not self.use_fft:
@@ -224,11 +218,7 @@ class SurfaceOperator:
         work = buf[:k]
         cp = self.grid.all_contact_panels
         work[:, cp] = q_block
-        grid = work.reshape(k, self.grid.nx, self.grid.ny)
-        workers = self.fft_workers
-        modal = sp_fft.dctn(grid, type=2, norm="ortho", axes=(1, 2), workers=workers)
-        modal *= self.weights_ortho
-        pot = sp_fft.idctn(modal, type=2, norm="ortho", axes=(1, 2), workers=workers)
+        pot = self._apply_dct(work.reshape(k, self.grid.nx, self.grid.ny))
         return pot.reshape(k, -1)[:, cp]
 
     # ------------------------------------------------------------- diagnostics

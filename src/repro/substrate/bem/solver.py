@@ -17,12 +17,17 @@ bordered (saddle-point) system
 
 with MINRES, which yields the gauge constant ``c`` alongside the currents.
 
-Batched solves (:meth:`EigenfunctionSolver.solve_many`) are routed per block
-by a :class:`~repro.substrate.dispatch.DispatchPolicy` between the stacked-RHS
-Krylov engines and a factor-once/solve-all direct engine: dense Cholesky of
-``A_cc`` for a grounded backplane, and a Schur-complement (bordered Cholesky)
-factorisation of the saddle-point system for a floating one, so wide floating
-blocks no longer pay one MINRES iteration history per column.
+Each Krylov method is written once, as a stacked-RHS engine: one CG loop and
+one MINRES loop iterate every column of a block at once.  A one-vector
+:meth:`EigenfunctionSolver.solve_currents` is a one-column run of the same
+engine, always iterative, so it counts its Krylov iterations (Tables 2.1 and
+2.2).  Batched solves (:meth:`EigenfunctionSolver.solve_many`) are routed per
+block by a :class:`~repro.substrate.dispatch.DispatchPolicy` between that
+engine and a factor-once/solve-all direct engine: dense Cholesky of ``A_cc``
+for a grounded backplane, and a Schur-complement (bordered Cholesky)
+factorisation of the saddle-point system for a floating one.  Both engines
+spread contact voltages onto panels and sum panel currents per contact
+through one owner index and one sparse incidence matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import warnings
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, lu_factor, lu_solve
-from scipy.sparse.linalg import LinearOperator, cg, minres
 
 from ...geometry.contact import ContactLayout
 from ...geometry.panels import PanelGrid
@@ -172,7 +176,7 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
         Worker-thread count for the stacked ``scipy.fft`` transforms,
         resolved through
         :func:`~repro.substrate.dispatch.resolve_fft_workers` (default: all
-        CPUs when the host has more than one).
+        CPUs the process may run on, when there is more than one).
     use_factor_cache:
         Keep the dense contact-block factorisation in the process-wide
         :mod:`~repro.substrate.factor_cache`, which then owns it: a second
@@ -228,7 +232,16 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
             self.grid.nx,
             self.grid.ny,
         )
-        self._incidence: sparse.csr_matrix | None = None
+        # the one contact<->panel map of both engines: ``v[self._owner]``
+        # spreads one value per contact onto its contact panels (in
+        # ``all_contact_panels`` order), and ``self._incidence @ q`` sums
+        # panel values back per contact
+        self._owner = self.grid.panel_to_contact[self.grid.all_contact_panels]
+        ncp = self._owner.size
+        self._incidence = sparse.csr_matrix(
+            (np.ones(ncp), (self._owner, np.arange(ncp))),
+            shape=(layout.n_contacts, ncp),
+        )
         self._jacobi = self.operator.contact_block_diagonal()
         if np.any(self._jacobi <= 0):
             # floating backplane has a zero uniform mode; the diagonal stays
@@ -242,73 +255,16 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
 
     # ----------------------------------------------------------------- solves
     def solve_currents(self, voltages: np.ndarray) -> np.ndarray:
+        """Contact currents for one voltage vector.
+
+        A one-column run of the iterative block engine (never the direct
+        factor), so every call counts its Krylov iterations.
+        """
         voltages = np.asarray(voltages, dtype=float)
         if voltages.shape != (self.layout.n_contacts,):
             raise ValueError("expected one voltage per contact")
         check_finite_voltages(voltages)
-        v_panel = self.grid.spread_contact_values(voltages)[
-            self.grid.all_contact_panels
-        ]
-        if self.profile.grounded_backplane:
-            q_panel = self._solve_grounded(v_panel)
-        else:
-            q_panel = self._solve_floating(v_panel)
-        full = np.zeros(self.grid.n_panels)
-        full[self.grid.all_contact_panels] = q_panel
-        return self.grid.sum_panel_values(full)
-
-    def _solve_grounded(self, v_panel: np.ndarray) -> np.ndarray:
-        ncp = self.grid.n_contact_panels
-        a_cc = LinearOperator(
-            (ncp, ncp), matvec=self.operator.apply_contact_panels, dtype=float
-        )
-        m_inv = LinearOperator(
-            (ncp, ncp), matvec=lambda r: r / self._jacobi, dtype=float
-        )
-        iterations = 0
-
-        def cb(_xk: np.ndarray) -> None:
-            nonlocal iterations
-            iterations += 1
-
-        x0 = v_panel / self._jacobi
-        sol, info = cg(a_cc, v_panel, x0=x0, rtol=self.rtol, maxiter=2000, M=m_inv, callback=cb)
-        if info > 0:
-            raise RuntimeError(f"CG did not converge in {info} iterations")
-        self.stats.record(iterations)
-        return sol
-
-    def _solve_floating(self, v_panel: np.ndarray) -> np.ndarray:
-        ncp = self.grid.n_contact_panels
-        ones = np.ones(ncp)
-        scale = float(np.mean(self._jacobi))
-
-        def matvec(x: np.ndarray) -> np.ndarray:
-            q, c = x[:-1], x[-1]
-            top = self.operator.apply_contact_panels(q) + c * scale * ones
-            bottom = scale * float(ones @ q)
-            return np.concatenate([top, [bottom]])
-
-        k = LinearOperator((ncp + 1, ncp + 1), matvec=matvec, dtype=float)
-        diag = np.concatenate([self._jacobi, [scale]])
-        m_inv = LinearOperator(
-            (ncp + 1, ncp + 1), matvec=lambda r: r / diag, dtype=float
-        )
-        rhs = np.concatenate([v_panel, [0.0]])
-        iterations = 0
-
-        def cb(_xk: np.ndarray) -> None:
-            nonlocal iterations
-            iterations += 1
-
-        sol, info = minres(k, rhs, rtol=self.rtol, maxiter=4000, M=m_inv, callback=cb)
-        if info > 0:
-            raise RuntimeError("MINRES did not converge")
-        self.stats.record(iterations)
-        # the MINRES border unknown is scaled; the physical gauge constant
-        # satisfies A_cc q + c 1 = v
-        self.last_gauge_constants = np.array([scale * sol[-1]])
-        return sol[:-1]
+        return self._solve_iterative(voltages[:, None])[:, 0]
 
     # ---------------------------------------------------------- batched solves
     def solve_many(self, voltages: np.ndarray) -> np.ndarray:
@@ -356,7 +312,7 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
         gauges = None if self.profile.grounded_backplane else np.empty(v.shape[1])
         for start in range(0, v.shape[1], self.max_batch):
             chunk = slice(start, min(start + self.max_batch, v.shape[1]))
-            out[:, chunk] = self._solve_many_chunk(v[:, chunk])
+            out[:, chunk] = self._solve_iterative(v[:, chunk])
             if gauges is not None:
                 gauges[chunk] = self.last_gauge_constants
         if gauges is not None:
@@ -443,22 +399,6 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
         seal_factor_arrays(lu, piv)
         return ("bordered", lu, piv)
 
-    def _ensure_incidence(self) -> np.ndarray:
-        """Contact->panel owner gather plus the cached panel->contact sum.
-
-        The direct path spreads contact voltages to panels through the
-        returned ``owner`` index and gathers panel currents back through the
-        cached sparse incidence product.
-        """
-        owner = self.grid.panel_to_contact[self.grid.all_contact_panels]
-        if self._incidence is None:
-            ncp = owner.size
-            self._incidence = sparse.csr_matrix(
-                (np.ones(ncp), (owner, np.arange(ncp))),
-                shape=(self.layout.n_contacts, ncp),
-            )
-        return owner
-
     def _solve_many_direct(self, v: np.ndarray) -> np.ndarray | None:
         """Factor-once / solve-all path; returns None on factorisation failure.
 
@@ -479,7 +419,6 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
             # the caller falls back to the iterative path with a warning.
             self._direct_failed = True
             return None
-        owner = self._ensure_incidence()
         kind = factor[0]
         k_total = v.shape[1]
         grounded = self.profile.grounded_backplane
@@ -487,7 +426,7 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
         gauges = None if grounded else np.empty(k_total)
         for start in range(0, k_total, self.max_batch):
             chunk = slice(start, min(start + self.max_batch, k_total))
-            v_panel = v[:, chunk][owner]
+            v_panel = v[:, chunk][self._owner]
             if kind == "chol":
                 q_panel = cho_solve(factor[1], v_panel, check_finite=False)
             elif kind == "schur":
@@ -509,39 +448,34 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
         return out
 
     # ----------------------------------------------------------- iterative path
-    def _solve_many_chunk(self, v: np.ndarray) -> np.ndarray:
-        if v.shape[1] == 0:
-            return np.empty_like(v)
-        v_panel = self.grid.spread_contact_values(v)[self.grid.all_contact_panels]
+    def _solve_iterative(self, v: np.ndarray) -> np.ndarray:
+        """Currents for an ``(n_contacts, k)`` block by the Krylov engine."""
+        b = v.T[:, self._owner]  # batch-major (k, ncp) contact-panel voltages
         if self.profile.grounded_backplane:
-            q_panel, iters = self._solve_grounded_block(v_panel)
+            q, iters = self._solve_grounded_block(b)
         else:
-            q_panel, iters = self._solve_floating_block(v_panel)
+            q, iters = self._solve_floating_block(b)
         for it in iters:
             self.stats.record(int(it))
-        full = np.zeros((self.grid.n_panels, v.shape[1]))
-        full[self.grid.all_contact_panels] = q_panel
-        return self.grid.sum_panel_values(full)
+        return self._incidence @ q.T
 
     def _solve_grounded_block(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Jacobi-preconditioned CG over all columns of ``b`` at once.
+        """Jacobi-preconditioned CG over the rows of a ``(k, ncp)`` block.
 
-        Per-column step lengths keep every column on its own CG trajectory
-        (this is vectorised CG, not block-Krylov subspace sharing), so each
-        column converges to the same solution as the sequential solve —
-        same Jacobi preconditioner, same ``x0``, but the operator is applied
-        to the whole block per iteration.  The iteration is carried
-        batch-major (``(k, ncp)`` arrays) so every column's panel data stays
-        contiguous through the stacked DCTs.
+        Per-row step lengths keep every right-hand side on its own CG
+        trajectory (vectorised CG, not block-Krylov subspace sharing), so a
+        row converges as it would alone, from ``x0 = D^{-1} b``; the operator
+        is applied to the whole block per iteration.  The iteration is
+        carried batch-major so every row's panel data stays contiguous
+        through the stacked DCTs, and it stops as soon as every row meets
+        ``rtol``, before preconditioning a finished residual.
         """
-        bt = np.ascontiguousarray(b.T)
         jac = self._jacobi[None, :]
-        n_rhs = bt.shape[0]
         apply_block = self.operator.apply_contact_panels_block
-        x = bt / jac
-        r = bt - apply_block(x)
-        tol = self.rtol * np.linalg.norm(bt, axis=1)
-        iters = np.zeros(n_rhs, dtype=int)
+        x = b / jac
+        r = b - apply_block(x)
+        tol = self.rtol * np.linalg.norm(b, axis=1)
+        iters = np.zeros(b.shape[0], dtype=int)
         active = np.linalg.norm(r, axis=1) > tol
         z = r / jac
         p = z.copy()
@@ -556,27 +490,30 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
             r -= alpha[:, None] * ap
             iters[active] += 1
             active &= np.linalg.norm(r, axis=1) > tol
+            if not active.any():
+                break
             z = r / jac
             rz_new = np.einsum("ij,ij->i", r, z)
             beta = np.where(rz > 0, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
-            p = z + beta[:, None] * p
+            p *= beta[:, None]
+            p += z
             rz = rz_new
         if active.any():
             raise RuntimeError(
                 f"batched CG did not converge for {int(active.sum())} column(s)"
             )
-        return x.T, iters
+        return x, iters
 
-    def _solve_floating_block(self, v_panel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batch-major vectorised MINRES on the bordered (saddle-point) system.
+    def _solve_floating_block(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Jacobi-preconditioned MINRES on the bordered system, per row of ``b``.
 
-        Same formulation and preconditioner as the sequential
-        :meth:`_solve_floating`, with the Lanczos/Givens recurrences carried
-        per RHS and the operator applied to the whole block at once through
-        the batch-major ``apply_contact_panels_block`` fast path (one stacked
-        DCT pipeline per iteration, like the grounded CG path).
+        ``b`` holds ``(k, ncp)`` batch-major contact-panel voltages.  The
+        Lanczos/Givens recurrences are carried per row and the operator is
+        applied to the whole block at once (one stacked DCT pipeline per
+        iteration, like the grounded CG path).  The border unknown is scaled
+        by the mean Jacobi entry; the physical gauge constants ``c`` of
+        ``A_cc q + c 1 = v`` land in :attr:`last_gauge_constants`.
         """
-        n_rhs = v_panel.shape[1]
         scale = float(np.mean(self._jacobi))
         diag = np.concatenate([self._jacobi, [scale]])[None, :]
         apply_block = self.operator.apply_contact_panels_block
@@ -587,16 +524,14 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
             bottom = scale * q.sum(axis=1, keepdims=True)
             return np.concatenate([top, bottom], axis=1)
 
-        rhs = np.concatenate(
-            [np.ascontiguousarray(v_panel.T), np.zeros((n_rhs, 1))], axis=1
-        )
+        rhs = np.concatenate([b, np.zeros((b.shape[0], 1))], axis=1)
         x, iters, active = _minres_block(matmat, rhs, diag, self.rtol, maxiter=4000)
         if active.any():
             raise RuntimeError(
                 f"batched MINRES did not converge for {int(active.sum())} column(s)"
             )
         self.last_gauge_constants = scale * x[:, -1]
-        return x[:, :-1].T, iters
+        return x[:, :-1], iters
 
     # ------------------------------------------------------------ convenience
     def conductance_matrix(self) -> np.ndarray:

@@ -25,7 +25,8 @@ and benchmarking.
 
 The module also hosts :func:`resolve_fft_workers`, the single place where the
 ``workers=`` argument of every ``scipy.fft`` DCT call in the package is gated
-on :func:`os.cpu_count`.
+on the CPUs this process may run on (:func:`os.sched_getaffinity`, or
+:func:`os.cpu_count` where the platform has no affinity call).
 """
 
 from __future__ import annotations
@@ -57,14 +58,20 @@ _MIN_DIRECT_RHS = 2
 def resolve_fft_workers(workers: int | None = None) -> int | None:
     """Resolve a user-facing ``fft_workers`` knob to a ``scipy.fft`` argument.
 
-    ``None`` (the default) asks for all available CPUs when the host has more
-    than one and stays single-threaded otherwise — spawning a worker pool on a
-    single-core box only adds overhead.  Explicit positive counts are passed
+    ``None`` (the default) asks for one worker per CPU this process may run
+    on when there is more than one, and stays single-threaded otherwise —
+    spawning a worker pool for one CPU only adds overhead.  The count is the
+    process's affinity mask (so ``taskset -c 0`` means one CPU however many
+    the host has), or :func:`os.cpu_count` where the platform has no
+    :func:`os.sched_getaffinity`.  Explicit positive counts are passed
     through (``1`` collapses to ``None``, scipy's single-threaded default) and
     negative counts keep scipy's own convention (``-1`` = all CPUs).
     """
     if workers is None:
-        n = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            n = len(os.sched_getaffinity(0))
+        else:
+            n = os.cpu_count() or 1
         return n if n > 1 else None
     w = int(workers)
     if w == 0:

@@ -469,6 +469,14 @@ def _rebuild_factor(meta: dict, arrays: list[np.ndarray]) -> Any:
 # process therefore finds exactly the factors it would otherwise rebuild.
 
 
+def _file_bytes(path: Path) -> int | None:
+    """Size of ``path`` in bytes, or None when there is no such file."""
+    try:
+        return path.stat().st_size
+    except FileNotFoundError:
+        return None
+
+
 def _key_digest(key: Hashable) -> str:
     """Stable hex digest of a cache key (filenames of its artifacts)."""
     import hashlib
@@ -489,17 +497,26 @@ class FactorArtifactStore:
 
     Only the :data:`PERSISTED_FACTOR_KINDS` are handled; values that the
     flatten contract cannot serialise are skipped (counted in
-    ``save_skips``).  All methods are thread-safe.
+    ``save_skips``).  All methods are thread-safe.  The artifact count and
+    bytes that :meth:`info` reports come from one directory scan at open,
+    then from each new :meth:`save`, so reading them scans nothing.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        #: serialises the check-write-count of :meth:`save`, so two savers of
+        #: one key neither share a temp file nor count the artifact twice
+        self._save_lock = threading.Lock()
         self.hits = 0  # reprolint: guarded-by(_lock)
         self.misses = 0  # reprolint: guarded-by(_lock)
         self.saves = 0  # reprolint: guarded-by(_lock)
         self.save_skips = 0  # reprolint: guarded-by(_lock)
+        sizes = map(_file_bytes, self.root.glob("*.npz"))
+        payloads = [size for size in sizes if size is not None]
+        self._artifacts = len(payloads)  # reprolint: guarded-by(_lock)
+        self._bytes = sum(payloads)  # reprolint: guarded-by(_lock)
 
     # ------------------------------------------------------------------ helpers
     @staticmethod
@@ -533,44 +550,53 @@ class FactorArtifactStore:
         if not self.handles(key):
             return False
         meta_path, payload_path = self._paths(key)
-        if meta_path.exists() and payload_path.exists():
-            return True
-        try:
-            meta, arrays = _flatten_factor(factor)
-        except TypeError:
+        with self._save_lock:
+            if meta_path.exists() and payload_path.exists():
+                return True
+            try:
+                meta, arrays = _flatten_factor(factor)
+            except TypeError:
+                with self._lock:
+                    self.save_skips += 1
+                return False
+            # a payload left without its sidecar (a crash between the two
+            # writes) is counted already: replacing it adds no artifact
+            old_bytes = _file_bytes(payload_path)
+            saved = True
+            try:
+                tmp_payload = payload_path.with_name(payload_path.name + ".tmp")
+                # write through a handle: np.savez would append ".npz" to the
+                # temp *name*, breaking the atomic rename
+                with open(tmp_payload, "wb") as fh:
+                    np.savez(fh, **{f"a{i}": a for i, a in enumerate(arrays)})
+                os.replace(tmp_payload, payload_path)
+                doc = {
+                    "meta": meta,
+                    "key": repr(key),
+                    "n_arrays": len(arrays),
+                    "nbytes": int(sum(a.nbytes for a in arrays)),
+                }
+                tmp_meta = meta_path.with_name(meta_path.name + ".tmp")
+                tmp_meta.write_text(json.dumps(doc, sort_keys=True))
+                # the meta sidecar lands last: an artifact without its sidecar
+                # is invisible to load(), so a crash between the writes is safe
+                os.replace(tmp_meta, meta_path)
+            except (OSError, ValueError) as exc:
+                warnings.warn(
+                    f"could not persist factor artifact for {key!r}: {exc}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                saved = False
+            new_bytes = _file_bytes(payload_path)
             with self._lock:
-                self.save_skips += 1
-            return False
-        try:
-            tmp_payload = payload_path.with_name(payload_path.name + ".tmp")
-            # write through a handle: np.savez would append ".npz" to the
-            # temp *name*, breaking the atomic rename
-            with open(tmp_payload, "wb") as fh:
-                np.savez(fh, **{f"a{i}": a for i, a in enumerate(arrays)})
-            os.replace(tmp_payload, payload_path)
-            doc = {
-                "meta": meta,
-                "key": repr(key),
-                "n_arrays": len(arrays),
-                "nbytes": int(sum(a.nbytes for a in arrays)),
-            }
-            tmp_meta = meta_path.with_name(meta_path.name + ".tmp")
-            tmp_meta.write_text(json.dumps(doc, sort_keys=True))
-            # the meta sidecar lands last: an artifact without its sidecar is
-            # invisible to load(), so a crash between the two writes is safe
-            os.replace(tmp_meta, meta_path)
-        except (OSError, ValueError) as exc:
-            warnings.warn(
-                f"could not persist factor artifact for {key!r}: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            with self._lock:
-                self.save_skips += 1
-            return False
-        with self._lock:
-            self.saves += 1
-        return True
+                if saved:
+                    self.saves += 1
+                else:
+                    self.save_skips += 1
+                self._artifacts += (new_bytes is not None) - (old_bytes is not None)
+                self._bytes += (new_bytes or 0) - (old_bytes or 0)
+            return saved
 
     def load(self, key: Hashable) -> Any | None:
         """Rebuild one persisted factor, or ``None`` when absent/corrupt.
@@ -606,19 +632,11 @@ class FactorArtifactStore:
     # -------------------------------------------------------------- maintenance
     def info(self) -> dict:
         """Occupancy and hit/miss counters (service metrics / benchmarks)."""
-        entries = 0
-        total_bytes = 0
-        try:
-            for path in self.root.glob("*.npz"):
-                entries += 1
-                total_bytes += path.stat().st_size
-        except OSError:
-            pass
         with self._lock:
             return {
                 "root": str(self.root),
-                "artifacts": entries,
-                "bytes": total_bytes,
+                "artifacts": self._artifacts,
+                "bytes": self._bytes,
                 "hits": self.hits,
                 "misses": self.misses,
                 "saves": self.saves,

@@ -41,7 +41,7 @@ class FastPoissonPreconditioner:
     fft_workers:
         Worker-thread count for the lateral DCT transforms, resolved through
         :func:`~repro.substrate.dispatch.resolve_fft_workers` (default: all
-        CPUs when the host has more than one).
+        CPUs the process may run on, when there is more than one).
     """
 
     def __init__(

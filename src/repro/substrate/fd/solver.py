@@ -2,10 +2,14 @@
 
 Solves the grid-of-resistors system with preconditioned conjugate gradients
 for each set of contact voltages and returns the contact currents, satisfying
-the same black-box contract as the eigenfunction solver.
+the same black-box contract as the eigenfunction solver.  PCG is written
+once, as a multi-RHS iteration behind
+:meth:`FiniteDifferenceSolver.solve_potentials_many`; a one-vector
+:meth:`~FiniteDifferenceSolver.solve_potentials` is a one-column run of it,
+always iterative, so it counts its PCG iterations (Tables 2.1 and 2.2).
 
 Batched solves (:meth:`FiniteDifferenceSolver.solve_many`) are routed per
-block by a :class:`~repro.substrate.dispatch.DispatchPolicy` between the
+block by a :class:`~repro.substrate.dispatch.DispatchPolicy` between that
 multi-RHS PCG iteration and a factor-once sparse LU of the system matrix,
 which is symmetric positive definite whenever at least one Dirichlet
 coupling exists (contacts always stamp one).  The routing is
@@ -25,7 +29,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.sparse.linalg import SuperLU, cg, splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from ...geometry.contact import ContactLayout
 from ..dispatch import DispatchDecision, DispatchPolicy
@@ -83,8 +87,8 @@ class FiniteDifferenceSolver(_CacheOwnedFactor, SubstrateSolver):
         Worker-thread count for the fast-Poisson preconditioner's DCT
         transforms, resolved through
         :func:`~repro.substrate.dispatch.resolve_fft_workers` (default: all
-        CPUs when the host has more than one).  Ignored by the non-DCT
-        preconditioners.
+        CPUs the process may run on, when there is more than one).  Ignored
+        by the non-DCT preconditioners.
     dispatch:
         Adaptive :class:`~repro.substrate.dispatch.DispatchPolicy` routing
         each ``solve_many`` block between the sparse LU and the multi-RHS
@@ -142,31 +146,13 @@ class FiniteDifferenceSolver(_CacheOwnedFactor, SubstrateSolver):
 
     # ----------------------------------------------------------------- solves
     def solve_potentials(self, voltages: np.ndarray) -> np.ndarray:
-        """Solve for all nodal potentials given contact voltages."""
+        """Nodal potentials for one voltage vector: a one-column PCG run."""
         voltages = np.asarray(voltages, dtype=float)
         if voltages.shape != (self.layout.n_contacts,):
             raise ValueError("expected one voltage per contact")
         check_finite_voltages(voltages)
         b = self.assembly.rhs_for_contact_voltages(voltages)
-        iterations = 0
-
-        def cb(_xk: np.ndarray) -> None:
-            nonlocal iterations
-            iterations += 1
-
-        sol, info = cg(
-            self.assembly.matrix,
-            b,
-            rtol=self.rtol,
-            atol=0.0,
-            maxiter=5000,
-            M=self._m_inv,
-            callback=cb,
-        )
-        if info > 0:
-            raise RuntimeError(f"PCG did not converge ({info} iterations)")
-        self.stats.record(iterations)
-        return sol
+        return self._pcg(b[:, None])[:, 0]
 
     def solve_currents(self, voltages: np.ndarray) -> np.ndarray:
         potentials = self.solve_potentials(voltages)
@@ -246,9 +232,9 @@ class FiniteDifferenceSolver(_CacheOwnedFactor, SubstrateSolver):
         factorisation is amortised over every column; the chosen engine then
         chunks internally at ``max_batch``.  The iterative engine runs one
         sparse matrix-block product and one block preconditioner apply per
-        iteration for every column; per-column step lengths keep each column
-        on the trajectory of its sequential :meth:`solve_currents`.  A block
-        holding NaN or inf raises ``ValueError`` before either engine runs.
+        iteration for every column: the one PCG loop, which
+        :meth:`solve_currents` runs on one column.  A block holding NaN or
+        inf raises ``ValueError`` before either engine runs.
         """
         v = np.asarray(voltages, dtype=float)
         if v.ndim != 2 or v.shape[0] != self.layout.n_contacts:
@@ -294,7 +280,16 @@ class FiniteDifferenceSolver(_CacheOwnedFactor, SubstrateSolver):
         if v.ndim != 2 or v.shape[0] != self.layout.n_contacts:
             raise ValueError("expected an (n_contacts, k) voltage block")
         check_finite_voltages(v)
-        b = self.assembly.rhs_for_contact_voltages(v)
+        return self._pcg(self.assembly.rhs_for_contact_voltages(v))
+
+    def _pcg(self, b: np.ndarray) -> np.ndarray:
+        """The one PCG loop of this solver, over the columns of ``b``.
+
+        Starts from ``x0 = 0``.  Per-column step lengths keep each column on
+        its own trajectory, and the loop stops as soon as every column meets
+        ``rtol``, before preconditioning a finished residual (a fast-Poisson
+        apply per block).
+        """
         if b.shape[1] == 0:
             return b
         a = self.assembly.matrix
@@ -320,11 +315,16 @@ class FiniteDifferenceSolver(_CacheOwnedFactor, SubstrateSolver):
             x += alpha * p
             r -= alpha * ap
             iters[active] += 1
-            active &= np.linalg.norm(r, axis=0) > tol
+            # column norms through einsum: np.linalg.norm's (n_nodes, k)
+            # temporary costs more than the reduction on every iteration
+            active &= np.sqrt(np.einsum("ij,ij->j", r, r)) > tol
+            if not active.any():
+                break
             z = precondition(r)
             rz_new = np.einsum("ij,ij->j", r, z)
             beta = np.where(rz > 0, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
-            p = z + beta * p
+            p *= beta
+            p += z
             rz = rz_new
         if active.any():
             raise RuntimeError(

@@ -9,6 +9,7 @@ iterative/direct solve statistics.
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import numpy as np
@@ -264,6 +265,18 @@ def test_resolve_fft_workers():
     assert resolved is None or (isinstance(resolved, int) and resolved > 1)
 
 
+def test_resolve_fft_workers_follows_the_cpu_affinity(monkeypatch):
+    """One allowed CPU means single-threaded transforms on a bigger host; the
+    host count is the fallback only where the platform has no affinity call."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_fft_workers(None) is None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert resolve_fft_workers(None) == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert resolve_fft_workers(None) == 8
+
+
 # ------------------------------------------------------- solver-level routing
 def test_solver_records_dispatch_decision(tiny_layout):
     solver = _solver(tiny_layout)
@@ -274,6 +287,8 @@ def test_solver_records_dispatch_decision(tiny_layout):
 
 
 def test_forced_paths_agree_with_sequential(tiny_layout):
+    """Both forced paths agree with the one-vector solves.  Those run the
+    iterative engine, so every answer is also held to the exact factor."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal((tiny_layout.n_contacts, 8))
     for grounded in (True, False):
@@ -282,16 +297,37 @@ def test_forced_paths_agree_with_sequential(tiny_layout):
             [reference.solve_currents(v[:, j]) for j in range(v.shape[1])]
         )
         scale = np.abs(seq).max()
+        outs = {}
         for path in ("direct", "iterative"):
             solver = _solver(
                 tiny_layout, grounded, dispatch=DispatchPolicy(force_path=path)
             )
-            out = solver.solve_many(v)
+            outs[path] = solver.solve_many(v)
             assert solver.last_dispatch.path == path
-            assert np.allclose(out, seq, rtol=0.0, atol=1e-8 * scale), (
-                grounded,
-                path,
-            )
+        for got in (seq, outs["iterative"]):
+            assert np.allclose(got, outs["direct"], rtol=0.0, atol=1e-8 * scale), grounded
+        assert np.allclose(outs["iterative"], seq, rtol=0.0, atol=1e-8 * scale), grounded
+
+
+@pytest.mark.parametrize("n_side", [4, 8, 16])
+def test_floating_one_vector_solve_meets_rtol(n_side):
+    """A floating-backplane ``solve_currents`` at ``rtol=1e-8`` lands within
+    1e-7 of max|I| of the exact bordered factor (SciPy's ``minres``, which
+    stops on its own residual estimate, lands 2e-7 to 6e-6 off here)."""
+    layout = regular_grid(n_side=n_side, size=128.0, fill=0.5)
+    profile = SubstrateProfile.two_layer_example(size=128.0, grounded_backplane=False)
+    iterative = EigenfunctionSolver(layout, profile, rtol=1e-8)
+    direct = EigenfunctionSolver(
+        layout, profile, rtol=1e-8, dispatch=DispatchPolicy(force_path="direct")
+    )
+    v = np.random.default_rng(0).standard_normal((layout.n_contacts, 2))
+    exact = direct.solve_many(v)
+    assert direct.stats.n_direct_solves == 2
+    for j in range(v.shape[1]):
+        currents = iterative.solve_currents(v[:, j])
+        error = np.abs(currents - exact[:, j]).max() / np.abs(exact[:, j]).max()
+        assert error < 1e-7, (n_side, j, error)
+    assert iterative.stats.n_iterative_solves == 2
 
 
 def test_direct_path_chunks_wide_blocks(tiny_layout):
@@ -453,6 +489,16 @@ def test_floating_gauge_constants_accumulate_across_chunks(tiny_layout):
     scale = np.abs(gauges_seq).max()
     assert np.allclose(
         chunked.last_gauge_constants, gauges_seq, rtol=0.0, atol=1e-7 * scale
+    )
+    direct = _solver(
+        tiny_layout, grounded=False, dispatch=DispatchPolicy(force_path="direct")
+    )
+    direct.solve_many(v)
+    assert np.allclose(
+        chunked.last_gauge_constants,
+        direct.last_gauge_constants,
+        rtol=0.0,
+        atol=1e-7 * scale,
     )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import EigenfunctionSolver, SubstrateProfile
 from repro.geometry import Contact, ContactLayout, PanelGrid, regular_grid
 
 
@@ -51,24 +52,42 @@ class TestAssignment:
         assert grid.hx <= min_side / 2 + 1e-9
 
 
+@pytest.fixture(scope="module")
+def solver():
+    layout = regular_grid(n_side=4, size=64.0, fill=0.5)
+    profile = SubstrateProfile.two_layer_example(size=64.0)
+    return EigenfunctionSolver(layout, profile, max_panels=32)
+
+
 class TestValueTransfer:
-    def test_spread_then_sum_roundtrip(self, grid):
+    """The solver's one contact<->panel map, built from ``panel_to_contact``:
+    the owner index ``v[_owner]`` spreads contact values onto contact panels,
+    and the sparse incidence ``_incidence @ q`` sums panels into contacts."""
+
+    def test_spread_then_sum_roundtrip(self, solver):
+        grid = solver.grid
         values = np.arange(1.0, grid.layout.n_contacts + 1)
-        panel_vals = grid.spread_contact_values(values)
+        on_panels = np.zeros(grid.n_panels)
+        on_panels[grid.all_contact_panels] = values[solver._owner]
+        for idx, panels in enumerate(grid.contact_panels):
+            assert np.all(on_panels[panels] == values[idx])
+        assert np.count_nonzero(on_panels) == grid.n_contact_panels
         # summing panel values counts each panel once
-        sums = grid.sum_panel_values(panel_vals)
         sizes = np.array([p.size for p in grid.contact_panels])
-        assert np.allclose(sums, values * sizes)
+        assert np.array_equal(solver._incidence @ values[solver._owner], values * sizes)
+        # blocks go through the same map column by column
+        block = np.column_stack([values, -2.0 * values])
+        assert np.array_equal(
+            solver._incidence @ block[solver._owner],
+            np.column_stack([values * sizes, -2.0 * values * sizes]),
+        )
 
-    def test_spread_requires_correct_length(self, grid):
-        with pytest.raises(ValueError):
-            grid.spread_contact_values(np.ones(3))
-
-    def test_incidence_matrix_shape_and_content(self, grid):
-        inc = grid.contact_incidence()
-        assert inc.shape == (grid.n_contact_panels, grid.layout.n_contacts)
-        assert np.allclose(inc.sum(axis=0), [p.size for p in grid.contact_panels])
-        assert np.allclose(inc.sum(axis=1), 1.0)
+    def test_incidence_matrix_shape_and_content(self, solver):
+        grid = solver.grid
+        inc = solver._incidence.toarray()
+        assert inc.shape == (grid.layout.n_contacts, grid.n_contact_panels)
+        assert np.allclose(inc.sum(axis=1), [p.size for p in grid.contact_panels])
+        assert np.allclose(inc.sum(axis=0), 1.0)
 
     def test_panel_centers(self, grid):
         centers = grid.panel_centers()

@@ -11,8 +11,8 @@ import json
 import sqlite3
 import threading
 import time
-import urllib.error
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -391,6 +391,101 @@ def test_sqlite_backend_info_counts_without_a_query(tmp_path):
         assert check(reopened)["bytes"] == 8 * 5
     finally:
         reopened.close()
+
+
+def test_result_store_info_counts_without_a_walk():
+    """``info()`` reports per-fingerprint occupancy from counts kept where
+    columns are admitted, evicted or cleared; after every step they equal a
+    walk over the stored columns, and an emptied fingerprint is gone."""
+
+    class Columns(OrderedDict):
+        walks = 0
+
+        def __iter__(self):
+            Columns.walks += 1
+            return super().__iter__()
+
+        def items(self):
+            Columns.walks += 1
+            return super().items()
+
+    store = ResultStore(max_bytes=8 * 40)
+    store._columns = Columns()
+
+    def check() -> dict:
+        walks = Columns.walks
+        info = store.info()
+        assert Columns.walks == walks  # no walk over the stored columns
+        walk: dict[str, dict[str, int]] = {}
+        for (fingerprint, _), values in store._columns.items():
+            entry = walk.setdefault(fingerprint, {"columns": 0, "bytes": 0})
+            entry["columns"] += 1
+            entry["bytes"] += values.nbytes
+        reported = {
+            e["digest"]: {"columns": e["columns"], "bytes": e["bytes"]}
+            for e in info["fingerprints"]
+        }
+        assert reported == walk
+        assert info["columns"] == sum(e["columns"] for e in walk.values())
+        assert info["bytes"] == sum(e["bytes"] for e in walk.values())
+        return info
+
+    for column in range(3):
+        store.put("a", column, np.ones(8))
+        store.put("b", column, np.ones(4))
+    assert check()["evictions"] == 0
+    store.put("a", 0, np.ones(2))  # replaced by a shorter column
+    assert check()["bytes"] == 8 * (2 + 8 + 8 + 3 * 4)
+    store.put("c", 0, np.ones(20))  # LRU evictions: a's and b's oldest go
+    info = check()
+    assert info["evictions"] == 2 and info["bytes"] <= 8 * 40
+    store.put("d", 0, np.ones(41))  # larger than the whole budget
+    info = check()
+    assert info["oversized"] == 1 and "d" not in {e["digest"] for e in info["fingerprints"]}
+    store.clear("b")
+    assert "b" not in {e["digest"] for e in check()["fingerprints"]}
+    store.set_budget(8 * 21)  # evicts down to the newest columns
+    assert {e["digest"] for e in check()["fingerprints"]} == {"c"}
+    store.clear()
+    assert check()["fingerprints"] == []
+
+
+def test_artifact_store_info_counts_without_a_scan(tmp_path, monkeypatch):
+    """The artifact store counts its payloads once at open and then on each
+    new save; ``info()`` equals a directory scan after saves, a repeated
+    save, a payload orphaned by a crash and a reopen."""
+    root = tmp_path / "artifacts"
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("info() scanned the artifact directory")
+
+    def check(store: FactorArtifactStore) -> dict:
+        with monkeypatch.context() as patch:
+            patch.setattr(type(root), "glob", no_scan)
+            info = store.info()
+        payloads = list(root.glob("*.npz"))
+        assert info["artifacts"] == len(payloads)
+        assert info["bytes"] == sum(p.stat().st_size for p in payloads)
+        return info
+
+    def factor(n: int) -> tuple:
+        return ("chol", (np.asfortranarray(np.eye(n)), False))
+
+    store = FactorArtifactStore(root)
+    assert check(store)["artifacts"] == 0
+    assert store.save(("bem_direct_factor", "a"), factor(3))
+    assert store.save(("bem_direct_factor", "b"), factor(5))
+    assert store.save(("bem_direct_factor", "a"), factor(3))  # already there
+    assert check(store)["artifacts"] == 2
+    # a crash between the payload and its sidecar leaves an orphan payload
+    meta_b, payload_b = store._paths(("bem_direct_factor", "b"))
+    meta_b.unlink()
+    reopened = FactorArtifactStore(root)
+    assert check(reopened)["artifacts"] == 2
+    assert reopened.save(("bem_direct_factor", "b"), factor(5))  # replaces it
+    assert reopened.save(("bem_direct_factor", "c"), factor(4))
+    info = check(reopened)
+    assert (info["artifacts"], info["saves"]) == (3, 2)
 
 
 def test_result_store_write_through_and_read_through(tmp_path):

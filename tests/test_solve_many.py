@@ -3,13 +3,16 @@
 ``solve_many`` must be a pure batching device: column ``j`` of its result has
 to match ``solve_currents`` on column ``j`` for every backend (grounded and
 floating backplane), and a block of ``k`` columns must be charged as exactly
-``k`` black-box solves.
+``k`` black-box solves.  The physical solvers' ``solve_currents`` is a
+one-column run of their iterative block engine, so those comparisons also
+hold both against an exact solve of the discrete system.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from repro import (
     CountingSolver,
@@ -42,6 +45,37 @@ def _column_by_column(solver: SubstrateSolver, v: np.ndarray) -> np.ndarray:
     return np.column_stack([solver.solve_currents(v[:, j]) for j in range(v.shape[1])])
 
 
+def _exact_bem_currents(solver: EigenfunctionSolver, v: np.ndarray) -> np.ndarray:
+    """Dense solve of ``A_cc`` (bordered when floating), summed per contact."""
+    grid = solver.grid
+    a_cc = solver.operator.dense_contact_block()
+    owner = grid.panel_to_contact[grid.all_contact_panels]
+    v_panel = v[owner]
+    if solver.profile.grounded_backplane:
+        q = np.linalg.solve(a_cc, v_panel)
+    else:
+        ncp = a_cc.shape[0]
+        bordered = np.zeros((ncp + 1, ncp + 1))
+        bordered[:ncp, :ncp] = a_cc
+        bordered[:ncp, -1] = bordered[-1, :ncp] = 1.0
+        rhs = np.vstack([v_panel, np.zeros((1, v.shape[1]))])
+        q = np.linalg.solve(bordered, rhs)[:ncp]
+    out = np.zeros_like(v)
+    np.add.at(out, owner, q)
+    return out
+
+
+def _exact_fd_currents(solver: FiniteDifferenceSolver, v: np.ndarray) -> np.ndarray:
+    """Sparse direct solve of the FD system, then the contact branch currents."""
+    rhs = solver.assembly.rhs_for_contact_voltages(v)
+    potentials = spsolve(solver.assembly.matrix.tocsc(), rhs)
+    return solver.assembly.contact_currents(v, potentials.reshape(rhs.shape))
+
+
+def _assert_close(got: np.ndarray, expected: np.ndarray, rel: float = 1e-8) -> None:
+    assert np.allclose(got, expected, rtol=0.0, atol=rel * np.abs(expected).max())
+
+
 # --------------------------------------------------------------- equivalence
 @pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "floating"])
 def test_eigenfunction_solve_many_matches_sequential(tiny_layout, grounded):
@@ -50,8 +84,10 @@ def test_eigenfunction_solve_many_matches_sequential(tiny_layout, grounded):
     v = rng.standard_normal((tiny_layout.n_contacts, 6))
     batched = solver.solve_many(v)
     sequential = _column_by_column(solver, v)
-    scale = np.abs(sequential).max()
-    assert np.allclose(batched, sequential, rtol=0.0, atol=1e-8 * scale)
+    _assert_close(batched, sequential)
+    exact = _exact_bem_currents(solver, v)
+    _assert_close(batched, exact)
+    _assert_close(sequential, exact)
 
 
 @pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "floating"])
@@ -70,8 +106,10 @@ def test_fd_solve_many_matches_sequential(tiny_layout, grounded, preconditioner)
     v = rng.standard_normal((tiny_layout.n_contacts, 5))
     batched = solver.solve_many(v)
     sequential = _column_by_column(solver, v)
-    scale = np.abs(sequential).max()
-    assert np.allclose(batched, sequential, rtol=0.0, atol=1e-8 * scale)
+    _assert_close(batched, sequential)
+    exact = _exact_fd_currents(solver, v)
+    _assert_close(batched, exact)
+    _assert_close(sequential, exact)
 
 
 def test_dense_matrix_solve_many_matches_sequential(rng, small_g, small_layout):
@@ -201,7 +239,10 @@ def test_extract_dense_matches_sequential_reference(tiny_layout):
     n = tiny_layout.n_contacts
     reference = _column_by_column(solver, np.eye(n))
     g = extract_dense(solver)
-    assert np.allclose(g, reference, rtol=0.0, atol=1e-8 * np.abs(reference).max())
+    _assert_close(g, reference)
+    exact = _exact_bem_currents(solver, np.eye(n))
+    _assert_close(g, exact)
+    _assert_close(reference, exact)
 
 
 def test_extract_dense_counts_n_solves(small_g, small_layout):
@@ -304,8 +345,11 @@ def test_matrix_path_solver_solve_many_matches_sequential(tiny_layout):
     v = rng.standard_normal((tiny_layout.n_contacts, 5))
     batched = solver.solve_many(v)
     sequential = _column_by_column(solver, v)
-    scale = np.abs(sequential).max()
-    assert np.allclose(batched, sequential, rtol=0.0, atol=1e-8 * scale)
+    _assert_close(batched, sequential)
+    # the cosine-matrix operator's own A_cc: no DCT anywhere in the reference
+    exact = _exact_bem_currents(solver, v)
+    _assert_close(batched, exact)
+    _assert_close(sequential, exact)
 
 
 def _operator(layout, grounded: bool, shape: tuple | None) -> SurfaceOperator:
