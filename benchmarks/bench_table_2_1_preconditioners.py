@@ -20,6 +20,20 @@ PRECONDITIONERS = (
     "jacobi",
 )
 
+N_SOLVES = 3
+
+#: PCG iterations summed over the N_SOLVES solves at the default n_side=16.
+#: The counts are integers and follow only from the FD system, the
+#: preconditioner and the PCG loop, so any change to the FD solve path must
+#: keep them exactly (each is a run of the one multi-RHS PCG loop).
+EXPECTED_TOTAL_ITERATIONS = {
+    "fast_poisson_dirichlet": 29,
+    "fast_poisson_neumann": 21,
+    "fast_poisson_area": 41,
+    "ic": 313,
+    "jacobi": 902,
+}
+
 
 @pytest.mark.benchmark(group="table-2.1")
 def test_table_2_1_preconditioner_effectiveness(benchmark):
@@ -30,7 +44,7 @@ def test_table_2_1_preconditioner_effectiveness(benchmark):
     rows = benchmark.pedantic(
         run_preconditioner_table,
         args=(config,),
-        kwargs={"preconditioners": PRECONDITIONERS, "n_solves": 3},
+        kwargs={"preconditioners": PRECONDITIONERS, "n_solves": N_SOLVES},
         iterations=1,
         rounds=1,
     )
@@ -51,3 +65,7 @@ def test_table_2_1_preconditioner_effectiveness(benchmark):
                by_name["fast_poisson_area"])
     assert fast < by_name["ic"]
     assert fast < by_name["jacobi"]
+    if bench_n_side() == 16:
+        # the mean is total / N_SOLVES, so rounding recovers the exact total
+        totals = {name: round(N_SOLVES * mean) for name, mean in by_name.items()}
+        assert totals == EXPECTED_TOTAL_ITERATIONS, totals

@@ -210,14 +210,6 @@ class WaveletBasis:
     def basis(self, key: SquareKey) -> SquareBasis:
         return self.squares[key]
 
-    def max_vanishing_at_level(self, level: int) -> int:
-        """Largest number of W columns over squares at ``level``."""
-        vals = [
-            self.squares[sq.key].n_vanishing
-            for sq in self.hierarchy.squares_at_level(level)
-        ]
-        return max(vals) if vals else 0
-
     def check_orthogonality(self) -> float:
         """Return ``||Q'Q - I||_max`` (should be ~machine precision)."""
         qtq = (self.q_matrix.T @ self.q_matrix).toarray()

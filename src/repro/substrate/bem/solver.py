@@ -17,38 +17,31 @@ bordered (saddle-point) system
 
 with MINRES, which yields the gauge constant ``c`` alongside the currents.
 
-Each Krylov method is written once, as a stacked-RHS engine: one CG loop and
-one MINRES loop iterate every column of a block at once.  A one-vector
-:meth:`EigenfunctionSolver.solve_currents` is a one-column run of the same
-engine, always iterative, so it counts its Krylov iterations (Tables 2.1 and
-2.2).  Batched solves (:meth:`EigenfunctionSolver.solve_many`) are routed per
-block by a :class:`~repro.substrate.dispatch.DispatchPolicy` between that
-engine and a factor-once/solve-all direct engine: dense Cholesky of ``A_cc``
-for a grounded backplane, and a Schur-complement (bordered Cholesky)
-factorisation of the saddle-point system for a floating one.  Both engines
-spread contact voltages onto panels and sum panel currents per contact
-through one owner index and one sparse incidence matrix.
+This is the eigenfunction backend of the frame both physical solvers share
+(``solver_base._DispatchingSolver``), which routes each
+:meth:`~EigenfunctionSolver.solve_many` block
+(:meth:`~repro.substrate.dispatch.DispatchPolicy.choose`), chunks it and
+handles a failed factorisation.  The backend supplies two engines: one
+stacked-RHS Krylov loop per method, which the one-vector
+:meth:`~EigenfunctionSolver.solve_currents` runs on one column, and a
+factor-once/solve-all direct engine: dense Cholesky of ``A_cc`` for a
+grounded backplane, a Schur-complement (bordered Cholesky) factorisation of
+the saddle-point system for a floating one.  Both spread contact voltages
+onto panels and sum panel currents per contact through one owner index and
+one sparse incidence (:func:`~repro.geometry.panels.contact_map`).
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, lu_factor, lu_solve
 
 from ...geometry.contact import ContactLayout
-from ...geometry.panels import PanelGrid
+from ...geometry.panels import PanelGrid, contact_map
 from ..dispatch import DispatchDecision, DispatchPolicy
 from ..factor_cache import seal_factor_arrays
 from ..profile import SubstrateProfile
-from ..solver_base import (
-    SolveStats,
-    SubstrateSolver,
-    _CacheOwnedFactor,
-    check_finite_voltages,
-)
+from ..solver_base import _DispatchingSolver
 from .operator import SurfaceOperator
 
 #: factor-cache kind string of the dense contact-block factorisations
@@ -136,7 +129,7 @@ def _minres_block(
     return x, iters, active
 
 
-class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
+class EigenfunctionSolver(_DispatchingSolver):
     """Black-box substrate solver using the DCT eigendecomposition operator.
 
     Parameters
@@ -200,7 +193,6 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
         fft_workers: int | None = None,
         use_factor_cache: bool = True,
     ) -> None:
-        self.layout = layout
         self.profile = profile
         self.grid = PanelGrid.for_layout(
             layout, panels_per_min_contact=panels_per_contact, max_panels=max_panels
@@ -209,38 +201,21 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
             self.grid, profile, use_fft=use_fft, fft_workers=fft_workers
         )
         self.rtol = rtol
-        self.max_batch = int(max_batch)
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        self.stats = SolveStats()
-        self.dispatch = (
-            dispatch
-            if dispatch is not None
-            else DispatchPolicy(max_direct_panels=max_direct_panels)
+        if dispatch is None:
+            dispatch = DispatchPolicy(max_direct_panels=max_direct_panels)
+        super().__init__(
+            layout,
+            max_batch,
+            dispatch,
+            use_factor_cache,
+            (BEM_FACTOR_KIND, layout.fingerprint, profile.cache_key, self.grid.nx, self.grid.ny),
         )
-        #: routing decision of the most recent solve_many block (diagnostics)
-        self.last_dispatch: DispatchDecision | None = None
         #: gauge constants ``c`` (one per column) of the most recent
         #: floating-backplane solve, on either engine
         self.last_gauge_constants: np.ndarray | None = None
-        self._direct_failed = False
-        self.use_factor_cache = bool(use_factor_cache)
-        self._factor_cache_key = (
-            BEM_FACTOR_KIND,
-            layout.fingerprint,
-            profile.cache_key,
-            self.grid.nx,
-            self.grid.ny,
-        )
-        # the one contact<->panel map of both engines: ``v[self._owner]``
-        # spreads one value per contact onto its contact panels (in
-        # ``all_contact_panels`` order), and ``self._incidence @ q`` sums
-        # panel values back per contact
-        self._owner = self.grid.panel_to_contact[self.grid.all_contact_panels]
-        ncp = self._owner.size
-        self._incidence = sparse.csr_matrix(
-            (np.ones(ncp), (self._owner, np.arange(ncp))),
-            shape=(layout.n_contacts, ncp),
+        # the one contact<->panel map of both engines, in all_contact_panels order
+        _, self._owner, self._incidence = contact_map(
+            self.grid.panel_to_contact, layout.n_contacts
         )
         self._jacobi = self.operator.contact_block_diagonal()
         if np.any(self._jacobi <= 0):
@@ -253,93 +228,20 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
         """Dense-factorisation panel ceiling (delegates to the policy)."""
         return self.dispatch.max_direct_panels
 
-    # ----------------------------------------------------------------- solves
-    def solve_currents(self, voltages: np.ndarray) -> np.ndarray:
-        """Contact currents for one voltage vector.
+    # -------------------------------------------------------------- dispatch
+    def _direct_limits(self) -> tuple[int, int]:
+        return self.grid.n_contact_panels, self.dispatch.max_direct_panels
 
-        A one-column run of the iterative block engine (never the direct
-        factor), so every call counts its Krylov iterations.
-        """
-        voltages = np.asarray(voltages, dtype=float)
-        if voltages.shape != (self.layout.n_contacts,):
-            raise ValueError("expected one voltage per contact")
-        check_finite_voltages(voltages)
-        return self._solve_iterative(voltages[:, None])[:, 0]
-
-    # ---------------------------------------------------------- batched solves
-    def solve_many(self, voltages: np.ndarray) -> np.ndarray:
-        """Batched black-box solve with adaptive direct/iterative dispatch.
-
-        The :class:`~repro.substrate.dispatch.DispatchPolicy` routes the whole
-        block once — so a one-time factorisation is amortised over every
-        column of the block — and the chosen engine then chunks internally at
-        ``max_batch`` columns to bound peak memory.  Column ``j`` of the
-        result matches ``solve_currents(voltages[:, j])`` to the solver
-        tolerance on either engine.  A block holding NaN or inf raises
-        ``ValueError`` here, before any engine sees it.
-        """
-        v = np.asarray(voltages, dtype=float)
-        if v.ndim != 2 or v.shape[0] != self.layout.n_contacts:
-            raise ValueError("expected an (n_contacts, k) voltage block")
-        check_finite_voltages(v)
-        if v.shape[1] == 0:
-            return np.empty_like(v)
-        decision = self.dispatch.choose(
+    def _choose(self, n_rhs: int, **state: bool) -> DispatchDecision:
+        return self.dispatch.choose(
             n_panels=self.grid.n_contact_panels,
-            n_rhs=v.shape[1],
+            n_rhs=n_rhs,
             grid_points=self.grid.n_panels,
             grounded=self.profile.grounded_backplane,
-            factor_cached=self._factor_available(),
-            factor_failed=self._direct_failed,
+            **state,
         )
-        self.last_dispatch = decision
-        if decision.path == "direct":
-            solved = self._solve_many_direct(v)
-            if solved is not None:
-                return solved
-            warnings.warn(
-                "dense contact-block factorisation failed (numerically non-SPD "
-                "contact block); falling back to the iterative path",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.last_dispatch = DispatchDecision(
-                "iterative", "direct factorisation failed"
-            )
-        out = np.empty_like(v)
-        # accumulate per-column gauge constants across chunks (each floating
-        # chunk solve overwrites last_gauge_constants with its own columns)
-        gauges = None if self.profile.grounded_backplane else np.empty(v.shape[1])
-        for start in range(0, v.shape[1], self.max_batch):
-            chunk = slice(start, min(start + self.max_batch, v.shape[1]))
-            out[:, chunk] = self._solve_iterative(v[:, chunk])
-            if gauges is not None:
-                gauges[chunk] = self.last_gauge_constants
-        if gauges is not None:
-            self.last_gauge_constants = gauges
-        return out
 
     # -------------------------------------------------------------- direct path
-    def prepare_direct(self) -> bool:
-        """Build (or load from the factor cache) the direct factor now.
-
-        Returns True when the factor exists afterwards, in the factor cache
-        or held by this solver; False when the direct path is unavailable
-        (panel ceiling, or a failed factorisation, which is also remembered
-        so dispatch never retries it).  Used to warm engines before timed
-        extraction.
-        """
-        if self._direct_failed:
-            return False
-        if not 0 < self.grid.n_contact_panels <= self.dispatch.max_direct_panels:
-            return False
-        try:
-            self._ensure_direct_factor()
-        except LinAlgError:
-            self._direct_failed = True
-            return False
-        return True
-
     def _build_direct_factor(self) -> tuple:
         """Gather ``A_cc`` and factor it in place, with no second copy.
 
@@ -399,65 +301,45 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
         seal_factor_arrays(lu, piv)
         return ("bordered", lu, piv)
 
-    def _solve_many_direct(self, v: np.ndarray) -> np.ndarray | None:
-        """Factor-once / solve-all path; returns None on factorisation failure.
-
-        The RHS/solution pair is processed in ``max_batch``-column chunks so a
-        very wide block never materialises the full ``(ncp, k)`` panel arrays
-        at once — the same memory bound the iterative path observes.
+    def _solve_direct_chunk(
+        self, v: np.ndarray, factor: tuple
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Currents (and floating gauges) of a chunk by two triangular solves.
 
         The triangular solves skip SciPy's finiteness scan
-        (``check_finite=False``), so a block pays only for its own columns,
+        (``check_finite=False``), so a chunk pays only for its own columns,
         not for a pass over the whole factor.  Both inputs were checked where
         they entered: the factor when it was built or loaded (and it is
         read-only since), the voltages at :meth:`solve_many` entry.
         """
-        try:
-            factor = self._ensure_direct_factor()
-        except LinAlgError:
-            # numerically non-SPD / singular contact block (degenerate grid):
-            # the caller falls back to the iterative path with a warning.
-            self._direct_failed = True
-            return None
-        kind = factor[0]
-        k_total = v.shape[1]
-        grounded = self.profile.grounded_backplane
-        out = np.empty_like(v)
-        gauges = None if grounded else np.empty(k_total)
-        for start in range(0, k_total, self.max_batch):
-            chunk = slice(start, min(start + self.max_batch, k_total))
-            v_panel = v[:, chunk][self._owner]
-            if kind == "chol":
-                q_panel = cho_solve(factor[1], v_panel, check_finite=False)
-            elif kind == "schur":
-                _, chol, w, s = factor
-                q0 = cho_solve(chol, v_panel, check_finite=False)
-                c = q0.sum(axis=0) / s
-                q_panel = q0 - w[:, None] * c
-                gauges[chunk] = c
-            else:  # bordered LU
-                _, lu, piv = factor
-                rhs = np.vstack([v_panel, np.zeros((1, v_panel.shape[1]))])
-                sol = lu_solve((lu, piv), rhs, check_finite=False)
-                q_panel = sol[:-1]
-                gauges[chunk] = sol[-1]
-            out[:, chunk] = self._incidence @ q_panel
-        if gauges is not None:
-            self.last_gauge_constants = gauges
-        self.stats.record_direct(k_total)
-        return out
+        v_panel = v[self._owner]
+        gauges = None
+        if factor[0] == "chol":
+            q_panel = cho_solve(factor[1], v_panel, check_finite=False)
+        elif factor[0] == "schur":
+            _, chol, w, s = factor
+            q0 = cho_solve(chol, v_panel, check_finite=False)
+            gauges = q0.sum(axis=0) / s
+            q_panel = q0 - w[:, None] * gauges
+        else:  # bordered LU
+            _, lu, piv = factor
+            rhs = np.vstack([v_panel, np.zeros((1, v_panel.shape[1]))])
+            sol = lu_solve((lu, piv), rhs, check_finite=False)
+            q_panel, gauges = sol[:-1], sol[-1]
+        return self._incidence @ q_panel, gauges
 
     # ----------------------------------------------------------- iterative path
-    def _solve_iterative(self, v: np.ndarray) -> np.ndarray:
-        """Currents for an ``(n_contacts, k)`` block by the Krylov engine."""
+    def _solve_iterative_chunk(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Currents (and floating gauges) of a chunk by the Krylov engine."""
         b = v.T[:, self._owner]  # batch-major (k, ncp) contact-panel voltages
+        gauges = None
         if self.profile.grounded_backplane:
             q, iters = self._solve_grounded_block(b)
         else:
-            q, iters = self._solve_floating_block(b)
+            q, iters, gauges = self._solve_floating_block(b)
         for it in iters:
             self.stats.record(int(it))
-        return self._incidence @ q.T
+        return self._incidence @ q.T, gauges
 
     def _solve_grounded_block(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Jacobi-preconditioned CG over the rows of a ``(k, ncp)`` block.
@@ -504,15 +386,17 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
             )
         return x, iters
 
-    def _solve_floating_block(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _solve_floating_block(
+        self, b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Jacobi-preconditioned MINRES on the bordered system, per row of ``b``.
 
         ``b`` holds ``(k, ncp)`` batch-major contact-panel voltages.  The
         Lanczos/Givens recurrences are carried per row and the operator is
         applied to the whole block at once (one stacked DCT pipeline per
         iteration, like the grounded CG path).  The border unknown is scaled
-        by the mean Jacobi entry; the physical gauge constants ``c`` of
-        ``A_cc q + c 1 = v`` land in :attr:`last_gauge_constants`.
+        by the mean Jacobi entry.  Returns the panel currents, the iteration
+        counts and the physical gauge constants ``c`` of ``A_cc q + c 1 = v``.
         """
         scale = float(np.mean(self._jacobi))
         diag = np.concatenate([self._jacobi, [scale]])[None, :]
@@ -530,22 +414,4 @@ class EigenfunctionSolver(_CacheOwnedFactor, SubstrateSolver):
             raise RuntimeError(
                 f"batched MINRES did not converge for {int(active.sum())} column(s)"
             )
-        self.last_gauge_constants = scale * x[:, -1]
-        return x[:, :-1], iters
-
-    # ------------------------------------------------------------ convenience
-    def conductance_matrix(self) -> np.ndarray:
-        """Extract the dense ``G`` (one solve per contact) — small layouts only."""
-        from ..extraction import extract_dense
-
-        return extract_dense(self)
-
-    def mean_iterations_per_solve(self) -> float:
-        """Average Krylov iterations per **iterative** black-box solve.
-
-        Solves served by the cached dense factorisation run zero Krylov
-        iterations and are excluded from this mean (they are reported
-        separately via ``stats.n_direct_solves``); see
-        :class:`~repro.substrate.solver_base.SolveStats`.
-        """
-        return self.stats.mean_iterations
+        return x[:, :-1], iters, scale * x[:, -1]

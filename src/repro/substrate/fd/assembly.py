@@ -7,6 +7,11 @@ off-diagonal positions.  Neumann boundaries (sidewalls, non-contact top
 surface, floating bottom) are handled by simply omitting resistors; Dirichlet
 boundaries (contacts, grounded backplane) are eliminated into the diagonal
 and the right-hand side.
+
+Top node ``(i, j, 0)`` is flat node ``i * ny + j``, the index of panel
+``(i, j)``, so contacts enter through the eigenfunction solver's contact map
+(:func:`~repro.geometry.panels.contact_map` over ``Grid3D.top_contact_owner``):
+one owner index spreads voltages, one sparse incidence sums currents.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from ...geometry.panels import contact_map
 from .grid import Grid3D
 
 __all__ = ["FDAssembly"]
@@ -37,8 +43,11 @@ class FDAssembly:
     grid: Grid3D
 
     def __post_init__(self) -> None:
-        self.matrix = self._assemble()
+        self._nodes, self._owner, self._incidence = contact_map(
+            self.grid.top_contact_owner.ravel(), self.grid.layout.n_contacts
+        )
         self._g_top = self.grid.top_dirichlet_conductance()
+        self.matrix = self._assemble()
 
     # ----------------------------------------------------------------- stamps
     def _assemble(self) -> sparse.csr_matrix:
@@ -87,11 +96,7 @@ class FDAssembly:
 
         # Dirichlet contact nodes just above the surface: eliminate them into
         # the diagonal of the top node directly below (Section 2.2.1, choice 1).
-        g_top = g.top_dirichlet_conductance()
-        contact_cells = np.argwhere(g.top_contact_owner >= 0)
-        if contact_cells.size:
-            nodes = g.node_index(contact_cells[:, 0], contact_cells[:, 1], 0)
-            np.add.at(diag, nodes, g_top)
+        diag[self._nodes] += self._g_top
 
         # Grounded backplane: Dirichlet nodes below the bottom plane at 0 V.
         if g.profile.grounded_backplane:
@@ -119,8 +124,7 @@ class FDAssembly:
         """
         voltages = np.asarray(voltages, dtype=float)
         b = np.zeros((self.grid.n_nodes,) + voltages.shape[1:])
-        for idx, nodes in enumerate(self.grid.contact_top_nodes):
-            b[nodes] += self._g_top * voltages[idx]
+        b[self._nodes] = self._g_top * voltages[self._owner]
         return b
 
     def contact_currents(
@@ -133,7 +137,5 @@ class FDAssembly:
         ``voltages``/``potentials`` may also be ``(n, k)`` blocks of solves.
         """
         voltages = np.asarray(voltages, dtype=float)
-        out = np.empty((self.grid.layout.n_contacts,) + voltages.shape[1:])
-        for idx, nodes in enumerate(self.grid.contact_top_nodes):
-            out[idx] = np.sum(self._g_top * (voltages[idx] - potentials[nodes]), axis=0)
-        return out
+        drop = voltages[self._owner] - potentials[self._nodes]
+        return self._incidence @ (self._g_top * drop)

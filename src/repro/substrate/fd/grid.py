@@ -6,6 +6,8 @@ geometry: cell-centred nodes, per-plane conductivities, non-uniform vertical
 spacing so thin layers can be resolved without refining the whole volume, and
 the mapping from top-surface nodes to contacts (Dirichlet boundary nodes sit
 just above the surface, the paper's first placement choice in Figure 2-4).
+That mapping is the panel ownership rule of the eigenfunction solver
+(:func:`~repro.geometry.panels.cell_owners`).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...geometry.contact import ContactLayout
+from ...geometry.panels import cell_owners
 from ..profile import SubstrateProfile
 
 __all__ = ["Grid3D"]
@@ -76,8 +79,9 @@ class Grid3D:
         self.nz = len(hz)
         #: depth of each plane's node below the top surface
         self.node_depth = np.cumsum(self.hz) - 0.5 * self.hz
-
-        self._assign_top_contacts()
+        owner = cell_owners(self.layout, self.nx, self.ny)
+        #: (nx, ny) array mapping top-surface cells to contact index or -1
+        self.top_contact_owner = owner.reshape(self.nx, self.ny)
 
     # --------------------------------------------------------------- indexing
     @property
@@ -89,41 +93,6 @@ class Grid3D:
     ) -> np.ndarray | int:
         """Flat node index with ordering ``k`` (slowest), ``i``, ``j`` (fastest)."""
         return (np.asarray(k) * self.nx + np.asarray(i)) * self.ny + np.asarray(j)
-
-    def top_plane_indices(self) -> np.ndarray:
-        """Flat indices of the top-plane nodes, in (i, j) raster order."""
-        ii, jj = np.meshgrid(np.arange(self.nx), np.arange(self.ny), indexing="ij")
-        return self.node_index(ii.ravel(), jj.ravel(), 0)
-
-    # ----------------------------------------------------------- top contacts
-    def _assign_top_contacts(self) -> None:
-        xc = (np.arange(self.nx) + 0.5) * self.hx
-        yc = (np.arange(self.ny) + 0.5) * self.hy
-        owner = np.full((self.nx, self.ny), -1, dtype=int)
-        for idx, c in enumerate(self.layout.contacts):
-            i_sel = np.flatnonzero((xc >= c.x) & (xc <= c.x2))
-            j_sel = np.flatnonzero((yc >= c.y) & (yc <= c.y2))
-            if i_sel.size == 0 or j_sel.size == 0:
-                # snap tiny contacts to the nearest node
-                i_sel = np.array([np.clip(int(c.centroid[0] / self.hx), 0, self.nx - 1)])
-                j_sel = np.array([np.clip(int(c.centroid[1] / self.hy), 0, self.ny - 1)])
-            for i in i_sel:
-                for j in j_sel:
-                    if owner[i, j] == -1:
-                        owner[i, j] = idx
-        #: (nx, ny) array mapping top-surface cells to contact index or -1
-        self.top_contact_owner = owner
-        #: list (per contact) of flat top-node indices beneath the contact
-        self.contact_top_nodes: list[np.ndarray] = []
-        for idx in range(self.layout.n_contacts):
-            sel = np.argwhere(owner == idx)
-            if sel.size == 0:
-                raise ValueError(
-                    f"contact {idx} received no grid nodes; refine the lateral grid"
-                )
-            self.contact_top_nodes.append(
-                self.node_index(sel[:, 0], sel[:, 1], 0).astype(int)
-            )
 
     # ------------------------------------------------------------ conductances
     def lateral_conductances(self) -> tuple[np.ndarray, np.ndarray]:

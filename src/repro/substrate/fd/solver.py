@@ -3,43 +3,36 @@
 Solves the grid-of-resistors system with preconditioned conjugate gradients
 for each set of contact voltages and returns the contact currents, satisfying
 the same black-box contract as the eigenfunction solver.  PCG is written
-once, as a multi-RHS iteration behind
-:meth:`FiniteDifferenceSolver.solve_potentials_many`; a one-vector
-:meth:`~FiniteDifferenceSolver.solve_potentials` is a one-column run of it,
-always iterative, so it counts its PCG iterations (Tables 2.1 and 2.2).
+once, as a multi-RHS iteration; the one-vector
+:meth:`~FiniteDifferenceSolver.solve_currents` and
+:meth:`~FiniteDifferenceSolver.solve_potentials` are one-column runs of it,
+always iterative, so they count their PCG iterations (Tables 2.1 and 2.2).
 
-Batched solves (:meth:`FiniteDifferenceSolver.solve_many`) are routed per
-block by a :class:`~repro.substrate.dispatch.DispatchPolicy` between that
-multi-RHS PCG iteration and a factor-once sparse LU of the system matrix,
-which is symmetric positive definite whenever at least one Dirichlet
-coupling exists (contacts always stamp one).  The routing is
-iteration-aware: the near-exact fast-Poisson preconditioner converges in a
-couple of iterations on laterally uniform profiles and then beats a
-triangular sweep over the LU fill per column, while weakly preconditioned
-configurations (Jacobi, incomplete Cholesky) cross over to the direct path
-for wide blocks.  The sparse LU follows the eigenfunction solver's ownership
-rule: the process-wide :mod:`~repro.substrate.factor_cache` owns it, keyed
-on the layout fingerprint, the physical profile and the grid resolution, so
-a second solver over the same substrate pays ~zero factor cost.  It is held
-in RAM only; a restarted process rebuilds it.
+This is the finite-difference backend of the frame both physical solvers
+share (``solver_base._DispatchingSolver``), which routes each
+:meth:`~FiniteDifferenceSolver.solve_many` block
+(:meth:`~repro.substrate.dispatch.DispatchPolicy.choose_sparse`) between that
+PCG iteration and a factor-once sparse LU of the system matrix (symmetric
+positive definite whenever a Dirichlet coupling exists; contacts always stamp
+one).  The routing is iteration-aware: the near-exact fast-Poisson
+preconditioner converges in a couple of iterations on laterally uniform
+profiles and then beats a triangular sweep over the LU fill per column, while
+weakly preconditioned configurations (Jacobi, incomplete Cholesky) cross over
+to the direct path for wide blocks.  The process-wide factor cache holds the
+LU, keyed on the layout, profile and grid resolution, in RAM only: a
+restarted process rebuilds it.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
+from scipy.linalg import LinAlgError
 from scipy.sparse.linalg import SuperLU, splu
 
 from ...geometry.contact import ContactLayout
 from ..dispatch import DispatchDecision, DispatchPolicy
 from ..profile import SubstrateProfile
-from ..solver_base import (
-    SolveStats,
-    SubstrateSolver,
-    _CacheOwnedFactor,
-    check_finite_voltages,
-)
+from ..solver_base import _DispatchingSolver
 from .assembly import FDAssembly
 from .grid import Grid3D
 from .preconditioners import make_preconditioner
@@ -61,7 +54,7 @@ _ITERATION_PRIORS = {
 }
 
 
-class FiniteDifferenceSolver(_CacheOwnedFactor, SubstrateSolver):
+class FiniteDifferenceSolver(_DispatchingSolver):
     """PCG-based finite-difference substrate solver.
 
     Parameters
@@ -116,7 +109,6 @@ class FiniteDifferenceSolver(_CacheOwnedFactor, SubstrateSolver):
         dispatch: DispatchPolicy | None = None,
         use_factor_cache: bool = True,
     ) -> None:
-        self.layout = layout
         self.profile = profile
         self.grid = Grid3D(layout, profile, nx, ny, planes_per_layer)
         self.assembly = FDAssembly(self.grid)
@@ -125,66 +117,45 @@ class FiniteDifferenceSolver(_CacheOwnedFactor, SubstrateSolver):
             preconditioner, self.assembly, fft_workers=fft_workers
         )
         self.rtol = rtol
-        self.max_batch = int(max_batch)
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        self.stats = SolveStats()
-        self.dispatch = dispatch if dispatch is not None else DispatchPolicy()
-        self.use_factor_cache = bool(use_factor_cache)
-        #: routing decision of the most recent solve_many block (diagnostics)
-        self.last_dispatch: DispatchDecision | None = None
-        self._direct_failed = False
-        grid = self.grid
-        self._factor_cache_key = (
-            FD_FACTOR_KIND,
-            grid.layout.fingerprint,
-            grid.profile.cache_key,
-            grid.nx,
-            grid.ny,
-            tuple(grid.hz.tolist()),
+        hz = tuple(self.grid.hz.tolist())
+        super().__init__(
+            layout,
+            max_batch,
+            dispatch if dispatch is not None else DispatchPolicy(),
+            use_factor_cache,
+            (FD_FACTOR_KIND, layout.fingerprint, profile.cache_key, nx, ny, hz),
         )
 
-    # ----------------------------------------------------------------- solves
     def solve_potentials(self, voltages: np.ndarray) -> np.ndarray:
         """Nodal potentials for one voltage vector: a one-column PCG run."""
-        voltages = np.asarray(voltages, dtype=float)
-        if voltages.shape != (self.layout.n_contacts,):
-            raise ValueError("expected one voltage per contact")
-        check_finite_voltages(voltages)
-        b = self.assembly.rhs_for_contact_voltages(voltages)
-        return self._pcg(b[:, None])[:, 0]
+        return self.solve_potentials_many(self._one_column(voltages))[:, 0]
 
-    def solve_currents(self, voltages: np.ndarray) -> np.ndarray:
-        potentials = self.solve_potentials(voltages)
-        return self.assembly.contact_currents(np.asarray(voltages, dtype=float), potentials)
+    def solve_potentials_many(self, voltages: np.ndarray) -> np.ndarray:
+        """Nodal potentials for an ``(n_contacts, k)`` block of voltages.
 
-    # ------------------------------------------------------------- direct path
-    def _expected_iterations(self) -> float | None:
-        """Observed PCG convergence, or a per-preconditioner prior."""
-        if self.stats.n_iterative_solves > 0:
-            return self.stats.mean_iterations
-        return _ITERATION_PRIORS.get(self.preconditioner_name)
-
-    def prepare_direct(self) -> bool:
-        """Build (or load from the factor cache) the sparse LU factor now.
-
-        Returns True when the factor exists afterwards, in the factor cache
-        or held by this solver; False when the direct path is unavailable
-        (node ceiling, or a failed factorisation, which is also remembered
-        so dispatch never retries it).  The service calls it once when it
-        builds an engine, so requests pay solve cost only.
+        A block holding NaN or inf raises ``ValueError``, as in
+        :meth:`solve_many`.
         """
-        if self._direct_failed:
-            return False
-        if not 0 < self.assembly.matrix.shape[0] <= self.dispatch.max_direct_nodes:
-            return False
-        try:
-            self._ensure_direct_factor()
-        except RuntimeError:
-            self._direct_failed = True
-            return False
-        return True
+        return self._pcg(self.assembly.rhs_for_contact_voltages(self._block(voltages)))
 
+    # ---------------------------------------------------------------- dispatch
+    def _direct_limits(self) -> tuple[int, int]:
+        return self.assembly.matrix.shape[0], self.dispatch.max_direct_nodes
+
+    def _choose(self, n_rhs: int, **state: bool) -> DispatchDecision:
+        # observed PCG convergence, or a per-preconditioner prior
+        if self.stats.n_iterative_solves > 0:
+            iterations = self.stats.mean_iterations
+        else:
+            iterations = _ITERATION_PRIORS.get(self.preconditioner_name)
+        return self.dispatch.choose_sparse(
+            n_nodes=self.assembly.matrix.shape[0],
+            n_rhs=n_rhs,
+            expected_iterations=iterations,
+            **state,
+        )
+
+    # ------------------------------------------------------------- engines
     def _build_direct_factor(self) -> SuperLU:
         """Sparse LU of the system matrix (SciPy's SuperLU, default options).
 
@@ -194,93 +165,22 @@ class FiniteDifferenceSolver(_CacheOwnedFactor, SubstrateSolver):
         native factor.  So after a restart it is rebuilt once (~0.2 s on a
         7,168-node grid), counted like any cache miss.
 
-        Raises ``RuntimeError`` if the factorisation fails (exactly singular
+        Raises ``LinAlgError`` if the factorisation fails (exactly singular
         system: only possible for degenerate assemblies with no Dirichlet
         coupling at all).
         """
         try:
             return splu(self.assembly.matrix.tocsc())
         except (RuntimeError, ValueError, MemoryError) as exc:
-            raise RuntimeError(f"sparse LU factorisation failed: {exc}") from exc
+            raise LinAlgError(f"sparse LU factorisation failed: {exc}") from exc
 
-    def _solve_many_direct(self, v: np.ndarray) -> np.ndarray | None:
-        """Factor-once / solve-all path; returns None on factorisation failure.
+    def _solve_direct_chunk(self, v: np.ndarray, lu: SuperLU) -> tuple[np.ndarray, None]:
+        b = self.assembly.rhs_for_contact_voltages(v)
+        return self.assembly.contact_currents(v, lu.solve(b)), None
 
-        RHS and potential blocks are processed in ``max_batch``-column chunks
-        so a wide block never materialises the full ``(n_nodes, k)`` arrays
-        at once — the same memory bound the iterative path observes.
-        """
-        try:
-            lu = self._ensure_direct_factor()
-        except RuntimeError:
-            self._direct_failed = True
-            return None
-        out = np.empty_like(v)
-        for start in range(0, v.shape[1], self.max_batch):
-            chunk = slice(start, min(start + self.max_batch, v.shape[1]))
-            b = self.assembly.rhs_for_contact_voltages(v[:, chunk])
-            out[:, chunk] = self.assembly.contact_currents(v[:, chunk], lu.solve(b))
-        self.stats.record_direct(v.shape[1])
-        return out
-
-    # ---------------------------------------------------------- batched solves
-    def solve_many(self, voltages: np.ndarray) -> np.ndarray:
-        """Batched black-box solve with adaptive direct/iterative dispatch.
-
-        The :class:`~repro.substrate.dispatch.DispatchPolicy` routes the
-        whole block once (``choose_sparse``), so a one-time sparse
-        factorisation is amortised over every column; the chosen engine then
-        chunks internally at ``max_batch``.  The iterative engine runs one
-        sparse matrix-block product and one block preconditioner apply per
-        iteration for every column: the one PCG loop, which
-        :meth:`solve_currents` runs on one column.  A block holding NaN or
-        inf raises ``ValueError`` before either engine runs.
-        """
-        v = np.asarray(voltages, dtype=float)
-        if v.ndim != 2 or v.shape[0] != self.layout.n_contacts:
-            raise ValueError("expected an (n_contacts, k) voltage block")
-        check_finite_voltages(v)
-        if v.shape[1] == 0:
-            return np.empty_like(v)
-        decision = self.dispatch.choose_sparse(
-            n_nodes=self.assembly.matrix.shape[0],
-            n_rhs=v.shape[1],
-            factor_cached=self._factor_available(),
-            factor_failed=self._direct_failed,
-            expected_iterations=self._expected_iterations(),
-        )
-        self.last_dispatch = decision
-        if decision.path == "direct":
-            solved = self._solve_many_direct(v)
-            if solved is not None:
-                return solved
-            warnings.warn(
-                "sparse LU factorisation of the FD system failed; falling back "
-                "to the iterative path",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.last_dispatch = DispatchDecision(
-                "iterative", "direct factorisation failed"
-            )
-        out = np.empty_like(v)
-        for start in range(0, v.shape[1], self.max_batch):
-            chunk = slice(start, min(start + self.max_batch, v.shape[1]))
-            potentials = self.solve_potentials_many(v[:, chunk])
-            out[:, chunk] = self.assembly.contact_currents(v[:, chunk], potentials)
-        return out
-
-    def solve_potentials_many(self, voltages: np.ndarray) -> np.ndarray:
-        """Nodal potentials for an ``(n_contacts, k)`` block of voltages.
-
-        A block holding NaN or inf raises ``ValueError``, as in
-        :meth:`solve_potentials` and :meth:`solve_many`.
-        """
-        v = np.asarray(voltages, dtype=float)
-        if v.ndim != 2 or v.shape[0] != self.layout.n_contacts:
-            raise ValueError("expected an (n_contacts, k) voltage block")
-        check_finite_voltages(v)
-        return self._pcg(self.assembly.rhs_for_contact_voltages(v))
+    def _solve_iterative_chunk(self, v: np.ndarray) -> tuple[np.ndarray, None]:
+        b = self.assembly.rhs_for_contact_voltages(v)
+        return self.assembly.contact_currents(v, self._pcg(b)), None
 
     def _pcg(self, b: np.ndarray) -> np.ndarray:
         """The one PCG loop of this solver, over the columns of ``b``.
@@ -333,20 +233,3 @@ class FiniteDifferenceSolver(_CacheOwnedFactor, SubstrateSolver):
         for it in iters:
             self.stats.record(int(it))
         return x
-
-    # ------------------------------------------------------------ convenience
-    def conductance_matrix(self) -> np.ndarray:
-        """Dense ``G`` by the naive method (small layouts only)."""
-        from ..extraction import extract_dense
-
-        return extract_dense(self)
-
-    def mean_iterations_per_solve(self) -> float:
-        """Average PCG iterations per iterative solve (Tables 2.1 and 2.2).
-
-        See :class:`~repro.substrate.solver_base.SolveStats`: solves served
-        by the sparse LU run zero PCG iterations and are
-        reported separately (``stats.n_direct_solves``), never diluting this
-        mean.
-        """
-        return self.stats.mean_iterations

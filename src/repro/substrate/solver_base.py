@@ -5,17 +5,24 @@ that, given a vector of contact voltages, returns the vector of contact
 currents (``i = G v``).  This module defines that interface, a call-counting
 wrapper used to measure the solve-reduction factor, and a trivial
 dense-matrix-backed solver that is invaluable for testing.
+
+``_DispatchingSolver`` is the one frame of Chapter 2's two physical black
+boxes, the finite-difference and eigenfunction solvers: each supplies only
+its factor and one chunk solver per engine.
 """
 
 from __future__ import annotations
 
 import abc
+import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
+from scipy.linalg import LinAlgError
 
 from ..geometry.contact import ContactLayout
+from .dispatch import DispatchDecision, DispatchPolicy
 from .factor_cache import factor_cache
 
 __all__ = [
@@ -187,8 +194,18 @@ class SubstrateSolver(abc.ABC):
         return self.solve_currents(voltages)
 
 
-class _CacheOwnedFactor:
-    """The direct-factor ownership rule both physical solvers share.
+class _DispatchingSolver(SubstrateSolver):
+    """The one frame of both physical solvers (Sections 2.2 and 2.3).
+
+    Each backend has two engines behind ``i = G v``: a direct factor, built
+    once and reused, and a stacked-RHS Krylov engine.  The frame holds the
+    rest once: the block checks; one routing decision per :meth:`solve_many`
+    block (:meth:`_choose`), then ``max_batch``-column chunks;
+    :meth:`solve_currents` as a one-column iterative run, so every call
+    counts its Krylov iterations (Tables 2.1 and 2.2); and one failure rule.
+    A failed factorisation raises ``LinAlgError`` in either backend and is
+    latched, so dispatch never retries it; the block that met it warns once
+    and is answered by the iterative engine.
 
     The process-wide :mod:`~repro.substrate.factor_cache` is a direct
     factor's only owner.  Each direct block looks the factor up there once
@@ -200,15 +217,153 @@ class _CacheOwnedFactor:
     rebuilds it, counted like any build: one cache miss and one
     ``n_factor_rebuilds``.
 
-    A solver sets ``use_factor_cache``, ``_factor_cache_key`` and ``stats``
-    and implements :meth:`_build_direct_factor`.
+    A backend supplies the abstract hooks below.  Its chunk solvers return
+    ``(currents, gauges)``: the gauge constants of a floating-backplane
+    eigenfunction solve, which the frame stitches into
+    ``last_gauge_constants`` for the whole block, else None.
     """
 
-    use_factor_cache: bool
-    stats: SolveStats
-    _factor_cache_key: tuple
+    #: routing decision of the most recent solve_many block (diagnostics)
+    last_dispatch: DispatchDecision | None = None
     #: the direct factor, held here only when the factor cache will not hold it
     _private_factor: Any = None
+    #: latched by a failed factorisation; dispatch never tries it again
+    _direct_failed: bool = False
+
+    def __init__(
+        self,
+        layout: ContactLayout,
+        max_batch: int,
+        dispatch: DispatchPolicy,
+        use_factor_cache: bool,
+        factor_cache_key: tuple,
+    ) -> None:
+        self.layout = layout
+        self.max_batch = int(max_batch)
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be at least 1")
+        self.dispatch = dispatch
+        self.use_factor_cache = bool(use_factor_cache)
+        self.stats = SolveStats()
+        self._factor_cache_key = factor_cache_key
+
+    # ------------------------------------------------------- backend hooks
+    @abc.abstractmethod
+    def _direct_limits(self) -> tuple[int, int]:
+        """``(size, ceiling)`` of the direct factor (panels or grid nodes)."""
+
+    @abc.abstractmethod
+    def _choose(self, n_rhs: int, **state: bool) -> DispatchDecision:
+        """Route a block through the policy (``state``: factor cached/failed)."""
+
+    @abc.abstractmethod
+    def _build_direct_factor(self) -> Any:
+        """Build the direct factor; raise ``LinAlgError`` if it fails."""
+
+    @abc.abstractmethod
+    def _solve_direct_chunk(
+        self, v: np.ndarray, factor: Any
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Currents (and gauges) of an ``(n_contacts, k)`` chunk by the factor."""
+
+    @abc.abstractmethod
+    def _solve_iterative_chunk(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Currents (and gauges) of an ``(n_contacts, k)`` chunk by Krylov."""
+
+    # -------------------------------------------------------------- solves
+    def solve_currents(self, voltages: np.ndarray) -> np.ndarray:
+        """Contact currents for one voltage vector.
+
+        A one-column run of the iterative engine (never the direct factor),
+        so every call counts its Krylov iterations.
+        """
+        v = self._one_column(voltages)
+        return self._in_chunks(self._solve_iterative_chunk, v)[:, 0]
+
+    def solve_many(self, voltages: np.ndarray) -> np.ndarray:
+        """Batched black-box solve with adaptive direct/iterative dispatch.
+
+        The policy routes the whole block once, so a one-time factorisation
+        is amortised over every column, and the chosen engine then runs in
+        ``max_batch``-column chunks.  Column ``j`` of the result matches
+        ``solve_currents(voltages[:, j])`` to the solver tolerance on either
+        engine.  A block holding NaN or inf raises ``ValueError`` here,
+        before any engine sees it.
+        """
+        v = self._block(voltages)
+        if v.shape[1] == 0:
+            return np.empty_like(v)
+        self.last_dispatch = self._choose(
+            v.shape[1],
+            factor_cached=self._factor_available(),
+            factor_failed=self._direct_failed,
+        )
+        if self.last_dispatch.path == "direct":
+            factor = self._latched_factor()
+            if factor is not None:
+                out = self._in_chunks(self._solve_direct_chunk, v, factor)
+                self.stats.record_direct(v.shape[1])
+                return out
+            warnings.warn(
+                "direct factorisation failed; falling back to the iterative path",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            self.last_dispatch = DispatchDecision(
+                "iterative", "direct factorisation failed"
+            )
+        return self._in_chunks(self._solve_iterative_chunk, v)
+
+    def _block(self, voltages: np.ndarray) -> np.ndarray:
+        """A checked ``(n_contacts, k)`` voltage block, as floats."""
+        v = np.asarray(voltages, dtype=float)
+        if v.ndim != 2 or v.shape[0] != self.n_contacts:
+            raise ValueError("expected an (n_contacts, k) voltage block")
+        check_finite_voltages(v)
+        return v
+
+    def _one_column(self, voltages: np.ndarray) -> np.ndarray:
+        """One checked voltage vector as an ``(n_contacts, 1)`` block."""
+        v = np.asarray(voltages, dtype=float)
+        if v.shape != (self.n_contacts,):
+            raise ValueError("expected one voltage per contact")
+        check_finite_voltages(v)
+        return v[:, None]
+
+    def _in_chunks(self, solve_chunk: Callable, v: np.ndarray, *args: Any) -> np.ndarray:
+        """Run one engine's chunk solver over ``max_batch``-column chunks."""
+        out = np.empty_like(v)
+        gauges = []
+        for start in range(0, v.shape[1], self.max_batch):
+            cols = slice(start, start + self.max_batch)
+            out[:, cols], chunk_gauges = solve_chunk(v[:, cols], *args)
+            gauges.append(chunk_gauges)
+        if gauges[0] is not None:
+            self.last_gauge_constants = np.concatenate(gauges)
+        return out
+
+    # ---------------------------------------------------------- direct path
+    def prepare_direct(self) -> bool:
+        """Build (or load from the factor cache) the direct factor now.
+
+        Returns True when the factor exists afterwards, in the factor cache
+        or held by this solver; False when the direct path is unavailable
+        (over the backend's size ceiling, or a failed factorisation, which
+        is latched so dispatch never retries it).  The service calls it once
+        when it builds an engine, so requests pay solve cost only.
+        """
+        size, ceiling = self._direct_limits()
+        if self._direct_failed or not 0 < size <= ceiling:
+            return False
+        return self._latched_factor() is not None
+
+    def _latched_factor(self) -> Any:
+        """The direct factor, or None after latching a failed factorisation."""
+        try:
+            return self._ensure_direct_factor()
+        except LinAlgError:
+            self._direct_failed = True
+            return None
 
     @property
     def factor_cache_key(self) -> tuple:
@@ -262,9 +417,21 @@ class _CacheOwnedFactor:
         self.stats.record_factor_rebuild()
         return factor
 
-    def _build_direct_factor(self) -> Any:
-        """Build this solver's direct factor (each backend implements it)."""
-        raise NotImplementedError
+    # ---------------------------------------------------------- convenience
+    def conductance_matrix(self) -> np.ndarray:
+        """Dense ``G`` by the naive method, one solve per contact (small layouts only)."""
+        from .extraction import extract_dense
+
+        return extract_dense(self)
+
+    def mean_iterations_per_solve(self) -> float:
+        """Average Krylov iterations per **iterative** black-box solve.
+
+        Solves served by the direct factor run zero Krylov iterations and
+        are excluded from this mean (they are reported separately via
+        ``stats.n_direct_solves``); see :class:`SolveStats`.
+        """
+        return self.stats.mean_iterations
 
 
 class CountingSolver(SubstrateSolver):

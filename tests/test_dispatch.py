@@ -9,16 +9,19 @@ iterative/direct solve statistics.
 
 from __future__ import annotations
 
+import importlib
 import os
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from repro import (
     CountingSolver,
     DispatchPolicy,
     EigenfunctionSolver,
+    FiniteDifferenceSolver,
     SolveCostModel,
     SolveStats,
     SubstrateProfile,
@@ -346,29 +349,64 @@ def test_direct_path_chunks_wide_blocks(tiny_layout):
     assert np.allclose(out, seq, rtol=0.0, atol=1e-8 * np.abs(seq).max())
 
 
-def test_direct_factorisation_failure_warns_and_falls_back(tiny_layout, monkeypatch):
-    solver = _solver(tiny_layout, dispatch=DispatchPolicy(force_path="direct"))
+def _fd_solver(layout, **kwargs) -> FiniteDifferenceSolver:
+    return FiniteDifferenceSolver(layout, _profile(True), nx=16, ny=16, rtol=1e-10, **kwargs)
 
-    from scipy.linalg import LinAlgError
 
-    def boom() -> None:
-        raise LinAlgError("synthetic factorisation failure")
+#: backend -> (solver factory, backend module, the factorisation library call
+#: it makes, the error that call raises on a failed factorisation)
+_FACTOR_CALLS = {
+    "bem": (
+        _solver,
+        "repro.substrate.bem.solver",
+        "cho_factor",
+        LinAlgError("leading minor not positive definite"),
+    ),
+    "fd": (
+        _fd_solver,
+        "repro.substrate.fd.solver",
+        "splu",
+        RuntimeError("Factor is exactly singular"),
+    ),
+}
 
-    monkeypatch.setattr(solver, "_ensure_direct_factor", boom)
+
+@pytest.mark.parametrize("backend", sorted(_FACTOR_CALLS))
+def test_direct_factorisation_failure_warns_and_falls_back(tiny_layout, backend, monkeypatch):
+    """The library factorisation itself fails, so each backend's own error
+    mapping runs: one warning, the block answered by the iterative engine,
+    and the failure latched for every later block and ``prepare_direct``."""
+    make, module, call, error = _FACTOR_CALLS[backend]
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(call)
+        raise error
+
+    monkeypatch.setattr(importlib.import_module(module), call, fail)
+    solver = make(
+        tiny_layout, dispatch=DispatchPolicy(force_path="direct"), use_factor_cache=False
+    )
     v = np.eye(tiny_layout.n_contacts)
-    with pytest.warns(RuntimeWarning, match="falling back to the iterative path"):
+    with pytest.warns(RuntimeWarning, match="falling back to the iterative path") as record:
         out = solver.solve_many(v)
+    assert [w.category for w in record] == [RuntimeWarning]
+    assert calls == [call]
     # the block was still solved — by the iterative engine
     assert solver.stats.n_iterative_solves == tiny_layout.n_contacts
     assert solver.stats.n_direct_solves == 0
     assert solver._direct_failed
     assert solver.last_dispatch.path == "iterative"
-    g_ref = extract_dense(_solver(tiny_layout))
-    assert np.allclose(out, g_ref, rtol=0.0, atol=1e-8 * np.abs(g_ref).max())
     # subsequent blocks skip the doomed factorisation without warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solver.solve_many(v[:, :2])
+    assert solver.last_dispatch.reason == "forced direct path unavailable (factorisation failed)"
+    assert not solver.prepare_direct()
+    assert calls == [call]
+    monkeypatch.undo()
+    g_ref = make(tiny_layout, dispatch=DispatchPolicy(force_path="direct")).solve_many(v)
+    assert np.allclose(out, g_ref, rtol=0.0, atol=1e-8 * np.abs(g_ref).max())
 
 
 @pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "floating"])
@@ -436,7 +474,6 @@ def test_floating_bordered_fallback_regathers_the_overwritten_block(
     """A Cholesky that fails in place leaves A_cc partly overwritten; the
     bordered LU fallback must gather the block again, not factor the debris."""
     import repro.substrate.bem.solver as bem_solver
-    from scipy.linalg import LinAlgError
 
     def failing_cholesky(a, lower=False, overwrite_a=False, **kwargs):
         if overwrite_a:

@@ -45,8 +45,9 @@ class TestGrid3D:
         assert np.isclose(tiny_grid.hz.sum(), tiny_profile.depth)
 
     def test_every_contact_has_top_nodes(self, tiny_grid, tiny_layout):
-        assert len(tiny_grid.contact_top_nodes) == tiny_layout.n_contacts
-        assert all(nodes.size > 0 for nodes in tiny_grid.contact_top_nodes)
+        owner = tiny_grid.top_contact_owner
+        assert owner.shape == (tiny_grid.nx, tiny_grid.ny)
+        assert np.all(np.bincount(owner[owner >= 0], minlength=tiny_layout.n_contacts) > 0)
 
     def test_contact_area_fraction_close_to_layout_coverage(self, tiny_grid, tiny_layout):
         assert abs(tiny_grid.contact_area_fraction() - tiny_layout.coverage) < 0.15
@@ -90,7 +91,8 @@ class TestAssembly:
         v = np.arange(1.0, 10.0)
         b = tiny_assembly.rhs_for_contact_voltages(v)
         nz = np.flatnonzero(b)
-        allowed = np.concatenate(tiny_grid.contact_top_nodes)
+        # top node (i, j, 0) is flat node i * ny + j, the owner array's order
+        allowed = np.flatnonzero(tiny_grid.top_contact_owner.ravel() >= 0)
         assert set(nz) <= set(allowed)
 
     def test_currents_balance_with_grounded_backplane(self, tiny_assembly):
