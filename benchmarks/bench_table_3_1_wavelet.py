@@ -11,7 +11,7 @@ import pytest
 
 from repro.experiments import paper_examples, run_wavelet_experiment
 
-from common import bench_n_side, format_report_row, write_result
+from common import bench_n_side, check_golden, format_report_row, report_record, write_result
 
 
 @pytest.mark.benchmark(group="table-3.1")
@@ -27,10 +27,16 @@ def test_table_3_1_wavelet_sparsification(benchmark):
     results = benchmark.pedantic(run_all, iterations=1, rounds=1)
 
     lines = ["Table 3.1 — wavelet sparsification (unthresholded Gws / thresholded Gwt)"]
+    records = []
     for name, res in results.items():
-        lines.append(format_report_row(f"example {name} (Gws)", res.unthresholded))
-        lines.append(format_report_row(f"example {name} (Gwt)", res.thresholded))
+        for label, report in (
+            (f"example {name} (Gws)", res.unthresholded),
+            (f"example {name} (Gwt)", res.thresholded),
+        ):
+            lines.append(format_report_row(label, report))
+            records.append(report_record(label, report))
     write_result("table_3_1_wavelet", lines)
+    check_golden("table_3_1_wavelet", records)
 
     # shape: the alternating-size example (3) is much less accurate than the
     # same-size examples (1a, 2), both before and after thresholding

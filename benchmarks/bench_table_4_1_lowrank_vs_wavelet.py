@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments import chapter4_examples, run_method_comparison
 
-from common import bench_n_side, format_report_row, write_result
+from common import bench_n_side, check_golden, format_report_row, report_record, write_result
 
 EXAMPLES = ("ch4-1", "ch4-2", "ch4-3")
 
@@ -27,12 +27,15 @@ def test_table_4_1_lowrank_vs_wavelet(benchmark):
     results = benchmark.pedantic(run_all, iterations=1, rounds=1)
 
     lines = ["Table 4.1 — sparsity/accuracy without thresholding (low-rank vs wavelet)"]
+    records = []
     for name in EXAMPLES:
         for method in ("lowrank", "wavelet"):
-            lines.append(
-                format_report_row(f"example {name} {method}", results[name][method].unthresholded)
-            )
+            label = f"example {name} {method}"
+            report = results[name][method].unthresholded
+            lines.append(format_report_row(label, report))
+            records.append(report_record(label, report))
     write_result("table_4_1_lowrank_vs_wavelet", lines)
+    check_golden("table_4_1_lowrank_vs_wavelet", records)
 
     # shape assertions from the paper:
     # (1) on the size-varying examples the low-rank method is far more accurate

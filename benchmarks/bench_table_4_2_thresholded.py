@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments import chapter4_examples, run_method_comparison
 
-from common import bench_n_side, format_report_row, write_result
+from common import bench_n_side, check_golden, format_report_row, report_record, write_result
 
 EXAMPLES = ("ch4-1", "ch4-2", "ch4-3")
 
@@ -25,15 +25,17 @@ def test_table_4_2_thresholded_comparison(benchmark):
     results = benchmark.pedantic(run_all, iterations=1, rounds=1)
 
     lines = ["Table 4.2 — thresholded Gwt comparison (low-rank vs wavelet at equal sparsity)"]
+    records = []
     for name in EXAMPLES:
-        lines.append(format_report_row(f"example {name} lowrank (thr)", results[name]["lowrank"].thresholded))
-        lines.append(
-            format_report_row(
-                f"example {name} wavelet @ same sparsity",
-                results[name]["wavelet@lowrank-sparsity"].thresholded,
-            )
-        )
+        for label, method in (
+            (f"example {name} lowrank (thr)", "lowrank"),
+            (f"example {name} wavelet @ same sparsity", "wavelet@lowrank-sparsity"),
+        ):
+            report = results[name][method].thresholded
+            lines.append(format_report_row(label, report))
+            records.append(report_record(label, report))
     write_result("table_4_2_thresholded", lines)
+    check_golden("table_4_2_thresholded", records)
 
     # shape: at matched sparsity the wavelet method has (much) more bad entries
     # on the size-varying layouts

@@ -10,20 +10,28 @@ problem scale defaults to 16 contacts per side (256 contacts); set
 tracked ``benchmarks/results/BENCH_cluster.json`` and ``bench_cluster.txt``;
 env-overridden runs write gitignored ``*_smoke`` siblings so they can never
 clobber the committed reference record.
+
+The paper-table benches (Tables 2.1, 3.1, 4.1, 4.2) also write their rows as
+``benchmarks/results/table_*.json`` and compare them with the committed
+``benchmarks/golden/table_*.json`` (:func:`check_golden`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
+GOLDEN_DIR = Path(__file__).parent / "golden"
 REPO_ROOT = Path(__file__).parent.parent
 
 #: the paper's reference scales swept when no env override is given
 REFERENCE_SIZES = (16, 32)
+#: relative tolerance of a golden's errors and sparsity factors (counts match exactly)
+GOLDEN_RTOL = 1e-6
 
 
 def ensure_repro_importable() -> None:
@@ -87,3 +95,49 @@ def format_report_row(label: str, report) -> str:
         f">10%={100 * report.fraction_above_10pct:6.2f}%  "
         f"solves={report.n_solves:5d}  reduction={report.solve_reduction_factor:5.1f}x"
     )
+
+
+def report_record(label: str, report) -> dict:
+    """One sparsification row as JSON: counts as integers, ratios at full precision."""
+    n = int(report.n_contacts)
+    return {
+        "label": label,
+        "n": n,
+        "solves": int(report.n_solves),
+        # each sparsity factor is n^2 / nnz, so rounding recovers the count
+        "nnz_gw": round(n * n / report.sparsity_factor),
+        "nnz_q": round(n * n / report.q_sparsity_factor),
+        "sparsity_factor": float(report.sparsity_factor),
+        "q_sparsity_factor": float(report.q_sparsity_factor),
+        "max_relative_error": float(report.max_relative_error),
+        "fraction_above_10pct": float(report.fraction_above_10pct),
+    }
+
+
+def check_golden(name: str, rows: list[dict]) -> None:
+    """Write ``rows`` to ``results/<name>.json`` and assert they equal the golden.
+
+    Integers and strings must match exactly, floats within ``GOLDEN_RTOL``.
+    Runs with ``REPRO_BENCH_NSIDE`` set write ``<name>_smoke.json`` and read
+    no golden: the goldens hold the default scale.  A golden is regenerated
+    by copying a default-scale ``results/<name>.json`` over it.
+    """
+    smoke = "REPRO_BENCH_NSIDE" in os.environ
+    RESULTS_DIR.mkdir(exist_ok=True)
+    text = json.dumps(rows, indent=2) + "\n"
+    (RESULTS_DIR / f"{name}{'_smoke' if smoke else ''}.json").write_text(text)
+    if smoke:
+        return
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    assert len(rows) == len(golden), f"{name}: {len(rows)} rows, golden has {len(golden)}"
+    mismatches = []
+    for want, got in zip(golden, rows):
+        assert set(got) == set(want), f"{name}: row keys {sorted(got)}, golden {sorted(want)}"
+        for key, value in want.items():
+            if isinstance(value, float):
+                same = math.isclose(got[key], value, rel_tol=GOLDEN_RTOL, abs_tol=0.0)
+            else:
+                same = type(got[key]) is type(value) and got[key] == value
+            if not same:
+                mismatches.append(f"{want['label']}: {key} = {got[key]!r}, golden {value!r}")
+    assert not mismatches, f"{name} differs from its golden:\n" + "\n".join(mismatches)

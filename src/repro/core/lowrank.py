@@ -12,6 +12,14 @@ between basis functions in squares local to each other (same- or cross-level)
 and the coarsest-level slow-decaying interactions with everything, exactly as
 in the wavelet representation — which makes the two methods directly
 comparable (Tables 4.1 and 4.2).
+
+Like the representation it starts from, the sweep is held per level
+(:class:`LevelBases`): each level's ``T`` and ``U`` vectors and their local
+responses are sparse ``n``-row operators stacked over the level's squares.
+One level of the sweep is a few sparse products (every parent's interaction
+through the representation at once) and one batched thin SVD per shape of
+interaction, and each pair of levels contributes one ``T' (G T)`` product to
+``Gw``.
 """
 
 from __future__ import annotations
@@ -21,29 +29,38 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from ..geometry.quadtree import Square, SquareHierarchy
+from ..geometry.quadtree import SquareHierarchy
 from ..substrate.solver_base import SubstrateSolver
-from .rowbasis import MultilevelRowBasis, _positions
+from .rowbasis import MultilevelRowBasis, RowBasisLevel
 from .sparsified import (
-    ColumnAssembler,
-    EntryAssembler,
     SparsifiedConductance,
+    block_columns,
+    block_entries,
+    block_stacks,
+    concat_ranges,
+    mirrored_columns,
+    offsets,
     quadrant_order_key,
 )
 
-__all__ = ["LowRankSparsifier"]
-
-SquareKey = tuple[int, int, int]
+__all__ = ["LevelBases", "LowRankSparsifier"]
 
 
 @dataclass
-class _SquareBasisTU:
-    """Fast-decaying (T) and slow-decaying (U) bases of one square."""
+class LevelBases:
+    """Fast-decaying (T) and slow-decaying (U) bases of one level.
 
-    key: SquareKey
-    contact_indices: np.ndarray
-    t: np.ndarray
-    u: np.ndarray
+    Square ``s`` owns columns ``t_cols[s]:t_cols[s + 1]`` of ``t`` (its
+    ``T_s`` on its contacts) and of ``resp_t`` (``G_{L_s, s} T_s`` on its
+    local contacts), and likewise ``u_cols`` of ``u`` and ``resp_u``.
+    """
+
+    t: sparse.csc_matrix
+    t_cols: np.ndarray
+    resp_t: sparse.spmatrix
+    u: sparse.csc_matrix
+    u_cols: np.ndarray
+    resp_u: sparse.spmatrix
 
 
 class LowRankSparsifier:
@@ -80,8 +97,8 @@ class LowRankSparsifier:
             seed=seed,
             max_block=max_block,
         )
-        self._tu: dict[SquareKey, _SquareBasisTU] = {}
-        self._lresp: dict[SquareKey, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: level -> its T/U bases, filled by the fine-to-coarse sweep
+        self.bases: dict[int, LevelBases] = {}
 
     # ----------------------------------------------------------------- phase 1
     def build(self, solver: SubstrateSolver) -> "LowRankSparsifier":
@@ -94,165 +111,158 @@ class LowRankSparsifier:
         return self.rowbasis.n_solves
 
     # ----------------------------------------------------------------- phase 2
-    def _split_fast_slow(
-        self, interaction: np.ndarray, n_cols: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """SVD split of an interaction matrix into slow (U) / fast (T) coefficients."""
-        if interaction.size == 0:
+    def _split_fast_slow(self, interactions: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """SVD split of stacked ``r x m`` interactions into slow (U) / fast (T) coefficients.
+
+        Only the right singular vectors are read, so a tall interaction is
+        first reduced to the ``m x m`` triangle of its QR (the reduction
+        LAPACK's SVD makes itself for a tall matrix) and the full SVD is
+        taken of that.
+        """
+        n_rows, m = interactions.shape[1:]
+        if n_rows == 0 or m == 0:
             # nothing to separate against: keep everything as slow-decaying
-            return np.eye(n_cols), np.zeros((n_cols, 0))
-        _, s, vh = np.linalg.svd(interaction, full_matrices=True)
-        if s.size == 0 or s[0] == 0.0:
-            rank = 0
-        else:
-            rank = int(np.count_nonzero(s > self.sv_rel_threshold * s[0]))
-            rank = min(rank, self.max_rank)
-        u_coef = vh[:rank].T
-        t_coef = vh[rank:].T
-        return u_coef, t_coef
+            return [(np.eye(m), np.zeros((m, 0)))] * interactions.shape[0]
+        if n_rows > m:
+            interactions = np.linalg.qr(interactions, mode="r")
+        _, sv, vh = np.linalg.svd(interactions, full_matrices=True)
+        out = []
+        for s, v in zip(sv, vh):
+            large = np.count_nonzero(s > self.sv_rel_threshold * s[0])
+            rank = min(int(large), self.max_rank) if s[0] != 0.0 else 0
+            out.append((v[:rank].T, v[rank:].T))
+        return out
 
     def _build_fine_to_coarse(self) -> None:
-        hier = self.hierarchy
         rb = self.rowbasis
+        top = rb.levels[-1]
         # finest level: U = row basis, T = its orthonormal complement
-        for sq in hier.squares_at_level(hier.max_level):
-            data = rb.data[sq.key]
-            t = rb.finest_w[sq.key]
-            u = data.v
-            self._tu[sq.key] = _SquareBasisTU(sq.key, sq.contact_indices, t, u)
-            lc, block = rb.local_blocks[sq.key]
-            self._lresp[sq.key] = (lc, block @ t, block @ u)
+        w, w_cols = rb.finest_w
+        self.bases[top.index.level] = LevelBases(
+            w, w_cols, rb.local @ w, top.v.tocsc(), top.cols, rb.local @ top.v
+        )
+        for parent, child in zip(rb.levels[-2::-1], rb.levels[:0:-1]):
+            self.bases[parent.index.level] = self._build_parents(
+                parent, child, self.bases[child.index.level]
+            )
 
-        for level in range(hier.max_level - 1, 1, -1):
-            for parent in hier.squares_at_level(level):
-                self._build_parent(parent)
+    def _build_parents(
+        self, parent: RowBasisLevel, child: RowBasisLevel, child_bases: LevelBases
+    ) -> LevelBases:
+        """One level of the sweep: every parent's T and U from its children's U."""
+        pindex, cindex = parent.index, child.index
+        n_parents = len(pindex.squares)
+        # X_p: the children's U side by side, children in child-key order
+        parent_of = np.array(
+            [pindex.position[(pindex.level, sq.i // 2, sq.j // 2)] for sq in cindex.squares],
+            dtype=np.intp,
+        )
+        child_rank = 2 * (cindex.ij[:, 1] % 2) + cindex.ij[:, 0] % 2
+        order = np.lexsort((child_rank, parent_of))
+        u_count = np.diff(child_bases.u_cols)
+        perm = concat_ranges(child_bases.u_cols[order], u_count[order])
+        x = child_bases.u[:, perm]
+        m = np.bincount(parent_of, weights=u_count, minlength=n_parents).astype(np.intp)
+        x_cols = offsets(m)
 
-    def _build_parent(self, parent: Square) -> None:
-        hier = self.hierarchy
-        rb = self.rowbasis
-        children = hier.children(parent)
-        n_p = parent.contact_indices.size
+        # interaction with each parent's interactive region through the
+        # representation, gathered as one dense block per parent: rows of
+        # I_p square after square, columns of X_p
+        inter = parent.interactive(x).tocsr()
+        inter.sum_duplicates()
+        rows, row_ptr = pindex.rows("interactive", np.arange(n_parents))
+        block, r, c = block_entries(np.diff(row_ptr), m)
+        values = np.asarray(inter[rows[row_ptr[block] + r], x_cols[block] + c]).ravel()
+        coefs: list[tuple[np.ndarray, ...]] = [()] * n_parents
+        for ids, stack in block_stacks(values, np.diff(row_ptr), m):
+            for p, split in zip(ids, self._split_fast_slow(stack)):
+                coefs[p] = split
+        x_rows = np.arange(x_cols[-1])
+        u_coef, u_cols = block_columns([u for u, _ in coefs], x_cols, x_rows, x_cols[-1])
+        t_coef, t_cols = block_columns([t for _, t in coefs], x_cols, x_rows, x_cols[-1])
 
-        blocks: list[np.ndarray] = []
-        slices: list[tuple[Square, slice]] = []
-        start = 0
-        for child in children:
-            u_child = self._tu[child.key].u
-            embed = np.zeros((n_p, u_child.shape[1]))
-            rows = _positions(parent.contact_indices, child.contact_indices)
-            embed[rows, :] = u_child
-            blocks.append(embed)
-            slices.append((child, slice(start, start + u_child.shape[1])))
-            start += u_child.shape[1]
-        x_p = np.hstack(blocks) if blocks else np.zeros((n_p, 0))
-        m = x_p.shape[1]
-
-        # interaction with the interactive region, through the representation
-        if hier.interactive_squares(parent) and m:
-            responses = rb.interaction_responses(parent, x_p)
-            interaction = np.vstack([term for _, term in responses])
-        else:
-            interaction = np.zeros((0, m))
-        u_coef, t_coef = self._split_fast_slow(interaction, m)
-        t_p = x_p @ t_coef
-        u_p = x_p @ u_coef
-        self._tu[parent.key] = _SquareBasisTU(
-            parent.key, parent.contact_indices, t_p, u_p
+        # local responses to the X_p columns, assembled from the children:
+        # P_c of every child is the children of L_parent, so a child's local
+        # and interactive responses together cover L_parent's contacts
+        resp_x = (child_bases.resp_u + child.interactive(child_bases.u)).tocsc()[:, perm]
+        return LevelBases(
+            (x @ t_coef).tocsc(),
+            t_cols,
+            resp_x @ t_coef,
+            (x @ u_coef).tocsc(),
+            u_cols,
+            resp_x @ u_coef,
         )
 
-        # local responses to the X_p columns, assembled from the children.
-        # P_c of every child is the children of L_parent, so the child's row
-        # map places its local and interactive squares on L_parent's contacts.
-        l_contacts = hier.contacts_in(hier.local_squares(parent))
-        resp_x = np.zeros((l_contacts.size, m))
-        for child, cols in slices:
-            cdata = rb.data[child.key]
-            _, _, resp_u_child = self._lresp[child.key]
-            resp_x[cdata.rows_of(hier.local_squares(child)), cols] = resp_u_child
-            for d, term in rb.interaction_responses(child, self._tu[child.key].u):
-                resp_x[cdata.p_rows[d.key], cols] = term
-        self._lresp[parent.key] = (l_contacts, resp_x @ t_coef, resp_x @ u_coef)
-
     # ----------------------------------------------------------- assemble Q/Gw
-    def _assemble_q(self) -> tuple[sparse.csc_matrix, dict[tuple[SquareKey, str], np.ndarray]]:
-        hier = self.hierarchy
-        q = ColumnAssembler(hier.layout.n_contacts)
-        column_map: dict[tuple[SquareKey, str], np.ndarray] = {}
-
-        def ordered(level: int) -> list[Square]:
-            return sorted(hier.squares_at_level(level), key=lambda s: quadrant_order_key(s.key))
-
-        # coarsest slow-decaying vectors first, then fast-decaying level by level
-        for sq in ordered(2):
-            tu = self._tu[sq.key]
-            if tu.u.shape[1]:
-                column_map[sq.key, "U"] = q.add(tu.contact_indices, tu.u)
-        for level in range(2, hier.max_level + 1):
-            for sq in ordered(level):
-                tu = self._tu[sq.key]
-                if tu.t.shape[1]:
-                    column_map[sq.key, "T"] = q.add(tu.contact_indices, tu.t)
-        return q.to_csc(), column_map
+    def _quadrant_columns(self, level: int, cols: np.ndarray) -> np.ndarray:
+        """A level's columns, square by square in quadrant order (``Q``'s layout)."""
+        keys = [sq.key for sq in self.rowbasis.levels[level - 2].index.squares]
+        order = sorted(range(len(keys)), key=lambda s: quadrant_order_key(keys[s]))
+        return concat_ranges(cols[order], np.diff(cols)[order])
 
     def to_sparsified(self) -> SparsifiedConductance:
         """Run the fine-to-coarse sweep and return the ``Q Gw Q'`` representation."""
         if not self.rowbasis.built:
             raise RuntimeError("call build(solver) first")
-        if not self._tu:
+        if not self.bases:
             self._build_fine_to_coarse()
-        hier = self.hierarchy
-        q, column_map = self._assemble_q()
+        levels = sorted(self.bases)
+        coarsest = self.bases[levels[0]]
+
+        # Q: coarsest slow-decaying vectors first, then fast-decaying level by level
+        u_order = self._quadrant_columns(levels[0], coarsest.u_cols)
+        pieces = [coarsest.u[:, u_order]]
+        q_col = {}  # level -> the Q column of each of its T columns
+        start = u_order.size
+        for level in levels:
+            t_order = self._quadrant_columns(level, self.bases[level].t_cols)
+            pieces.append(self.bases[level].t[:, t_order])
+            q_col[level] = np.empty(t_order.size, dtype=np.intp)
+            q_col[level][t_order] = start + np.arange(t_order.size)
+            start += t_order.size
+        q = sparse.hstack(pieces, format="csc")
+        q.eliminate_zeros()
         ncols = q.shape[1]
 
-        entries = EntryAssembler(ncols)
-
-        def record_block(row_idx: np.ndarray, col_idx: np.ndarray, block: np.ndarray) -> None:
-            if row_idx.size == 0 or col_idx.size == 0:
-                return
-            rr, cc = np.meshgrid(row_idx, col_idx, indexing="ij")
-            entries.add(rr, cc, block)
-            entries.add(cc.T, rr.T, block.T)
-
-        # fast-decaying interactions between local squares (same or finer level)
-        for level in range(2, hier.max_level + 1):
-            for sq in hier.squares_at_level(level):
-                source_cols = column_map.get((sq.key, "T"))
-                if source_cols is None or source_cols.size == 0:
-                    continue
-                lc, resp_t, _ = self._lresp[sq.key]
-                for target in hier.target_squares(sq):
-                    target_cols = column_map.get((target.key, "T"))
-                    if target_cols is None or target_cols.size == 0:
-                        continue
-                    t_target = self._tu[target.key].t
-                    pos = _positions(lc, target.contact_indices)
-                    block = t_target.T @ resp_t[pos, :]
-                    record_block(target_cols, source_cols, block)
+        # fast-decaying interactions between local squares (same or finer
+        # level): T_target' (G_{L_s, s} T_s) for every pair of levels at
+        # once.  A same-level pair is evaluated from both sides; the square
+        # first in hierarchy order gives both of its entries, as when every
+        # block was written in that order and the first write kept.
+        rows, cols, vals = [], [], []
+        for source in levels:
+            t_cols = self.bases[source].t_cols
+            square_of = np.repeat(np.arange(t_cols.size - 1), np.diff(t_cols))
+            for target in levels[levels.index(source) :]:
+                block = (self.bases[target].t.T @ self.bases[source].resp_t).tocoo()
+                r, c = q_col[target][block.row], q_col[source][block.col]
+                keep = mirror = np.ones(block.nnz, dtype=bool)
+                if target == source:
+                    keep = square_of[block.col] <= square_of[block.row]
+                    mirror = square_of[block.col] < square_of[block.row]
+                rows += [r[keep], c[mirror]]
+                cols += [c[keep], r[mirror]]
+                vals += [block.data[keep], block.data[mirror]]
 
         # coarsest-level slow-decaying vectors interact with everything: their
         # columns of Q go through the representation as one block
-        u_blocks = [
-            column_map[sq.key, "U"]
-            for sq in hier.squares_at_level(2)
-            if (sq.key, "U") in column_map
-        ]
-        if u_blocks:
-            u_cols = np.concatenate(u_blocks)
+        u_cols = np.argsort(u_order)
+        if u_cols.size:
             responses = self.rowbasis.apply_block(q[:, u_cols].toarray())
             gw_cols = q.T @ responses  # (ncols, r)
-            all_rows = np.arange(ncols)
-            for k, col in enumerate(u_cols):
-                entries.add(all_rows, np.full(ncols, col), gw_cols[:, k])
-                entries.add(np.full(ncols, col), all_rows, gw_cols[:, k])
+            r, c, src_rows, src_cols = mirrored_columns(u_cols, ncols)
+            rows.append(r)
+            cols.append(c)
+            vals.append(gw_cols[src_rows, src_cols])
 
-        gw = entries.to_csr()
+        entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+        gw = sparse.coo_matrix(entries, shape=(ncols, ncols)).tocsr()
         # the exact Gw is symmetric (Section 2.4); averaging the two
         # independently approximated halves removes the small asymmetry left
         # by the representation.
         gw = 0.5 * (gw + gw.T)
-        return SparsifiedConductance(
-            q, gw, n_solves=self.rowbasis.n_solves, method="lowrank"
-        )
+        return SparsifiedConductance(q, gw, n_solves=self.rowbasis.n_solves, method="lowrank")
 
     # ------------------------------------------------------------- convenience
     def sparsify(

@@ -10,32 +10,43 @@ squares whose interaction lists contain it — so the whole construction needs
 only ``O(log n)`` black-box solves thanks to the combine-solves technique of
 Section 3.5, refined by the symmetry trick of eq. (4.24).
 
-The finished representation supports an ``O(n log n)`` approximate
-matrix-vector product with ``G`` (Section 4.3.2) and is the input to the
-fine-to-coarse sweep of :mod:`repro.core.lowrank`.
+The representation is held per level, stacked over the level's squares
+(:class:`RowBasisLevel`): the block-diagonal ``V_l`` (each square's row basis
+on its own contacts) and the responses ``G V_l``, split into ``GI_l`` (rows
+of each square's interactive contacts) and ``GL_l`` (rows of its local
+contacts), plus one finest-level local operator ``L``.  Every step of the
+sweep is a few sparse products per level, over index arrays fixed by the
+geometry (:class:`LevelIndex`), and the per-square SVDs run batched by
+shape.  As interaction lists are symmetric, the ``O(n log n)`` product of
+Section 4.3.2 is
+
+    ``G x ~ L x + sum_l [GI_l (V_l' x) + V_l (GI_l' (x - V_l V_l' x))]``,
+
+and the representation is the input to the fine-to-coarse sweep of
+:mod:`repro.core.lowrank`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from ..geometry.quadtree import Square, SquareHierarchy
 from ..substrate.solver_base import SubstrateSolver
+from .sparsified import (
+    block_columns,
+    block_entries,
+    block_stacks,
+    concat_ranges,
+    offsets,
+    shape_groups,
+)
 
-__all__ = ["RowBasisData", "MultilevelRowBasis", "interaction_singular_values"]
+__all__ = ["LevelIndex", "RowBasisLevel", "MultilevelRowBasis", "interaction_singular_values"]
 
 SquareKey = tuple[int, int, int]
-
-
-def _positions(superset: np.ndarray, subset: np.ndarray) -> np.ndarray:
-    """Positions of ``subset`` entries inside the sorted array ``superset``."""
-    pos = np.searchsorted(superset, subset)
-    if pos.size and (pos.max(initial=0) >= superset.size or np.any(superset[pos] != subset)):
-        raise ValueError("subset contains indices not present in superset")
-    return pos
 
 
 def interaction_singular_values(
@@ -51,39 +62,109 @@ def interaction_singular_values(
     return np.linalg.svd(block, compute_uv=False)
 
 
-@dataclass
-class RowBasisData:
-    """Row basis and responses for one square.
+def _first_appearance(codes: np.ndarray) -> np.ndarray:
+    """Group of every code, groups numbered in order of first appearance."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse.ravel()]
 
-    Attributes
-    ----------
-    contact_indices:
-        Contacts of the square (length ``n_s``).
-    v:
-        Orthonormal row basis (``n_s x k_s``).
-    p_contacts:
-        Sorted contacts of ``P_s`` (interactive plus local squares).
-    gv_p:
-        Approximate responses ``G_{P_s, s} V_s`` (``|P_s| x k_s``).
-    p_rows:
-        Rows of ``p_contacts`` occupied by each member square of ``P_s``,
-        fixed when ``P_s`` is formed (index bookkeeping, not stored values).
+
+@dataclass(frozen=True)
+class LevelIndex:
+    """Index arrays of one hierarchy level, fixed by the geometry.
+
+    Squares are numbered by their position in ``squares`` (hierarchy order)
+    and ``ij`` holds their grid coordinates.  Square ``s`` holds contacts
+    ``contacts[contact_ptr[s]:contact_ptr[s + 1]]`` and ``owner`` maps each
+    contact to its square.  ``members[name]`` is a ``(ptr, squares)`` pair
+    listing, for every square, the squares of one relation in hierarchy
+    order: ``"local"`` (``L_s``), ``"interactive"`` (``I_s``) and ``"p"``
+    (``P_s``, local then interactive).
     """
 
-    key: SquareKey
-    contact_indices: np.ndarray
-    v: np.ndarray
-    p_contacts: np.ndarray
-    gv_p: np.ndarray
-    p_rows: dict[SquareKey, np.ndarray]
+    level: int
+    squares: tuple[Square, ...]
+    position: dict[SquareKey, int]
+    ij: np.ndarray
+    owner: np.ndarray
+    contact_ptr: np.ndarray
+    contacts: np.ndarray
+    members: dict[str, tuple[np.ndarray, np.ndarray]]
 
-    @property
-    def rank(self) -> int:
-        return self.v.shape[1]
+    @classmethod
+    def of(cls, hierarchy: SquareHierarchy, level: int) -> "LevelIndex":
+        squares = tuple(hierarchy.squares_at_level(level))
+        position = {sq.key: s for s, sq in enumerate(squares)}
+        contacts = np.concatenate([sq.contact_indices for sq in squares]).astype(np.intp)
+        contact_ptr = offsets([sq.n_contacts for sq in squares])
+        owner = np.empty(hierarchy.layout.n_contacts, dtype=np.intp)
+        owner[contacts] = np.repeat(np.arange(len(squares)), np.diff(contact_ptr))
+        members = {}
+        for name, relation in (
+            ("local", hierarchy.local_squares),
+            ("interactive", hierarchy.interactive_squares),
+            ("p", hierarchy.interactive_and_local),
+        ):
+            lists = [[position[q.key] for q in relation(sq)] for sq in squares]
+            flat = np.array([q for m in lists for q in m], dtype=np.intp)
+            members[name] = (offsets([len(m) for m in lists]), flat)
+        ij = np.array([(sq.i, sq.j) for sq in squares], dtype=np.intp)
+        return cls(level, squares, position, ij, owner, contact_ptr, contacts, members)
 
-    def rows_of(self, squares: Iterable[Square]) -> np.ndarray:
-        """Ascending rows of ``p_contacts`` held by member squares of ``P_s``."""
-        return np.sort(np.concatenate([self.p_rows[q.key] for q in squares]))
+    def contacts_of(self, squares: np.ndarray) -> np.ndarray:
+        """The contacts of ``squares``, square after square."""
+        sizes = np.diff(self.contact_ptr)
+        return self.contacts[concat_ranges(self.contact_ptr[squares], sizes[squares])]
+
+    def related_squares(self, relation: str, squares: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(related, ptr)``: ``relation`` of each of ``squares``, one after another."""
+        ptr, listed = self.members[relation]
+        counts = np.diff(ptr)[squares]
+        return listed[concat_ranges(ptr[squares], counts)], offsets(counts)
+
+    def rows(self, relation: str, col_square: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, indptr)``: for each column, the contacts of ``relation`` of its square.
+
+        Column ``c`` belongs to square ``col_square[c]``; its rows are
+        ``rows[indptr[c]:indptr[c + 1]]`` (CSC layout).
+        """
+        related, ptr = self.related_squares(relation, col_square)
+        sizes = np.diff(self.contact_ptr)[related]
+        return self.contacts_of(related), np.concatenate([[0], np.cumsum(sizes)])[ptr]
+
+    def is_local(self, rows: np.ndarray, col_square: np.ndarray) -> np.ndarray:
+        """Whether the square holding contact ``rows[e]`` is local to ``col_square[e]``."""
+        gap = np.abs(self.ij[self.owner[rows]] - self.ij[col_square])
+        return gap.max(axis=1) <= 1
+
+
+@dataclass
+class RowBasisLevel:
+    """The row-basis representation of one level, stacked over its squares.
+
+    Square ``s`` owns columns ``cols[s]:cols[s + 1]`` of the three ``n x R``
+    operators: ``v`` holds ``V_s`` on its contacts, ``gi`` holds
+    ``G_{I_s, s} V_s`` on its interactive contacts and ``gl`` holds
+    ``G_{L_s, s} V_s`` on its local contacts.
+    """
+
+    index: LevelIndex
+    cols: np.ndarray
+    v: sparse.csr_matrix
+    gi: sparse.csr_matrix
+    gl: sparse.csr_matrix
+
+    def interactive(self, block):
+        """``G_{I_s, s} x_s`` of every square ``s``, summed over the squares.
+
+        A column of ``block`` may live on one square (that square's
+        interaction) or anywhere (this level's share of ``G x``).  Evaluated
+        with the symmetry refinement
+        ``(G_ds V_s)(V_s' x) + V_d (G_sd V_d)' (x - V_s V_s' x)``.
+        """
+        coeff = self.v.T @ block
+        return self.gi @ coeff + self.v @ (self.gi.T @ (block - self.v @ coeff))
 
 
 class MultilevelRowBasis:
@@ -119,357 +200,201 @@ class MultilevelRowBasis:
         self.sv_rel_threshold = sv_rel_threshold
         self.max_block = max(int(max_block), 1)
         self.rng = np.random.default_rng(seed)
-        self.data: dict[SquareKey, RowBasisData] = {}
-        #: finest-level local interaction blocks: key -> (local contacts, block)
-        self.local_blocks: dict[SquareKey, tuple[np.ndarray, np.ndarray]] = {}
-        #: orthonormal complements of the finest-level row bases
-        self.finest_w: dict[SquareKey, np.ndarray] = {}
+        #: levels 2 .. max_level, coarsest first
+        self.levels: list[RowBasisLevel] = []
+        #: finest-level local operator: G_{L_s, s} of every finest square s
+        self.local: sparse.csr_matrix | None = None
+        #: orthonormal complements W_s of the finest row bases, and their column pointer
+        self.finest_w: tuple[sparse.csc_matrix, np.ndarray] | None = None
         self.n_solves = 0
         self.built = False
 
     # ------------------------------------------------------------------ build
     def build(self, solver: SubstrateSolver) -> "MultilevelRowBasis":
         """Run the coarse-to-fine sweep using the black-box ``solver``."""
-        hier = self.hierarchy
-        for level in range(2, hier.max_level + 1):
-            squares = list(hier.squares_at_level(level))
-            if not squares:
-                continue
-            for sq in squares:
-                self.data[sq.key] = self._empty_data(sq)
-            samples = {
-                sq.key: self.rng.standard_normal((sq.n_contacts, 1)) for sq in squares
-            }
-            sample_resp = self._responses(level, samples, solver)
-            self._build_row_bases(level, sample_resp)
-            basis_vectors = {
-                sq.key: self.data[sq.key].v for sq in squares if self.data[sq.key].rank
-            }
-            basis_resp = self._responses(level, basis_vectors, solver)
-            for key, resp in basis_resp.items():
-                self.data[key].gv_p = resp
-        self._build_finest_local_blocks(solver)
+        n = self.hierarchy.layout.n_contacts
+        self.levels = []  # a rebuild replaces the representation
+        for level in range(2, self.hierarchy.max_level + 1):
+            index = LevelIndex.of(self.hierarchy, level)
+            squares = np.arange(len(index.squares))
+            # one random sample per square, drawn square after square
+            samples = sparse.csc_matrix(
+                (self.rng.standard_normal(n), index.contacts, index.contact_ptr),
+                shape=(n, squares.size),
+            )
+            bases = self._row_bases(index, self._responses(index, samples, squares, None, solver))
+            v, cols = block_columns(bases, index.contact_ptr, index.contacts, n)
+            col_square = np.repeat(squares, np.diff(cols))
+            col_local = np.arange(cols[-1]) - cols[col_square]
+            resp = self._responses(index, v.tocsc(), col_square, col_local, solver).tocoo()
+            local = index.is_local(resp.row, col_square[resp.col])
+            gi, gl = (
+                sparse.csr_matrix((resp.data[m], (resp.row[m], resp.col[m])), shape=resp.shape)
+                for m in (~local, local)
+            )
+            self.levels.append(RowBasisLevel(index, cols, v, gi, gl))
+        self._build_finest_local(solver, bases)
         self.built = True
         return self
 
-    def _empty_data(self, square: Square) -> RowBasisData:
-        """Rank-0 row basis of ``square`` with ``P_s`` and its row map fixed."""
-        members = self.hierarchy.interactive_and_local(square)
-        pc = self.hierarchy.contacts_in(members)
-        # one validated search for all members, split back per square
-        rows = _positions(pc, np.concatenate([q.contact_indices for q in members]))
-        splits = np.cumsum([q.n_contacts for q in members])[:-1]
-        return RowBasisData(
-            square.key,
-            square.contact_indices,
-            np.zeros((square.n_contacts, 0)),
-            pc,
-            np.zeros((pc.size, 0)),
-            dict(zip([q.key for q in members], np.split(rows, splits))),
-        )
-
     # ------------------------------------------------------- response machinery
-    def _responses(
-        self,
-        level: int,
-        vectors: dict[SquareKey, np.ndarray],
-        solver: SubstrateSolver,
-    ) -> dict[SquareKey, np.ndarray]:
-        """Approximate ``G_{P_s, s} X_s`` for vectors ``X_s`` supported on each square.
-
-        On the coarsest useful level (2) the responses are obtained with one
-        direct black-box call per column; on finer levels the splitting of
-        Section 4.3.3 (parent row-basis part + combine-solves for the rest,
-        refined via eq. 4.24) is used.
-        """
-        if level == 2:
-            return self._responses_direct(level, vectors, solver)
-        return self._responses_split(level, vectors, solver)
-
-    def _responses_direct(
-        self,
-        level: int,
-        vectors: dict[SquareKey, np.ndarray],
-        solver: SubstrateSolver,
-    ) -> dict[SquareKey, np.ndarray]:
-        hier = self.hierarchy
-        n = hier.layout.n_contacts
-        # one RHS column per (square, sample column), submitted in one block
-        rhs_cols: list[np.ndarray] = []
-        col_owner: list[tuple[SquareKey, int]] = []
-        out: dict[SquareKey, np.ndarray] = {}
-        for sq in hier.squares_at_level(level):
-            x = vectors.get(sq.key)
-            if x is None:
-                continue
-            out[sq.key] = np.empty((self.data[sq.key].p_contacts.size, x.shape[1]))
-            for col in range(x.shape[1]):
-                full = np.zeros(n)
-                full[sq.contact_indices] = x[:, col]
-                rhs_cols.append(full)
-                col_owner.append((sq.key, col))
-        for start in range(0, len(rhs_cols), self.max_block):
-            stop = min(start + self.max_block, len(rhs_cols))
-            responses = solver.solve_many(np.column_stack(rhs_cols[start:stop]))
-            self.n_solves += stop - start
-            for pos in range(stop - start):
-                key, col = col_owner[start + pos]
-                out[key][:, col] = responses[self.data[key].p_contacts, pos]
+    def _solve(self, solver: SubstrateSolver, columns: sparse.csc_matrix) -> np.ndarray:
+        """Black-box responses to ``columns``, ``max_block`` columns per call."""
+        out = np.empty(columns.shape)
+        for start in range(0, columns.shape[1], self.max_block):
+            block = slice(start, start + self.max_block)
+            out[:, block] = solver.solve_many(np.ascontiguousarray(columns[:, block].toarray()))
+            self.n_solves += out[:, block].shape[1]
         return out
 
-    def _responses_split(
+    def _responses(
         self,
-        level: int,
-        vectors: dict[SquareKey, np.ndarray],
+        index: LevelIndex,
+        vectors: sparse.csc_matrix,
+        col_square: np.ndarray,
+        col_local: np.ndarray | None,
         solver: SubstrateSolver,
-    ) -> dict[SquareKey, np.ndarray]:
-        hier = self.hierarchy
-        n = hier.layout.n_contacts
-        squares = [
-            sq
-            for sq in hier.squares_at_level(level)
-            if sq.key in vectors and vectors[sq.key].shape[1] > 0
-        ]
-        results: dict[SquareKey, np.ndarray] = {}
-        ortho: dict[SquareKey, np.ndarray] = {}
-        parent_of: dict[SquareKey, Square] = {}
+    ) -> sparse.csr_matrix:
+        """Approximate ``G_{P_s, s} x`` for vectors ``x`` living on one square each.
 
-        for sq in squares:
-            parent = hier.parent(sq)
-            pdata = self.data[parent.key]
-            x = vectors[sq.key]
-            x_parent = np.zeros((parent.contact_indices.size, x.shape[1]))
-            rows = _positions(parent.contact_indices, sq.contact_indices)
-            x_parent[rows, :] = x
-            coeff = pdata.v.T @ x_parent
-            resid = x_parent - pdata.v @ coeff
-            # P_s is the children of L_parent, so its contacts are exactly the
-            # rows L_parent holds in the parent's P
-            pos = pdata.rows_of(hier.local_squares(parent))
-            results[sq.key] = pdata.gv_p[pos, :] @ coeff
-            ortho[sq.key] = resid
-            parent_of[sq.key] = parent
-
-        # combine-solves for the parts orthogonal to the parent row bases
-        groups: dict[tuple[int, int, int, int, int], list[SquareKey]] = {}
-        for sq in squares:
-            parent = parent_of[sq.key]
-            for col in range(ortho[sq.key].shape[1]):
-                gkey = (parent.i % 3, parent.j % 3, sq.i % 2, sq.j % 2, col)
-                groups.setdefault(gkey, []).append(sq.key)
-
-        # every group is one combined solve; submit them all in one block
-        def contribution(key: SquareKey, col: int) -> tuple[np.ndarray, np.ndarray]:
-            return parent_of[key].contact_indices, ortho[key][:, col]
-
-        for gkey, members, y in self._combined_group_responses(
-            solver, n, list(groups.items()), contribution
-        ):
-            col = gkey[-1]
-            for key in members:
-                parent = parent_of[key]
-                o = ortho[key][:, col]
-                contrib = np.zeros(n)
-                for q in hier.local_squares(parent):
-                    qdata = self.data[q.key]
-                    raw = y[q.contact_indices]
-                    contrib[q.contact_indices] = self._refine_local_response(qdata, parent, o, raw)
-                results[key][:, col] += contrib[self.data[key].p_contacts]
-        return results
-
-    def _combined_group_responses(
-        self,
-        solver: SubstrateSolver,
-        n: int,
-        group_list: list[tuple[tuple, list[SquareKey]]],
-        contribution,
-    ):
-        """Run all combined solves of ``group_list`` as one ``solve_many`` block.
-
-        Each group ``(gkey, members)`` becomes one theta column assembled by
-        summing ``contribution(member_key, gkey[-1]) -> (contact_indices,
-        values)`` over its members; yields ``(gkey, members, response_column)``
-        per group.  One attributed black-box solve per group, exactly as the
-        sequential combine-solves technique of Section 3.5; submissions are
-        chunked to ``max_block`` columns to bound memory.
+        Column ``c`` of ``vectors`` lives on square ``col_square[c]`` and is
+        that square's vector ``col_local[c]`` (``None``: its only one).  On
+        the coarsest useful level (2) each column is one direct black-box
+        solve; on finer levels the splitting of Section 4.3.3 is used: the
+        parent row-basis part from the stored responses, and the part
+        orthogonal to it from combined solves refined via eq. (4.24).
         """
-        for start in range(0, len(group_list), self.max_block):
-            chunk = group_list[start:start + self.max_block]
-            thetas = np.zeros((n, len(chunk)))
-            for g_idx, (gkey, members) in enumerate(chunk):
-                col = gkey[-1]
-                for key in members:
-                    indices, values = contribution(key, col)
-                    thetas[indices, g_idx] += values
-            responses = solver.solve_many(thetas)
-            self.n_solves += len(chunk)
-            for g_idx, (gkey, members) in enumerate(chunk):
-                yield gkey, members, responses[:, g_idx]
+        rows, indptr = index.rows("p", col_square)
+        entry_col = np.repeat(np.arange(col_square.size), np.diff(indptr))
+        if index.level == 2:
+            y = self._solve(solver, vectors)
+            resp = sparse.csc_matrix((y[rows, entry_col], rows, indptr), shape=vectors.shape)
+            return resp.tocsr()
+        parent = self.levels[-1]
+        coeff = parent.v.T @ vectors
+        ortho = vectors - parent.v @ coeff
+        # one combined solve per (parent class mod 3, child position, vector):
+        # the members' parents are three squares apart, so each response is
+        # attributed to its own source.  Eq. (4.24): on each square q of
+        # L_parent only the part orthogonal to V_q comes from the combined
+        # solve; the row-basis part is G_{parent, q} V_q by symmetry, read
+        # from q's stored responses
+        i, j = index.ij[col_square].T
+        vector = np.zeros_like(col_square) if col_local is None else col_local
+        klass = (((i // 2 % 3) * 3 + j // 2 % 3) * 2 + i % 2) * 2 + j % 2
+        group = _first_appearance(klass * (int(vector.max(initial=0)) + 1) + vector)
+        y_perp = self._combined_solves(solver, ortho, group, parent)
+        raw = sparse.csc_matrix((y_perp[rows, group[entry_col]], rows, indptr), shape=vectors.shape)
+        return (parent.gl @ coeff + (parent.v @ (parent.gl.T @ ortho) + raw)).tocsr()
 
-    def _refine_local_response(
-        self,
-        qdata: RowBasisData,
-        source_square: Square,
-        source_vector: np.ndarray,
-        raw_response: np.ndarray,
+    def _combined_solves(
+        self, solver: SubstrateSolver, vectors, group: np.ndarray, level: RowBasisLevel
     ) -> np.ndarray:
-        """Eq. (4.24): split the response at ``q`` into row-basis and orthogonal parts.
+        """One black-box solve per group of ``vectors``, projected off ``level``'s bases.
 
-        The row-basis part is reconstructed exactly from the stored responses
-        (``G_{source, q} V_q`` by symmetry of ``G``); only the part orthogonal
-        to ``V_q`` is taken from the (possibly contaminated) combined solve.
+        Column ``c`` of ``vectors`` joins the combined solve ``group[c]``; the
+        members of a group have disjoint supports, so each theta is exactly
+        the sum of its members.  Returns the responses minus their part in
+        each square's row basis (the part eq. (4.24) takes from the solve).
         """
-        if qdata.rank == 0:
-            return raw_response
-        # responses of V_q at the source square
-        g_sq_vq = qdata.gv_p[qdata.p_rows[source_square.key], :]
-        term1 = qdata.v @ (g_sq_vq.T @ source_vector)
-        term2 = raw_response - qdata.v @ (qdata.v.T @ raw_response)
-        return term1 + term2
+        membership = sparse.csr_matrix(
+            (np.ones(group.size), (np.arange(group.size), group)),
+            shape=(group.size, group.max(initial=-1) + 1),
+        )
+        y = self._solve(solver, (vectors @ membership).tocsc())
+        return y - level.v @ (level.v.T @ y)
 
     # --------------------------------------------------------------- row bases
-    def _truncated_basis(self, matrix: np.ndarray) -> np.ndarray:
-        """Left singular vectors with large singular values (capped at max_rank)."""
-        if matrix.size == 0:
-            return np.zeros((matrix.shape[0], 0))
-        u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            return np.zeros((matrix.shape[0], 0))
-        rank = int(np.count_nonzero(s > self.sv_rel_threshold * s[0]))
-        rank = min(rank, self.max_rank, matrix.shape[0])
-        return u[:, :rank]
+    def _row_bases(self, index: LevelIndex, sample_resp: sparse.csr_matrix) -> list[np.ndarray]:
+        """Each square's row basis from its sampled interactions.
 
-    def _build_row_bases(self, level: int, sample_resp: dict[SquareKey, np.ndarray]) -> None:
-        hier = self.hierarchy
-        for sq in hier.squares_at_level(level):
-            columns = [
-                sample_resp[d.key][self.data[d.key].p_rows[sq.key], :]
-                for d in hier.interactive_squares(sq)
-                if d.key in sample_resp
-            ]
-            if columns:
-                sampled = np.hstack(columns)
-                v = self._truncated_basis(sampled)
-            else:
+        The samples of the squares in ``I_s`` respond on ``s``'s contacts;
+        ``V_s`` is their left singular vectors with large singular values,
+        at most ``max_rank`` of them.
+        """
+        sizes = np.diff(index.contact_ptr)
+        ptr, interactive = index.members["interactive"]
+        # square s's sampled block: its contacts x its interaction list
+        block, r, c = block_entries(sizes, np.diff(ptr))
+        sample_resp.sum_duplicates()
+        values = np.asarray(
+            sample_resp[index.contacts[index.contact_ptr[block] + r], interactive[ptr[block] + c]]
+        ).ravel()
+        bases: list[np.ndarray] = [np.zeros((0, 0))] * sizes.size
+        for ids, stack in block_stacks(values, sizes, np.diff(ptr)):
+            n_s, m_s = stack.shape[1:]
+            if m_s == 0:
                 # no interactive contacts: keep the whole (small) space
-                k = min(self.max_rank, sq.n_contacts)
-                v = np.eye(sq.n_contacts)[:, :k]
-            self.data[sq.key].v = v
+                for s in ids:
+                    bases[s] = np.eye(n_s)[:, : min(self.max_rank, n_s)]
+                continue
+            u, sv, _ = np.linalg.svd(stack, full_matrices=False)
+            for s, u_s, sv_s in zip(ids, u, sv):
+                large = np.count_nonzero(sv_s > self.sv_rel_threshold * sv_s[0])
+                rank = min(int(large), self.max_rank, n_s) if sv_s[0] != 0.0 else 0
+                bases[s] = u_s[:, :rank]
+        return bases
 
     # -------------------------------------------------- finest local interactions
-    def _orthonormal_complement(self, v: np.ndarray, dim: int) -> np.ndarray:
-        """Orthonormal basis of the complement of ``span(v)`` in ``R^dim``."""
-        if v.shape[1] >= dim:
-            return np.zeros((dim, 0))
-        if v.shape[1] == 0:
-            return np.eye(dim)
-        full = np.hstack([v, np.eye(dim)])
-        q, _ = np.linalg.qr(full)
-        return q[:, v.shape[1]: dim]
+    def _build_finest_local(self, solver: SubstrateSolver, bases: list[np.ndarray]) -> None:
+        """The local operator ``L``: ``G_{L_s, s}`` of every finest square ``s``.
 
-    def _build_finest_local_blocks(self, solver: SubstrateSolver) -> None:
-        hier = self.hierarchy
-        n = hier.layout.n_contacts
-        level = hier.max_level
-        squares = list(hier.squares_at_level(level))
-        # responses of the complement vectors, on the rows of P_s
-        w_resp: dict[SquareKey, np.ndarray] = {}
-
-        for sq in squares:
-            rb = self.data[sq.key]
-            self.finest_w[sq.key] = self._orthonormal_complement(rb.v, sq.n_contacts)
-            w_resp[sq.key] = np.zeros((rb.p_contacts.size, self.finest_w[sq.key].shape[1]))
-
-        groups: dict[tuple[int, int, int], list[SquareKey]] = {}
-        for sq in squares:
-            for col in range(self.finest_w[sq.key].shape[1]):
-                groups.setdefault((sq.i % 3, sq.j % 3, col), []).append(sq.key)
-
-        square_by_key = {sq.key: sq for sq in squares}
-
-        def contribution(key: SquareKey, col: int) -> tuple[np.ndarray, np.ndarray]:
-            return square_by_key[key].contact_indices, self.finest_w[key][:, col]
-
-        for gkey, members, y in self._combined_group_responses(
-            solver, n, list(groups.items()), contribution
-        ):
-            col = gkey[-1]
-            for key in members:
-                sq = square_by_key[key]
-                w_col = self.finest_w[key][:, col]
-                p_rows = self.data[key].p_rows
-                for q in hier.local_squares(sq):
-                    qdata = self.data[q.key]
-                    raw = y[q.contact_indices]
-                    refined = self._refine_local_response(qdata, sq, w_col, raw)
-                    w_resp[key][p_rows[q.key], col] = refined
-
-        for sq in squares:
-            rb = self.data[sq.key]
-            pos = rb.rows_of(hier.local_squares(sq))
-            block = rb.gv_p[pos, :] @ rb.v.T
-            w = self.finest_w[sq.key]
-            if w.shape[1]:
-                block = block + w_resp[sq.key][pos, :] @ w.T
-            self.local_blocks[sq.key] = (rb.p_contacts[pos], block)
+        ``G_{L_s, s} = (G_{L_s, s} V_s) V_s' + (G_{L_s, s} W_s) W_s'`` with
+        ``W_s`` the orthonormal complement of ``V_s``.  The first term is
+        stored; the second comes from combined solves of the ``W_s`` columns
+        (squares three apart share a solve), refined via eq. (4.24).
+        """
+        n = self.hierarchy.layout.n_contacts
+        top = self.levels[-1]
+        index = top.index
+        complements: list[np.ndarray] = [np.zeros((0, 0))] * len(bases)
+        for ids, n_s, k in shape_groups(np.diff(index.contact_ptr), np.diff(top.cols)):
+            if k == 0 or k >= n_s:
+                for s in ids:
+                    complements[s] = np.eye(n_s)[:, k:]
+                continue
+            # Householder QR of [V_s, I]: its trailing columns span the complement
+            spanned = np.stack([bases[s] for s in ids])
+            identity = np.broadcast_to(np.eye(n_s), (ids.size, n_s, n_s))
+            q, _ = np.linalg.qr(np.concatenate([spanned, identity], axis=2))
+            for s, q_s in zip(ids, q):
+                complements[s] = q_s[:, k:n_s]
+        w, w_cols = block_columns(complements, index.contact_ptr, index.contacts, n)
+        w = w.tocsc()
+        self.finest_w = (w, w_cols)
+        col_square = np.repeat(np.arange(len(bases)), np.diff(w_cols))
+        vector = np.arange(w_cols[-1]) - w_cols[col_square]
+        i, j = index.ij[col_square].T
+        klass = (i % 3) * 3 + j % 3
+        group = _first_appearance(klass * (int(vector.max(initial=0)) + 1) + vector)
+        y_perp = self._combined_solves(solver, w, group, top)
+        rows, indptr = index.rows("local", col_square)
+        entry_col = np.repeat(np.arange(col_square.size), np.diff(indptr))
+        raw = sparse.csc_matrix((y_perp[rows, group[entry_col]], rows, indptr), shape=w.shape)
+        resp_w = top.v @ (top.gl.T @ w) + raw
+        self.local = (top.gl @ top.v.T + resp_w @ w.T).tocsr()
 
     # ------------------------------------------------------------------- apply
     def apply(self, voltages: np.ndarray) -> np.ndarray:
         """Approximate ``G @ voltages`` using the representation (Section 4.3.2)."""
         return self.apply_block(np.asarray(voltages, dtype=float)[:, None])[:, 0]
 
-    def interaction_responses(
-        self, square: Square, block: np.ndarray
-    ) -> list[tuple[Square, np.ndarray]]:
-        """``(d, G_{d, square} block)`` for every interactive square ``d``.
-
-        Evaluated through the representation with the symmetry refinement:
-        ``(G_ds V_s)(V_s' x) + V_d (G_sd V_d)' (x - V_s V_s' x)``.
-        """
-        sd = self.data[square.key]
-        coeff = sd.v.T @ block
-        resid = block - sd.v @ coeff
-        out = []
-        for d in self.hierarchy.interactive_squares(square):
-            dd = self.data[d.key]
-            term = sd.gv_p[sd.p_rows[d.key], :] @ coeff
-            if dd.rank:
-                term = term + dd.v @ (dd.gv_p[dd.p_rows[square.key], :].T @ resid)
-            out.append((d, term))
-        return out
-
     def apply_block(self, voltage_block: np.ndarray) -> np.ndarray:
         """Approximate ``G @ V`` for several voltage vectors at once."""
         if not self.built:
             raise RuntimeError("call build() before apply()")
-        hier = self.hierarchy
         v = np.asarray(voltage_block, dtype=float)
-        n = hier.layout.n_contacts
+        n = self.hierarchy.layout.n_contacts
         if v.ndim != 2 or v.shape[0] != n:
             raise ValueError(
                 f"voltage block of shape {v.shape}: expected {n} rows, one per contact"
             )
-        out = np.zeros_like(v)
-        for level in range(2, hier.max_level + 1):
-            for sq in hier.squares_at_level(level):
-                for d, term in self.interaction_responses(sq, v[sq.contact_indices, :]):
-                    out[d.contact_indices, :] += term
-        for sq in hier.squares_at_level(hier.max_level):
-            lc, block = self.local_blocks[sq.key]
-            out[lc, :] += block @ v[sq.contact_indices, :]
+        out = self.local @ v
+        for level in self.levels:
+            out += level.interactive(v)
         return out
 
     def to_dense(self) -> np.ndarray:
         """Dense matrix represented by the row-basis approximation (tests only)."""
         n = self.hierarchy.layout.n_contacts
         return self.apply_block(np.eye(n))
-
-    # ------------------------------------------------------------------ report
-    def storage_nonzeros(self) -> int:
-        """Number of stored floating-point values (memory cost of Section 4.3)."""
-        total = 0
-        for rb in self.data.values():
-            total += rb.v.size + rb.gv_p.size
-        for _, block in self.local_blocks.values():
-            total += block.size
-        return total

@@ -6,6 +6,11 @@ and a sparse transformed matrix ``Gw``.  This module provides the container
 with the operations used throughout the evaluation: applying the represented
 operator, measuring sparsity, thresholding small entries (``Gwt``), and
 reconstructing dense approximations for error measurement.
+
+It also holds the index arithmetic both sparsifiers use to keep per-square
+data stacked: dense blocks stored back to back, gathered, grouped by shape
+for one batched LAPACK call, and laid side by side in sparse ``n``-row
+operators.
 """
 
 from __future__ import annotations
@@ -15,7 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-__all__ = ["SparsifiedConductance", "EntryAssembler", "ColumnAssembler", "quadrant_order_key"]
+__all__ = [
+    "SparsifiedConductance",
+    "block_columns",
+    "block_entries",
+    "block_stacks",
+    "concat_ranges",
+    "mirrored_columns",
+    "offsets",
+    "quadrant_order_key",
+    "shape_groups",
+]
 
 
 def quadrant_order_key(key: tuple[int, int, int]) -> int:
@@ -32,68 +47,96 @@ def quadrant_order_key(key: tuple[int, int, int]) -> int:
     return code
 
 
-class ColumnAssembler:
-    """Columns of a sparse ``n``-row matrix, appended block by block.
+def offsets(counts) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: where each of consecutive runs of ``counts`` starts."""
+    out = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=out[1:])
+    return out
 
-    Both sparsifiers build ``Q`` this way: :meth:`add` appends the columns
-    of a dense block whose rows are the given contacts, keeping only their
-    nonzeros, and returns the new columns' indices; :meth:`to_csc`
-    assembles the matrix.
+
+def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
+    counts = np.asarray(counts, dtype=np.intp)
+    ends = np.cumsum(counts)
+    shift = np.repeat(np.asarray(starts, dtype=np.intp) - (ends - counts), counts)
+    return np.arange(int(ends[-1]) if ends.size else 0, dtype=np.intp) + shift
+
+
+def block_entries(n_rows: np.ndarray, n_cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(block, row, col)`` of every entry of row-major blocks stored back to back.
+
+    Block ``b`` is ``n_rows[b] x n_cols[b]``.
     """
-
-    def __init__(self, n: int) -> None:
-        self.n = int(n)
-        self._rows: list[np.ndarray] = []
-        self._vals: list[np.ndarray] = []
-        self._indptr: list[int] = [0]
-
-    def add(self, contacts: np.ndarray, block: np.ndarray) -> np.ndarray:
-        start = len(self._indptr) - 1
-        for column in block.T:
-            nz = np.flatnonzero(np.abs(column) > 0)
-            self._rows.append(contacts[nz])
-            self._vals.append(column[nz])
-            self._indptr.append(self._indptr[-1] + nz.size)
-        return np.arange(start, len(self._indptr) - 1)
-
-    def to_csc(self) -> sparse.csc_matrix:
-        m = len(self._indptr) - 1
-        if m == 0:
-            return sparse.csc_matrix((self.n, 0))
-        return sparse.csc_matrix(
-            (np.concatenate(self._vals), np.concatenate(self._rows), np.array(self._indptr)),
-            shape=(self.n, m),
-        )
+    sizes = np.asarray(n_rows) * np.asarray(n_cols)
+    block = np.repeat(np.arange(sizes.size), sizes)
+    within = np.arange(int(sizes.sum())) - np.repeat(offsets(sizes)[:-1], sizes)
+    width = np.maximum(n_cols, 1)[block]
+    return block, within // width, within % width
 
 
-class EntryAssembler:
-    """Entries of a square sparse matrix, collected block by block.
+def block_columns(
+    blocks: list[np.ndarray], row_ptr: np.ndarray, rows: np.ndarray, n: int
+) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """``(matrix, col_ptr)``: dense ``blocks`` side by side in an ``n``-row sparse matrix.
 
-    Both sparsifiers fill ``Gw`` this way: :meth:`add` takes parallel row,
-    column and value arrays of any shape, and :meth:`to_csr` assembles them
-    with assignment semantics — the first write of a position wins.
+    Block ``b`` lands on rows ``rows[row_ptr[b]:row_ptr[b + 1]]`` and on
+    columns ``col_ptr[b]:col_ptr[b + 1]``.
     """
+    col_ptr = offsets([b.shape[1] for b in blocks])
+    block, r, c = block_entries(np.diff(row_ptr), np.diff(col_ptr))
+    data = np.concatenate([b.ravel() for b in blocks]) if blocks else np.empty(0)
+    matrix = sparse.csr_matrix(
+        (data, (rows[row_ptr[block] + r], col_ptr[block] + c)), shape=(n, int(col_ptr[-1]))
+    )
+    return matrix, col_ptr
 
-    def __init__(self, n: int) -> None:
-        self.n = int(n)
-        self._rows: list[np.ndarray] = []
-        self._cols: list[np.ndarray] = []
-        self._vals: list[np.ndarray] = []
 
-    def add(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-        self._rows.append(np.asarray(rows, dtype=int).ravel())
-        self._cols.append(np.asarray(cols, dtype=int).ravel())
-        self._vals.append(np.asarray(vals, dtype=float).ravel())
+def shape_groups(n_rows: np.ndarray, n_cols: np.ndarray):
+    """Yield ``(ids, rows, cols)``: the blocks of each distinct shape.
 
-    def to_csr(self) -> sparse.csr_matrix:
-        n = self.n
-        if not self._rows:
-            return sparse.csr_matrix((n, n))
-        r = np.concatenate(self._rows)
-        c = np.concatenate(self._cols)
-        v = np.concatenate(self._vals)
-        _, first = np.unique(r.astype(np.int64) * n + c, return_index=True)
-        return sparse.coo_matrix((v[first], (r[first], c[first])), shape=(n, n)).tocsr()
+    Block ``b`` is ``n_rows[b] x n_cols[b]``; grouping blocks by shape lets
+    one batched LAPACK call replace one call per block.
+    """
+    shapes, inverse = np.unique(np.stack([n_rows, n_cols], axis=1), axis=0, return_inverse=True)
+    for group, (rows, cols) in enumerate(shapes):
+        yield np.flatnonzero(inverse.ravel() == group), int(rows), int(cols)
+
+
+def block_stacks(values: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray):
+    """Blocks stored back to back (row-major) in ``values``, stacked by shape.
+
+    Yields ``(ids, stack)``: the block numbers of one shape and their
+    ``(len(ids), rows, cols)`` stack.
+    """
+    starts = offsets(np.asarray(n_rows) * np.asarray(n_cols))
+    for ids, rows, cols in shape_groups(n_rows, n_cols):
+        flat = starts[ids][:, None] + np.arange(rows * cols)
+        yield ids, values[flat].reshape(ids.size, rows, cols)
+
+
+def mirrored_columns(cols: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Where rows and columns ``cols`` of a symmetric ``n x n`` matrix come from.
+
+    Both sparsifiers fill these rows and columns of ``Gw`` from a block
+    ``B = Gw[:, cols]`` evaluated column by column, writing column ``k`` and
+    row ``cols[k]`` for ``k = 0, 1, ...`` with the first write of a position
+    kept.  Returns ``(rows, columns, src_rows, src_cols)``: entry
+    ``(rows[e], columns[e])`` is ``B[src_rows[e], src_cols[e]]``, so the
+    ``cols x cols`` block comes from the lower triangle of ``B[cols, :]``.
+    """
+    cols = np.asarray(cols, dtype=np.intp)
+    r = cols.size
+    others = np.setdiff1d(np.arange(n), cols)
+    other_rows = np.repeat(others, r)
+    k = np.tile(np.arange(r), others.size)
+    lower_j, lower_k = np.tril_indices(r)
+    upper = lower_j > lower_k
+    return (
+        np.concatenate([other_rows, cols[k], cols[lower_j], cols[lower_k[upper]]]),
+        np.concatenate([cols[k], other_rows, cols[lower_k], cols[lower_j[upper]]]),
+        np.concatenate([other_rows, other_rows, cols[lower_j], cols[lower_j[upper]]]),
+        np.concatenate([k, k, lower_k, lower_k[upper]]),
+    )
 
 
 @dataclass
@@ -201,15 +244,6 @@ class SparsifiedConductance:
             else:
                 hi = mid
         return self.threshold(hi)
-
-    def threshold_fraction_of_nnz(self, keep_fraction: float) -> "SparsifiedConductance":
-        """Keep (approximately) the largest ``keep_fraction`` of the entries."""
-        if not 0 < keep_fraction <= 1:
-            raise ValueError("keep_fraction must be in (0, 1]")
-        data = np.abs(self.gw.tocoo().data)
-        k = max(1, int(round(keep_fraction * data.size)))
-        cutoff = np.partition(data, data.size - k)[data.size - k]
-        return self.threshold(cutoff)
 
     # ------------------------------------------------------------------ report
     def summary(self) -> dict[str, float]:

@@ -14,6 +14,12 @@ separated (the finer square's ancestor at the coarser level is the same as or
 a neighbour of the coarser square), plus all interactions involving the root
 square's non-vanishing vectors.  Further sparsity is obtained by thresholding
 (``Gwt``).
+
+Every target projection ``W_t' r`` of a response is an entry of
+``Q' @ responses``, so the extraction is one sparse product and one gather
+through index arrays that depend only on the geometry (which theta holds
+each column, and which entry of the product each kept ``Gws`` position
+reads).
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from ..geometry.quadtree import Square, SquareHierarchy
+from ..geometry.quadtree import SquareHierarchy
 from ..substrate.solver_base import SubstrateSolver
-from .sparsified import EntryAssembler, SparsifiedConductance
+from .sparsified import SparsifiedConductance, concat_ranges, mirrored_columns
 from .wavelet_basis import WaveletBasis
 
 __all__ = ["WaveletSparsifier"]
@@ -59,65 +65,6 @@ class WaveletSparsifier:
         self.basis = WaveletBasis(hierarchy, order=order, rank_tol=rank_tol)
         self.max_block = max(int(max_block), 1)
 
-    # --------------------------------------------------------------- locality
-    def kept_pattern(self) -> sparse.csr_matrix:
-        """Boolean sparsity pattern of ``Gws`` implied by the locality assumption."""
-        basis = self.basis
-        ncols = basis.n_columns
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-
-        root_cols = basis.root_v_columns()
-        if root_cols.size:
-            all_cols = np.arange(ncols)
-            for j in root_cols:
-                rows.append(np.full(ncols, j))
-                cols.append(all_cols)
-                rows.append(all_cols)
-                cols.append(np.full(ncols, j))
-
-        for level in self.hierarchy.levels():
-            for source in self.hierarchy.squares_at_level(level):
-                source_cols = basis.w_columns(source.key)
-                if source_cols.size == 0:
-                    continue
-                for target in self.hierarchy.target_squares(source):
-                    target_cols = basis.w_columns(target.key)
-                    if target_cols.size == 0:
-                        continue
-                    rr, cc = np.meshgrid(target_cols, source_cols, indexing="ij")
-                    rows.append(rr.ravel())
-                    cols.append(cc.ravel())
-                    rows.append(cc.ravel())
-                    cols.append(rr.ravel())
-        row = np.concatenate(rows) if rows else np.empty(0, dtype=int)
-        col = np.concatenate(cols) if cols else np.empty(0, dtype=int)
-        pattern = sparse.coo_matrix(
-            (np.ones(row.size, dtype=bool), (row, col)), shape=(ncols, ncols)
-        ).tocsr()
-        pattern.data[:] = True
-        return pattern
-
-    # ------------------------------------------------------------- extraction
-    def transform_dense(self, g_exact: np.ndarray) -> np.ndarray:
-        """Full transformed matrix ``Gw = Q' G Q`` from a known dense ``G``."""
-        q = self.basis.q_matrix.toarray()
-        return q.T @ np.asarray(g_exact, dtype=float) @ q
-
-    def extract_with_dense(self, g_exact: np.ndarray) -> SparsifiedConductance:
-        """``Gws`` from a known dense ``G`` (no black-box solves).
-
-        Applies the locality pattern to the exact ``Q' G Q``; used to isolate
-        the basis-quality question from the combine-solves approximation.
-        """
-        gw_full = self.transform_dense(g_exact)
-        pattern = self.kept_pattern().tocoo()
-        data = gw_full[pattern.row, pattern.col]
-        gws = sparse.coo_matrix((data, (pattern.row, pattern.col)), shape=pattern.shape)
-        return SparsifiedConductance(
-            self.basis.q_matrix, gws.tocsr(), n_solves=0, method="wavelet(dense)"
-        )
-
     def extract(self, solver: SubstrateSolver) -> SparsifiedConductance:
         """Extract ``Gws`` with the combine-solves technique (Section 3.5).
 
@@ -127,85 +74,92 @@ class WaveletSparsifier:
         response.  So all of them go to the black box as one stacked
         submission, chunked at ``max_block`` columns, and a factored solver
         pays its per-block cost once instead of once per level.  Each column
-        is still one attributed solve, and the responses are read in the
-        order of the level-by-level method, so ``Gws`` is unchanged.
+        is still one attributed solve.  Every target projection ``W_t' r``
+        is an entry of ``Q' @ responses``, so ``Gws`` is that one product
+        gathered through the index arrays of :meth:`_plan`.
         """
-        basis = self.basis
-        hier = self.hierarchy
-        ncols = basis.n_columns
-        q = basis.q_matrix  # csc
-
-        root_cols = basis.root_v_columns()
-        combined = self._combined_sources()
-        n_root = int(root_cols.size)
-        v = np.zeros((hier.layout.n_contacts, n_root + len(combined)))
-        v[:, :n_root] = q[:, root_cols].toarray()
-        for col, (contributing, m) in enumerate(combined, start=n_root):
-            for sq in contributing:
-                sb = basis.basis(sq.key)
-                v[sb.contact_indices, col] += sb.W[:, m]
+        q = self.basis.q_matrix  # csc
+        membership, (rows, cols, src_rows, src_cols) = self._plan()
+        v = np.hstack([q[:, self.basis.root_v_columns()].toarray(), (q @ membership).toarray()])
         responses = np.empty_like(v)
         for start in range(0, v.shape[1], self.max_block):
             block = slice(start, start + self.max_block)
             responses[:, block] = solver.solve_many(np.ascontiguousarray(v[:, block]))
+        projected = q.T @ responses  # (ncols, solves)
+        gws = sparse.coo_matrix((projected[src_rows, src_cols], (rows, cols)), shape=q.T.shape)
+        return SparsifiedConductance(q, gws.tocsr(), n_solves=v.shape[1], method="wavelet")
 
-        entries = EntryAssembler(ncols)
-
-        # 1. root non-vanishing vectors: full rows and columns
-        if n_root:
-            rows_block = q.T @ responses[:, :n_root]  # (ncols, n_root)
-            all_cols = np.arange(ncols)
-            for pos, j in enumerate(root_cols):
-                row = np.asarray(rows_block[:, pos]).ravel()
-                entries.add(np.full(ncols, j), all_cols, row)
-                entries.add(all_cols, np.full(ncols, j), row)
-
-        # 2. each theta's response is attributed to the unique nearby source
-        for col, (contributing, m) in enumerate(combined, start=n_root):
-            response = responses[:, col]
-            for sq in contributing:
-                source_col = int(basis.w_columns(sq.key)[m])
-                for target in hier.target_squares(sq):
-                    tb = basis.basis(target.key)
-                    if tb.n_vanishing == 0:
-                        continue
-                    vals = tb.W.T @ response[tb.contact_indices]
-                    tcols = basis.w_columns(target.key)
-                    entries.add(tcols, np.full(tcols.size, source_col), vals)
-                    entries.add(np.full(tcols.size, source_col), tcols, vals)
-
-        return SparsifiedConductance(
-            q, entries.to_csr(), n_solves=v.shape[1], method="wavelet"
-        )
-
-    def _combined_sources(self) -> list[tuple[list[Square], int]]:
-        """The combined vectors theta of every level, as ``(sources, m)``.
+    def _plan(self) -> tuple[sparse.csr_matrix, tuple[np.ndarray, ...]]:
+        """``(membership, sources)``, fixed by the geometry.
 
         Theta sums the ``m``-th vanishing-moment vector of every square that
         has one in one ``(i mod 3, j mod 3)`` class of a level, so any two of
-        its sources are at least three squares apart.  Listed level by
-        level, coarsest first.
+        its sources are at least three squares apart; thetas are numbered
+        level by level (coarsest first), then by class, then by ``m``, and
+        ``membership`` maps each column of ``Q`` to its theta.
+
+        ``sources = (rows, cols, src_rows, src_cols)``: entry ``(rows[e],
+        cols[e])`` of ``Gws`` is entry ``(src_rows[e], src_cols[e])`` of ``Q'
+        @ responses``, whose first columns answer the root vectors and the
+        rest the thetas.  The root rows and columns are full.  The response
+        of the theta holding vector ``y`` of a source square is attributed to
+        the vectors ``x`` of each of its target squares (at its level or finer,
+        with an ancestor local to it), as entries ``(x, y)`` and ``(y, x)``.
+        Where two sources attribute one position, the theta solved first
+        gives it — the lower class of two neighbours, the smaller ``m``
+        within one square — which is the first write when the blocks are
+        written in theta order.
         """
         basis = self.basis
-        combined: list[tuple[list[Square], int]] = []
-        for level in self.hierarchy.levels():
-            squares = [
-                sq
-                for sq in self.hierarchy.squares_at_level(level)
-                if basis.basis(sq.key).n_vanishing > 0
-            ]
-            for a in range(3):
-                for b in range(3):
-                    group = [sq for sq in squares if sq.i % 3 == a and sq.j % 3 == b]
-                    if not group:
-                        continue
-                    max_w = max(basis.basis(sq.key).n_vanishing for sq in group)
-                    for m in range(max_w):
-                        contributing = [
-                            sq for sq in group if m < basis.basis(sq.key).n_vanishing
-                        ]
-                        combined.append((contributing, m))
-        return combined
+        hier = self.hierarchy
+        ncols = basis.n_columns
+        squares = [sq for level in hier.levels() for sq in hier.squares_at_level(level)]
+        position = {sq.key: k for k, sq in enumerate(squares)}
+        # each square's vanishing-moment vectors are consecutive columns of Q
+        w_cols = [basis.w_columns(sq.key) for sq in squares]
+        n_w = np.array([c.size for c in w_cols], dtype=np.intp)
+        w_start = np.array([c[0] if c.size else 0 for c in w_cols], dtype=np.intp)
+        level = np.array([sq.level for sq in squares], dtype=np.intp)
+        klass = np.array([(sq.i % 3) * 3 + sq.j % 3 for sq in squares], dtype=np.intp)
+
+        owner = np.repeat(np.arange(len(squares)), n_w)
+        m = concat_ranges(np.zeros(len(squares), dtype=np.intp), n_w)
+        code = (level[owner] * 9 + klass[owner]) * (int(n_w.max(initial=0)) + 1) + m
+        thetas, theta = np.unique(code, return_inverse=True)
+        theta_of = np.full(ncols, -1, dtype=np.intp)
+        theta_of[w_start[owner] + m] = theta.ravel()
+        membership = sparse.csr_matrix(
+            (np.ones(owner.size), (w_start[owner] + m, theta.ravel())), shape=(ncols, thetas.size)
+        )
+
+        pairs = [
+            (k, position[t.key])
+            for k, sq in enumerate(squares)
+            if n_w[k]
+            for t in hier.target_squares(sq)
+            if n_w[position[t.key]]
+        ]
+        source, target = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        # one entry per (pair, source vector m, target vector x)
+        per_m = np.repeat(np.arange(source.size), n_w[source])
+        per_x = n_w[target[per_m]]
+        m = np.repeat(concat_ranges(np.zeros(source.size, dtype=np.intp), n_w[source]), per_x)
+        pair = np.repeat(per_m, per_x)
+        x = concat_ranges(w_start[target[per_m]], per_x)
+        s, t = source[pair], target[pair]
+        y = w_start[s] + m
+        neighbours = (level[s] == level[t]) & (s != t)
+        first = ~neighbours | (klass[s] < klass[t])
+        direct = first & ((s != t) | (m <= x - w_start[t]))
+        mirrored = first & ((s != t) | (x - w_start[t] > m))
+        src_col = basis.root_v_columns().size + theta_of[y]
+        root = mirrored_columns(basis.root_v_columns(), ncols)
+        return membership, (
+            np.concatenate([root[0], x[direct], y[mirrored]]),
+            np.concatenate([root[1], y[direct], x[mirrored]]),
+            np.concatenate([root[2], x[direct], x[mirrored]]),
+            np.concatenate([root[3], src_col[direct], src_col[mirrored]]),
+        )
 
     # ------------------------------------------------------------ convenience
     def sparsify(

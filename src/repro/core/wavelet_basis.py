@@ -20,7 +20,7 @@ from scipy import sparse
 
 from ..geometry.quadtree import Square, SquareHierarchy
 from .moments import contact_moment_matrix, moment_count, moment_shift_matrix
-from .sparsified import ColumnAssembler, quadrant_order_key
+from .sparsified import block_columns, offsets, quadrant_order_key
 
 __all__ = ["SquareBasis", "QColumn", "WaveletBasis"]
 
@@ -158,37 +158,38 @@ class WaveletBasis:
 
     # -------------------------------------------------------------- assemble Q
     def _assemble_q(self) -> tuple[sparse.csc_matrix, list[QColumn]]:
-        q = ColumnAssembler(self.hierarchy.layout.n_contacts)
-        cols: list[QColumn] = []
-
-        def add_block(
-            contact_indices: np.ndarray, matrix: np.ndarray, key: SquareKey, kind: str
-        ) -> None:
-            q.add(contact_indices, matrix)
-            cols.extend(QColumn(key, kind, local) for local in range(matrix.shape[1]))
-
         # coarsest-level non-vanishing vectors come first (Section 3.7.1)
-        root_keys = [sq.key for sq in self.hierarchy.squares_at_level(0)]
-        for key in root_keys:
-            sb = self.squares[key]
-            add_block(sb.contact_indices, sb.V, key, "V0")
+        blocks = [(self.squares[sq.key], "V0") for sq in self.hierarchy.squares_at_level(0)]
         # then W vectors level by level, coarse to fine, quadrant-hierarchical
         for level in range(0, self.hierarchy.max_level + 1):
             squares = sorted(
                 self.hierarchy.squares_at_level(level),
                 key=lambda s: quadrant_order_key(s.key),
             )
-            for square in squares:
-                sb = self.squares[square.key]
-                if sb.n_vanishing:
-                    add_block(sb.contact_indices, sb.W, square.key, "W")
-        return q.to_csc(), cols
+            bases = [self.squares[sq.key] for sq in squares]
+            blocks += [(sb, "W") for sb in bases if sb.n_vanishing]
+        matrices = [sb.V if kind == "V0" else sb.W for sb, kind in blocks]
+        contacts = [sb.contact_indices for sb, _ in blocks]
+        q, _ = block_columns(
+            matrices,
+            offsets([c.size for c in contacts]),
+            np.concatenate(contacts),
+            self.hierarchy.layout.n_contacts,
+        )
+        q = q.tocsc()
+        q.eliminate_zeros()
+        cols = [
+            QColumn(sb.key, kind, local)
+            for (sb, kind), matrix in zip(blocks, matrices)
+            for local in range(matrix.shape[1])
+        ]
+        return q, cols
 
     def _index_columns(self) -> dict[tuple[SquareKey, str], np.ndarray]:
-        offsets: dict[tuple[SquareKey, str], list[int]] = {}
+        columns: dict[tuple[SquareKey, str], list[int]] = {}
         for idx, col in enumerate(self.columns):
-            offsets.setdefault((col.square_key, col.kind), []).append(idx)
-        return {k: np.array(v, dtype=int) for k, v in offsets.items()}
+            columns.setdefault((col.square_key, col.kind), []).append(idx)
+        return {k: np.array(v, dtype=int) for k, v in columns.items()}
 
     # ------------------------------------------------------------------ access
     @property

@@ -339,7 +339,9 @@ class EigenfunctionSolver(_DispatchingSolver):
             q, iters, gauges = self._solve_floating_block(b)
         for it in iters:
             self.stats.record(int(it))
-        return self._incidence @ q.T, gauges
+        # one row at a time: a sparse product with the whole q.T would first
+        # copy the batch-major block to C order, most of the sum's cost
+        return np.stack([self._incidence @ row for row in q], axis=1), gauges
 
     def _solve_grounded_block(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Jacobi-preconditioned CG over the rows of a ``(k, ncp)`` block.

@@ -2,12 +2,57 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro import CountingSolver, DenseMatrixSolver
 from repro.analysis import evaluate_against_dense, fraction_above, max_relative_error
 from repro.core import WaveletSparsifier
 from repro.core.lowrank import LowRankSparsifier
 from repro.core.rowbasis import MultilevelRowBasis
+from repro.core.sparsified import quadrant_order_key
+
+
+def reference_gw(sp, q):
+    """``Gw`` the per-square way, from the sweep's bases and the output ``Q``.
+
+    Every (source, target) block of fast-decaying columns in hierarchy
+    order, then the coarsest slow-decaying columns and rows, each position
+    keeping its first write, then the two halves averaged.
+    """
+    hier = sp.hierarchy
+    levels = sorted(sp.bases)
+    # Q's layout: coarsest U first, then T level by level, squares in quadrant order
+    q_cols, start = {}, 0
+    for kind, level in [("u", levels[0])] + [("t", level) for level in levels]:
+        ptr = getattr(sp.bases[level], kind + "_cols")
+        squares = hier.squares_at_level(level)
+        for s in sorted(range(len(squares)), key=lambda s: quadrant_order_key(squares[s].key)):
+            q_cols[kind, squares[s].key] = np.arange(start, start + ptr[s + 1] - ptr[s])
+            start += ptr[s + 1] - ptr[s]
+    gw = {}
+
+    def write(rows, cols, block):
+        for (a, b), value in np.ndenumerate(block):
+            gw.setdefault((int(rows[a]), int(cols[b])), value)
+
+    for level in levels:
+        bases = sp.bases[level]
+        for s, sq in enumerate(hier.squares_at_level(level)):
+            source = q_cols["t", sq.key]
+            resp = bases.resp_t[:, bases.t_cols[s] : bases.t_cols[s + 1]].toarray()
+            for target in hier.target_squares(sq):
+                block = q[:, q_cols["t", target.key]].toarray().T @ resp
+                write(q_cols["t", target.key], source, block)
+                write(source, q_cols["t", target.key], block.T)
+    u = np.concatenate([q_cols["u", sq.key] for sq in hier.squares_at_level(levels[0])])
+    u_cols = q.T @ sp.rowbasis.apply_block(q[:, u].toarray())
+    everything = np.arange(q.shape[1])
+    for k, col in enumerate(u):
+        write(everything, [col], u_cols[:, k : k + 1])
+        write([col], everything, u_cols[:, k : k + 1].T)
+    rows, cols = np.array(list(gw)).T
+    full = sparse.csr_matrix((np.array(list(gw.values())), (rows, cols)), shape=(q.shape[1],) * 2)
+    return 0.5 * (full + full.T)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +91,12 @@ class TestRepresentation:
         with pytest.raises(RuntimeError):
             sp.to_sparsified()
 
+    def test_gw_matches_per_square_reference(self, built_small):
+        sp, rep, _ = built_small
+        want = reference_gw(sp, rep.q)
+        assert rep.gw.nnz == want.nnz
+        assert abs(rep.gw - want).max() <= 1e-12 * abs(want).max()
+
     def test_sparsity_and_solves_pinned(self, built_small):
         _, rep, _ = built_small
         assert (rep.nnz_gw, rep.nnz_q, rep.n_solves) == (3584, 256, 123)
@@ -68,7 +119,7 @@ class TestRepresentation:
 
         monkeypatch.setattr(MultilevelRowBasis, "apply_block", counted)
         sp.to_sparsified()
-        n_coarsest = sum(sp._tu[sq.key].u.shape[1] for sq in small_hierarchy.squares_at_level(2))
+        n_coarsest = sp.bases[2].u.shape[1]
         assert len(small_hierarchy.squares_at_level(2)) == 16
         assert calls == [n_coarsest]
 

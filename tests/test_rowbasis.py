@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.core.rowbasis as rowbasis_module
 from repro import (
     CountingSolver,
     DenseMatrixSolver,
@@ -14,36 +13,43 @@ from repro import (
 )
 from repro.geometry import two_square_clusters
 from repro.analysis import max_relative_error
-from repro.core.rowbasis import MultilevelRowBasis, _positions, interaction_singular_values
+from repro.core.rowbasis import MultilevelRowBasis, interaction_singular_values
+
+
+def square_blocks(level, sq):
+    """``(V_s, G_{., s} V_s)`` of one square, sliced out of its level's operators."""
+    s = level.index.position[sq.key]
+    cols = slice(level.cols[s], level.cols[s + 1])
+    rows = sq.contact_indices
+    v_s = level.v.tocsc()[:, cols].toarray()[rows]
+    return v_s, (level.gi + level.gl).tocsc()[:, cols].toarray()
 
 
 def reference_apply_block(rb, voltage_block):
-    """``G V`` through the representation, searching every square pair's rows.
+    """``G V`` through the representation, one interactive square pair at a time.
 
     The straightforward form of the Section 4.3.2 product: for each
-    interactive pair it locates the destination's rows in ``P_s`` and the
-    source's rows in ``P_d`` on every call.  ``apply_block`` must agree.
+    interactive pair it reads the destination's rows of the source's stored
+    responses and the source's rows of the destination's, with no use of
+    the symmetry of the interaction lists.  ``apply_block`` must agree.
     """
     hier = rb.hierarchy
     v = np.asarray(voltage_block, dtype=float)
     out = np.zeros_like(v)
-    for level in range(2, hier.max_level + 1):
-        for sq in hier.squares_at_level(level):
-            sd = rb.data[sq.key]
-            v_s = v[sq.contact_indices, :]
-            coeff = sd.v.T @ v_s
-            resid = v_s - sd.v @ coeff
+    for level in rb.levels:
+        for sq in level.index.squares:
+            v_s, gv_s = square_blocks(level, sq)
+            x_s = v[sq.contact_indices, :]
+            coeff = v_s.T @ x_s
+            resid = x_s - v_s @ coeff
             for d in hier.interactive_squares(sq):
-                dd = rb.data[d.key]
-                pos_d = _positions(sd.p_contacts, d.contact_indices)
-                term = sd.gv_p[pos_d, :] @ coeff
-                if dd.rank:
-                    pos_s = _positions(dd.p_contacts, sq.contact_indices)
-                    term = term + dd.v @ (dd.gv_p[pos_s, :].T @ resid)
+                v_d, gv_d = square_blocks(level, d)
+                term = gv_s[d.contact_indices] @ coeff
+                if v_d.shape[1]:
+                    term = term + v_d @ (gv_d[sq.contact_indices].T @ resid)
                 out[d.contact_indices, :] += term
     for sq in hier.squares_at_level(hier.max_level):
-        lc, block = rb.local_blocks[sq.key]
-        out[lc, :] += block @ v[sq.contact_indices, :]
+        out += rb.local[:, sq.contact_indices] @ v[sq.contact_indices, :]
     return out
 
 
@@ -105,16 +111,22 @@ class TestRowBasisRepresentation:
 
     def test_rank_capped(self, built):
         rb, _ = built
-        assert all(data.rank <= 6 for data in rb.data.values())
-
-    def test_storage_smaller_than_dense(self, built, small_g):
-        rb, _ = built
-        assert rb.storage_nonzeros() < 4 * small_g.size  # loose bound at this tiny size
+        assert all(np.diff(level.cols).max() <= 6 for level in rb.levels)
 
     def test_solve_count_recorded(self, built):
         rb, counting = built
         assert rb.n_solves == counting.solve_count
         assert rb.n_solves > 0
+
+    def test_rebuild_replaces_the_representation(self, small_hierarchy, small_g, small_layout, rng):
+        solver = DenseMatrixSolver(small_g, small_layout)
+        once = MultilevelRowBasis(small_hierarchy, max_rank=6, seed=1).build(solver)
+        twice = MultilevelRowBasis(small_hierarchy, max_rank=6, seed=1).build(solver)
+        twice.rng = np.random.default_rng(1)  # the second build draws the same samples
+        twice.build(solver)
+        assert len(twice.levels) == len(once.levels)
+        block = rng.standard_normal((small_g.shape[0], 4))
+        assert np.array_equal(twice.apply_block(block), once.apply_block(block))
 
     def test_apply_before_build_raises(self, small_hierarchy):
         rb = MultilevelRowBasis(small_hierarchy)
@@ -123,10 +135,10 @@ class TestRowBasisRepresentation:
 
     def test_row_basis_orthonormal(self, built):
         rb, _ = built
-        for data in rb.data.values():
-            if data.rank:
-                gram = data.v.T @ data.v
-                assert np.allclose(gram, np.eye(data.rank), atol=1e-10)
+        for level in rb.levels:
+            # block-diagonal: every square's V_s is orthonormal on its own contacts
+            gram = (level.v.T @ level.v).toarray()
+            assert np.allclose(gram, np.eye(level.v.shape[1]), atol=1e-10)
 
     def test_linearity_of_apply(self, built, rng):
         rb, _ = built
@@ -136,18 +148,20 @@ class TestRowBasisRepresentation:
         rhs = 2.0 * rb.apply(v1) - 0.5 * rb.apply(v2)
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
-    def test_storage_counts_only_stored_values(self, built):
-        """V, GV and the local blocks; the row maps are bookkeeping, not storage."""
-        rb, _ = built
-        assert rb.storage_nonzeros() == 4528
-
     def test_row_maps_locate_member_squares(self, built):
+        """Each square's responses sit on exactly P_s: gi on I_s, gl on L_s."""
         rb, _ = built
-        for key, data in rb.data.items():
-            members = rb.hierarchy.interactive_and_local(rb.hierarchy.get(key))
-            assert set(data.p_rows) == {q.key for q in members}
-            for q in members:
-                assert np.array_equal(data.p_contacts[data.p_rows[q.key]], q.contact_indices)
+        hier = rb.hierarchy
+        for level in rb.levels:
+            gi, gl = level.gi.tocsc(), level.gl.tocsc()
+            for s, sq in enumerate(level.index.squares):
+                for stored, members in (
+                    (gi, hier.interactive_squares(sq)),
+                    (gl, hier.local_squares(sq)),
+                ):
+                    rows = np.unique(stored[:, level.cols[s] : level.cols[s + 1]].nonzero()[0])
+                    want = hier.contacts_in(members) if level.cols[s + 1] > level.cols[s] else []
+                    assert np.array_equal(rows, want)
 
     def test_apply_block_matches_per_pair_reference(self, built, small_g, rng):
         rb, _ = built
@@ -157,16 +171,17 @@ class TestRowBasisRepresentation:
             assert diff <= 1e-12 * np.abs(small_g).max()
 
     def test_apply_block_makes_no_position_search(self, built, monkeypatch, rng):
+        """The product reads only the stacked operators: no square is visited."""
         rb, _ = built
-        calls = []
+        block = rng.standard_normal((rb.hierarchy.layout.n_contacts, 3))
+        want = rb.apply_block(block)
 
-        def counted(superset, subset):
-            calls.append(1)
-            return _positions(superset, subset)
+        def refuse(*_args):
+            raise AssertionError("apply_block looked up the hierarchy")
 
-        monkeypatch.setattr(rowbasis_module, "_positions", counted)
-        rb.apply_block(rng.standard_normal((rb.hierarchy.layout.n_contacts, 3)))
-        assert calls == []
+        for name in ("squares_at_level", "local_squares", "interactive_squares", "contacts_in"):
+            monkeypatch.setattr(rb.hierarchy, name, refuse)
+        assert np.array_equal(rb.apply_block(block), want)
 
     def test_apply_block_rejects_wrong_row_count(self, built):
         rb, _ = built
@@ -195,9 +210,10 @@ class TestSparseLayout:
     def test_layout_has_empty_and_rank_zero_squares(self, decoupled):
         rb, _ = decoupled
         all_squares = sum(4**level for level in range(2, rb.hierarchy.max_level + 1))
-        assert len(rb.data) < all_squares
-        assert any(data.rank == 0 for data in rb.data.values())
-        assert any(data.rank > 0 for data in rb.data.values())
+        ranks = np.concatenate([np.diff(level.cols) for level in rb.levels])
+        assert ranks.size < all_squares
+        assert np.any(ranks == 0)
+        assert np.any(ranks > 0)
 
     def test_apply_block_matches_per_pair_reference(self, decoupled, rng):
         rb, g = decoupled

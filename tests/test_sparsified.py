@@ -71,13 +71,6 @@ class TestThresholding:
         rept = rep.threshold_to_sparsity(2.0)
         assert rept.nnz_gw == rep.nnz_gw
 
-    def test_threshold_fraction(self):
-        rep, _, _ = make_rep(n=16)
-        rept = rep.threshold_fraction_of_nnz(0.25)
-        assert rept.nnz_gw <= int(0.3 * rep.nnz_gw)
-        with pytest.raises(ValueError):
-            rep.threshold_fraction_of_nnz(0.0)
-
     @settings(max_examples=20, deadline=None)
     @given(target=st.floats(min_value=1.5, max_value=20.0))
     def test_property_threshold_error_bounded_by_dropped_mass(self, target):

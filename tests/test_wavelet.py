@@ -2,10 +2,93 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro import CountingSolver, DenseMatrixSolver
 from repro.analysis import evaluate_against_dense, max_relative_error
-from repro.core import WaveletSparsifier
+from repro.core import SparsifiedConductance, WaveletSparsifier
+
+
+def kept_pattern(sparsifier):
+    """Boolean sparsity pattern of ``Gws`` implied by the locality assumption.
+
+    Written out square pair by square pair: the root square's non-vanishing
+    columns interact with everything, and the vanishing-moment columns of a
+    source square with those of its target squares.
+    """
+    basis = sparsifier.basis
+    hier = sparsifier.hierarchy
+    ncols = basis.n_columns
+    pattern = np.zeros((ncols, ncols), dtype=bool)
+    root_cols = basis.root_v_columns()
+    pattern[root_cols, :] = pattern[:, root_cols] = True
+    for level in hier.levels():
+        for source in hier.squares_at_level(level):
+            source_cols = basis.w_columns(source.key)
+            for target in hier.target_squares(source):
+                target_cols = basis.w_columns(target.key)
+                pattern[np.ix_(target_cols, source_cols)] = True
+                pattern[np.ix_(source_cols, target_cols)] = True
+    return sparse.csr_matrix(pattern)
+
+
+def transform_dense(sparsifier, g_exact):
+    """Full transformed matrix ``Gw = Q' G Q`` from a known dense ``G``."""
+    q = sparsifier.basis.q_matrix.toarray()
+    return q.T @ np.asarray(g_exact, dtype=float) @ q
+
+
+def extract_with_dense(sparsifier, g_exact):
+    """``Gws`` from a known dense ``G``: the locality pattern applied to ``Q' G Q``.
+
+    Isolates the basis-quality question from the combine-solves approximation.
+    """
+    pattern = kept_pattern(sparsifier).tocoo()
+    data = transform_dense(sparsifier, g_exact)[pattern.row, pattern.col]
+    gws = sparse.coo_matrix((data, (pattern.row, pattern.col)), shape=pattern.shape)
+    return SparsifiedConductance(sparsifier.basis.q_matrix, gws.tocsr(), method="wavelet(dense)")
+
+
+def reference_extract(sparsifier, solver):
+    """``Gws`` the level-by-level way: one theta per ``(level, class, m)``, its
+    response attributed source by source and target by target, first write kept."""
+    basis, hier = sparsifier.basis, sparsifier.hierarchy
+    q = basis.q_matrix
+    columns, thetas = [q[:, basis.root_v_columns()].toarray()], []
+    for level in hier.levels():
+        squares = [sq for sq in hier.squares_at_level(level) if basis.w_columns(sq.key).size]
+        for a in range(3):
+            for b in range(3):
+                group = [sq for sq in squares if (sq.i % 3, sq.j % 3) == (a, b)]
+                for m in range(max((basis.w_columns(sq.key).size for sq in group), default=0)):
+                    members = [sq for sq in group if m < basis.w_columns(sq.key).size]
+                    theta = np.zeros(q.shape[0])
+                    for sq in members:
+                        theta += q[:, basis.w_columns(sq.key)[m]].toarray().ravel()
+                    columns.append(theta[:, None])
+                    thetas.append((members, m))
+    responses = solver.solve_many(np.hstack(columns))
+    gws = {}
+
+    def write(row, col, value):
+        gws.setdefault((int(row), int(col)), value)
+
+    n_root = basis.root_v_columns().size
+    projected = q.T @ responses
+    for k, j in enumerate(basis.root_v_columns()):
+        for x in range(basis.n_columns):
+            write(j, x, projected[x, k])
+            write(x, j, projected[x, k])
+    for t, (members, m) in enumerate(thetas):
+        for sq in members:
+            y = basis.w_columns(sq.key)[m]
+            for target in hier.target_squares(sq):
+                for x in basis.w_columns(target.key):
+                    write(x, y, projected[x, n_root + t])
+                    write(y, x, projected[x, n_root + t])
+    rows, cols = np.array(list(gws)).T
+    data = np.array(list(gws.values()))
+    return sparse.csr_matrix((data, (rows, cols)), shape=q.T.shape), n_root + len(thetas)
 
 
 @pytest.fixture(scope="module")
@@ -13,17 +96,24 @@ def sparsifier(small_hierarchy):
     return WaveletSparsifier(small_hierarchy, order=2)
 
 
+@pytest.fixture(scope="module")
+def extracted_pattern(sparsifier, small_dense_solver):
+    gw = sparsifier.extract(small_dense_solver).gw
+    return sparse.csr_matrix((np.ones(gw.nnz, dtype=bool), gw.indices, gw.indptr), shape=gw.shape)
+
+
 class TestKeptPattern:
-    def test_pattern_symmetric(self, sparsifier):
-        pattern = sparsifier.kept_pattern()
-        assert (pattern != pattern.T).nnz == 0
+    """``extract`` keeps exactly the entries the locality assumption allows."""
 
-    def test_pattern_includes_diagonal(self, sparsifier):
-        pattern = sparsifier.kept_pattern().toarray()
-        assert np.all(np.diag(pattern))
+    def test_pattern_symmetric(self, sparsifier, extracted_pattern):
+        assert (extracted_pattern != extracted_pattern.T).nnz == 0
+        assert (extracted_pattern != kept_pattern(sparsifier)).nnz == 0
 
-    def test_pattern_includes_root_rows(self, sparsifier):
-        pattern = sparsifier.kept_pattern().toarray()
+    def test_pattern_includes_diagonal(self, extracted_pattern):
+        assert np.all(extracted_pattern.diagonal())
+
+    def test_pattern_includes_root_rows(self, sparsifier, extracted_pattern):
+        pattern = extracted_pattern.toarray()
         for j in sparsifier.basis.root_v_columns():
             assert np.all(pattern[j, :])
             assert np.all(pattern[:, j])
@@ -31,19 +121,15 @@ class TestKeptPattern:
 
 class TestDensePathExtraction:
     def test_transform_dense_is_similarity(self, sparsifier, small_g):
-        gw = sparsifier.transform_dense(small_g)
+        gw = transform_dense(sparsifier, small_g)
         q = sparsifier.basis.q_matrix.toarray()
         assert np.allclose(q @ gw @ q.T, small_g, atol=1e-8 * np.abs(small_g).max())
 
     def test_dense_path_accuracy(self, sparsifier, small_g):
-        rep = sparsifier.extract_with_dense(small_g)
+        rep = extract_with_dense(sparsifier, small_g)
         report = evaluate_against_dense(rep, small_g)
         # at this tiny size the kept pattern is almost everything, so errors are tiny
         assert report.max_relative_error < 0.05
-
-    def test_dense_path_uses_no_solves(self, sparsifier, small_g):
-        rep = sparsifier.extract_with_dense(small_g)
-        assert rep.n_solves == 0
 
 
 class TestCombineSolvesExtraction:
@@ -55,7 +141,7 @@ class TestCombineSolvesExtraction:
 
     def test_accuracy_close_to_dense_path(self, extracted, sparsifier, small_g):
         rep, _ = extracted
-        rep_dense = sparsifier.extract_with_dense(small_g)
+        rep_dense = extract_with_dense(sparsifier, small_g)
         diff = np.abs(rep.gw.toarray() - rep_dense.gw.toarray()).max()
         assert diff < 1e-6 * np.abs(small_g).max()
 
@@ -84,6 +170,17 @@ class TestCombineSolvesExtraction:
 
 class TestMediumProblem:
     """On the 256-contact regular grid the combine-solves machinery genuinely combines."""
+
+    def test_extract_matches_level_by_level_reference(
+        self, medium_hierarchy, medium_g, medium_layout
+    ):
+        solver = DenseMatrixSolver(medium_g, medium_layout)
+        sparsifier = WaveletSparsifier(medium_hierarchy, order=2)
+        rep = sparsifier.extract(solver)
+        want, n_solves = reference_extract(sparsifier, solver)
+        assert rep.n_solves == n_solves
+        assert rep.gw.nnz == want.nnz
+        assert abs(rep.gw - want).max() <= 1e-13 * abs(want).max()
 
     def test_solve_reduction_and_accuracy(self, medium_hierarchy, medium_g, medium_layout):
         sparsifier = WaveletSparsifier(medium_hierarchy, order=2)
