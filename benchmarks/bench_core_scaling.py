@@ -7,13 +7,16 @@ dense matrix product, so the numbers are the Python and linear algebra of
 * low rank: ``LowRankSparsifier.build`` (the coarse-to-fine row-basis sweep)
   and ``to_sparsified`` (the fine-to-coarse sweep and the ``Q Gw Q'``
   assembly);
-* wavelet: ``WaveletSparsifier(...)`` (the basis) and ``extract``.
+* wavelet: ``WaveletSparsifier(...)`` (the basis) and ``extract``;
+* hierarchy: ``SquareHierarchy(...)``, the square numbering and the
+  neighbourhood arrays both methods read.
 
 The black box is ``DenseMatrixSolver`` over the synthetic kernel
 ``G_ij = -1 / (1 + d_ij)`` between contact centroids of
 ``alternating_size_grid`` (the Table 4.1 layout), with a dominant diagonal.
-The quadtree has four contacts per finest square.  Solve counts are exact
-integers and are asserted; the times are printed.
+The quadtree has four contacts per finest square.  Solve counts (and, at
+1,024 contacts, nnz of both methods' ``Q`` and ``Gw``) are exact integers and
+are asserted; the times are printed.
 
 Run with:  python benchmarks/bench_core_scaling.py            (1,024 and 4,096 contacts)
            python benchmarks/bench_core_scaling.py 4096       (one size)
@@ -32,17 +35,25 @@ from common import ensure_repro_importable
 
 ensure_repro_importable()
 
-from repro import CountingSolver, DenseMatrixSolver, SquareHierarchy, alternating_size_grid
+from repro import (
+    ContactLayout,
+    CountingSolver,
+    DenseMatrixSolver,
+    SquareHierarchy,
+    alternating_size_grid,
+)
 from repro.core.lowrank import LowRankSparsifier
 from repro.core.wavelet import WaveletSparsifier
 
 #: (low-rank, wavelet) black-box solves per contact count
 EXPECTED_SOLVES = {256: (297, 186), 1024: (492, 348), 4096: (697, 510)}
-PHASES = ("rowbasis_build", "to_sparsified", "wavelet_basis", "wavelet_extract")
+#: (low-rank, wavelet) nnz of Q and Gw, so a reordering the paper tables cannot see fails
+EXPECTED_NNZ = {1024: {"nnz_q": (27904, 71680), "nnz_gw": (313736, 412192)}}
+PHASES = ("hierarchy", "rowbasis_build", "to_sparsified", "wavelet_basis", "wavelet_extract")
 
 
-def synthetic_problem(n_contacts: int) -> tuple[SquareHierarchy, DenseMatrixSolver]:
-    """The layout, its quadtree and the dense synthetic-kernel black box."""
+def synthetic_problem(n_contacts: int) -> tuple[ContactLayout, int, DenseMatrixSolver]:
+    """The layout, its quadtree depth and the dense synthetic-kernel black box."""
     n_side = int(round(np.sqrt(n_contacts)))
     if n_side * n_side != n_contacts:
         raise ValueError(f"{n_contacts} contacts is not a square grid")
@@ -52,14 +63,16 @@ def synthetic_problem(n_contacts: int) -> tuple[SquareHierarchy, DenseMatrixSolv
     g = -1.0 / (1.0 + dist)
     np.fill_diagonal(g, 0.0)
     g[np.diag_indices_from(g)] = 1.0 - g.sum(axis=1)
-    hierarchy = SquareHierarchy(layout, max_level=max(2, (n_side - 1).bit_length()))
-    return hierarchy, DenseMatrixSolver(g, layout)
+    return layout, max(2, (n_side - 1).bit_length()), DenseMatrixSolver(g, layout)
 
 
 def run(n_contacts: int) -> dict:
     """Phase times (s) and solve counts of both methods at one size."""
-    hierarchy, black_box = synthetic_problem(n_contacts)
+    layout, max_level, black_box = synthetic_problem(n_contacts)
     times: dict[str, float] = {}
+    start = time.perf_counter()
+    hierarchy = SquareHierarchy(layout, max_level=max_level)
+    times["hierarchy"] = time.perf_counter() - start
 
     counting = CountingSolver(black_box)
     lowrank = LowRankSparsifier(hierarchy, max_rank=6)
@@ -86,6 +99,7 @@ def run(n_contacts: int) -> dict:
         "solves": (lowrank_solves, wavelet_solves),
         "rep_solves": (rep_l.n_solves, rep_w.n_solves),
         "nnz_gw": (rep_l.nnz_gw, rep_w.nnz_gw),
+        "nnz_q": (rep_l.nnz_q, rep_w.nnz_q),
     }
 
 
@@ -95,7 +109,8 @@ def report(result: dict) -> str:
     lowrank, wavelet = result["solves"]
     return (
         f"n={result['n_contacts']:5d}  {cells}  core={sum(times.values()):7.2f}s  "
-        f"solves lowrank={lowrank} wavelet={wavelet}  nnz(Gw)={result['nnz_gw']}"
+        f"solves lowrank={lowrank} wavelet={wavelet}  nnz(Gw)={result['nnz_gw']}  "
+        f"nnz(Q)={result['nnz_q']}"
     )
 
 
@@ -106,6 +121,10 @@ def check(result: dict) -> list[str]:
     want = EXPECTED_SOLVES.get(result["n_contacts"])
     if want is not None and result["solves"] != want:
         failures.append(f"n={result['n_contacts']}: solves {result['solves']}, expected {want}")
+    want = EXPECTED_NNZ.get(result["n_contacts"])
+    got = {"nnz_q": result["nnz_q"], "nnz_gw": result["nnz_gw"]}
+    if want is not None and got != want:
+        failures.append(f"n={result['n_contacts']}: {got}, expected {want}")
     return failures
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from ..geometry.quadtree import SquareHierarchy
+from ..geometry.quadtree import SquareHierarchy, concat_ranges, offsets
 from ..substrate.solver_base import SubstrateSolver
 from .rowbasis import MultilevelRowBasis, RowBasisLevel
 from .sparsified import (
@@ -37,10 +37,8 @@ from .sparsified import (
     block_columns,
     block_entries,
     block_stacks,
-    concat_ranges,
     mirrored_columns,
-    offsets,
-    quadrant_order_key,
+    pruned_q,
 )
 
 __all__ = ["LevelBases", "LowRankSparsifier"]
@@ -151,18 +149,14 @@ class LowRankSparsifier:
     ) -> LevelBases:
         """One level of the sweep: every parent's T and U from its children's U."""
         pindex, cindex = parent.index, child.index
-        n_parents = len(pindex.squares)
-        # X_p: the children's U side by side, children in child-key order
-        parent_of = np.array(
-            [pindex.position[(pindex.level, sq.i // 2, sq.j // 2)] for sq in cindex.squares],
-            dtype=np.intp,
-        )
-        child_rank = 2 * (cindex.ij[:, 1] % 2) + cindex.ij[:, 0] % 2
-        order = np.lexsort((child_rank, parent_of))
+        n_parents = pindex.n_squares
+        # X_p: the children's U side by side, parent after parent, each
+        # parent's children in child order
+        order = pindex.children[1]
         u_count = np.diff(child_bases.u_cols)
         perm = concat_ranges(child_bases.u_cols[order], u_count[order])
         x = child_bases.u[:, perm]
-        m = np.bincount(parent_of, weights=u_count, minlength=n_parents).astype(np.intp)
+        m = np.bincount(cindex.parent, weights=u_count, minlength=n_parents).astype(np.intp)
         x_cols = offsets(m)
 
         # interaction with each parent's interactive region through the
@@ -197,8 +191,7 @@ class LowRankSparsifier:
     # ----------------------------------------------------------- assemble Q/Gw
     def _quadrant_columns(self, level: int, cols: np.ndarray) -> np.ndarray:
         """A level's columns, square by square in quadrant order (``Q``'s layout)."""
-        keys = [sq.key for sq in self.rowbasis.levels[level - 2].index.squares]
-        order = sorted(range(len(keys)), key=lambda s: quadrant_order_key(keys[s]))
+        order = self.hierarchy.levels[level].quadrant
         return concat_ranges(cols[order], np.diff(cols)[order])
 
     def to_sparsified(self) -> SparsifiedConductance:
@@ -221,8 +214,7 @@ class LowRankSparsifier:
             q_col[level] = np.empty(t_order.size, dtype=np.intp)
             q_col[level][t_order] = start + np.arange(t_order.size)
             start += t_order.size
-        q = sparse.hstack(pieces, format="csc")
-        q.eliminate_zeros()
+        q = pruned_q(sparse.hstack(pieces, format="csc"))
         ncols = q.shape[1]
 
         # fast-decaying interactions between local squares (same or finer

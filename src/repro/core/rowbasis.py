@@ -15,10 +15,11 @@ The representation is held per level, stacked over the level's squares
 on its own contacts) and the responses ``G V_l``, split into ``GI_l`` (rows
 of each square's interactive contacts) and ``GL_l`` (rows of its local
 contacts), plus one finest-level local operator ``L``.  Every step of the
-sweep is a few sparse products per level, over index arrays fixed by the
-geometry (:class:`LevelIndex`), and the per-square SVDs run batched by
-shape.  As interaction lists are symmetric, the ``O(n log n)`` product of
-Section 4.3.2 is
+sweep is a few sparse products per level over the index arrays the
+hierarchy built for that level (:class:`~repro.geometry.quadtree.LevelIndex`:
+each square's contacts and its ``L_s``, ``I_s`` and ``P_s``), and the
+per-square SVDs run batched by shape.  As interaction lists are symmetric,
+the ``O(n log n)`` product of Section 4.3.2 is
 
     ``G x ~ L x + sum_l [GI_l (V_l' x) + V_l (GI_l' (x - V_l V_l' x))]``,
 
@@ -33,20 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from ..geometry.quadtree import Square, SquareHierarchy
+from ..geometry.quadtree import LevelIndex, SquareHierarchy
 from ..substrate.solver_base import SubstrateSolver
-from .sparsified import (
-    block_columns,
-    block_entries,
-    block_stacks,
-    concat_ranges,
-    offsets,
-    shape_groups,
-)
+from .sparsified import block_columns, block_entries, block_stacks, shape_groups
 
-__all__ = ["LevelIndex", "RowBasisLevel", "MultilevelRowBasis", "interaction_singular_values"]
-
-SquareKey = tuple[int, int, int]
+__all__ = ["RowBasisLevel", "MultilevelRowBasis", "interaction_singular_values"]
 
 
 def interaction_singular_values(
@@ -68,75 +60,6 @@ def _first_appearance(codes: np.ndarray) -> np.ndarray:
     rank = np.empty(first.size, dtype=np.intp)
     rank[np.argsort(first)] = np.arange(first.size)
     return rank[inverse.ravel()]
-
-
-@dataclass(frozen=True)
-class LevelIndex:
-    """Index arrays of one hierarchy level, fixed by the geometry.
-
-    Squares are numbered by their position in ``squares`` (hierarchy order)
-    and ``ij`` holds their grid coordinates.  Square ``s`` holds contacts
-    ``contacts[contact_ptr[s]:contact_ptr[s + 1]]`` and ``owner`` maps each
-    contact to its square.  ``members[name]`` is a ``(ptr, squares)`` pair
-    listing, for every square, the squares of one relation in hierarchy
-    order: ``"local"`` (``L_s``), ``"interactive"`` (``I_s``) and ``"p"``
-    (``P_s``, local then interactive).
-    """
-
-    level: int
-    squares: tuple[Square, ...]
-    position: dict[SquareKey, int]
-    ij: np.ndarray
-    owner: np.ndarray
-    contact_ptr: np.ndarray
-    contacts: np.ndarray
-    members: dict[str, tuple[np.ndarray, np.ndarray]]
-
-    @classmethod
-    def of(cls, hierarchy: SquareHierarchy, level: int) -> "LevelIndex":
-        squares = tuple(hierarchy.squares_at_level(level))
-        position = {sq.key: s for s, sq in enumerate(squares)}
-        contacts = np.concatenate([sq.contact_indices for sq in squares]).astype(np.intp)
-        contact_ptr = offsets([sq.n_contacts for sq in squares])
-        owner = np.empty(hierarchy.layout.n_contacts, dtype=np.intp)
-        owner[contacts] = np.repeat(np.arange(len(squares)), np.diff(contact_ptr))
-        members = {}
-        for name, relation in (
-            ("local", hierarchy.local_squares),
-            ("interactive", hierarchy.interactive_squares),
-            ("p", hierarchy.interactive_and_local),
-        ):
-            lists = [[position[q.key] for q in relation(sq)] for sq in squares]
-            flat = np.array([q for m in lists for q in m], dtype=np.intp)
-            members[name] = (offsets([len(m) for m in lists]), flat)
-        ij = np.array([(sq.i, sq.j) for sq in squares], dtype=np.intp)
-        return cls(level, squares, position, ij, owner, contact_ptr, contacts, members)
-
-    def contacts_of(self, squares: np.ndarray) -> np.ndarray:
-        """The contacts of ``squares``, square after square."""
-        sizes = np.diff(self.contact_ptr)
-        return self.contacts[concat_ranges(self.contact_ptr[squares], sizes[squares])]
-
-    def related_squares(self, relation: str, squares: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``(related, ptr)``: ``relation`` of each of ``squares``, one after another."""
-        ptr, listed = self.members[relation]
-        counts = np.diff(ptr)[squares]
-        return listed[concat_ranges(ptr[squares], counts)], offsets(counts)
-
-    def rows(self, relation: str, col_square: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, indptr)``: for each column, the contacts of ``relation`` of its square.
-
-        Column ``c`` belongs to square ``col_square[c]``; its rows are
-        ``rows[indptr[c]:indptr[c + 1]]`` (CSC layout).
-        """
-        related, ptr = self.related_squares(relation, col_square)
-        sizes = np.diff(self.contact_ptr)[related]
-        return self.contacts_of(related), np.concatenate([[0], np.cumsum(sizes)])[ptr]
-
-    def is_local(self, rows: np.ndarray, col_square: np.ndarray) -> np.ndarray:
-        """Whether the square holding contact ``rows[e]`` is local to ``col_square[e]``."""
-        gap = np.abs(self.ij[self.owner[rows]] - self.ij[col_square])
-        return gap.max(axis=1) <= 1
 
 
 @dataclass
@@ -215,8 +138,8 @@ class MultilevelRowBasis:
         n = self.hierarchy.layout.n_contacts
         self.levels = []  # a rebuild replaces the representation
         for level in range(2, self.hierarchy.max_level + 1):
-            index = LevelIndex.of(self.hierarchy, level)
-            squares = np.arange(len(index.squares))
+            index = self.hierarchy.levels[level]
+            squares = np.arange(index.n_squares)
             # one random sample per square, drawn square after square
             samples = sparse.csc_matrix(
                 (self.rng.standard_normal(n), index.contacts, index.contact_ptr),

@@ -10,7 +10,8 @@ reconstructing dense approximations for error measurement.
 It also holds the index arithmetic both sparsifiers use to keep per-square
 data stacked: dense blocks stored back to back, gathered, grouped by shape
 for one batched LAPACK call, and laid side by side in sparse ``n``-row
-operators.
+operators; and the one cut of rounding noise both ``Q`` assemblies apply
+(:func:`pruned_q`).
 """
 
 from __future__ import annotations
@@ -20,46 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from ..geometry.quadtree import offsets
+
 __all__ = [
+    "Q_CUT",
     "SparsifiedConductance",
     "block_columns",
     "block_entries",
     "block_stacks",
-    "concat_ranges",
     "mirrored_columns",
-    "offsets",
-    "quadrant_order_key",
+    "pruned_q",
     "shape_groups",
 ]
 
-
-def quadrant_order_key(key: tuple[int, int, int]) -> int:
-    """Quadrant-hierarchical (Morton-style, top-left first) order of a square.
-
-    Both sparsifiers order a level's squares by this key when they lay out
-    the columns of ``Q``.
-    """
-    level, i, j = key
-    jj = (2**level - 1) - j  # top quadrants first
-    code = 0
-    for bit in range(level - 1, -1, -1):
-        code = (code << 2) | ((((jj >> bit) & 1) << 1) | ((i >> bit) & 1))
-    return code
-
-
-def offsets(counts) -> np.ndarray:
-    """``[0, c0, c0 + c1, ...]``: where each of consecutive runs of ``counts`` starts."""
-    out = np.zeros(len(counts) + 1, dtype=np.intp)
-    np.cumsum(counts, out=out[1:])
-    return out
-
-
-def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
-    counts = np.asarray(counts, dtype=np.intp)
-    ends = np.cumsum(counts)
-    shift = np.repeat(np.asarray(starts, dtype=np.intp) - (ends - counts), counts)
-    return np.arange(int(ends[-1]) if ends.size else 0, dtype=np.intp) + shift
+#: entries of ``Q`` below this fraction of their column's largest are dropped
+Q_CUT = 1e-12
 
 
 def block_entries(n_rows: np.ndarray, n_cols: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -112,6 +88,27 @@ def block_stacks(values: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray):
     for ids, rows, cols in shape_groups(n_rows, n_cols):
         flat = starts[ids][:, None] + np.arange(rows * cols)
         yield ids, values[flat].reshape(ids.size, rows, cols)
+
+
+def pruned_q(q: sparse.spmatrix) -> sparse.csc_matrix:
+    """``q`` in CSC without its rounding noise.
+
+    Both sparsifiers assemble ``Q`` through this.  An entry that cancels to
+    ~1e-16 of its column counts in one summation order and not in another,
+    so entries below ``Q_CUT`` times their column's largest magnitude are
+    dropped: every other entry of a paper-table ``Q`` is at least 1e-7 of
+    its column's largest.
+    """
+    q = sparse.csc_matrix(q)
+    # per column, in place: scipy's own reductions would sort the indices
+    # first, which changes the order of every later sum over them
+    magnitude = np.abs(q.data)
+    col = np.repeat(np.arange(q.shape[1]), np.diff(q.indptr))
+    largest = np.zeros(q.shape[1])
+    np.maximum.at(largest, col, magnitude)
+    q.data[magnitude < Q_CUT * largest[col]] = 0.0
+    q.eliminate_zeros()
+    return q
 
 
 def mirrored_columns(cols: np.ndarray, n: int) -> tuple[np.ndarray, ...]:

@@ -19,7 +19,8 @@ Every target projection ``W_t' r`` of a response is an entry of
 ``Q' @ responses``, so the extraction is one sparse product and one gather
 through index arrays that depend only on the geometry (which theta holds
 each column, and which entry of the product each kept ``Gws`` position
-reads).
+reads), built from the basis's per-level column arrays and the hierarchy's
+(source, target) pairs.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from ..geometry.quadtree import SquareHierarchy
+from ..geometry.quadtree import SquareHierarchy, concat_ranges
 from ..substrate.solver_base import SubstrateSolver
-from .sparsified import SparsifiedConductance, concat_ranges, mirrored_columns
+from .sparsified import SparsifiedConductance, mirrored_columns
 from .wavelet_basis import WaveletBasis
 
 __all__ = ["WaveletSparsifier"]
@@ -111,19 +112,17 @@ class WaveletSparsifier:
         written in theta order.
         """
         basis = self.basis
-        hier = self.hierarchy
+        levels = self.hierarchy.levels
         ncols = basis.n_columns
-        squares = [sq for level in hier.levels() for sq in hier.squares_at_level(level)]
-        position = {sq.key: k for k, sq in enumerate(squares)}
-        # each square's vanishing-moment vectors are consecutive columns of Q
-        w_cols = [basis.w_columns(sq.key) for sq in squares]
-        n_w = np.array([c.size for c in w_cols], dtype=np.intp)
-        w_start = np.array([c[0] if c.size else 0 for c in w_cols], dtype=np.intp)
-        level = np.array([sq.level for sq in squares], dtype=np.intp)
-        klass = np.array([(sq.i % 3) * 3 + sq.j % 3 for sq in squares], dtype=np.intp)
+        # per square, numbered level by level: its vanishing-moment vectors
+        # are consecutive columns of Q
+        n_w = np.concatenate(basis.n_w)
+        w_start = np.concatenate(basis.w_start)
+        level = np.repeat(np.arange(len(levels)), [index.n_squares for index in levels])
+        klass = np.concatenate([index.ij[:, 0] % 3 * 3 + index.ij[:, 1] % 3 for index in levels])
 
-        owner = np.repeat(np.arange(len(squares)), n_w)
-        m = concat_ranges(np.zeros(len(squares), dtype=np.intp), n_w)
+        owner = np.repeat(np.arange(n_w.size), n_w)
+        m = concat_ranges(np.zeros(n_w.size, dtype=np.intp), n_w)
         code = (level[owner] * 9 + klass[owner]) * (int(n_w.max(initial=0)) + 1) + m
         thetas, theta = np.unique(code, return_inverse=True)
         theta_of = np.full(ncols, -1, dtype=np.intp)
@@ -132,14 +131,7 @@ class WaveletSparsifier:
             (np.ones(owner.size), (w_start[owner] + m, theta.ravel())), shape=(ncols, thetas.size)
         )
 
-        pairs = [
-            (k, position[t.key])
-            for k, sq in enumerate(squares)
-            if n_w[k]
-            for t in hier.target_squares(sq)
-            if n_w[position[t.key]]
-        ]
-        source, target = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        source, target = self.hierarchy.target_pairs()
         # one entry per (pair, source vector m, target vector x)
         per_m = np.repeat(np.arange(source.size), n_w[source])
         per_x = n_w[target[per_m]]

@@ -9,6 +9,11 @@ coarser-level splits recombine the children's non-vanishing vectors using an
 SVD of their (re-centred) moments.  The vanishing-moment vectors of every
 square, together with the non-vanishing vectors of the root square, form the
 orthogonal change-of-basis matrix ``Q``.
+
+Squares, their contacts, centres and children come from the hierarchy's
+per-level index arrays; the basis keeps one :class:`SquareBasis` per square
+(``squares[level][s]``) and records where each square's vanishing-moment
+vectors sit in ``Q`` as per-level arrays (``w_start``, ``n_w``).
 """
 
 from __future__ import annotations
@@ -18,13 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from ..geometry.quadtree import Square, SquareHierarchy
+from ..geometry.quadtree import LevelIndex, SquareHierarchy, offsets
 from .moments import contact_moment_matrix, moment_count, moment_shift_matrix
-from .sparsified import block_columns, offsets, quadrant_order_key
+from .sparsified import block_columns, pruned_q
 
-__all__ = ["SquareBasis", "QColumn", "WaveletBasis"]
-
-SquareKey = tuple[int, int, int]
+__all__ = ["SquareBasis", "WaveletBasis"]
 
 
 @dataclass
@@ -33,37 +36,25 @@ class SquareBasis:
 
     ``V`` spans the non-vanishing-moment subspace (pushed up to the parent),
     ``W`` spans the vanishing-moment subspace (contributed to ``Q``), both
-    expressed on the square's own contacts (``contact_indices``), with
-    orthonormal columns.  ``moments_V`` holds the moments of the ``V`` columns
-    about the square centre, reused by the parent-level construction.
+    expressed on the square's own contacts (in its level's ``contacts``
+    order), with orthonormal columns.  ``moments_V`` holds the moments of
+    the ``V`` columns about the square centre, reused by the parent-level
+    construction.
     """
 
-    key: SquareKey
-    contact_indices: np.ndarray
     V: np.ndarray
     W: np.ndarray
     moments_V: np.ndarray
 
-    @property
-    def n_vanishing(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def n_nonvanishing(self) -> int:
-        return self.V.shape[1]
-
-
-@dataclass(frozen=True)
-class QColumn:
-    """Metadata for one column of ``Q``: which square and basis vector it is."""
-
-    square_key: SquareKey
-    kind: str  # "W" (vanishing) or "V0" (root non-vanishing)
-    local_index: int
-
 
 class WaveletBasis:
     """The multilevel wavelet basis and its change-of-basis matrix ``Q``.
+
+    ``squares[l][s]`` is the basis of square ``s`` of hierarchy level ``l``.
+    ``Q``'s columns are the root square's non-vanishing vectors
+    (:meth:`root_v_columns`), then the vanishing-moment vectors level by
+    level, coarse to fine, squares in quadrant order; square ``s`` of level
+    ``l`` owns columns ``w_start[l][s]`` to ``w_start[l][s] + n_w[l][s]``.
 
     Parameters
     ----------
@@ -87,135 +78,101 @@ class WaveletBasis:
         self.order = order
         self.rank_tol = rank_tol
         self.n_moments = moment_count(order)
-        self.squares: dict[SquareKey, SquareBasis] = {}
+        self.squares: list[list[SquareBasis]] = [[] for _ in hierarchy.levels]
         self._build()
-        self.q_matrix, self.columns = self._assemble_q()
-        self._column_offsets = self._index_columns()
+        self.q_matrix, self.w_start, self.n_w = self._assemble_q()
 
     # ------------------------------------------------------------------ build
-    def _split_by_moments(self, moments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _split_by_moments(self, moments: np.ndarray) -> SquareBasis:
         """SVD split of a moment matrix into (V, W, moments_of_V)."""
         n_cols = moments.shape[1]
         if n_cols == 0:
             empty = np.zeros((0, 0))
-            return empty, empty, np.zeros((self.n_moments, 0))
+            return SquareBasis(empty, empty, np.zeros((self.n_moments, 0)))
         u, s, vh = np.linalg.svd(moments, full_matrices=True)
         if s.size == 0 or s[0] == 0.0:
             rank = 0
         else:
             rank = int(np.count_nonzero(s > self.rank_tol * s[0]))
-        v = vh[:rank].T
-        w = vh[rank:].T
-        moments_v = u[:, :rank] * s[:rank]
-        return v, w, moments_v
+        return SquareBasis(vh[:rank].T, vh[rank:].T, u[:, :rank] * s[:rank])
+
+    def _centre(self, index: LevelIndex, s: int) -> tuple[float, float]:
+        """Geometric centre of square ``s`` of ``index``'s level."""
+        i, j = index.ij[s].tolist()
+        nx = 2**index.level
+        return ((i + 0.5) * self.hierarchy.size_x / nx, (j + 0.5) * self.hierarchy.size_y / nx)
+
+    def _contacts(self, index: LevelIndex, s: int) -> np.ndarray:
+        return index.contacts[index.contact_ptr[s] : index.contact_ptr[s + 1]]
 
     def _build(self) -> None:
-        hier = self.hierarchy
-        layout = hier.layout
+        levels = self.hierarchy.levels
         # finest level: split by contact moments
-        for square in hier.squares_at_level(hier.max_level):
-            center = square.center(hier.size_x, hier.size_y)
-            moments = contact_moment_matrix(
-                layout, square.contact_indices, center, self.order
+        finest = levels[-1]
+        self.squares[-1] = [
+            self._split_by_moments(
+                contact_moment_matrix(
+                    self.hierarchy.layout,
+                    self._contacts(finest, s),
+                    self._centre(finest, s),
+                    self.order,
+                )
             )
-            v, w, mv = self._split_by_moments(moments)
-            self.squares[square.key] = SquareBasis(
-                square.key, square.contact_indices, v, w, mv
-            )
+            for s in range(finest.n_squares)
+        ]
         # coarser levels: recombine children's V vectors
-        for level in range(hier.max_level - 1, -1, -1):
-            for square in hier.squares_at_level(level):
-                self.squares[square.key] = self._build_parent(square)
+        for level in range(len(levels) - 2, -1, -1):
+            self.squares[level] = [
+                self._build_parent(levels[level], levels[level + 1], s)
+                for s in range(levels[level].n_squares)
+            ]
 
-    def _build_parent(self, square: Square) -> SquareBasis:
-        hier = self.hierarchy
-        parent_center = square.center(hier.size_x, hier.size_y)
-        parent_contacts = square.contact_indices
-        pos = {int(c): k for k, c in enumerate(parent_contacts)}
-
-        children = hier.children(square)
+    def _build_parent(self, index: LevelIndex, below: LevelIndex, s: int) -> SquareBasis:
+        parent_center = self._centre(index, s)
+        parent_contacts = self._contacts(index, s)
+        ptr, children = index.children
         blocks: list[np.ndarray] = []
         shifted_moments: list[np.ndarray] = []
-        for child in children:
-            cb = self.squares[child.key]
-            child_center = child.center(hier.size_x, hier.size_y)
-            shift = moment_shift_matrix(child_center, parent_center, self.order)
+        for c in children[ptr[s] : ptr[s + 1]]:
+            cb = self.squares[below.level][c]
+            shift = moment_shift_matrix(self._centre(below, c), parent_center, self.order)
             shifted_moments.append(shift @ cb.moments_V)
             embed = np.zeros((parent_contacts.size, cb.V.shape[1]))
-            rows = np.array([pos[int(c)] for c in cb.contact_indices], dtype=int)
-            embed[rows, :] = cb.V
+            embed[np.searchsorted(parent_contacts, self._contacts(below, c)), :] = cb.V
             blocks.append(embed)
-        v_children = np.hstack(blocks) if blocks else np.zeros((parent_contacts.size, 0))
-        moments = (
-            np.hstack(shifted_moments)
-            if shifted_moments
-            else np.zeros((self.n_moments, 0))
-        )
-        t, r, mv = self._split_by_moments(moments)
-        v_parent = v_children @ t if t.size else np.zeros((parent_contacts.size, 0))
-        w_parent = v_children @ r if r.size else np.zeros((parent_contacts.size, 0))
-        return SquareBasis(square.key, parent_contacts, v_parent, w_parent, mv)
+        split = self._split_by_moments(np.hstack(shifted_moments))
+        v_children = np.hstack(blocks)
+        return SquareBasis(v_children @ split.V, v_children @ split.W, split.moments_V)
 
     # -------------------------------------------------------------- assemble Q
-    def _assemble_q(self) -> tuple[sparse.csc_matrix, list[QColumn]]:
-        # coarsest-level non-vanishing vectors come first (Section 3.7.1)
-        blocks = [(self.squares[sq.key], "V0") for sq in self.hierarchy.squares_at_level(0)]
+    def _assemble_q(self) -> tuple[sparse.csc_matrix, list[np.ndarray], list[np.ndarray]]:
+        """``Q``, and per level each square's first ``W`` column and ``W`` count."""
+        levels = self.hierarchy.levels
+        root = levels[0].contacts
+        # coarsest-level non-vanishing vectors come first (Section 3.7.1),
         # then W vectors level by level, coarse to fine, quadrant-hierarchical
-        for level in range(0, self.hierarchy.max_level + 1):
-            squares = sorted(
-                self.hierarchy.squares_at_level(level),
-                key=lambda s: quadrant_order_key(s.key),
-            )
-            bases = [self.squares[sq.key] for sq in squares]
-            blocks += [(sb, "W") for sb in bases if sb.n_vanishing]
-        matrices = [sb.V if kind == "V0" else sb.W for sb, kind in blocks]
-        contacts = [sb.contact_indices for sb, _ in blocks]
-        q, _ = block_columns(
-            matrices,
-            offsets([c.size for c in contacts]),
-            np.concatenate(contacts),
-            self.hierarchy.layout.n_contacts,
+        blocks, rows, sizes = [self.squares[0][0].V], [root], [[root.size]]
+        for index, bases in zip(levels, self.squares):
+            blocks += [bases[s].W for s in index.quadrant]
+            rows.append(index.contacts_of(index.quadrant))
+            sizes.append(np.diff(index.contact_ptr)[index.quadrant])
+        q, col_ptr = block_columns(
+            blocks, offsets(np.concatenate(sizes)), np.concatenate(rows), root.size
         )
-        q = q.tocsc()
-        q.eliminate_zeros()
-        cols = [
-            QColumn(sb.key, kind, local)
-            for (sb, kind), matrix in zip(blocks, matrices)
-            for local in range(matrix.shape[1])
-        ]
-        return q, cols
-
-    def _index_columns(self) -> dict[tuple[SquareKey, str], np.ndarray]:
-        columns: dict[tuple[SquareKey, str], list[int]] = {}
-        for idx, col in enumerate(self.columns):
-            columns.setdefault((col.square_key, col.kind), []).append(idx)
-        return {k: np.array(v, dtype=int) for k, v in columns.items()}
+        q = pruned_q(q)
+        w_start, n_w, block = [], [], 1
+        for index in levels:
+            placed = block + np.argsort(index.quadrant)
+            w_start.append(col_ptr[placed])
+            n_w.append(col_ptr[placed + 1] - col_ptr[placed])
+            block += index.n_squares
+        return q, w_start, n_w
 
     # ------------------------------------------------------------------ access
     @property
     def n_columns(self) -> int:
-        return len(self.columns)
-
-    def w_columns(self, key: SquareKey) -> np.ndarray:
-        """Q column indices of the vanishing-moment vectors of a square."""
-        return self._column_offsets.get((key, "W"), np.empty(0, dtype=int))
+        return self.q_matrix.shape[1]
 
     def root_v_columns(self) -> np.ndarray:
         """Q column indices of the root square's non-vanishing vectors."""
-        out = [
-            self._column_offsets.get((sq.key, "V0"), np.empty(0, dtype=int))
-            for sq in self.hierarchy.squares_at_level(0)
-        ]
-        return np.concatenate(out) if out else np.empty(0, dtype=int)
-
-    def basis(self, key: SquareKey) -> SquareBasis:
-        return self.squares[key]
-
-    def check_orthogonality(self) -> float:
-        """Return ``||Q'Q - I||_max`` (should be ~machine precision)."""
-        qtq = (self.q_matrix.T @ self.q_matrix).toarray()
-        return float(np.abs(qtq - np.eye(qtq.shape[0])).max())
-
-    def check_completeness(self) -> bool:
-        """True when ``Q`` is square (the basis spans the full voltage space)."""
-        return self.q_matrix.shape[0] == self.q_matrix.shape[1]
+        return np.arange(self.squares[0][0].V.shape[1])

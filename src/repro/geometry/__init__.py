@@ -12,13 +12,12 @@ from .layouts import (
     two_square_clusters,
 )
 from .panels import PanelGrid
-from .quadtree import Square, SquareHierarchy
+from .quadtree import SquareHierarchy
 
 __all__ = [
     "Contact",
     "ContactLayout",
     "PanelGrid",
-    "Square",
     "SquareHierarchy",
     "regular_grid",
     "irregular_same_size",

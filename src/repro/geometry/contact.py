@@ -221,6 +221,12 @@ class ContactLayout:
         return self._contacts[index]
 
     @property
+    def boxes(self) -> np.ndarray:
+        """(n, 4) array of contact ``(x, y, width, height)``."""
+        boxes = [(c.x, c.y, c.width, c.height) for c in self._contacts]
+        return np.array(boxes, dtype=float).reshape(-1, 4)
+
+    @property
     def centroids(self) -> np.ndarray:
         """(n, 2) array of contact centroids."""
         return np.array([c.centroid for c in self._contacts], dtype=float)

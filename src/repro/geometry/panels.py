@@ -35,8 +35,7 @@ def cell_owners(layout: ContactLayout, nx: int, ny: int) -> np.ndarray:
     first in layout order keeps the cell.  Raises ``ValueError`` when a
     contact owns no cell.
     """
-    boxes = np.array([(c.x, c.y, c.width, c.height) for c in layout.contacts], dtype=float)
-    x, y, w, h = boxes.reshape(-1, 4).T
+    x, y, w, h = layout.boxes.T
     n = x.size
 
     def span(lo, width, pitch, count):

@@ -39,11 +39,10 @@ def test_property_hierarchy_levels_partition_contacts(n_side):
     """At every level the non-empty squares partition the full contact set."""
     layout = regular_grid(n_side=n_side, size=128.0, fill=0.5)
     hier = SquareHierarchy(layout, max_level=max(2, n_side.bit_length() - 1))
-    for level in hier.levels():
-        squares = hier.squares_at_level(level)
-        all_contacts = np.concatenate([s.contact_indices for s in squares])
-        assert np.array_equal(np.sort(all_contacts), np.arange(layout.n_contacts))
-        assert all_contacts.size == np.unique(all_contacts).size
+    for index in hier.levels:
+        assert np.array_equal(np.sort(index.contacts), np.arange(layout.n_contacts))
+        assert np.array_equal(index.contact_ptr[[0, -1]], [0, layout.n_contacts])
+        assert np.all(np.diff(index.contact_ptr) > 0)  # only squares that hold a contact
 
 
 @settings(max_examples=20, deadline=None)

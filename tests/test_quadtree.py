@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from square_reference import ReferenceHierarchy, quadrant_order_key
 
 from repro.geometry import Contact, ContactLayout, SquareHierarchy, regular_grid
 
@@ -12,40 +13,86 @@ def hier():
     return SquareHierarchy(regular_grid(n_side=8, size=128.0, fill=0.5), max_level=3)
 
 
+def contacts(index, s):
+    return index.contacts[index.contact_ptr[s] : index.contact_ptr[s + 1]]
+
+
+def related(index, relation, s):
+    ptr, squares = index.members[relation]
+    return squares[ptr[s] : ptr[s + 1]]
+
+
+def kids_of(index, s):
+    ptr, kids = index.children
+    return kids[ptr[s] : ptr[s + 1]]
+
+
+def keys(index, squares):
+    return [(index.level, int(i), int(j)) for i, j in index.ij[squares]]
+
+
+def assert_matches_reference(hier, ref):
+    """Every array of every level, and the target pairs, equal the per-square reference."""
+    numbering = {}
+    for index in hier.levels:
+        squares = ref.squares_at_level(index.level)
+        assert keys(index, np.arange(index.n_squares)) == squares
+        numbering.update({key: len(numbering) + s for s, key in enumerate(squares)})
+        for s, key in enumerate(squares):
+            assert np.array_equal(contacts(index, s), ref.squares[key])
+            assert np.all(index.owner[ref.squares[key]] == s)
+            below = hier.levels[index.level + 1] if index.level < hier.max_level else None
+            assert (keys(below, kids_of(index, s)) if below else []) == ref.children(key)
+            if index.level:
+                parent = hier.levels[index.level - 1]
+                assert keys(parent, [index.parent[s]]) == [ref.parent(key)]
+            for relation, listed in (
+                ("local", ref.local_squares),
+                ("interactive", ref.interactive_squares),
+                ("p", ref.interactive_and_local),
+            ):
+                assert keys(index, related(index, relation, s)) == listed(key)
+        order = sorted(range(len(squares)), key=lambda s: quadrant_order_key(squares[s]))
+        assert index.quadrant.tolist() == order
+    source, target = hier.target_pairs()
+    want = {(numbering[key], numbering[t]) for key in ref.squares for t in ref.target_squares(key)}
+    assert len(want) == source.size
+    assert set(zip(source.tolist(), target.tolist())) == want
+
+
 class TestConstruction:
     def test_every_contact_assigned_once(self, hier):
-        finest = hier.squares_at_level(hier.max_level)
-        all_contacts = np.sort(np.concatenate([s.contact_indices for s in finest]))
-        assert np.array_equal(all_contacts, np.arange(hier.layout.n_contacts))
+        finest = hier.levels[-1]
+        assert np.array_equal(np.sort(finest.contacts), np.arange(hier.layout.n_contacts))
+        assert np.array_equal(finest.contacts[finest.contact_ptr[finest.owner]], np.arange(64))
 
     def test_root_square_holds_everything(self, hier):
-        root = hier.squares_at_level(0)
-        assert len(root) == 1
-        assert root[0].n_contacts == hier.layout.n_contacts
+        root = hier.levels[0]
+        assert root.n_squares == 1
+        assert np.array_equal(root.contacts, np.arange(hier.layout.n_contacts))
 
     def test_parent_contains_children(self, hier):
-        for level in range(1, hier.max_level + 1):
-            for sq in hier.squares_at_level(level):
-                parent = hier.parent(sq)
-                assert parent is not None
-                assert set(sq.contact_indices) <= set(parent.contact_indices)
+        for index in hier.levels[1:]:
+            above = hier.levels[index.level - 1]
+            for s in range(index.n_squares):
+                assert set(contacts(index, s)) <= set(contacts(above, index.parent[s]))
 
     def test_children_partition_parent(self, hier):
-        for level in range(0, hier.max_level):
-            for sq in hier.squares_at_level(level):
-                kids = hier.children(sq)
-                union = np.sort(np.concatenate([k.contact_indices for k in kids]))
-                assert np.array_equal(union, sq.contact_indices)
+        for index in hier.levels[:-1]:
+            below = hier.levels[index.level + 1]
+            for s in range(index.n_squares):
+                union = np.sort(np.concatenate([contacts(below, k) for k in kids_of(index, s)]))
+                assert np.array_equal(union, contacts(index, s))
 
     def test_contact_crossing_boundary_rejected(self):
-        layout = ContactLayout([Contact(30.0, 30.0, 10.0, 10.0)], 128.0, 128.0)
-        with pytest.raises(ValueError):
-            SquareHierarchy(layout, max_level=3)  # square side 16, contact crosses x=32
-
-    def test_auto_level_selection(self):
-        layout = regular_grid(n_side=8, size=128.0)
-        hier = SquareHierarchy(layout, max_level=None, target_per_square=4)
-        assert hier.max_level >= 2
+        inside = Contact(1.0, 1.0, 4.0, 4.0)
+        crossing = [Contact(30.0, 30.0, 10.0, 10.0), Contact(60.0, 2.0, 10.0, 4.0)]
+        layout = ContactLayout([inside, *crossing], 128.0, 128.0)
+        # square side 16: contact 1 crosses x=32, contact 2 crosses x=64
+        with pytest.raises(ValueError, match=r"^contact 1 \(.*crosses a finest-level square"):
+            SquareHierarchy(layout, max_level=3)
+        loose = SquareHierarchy(layout, max_level=3, strict_containment=False)
+        assert loose.levels[-1].contacts.size == 3
 
     def test_max_level_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -54,117 +101,93 @@ class TestConstruction:
 
 class TestNeighbourhoods:
     def test_neighbors_are_adjacent(self, hier):
-        for sq in hier.squares_at_level(3):
-            for nb in hier.neighbors(sq):
-                assert nb.level == sq.level
-                assert max(abs(nb.i - sq.i), abs(nb.j - sq.j)) == 1
+        index = hier.levels[3]
+        for s in range(index.n_squares):
+            local = related(index, "local", s)
+            assert local[0] == s
+            gap = np.abs(index.ij[local[1:]] - index.ij[s]).max(axis=1)
+            assert np.all(gap == 1)
 
     def test_interactive_list_is_disjoint_from_local(self, hier):
-        for sq in hier.squares_at_level(3):
-            local_keys = {s.key for s in hier.local_squares(sq)}
-            inter_keys = {s.key for s in hier.interactive_squares(sq)}
-            assert not (local_keys & inter_keys)
+        index = hier.levels[3]
+        for s in range(index.n_squares):
+            assert not set(related(index, "local", s)) & set(related(index, "interactive", s))
 
     def test_interactive_parents_are_local_to_parent(self, hier):
-        for sq in hier.squares_at_level(3):
-            parent = hier.parent(sq)
-            parent_local = {s.key for s in hier.local_squares(parent)}
-            for d in hier.interactive_squares(sq):
-                assert hier.parent(d).key in parent_local
+        index, above = hier.levels[3], hier.levels[2]
+        for s in range(index.n_squares):
+            parent_local = set(related(above, "local", index.parent[s]))
+            assert set(index.parent[related(index, "interactive", s)]) <= parent_local
 
     def test_interactive_symmetry(self, hier):
-        for sq in hier.squares_at_level(3):
-            for d in hier.interactive_squares(sq):
-                back = {s.key for s in hier.interactive_squares(d)}
-                assert sq.key in back
+        index = hier.levels[3]
+        for s in range(index.n_squares):
+            for d in related(index, "interactive", s):
+                assert s in related(index, "interactive", d)
 
     def test_levels_below_two_have_empty_interaction_lists(self, hier):
-        for level in (0, 1):
-            for sq in hier.squares_at_level(level):
-                assert hier.interactive_squares(sq) == ()
+        for index in hier.levels[:2]:
+            assert index.members["interactive"][1].size == 0
 
     def test_interactive_and_local_covers_parent_local_children(self, hier):
-        for sq in hier.squares_at_level(3):
-            parent = hier.parent(sq)
-            expected = set()
-            for pl in hier.local_squares(parent):
-                expected.update(k.key for k in hier.children(pl))
-            got = {s.key for s in hier.interactive_and_local(sq)}
-            assert got == expected
-
-    def test_memoised_answers_cannot_be_mutated(self, hier):
-        sq = hier.get((3, 2, 2))
-        for relation in (
-            hier.local_squares,
-            hier.interactive_squares,
-            hier.interactive_and_local,
-            hier.target_squares,
-        ):
-            first = relation(sq)
-            keys = [s.key for s in first]
-            with pytest.raises(AttributeError):
-                first.append(sq)
-            with pytest.raises(TypeError):
-                first[0] = hier.get((3, 7, 7))
-            assert relation(sq) is first
-            assert [s.key for s in relation(sq)] == keys
+        index, above = hier.levels[3], hier.levels[2]
+        for s in range(index.n_squares):
+            local = related(above, "local", index.parent[s])
+            expected = {k for q in local for k in kids_of(above, q)}
+            got = related(index, "p", s)
+            assert set(got) == expected
+            assert got.tolist() == [*related(index, "local", s), *related(index, "interactive", s)]
 
     def test_target_squares_are_descendants_of_local_squares(self, hier):
-        for level in range(hier.max_level + 1):
-            for source in hier.squares_at_level(level):
-                targets = hier.target_squares(source)
-                expected = set()
-                for sq in hier.squares.values():
-                    if sq.level < level:
-                        continue
-                    _, ai, aj = hier.ancestor_key(sq, level)
-                    if abs(ai - source.i) <= 1 and abs(aj - source.j) <= 1:
-                        expected.add(sq.key)
-                assert len(targets) == len(expected)
-                assert {sq.key for sq in targets} == expected
-                # breadth first: the source's level, then each finer level
-                assert [sq.level for sq in targets] == sorted(sq.level for sq in targets)
-                assert targets[: len(hier.local_squares(source))] == hier.local_squares(source)
-
-    def test_well_separated_cross_level(self, hier):
-        coarse = hier.get((2, 0, 0))
-        fine_far = hier.get((3, 7, 7))
-        fine_near = hier.get((3, 1, 1))
-        assert hier.well_separated(coarse, fine_far)
-        assert not hier.well_separated(coarse, fine_near)
-        # symmetric in argument order
-        assert hier.well_separated(fine_far, coarse)
-
-    def test_are_local_requires_same_level(self, hier):
-        a = hier.get((2, 0, 0))
-        b = hier.get((3, 0, 0))
-        with pytest.raises(ValueError):
-            hier.are_local(a, b)
-
-    def test_ancestor_key(self, hier):
-        sq = hier.get((3, 5, 6))
-        assert hier.ancestor_key(sq, 2) == (2, 2, 3)
-        assert hier.ancestor_key(sq, 0) == (0, 0, 0)
-        with pytest.raises(ValueError):
-            hier.ancestor_key(hier.get((2, 0, 0)), 3)
+        source, target = hier.target_pairs()
+        first = np.cumsum([0] + [index.n_squares for index in hier.levels])
+        level_of = np.repeat(np.arange(len(hier.levels)), np.diff(first))
+        cells = np.concatenate([index.ij for index in hier.levels])
+        ls, lt = level_of[source], level_of[target]
+        assert np.all(lt >= ls)
+        ancestor = cells[target] >> (lt - ls)[:, None]
+        assert np.all(np.abs(ancestor - cells[source]).max(axis=1) <= 1)
+        # every square is its own target, once
+        assert np.array_equal(np.sort(source[source == target]), np.arange(first[-1]))
+        assert len(set(zip(source.tolist(), target.tolist()))) == source.size
 
 
-class TestUtilities:
-    def test_contacts_in_union(self, hier):
-        squares = list(hier.squares_at_level(3))[:3]
-        union = hier.contacts_in(squares)
-        manual = np.unique(np.concatenate([s.contact_indices for s in squares]))
-        assert np.array_equal(union, manual)
+def test_arrays_match_reference_on_regular_grid(hier):
+    assert_matches_reference(hier, ReferenceHierarchy(hier.layout, 3))
 
-    def test_finest_square_of_contact(self, hier):
-        for idx in range(0, hier.layout.n_contacts, 7):
-            sq = hier.finest_square_of_contact(idx)
-            assert idx in sq.contact_indices
 
-    def test_statistics(self, hier):
-        stats = hier.statistics()
-        assert stats["n_contacts"] == 64
-        assert stats["max_level"] == 3
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    cells=st.sampled_from([4, 8, 16, 32]),
+    depth=st.integers(min_value=2, max_value=5),
+    fill=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**16),
+    strict=st.booleans(),
+)
+def test_property_arrays_match_reference(cells, depth, fill, seed, strict):
+    """Random layouts with empty squares and squares on the surface edge."""
+    rng = np.random.default_rng(seed)
+    size = 128.0
+    pitch = size / cells
+    occupied = np.flatnonzero(rng.random(cells * cells) < fill)
+    if occupied.size == 0:
+        occupied = np.array([cells * cells - 1])
+    rng.shuffle(occupied)
+    side = rng.uniform(0.1, 0.9, size=(occupied.size, 2)) * pitch
+    corner = np.stack([occupied // cells, occupied % cells], axis=1) * pitch
+    corner += rng.uniform(0, 1, size=side.shape) * (pitch - side)
+    layout = ContactLayout(
+        [Contact(x, y, w, h) for (x, y), (w, h) in zip(corner, side)], size, size
+    )
+    try:
+        ref = ReferenceHierarchy(layout, depth, strict_containment=strict)
+    except ValueError as exc:
+        first = int(str(exc).split()[1])
+        with pytest.raises(ValueError, match=rf"^contact {first} "):
+            SquareHierarchy(layout, max_level=depth, strict_containment=strict)
+        return
+    hier = SquareHierarchy(layout, max_level=depth, strict_containment=strict)
+    assert_matches_reference(hier, ref)
 
 
 @settings(max_examples=25, deadline=None)
@@ -176,12 +199,10 @@ def test_property_interaction_plus_local_equals_parent_neighborhood(n_side, leve
     """For any square, I_s and L_s partition the children of the parent's local squares."""
     max_level = n_side.bit_length() - 1
     hier = SquareHierarchy(regular_grid(n_side=n_side, size=128.0), max_level=max_level)
-    for sq in hier.squares_at_level(level):
-        local = {s.key for s in hier.local_squares(sq)}
-        inter = {s.key for s in hier.interactive_squares(sq)}
-        parent = hier.parent(sq)
-        expected = set()
-        for pl in hier.local_squares(parent):
-            expected.update(c.key for c in hier.children(pl))
+    index, above = hier.levels[level], hier.levels[level - 1]
+    for s in range(index.n_squares):
+        local = set(related(index, "local", s))
+        inter = set(related(index, "interactive", s))
+        expected = {k for q in related(above, "local", index.parent[s]) for k in kids_of(above, q)}
         assert local | inter == expected
         assert not (local & inter)

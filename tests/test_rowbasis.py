@@ -14,14 +14,17 @@ from repro import (
 from repro.geometry import two_square_clusters
 from repro.analysis import max_relative_error
 from repro.core.rowbasis import MultilevelRowBasis, interaction_singular_values
+from repro.geometry.quadtree import LevelIndex
 
 
-def square_blocks(level, sq):
-    """``(V_s, G_{., s} V_s)`` of one square, sliced out of its level's operators."""
-    s = level.index.position[sq.key]
+def square_contacts(index, s):
+    return index.contacts[index.contact_ptr[s] : index.contact_ptr[s + 1]]
+
+
+def square_blocks(level, s):
+    """``(V_s, G_{., s} V_s)`` of square ``s``, sliced out of its level's operators."""
     cols = slice(level.cols[s], level.cols[s + 1])
-    rows = sq.contact_indices
-    v_s = level.v.tocsc()[:, cols].toarray()[rows]
+    v_s = level.v.tocsc()[:, cols].toarray()[square_contacts(level.index, s)]
     return v_s, (level.gi + level.gl).tocsc()[:, cols].toarray()
 
 
@@ -33,23 +36,28 @@ def reference_apply_block(rb, voltage_block):
     responses and the source's rows of the destination's, with no use of
     the symmetry of the interaction lists.  ``apply_block`` must agree.
     """
-    hier = rb.hierarchy
     v = np.asarray(voltage_block, dtype=float)
     out = np.zeros_like(v)
     for level in rb.levels:
-        for sq in level.index.squares:
-            v_s, gv_s = square_blocks(level, sq)
-            x_s = v[sq.contact_indices, :]
+        index = level.index
+        ptr, interactive = index.members["interactive"]
+        for s in range(index.n_squares):
+            rows_s = square_contacts(index, s)
+            v_s, gv_s = square_blocks(level, s)
+            x_s = v[rows_s, :]
             coeff = v_s.T @ x_s
             resid = x_s - v_s @ coeff
-            for d in hier.interactive_squares(sq):
+            for d in interactive[ptr[s] : ptr[s + 1]]:
+                rows_d = square_contacts(index, d)
                 v_d, gv_d = square_blocks(level, d)
-                term = gv_s[d.contact_indices] @ coeff
+                term = gv_s[rows_d] @ coeff
                 if v_d.shape[1]:
-                    term = term + v_d @ (gv_d[sq.contact_indices].T @ resid)
-                out[d.contact_indices, :] += term
-    for sq in hier.squares_at_level(hier.max_level):
-        out += rb.local[:, sq.contact_indices] @ v[sq.contact_indices, :]
+                    term = term + v_d @ (gv_d[rows_s].T @ resid)
+                out[rows_d, :] += term
+    finest = rb.hierarchy.levels[-1]
+    for s in range(finest.n_squares):
+        rows_s = square_contacts(finest, s)
+        out += rb.local[:, rows_s] @ v[rows_s, :]
     return out
 
 
@@ -57,17 +65,12 @@ class TestInteractionSVD:
     """Figure 4-3: well-separated interactions are numerically low-rank."""
 
     def test_separated_block_decays_faster_than_self_block(self, small_g, small_hierarchy):
-        hier = small_hierarchy
-        finest = hier.squares_at_level(hier.max_level)
-        src = finest[0]
-        # find a well-separated square on the same level
-        far = None
-        for cand in finest[::-1]:
-            if not hier.are_local(src, cand):
-                far = cand
-                break
-        s_self = interaction_singular_values(small_g, src.contact_indices, src.contact_indices)
-        s_far = interaction_singular_values(small_g, src.contact_indices, far.contact_indices)
+        finest = small_hierarchy.levels[-1]
+        # square 0 and the last square, which is well separated from it
+        assert np.abs(finest.ij[-1] - finest.ij[0]).max() > 1
+        src, far = square_contacts(finest, 0), square_contacts(finest, finest.n_squares - 1)
+        s_self = interaction_singular_values(small_g, src, src)
+        s_far = interaction_singular_values(small_g, src, far)
         # normalised decay: the separated block loses orders of magnitude quickly
         if s_far.size > 1 and s_self.size > 1:
             assert s_far[-1] / s_far[0] < s_self[-1] / s_self[0]
@@ -151,17 +154,15 @@ class TestRowBasisRepresentation:
     def test_row_maps_locate_member_squares(self, built):
         """Each square's responses sit on exactly P_s: gi on I_s, gl on L_s."""
         rb, _ = built
-        hier = rb.hierarchy
         for level in rb.levels:
+            index = level.index
             gi, gl = level.gi.tocsc(), level.gl.tocsc()
-            for s, sq in enumerate(level.index.squares):
-                for stored, members in (
-                    (gi, hier.interactive_squares(sq)),
-                    (gl, hier.local_squares(sq)),
-                ):
+            for s in range(index.n_squares):
+                for stored, relation in ((gi, "interactive"), (gl, "local")):
+                    ptr, members = index.members[relation]
                     rows = np.unique(stored[:, level.cols[s] : level.cols[s + 1]].nonzero()[0])
-                    want = hier.contacts_in(members) if level.cols[s + 1] > level.cols[s] else []
-                    assert np.array_equal(rows, want)
+                    want = np.sort(index.contacts_of(members[ptr[s] : ptr[s + 1]]))
+                    assert np.array_equal(rows, want if level.cols[s + 1] > level.cols[s] else [])
 
     def test_apply_block_matches_per_pair_reference(self, built, small_g, rng):
         rb, _ = built
@@ -179,8 +180,9 @@ class TestRowBasisRepresentation:
         def refuse(*_args):
             raise AssertionError("apply_block looked up the hierarchy")
 
-        for name in ("squares_at_level", "local_squares", "interactive_squares", "contacts_in"):
-            monkeypatch.setattr(rb.hierarchy, name, refuse)
+        monkeypatch.setattr(rb.hierarchy, "levels", None)
+        for name in ("contacts_of", "related_squares", "rows", "is_local"):
+            monkeypatch.setattr(LevelIndex, name, refuse)
         assert np.array_equal(rb.apply_block(block), want)
 
     def test_apply_block_rejects_wrong_row_count(self, built):

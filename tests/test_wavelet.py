@@ -3,10 +3,22 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from square_reference import ReferenceHierarchy
 
 from repro import CountingSolver, DenseMatrixSolver
 from repro.analysis import evaluate_against_dense, max_relative_error
 from repro.core import SparsifiedConductance, WaveletSparsifier
+
+
+def w_columns(sparsifier):
+    """Reference hierarchy and ``key -> Q`` columns of each square's vanishing-moment vectors."""
+    basis = sparsifier.basis
+    ref = ReferenceHierarchy(sparsifier.hierarchy.layout, sparsifier.hierarchy.max_level)
+    columns = {}
+    for level, (start, count) in enumerate(zip(basis.w_start, basis.n_w)):
+        for s, key in enumerate(ref.squares_at_level(level)):
+            columns[key] = np.arange(start[s], start[s] + count[s])
+    return ref, columns
 
 
 def kept_pattern(sparsifier):
@@ -17,18 +29,15 @@ def kept_pattern(sparsifier):
     source square with those of its target squares.
     """
     basis = sparsifier.basis
-    hier = sparsifier.hierarchy
+    ref, w_cols = w_columns(sparsifier)
     ncols = basis.n_columns
     pattern = np.zeros((ncols, ncols), dtype=bool)
     root_cols = basis.root_v_columns()
     pattern[root_cols, :] = pattern[:, root_cols] = True
-    for level in hier.levels():
-        for source in hier.squares_at_level(level):
-            source_cols = basis.w_columns(source.key)
-            for target in hier.target_squares(source):
-                target_cols = basis.w_columns(target.key)
-                pattern[np.ix_(target_cols, source_cols)] = True
-                pattern[np.ix_(source_cols, target_cols)] = True
+    for source in ref.squares:
+        for target in ref.target_squares(source):
+            pattern[np.ix_(w_cols[target], w_cols[source])] = True
+            pattern[np.ix_(w_cols[source], w_cols[target])] = True
     return sparse.csr_matrix(pattern)
 
 
@@ -52,19 +61,20 @@ def extract_with_dense(sparsifier, g_exact):
 def reference_extract(sparsifier, solver):
     """``Gws`` the level-by-level way: one theta per ``(level, class, m)``, its
     response attributed source by source and target by target, first write kept."""
-    basis, hier = sparsifier.basis, sparsifier.hierarchy
+    basis = sparsifier.basis
+    ref, w_cols = w_columns(sparsifier)
     q = basis.q_matrix
     columns, thetas = [q[:, basis.root_v_columns()].toarray()], []
-    for level in hier.levels():
-        squares = [sq for sq in hier.squares_at_level(level) if basis.w_columns(sq.key).size]
+    for level in range(ref.max_level + 1):
+        squares = [key for key in ref.squares_at_level(level) if w_cols[key].size]
         for a in range(3):
             for b in range(3):
-                group = [sq for sq in squares if (sq.i % 3, sq.j % 3) == (a, b)]
-                for m in range(max((basis.w_columns(sq.key).size for sq in group), default=0)):
-                    members = [sq for sq in group if m < basis.w_columns(sq.key).size]
+                group = [key for key in squares if (key[1] % 3, key[2] % 3) == (a, b)]
+                for m in range(max((w_cols[key].size for key in group), default=0)):
+                    members = [key for key in group if m < w_cols[key].size]
                     theta = np.zeros(q.shape[0])
-                    for sq in members:
-                        theta += q[:, basis.w_columns(sq.key)[m]].toarray().ravel()
+                    for key in members:
+                        theta += q[:, w_cols[key][m]].toarray().ravel()
                     columns.append(theta[:, None])
                     thetas.append((members, m))
     responses = solver.solve_many(np.hstack(columns))
@@ -80,10 +90,10 @@ def reference_extract(sparsifier, solver):
             write(j, x, projected[x, k])
             write(x, j, projected[x, k])
     for t, (members, m) in enumerate(thetas):
-        for sq in members:
-            y = basis.w_columns(sq.key)[m]
-            for target in hier.target_squares(sq):
-                for x in basis.w_columns(target.key):
+        for key in members:
+            y = w_cols[key][m]
+            for target in ref.target_squares(key):
+                for x in w_cols[target]:
                     write(x, y, projected[x, n_root + t])
                     write(y, x, projected[x, n_root + t])
     rows, cols = np.array(list(gws)).T
