@@ -38,9 +38,6 @@ class DCSolution:
             return 0.0
         return self.node_voltages[node]
 
-    def voltage_between(self, node_a: str, node_b: str) -> float:
-        return self.voltage(node_a) - self.voltage(node_b)
-
 
 class MNASolver:
     """Assemble and solve the DC MNA system of a :class:`Circuit`."""

@@ -126,13 +126,6 @@ class Circuit:
         self.resistors.append(r)
         return r
 
-    def add_current_source(
-        self, node_a: str, node_b: str, current: float, name: str = ""
-    ) -> CurrentSource:
-        s = CurrentSource(node_a, node_b, current, name)
-        self.current_sources.append(s)
-        return s
-
     def add_voltage_source(
         self, node_plus: str, node_minus: str, voltage: float, name: str = ""
     ) -> VoltageSource:

@@ -173,23 +173,6 @@ class FaultSpec:
             raise ValueError("fault spec requires a 'site'")
         return cls(**doc)
 
-    def to_dict(self) -> dict:
-        doc: dict[str, Any] = {"site": self.site, "action": self.action}
-        defaults = FaultSpec(site=self.site)
-        for name in (
-            "times",
-            "after",
-            "exception",
-            "message",
-            "delay_s",
-            "exit_code",
-            "match",
-        ):
-            value = getattr(self, name)
-            if value != getattr(defaults, name):
-                doc[name] = value
-        return doc
-
 
 class FaultPlan:
     """An active set of :class:`FaultSpec` entries with per-process counters.
@@ -220,9 +203,6 @@ class FaultPlan:
             raise ValueError("fault plan must be a JSON object or list")
         specs = [FaultSpec.from_dict(dict(entry)) for entry in doc.get("faults", [])]
         return cls(specs)
-
-    def to_json(self) -> str:
-        return json.dumps({"faults": [spec.to_dict() for spec in self.specs]})
 
     # ------------------------------------------------------------------ firing
     def counters(self) -> list[dict]:

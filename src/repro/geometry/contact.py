@@ -64,10 +64,6 @@ class Contact:
         """Geometric centre of the contact."""
         return (self.x + 0.5 * self.width, self.y + 0.5 * self.height)
 
-    def contains_point(self, px: float, py: float) -> bool:
-        """Return True if (px, py) lies inside the contact (closed rectangle)."""
-        return self.x <= px <= self.x2 and self.y <= py <= self.y2
-
     def overlaps(self, other: "Contact") -> bool:
         """Return True if this contact overlaps ``other`` with positive area."""
         return (
@@ -76,10 +72,6 @@ class Contact:
             and self.y < other.y2
             and other.y < self.y2
         )
-
-    def translated(self, dx: float, dy: float) -> "Contact":
-        """Return a copy shifted by (dx, dy)."""
-        return Contact(self.x + dx, self.y + dy, self.width, self.height, self.name)
 
     def split(self, max_size: float) -> list["Contact"]:
         """Split the contact into pieces no larger than ``max_size`` per side.
@@ -172,7 +164,7 @@ class ContactLayout:
     def __init__(
         self, contacts: Iterable[Contact], size_x: float, size_y: float
     ) -> None:
-        self._contacts: list[Contact] = list(contacts)
+        self._contacts: tuple[Contact, ...] = tuple(contacts)
         if size_x <= 0 or size_y <= 0:
             raise ValueError("substrate dimensions must be positive")
         self.size_x = float(size_x)
@@ -183,8 +175,8 @@ class ContactLayout:
 
     @property
     def contacts(self) -> Sequence[Contact]:
-        """The contacts in index order."""
-        return tuple(self._contacts)
+        """The contacts in index order (one stored tuple, not a copy per access)."""
+        return self._contacts
 
     @property
     def fingerprint(self) -> tuple:
@@ -245,15 +237,6 @@ class ContactLayout:
     def coverage(self) -> float:
         """Fraction of the top surface covered by contacts."""
         return self.total_contact_area / (self.size_x * self.size_y)
-
-    def has_overlaps(self) -> bool:
-        """Return True if any two contacts overlap (invalid layout)."""
-        cs = self._contacts
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                if cs[i].overlaps(cs[j]):
-                    return True
-        return False
 
     def split_for_level(self, max_level: int) -> "ContactLayout":
         """Return a layout where every contact fits in a finest-level square.

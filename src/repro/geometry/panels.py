@@ -146,8 +146,3 @@ class PanelGrid:
     @property
     def n_contact_panels(self) -> int:
         return int(self.all_contact_panels.size)
-
-    def panel_centers(self) -> np.ndarray:
-        """(n_panels, 2) array of panel centre coordinates (flat index order)."""
-        xx, yy = np.meshgrid(self.xc, self.yc, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])

@@ -9,15 +9,15 @@ object rooted at a state directory:
 
 ``results.sqlite``
     :class:`SqliteResultBackend` — every solved conductance column keyed
-    ``(fingerprint digest, column)``, with the in-RAM LRU acting as a
-    read-through/write-through cache.  A restarted service serves a
-    previously solved column set with **zero** new attributed solves.
+    ``(fingerprint digest, column)``, the tier of the result store's LRU.
+    A restarted service serves a previously solved column set with
+    **zero** new attributed solves.
 ``artifacts/``
     :class:`~repro.substrate.factor_cache.FactorArtifactStore` — the
     eigenfunction solver's dense factors (flattened arrays plus a JSON
-    sidecar) under their cache-key digest, consulted by the factor cache on
-    miss, so a warm start loads them instead of refactoring.  FD sparse LUs
-    are not persisted: a restarted engine rebuilds its LU once.
+    sidecar) under their cache-key digest, the tier of the factor cache,
+    so a warm start loads them instead of refactoring.  FD sparse LUs are
+    not persisted: a restarted engine rebuilds its LU once.
 ``journal.jsonl``
     :class:`JobJournal` — accepted :class:`~repro.service.jobs.JobRequest`
     objects as their ``/v1`` wire documents
@@ -28,6 +28,12 @@ object rooted at a state directory:
     loses no accepted work (the gridworks idiom: persist every event
     before acting on it).  No file in the state directory is ever
     unpickled.
+
+The two stores share the tier protocol of :class:`~repro.lru.BoundedLRU`:
+``load(key)`` returns the value or ``None``, and ``save(key, value)``
+persists it.  The LRU reads through on a RAM miss and writes through on
+every put, outside its lock, and a call that raises is counted and warned,
+never raised to the caller.
 
 The default remains in-memory: a scheduler constructed without a state-dir
 path (or a server without ``--state-dir``) touches no files.
@@ -103,9 +109,10 @@ class SqliteResultBackend:
         self.bytes = int(nbytes)  # reprolint: guarded-by(_lock)
 
     # ------------------------------------------------------------------ access
-    def save(self, fingerprint: str, column: int, values: np.ndarray) -> None:
-        """Persist one solved column (idempotent upsert)."""
+    def save(self, key: tuple[str, int], values: np.ndarray) -> None:
+        """Persist one solved column under ``(fingerprint, column)`` (idempotent upsert)."""
         fault_hook("sqlite.write", op="save")
+        fingerprint, column = key
         data = np.ascontiguousarray(values, dtype=np.float64).tobytes()
         with self._lock:
             existing, old_bytes = self._conn.execute(
@@ -123,8 +130,9 @@ class SqliteResultBackend:
             self.columns += 1 - existing
             self.bytes += len(data) - old_bytes
 
-    def load(self, fingerprint: str, column: int) -> np.ndarray | None:
+    def load(self, key: tuple[str, int]) -> np.ndarray | None:
         """One persisted column as a read-only float64 array, or ``None``."""
+        fingerprint, column = key
         with self._lock:
             row = self._conn.execute(
                 "SELECT data FROM result_columns "
@@ -139,7 +147,8 @@ class SqliteResultBackend:
         values.flags.writeable = False
         return values
 
-    def contains(self, fingerprint: str, column: int) -> bool:
+    def contains(self, key: tuple[str, int]) -> bool:
+        fingerprint, column = key
         with self._lock:
             row = self._conn.execute(
                 "SELECT 1 FROM result_columns "

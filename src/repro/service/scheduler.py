@@ -17,8 +17,10 @@ turns each cycle's jobs into the *minimum* amount of solver work:
   ``(fingerprint, column)``; any column someone already paid for is served
   with zero new solves, across jobs and across clients.
 * **Persistent extraction engines.**  Each live substrate keeps a warm
-  engine — the solver its spec builds, factor prepared — in a small LRU
-  pool, so consecutive batches pay solve cost only.  Solving runs in this
+  engine — the solver its spec builds, factor prepared — in the
+  :class:`ExtractorPool`, a :class:`~repro.lru.BoundedLRU` of
+  ``max_solvers`` engines (the same eviction rule as the result store and
+  the factor cache), so consecutive batches pay solve cost only.  Solving runs in this
   process, on the dispatcher thread; the solver's own kernels are threaded
   (``fft_workers`` for the stacked DCTs, BLAS for the Cholesky).  A batch of
   ``m`` fresh columns is charged exactly ``m`` black-box solves through a
@@ -76,6 +78,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from ..faults import fault_hook
+from ..lru import BoundedLRU
 from ..substrate.extraction import extract_columns
 from ..substrate.factor_cache import factor_cache
 from ..substrate.parallel import SolverSpec
@@ -191,20 +194,18 @@ class ExtractorPool:
     builds, with its direct factor prepared where the solver has one.
     Building it is the expensive part of serving a request (solver
     construction, ``A_cc`` assembly, factorisation), so the pool keeps the
-    ``max_solvers`` most recently used engines alive across jobs and drops
-    the least recently used beyond that.  Engines are keyed by substrate
+    ``max_solvers`` most recently used engines alive across jobs in a
+    :class:`~repro.lru.BoundedLRU` of one unit per engine, which drops the
+    least recently used beyond that.  Engines are keyed by substrate
     fingerprint; the spec that first names a fingerprint defines the engine.
     """
 
     def __init__(self, max_solvers: int = 4) -> None:
         if max_solvers < 1:
             raise ValueError("max_solvers must be at least 1")
-        self.max_solvers = int(max_solvers)
-        # reprolint: guarded-by(_lock)
-        self._engines: "OrderedDict[str, SubstrateSolver]" = OrderedDict()
-        self._lock = threading.RLock()
+        self._engines = BoundedLRU(max_solvers)
+        self._lock = threading.Lock()
         self.engines_built = 0  # reprolint: guarded-by(_lock)
-        self.engines_evicted = 0  # reprolint: guarded-by(_lock)
 
     def get(self, fingerprint: str, spec: SolverSpec) -> SubstrateSolver:
         """The warm engine for ``fingerprint``, building (and warming) on miss.
@@ -214,43 +215,32 @@ class ExtractorPool:
         an operator polls exactly when the service looks busy — never blocks
         behind it.
         """
-        with self._lock:
-            engine = self._engines.get(fingerprint)
-            if engine is not None:
-                self._engines.move_to_end(fingerprint)
-                return engine
+        return self._engines.get_or_build(fingerprint, lambda: self._build(spec))
+
+    def _build(self, spec: SolverSpec) -> SubstrateSolver:
         fault_hook("factor.build", kind=spec.kind)
         built = spec.build()
         prepare = getattr(built, "prepare_direct", None)
         if prepare is not None:
             prepare()
         with self._lock:
-            engine = self._engines.get(fingerprint)
-            if engine is not None:
-                # a concurrent caller won the build race; theirs is the
-                # pooled engine, ours is dropped
-                self._engines.move_to_end(fingerprint)
-                return engine
-            self._engines[fingerprint] = built
             self.engines_built += 1
-            while len(self._engines) > self.max_solvers:
-                self._engines.popitem(last=False)
-                self.engines_evicted += 1
         return built
 
     def close(self) -> None:
         """Drop every engine (idempotent)."""
-        with self._lock:
-            self._engines.clear()
+        self._engines.clear()
 
     def info(self) -> dict:
+        engines = self._engines.info()
         with self._lock:
-            return {
-                "live": len(self._engines),
-                "max_solvers": self.max_solvers,
-                "built": self.engines_built,
-                "evicted": self.engines_evicted,
-            }
+            built = self.engines_built
+        return {
+            "live": engines["entries"],
+            "max_solvers": engines["budget"],
+            "built": built,
+            "evicted": engines["evictions"],
+        }
 
 
 class Scheduler:
@@ -385,8 +375,8 @@ class Scheduler:
         if self.persistence is not None:
             self.store.attach_backend(self.persistence.results)
             cache = factor_cache()
-            if cache.artifact_store is None:
-                cache.set_artifact_store(self.persistence.artifacts)
+            if cache.tier is None:
+                cache.tier = self.persistence.artifacts
                 self._attached_artifacts = True
             try:
                 self._replay_journal()
@@ -680,8 +670,8 @@ class Scheduler:
         if self.persistence is not None:
             if self._attached_artifacts:
                 cache = factor_cache()
-                if cache.artifact_store is self.persistence.artifacts:
-                    cache.set_artifact_store(None)
+                if cache.tier is self.persistence.artifacts:
+                    cache.tier = None
                 self._attached_artifacts = False
             self.store.attach_backend(None)
             self.persistence.close()

@@ -7,42 +7,44 @@ repetition, every table row, every service engine reconstructs an
 ``(layout, profile, discretisation)`` and then needs the exact same direct
 factor: the dense ``A_cc`` Cholesky (or Schur/bordered, floating) factor, or
 the FD sparse LU of the interior Laplacian.  This module holds those factors
-in one memory-budgeted, process-wide LRU so a second solver over the same
-substrate pays ~zero factor cost.  Nothing else is cached here: an
-eigenvalue table takes ~1.5 ms to build, so each operator builds its own.
+in one process-wide :class:`~repro.lru.BoundedLRU` measured in bytes (the
+factor's arrays, or a SuperLU's stored entries), so a second solver over the
+same substrate pays ~zero factor cost.  Eviction, the oversize rule, the
+per-kind occupancy and the artifact tier follow that class.  Nothing else
+is cached here: an eigenvalue table takes ~1.5 ms to build, so each operator
+builds its own.
 
 Keys are tuples whose first element is a *kind* string
 (``"bem_direct_factor"``, ``"fd_direct_factor"``) followed by the identity of
 the physics and discretisation, typically
 ``(ContactLayout.fingerprint, SubstrateProfile.cache_key, grid shape)``.
-Values are opaque to the cache; byte sizes are estimated from the factor's
-arrays (or a SuperLU's stored entries) and the least-recently-used entries
-are evicted once the budget is exceeded.
+The kind is the LRU group: :meth:`FactorCache.cache_info` reports
+occupancy and hit/miss counts per kind, and ``clear(kind)`` drops one kind.
 
-The cache is **per process**; every solver in the process shares it.  It
-is the only owner of the direct factors it holds, the eigenfunction
-solver's dense factors and the finite-difference solver's sparse LUs alike:
-a solver looks its factor up once per direct block (:meth:`FactorCache.get_or_build`)
-and keeps no reference of its own, so the budget bounds those factors and
-``clear``, ``set_budget`` and LRU eviction free them (the next direct block
-rebuilds).  A solver holds a factor itself only when the cache will not
-(disabled for that solver, or refused as oversized).  A dense factor is
-checked for NaN/inf once, where it enters the process (built or loaded;
-:func:`seal_factor_arrays`), and its arrays are read-only from then on.
+The cache is the only owner of the direct factors it holds, the
+eigenfunction solver's dense factors and the finite-difference solver's
+sparse LUs alike: a solver looks its factor up once per direct block
+(``get_or_build``) and keeps no reference of its own, so the budget bounds
+those factors and ``clear``, ``set_budget`` and LRU eviction free them (the
+next direct block rebuilds).  A solver holds a factor itself only when the
+cache will not (disabled for that solver, or refused as oversized).  A dense
+factor is checked for NaN/inf once, where it enters the process (built or
+loaded; :func:`seal_factor_arrays`), and its arrays are read-only from then
+on.
 
-On top of the in-RAM cache, an optional **content-addressed artifact store**
-(:class:`FactorArtifactStore`) persists the eigenfunction solver's dense
-factors to disk under the digest of their cache key: the cache consults it
-on a miss before any caller rebuilds, and writes freshly built factors
-through to it, so a *restarted* process (whose RAM cache is empty) skips the
-cold factorisation.  Factors are written as flat array payloads
+The LRU's tier is an optional **content-addressed artifact store**
+(:class:`FactorArtifactStore`) that persists the eigenfunction solver's
+dense factors to disk under the digest of their cache key: a RAM miss reads
+through to it before any caller rebuilds, and freshly built factors are
+written through, so a *restarted* process (whose RAM cache is empty) skips
+the cold factorisation.  Factors are written as flat array payloads
 (:func:`_flatten_factor`) and rebuilt from them (:func:`_rebuild_factor`).
-FD sparse LUs stay in RAM only: SciPy's SuperLU cannot be rebuilt from its
-arrays, and solving through the arrays instead ran ~1.5-2.5x slower than the
-native factor, more per block than the ~0.2 s a rebuild costs.  After a
-restart an FD solver rebuilds its LU once, like any cache miss.  No store is
-attached by default; the extraction service wires one in when it is given a
-state directory.
+FD sparse LUs stay in RAM only (the store answers ``None`` for their keys):
+SciPy's SuperLU cannot be rebuilt from its arrays, and solving through the
+arrays instead ran ~1.5-2.5x slower than the native factor, more per block
+than the ~0.2 s a rebuild costs.  After a restart an FD solver rebuilds its
+LU once, like any cache miss.  No store is attached by default; the
+extraction service wires one in when it is given a state directory.
 
 Environment knob: ``REPRO_FACTOR_CACHE_BYTES`` overrides the default budget
 (512 MiB) for the process-wide instance; a malformed or negative value warns
@@ -58,11 +60,12 @@ import math
 import os
 import threading
 import warnings
-from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 import numpy as np
+
+from ..lru import BoundedLRU, env_bytes
 
 __all__ = [
     "FactorCache",
@@ -83,30 +86,6 @@ DEFAULT_BUDGET_BYTES = 512 * 1024 * 1024
 PERSISTED_FACTOR_KINDS = ("bem_direct_factor",)
 
 
-def _env_bytes(name: str, default: int) -> int:
-    """Byte budget from the environment variable ``name``, else ``default``.
-
-    A malformed or negative value is rejected with a warning (falling back
-    to the default) instead of being silently ignored: a typo'd budget must
-    not masquerade as a deliberate one.
-    """
-    env = os.environ.get(name)
-    if env:
-        try:
-            value = int(env)
-            if value < 0:
-                raise ValueError("budget must be >= 0")
-            return value
-        except ValueError as exc:
-            warnings.warn(
-                f"ignoring invalid {name}={env!r} ({exc}); "
-                f"using the default of {default} bytes",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    return default
-
-
 def _estimate_nbytes(value: Any) -> int:
     """Byte size of a cached factor: its arrays, or a SuperLU's stored entries."""
     if isinstance(value, np.ndarray):
@@ -120,8 +99,18 @@ def _estimate_nbytes(value: Any) -> int:
     return 64
 
 
-class FactorCache:
-    """Memory-budgeted LRU cache of the substrate solvers' direct factors.
+def _kind_of(key: Hashable) -> str:
+    """The factor kind a cache key names (its first element)."""
+    if isinstance(key, tuple) and key and isinstance(key[0], str):
+        return key[0]
+    return ""
+
+
+class FactorCache(BoundedLRU):
+    """Byte-budgeted LRU of the substrate solvers' direct factors.
+
+    A :class:`~repro.lru.BoundedLRU` grouped by factor kind, whose tier is a
+    :class:`FactorArtifactStore`; on top of it, hit/miss counts per kind.
 
     Parameters
     ----------
@@ -132,102 +121,16 @@ class FactorCache:
     """
 
     def __init__(self, max_bytes: int = DEFAULT_BUDGET_BYTES) -> None:
-        self.max_bytes = int(max_bytes)  # reprolint: guarded-by(_lock)
-        # reprolint: guarded-by(_lock)
-        self._entries: "OrderedDict[Hashable, tuple[Any, int]]" = OrderedDict()
-        self._bytes = 0  # reprolint: guarded-by(_lock)
-        self._lock = threading.RLock()
-        self.hits = 0  # reprolint: guarded-by(_lock)
-        self.misses = 0  # reprolint: guarded-by(_lock)
-        self.evictions = 0  # reprolint: guarded-by(_lock)
-        self.oversized = 0  # reprolint: guarded-by(_lock)
+        super().__init__(max_bytes, size_of=_estimate_nbytes, group_of=_kind_of)
         self._kind_hits: dict[str, int] = {}  # reprolint: guarded-by(_lock)
         self._kind_misses: dict[str, int] = {}  # reprolint: guarded-by(_lock)
-        #: optional on-disk artifact store consulted on a RAM miss (and
-        #: written through on put) for the persistable factor kinds
-        # reprolint: guarded-by(_lock)
-        self._artifact_store: "FactorArtifactStore | None" = None
-        self.artifact_hits = 0  # reprolint: guarded-by(_lock)
-        self.artifact_misses = 0  # reprolint: guarded-by(_lock)
 
-    # ---------------------------------------------------------------- artifacts
-    @property
-    def artifact_store(self) -> "FactorArtifactStore | None":
-        with self._lock:
-            return self._artifact_store
-
-    def set_artifact_store(self, store: "FactorArtifactStore | None") -> None:
-        """Attach (or detach, with ``None``) the on-disk artifact store.
-
-        While attached, :meth:`get` falls through to the store on a RAM miss
-        for the :data:`PERSISTED_FACTOR_KINDS` and :meth:`put` writes freshly
-        built factors through to it — so a restarted process warm-starts its
-        factors from disk instead of refactoring.
-        """
-        with self._lock:
-            self._artifact_store = store
-
-    # ------------------------------------------------------------------ config
-    def set_budget(self, max_bytes: int) -> None:
-        """Change the byte budget and evict down to it immediately."""
-        with self._lock:
-            self.max_bytes = int(max_bytes)
-            self._evict_to_budget()
-
-    @staticmethod
-    def _kind_of(key: Hashable) -> str:
-        if isinstance(key, tuple) and key and isinstance(key[0], str):
-            return key[0]
-        return ""
-
-    # ------------------------------------------------------------------ access
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Look up ``key``, refreshing its recency; counts one hit or miss.
-
-        With an artifact store attached, a RAM miss on a persistable factor
-        kind falls through to disk: a loaded artifact is admitted into the
-        RAM cache and counted as a hit (the caller was served without a
-        rebuild), plus one ``artifact_hits``.  The load runs outside the
-        cache lock (a 5,120-panel factor is ~200 MB), so lookups of other
-        keys never wait for the disk.
-        """
-        kind = self._kind_of(key)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._count(kind, hit=True)
-                return entry[0]
-            store = self._artifact_store
-        loadable = store is not None and store.handles(key)
-        value = store.load(key) if loadable else None
-        with self._lock:
-            if loadable and value is None:
-                self.artifact_misses += 1
-            elif loadable:
-                self.artifact_hits += 1
-                self._admit(key, value)
-            self._count(kind, hit=value is not None)
-        return default if value is None else value
-
-    def contains(self, key: Hashable) -> bool:
-        """Pure membership probe: no counters, no recency update.
-
-        Used by dispatch policies to ask "would a factor be free?" without
-        skewing the hit/miss statistics reported in benchmark records.
-        """
-        with self._lock:
-            return key in self._entries
-
-    def peek(self, key: Hashable, default: Any = None) -> Any:
-        """The entry under ``key`` with no side effects, like :meth:`contains`.
-
-        No counters, no recency update and no artifact-store fall-through:
-        for inspecting what the cache holds without skewing its statistics.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-        return default if entry is None else entry[0]
+    # reprolint: holds(_lock)
+    def _count(self, key: Hashable, hit: bool) -> None:
+        super()._count(key, hit)
+        counts = self._kind_hits if hit else self._kind_misses
+        kind = _kind_of(key)
+        counts[kind] = counts.get(kind, 0) + 1
 
     def max_dense_factor_order(self) -> int:
         """Largest ``n`` whose float64 ``n x n`` Cholesky factor :meth:`put` stores.
@@ -238,119 +141,43 @@ class FactorCache:
         """
         overhead = _estimate_nbytes(("chol", (np.empty((0, 0)), True)))
         with self._lock:
-            budget = self.max_bytes
+            budget = self.budget
         return math.isqrt(max(budget - overhead, 0) // 8)
-
-    def put(self, key: Hashable, value: Any) -> Any:
-        """Insert ``value`` under ``key`` (replacing any old entry) and return it.
-
-        With an artifact store attached, persistable factor kinds are also
-        written through to disk (content-addressed — an existing artifact is
-        never rewritten), outside the cache lock.
-        """
-        with self._lock:
-            store = self._artifact_store
-            self._admit(key, value)
-        if store is not None and store.handles(key):
-            store.save(key, value)
-        return value
-
-    def get_or_build(self, key: Hashable, builder: Callable[[], Any]) -> Any:
-        """Return the cached factor, building and inserting it on a miss.
-
-        One counted :meth:`get` (artifact store included); on a miss
-        ``builder()`` runs outside the lock and its value goes through
-        :meth:`put`, which may refuse it as oversized.  The value is returned
-        either way.  Both solvers' direct factors are looked up and built
-        through here.
-        """
-        found = object()
-        value = self.get(key, default=found)
-        if value is not found:
-            return value
-        return self.put(key, builder())
-
-    # reprolint: holds(_lock)
-    def _admit(self, key: Hashable, value: Any) -> None:
-        """Store ``value`` under ``key`` within the budget, or refuse it as oversized."""
-        size = _estimate_nbytes(value)
-        if size > self.max_bytes:
-            self.oversized += 1
-            return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._bytes -= old[1]
-        self._entries[key] = (value, size)
-        self._bytes += size
-        self._evict_to_budget()
-
-    # reprolint: holds(_lock)
-    def _count(self, kind: str, hit: bool) -> None:
-        if hit:
-            self.hits += 1
-            self._kind_hits[kind] = self._kind_hits.get(kind, 0) + 1
-        else:
-            self.misses += 1
-            self._kind_misses[kind] = self._kind_misses.get(kind, 0) + 1
-
-    # ---------------------------------------------------------------- eviction
-    # reprolint: holds(_lock)
-    def _evict_to_budget(self) -> None:
-        while self._bytes > self.max_bytes and self._entries:
-            _, (_, size) = self._entries.popitem(last=False)
-            self._bytes -= size
-            self.evictions += 1
-
-    # ------------------------------------------------------------- maintenance
-    def clear(self, kind: str | None = None) -> None:
-        """Drop all entries, or only those of one ``kind``; counters survive."""
-        with self._lock:
-            if kind is None:
-                self._entries.clear()
-                self._bytes = 0
-                return
-            for key in [k for k in self._entries if self._kind_of(k) == kind]:
-                _, size = self._entries.pop(key)
-                self._bytes -= size
 
     def cache_info(self) -> dict:
         """Snapshot of occupancy and hit/miss counters (benchmark records)."""
         with self._lock:
-            by_kind: dict[str, dict[str, int]] = {}
-            for key, (_, size) in self._entries.items():
-                slot = by_kind.setdefault(
-                    self._kind_of(key), {"entries": 0, "bytes": 0}
-                )
-                slot["entries"] += 1
-                slot["bytes"] += size
-            for kind in set(self._kind_hits) | set(self._kind_misses):
-                slot = by_kind.setdefault(kind, {"entries": 0, "bytes": 0})
-                slot["hits"] = self._kind_hits.get(kind, 0)
-                slot["misses"] = self._kind_misses.get(kind, 0)
-            return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "max_bytes": self.max_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "oversized": self.oversized,
-                "artifact_hits": self.artifact_hits,
-                "artifact_misses": self.artifact_misses,
-                "by_kind": by_kind,
+            info = self.info()
+            counts = {
+                kind: {
+                    "hits": self._kind_hits.get(kind, 0),
+                    "misses": self._kind_misses.get(kind, 0),
+                }
+                for kind in self._kind_hits.keys() | self._kind_misses.keys()
             }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        with self._lock:
-            return (
-                f"FactorCache(entries={len(self._entries)}, bytes={self._bytes}, "
-                f"max_bytes={self.max_bytes})"
-            )
+        by_kind = {
+            kind: {"entries": group["entries"], "bytes": group["size"]}
+            for kind, group in info["groups"].items()
+        }
+        for kind, hit_miss in counts.items():
+            by_kind.setdefault(kind, {"entries": 0, "bytes": 0}).update(hit_miss)
+        return {
+            "entries": info["entries"],
+            "bytes": info["size"],
+            "max_bytes": info["budget"],
+            "hits": info["hits"],
+            "misses": info["misses"],
+            "evictions": info["evictions"],
+            "oversized": info["oversized"],
+            "artifact_hits": info["tier_hits"],
+            "artifact_misses": info["tier_misses"],
+            "by_kind": by_kind,
+        }
 
 
 def _default_budget() -> int:
     """Budget of the process-wide cache (env: ``REPRO_FACTOR_CACHE_BYTES``)."""
-    return _env_bytes("REPRO_FACTOR_CACHE_BYTES", DEFAULT_BUDGET_BYTES)
+    return env_bytes("REPRO_FACTOR_CACHE_BYTES", DEFAULT_BUDGET_BYTES)
 
 
 #: the process-wide instance every solver consults before factoring

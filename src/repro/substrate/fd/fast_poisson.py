@@ -144,14 +144,3 @@ class FastPoissonPreconditioner:
             x, type=2, norm="ortho", axes=(1, 2), workers=self.fft_workers
         )
         return out.reshape(residual.shape)
-
-    def as_dense(self) -> np.ndarray:  # pragma: no cover - test helper for tiny grids
-        """Explicit dense ``M^{-1}`` (tiny grids only, used in tests)."""
-        n = self.grid.n_nodes
-        out = np.empty((n, n))
-        e = np.zeros(n)
-        for k in range(n):
-            e[k] = 1.0
-            out[:, k] = self.solve(e)
-            e[k] = 0.0
-        return out

@@ -107,33 +107,6 @@ class SubstrateProfile:
         """Thicknesses from top to bottom."""
         return np.array([layer.thickness for layer in self.layers])
 
-    def interface_depths(self) -> np.ndarray:
-        """Depths (positive, measured from the top) of the layer interfaces.
-
-        For ``n`` layers there are ``n - 1`` interfaces; the bottom surface is
-        not included.
-        """
-        return np.cumsum(self.thicknesses)[:-1]
-
-    def conductivity_at_depth(self, depth: float) -> float:
-        """Conductivity of the layer containing the point ``z = -depth``."""
-        if depth < 0 or depth > self.depth + 1e-12:
-            raise ValueError("depth outside the substrate")
-        acc = 0.0
-        for layer in self.layers:
-            acc += layer.thickness
-            if depth <= acc + 1e-12:
-                return layer.conductivity
-        return self.layers[-1].conductivity
-
-    def vertical_resistance_per_area(self) -> float:
-        """Series resistance per unit area through the whole stack.
-
-        For a grounded backplane this is ``lambda_00`` of the eigenfunction
-        expansion (uniform current mode); see Section 2.3.1.
-        """
-        return float(np.sum(self.thicknesses / self.conductivities))
-
     # ----------------------------------------------------------- constructors
     @classmethod
     def two_layer_example(

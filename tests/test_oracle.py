@@ -113,10 +113,10 @@ def _agree(got: np.ndarray, want: np.ndarray, scale: float) -> None:
 def _cold_factor_cache_without_artifacts():
     """The factor cache is process-wide: start cold, wire no artifact store."""
     factor_cache().clear()
-    factor_cache().set_artifact_store(None)
+    factor_cache().tier = None
     yield
     factor_cache().clear()
-    factor_cache().set_artifact_store(None)
+    factor_cache().tier = None
 
 
 @pytest.fixture(scope="module")

@@ -69,10 +69,10 @@ def bem_spec(small_layout_module, small_profile_module):
 def clean_factor_cache():
     """Persistence tests simulate restarts: start and end with a cold cache."""
     factor_cache().clear()
-    factor_cache().set_artifact_store(None)
+    factor_cache().tier = None
     yield
     factor_cache().clear()
-    factor_cache().set_artifact_store(None)
+    factor_cache().tier = None
 
 
 def make_scheduler(state_dir, **kwargs) -> Scheduler:
@@ -108,13 +108,13 @@ def test_restart_fresh_column_costs_exactly_one_solve(tmp_path, bem_spec):
 
     factor_cache().clear()
     with make_scheduler(state) as sched:
-        hits_before = factor_cache().artifact_hits
+        hits_before = factor_cache().tier_hits
         job = sched.result(sched.submit(JobRequest(bem_spec, columns=(1, 2))))
         sched.step()
         assert job.status == JobState.DONE
         assert sched.attributed_solves == 1  # column 1 from disk, 2 solved
         # the restarted engine loaded its factor from the artifact store
-        assert factor_cache().artifact_hits == hits_before + 1
+        assert factor_cache().tier_hits == hits_before + 1
         engine = sched.pool.get(bem_spec.fingerprint, bem_spec)
         assert engine.stats.n_factor_rebuilds == 0
 
@@ -127,7 +127,7 @@ def test_no_state_dir_behaviour_unchanged(bem_spec):
         job = sched.result(sched.submit(JobRequest(bem_spec, columns=(0,))))
         sched.step()
         assert job.status == JobState.DONE
-        assert factor_cache().artifact_store is None
+        assert factor_cache().tier is None
         assert "persistence" not in sched.stats()
 
 
@@ -145,11 +145,11 @@ def test_artifact_store_warm_start_skips_rebuild(tmp_path, bem_spec):
         # a bare solver over the same spec attaches the persisted factor:
         # zero rebuilds, counter-pinned
         cache = factor_cache()
-        hits_before = cache.artifact_hits
+        hits_before = cache.tier_hits
         solver = bem_spec.build()
         assert solver.prepare_direct()
         assert solver.stats.n_factor_rebuilds == 0
-        assert cache.artifact_hits == hits_before + 1
+        assert cache.tier_hits == hits_before + 1
 
     # without the artifact store the same cold build must rebuild
     factor_cache().clear()
@@ -197,13 +197,13 @@ def test_non_finite_artifact_is_a_miss_not_a_solve(tmp_path, bem_spec):
 
     factor_cache().clear()
     cache = factor_cache()
-    artifact_misses = cache.artifact_misses
+    artifact_misses = cache.tier_misses
     with make_scheduler(state) as sched:
         with pytest.warns(RuntimeWarning, match="NaN or inf"):
             job = sched.result(sched.submit(JobRequest(bem_spec, columns=(1,))))
             sched.step()
         assert job.status == JobState.DONE
-        assert cache.artifact_misses == artifact_misses + 1
+        assert cache.tier_misses == artifact_misses + 1
         spec = job.request.effective_spec
         engine = sched.pool.get(spec.fingerprint, spec)
         assert engine.stats.n_factor_rebuilds == 1
@@ -307,7 +307,7 @@ def test_undecodable_journal_accept_fails_startup(tmp_path, bem_spec, tripwire_p
         message = str(excinfo.value)
         assert f"{journal}:2" in message
         assert "base64-pickled" in message
-        assert factor_cache().artifact_store is None  # the failed start let go
+        assert factor_cache().tier is None  # the failed start let go
     assert not sentinel.exists()
 
 
@@ -332,13 +332,13 @@ def test_sqlite_backend_roundtrip(tmp_path):
     backend = SqliteResultBackend(tmp_path / "results.sqlite")
     fp = "bem-fingerprint"
     values = np.arange(5.0)
-    backend.save(fp, 3, values)
-    assert backend.contains(fp, 3)
-    assert not backend.contains(fp, 4)
-    loaded = backend.load(fp, 3)
+    backend.save((fp, 3), values)
+    assert backend.contains((fp, 3))
+    assert not backend.contains((fp, 4))
+    loaded = backend.load((fp, 3))
     assert not loaded.flags.writeable
     np.testing.assert_array_equal(loaded, values)
-    assert backend.load("other", 3) is None
+    assert backend.load(("other", 3)) is None
     assert backend.info()["columns"] == 1
     assert backend.delete(fp) == 1
     assert backend.info()["columns"] == 0
@@ -372,18 +372,18 @@ def test_sqlite_backend_info_counts_without_a_query(tmp_path):
 
     backend = SqliteResultBackend(path)
     try:
-        backend.save("a", 0, np.ones(4))
-        backend.save("a", 1, np.ones(4))
-        backend.save("b", 0, np.ones(3))
+        backend.save(("a", 0), np.ones(4))
+        backend.save(("a", 1), np.ones(4))
+        backend.save(("b", 0), np.ones(3))
         assert check(backend)["columns"] == 3
-        backend.save("a", 0, np.ones(6))  # replaced by a longer column
+        backend.save(("a", 0), np.ones(6))  # replaced by a longer column
         assert check(backend)["bytes"] == 8 * (6 + 4 + 3)
         assert backend.delete("a") == 2
         assert check(backend)["columns"] == 1
-        backend.save("a", 2, np.ones(2))
+        backend.save(("a", 2), np.ones(2))
         assert backend.delete(None) == 2
         assert check(backend)["columns"] == 0
-        backend.save("c", 0, np.ones(5))
+        backend.save(("c", 0), np.ones(5))
     finally:
         backend.close()
     reopened = SqliteResultBackend(path)
@@ -410,14 +410,14 @@ def test_result_store_info_counts_without_a_walk():
             return super().items()
 
     store = ResultStore(max_bytes=8 * 40)
-    store._columns = Columns()
+    store._columns._entries = Columns()
 
     def check() -> dict:
         walks = Columns.walks
         info = store.info()
         assert Columns.walks == walks  # no walk over the stored columns
         walk: dict[str, dict[str, int]] = {}
-        for (fingerprint, _), values in store._columns.items():
+        for (fingerprint, _), (values, _) in store._columns._entries.items():
             entry = walk.setdefault(fingerprint, {"columns": 0, "bytes": 0})
             entry["columns"] += 1
             entry["bytes"] += values.nbytes
@@ -495,7 +495,7 @@ def test_result_store_write_through_and_read_through(tmp_path):
     store = ResultStore(max_bytes=1024, backend=backend)
     fp = "fp"
     store.put(fp, 0, np.arange(4.0))
-    assert backend.contains(fp, 0)  # write-through
+    assert backend.contains((fp, 0))  # write-through
 
     fresh = ResultStore(max_bytes=1024, backend=backend)
     got = fresh.get(fp, 0)  # read-through on a cold LRU
@@ -631,9 +631,9 @@ def test_clear_counts_evictions():
     store.put(fp_a, 1, np.arange(4.0))
     store.put(fp_b, 0, np.arange(4.0))
     assert store.clear(fp_a) == 2
-    assert store.evictions == 2
+    assert store.info()["evictions"] == 2
     assert store.clear() == 1
-    assert store.evictions == 3
+    assert store.info()["evictions"] == 3
     assert len(store) == 0
 
 

@@ -24,7 +24,6 @@ class TestSubstrateProfile:
         assert prof.n_layers == 2
         assert np.allclose(prof.conductivities, [1.0, 100.0])
         assert np.allclose(prof.thicknesses, [1.0, 3.0])
-        assert np.allclose(prof.interface_depths(), [1.0])
 
     def test_requires_layers(self):
         with pytest.raises(ValueError):
@@ -33,17 +32,6 @@ class TestSubstrateProfile:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             SubstrateProfile(0, 10, [Layer(1, 1)])
-
-    def test_conductivity_at_depth(self):
-        prof = SubstrateProfile(10, 10, [Layer(1.0, 1.0), Layer(3.0, 100.0)])
-        assert prof.conductivity_at_depth(0.5) == 1.0
-        assert prof.conductivity_at_depth(2.0) == 100.0
-        with pytest.raises(ValueError):
-            prof.conductivity_at_depth(5.0)
-
-    def test_vertical_resistance_series(self):
-        prof = SubstrateProfile(10, 10, [Layer(1.0, 2.0), Layer(3.0, 6.0)])
-        assert np.isclose(prof.vertical_resistance_per_area(), 1.0 / 2.0 + 3.0 / 6.0)
 
     def test_two_layer_example(self):
         prof = SubstrateProfile.two_layer_example(size=128.0)

@@ -357,7 +357,7 @@ def test_annotated_modules_really_carry_annotations():
     keeps passing vacuously."""
     expected = {
         "src/repro/service/scheduler.py": "guarded-by(_cv)",
-        "src/repro/service/result_store.py": "guarded-by(_lock)",
+        "src/repro/lru.py": "guarded-by(_lock)",
         "src/repro/service/metrics.py": "guarded-by(_lock)",
         "src/repro/service/persistence.py": "guarded-by(_lock); owned-by(SqliteResultBackend)",
         "src/repro/substrate/factor_cache.py": "guarded-by(_lock)",
