@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import time
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -57,15 +56,6 @@ def _apply_faults(plan: str | None) -> None:
 
     os.environ[faults.ENV_VAR] = plan
     faults.reload_env_plan()
-
-
-def _serve_forever(what: str, url: str) -> None:
-    print(f"{what} listening on {url} (Ctrl-C to stop)")
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -154,9 +144,11 @@ def main(argv: list[str] | None = None) -> None:
         )
         what = f"cluster worker {node.worker_id}"
 
+    from ..service.aserver import serve_until_stopped
+
     node.start()
     try:
-        _serve_forever(what, node.url)
+        serve_until_stopped(f"{what} listening on {node.url} (Ctrl-C to stop)")
     finally:
         node.close()
 

@@ -59,6 +59,8 @@ import hmac
 import inspect
 import json
 import os
+import signal
+import sys
 import threading
 import time
 from typing import Any, NamedTuple
@@ -592,6 +594,23 @@ class AsyncExtractionServer:
         await writer.drain()
 
 
+def serve_until_stopped(message: str) -> None:
+    """Print ``message``, then sleep until Ctrl-C or SIGTERM.
+
+    SIGTERM raises ``SystemExit(0)``, so ``kill <pid>`` unwinds through the
+    caller's ``finally`` (its ``close()``) and exits 0, as Ctrl-C does.
+    SIGINT keeps the disposition the process inherited: a background job
+    of a non-interactive shell ignores it, and that is the shell's choice.
+    """
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
+    print(message, flush=True)
+    try:
+        while True:
+            time.sleep(3600)
+    except KeyboardInterrupt:
+        pass
+
+
 def main(argv: list[str] | None = None) -> None:
     """CLI entry point: ``python -m repro.service [--host H] [--port P] ...``."""
     parser = argparse.ArgumentParser(
@@ -664,11 +683,7 @@ def main(argv: list[str] | None = None) -> None:
         max_queue_depth=args.max_queue_depth,
     )
     server.start()
-    print(f"extraction service listening on {server.url}/v1/ (Ctrl-C to stop)")
     try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
+        serve_until_stopped(f"extraction service listening on {server.url}/v1/ (Ctrl-C to stop)")
     finally:
         server.close()

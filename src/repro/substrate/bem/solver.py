@@ -29,12 +29,24 @@ grounded backplane, a Schur-complement (bordered Cholesky) factorisation of
 the saddle-point system for a floating one.  Both spread contact voltages
 onto panels and sum panel currents per contact through one owner index and
 one sparse incidence (:func:`~repro.geometry.panels.contact_map`).
+
+A right-hand side is a contact voltage spread onto panels and an answer is
+summed back per contact, so the operator a warm block needs has rank
+``n_contacts``, not ``ncp``.  The direct factor therefore has a second,
+contact-space form, ``W = U^-T E`` (``A_cc = U'U``, ``E`` the 0/1
+``ncp x n_contacts`` spread), with ``G = W'W``: a column costs two GEMMs,
+``4 ncp n_contacts`` flops, against the Cholesky's two triangular sweeps,
+``2 ncp^2``.  Building it costs ``ncp^2 n_contacts`` flops, as much as
+``n_contacts / 2`` columns on the Cholesky, so the frame switches to it
+once a solver has sent that many columns through the direct engine
+(:meth:`~EigenfunctionSolver._contact_form`), and only when
+``2 n_contacts < ncp``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, lu_factor, lu_solve, solve_triangular
 
 from ...geometry.contact import ContactLayout
 from ...geometry.panels import PanelGrid, contact_map
@@ -253,7 +265,9 @@ class EigenfunctionSolver(_DispatchingSolver):
         by a current pattern supported on a strict panel subset) plus the
         solved border column ``w = A_cc^{-1} 1`` and pivot ``s = 1' w``.  If
         that Cholesky fails the full bordered matrix is LU-factored instead,
-        ``("bordered", lu, piv)``.
+        ``("bordered", lu, piv)``.  The first two have a contact-space form
+        (:meth:`_contact_form`), which the frame swaps in once the factor
+        has served enough columns; the bordered LU has none.
 
         The kernel-table gather is exactly symmetric, so its transpose is the
         same matrix in Fortran order and LAPACK factors it where it lies (a
@@ -301,17 +315,62 @@ class EigenfunctionSolver(_DispatchingSolver):
         seal_factor_arrays(lu, piv)
         return ("bordered", lu, piv)
 
+    def _contact_form(self, factor: tuple) -> tuple:
+        """``("contact", W, y, s)``: a Cholesky-based factor in contact space.
+
+        ``W = U^-T E`` for ``A_cc = U'U`` (``L^-1 E`` for a lower factor),
+        where ``E`` is the 0/1 ``(ncp, n_contacts)`` spread ``v -> v[owner]``,
+        so ``G = E' A_cc^-1 E = W'W``.  On a floating backplane ``y = W'z``
+        (``z = U^-T 1``) is ``E' A_cc^-1 1``, the contact sums of the Schur
+        factor's border column, and ``s = z'z = 1' A_cc^-1 1`` is its pivot,
+        so both are read off that factor; on a grounded one they are None.
+        One triangular solve with ``n_contacts`` right-hand sides builds it.
+        Returns ``factor`` itself when it has no such form (the bordered LU,
+        or a form already promoted) or when a column on ``W`` would not be
+        cheaper: ``4 ncp n_contacts`` flops against ``2 ncp^2`` needs
+        ``2 n_contacts < ncp``.
+        """
+        ncp, n_contacts = self.grid.n_contact_panels, self.n_contacts
+        if factor[0] not in ("chol", "schur") or 2 * n_contacts >= ncp:
+            return factor
+        c, lower = factor[1]
+        spread = np.zeros((ncp, n_contacts), order="F")
+        spread[np.arange(ncp), self._owner] = 1.0
+        # solves U'x = b for an upper factor, L x = b for a lower one
+        w = solve_triangular(
+            c, spread, trans=0 if lower else 1, lower=lower, overwrite_b=True, check_finite=False
+        )
+        seal_factor_arrays(w)
+        if factor[0] == "chol":
+            return ("contact", w, None, None)
+        _, _, border, s = factor
+        y = self._incidence @ border
+        seal_factor_arrays(y)
+        return ("contact", w, y, s)
+
     def _solve_direct_chunk(
         self, v: np.ndarray, factor: tuple
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Currents (and floating gauges) of a chunk by two triangular solves.
+        """Currents (and floating gauges) of a chunk by the direct factor.
 
-        The triangular solves skip SciPy's finiteness scan
-        (``check_finite=False``), so a chunk pays only for its own columns,
-        not for a pass over the whole factor.  Both inputs were checked where
-        they entered: the factor when it was built or loaded (and it is
-        read-only since), the voltages at :meth:`solve_many` entry.
+        On the contact form a chunk is ``W'(W v)``, two GEMMs with no
+        panel-space vector; a floating chunk subtracts ``y (y'v) / s`` and
+        returns the gauges ``(y'v) / s``.  On the Cholesky-based forms it is
+        two triangular solves over the panel-space spread ``v[owner]``,
+        summed back per contact.  The triangular solves skip SciPy's
+        finiteness scan (``check_finite=False``), so a chunk pays only for
+        its own columns, not for a pass over the whole factor.  Both inputs
+        were checked where they entered: the factor when it was built,
+        loaded or promoted (and it is read-only since), the voltages at
+        :meth:`solve_many` entry.
         """
+        if factor[0] == "contact":
+            _, w, y, s = factor
+            currents = w.T @ (w @ v)
+            if y is None:
+                return currents, None
+            gauges = (y @ v) / s
+            return currents - y[:, None] * gauges, gauges
         v_panel = v[self._owner]
         gauges = None
         if factor[0] == "chol":

@@ -10,7 +10,10 @@ fundamentally different ways to serve a block of right-hand sides:
 * **direct** — assemble the dense contact-panel block ``A_cc`` once, factor it
   (Cholesky, or a bordered/Schur-complement factorisation for the floating
   saddle system) and turn every further column into two triangular solves.
-  Cost is ``O(ncp^3)`` once plus ``O(ncp^2)`` per column.
+  Cost is ``O(ncp^3)`` once plus ``O(ncp^2)`` per column.  A factor that has
+  served ``n_contacts / 2`` columns is promoted to its contact-space form
+  (:mod:`repro.substrate.bem.solver`), ``O(ncp n_contacts)`` per column; the
+  model below keeps charging the Cholesky form.
 
 No path wins everywhere: the direct path is ~1.7x faster for full dense
 extraction at ``n_side = 32`` but pure waste for a handful of columns on a
@@ -159,7 +162,13 @@ class SolveCostModel:
         factor_cached: bool,
         grounded: bool,
     ) -> float:
-        """Estimated cost of serving the block through the dense factor."""
+        """Estimated cost of serving the block through the dense factor.
+
+        Charged as the Cholesky form's two triangular solves per column.  On
+        a promoted factor (contact form) that overcharges, but it cannot flip
+        a block: a promoted factor is a cached one, and the model routes
+        cached-factor blocks direct even at the Cholesky form's price.
+        """
         # two triangular solves per column
         cost = 2.0 * float(n_panels) ** 2 * n_rhs
         if not grounded:

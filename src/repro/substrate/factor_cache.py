@@ -28,9 +28,17 @@ sparse LUs alike: a solver looks its factor up once per direct block
 those factors and ``clear``, ``set_budget`` and LRU eviction free them (the
 next direct block rebuilds).  A solver holds a factor itself only when the
 cache will not (disabled for that solver, or refused as oversized).  A dense
-factor is checked for NaN/inf once, where it enters the process (built or
-loaded; :func:`seal_factor_arrays`), and its arrays are read-only from then
-on.
+factor is checked for NaN/inf once, where it enters the process (built,
+promoted or loaded; :func:`seal_factor_arrays`), and its arrays are
+read-only from then on.
+
+A dense Cholesky-based entry has two forms.  It is built as the ``ncp^2``
+Cholesky; once its solver has sent ``n_contacts / 2`` columns through the
+direct engine, the solver replaces it by its contact-space form
+``("contact", W, y, s)`` (``W = U^-T E``, ``ncp x n_contacts``; see
+:mod:`repro.substrate.bem.solver`) through one :meth:`~FactorCache.put`,
+which counts no hit, miss or build.  An evicted promoted entry is rebuilt
+or reloaded in its Cholesky form and promoted again by its next block.
 
 The LRU's tier is an optional **content-addressed artifact store**
 (:class:`FactorArtifactStore`) that persists the eigenfunction solver's
@@ -39,6 +47,9 @@ through to it before any caller rebuilds, and freshly built factors are
 written through, so a *restarted* process (whose RAM cache is empty) skips
 the cold factorisation.  Factors are written as flat array payloads
 (:func:`_flatten_factor`) and rebuilt from them (:func:`_rebuild_factor`).
+Only the Cholesky form is persisted: a promoted entry's write-through finds
+its key's artifact on disk and writes nothing (the key names the substrate,
+not the form), and the contact form is re-derived after a restart.
 FD sparse LUs stay in RAM only (the store answers ``None`` for their keys):
 SciPy's SuperLU cannot be rebuilt from its arrays, and solving through the
 arrays instead ran ~1.5-2.5x slower than the native factor, more per block
@@ -137,7 +148,9 @@ class FactorCache(BoundedLRU):
 
         Sized with :meth:`put`'s own estimate of a ``("chol", (c, lower))``
         factor, whose tuples add a few hundred bytes to the array's, so a
-        factor of order ``isqrt(max_bytes // 8)`` is already refused.
+        factor of order ``isqrt(max_bytes // 8)`` is already refused.  A
+        promoted entry is far smaller (``n x n_contacts``), but every build
+        materialises the ``n^2`` Cholesky first, so this bounds that.
         """
         overhead = _estimate_nbytes(("chol", (np.empty((0, 0)), True)))
         with self._lock:
@@ -208,8 +221,8 @@ def seal_factor_arrays(*arrays: np.ndarray) -> None:
     """Refuse a factor payload holding NaN or inf, then make it read-only.
 
     Every dense factor passes here once, where it enters the process: when
-    a solver builds it, and when :func:`_rebuild_factor` restores it from an
-    artifact.  Its block solves then skip SciPy's
+    a solver builds or promotes it, and when :func:`_rebuild_factor`
+    restores it from an artifact.  Its block solves then skip SciPy's
     per-call rescan of the whole factor (``check_finite=False``), which is
     sound because the scan happened here and nothing can write the arrays
     afterwards.
@@ -234,7 +247,9 @@ def _flatten_factor(factor: Any) -> tuple[dict, list[np.ndarray]]:
     Supported shapes are exactly the eigenfunction solver's dense factor
     tuples: ``("chol", (c, lower))``, ``("schur", (c, lower), w, s)`` and
     ``("bordered", lu, piv)``.  Raises ``TypeError`` for anything else, so
-    callers can skip unpersistable cache entries.
+    callers can skip unpersistable cache entries; that includes the contact
+    form ``("contact", W, y, s)``, which is derived from the Cholesky and
+    never persisted.
 
     A dense factor (the ``c`` or ``lu`` matrix) is Fortran-ordered, as
     LAPACK builds and reads it.  It ships as its C-contiguous transpose, a

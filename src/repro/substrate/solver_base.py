@@ -71,6 +71,9 @@ class SolveStats:
     total_iterations: int = 0
     #: factors this solver had to build from scratch (cold factorisation)
     n_factor_rebuilds: int = 0
+    #: direct factors this solver replaced by their contact-space form
+    #: (a change of form, not a build: no rebuild or cache lookup is counted)
+    n_factor_promotions: int = 0
 
     def record(self, iterations: int) -> None:
         """Record one iterative solve and its Krylov iteration count."""
@@ -98,6 +101,7 @@ class SolveStats:
         self.n_direct_solves += other.n_direct_solves
         self.total_iterations += other.total_iterations
         self.n_factor_rebuilds += other.n_factor_rebuilds
+        self.n_factor_promotions += other.n_factor_promotions
         return self
 
     @property
@@ -121,6 +125,7 @@ class SolveStats:
             "total_iterations": self.total_iterations,
             "mean_iterations": self.mean_iterations,
             "n_factor_rebuilds": self.n_factor_rebuilds,
+            "n_factor_promotions": self.n_factor_promotions,
         }
 
 
@@ -217,6 +222,18 @@ class _DispatchingSolver(SubstrateSolver):
     rebuilds it, counted like any build: one cache miss and one
     ``n_factor_rebuilds``.
 
+    A factor may have a cheaper second form for warm blocks
+    (:meth:`_contact_form`; the eigenfunction solver's ``W = U^-T E``).  The
+    frame promotes it just before a direct block, once the columns this
+    solver has sent through the direct engine, that block's included, reach
+    ``n_contacts / 2``: ski rental, since by then the sweeps spent on the
+    old form cost as much as building the new one.  The promoted form
+    replaces the factor where it lives, the cache entry (through one
+    ``put``, so no lookup or build is counted) or the solver's own
+    reference, and is counted in ``stats.n_factor_promotions``.  An evicted
+    promoted entry is rebuilt (or reloaded) in its first form, and promoted
+    again by the next direct block.
+
     A backend supplies the abstract hooks below.  Its chunk solvers return
     ``(currents, gauges)``: the gauge constants of a floating-backplane
     eigenfunction solve, which the frame stitches into
@@ -270,6 +287,13 @@ class _DispatchingSolver(SubstrateSolver):
     def _solve_iterative_chunk(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Currents (and gauges) of an ``(n_contacts, k)`` chunk by Krylov."""
 
+    def _contact_form(self, factor: Any) -> Any:
+        """The factor's cheaper form for warm blocks, or ``factor`` itself.
+
+        The default (the finite-difference solver's sparse LU) has none.
+        """
+        return factor
+
     # -------------------------------------------------------------- solves
     def solve_currents(self, voltages: np.ndarray) -> np.ndarray:
         """Contact currents for one voltage vector.
@@ -301,6 +325,7 @@ class _DispatchingSolver(SubstrateSolver):
         if self.last_dispatch.path == "direct":
             factor = self._latched_factor()
             if factor is not None:
+                factor = self._promoted(factor, v.shape[1])
                 out = self._in_chunks(self._solve_direct_chunk, v, factor)
                 self.stats.record_direct(v.shape[1])
                 return out
@@ -410,6 +435,23 @@ class _DispatchingSolver(SubstrateSolver):
         if not cache.contains(self._factor_cache_key):
             self._private_factor = factor
         return factor
+
+    def _promoted(self, factor: Any, n_rhs: int) -> Any:
+        """The form of ``factor`` a direct block of ``n_rhs`` columns runs on."""
+        if 2 * (self.stats.n_direct_solves + n_rhs) < self.n_contacts:
+            return factor
+        promoted = self._contact_form(factor)
+        if promoted is factor:
+            return factor
+        if self._private_factor is factor:
+            self._private_factor = promoted
+        else:
+            cache = factor_cache()
+            cache.put(self._factor_cache_key, promoted)
+            if not cache.contains(self._factor_cache_key):  # refused as oversized
+                self._private_factor = promoted
+        self.stats.n_factor_promotions += 1
+        return promoted
 
     def _counted_build(self) -> Any:
         factor = self._build_direct_factor()

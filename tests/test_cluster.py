@@ -12,6 +12,8 @@ surface and the intra-cluster RPCs.
 from __future__ import annotations
 
 import os
+import select
+import signal
 import subprocess
 import sys
 import threading
@@ -418,11 +420,16 @@ def test_cluster_failover_reroutes_and_loses_nothing(spec_a, small_g):
                     pass
 
 
-def _spawn_worker(leader_url: str, worker_id: str) -> subprocess.Popen:
-    """One ``python -m repro.cluster worker`` process on an ephemeral port."""
+def _cli_env() -> dict:
+    """The environment of a CLI process that imports this tree's ``repro``."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def _spawn_worker(leader_url: str, worker_id: str) -> subprocess.Popen:
+    """One ``python -m repro.cluster worker`` process on an ephemeral port."""
     return subprocess.Popen(
         [
             sys.executable,
@@ -436,10 +443,34 @@ def _spawn_worker(leader_url: str, worker_id: str) -> subprocess.Popen:
             "--heartbeat",
             "0.5",
         ],
-        env=env,
+        env=_cli_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["repro.service"], ["repro.cluster", "leader"]],
+    ids=["service", "leader"],
+)
+def test_cli_stops_cleanly_on_sigterm(command, tmp_path):
+    """``kill <pid>`` (SIGTERM) stops the service and the leader CLIs through
+    their ``close()``: exit status 0 within 10 s, not death by the signal."""
+    argv = [sys.executable, "-m", *command, "--port", "0", "--state-dir", str(tmp_path)]
+    with subprocess.Popen(
+        argv, env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True
+    ) as proc:
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 30.0)
+            assert ready, "no listening line within 30 s"
+            assert "listening on" in proc.stdout.readline()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
 
 
 def test_worker_processes_agree_and_survive_sigkill():

@@ -539,14 +539,19 @@ def test_floating_gauge_constants_accumulate_across_chunks(tiny_layout):
     )
 
 
-def test_floating_gauge_constant_satisfies_bordered_system(tiny_layout):
-    """A q + c 1 = v on the contact panels, and 1' q = 0 (charge neutrality)."""
+def test_floating_gauge_constant_satisfies_bordered_system(tiny_layout, cold_bem_factors):
+    """A q + c 1 = v on the contact panels, and 1' q = 0 (charge neutrality).
+
+    The cache starts cold and 3 columns stay below n_contacts / 2, so the
+    block runs on the freshly built Schur factor, not its contact form.
+    """
     solver = _solver(
         tiny_layout, grounded=False, dispatch=DispatchPolicy(force_path="direct")
     )
     rng = np.random.default_rng(4)
     v = rng.standard_normal((tiny_layout.n_contacts, 3))
     solver.solve_many(v)
+    assert solver.stats.n_factor_promotions == 0
     # reconstruct panel currents from the factor to check the raw system
     owner = solver.grid.panel_to_contact[solver.grid.all_contact_panels]
     v_panel = v[owner]

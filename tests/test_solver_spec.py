@@ -85,6 +85,7 @@ def test_solve_stats_merge_empty_is_identity():
         "total_iterations": 4,
         "mean_iterations": 4.0,
         "n_factor_rebuilds": 0,
+        "n_factor_promotions": 0,
     }
 
 
